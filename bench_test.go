@@ -327,13 +327,18 @@ func BenchmarkWormholeRun(b *testing.B) {
 // BenchmarkStrategyRoute: one routed message per op through each bake-off
 // strategy on a faulty 16x16 mesh — the per-packet planning cost the
 // bakeoff experiment pays (lamb oracle lookups, ring detour construction,
-// adaptive two-layer BFS).
+// adaptive two-layer BFS). Direct routing exists only on the full mesh, so
+// it runs on K_256 with 8 node faults.
 func BenchmarkStrategyRoute(b *testing.B) {
 	m := mesh.MustNew(16, 16)
-	f := mesh.RandomNodeFaults(m, 8, rand.New(rand.NewSource(4)))
 	orders := routing.UniformAscending(2, 2)
 	for _, name := range wormhole.StrategyNames() {
 		b.Run(name, func(b *testing.B) {
+			var topo mesh.Topology = m
+			if name == "direct" {
+				topo = mesh.MustNewFullMesh(256)
+			}
+			f := mesh.RandomNodeFaultsOn(topo, 8, rand.New(rand.NewSource(4)))
 			builder, err := wormhole.NewStrategyBuilder(name, orders)
 			if err != nil {
 				b.Fatal(err)
@@ -357,6 +362,35 @@ func BenchmarkStrategyRoute(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkGenerateWorkload: drawing and routing the whole open-loop
+// workload of one traffic-live trial (perfbench) — M_2(16) with 8 node
+// faults, uniform 8-flit packets at rate 0.01 over 700 cycles, 2 VCs — so
+// roughly 1700 ChooseRoute + MessageFromRoute calls per op. Every op redraws
+// the same workload from the same seed.
+func BenchmarkGenerateWorkload(b *testing.B) {
+	m := mesh.MustNew(16, 16)
+	f := mesh.RandomNodeFaults(m, 8, rand.New(rand.NewSource(4)))
+	orders := routing.UniformAscending(2, 2)
+	res, err := core.Lamb1(f, orders)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := routing.NewOracle(f)
+	spec := wormhole.WorkloadSpec{
+		Pattern:     wormhole.PatternUniform,
+		Rate:        0.01,
+		PacketFlits: 8,
+		Cycles:      700,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wormhole.GenerateWorkload(o, orders, res.Lambs, spec, 2, rand.New(rand.NewSource(9))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

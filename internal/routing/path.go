@@ -9,62 +9,95 @@ import (
 
 // Path materializes the unique pi-ordered route from v to w as the full node
 // sequence, starting at v and ending at w. On a torus each segment takes the
-// minimal direction, ties toward +. The route is returned whether or not it
-// is fault-free; use Oracle.ReachOne to test validity.
+// minimal direction, ties toward + (SegmentDir). The route is returned
+// whether or not it is fault-free; use Oracle.ReachOne to test validity.
+// All coordinates of the result share one backing array.
 func Path(m *mesh.Mesh, pi Order, v, w mesh.Coord) []mesh.Coord {
-	path := []mesh.Coord{v.Clone()}
-	cur := v.Clone()
-	for _, dim := range pi {
-		a, b := cur[dim], w[dim]
-		if a == b {
-			continue
-		}
-		dir := 1
-		if !m.Torus() {
-			if b < a {
-				dir = -1
-			}
-		} else {
-			n := m.Width(dim)
-			dpos := ((b-a)%n + n) % n
-			if dpos > n-dpos {
-				dir = -1
-			}
-		}
-		for cur[dim] != b {
-			next, ok := m.Neighbor(cur, dim, dir)
-			if !ok {
-				panic(fmt.Sprintf("routing: route from %v to %v fell off %v", v, w, m))
-			}
-			cur = next
-			path = append(path, cur.Clone())
-		}
-	}
-	return path
+	return PathK(m, MultiOrder{pi}, v, w, nil)
 }
 
 // PathK concatenates the per-round pi_t-routes through the given
 // intermediate nodes: vias must have length k-1 for a k-round ordering. The
 // result includes every node visited, once per visit (a node may repeat if
-// rounds cross).
+// rounds cross). All coordinates of the result share one backing array.
 func PathK(m *mesh.Mesh, orders MultiOrder, v, w mesh.Coord, vias []mesh.Coord) []mesh.Coord {
 	if len(vias) != len(orders)-1 {
 		panic(fmt.Sprintf("routing: %d-round route needs %d intermediates, got %d",
 			len(orders), len(orders)-1, len(vias)))
 	}
-	stops := make([]mesh.Coord, 0, len(orders)+1)
-	stops = append(stops, v)
-	stops = append(stops, vias...)
-	stops = append(stops, w)
-	var full []mesh.Coord
-	for t := 0; t < len(orders); t++ {
-		seg := Path(m, orders[t], stops[t], stops[t+1])
-		if t > 0 {
-			seg = seg[1:] // the round's start repeats the previous round's end
+	stop := func(t int) mesh.Coord {
+		switch {
+		case t == 0:
+			return v
+		case t == len(orders):
+			return w
 		}
-		full = append(full, seg...)
+		return vias[t-1]
 	}
-	return full
+	hops := 0
+	for t := range orders {
+		hops += m.Distance(stop(t), stop(t+1))
+	}
+	d := len(v)
+	back := make([]int, (hops+1)*d)
+	start := mesh.Coord(back[:d:d])
+	copy(start, v)
+	path := append(make([]mesh.Coord, 0, hops+1), start)
+	back = back[d:]
+	for t, pi := range orders {
+		// The round's start repeats the previous round's end, so only the
+		// nodes after it are appended.
+		path, back = appendSteps(path, back, m, pi, stop(t), stop(t+1))
+	}
+	return path
+}
+
+// appendSteps appends the nodes after v on the pi-route from v to w,
+// carving each coordinate out of back, and returns the extended path and
+// the unused rest of back.
+func appendSteps(path []mesh.Coord, back []int, m *mesh.Mesh, pi Order, v, w mesh.Coord) ([]mesh.Coord, []int) {
+	d := len(v)
+	cur := v
+	for _, dim := range pi {
+		a, b := cur[dim], w[dim]
+		if a == b {
+			continue
+		}
+		n, dir := m.Width(dim), SegmentDir(m, dim, a, b)
+		for x := a; x != b; {
+			x += dir
+			if x < 0 || x >= n {
+				if !m.Torus() {
+					panic(fmt.Sprintf("routing: route from %v to %v fell off %v", v, w, m))
+				}
+				x = mod(x, n)
+			}
+			next := mesh.Coord(back[:d:d])
+			back = back[d:]
+			copy(next, cur)
+			next[dim] = x
+			path = append(path, next)
+			cur = next
+		}
+	}
+	return path, back
+}
+
+// SegmentDir returns the direction (+1 or -1) a dimension-ordered route
+// moves along dim from coordinate a to coordinate b: toward b on a mesh,
+// and the minimal way round on a torus, ties toward +.
+func SegmentDir(m *mesh.Mesh, dim, a, b int) int {
+	if !m.Torus() {
+		if b < a {
+			return -1
+		}
+		return 1
+	}
+	n := m.Width(dim)
+	if dpos := mod(b-a, n); dpos > n-dpos {
+		return -1
+	}
+	return 1
 }
 
 // CountTurns returns the number of times the path changes direction — the
@@ -112,13 +145,18 @@ func (r *Route) Turns() int { return CountTurns(r.Path) }
 // ChooseRoute picks a fault-free k-round route from v to w, using the
 // heuristic the paper suggests (Section 2.1): among feasible intermediate
 // nodes, choose one giving a shortest total route, breaking ties uniformly
-// at random (rng may be nil for deterministic first-best). Only k = 1 and
-// k = 2 are supported — the cases the paper simulates. Returns false if no
-// fault-free route exists.
+// at random (rng may be nil for deterministic first-best; otherwise exactly
+// one rng.Intn draws among the tied vias in node-index order). Only k = 1
+// and k = 2 are supported — the cases the paper simulates. Returns false if
+// no fault-free route exists.
 //
-// The search enumerates candidate intermediates, so it costs O(N d log f);
-// it serves traffic generation for the wormhole simulator, not the lamb
-// algorithm (which never routes).
+// For k = 2 the search first tries only the intermediates on some minimal
+// v→w route (the bounding box on a mesh, the minimal arcs on a torus): a
+// feasible one there is strictly shorter than any via outside, so the tied
+// set is the same as a scan of all N nodes would find. That costs
+// O(box · d log f). Only when every minimal via is blocked does it fall
+// back to the O(N d log f) scan of every node. It serves traffic generation
+// for the wormhole simulator, not the lamb algorithm (which never routes).
 func ChooseRoute(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) (*Route, bool) {
 	m := o.Mesh()
 	switch len(orders) {
@@ -128,37 +166,101 @@ func ChooseRoute(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) 
 		}
 		return &Route{Path: Path(m, orders[0], v, w)}, true
 	case 2:
-		bestLen := -1
-		var best []mesh.Coord // tied best intermediates
-		m.ForEachNode(func(u mesh.Coord) {
-			if !o.ReachOne(orders[0], v, u) || !o.ReachOne(orders[1], u, w) {
-				return
-			}
-			l := v.L1(u) + u.L1(w)
-			if m.Torus() {
-				l = len(Path(m, orders[0], v, u)) + len(Path(m, orders[1], u, w)) - 2
-			}
-			switch {
-			case bestLen == -1 || l < bestLen:
-				bestLen = l
-				best = best[:0]
-				best = append(best, u.Clone())
-			case l == bestLen:
-				best = append(best, u.Clone())
-			}
-		})
-		if bestLen == -1 {
+		if o.f.NodeFaulty(v) || o.f.NodeFaulty(w) {
+			return nil, false // no via can join a faulty endpoint
+		}
+		var buf [64]int64
+		best := minimalVias(o, orders, v, w, buf[:0])
+		if len(best) == 0 {
+			best = shortestVias(o, orders, v, w, best)
+		}
+		if len(best) == 0 {
 			return nil, false
 		}
-		via := best[0]
+		pick := 0
 		if rng != nil {
-			via = best[rng.Intn(len(best))]
+			pick = rng.Intn(len(best))
 		}
-		return &Route{
-			Vias: []mesh.Coord{via},
-			Path: PathK(m, orders, v, w, []mesh.Coord{via}),
-		}, true
+		vias := []mesh.Coord{m.CoordOf(best[pick])}
+		return &Route{Vias: vias, Path: PathK(m, orders, v, w, vias)}, true
 	default:
 		panic(fmt.Sprintf("routing: ChooseRoute supports 1 or 2 rounds, got %d", len(orders)))
 	}
+}
+
+// feasibleVia reports whether u joins a fault-free pi_1-route from v to a
+// fault-free pi_2-route to w.
+func (o *Oracle) feasibleVia(orders MultiOrder, v, u, w mesh.Coord) bool {
+	return o.ReachOne(orders[0], v, u) && o.ReachOne(orders[1], u, w)
+}
+
+// minimalVias appends to best, in node-index order, the index of every
+// feasible intermediate on a minimal v→w route. Per dimension those are the
+// coordinates on a shortest arc from v to w: the closed interval between
+// them on a mesh; on a torus the minimal arc, or the whole ring when both
+// arcs have length n/2. Each dimension's set is kept as up to two ascending
+// runs [lo0,hi0] ∪ [lo1,hi1] (hi1 = -1 when the second is empty) and walked
+// like an odometer, dimension 0 fastest, which is ascending node-index
+// order.
+func minimalVias(o *Oracle, orders MultiOrder, v, w mesh.Coord, best []int64) []int64 {
+	m := o.Mesh()
+	d := len(v)
+	buf := make([]int, 5*d)
+	u, lo0, hi0, lo1, hi1 := mesh.Coord(buf[:d]), buf[d:2*d], buf[2*d:3*d], buf[3*d:4*d], buf[4*d:]
+	for j := range u {
+		a, b := min(v[j], w[j]), max(v[j], w[j])
+		lo0[j], hi0[j], lo1[j], hi1[j] = a, b, 0, -1
+		if n := m.Width(j); m.Torus() {
+			switch span := b - a; {
+			case 2*span == n: // both arcs are minimal: the whole ring
+				lo0[j], hi0[j] = 0, n-1
+			case 2*span > n: // the minimal arc wraps: [0,a] ∪ [b,n-1]
+				lo0[j], hi0[j], lo1[j], hi1[j] = 0, a, b, n-1
+			}
+		}
+		u[j] = lo0[j]
+	}
+	for {
+		if o.feasibleVia(orders, v, u, w) {
+			best = append(best, m.Index(u))
+		}
+		j := 0
+		for ; j < d; j++ {
+			x := u[j]
+			if x == hi0[j] && hi1[j] >= 0 {
+				u[j] = lo1[j] // on to the second run
+				break
+			}
+			if x != hi0[j] && x != hi1[j] {
+				u[j]++
+				break
+			}
+			u[j] = lo0[j] // this dimension wrapped: carry into the next
+		}
+		if j == d {
+			return best
+		}
+	}
+}
+
+// shortestVias appends to best, in node-index order, the index of every
+// feasible intermediate whose total route length is minimal over all N
+// nodes: the fallback when no minimal v→w route has a feasible via.
+func shortestVias(o *Oracle, orders MultiOrder, v, w mesh.Coord, best []int64) []int64 {
+	m := o.Mesh()
+	bestLen := -1
+	m.ForEachNode(func(u mesh.Coord) {
+		if !o.feasibleVia(orders, v, u, w) {
+			return
+		}
+		l := m.Distance(v, u) + m.Distance(u, w)
+		switch {
+		case bestLen == -1 || l < bestLen:
+			bestLen = l
+			best = append(best[:0], m.Index(u))
+		case l == bestLen:
+			best = append(best, m.Index(u))
+		}
+	})
+	return best
 }

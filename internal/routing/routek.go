@@ -9,9 +9,11 @@ import (
 // ChooseRouteK picks a fault-free k-round route for any k >= 1 by dynamic
 // programming over rounds: cost_t(u) is the cheapest total hop count of a
 // fault-free t-round prefix ending at u, and the intermediates are
-// recovered by backtracking (ties broken by rng when non-nil, else by
-// lowest node index). Cost is O(k N^2) reachability queries, so this
-// complements ChooseRoute (O(N) for k <= 2) for the multi-round
+// recovered by backtracking. Ties between predecessors are broken by lowest
+// node index when rng is nil, else uniformly by reservoir sampling (the
+// j-th tied predecessor replaces the kept one with probability 1/j). Cost
+// is O(k N^2) reachability queries, so this complements ChooseRoute
+// (O(box · d log f) for k <= 2, with an O(N) fallback) for the multi-round
 // configurations the simulator explores; the lamb algorithms themselves
 // never route.
 func ChooseRouteK(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) (*Route, bool) {
@@ -64,6 +66,7 @@ func ChooseRouteK(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand)
 	}
 	for t := 1; t < k; t++ {
 		for u := 0; u < n; u++ {
+			ties := 0 // predecessors seen at the current cost[t][u]
 			for p := 0; p < n; p++ {
 				if cost[t-1][p] == inf {
 					continue
@@ -72,9 +75,13 @@ func ChooseRouteK(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand)
 					continue
 				}
 				c := cost[t-1][p] + hopLen(coords[p], coords[u])
-				if c < cost[t][u] || (c == cost[t][u] && rng != nil && rng.Intn(2) == 0) {
-					cost[t][u] = c
-					choice[t][u] = p
+				switch {
+				case c < cost[t][u]:
+					cost[t][u], choice[t][u], ties = c, p, 1
+				case c == cost[t][u] && rng != nil:
+					if ties++; rng.Intn(ties) == 0 {
+						choice[t][u] = p
+					}
 				}
 			}
 		}

@@ -24,93 +24,142 @@ func RouteMessage(o *routing.Oracle, orders routing.MultiOrder, src, dst mesh.Co
 }
 
 // MessageFromRoute converts an explicit k-round route into a message with
-// per-round virtual channels.
+// per-round virtual channels. The hops are walked straight from the stops
+// (src, vias..., dst), one dimension-ordered segment at a time, so r.Path
+// is not re-read; it must be the route PathK gives for those stops, as
+// ChooseRoute and ChooseRouteK return. Every hop's From coordinate is carved
+// from one backing array per message.
+//
+// On a mesh round t rides VC min(t, vcs-1). On a torus the dateline
+// discipline (Dally–Seitz) applies: round t owns the VC pair (2t, 2t+1).
+// Within each dimension's segment, hops before the wrap link ride the low
+// VC; the wrap hop and everything after it in that dimension ride the high
+// VC, and the class resets at the next dimension. The low class never
+// contains a wrap link (a line, acyclic) and a minimal route cannot wrap a
+// dimension twice, so the high class is a line too — no VC class closes the
+// ring, whence the 2k-VC deadlock freedom on tori. (A width-2 ring has no
+// dateline: its one + step from 1 to 0 is an ordinary hop.)
 func MessageFromRoute(m *mesh.Mesh, orders routing.MultiOrder, r *routing.Route,
 	src, dst mesh.Coord, id, length, injectAt, vcs int) (*Message, error) {
+	k := orders.Rounds()
+	if len(r.Vias) != k-1 {
+		return nil, fmt.Errorf("wormhole: route has %d vias for %d rounds", len(r.Vias), k)
+	}
+	stop := func(t int) mesh.Coord {
+		switch {
+		case t == 0:
+			return src
+		case t == k:
+			return dst
+		}
+		return r.Vias[t-1]
+	}
+	total := 0
+	for t := 0; t <= k; t++ {
+		if !m.Contains(stop(t)) {
+			return nil, fmt.Errorf("wormhole: route stop %v outside %v", stop(t), m)
+		}
+		if t > 0 {
+			total += m.Distance(stop(t-1), stop(t))
+		}
+	}
+	d := m.Dims()
+	// One backing array holds every hop's From and, in its last d ints, the
+	// walk's current position.
+	back := make([]int, (total+1)*d)
+	pos := mesh.Coord(back[total*d:])
 	msg := &Message{
 		ID:       id,
 		Src:      src.Clone(),
 		Dst:      dst.Clone(),
 		Length:   length,
 		InjectAt: injectAt,
+		Hops:     make([]Hop, 0, total),
 	}
-	// Recover round boundaries from the stops (src, vias..., dst) and walk
-	// each round's dimension-ordered path.
-	stops := make([]mesh.Coord, 0, orders.Rounds()+1)
-	stops = append(stops, src)
-	stops = append(stops, r.Vias...)
-	stops = append(stops, dst)
-	if len(stops) != orders.Rounds()+1 {
-		return nil, fmt.Errorf("wormhole: route has %d vias for %d rounds", len(r.Vias), orders.Rounds())
-	}
-	for t := 0; t < orders.Rounds(); t++ {
+	for t := 0; t < k; t++ {
+		vcLo, vcHi := t, t
 		if m.Torus() {
-			// Dateline discipline (Dally–Seitz): round t owns the VC pair
-			// (2t, 2t+1). Within each dimension's segment, hops before the
-			// wrap link ride the low VC; the wrap hop and everything after it
-			// in that dimension ride the high VC, and the class resets at the
-			// next dimension. The low class never contains a wrap link (a
-			// line, acyclic) and a minimal route cannot wrap a dimension
-			// twice, so the high class is a line too — no VC class closes the
-			// ring, whence the 2k-VC deadlock freedom on tori.
-			vcLo, vcHi := 2*t, 2*t+1
-			if vcLo >= vcs {
-				vcLo = vcs - 1
-			}
-			if vcHi >= vcs {
-				vcHi = vcs - 1
-			}
-			seg := routing.Path(m, orders[t], stops[t], stops[t+1])
-			curDim, wrapped := -1, false
-			for i := 1; i < len(seg); i++ {
-				link, err := linkBetween(m, seg[i-1], seg[i])
-				if err != nil {
-					return nil, err
-				}
-				if link.Dim != curDim {
-					curDim, wrapped = link.Dim, false
-				}
-				if delta := seg[i][link.Dim] - seg[i-1][link.Dim]; delta > 1 || delta < -1 {
-					wrapped = true // coordinates jumped across the dateline
-				}
-				vc := vcLo
-				if wrapped {
-					vc = vcHi
-				}
-				msg.Hops = append(msg.Hops, Hop{Link: link, VC: vc})
-			}
-			continue
+			vcLo, vcHi = 2*t, 2*t+1
 		}
-		vc := t
-		if vc >= vcs {
-			vc = vcs - 1
-		}
-		seg := routing.Path(m, orders[t], stops[t], stops[t+1])
-		for i := 1; i < len(seg); i++ {
-			link, err := linkBetween(m, seg[i-1], seg[i])
-			if err != nil {
-				return nil, err
+		vcLo, vcHi = min(vcLo, vcs-1), min(vcHi, vcs-1)
+		copy(pos, stop(t))
+		next := stop(t + 1)
+		for _, dim := range orders[t] {
+			a, b := pos[dim], next[dim]
+			if a == b {
+				continue
 			}
-			msg.Hops = append(msg.Hops, Hop{Link: link, VC: vc})
+			n, dir := m.Width(dim), routing.SegmentDir(m, dim, a, b)
+			vc := vcLo
+			for pos[dim] != b {
+				i := len(msg.Hops)
+				from := mesh.Coord(back[i*d : (i+1)*d : (i+1)*d])
+				copy(from, pos)
+				x := pos[dim] + dir
+				if x < 0 || x >= n { // only on a torus: the wrap link
+					x = (x + n) % n
+					if n > 2 {
+						vc = vcHi
+					}
+				}
+				pos[dim] = x
+				msg.Hops = append(msg.Hops, Hop{Link: mesh.Link{From: from, Dim: dim, Dir: dir}, VC: vc})
+			}
 		}
 	}
 	msg.PathHops = len(msg.Hops)
-	msg.PathTurns = routing.CountTurns(r.Path)
+	msg.PathTurns = hopTurns(msg.Hops)
 	return msg, nil
 }
 
-func linkBetween(m *mesh.Mesh, a, b mesh.Coord) (mesh.Link, error) {
-	for dim := range a {
-		if a[dim] == b[dim] {
-			continue
-		}
-		for _, dir := range []int{1, -1} {
-			if nb, ok := m.Neighbor(a, dim, dir); ok && nb.Equal(b) {
-				return mesh.Link{From: a.Clone(), Dim: dim, Dir: dir}, nil
-			}
+// hopTurns counts the dimension changes between consecutive hops: the
+// route's turns (routing.CountTurns) without its node path.
+func hopTurns(hops []Hop) int {
+	turns := 0
+	for i := 1; i < len(hops); i++ {
+		if hops[i].Link.Dim != hops[i-1].Link.Dim {
+			turns++
 		}
 	}
-	return mesh.Link{}, fmt.Errorf("wormhole: %v and %v are not neighbors", a, b)
+	return turns
+}
+
+// pathHops converts an explicit node path into hops on one VC. Each hop's
+// dimension is the coordinate that changes, and its direction follows from
+// the step: +1 or -1, or on a torus a step of -(n-1) or +(n-1) across the
+// wrap link (on a width-2 ring, where both directions reach the neighbour,
+// + wins). The From coordinates share one backing array.
+func pathHops(m *mesh.Mesh, path []mesh.Coord, vc int) ([]Hop, error) {
+	if len(path) < 2 {
+		return nil, nil
+	}
+	d := m.Dims()
+	back := make([]int, (len(path)-1)*d)
+	hops := make([]Hop, len(path)-1)
+	for i := range hops {
+		a, b := path[i], path[i+1]
+		dim := 0
+		for dim < d && a[dim] == b[dim] {
+			dim++
+		}
+		dir := 0
+		if dim < d {
+			n, step := m.Width(dim), b[dim]-a[dim]
+			switch {
+			case step == 1 || m.Torus() && step == -(n-1):
+				dir = 1
+			case step == -1 || m.Torus() && step == n-1:
+				dir = -1
+			}
+		}
+		if dir == 0 || !a[dim+1:].Equal(b[dim+1:]) {
+			return nil, fmt.Errorf("wormhole: %v and %v are not neighbors", a, b)
+		}
+		from := mesh.Coord(back[i*d : (i+1)*d : (i+1)*d])
+		copy(from, a)
+		hops[i] = Hop{Link: mesh.Link{From: from, Dim: dim, Dir: dir}, VC: vc}
+	}
+	return hops, nil
 }
 
 // TrafficSpec describes a random survivor-to-survivor workload.
@@ -172,15 +221,21 @@ func GenerateTraffic(o *routing.Oracle, orders routing.MultiOrder, lambs []mesh.
 	return msgs, nil
 }
 
-// hasVCReuse reports whether the message visits any (link, VC) twice.
+// hasVCReuse reports whether the message visits any (link, VC) twice. A
+// k-round route has at most k·Σ(n_i-1) hops (60 for two rounds on a 16x16
+// mesh), so a linear scan of the keys seen so far, kept in a stack buffer,
+// beats hashing them into a per-message map.
 func hasVCReuse(m *mesh.Mesh, msg *Message) bool {
-	seen := make(map[vcKey]bool, len(msg.Hops))
+	var buf [64]vcKey
+	seen := buf[:0]
 	for _, h := range msg.Hops {
 		k := vcKey{from: m.Index(h.Link.From), dim: h.Link.Dim, dir: h.Link.Dir, vc: h.VC}
-		if seen[k] {
-			return true
+		for _, s := range seen {
+			if s == k {
+				return true
+			}
 		}
-		seen[k] = true
+		seen = append(seen, k)
 	}
 	return false
 }

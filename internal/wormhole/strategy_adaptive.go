@@ -123,12 +123,9 @@ func (s *AdaptiveStrategy) Route(src, dst mesh.Coord, id, length, injectAt, vcs 
 	for i, idx := range path {
 		coords[i] = m.CoordOf(int64(idx))
 	}
-	for i := 1; i < len(coords); i++ {
-		link, err := linkBetween(m, coords[i-1], coords[i])
-		if err != nil {
-			return nil, false, err
-		}
-		msg.Hops = append(msg.Hops, Hop{Link: link, VC: vc})
+	var err error
+	if msg.Hops, err = pathHops(m, coords, vc); err != nil {
+		return nil, false, err
 	}
 	msg.PathHops = len(msg.Hops)
 	msg.PathTurns = routing.CountTurns(coords)

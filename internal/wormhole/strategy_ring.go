@@ -81,13 +81,8 @@ func (s *RingStrategy) Route(src, dst mesh.Coord, id, length, injectAt, vcs int,
 		Length:   length,
 		InjectAt: injectAt,
 	}
-	m := s.f.Mesh()
-	for i := 1; i < len(path); i++ {
-		link, err := linkBetween(m, path[i-1], path[i])
-		if err != nil {
-			return nil, false, err
-		}
-		msg.Hops = append(msg.Hops, Hop{Link: link, VC: vc})
+	if msg.Hops, err = pathHops(s.f.Mesh(), path, vc); err != nil {
+		return nil, false, err
 	}
 	msg.PathHops = len(msg.Hops)
 	msg.PathTurns = routing.CountTurns(path)

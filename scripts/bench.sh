@@ -4,8 +4,9 @@
 # Runs the hot-path benchmarks (Fig17/Fig18 trials, BitmatMul, the Section 5
 # pipeline, the wormhole cycle loop, the class-table query path, the wire
 # codec, the incremental AddFaults recompute, the post-swap class-table
-# query burst, and the reliability-campaign trial loop and sharded
-# scheduler) twice — LAMBMESH_WORKERS=1 and
+# query burst, the reliability-campaign trial loop and sharded scheduler,
+# the traffic-live workload generation, and per-packet route planning for
+# every bake-off strategy) twice — LAMBMESH_WORKERS=1 and
 # LAMBMESH_WORKERS=NumCPU — and writes BENCH_lamb.json with ns/op and
 # allocs/op per (benchmark, workers) pair plus per-benchmark speedups. On a
 # single-CPU machine only the workers=1 pass runs (there is nothing to
@@ -27,7 +28,7 @@ cd "$(dirname "$0")/.."
 
 OUT="${OUT:-BENCH_lamb.json}"
 BENCHTIME="${BENCHTIME:-3x}"
-BENCH_RE='^(BenchmarkFig17Trial|BenchmarkFig18Trial|BenchmarkBitmatMul|BenchmarkSec5LambSet|BenchmarkWormholeRun|BenchmarkTrafficEngine|BenchmarkClassTableQuery|BenchmarkWireRoundTrip|BenchmarkIncrementalAddFaults|BenchmarkClassTableSwapQuery|BenchmarkCampaignTrial|BenchmarkCampaignRun)$'
+BENCH_RE='^(BenchmarkFig17Trial|BenchmarkFig18Trial|BenchmarkBitmatMul|BenchmarkSec5LambSet|BenchmarkWormholeRun|BenchmarkTrafficEngine|BenchmarkClassTableQuery|BenchmarkWireRoundTrip|BenchmarkIncrementalAddFaults|BenchmarkClassTableSwapQuery|BenchmarkCampaignTrial|BenchmarkCampaignRun|BenchmarkGenerateWorkload|BenchmarkStrategyRoute)$'
 
 if [ "${1:-}" = "--check" ]; then
     exec go run ./scripts/benchcheck -file "$OUT"

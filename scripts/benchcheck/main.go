@@ -70,6 +70,11 @@ var requiredBenchmarks = []string{
 	"BenchmarkClassTableSwapQuery/warm",
 	"BenchmarkCampaignTrial",
 	"BenchmarkCampaignRun",
+	"BenchmarkGenerateWorkload",
+	"BenchmarkStrategyRoute/lamb",
+	"BenchmarkStrategyRoute/ring",
+	"BenchmarkStrategyRoute/adaptive",
+	"BenchmarkStrategyRoute/direct",
 }
 
 // budgetFile is the checked-in allocation budget table: for each benchmark,
