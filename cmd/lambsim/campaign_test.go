@@ -116,11 +116,11 @@ func TestCampaignMainResume(t *testing.T) {
 // TestCampaignMainErrors covers flag and spec error exits.
 func TestCampaignMainErrors(t *testing.T) {
 	for name, args := range map[string][]string{
-		"bad mesh":    {"-mesh", "zz"},
-		"bad model":   {"-model", "zz"},
-		"bad process": {"-process", "zz:1"},
-		"bad format":  {"-mesh", "4x4", "-trials", "1", "-format", "zz", "-q"},
-		"bad flag":    {"-definitely-not-a-flag"},
+		"bad mesh":                  {"-mesh", "zz"},
+		"bad model":                 {"-model", "zz"},
+		"bad process":               {"-process", "zz:1"},
+		"bad format":                {"-mesh", "4x4", "-trials", "1", "-format", "zz", "-q"},
+		"bad flag":                  {"-definitely-not-a-flag"},
 		"resume without checkpoint": {"-mesh", "4x4", "-trials", "1", "-resume", "-q"},
 	} {
 		var out, errw strings.Builder

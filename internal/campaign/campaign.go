@@ -497,7 +497,7 @@ func reportProgress(w io.Writer, spec *Spec, aggs []PointAgg, baseTrials, totalS
 	ran := trials - baseTrials
 	el := time.Since(start).Seconds()
 	rate := float64(ran) / el
-	remaining := float64((totalShards-cursor)*int64(spec.shardSize()))
+	remaining := float64((totalShards - cursor) * int64(spec.shardSize()))
 	eta := "?"
 	if rate > 0 {
 		eta = (time.Duration(remaining/rate) * time.Second).String()

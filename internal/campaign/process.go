@@ -11,9 +11,9 @@ import (
 type Model int
 
 const (
-	ModelNode Model = iota // node (router+PE) faults only
-	ModelLink              // directed link faults only
-	ModelMixed             // each fault is a node or a link with equal odds
+	ModelNode  Model = iota // node (router+PE) faults only
+	ModelLink               // directed link faults only
+	ModelMixed              // each fault is a node or a link with equal odds
 )
 
 func (m Model) String() string {

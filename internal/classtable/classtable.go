@@ -34,6 +34,7 @@ import (
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/par"
 	"lambmesh/internal/partition"
+	"lambmesh/internal/reach"
 	"lambmesh/internal/rect"
 	"lambmesh/internal/routing"
 )
@@ -131,7 +132,8 @@ func New(f *mesh.FaultSet, orders routing.MultiOrder, workers int) (*Table, erro
 		return nil, err
 	}
 	t.sesSets = sigma1.Sets
-	t.r1 = oneRound(o, pi1, sigma1.Sets, delta1.Sets, workers)
+	t.r1 = bitmat.New(sigma1.Len(), delta1.Len())
+	reach.OneRound(t.r1, o, pi1, sigma1.Sets, delta1.Sets, workers, nil)
 
 	if k == 1 {
 		t.desSets = delta1.Sets
@@ -146,7 +148,8 @@ func New(f *mesh.FaultSet, orders routing.MultiOrder, workers int) (*Table, erro
 			if delta2, err = partition.DES(f, pi2); err != nil {
 				return nil, err
 			}
-			t.r2 = oneRound(o, pi2, sigma2.Sets, delta2.Sets, workers)
+			t.r2 = bitmat.New(sigma2.Len(), delta2.Len())
+			reach.OneRound(t.r2, o, pi2, sigma2.Sets, delta2.Sets, workers, nil)
 		} else {
 			t.r2 = t.r1
 		}
@@ -185,22 +188,6 @@ func New(f *mesh.FaultSet, orders routing.MultiOrder, workers int) (*Table, erro
 		return nil, err
 	}
 	return t, nil
-}
-
-// oneRound fills the 1-round class reachability matrix R(i,j) =
-// "representative of SES i pi-reaches representative of DES j" (Lemma 4.1
-// lifts this to every member pair). Rows fill in parallel; the oracle is
-// read-only, so the result is identical for any worker count.
-func oneRound(o *routing.Oracle, pi routing.Order, sigma, delta []partition.Set, workers int) *bitmat.Matrix {
-	r := bitmat.New(len(sigma), len(delta))
-	par.Do(workers, len(sigma), func(i int) {
-		for j := range delta {
-			if o.ReachOne(pi, sigma[i].Rep, delta[j].Rep) {
-				r.Set(i, j)
-			}
-		}
-	})
-	return r
 }
 
 // Mesh returns the topology the table routes on.

@@ -21,10 +21,10 @@ import (
 //     over the active subgraph connects them, and every returned path is
 //     contiguous, active-only, and avoids faulty links.
 func FuzzRectangularize(f *testing.F) {
-	f.Add([]byte{5, 5})                                  // empty fault set
-	f.Add([]byte{8, 8, 3, 3, 0, 4, 4, 0})                // diagonal pair
-	f.Add([]byte{8, 8, 3, 3, 0, 3, 5, 0, 3, 7, 0})       // gap chain
-	f.Add([]byte{6, 9, 2, 2, 3, 2, 2, 7, 4, 4, 11})      // node + link mix
+	f.Add([]byte{5, 5})                                      // empty fault set
+	f.Add([]byte{8, 8, 3, 3, 0, 4, 4, 0})                    // diagonal pair
+	f.Add([]byte{8, 8, 3, 3, 0, 3, 5, 0, 3, 7, 0})           // gap chain
+	f.Add([]byte{6, 9, 2, 2, 3, 2, 2, 7, 4, 4, 11})          // node + link mix
 	f.Add([]byte{4, 12, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0}) // full band
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {

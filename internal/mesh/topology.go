@@ -248,7 +248,7 @@ func (fm *FullMesh) BasePath(a, b Coord) []Coord {
 
 // Delta returns the link delta from node a to node b, panicking if a == b.
 func (fm *FullMesh) Delta(a, b Coord) int {
-	delta := ((b[0] - a[0]) % fm.n + fm.n) % fm.n
+	delta := ((b[0]-a[0])%fm.n + fm.n) % fm.n
 	if delta == 0 {
 		panic(fmt.Sprintf("mesh: no link from %v to itself", a))
 	}

@@ -16,6 +16,7 @@ package reach
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"lambmesh/internal/bitmat"
@@ -72,6 +73,7 @@ type Scratch struct {
 	chain   [2]*bitmat.Matrix
 	chainMs []*bitmat.Matrix
 	sweep   [][]bool
+	cols    []colSpan
 
 	// Steady-state reuse for the shared compute path: the fault-index
 	// oracle is rebuilt in place, and the Reachability header (plus its
@@ -164,7 +166,6 @@ func resizeInts(xs []int, n int) []int {
 	return xs[:n]
 }
 
-
 // mat returns an all-zero rows x cols matrix from the pool, growing the pool
 // on first use of each slot.
 func (s *Scratch) mat(rows, cols int) *bitmat.Matrix {
@@ -192,7 +193,7 @@ func Compute(f *mesh.FaultSet, orders routing.MultiOrder) (*Reachability, error)
 // NumCPU). Three layers parallelize: distinct rounds of a non-uniform
 // ordering build their partitions and R_t concurrently, each R_t and I_t
 // fill is row-parallel (the routing.Oracle is read-only after NewOracle, so
-// concurrent ReachOne queries are safe), and the R^(k) chain product is
+// concurrent span queries are safe), and the R^(k) chain product is
 // row-block parallel. Every parallel loop writes disjoint matrix rows, so
 // the result is bit-identical for every worker count.
 func ComputeWorkers(f *mesh.FaultSet, orders routing.MultiOrder, workers int) (*Reachability, error) {
@@ -260,7 +261,7 @@ func ComputeScratch(f *mesh.FaultSet, orders routing.MultiOrder, workers int, s 
 		rd.sigma = sigma
 		rd.delta = delta
 		rd.r = bitmat.New(sigma.Len(), delta.Len())
-		oneRoundMatrix(rd.r, o, pi, sigma, delta, workers)
+		OneRound(rd.r, o, pi, sigma.Sets, delta.Sets, workers, nil)
 	})
 	for _, rd := range distinct {
 		if rd.err != nil {
@@ -352,7 +353,7 @@ func (s *Scratch) compute(f *mesh.FaultSet, orders routing.MultiOrder, workers i
 		}
 		s.PartitionNanos += int64(time.Since(partStart))
 		r := s.mat(sigma.Len(), delta.Len())
-		oneRoundMatrix(r, o, pi, sigma, delta, workers)
+		OneRound(r, o, pi, sigma.Sets, delta.Sets, workers, s)
 		for t := 0; t < k; t++ {
 			if s.roundOf[t] == j {
 				rc.Sigma[t] = sigma
@@ -401,29 +402,72 @@ func (s *Scratch) compute(f *mesh.FaultSet, orders routing.MultiOrder, workers i
 	return rc, nil
 }
 
-// oneRoundMatrix fills r (all-zero, |sigma| x |delta|) with R_t by querying
-// the oracle on representatives (Lemma 4.1), one row of SESs per worker at a
-// time.
-func oneRoundMatrix(r *bitmat.Matrix, o *routing.Oracle, pi routing.Order, sigma, delta *partition.Partition, workers int) {
+// OneRound fills r (all-zero, |sigma| x |delta|) with the one-round matrix
+// R_t of ordering pi: R(i,j) = 1 iff the representative of sigma[i]
+// pi-reaches the representative of delta[j] (Lemma 4.1 lifts this to every
+// member pair). It is ReachOne's answer for every pair, computed from clear
+// spans instead: the first segment of the route leaves v along pi[0] on v's
+// line and the last enters w along pi[d-1] on w's line, so one SpanFrom per
+// row and one SpanTo per column decide both, and a pair costs two integer
+// range compares. Only in d >= 3 do the pairs passing both compares check
+// their inner segments. Rows fill in parallel over a read-only oracle, so
+// the result is identical for every worker count. The column spans live in
+// s's buffer (a nil s allocates one). Meshes only, like the partitions.
+func OneRound(r *bitmat.Matrix, o *routing.Oracle, pi routing.Order, sigma, delta []partition.Set, workers int, s *Scratch) {
+	var buf []colSpan
+	if s != nil {
+		buf = s.cols
+	}
+	cols := slices.Grow(buf[:0], len(delta))
+	f := o.Faults()
+	first, last := pi[0], pi[len(pi)-1]
+	for _, d := range delta {
+		c := colSpan{at: d.Rep[first], span: routing.Span{Lo: 1, Hi: 0}}
+		if !f.NodeFaulty(d.Rep) {
+			c.span = o.SpanTo(d.Rep, last)
+		}
+		cols = append(cols, c)
+	}
+	if s != nil {
+		s.cols = cols
+	}
 	if workers <= 1 {
 		// Serial fast path: par.Do's closure escapes and would cost a heap
 		// allocation per matrix even when it runs inline.
-		for i := range sigma.Sets {
-			oneRoundRow(r, o, pi, sigma, delta, i)
+		for i := range sigma {
+			oneRoundRow(r, o, pi, sigma, delta, cols, i)
 		}
 		return
 	}
-	par.Do(workers, sigma.Len(), func(i int) {
-		oneRoundRow(r, o, pi, sigma, delta, i)
+	par.Do(workers, len(sigma), func(i int) {
+		oneRoundRow(r, o, pi, sigma, delta, cols, i)
 	})
 }
 
-func oneRoundRow(r *bitmat.Matrix, o *routing.Oracle, pi routing.Order, sigma, delta *partition.Partition, i int) {
-	s := sigma.Sets[i]
-	for j, d := range delta.Sets {
-		if o.ReachOne(pi, s.Rep, d.Rep) {
-			r.Set(i, j)
+// colSpan is one column's share of the R_t fill: its representative's
+// pi[0]-coordinate, and the pi[d-1]-coordinates from which the route's last
+// segment into it is clear (empty when the representative is faulty).
+type colSpan struct {
+	at   int
+	span routing.Span
+}
+
+func oneRoundRow(r *bitmat.Matrix, o *routing.Oracle, pi routing.Order, sigma, delta []partition.Set, cols []colSpan, i int) {
+	v := sigma[i].Rep
+	if o.Faults().NodeFaulty(v) {
+		return
+	}
+	from := o.SpanFrom(v, pi[0])
+	x := v[pi[len(pi)-1]]
+	inner := len(pi) >= 3
+	for j, c := range cols {
+		if !from.Contains(c.at) || !c.span.Contains(x) {
+			continue
 		}
+		if inner && !o.InnerClear(pi, v, delta[j].Rep) {
+			continue
+		}
+		r.Set(i, j)
 	}
 }
 
@@ -473,8 +517,10 @@ func ComputeWithSweepWorkers(f *mesh.FaultSet, orders routing.MultiOrder, worker
 
 // ComputeWithSweepScratch is the Scratch-drawing form of
 // ComputeWithSweepWorkers (nil s means "no reuse"). Each worker block sweeps
-// through one reusable node-set buffer, so in steady state the only per-call
-// allocations are the Reachability header and the oracle's fault index.
+// through one reusable node-set buffer, and the Reachability header and the
+// oracle's fault index are recycled like ComputeScratch's, so neither
+// allocates per call; what remains is the sweep's per-dimension line
+// working state.
 func ComputeWithSweepScratch(f *mesh.FaultSet, orders routing.MultiOrder, workers int, s *Scratch) (*Reachability, error) {
 	if err := orders.Validate(f.Mesh().Dims()); err != nil {
 		return nil, err

@@ -130,8 +130,14 @@ func (o *Oracle) ReachOne(pi Order, v, w mesh.Coord) bool {
 	if o.f.NodeFaulty(v) || o.f.NodeFaulty(w) {
 		return false
 	}
-	idx := o.m.Index(v)
-	for _, dim := range pi {
+	return o.segmentsClear(pi, o.m.Index(v), v, w)
+}
+
+// segmentsClear reports whether the route segments along dims, taken in
+// order from the node with linear index idx to w's coordinate in each, are
+// clear. The node at idx must hold v's coordinate in every one of dims.
+func (o *Oracle) segmentsClear(dims []int, idx int64, v, w mesh.Coord) bool {
+	for _, dim := range dims {
 		a, b := v[dim], w[dim]
 		if a == b {
 			continue

@@ -32,8 +32,8 @@ func init() {
 func runIncReconfig(cfg Config) *Table {
 	trials := scaledTrials(cfg, 10)
 	t := &Table{ID: "increconf",
-		Title: fmt.Sprintf("AddFaults stall, incremental patch vs full recompute (%d trials/point, mean wall-clock)", trials),
-		Paper: "Section 1: reconfiguration cost depends on f, not N; monotone fault growth lets successive recomputes share almost all work",
+		Title:   fmt.Sprintf("AddFaults stall, incremental patch vs full recompute (%d trials/point, mean wall-clock)", trials),
+		Paper:   "Section 1: reconfiguration cost depends on f, not N; monotone fault growth lets successive recomputes share almost all work",
 		Columns: []string{"scenario", "delta", "incremental (us)", "full (us)", "speedup"},
 	}
 

@@ -54,6 +54,7 @@ type benchFile struct {
 var requiredBenchmarks = []string{
 	"BenchmarkFig17Trial",
 	"BenchmarkFig18Trial",
+	"BenchmarkFig26TrialSmallF",
 	"BenchmarkBitmatMul",
 	"BenchmarkSec5LambSet",
 	"BenchmarkWormholeRun",
