@@ -605,23 +605,19 @@ func BenchmarkVerifyLambSet(b *testing.B) {
 	}
 }
 
-// Reconfiguration benchmarks: the incremental AddFaults path against the
-// full-pipeline baseline, and the post-swap class-table query burst.
+// Reconfiguration benchmarks: the AddFaults recompute and the post-swap
+// class-table query burst.
 
-// benchAddFaults measures one AddFaults recompute on M_2(32) with a
-// 31-fault base configuration (the Figure 17 data point): each iteration
-// rebuilds the warm generation outside the timer, then times folding a
-// delta-sized fault batch in. With incremental set the patch path runs;
-// otherwise IncrementalThreshold is disabled and the same delta recomputes
-// from scratch — the two sub-benchmark families are the speedup numerator
-// and denominator in EXPERIMENTS.md.
-func benchAddFaults(b *testing.B, delta int, incremental bool) {
+// benchAddFaults measures one AddFaults recompute on m with a base
+// configuration of base random node faults: each iteration builds the base
+// generation outside the timer, then times folding a delta-sized fault
+// batch in.
+func benchAddFaults(b *testing.B, m *mesh.Mesh, base, delta int) {
 	b.Helper()
-	m := mesh.MustNew(32, 32)
 	rng := rand.New(rand.NewSource(17))
-	all := mesh.RandomNodeFaults(m, 31+delta, rng).NodeFaults()
-	seed, batch := all[:31], all[31:]
-	orders := routing.UniformAscending(2, 2)
+	all := mesh.RandomNodeFaults(m, base+delta, rng).NodeFaults()
+	seed, batch := all[:base], all[base:]
+	orders := routing.UniformAscending(m.Dims(), 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -631,9 +627,6 @@ func benchAddFaults(b *testing.B, delta int, incremental bool) {
 			b.Fatal(err)
 		}
 		rec.Workers = benchWorkers()
-		if !incremental {
-			rec.IncrementalThreshold = 0
-		}
 		if _, err := rec.AddFaults(seed, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -645,16 +638,14 @@ func benchAddFaults(b *testing.B, delta int, incremental bool) {
 	b.StopTimer()
 }
 
-// BenchmarkIncrementalAddFaults: delta=N times the incremental patch,
-// full-delta=N the full-pipeline recompute of the identical configuration.
-func BenchmarkIncrementalAddFaults(b *testing.B) {
+// BenchmarkAddFaults: 2d-delta=N folds N faults into M_2(32) holding 31
+// (the Figure 17 data point); 3d-delta=N folds N into M_3(16) holding 60.
+func BenchmarkAddFaults(b *testing.B) {
 	for _, d := range []int{1, 4, 16} {
-		d := d
-		b.Run(fmt.Sprintf("delta=%d", d), func(b *testing.B) { benchAddFaults(b, d, true) })
+		b.Run(fmt.Sprintf("2d-delta=%d", d), func(b *testing.B) { benchAddFaults(b, mesh.MustNew(32, 32), 31, d) })
 	}
-	for _, d := range []int{1, 4, 16} {
-		d := d
-		b.Run(fmt.Sprintf("full-delta=%d", d), func(b *testing.B) { benchAddFaults(b, d, false) })
+	for _, d := range []int{1, 4} {
+		b.Run(fmt.Sprintf("3d-delta=%d", d), func(b *testing.B) { benchAddFaults(b, mesh.MustNew(16, 16, 16), 60, d) })
 	}
 }
 

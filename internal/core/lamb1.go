@@ -50,26 +50,6 @@ func (s *Solver) Lamb1(f *mesh.FaultSet, orders routing.MultiOrder, opts ...Opti
 		return nil, err
 	}
 	reachElapsed := time.Since(start)
-	res, err := s.lamb1FromReach(f, orders, cfg, rc)
-	if err != nil {
-		return nil, err
-	}
-	part := time.Duration(s.rs.PartitionNanos)
-	s.phases = PhaseTimes{
-		Partition: part,
-		Reach:     reachElapsed - part,
-		VCover:    time.Since(start) - reachElapsed,
-		Total:     time.Since(start),
-	}
-	return res, nil
-}
-
-// lamb1FromReach is Lamb1's back half: the WVC reduction over an
-// already-computed Reachability. Shared between the full pipeline above and
-// the incremental patch path (incremental.go), which assembles rc from
-// carried-over partitions and patched matrices — the reduction itself is
-// oblivious to where R^(k) came from.
-func (s *Solver) lamb1FromReach(f *mesh.FaultSet, orders routing.MultiOrder, cfg *config, rc *reach.Reachability) (*Result, error) {
 	sigma := rc.Sigma[0]
 	delta := rc.Delta[len(rc.Delta)-1]
 	cover, st := s.coverFromReach(f, cfg, rc)
@@ -91,11 +71,18 @@ func (s *Solver) lamb1FromReach(f *mesh.FaultSet, orders routing.MultiOrder, cfg
 		// the garbage collector so the next call cannot clobber it.
 		s.rs.Detach()
 	}
+	part := time.Duration(s.rs.PartitionNanos)
+	s.phases = PhaseTimes{
+		Partition: part,
+		Reach:     reachElapsed - part,
+		VCover:    time.Since(start) - reachElapsed,
+		Total:     time.Since(start),
+	}
 	return res, nil
 }
 
 // coverFromReach is the WVC reduction proper: build the bipartite graph on
-// the relevant SESs/DESs of rc and solve it. Shared by lamb1FromReach and
+// the relevant SESs/DESs of rc and solve it. Shared by Lamb1 and
 // Lamb1Count. The chosen sets are indexed by s.zr/s.zc, which stay valid
 // until the Solver's next computation.
 func (s *Solver) coverFromReach(f *mesh.FaultSet, cfg *config, rc *reach.Reachability) (*vcover.Cover, Stats) {

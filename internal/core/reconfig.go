@@ -17,13 +17,9 @@ import (
 // extension), so nodes never oscillate back from lamb to survivor — an
 // operational property reconfiguration protocols usually want.
 //
-// Because fault growth is monotone, successive recomputations share almost
-// all of their work: the Reconfigurer keeps the previous generation's
-// partitions, classifiers, and one-round matrices warm and patches only
-// what the fault delta touches (incremental.go), falling back to the full
-// pipeline when the delta exceeds IncrementalThreshold or an option the
-// patch path cannot honor is requested. Both paths produce byte-identical
-// lamb sets.
+// Every recompute runs the full pipeline from scratch on the accumulated
+// fault set; only the Solver's scratch buffers carry over between
+// generations, so the cost depends on f, not on the mesh size (Fig 26).
 type Reconfigurer struct {
 	faults *mesh.FaultSet
 	orders routing.MultiOrder
@@ -34,23 +30,12 @@ type Reconfigurer struct {
 	// run on; <= 0 means NumCPU. The lamb set is identical for any value —
 	// this only trades recompute latency against CPU share.
 	Workers int
-	// IncrementalThreshold is the largest fault delta AddFaults will patch
-	// incrementally; larger batches (and values <= 0, which disable the
-	// incremental path entirely) recompute from scratch. Defaults to
-	// DefaultIncrementalThreshold.
-	IncrementalThreshold int
 	// generation counts completed reconfigurations.
 	generation int
-	// solver carries the lamb pipeline's scratch across recomputes; created
-	// lazily, used only by AddFaults (callers drive a Reconfigurer from one
-	// goroutine, e.g. the lambd apply worker).
+	// solver carries the lamb pipeline's scratch across recomputes. Callers
+	// drive a Reconfigurer from one goroutine (e.g. the lambd apply
+	// worker), so one Solver suffices.
 	solver *Solver
-	// inc is the warm incremental state of the previous generation; nil
-	// until the first successful recompute (or after an error, which
-	// invalidates it).
-	inc *incState
-	// phases is the phase split of the last AddFaults recompute.
-	phases PhaseTimes
 	// generic routes every recompute through TorusLamb (the Section 7
 	// profile-grouped SEC/DEC fallback) instead of the rectangular mesh
 	// pipeline; set by NewGenericReconfigurer for tori.
@@ -66,10 +51,10 @@ func NewReconfigurer(m *mesh.Mesh, orders routing.MultiOrder, keepLambs bool) (*
 		return nil, fmt.Errorf("core: Reconfigurer uses the mesh algorithms; tori need the generic path")
 	}
 	return &Reconfigurer{
-		faults:               mesh.NewFaultSet(m),
-		orders:               orders,
-		KeepLambs:            keepLambs,
-		IncrementalThreshold: DefaultIncrementalThreshold,
+		faults:    mesh.NewFaultSet(m),
+		orders:    orders,
+		KeepLambs: keepLambs,
+		solver:    NewSolver(),
 	}, nil
 }
 
@@ -87,6 +72,7 @@ func NewGenericReconfigurer(m *mesh.Mesh, orders routing.MultiOrder, keepLambs b
 		faults:    mesh.NewFaultSet(m),
 		orders:    orders,
 		KeepLambs: keepLambs,
+		solver:    NewSolver(),
 		generic:   true,
 	}, nil
 }
@@ -100,43 +86,53 @@ func (r *Reconfigurer) Lambs() []mesh.Coord { return r.lambs }
 // Generation returns how many reconfigurations have completed.
 func (r *Reconfigurer) Generation() int { return r.generation }
 
-// LastPhases returns the phase split of the most recent AddFaults
-// recompute (zero before the first).
-func (r *Reconfigurer) LastPhases() PhaseTimes { return r.phases }
+// LastPhases returns the phase split of the most recent mesh-path
+// recompute (zero before the first, and always on the generic path).
+func (r *Reconfigurer) LastPhases() PhaseTimes { return r.solver.LastPhases() }
 
 // AddFaults folds newly detected faults into the configuration and
-// recomputes the lamb set with Lamb1. A node that was a lamb and has now
+// recomputes the lamb set from scratch. A node that was a lamb and has now
 // failed outright simply moves from the lamb set to the fault set. The
 // returned Result reflects the new configuration.
 //
-// When the genuine delta (faults not already present) is at most
-// IncrementalThreshold and warm state from the previous generation exists,
-// the recompute patches that state instead of running the full pipeline;
-// the lamb set is byte-identical either way.
+// The report is validated as a whole before anything changes: a node
+// outside the mesh or an invalid link rejects it, leaving Faults, Lambs
+// and Generation untouched. Re-reported faults are harmless duplicates.
 func (r *Reconfigurer) AddFaults(nodes []mesh.Coord, links []mesh.Link) (*Result, error) {
-	if r.generic {
-		return r.genericAddFaults(nodes, links)
-	}
-	// Collect the genuine delta before mutating the fault set: the
-	// incremental path re-checks surviving reachability entries against
-	// exactly these, and duplicates would only slow that down.
-	var dn []mesh.Coord
-	var dl []mesh.Link
 	for _, c := range nodes {
 		if !r.faults.Mesh().Contains(c) {
 			return nil, fmt.Errorf("core: new fault %v outside mesh", c)
 		}
-		if !r.faults.NodeFaulty(c) {
-			dn = append(dn, c)
-			r.faults.AddNode(c)
-		}
 	}
 	for _, l := range links {
-		if !r.faults.LinkFaulty(l) {
-			dl = append(dl, l)
-			r.faults.AddLink(l) // panics on invalid links, as before
+		if _, ok := r.faults.Topology().LinkHead(l); !ok {
+			return nil, fmt.Errorf("core: new link fault %v invalid in %v", l, r.faults.Topology())
 		}
 	}
+	for _, c := range nodes {
+		r.faults.AddNode(c)
+	}
+	for _, l := range links {
+		r.faults.AddLink(l)
+	}
+	var res *Result
+	var err error
+	if r.generic {
+		res, err = r.genericSolve()
+	} else {
+		res, err = r.meshSolve()
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.lambs = res.Lambs
+	r.generation++
+	return res, nil
+}
+
+// meshSolve runs Lamb1 on the accumulated faults, forcing the previous
+// generation's still-good lambs into the result under KeepLambs.
+func (r *Reconfigurer) meshSolve() (*Result, error) {
 	opts := []Option{WithWorkers(r.Workers)}
 	if r.KeepLambs {
 		// Previous lambs that just failed are faults now, not lambs.
@@ -148,38 +144,13 @@ func (r *Reconfigurer) AddFaults(nodes []mesh.Coord, links []mesh.Link) (*Result
 		}
 		opts = append(opts, WithPredetermined(stillGood))
 	}
-	if r.solver == nil {
-		r.solver = NewSolver()
-	}
-	var res *Result
-	var err error
-	if r.inc != nil && r.IncrementalThreshold > 0 && len(dn)+len(dl) <= r.IncrementalThreshold {
-		res, err = r.incrementalSolve(dn, dl, opts)
-	} else {
-		res, err = r.fullSolve(opts)
-	}
-	if err != nil {
-		r.inc = nil // warm state may be half-patched; rebuild next time
-		return nil, err
-	}
-	r.lambs = res.Lambs
-	r.generation++
-	return res, nil
+	return r.solver.Lamb1(r.faults, r.orders, opts...)
 }
 
-// genericAddFaults is AddFaults on the generic path: grow the fault set,
-// rerun TorusLamb from scratch, and (with KeepLambs) union in the previous
-// generation's still-good lambs, re-sorted to mesh-index order.
-func (r *Reconfigurer) genericAddFaults(nodes []mesh.Coord, links []mesh.Link) (*Result, error) {
-	for _, c := range nodes {
-		if !r.faults.Mesh().Contains(c) {
-			return nil, fmt.Errorf("core: new fault %v outside mesh", c)
-		}
-		r.faults.AddNode(c)
-	}
-	for _, l := range links {
-		r.faults.AddLink(l) // panics on invalid links, as before
-	}
+// genericSolve reruns TorusLamb from scratch and (with KeepLambs) unions in
+// the previous generation's still-good lambs, re-sorted to mesh-index
+// order.
+func (r *Reconfigurer) genericSolve() (*Result, error) {
 	res, err := TorusLamb(r.faults, r.orders)
 	if err != nil {
 		return nil, err
@@ -197,7 +168,5 @@ func (r *Reconfigurer) genericAddFaults(nodes []mesh.Coord, links []mesh.Link) (
 			return m.Index(res.Lambs[i]) < m.Index(res.Lambs[j])
 		})
 	}
-	r.lambs = res.Lambs
-	r.generation++
 	return res, nil
 }

@@ -1,9 +1,21 @@
 package core
 
 import (
+	"time"
+
 	"lambmesh/internal/reach"
 	"lambmesh/internal/vcover"
 )
+
+// PhaseTimes splits one lamb recomputation into pipeline phases, the
+// latency breakdown lambd's /metrics exposes. The lamb set itself is
+// independent of how the time divides.
+type PhaseTimes struct {
+	Partition time.Duration // SES/DES partition construction
+	Reach     time.Duration // oracle + R/I fills + R^(k) chain
+	VCover    time.Duration // zero rows/cols, WVC min-cut, result assembly
+	Total     time.Duration
+}
 
 // Solver owns every piece of scratch the lamb pipeline needs — partition
 // arenas, the reachability matrix pool and chain double-buffer, the

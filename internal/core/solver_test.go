@@ -125,8 +125,8 @@ func TestSolverResultsSurviveReuse(t *testing.T) {
 	}
 }
 
-// The Reconfigurer's lazily created internal solver (the lambd recompute
-// path) must evolve exactly as a fresh one-shot computation of each epoch's
+// The Reconfigurer's internal solver (the lambd recompute path) must
+// evolve exactly as a fresh one-shot computation of each epoch's
 // cumulative fault set.
 func TestReconfigurerSolverMatchesOneShot(t *testing.T) {
 	m := mesh.MustNew(12, 12)
@@ -201,5 +201,24 @@ func TestSolversPerGoroutineRaceClean(t *testing.T) {
 		if diverged[g] {
 			t.Errorf("goroutine %d: lamb set diverged", g)
 		}
+	}
+}
+
+// LastPhases splits the most recent Lamb1 into phases that add up to no
+// more than its total.
+func TestSolverPhases(t *testing.T) {
+	m := mesh.MustNew(12, 12)
+	f := mesh.NewFaultSet(m)
+	f.AddNodes(mesh.C(9, 1), mesh.C(11, 6))
+	s := NewSolver()
+	if _, err := s.Lamb1(f, routing.UniformAscending(2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	ph := s.LastPhases()
+	if ph.Total <= 0 {
+		t.Fatalf("phases = %+v", ph)
+	}
+	if ph.Partition+ph.Reach+ph.VCover > ph.Total {
+		t.Fatalf("phase sum exceeds total: %+v", ph)
 	}
 }

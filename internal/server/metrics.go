@@ -25,11 +25,11 @@ type Metrics struct {
 	RecomputeErrs  atomic.Int64 // recomputations that failed (epoch kept)
 	RecomputeNanos atomic.Int64 // total time spent recomputing
 
-	// RecomputesIncremental counts recomputations served by the incremental
-	// delta-patch path (a subset of Recomputes).
+	// RecomputesIncremental is always zero: every recompute runs the full
+	// pipeline. The field stays because perfbench still reads it.
 	RecomputesIncremental atomic.Int64
 	// Phase*Nanos are gauges splitting the most recent recompute into
-	// pipeline phases: partition maintenance, reachability fill/patch, the
+	// pipeline phases: partition construction, reachability fill, the
 	// vertex-cover tail, and the class-table build/carry-over.
 	PhasePartitionNanos atomic.Int64
 	PhaseReachNanos     atomic.Int64
@@ -82,7 +82,6 @@ func (m *Metrics) WriteTo(w io.Writer, generation uint64, epochAge time.Duration
 	g("faults_added_total", "individual faults folded in", m.FaultsAdded.Load())
 	g("recomputes_total", "lamb recomputations completed", m.Recomputes.Load())
 	g("recompute_errors_total", "failed recomputations", m.RecomputeErrs.Load())
-	g("recomputes_incremental_total", "recomputations served by the incremental patch path", m.RecomputesIncremental.Load())
 
 	fmt.Fprintf(w, "# HELP lambd_recompute_phase_seconds last recompute latency by pipeline phase\n# TYPE lambd_recompute_phase_seconds gauge\n")
 	ph := func(name string, v int64) {

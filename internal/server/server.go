@@ -312,8 +312,7 @@ func (s *Server) worker() {
 
 // recompute folds the faults into the Reconfigurer, rebuilds the lamb
 // set, and publishes the next epoch. On error the previous epoch stays
-// live and the faults remain folded into the Reconfigurer (they are real;
-// a later successful recompute covers them).
+// live; a report AddFaults rejects as invalid folds none of its faults.
 func (s *Server) recompute(nodes []mesh.Coord, links []mesh.Link) error {
 	start := time.Now()
 	res, err := s.recon.AddFaults(nodes, links)
@@ -330,15 +329,12 @@ func (s *Server) recompute(nodes []mesh.Coord, links []mesh.Link) error {
 	next := s.newEpoch(s.recon.Faults(), res.Lambs, uint64(s.recon.Generation()), time.Now(), prev)
 	s.epoch.Store(next)
 	// Publish the phase split of the swap we just finished: where the last
-	// reconfiguration spent its time, and whether the solve was incremental.
+	// reconfiguration spent its time.
 	ph := s.recon.LastPhases()
 	s.metrics.PhasePartitionNanos.Store(int64(ph.Partition))
 	s.metrics.PhaseReachNanos.Store(int64(ph.Reach))
 	s.metrics.PhaseVCoverNanos.Store(int64(ph.VCover))
 	s.metrics.PhaseTableNanos.Store(int64(time.Since(tableStart)))
-	if ph.Incremental {
-		s.metrics.RecomputesIncremental.Add(1)
-	}
 	s.metrics.Recomputes.Add(1)
 	s.mu.Lock()
 	s.lastErr = ""

@@ -29,8 +29,8 @@ func metricValue(t *testing.T, page, name string) float64 {
 }
 
 // The epoch swap carries the class table's working set forward: slots the
-// previous epoch served stay warm across the swap, the recompute runs
-// incrementally, and /metrics reports the phase split and warm-hit ratio.
+// previous epoch served stay warm across the swap, and /metrics reports the
+// phase split and warm-hit ratio.
 func TestEpochSwapWarmStart(t *testing.T) {
 	s, ts := startHTTP(t, 8, 8)
 	if s.RouteSource() != RouteSourceClassTable {
@@ -59,8 +59,8 @@ func TestEpochSwapWarmStart(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	page := string(raw)
 
-	if v := metricValue(t, page, "lambd_recomputes_incremental_total"); v != 1 {
-		t.Errorf("incremental recomputes = %v, want 1 (gen 1 cold, gen 2 patched)", v)
+	if v := metricValue(t, page, "lambd_recomputes_total"); v != 2 {
+		t.Errorf("recomputes = %v, want 2", v)
 	}
 	if v := metricValue(t, page, "lambd_classtable_warm_slots"); v <= 0 {
 		t.Errorf("warm slots = %v, want > 0 after an exercised swap", v)
@@ -136,14 +136,13 @@ func TestEpochSwapAnswersConsistent(t *testing.T) {
 func TestMetricsPhaseRendering(t *testing.T) {
 	var m Metrics
 	m.PhasePartitionNanos.Store(int64(2 * time.Millisecond))
-	m.RecomputesIncremental.Store(3)
 	var b strings.Builder
 	m.WriteTo(&b, 1, time.Second, 0)
 	page := b.String()
 	if !strings.Contains(page, `lambd_recompute_phase_seconds{phase="partition"} 0.002`) {
 		t.Errorf("partition phase missing:\n%s", page)
 	}
-	if !strings.Contains(page, "lambd_recomputes_incremental_total 3") {
-		t.Errorf("incremental counter missing:\n%s", page)
+	if strings.Contains(page, "recomputes_incremental") {
+		t.Errorf("retired incremental counter still rendered:\n%s", page)
 	}
 }

@@ -14,44 +14,40 @@ import (
 
 func init() {
 	extraRegistry = append(extraRegistry,
-		Experiment{ID: "increconf", Title: "incremental reconfiguration: AddFaults wall-clock vs fault-delta size, patch vs full pipeline", Weight: 10, Run: runIncReconfig},
+		Experiment{ID: "increconf", Title: "reconfiguration: AddFaults recompute wall-clock vs fault-delta size", Weight: 10, Run: runIncReconfig},
 	)
 }
 
-// runIncReconfig measures what the incremental AddFaults path buys: the
-// wall-clock stall of folding a delta-sized fault batch into a warm
-// Reconfigurer, against recomputing the identical configuration from
-// scratch (IncrementalThreshold disabled). The solver rows time AddFaults
-// in isolation at the Figure 17 data point; the live rows run the wormhole
-// traffic engine through a mid-run fault event and report the recompute
-// stall the event charged (EventRecovery.RecomputeTime) — the host-side
-// latency a reconfiguration adds on top of the in-network recovery cycles.
-// Both modes produce byte-identical lamb sets (pinned in internal/core);
-// only the stall differs. Like abl-sptree, the table reports wall-clock,
-// so renders are not comparable across runs.
+// runIncReconfig measures the stall of folding a delta-sized fault batch
+// into a Reconfigurer that already holds a base configuration: every
+// recompute runs the full pipeline on the accumulated faults. The solver
+// rows time AddFaults in isolation at the Figure 17 data point; the live
+// rows run the wormhole traffic engine through a mid-run fault event and
+// report the recompute stall the event charged
+// (EventRecovery.RecomputeTime) — the host-side latency a reconfiguration
+// adds on top of the in-network recovery cycles. Like abl-sptree, the
+// table reports wall-clock, so renders are not comparable across runs.
 func runIncReconfig(cfg Config) *Table {
 	trials := scaledTrials(cfg, 10)
 	t := &Table{ID: "increconf",
-		Title:   fmt.Sprintf("AddFaults stall, incremental patch vs full recompute (%d trials/point, mean wall-clock)", trials),
-		Paper:   "Section 1: reconfiguration cost depends on f, not N; monotone fault growth lets successive recomputes share almost all work",
-		Columns: []string{"scenario", "delta", "incremental (us)", "full (us)", "speedup"},
+		Title:   fmt.Sprintf("AddFaults recompute stall (%d trials/point, mean wall-clock)", trials),
+		Paper:   "Section 1: reconfiguration cost depends on f, not N",
+		Columns: []string{"scenario", "delta", "recompute (us)"},
 	}
 
 	// Solver rows: M_2(32) with a 31-fault base configuration. Each trial
-	// rebuilds the warm generation outside the timed region, then times one
-	// delta-sized AddFaults per mode.
+	// builds the base generation outside the timed region, then times one
+	// delta-sized AddFaults.
 	m := mesh.MustNew(32, 32)
 	orders := routing.UniformAscending(2, 2)
 	for _, delta := range []int{1, 4, 16} {
-		var incSum, fullSum time.Duration
+		var sum time.Duration
 		for ti := 0; ti < trials; ti++ {
 			rng := rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, 0, ti)))
 			all := mesh.RandomNodeFaults(m, 31+delta, rng).NodeFaults()
-			seed, batch := all[:31], all[31:]
-			incSum += timeAddFaults(m, orders, seed, batch, true)
-			fullSum += timeAddFaults(m, orders, seed, batch, false)
+			sum += timeAddFaults(m, orders, all[:31], all[31:])
 		}
-		addStallRow(t, "solver M_2(32) f=31", delta, incSum, fullSum, trials)
+		addStallRow(t, "solver M_2(32) f=31", delta, sum, trials)
 	}
 
 	// Live rows: uniform traffic at rate 0.01 with 8 initial faults, a
@@ -59,39 +55,28 @@ func runIncReconfig(cfg Config) *Table {
 	// worm-recovery scenario, instrumented for the recompute stall.
 	for _, widths := range [][]int{{16, 16}, {8, 8, 8}} {
 		lm := mesh.MustNew(widths...)
-		var incSum, fullSum time.Duration
+		var sum time.Duration
 		for ti := 0; ti < trials; ti++ {
-			incSum += liveRecomputeStall(lm, par.TrialSeed(cfg.Seed, 0, ti), true)
-			fullSum += liveRecomputeStall(lm, par.TrialSeed(cfg.Seed, 0, ti), false)
+			sum += liveRecomputeStall(lm, par.TrialSeed(cfg.Seed, 0, ti))
 		}
-		addStallRow(t, fmt.Sprintf("live %v rate 0.01", lm), 2, incSum, fullSum, trials)
+		addStallRow(t, fmt.Sprintf("live %v rate 0.01", lm), 2, sum, trials)
 	}
 	return t
 }
 
-func addStallRow(t *Table, scenario string, delta int, incSum, fullSum time.Duration, trials int) {
-	incUS := float64(incSum.Microseconds()) / float64(trials)
-	fullUS := float64(fullSum.Microseconds()) / float64(trials)
-	speedup := "n/a"
-	if incUS > 0 {
-		speedup = fmt.Sprintf("%.1fx", fullUS/incUS)
-	}
-	t.AddRow(scenario, fmt.Sprint(delta),
-		fmt.Sprintf("%.0f", incUS), fmt.Sprintf("%.0f", fullUS), speedup)
+func addStallRow(t *Table, scenario string, delta int, sum time.Duration, trials int) {
+	us := float64(sum.Microseconds()) / float64(trials)
+	t.AddRow(scenario, fmt.Sprint(delta), fmt.Sprintf("%.0f", us))
 }
 
-// timeAddFaults builds a Reconfigurer warm at the seed faults, then times
-// folding the batch in — incrementally or, with the threshold disabled,
-// through the full pipeline.
-func timeAddFaults(m *mesh.Mesh, orders routing.MultiOrder, seed, batch []mesh.Coord, incremental bool) time.Duration {
+// timeAddFaults builds a Reconfigurer holding the seed faults, then times
+// folding the batch in.
+func timeAddFaults(m *mesh.Mesh, orders routing.MultiOrder, seed, batch []mesh.Coord) time.Duration {
 	rec, err := core.NewReconfigurer(m, orders, false)
 	if err != nil {
 		panic(err)
 	}
 	rec.Workers = 1 // serial: the stall itself is what the row reports
-	if !incremental {
-		rec.IncrementalThreshold = 0
-	}
 	if _, err := rec.AddFaults(seed, nil); err != nil {
 		panic(err)
 	}
@@ -104,7 +89,7 @@ func timeAddFaults(m *mesh.Mesh, orders routing.MultiOrder, seed, batch []mesh.C
 
 // liveRecomputeStall runs one live traffic trial with a scheduled 2-node
 // event and returns the recompute stall the event charged.
-func liveRecomputeStall(m *mesh.Mesh, seed int64, incremental bool) time.Duration {
+func liveRecomputeStall(m *mesh.Mesh, seed int64) time.Duration {
 	const warmup, measure = 200, 500
 	rng := rand.New(rand.NewSource(seed))
 	fs := mesh.RandomNodeFaults(m, 8, rng)
@@ -114,9 +99,6 @@ func liveRecomputeStall(m *mesh.Mesh, seed int64, incremental bool) time.Duratio
 		panic(err)
 	}
 	rec.Workers = 1
-	if !incremental {
-		rec.IncrementalThreshold = 0
-	}
 	if _, err := rec.AddFaults(fs.NodeFaults(), nil); err != nil {
 		panic(err)
 	}

@@ -85,8 +85,8 @@ type EventRecovery struct {
 	// RecomputeTime is the wall-clock cost of the lamb recomputation this
 	// event triggered — the host-side reconfiguration stall, as opposed to
 	// RecoveryLatency's in-network cycles. Excluded from golden outputs
-	// (wormsim prints only deterministic fields); EXPERIMENTS.md uses it to
-	// compare incremental against full recomputes.
+	// (wormsim prints only deterministic fields); the increconf experiment
+	// reports it as the recompute stall.
 	RecomputeTime time.Duration
 }
 

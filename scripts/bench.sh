@@ -4,7 +4,7 @@
 # Runs the hot-path benchmarks (Fig17/Fig18 trials, the Fig 26 small-f
 # point that perfbench's solve-3d workload also runs, BitmatMul, the Section 5
 # pipeline, the wormhole cycle loop, the class-table query path, the wire
-# codec, the incremental AddFaults recompute, the post-swap class-table
+# codec, the AddFaults recompute, the post-swap class-table
 # query burst, the reliability-campaign trial loop and sharded scheduler,
 # the traffic-live workload generation, and per-packet route planning for
 # every bake-off strategy) twice — LAMBMESH_WORKERS=1 and
@@ -29,7 +29,7 @@ cd "$(dirname "$0")/.."
 
 OUT="${OUT:-BENCH_lamb.json}"
 BENCHTIME="${BENCHTIME:-3x}"
-BENCH_RE='^(BenchmarkFig17Trial|BenchmarkFig18Trial|BenchmarkFig26TrialSmallF|BenchmarkBitmatMul|BenchmarkSec5LambSet|BenchmarkWormholeRun|BenchmarkTrafficEngine|BenchmarkClassTableQuery|BenchmarkWireRoundTrip|BenchmarkIncrementalAddFaults|BenchmarkClassTableSwapQuery|BenchmarkCampaignTrial|BenchmarkCampaignRun|BenchmarkGenerateWorkload|BenchmarkStrategyRoute)$'
+BENCH_RE='^(BenchmarkFig17Trial|BenchmarkFig18Trial|BenchmarkFig26TrialSmallF|BenchmarkBitmatMul|BenchmarkSec5LambSet|BenchmarkWormholeRun|BenchmarkTrafficEngine|BenchmarkClassTableQuery|BenchmarkWireRoundTrip|BenchmarkAddFaults|BenchmarkClassTableSwapQuery|BenchmarkCampaignTrial|BenchmarkCampaignRun|BenchmarkGenerateWorkload|BenchmarkStrategyRoute)$'
 
 if [ "${1:-}" = "--check" ]; then
     exec go run ./scripts/benchcheck -file "$OUT"

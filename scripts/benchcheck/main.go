@@ -61,12 +61,11 @@ var requiredBenchmarks = []string{
 	"BenchmarkTrafficEngine",
 	"BenchmarkClassTableQuery",
 	"BenchmarkWireRoundTrip",
-	"BenchmarkIncrementalAddFaults/delta=1",
-	"BenchmarkIncrementalAddFaults/delta=4",
-	"BenchmarkIncrementalAddFaults/delta=16",
-	"BenchmarkIncrementalAddFaults/full-delta=1",
-	"BenchmarkIncrementalAddFaults/full-delta=4",
-	"BenchmarkIncrementalAddFaults/full-delta=16",
+	"BenchmarkAddFaults/2d-delta=1",
+	"BenchmarkAddFaults/2d-delta=4",
+	"BenchmarkAddFaults/2d-delta=16",
+	"BenchmarkAddFaults/3d-delta=1",
+	"BenchmarkAddFaults/3d-delta=4",
 	"BenchmarkClassTableSwapQuery/cold",
 	"BenchmarkClassTableSwapQuery/warm",
 	"BenchmarkCampaignTrial",
