@@ -82,8 +82,9 @@ func (m *Matrix) check(i, j int) {
 	}
 }
 
-// row returns the packed words of row i.
-func (m *Matrix) row(i int) []uint64 {
+// Row returns the packed words of row i: entry (i, j) is bit j%64 of word
+// j/64. The slice aliases the matrix; bits past Cols are always zero.
+func (m *Matrix) Row(i int) []uint64 {
 	return m.bits[i*m.stride : (i+1)*m.stride]
 }
 
@@ -92,8 +93,8 @@ func (m *Matrix) OrRowInto(i int, dst *Matrix, di int) {
 	if m.cols != dst.cols {
 		panic("bitmat: column mismatch")
 	}
-	src := m.row(i)
-	d := dst.row(di)
+	src := m.Row(i)
+	d := dst.Row(di)
 	for w := range src {
 		d[w] |= src[w]
 	}
@@ -136,14 +137,14 @@ func (m *Matrix) mulInto(out, o *Matrix, workers int) {
 // mulRows computes output rows [lo, hi) of m x o.
 func (m *Matrix) mulRows(out, o *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		src := m.row(i)
-		dst := out.row(i)
+		src := m.Row(i)
+		dst := out.Row(i)
 		for w, word := range src {
 			for word != 0 {
 				b := bits.TrailingZeros64(word)
 				word &= word - 1
 				k := w*64 + b
-				orow := o.row(k)
+				orow := o.Row(k)
 				for x := range orow {
 					dst[x] |= orow[x]
 				}
@@ -277,7 +278,7 @@ func (m *Matrix) AppendZeroCols(dst []int, countsBuf *[]int) []int {
 	counts = counts[:m.cols]
 	clear(counts)
 	for i := 0; i < m.rows; i++ {
-		row := m.row(i)
+		row := m.Row(i)
 		for w, word := range row {
 			for word != 0 {
 				b := bits.TrailingZeros64(word)
@@ -296,7 +297,7 @@ func (m *Matrix) AppendZeroCols(dst []int, countsBuf *[]int) []int {
 
 func (m *Matrix) rowOnes(i int) int {
 	n := 0
-	for _, w := range m.row(i) {
+	for _, w := range m.Row(i) {
 		n += bits.OnesCount64(w)
 	}
 	return n

@@ -3,23 +3,27 @@
 // (k,F,pi)-reachable from v depends only on the SES equivalence class of v
 // (under pi_1) and the DES class of w (under pi_k) — at most
 // ((2d-1)f+1)^2 class pairs, versus N^2 node pairs. A Table materializes
-// that insight as a serving structure built once per epoch:
+// that insight as an immutable serving structure built once per epoch:
 //
 //   - classify src and dst in O(d log f) via the sorted fault-interval
 //     trees of partition.Classifier;
-//   - read one bit of the S x D k-round reachability matrix to answer
-//     "is there a route?";
-//   - for 2-round routings, read the class pair's slot — the precomputed
-//     list of via cells (nonempty intersections of a round-1 DES with a
-//     round-2 SES, within which *every* node is a feasible intermediate) —
-//     and pick the concrete via minimizing the concrete pair's hop count.
+//   - for 1-round routings, read one bit of the SES x DES reachability
+//     matrix to answer "is there a route?";
+//   - for 2-round routings, AND two precomputed bitsets over the via cells
+//     (nonempty intersections of a round-1 DES with a round-2 SES, within
+//     which *every* node is a feasible intermediate): rowMask[i] holds the
+//     cells round 1 reaches from SES i, colMask[j] the cells from which
+//     round 2 reaches DES j. The AND is the class pair's feasible-cell set —
+//     empty exactly when R_1 I R_2 has a 0 at (i,j), i.e. no route — and the
+//     concrete via minimizing the concrete pair's hop count is picked from
+//     its set bits.
 //
-// Every step is independent of the mesh size N, and a warm Lookup performs
-// zero heap allocations. Route answers are byte-identical to the per-pair
-// routing.ChooseRoute the epoch cache used to memoize: feasibility of a via
-// u for (src,dst) depends only on (DES_pi1(u), SES_pi2(u)) — a cell — so
-// minimizing hops over the cell union with lowest-linear-index tie-breaking
-// reproduces ChooseRoute's deterministic scan exactly.
+// Every step is independent of the mesh size N, and Lookup performs zero
+// heap allocations. Route answers are byte-identical to the per-pair
+// routing.ChooseRoute: feasibility of a via u for (src,dst) depends only on
+// (DES_pi1(u), SES_pi2(u)) — a cell — so minimizing hops over the cell union
+// with lowest-linear-index tie-breaking reproduces ChooseRoute's
+// deterministic scan exactly.
 //
 // Supported configurations: meshes (not tori) with k <= 2 rounds — the
 // paper's simulated configurations and lambd's default. Callers fall back
@@ -28,7 +32,7 @@ package classtable
 
 import (
 	"errors"
-	"sync/atomic"
+	"math/bits"
 
 	"lambmesh/internal/bitmat"
 	"lambmesh/internal/mesh"
@@ -50,26 +54,8 @@ func Supported(m *mesh.Mesh, orders routing.MultiOrder) bool {
 	return !m.Torus() && k >= 1 && k <= 2
 }
 
-// viaCell is one nonempty intersection of a round-1 DES with a round-2 SES.
-// Every node of the box is interchangeable as an intermediate: feasibility
-// of src -> u -> dst depends only on (des1, ses2) (Lemma 4.1 applied to
-// both rounds).
-type viaCell struct {
-	box  rect.Rect
-	des1 int32 // DES class under pi_1
-	ses2 int32 // SES class under pi_2
-}
-
-// pairVias is a slot's payload: the indices (into Table.cells) of the cells
-// feasible for one (SES, DES) class pair. Immutable once published.
-type pairVias struct {
-	cells []int32
-}
-
 // Table is the compressed routing table for one frozen fault set. It is
-// immutable after New apart from the lazily filled slots, which are
-// published through atomic pointers — Lookup is safe for unlimited
-// concurrent use.
+// immutable after New, so Lookup is safe for unlimited concurrent use.
 type Table struct {
 	m      *mesh.Mesh
 	orders routing.MultiOrder
@@ -81,28 +67,21 @@ type Table struct {
 	sesCls  *partition.Classifier
 	desCls  *partition.Classifier
 
-	// rk is the k-round class reachability matrix: rk(i,j) == 1 iff every
-	// node of SES i can k-round-reach every node of DES j.
+	// rk is the 1-round class reachability matrix: rk(i,j) == 1 iff every
+	// node of SES i can reach every node of DES j. Nil when k == 2.
 	rk *bitmat.Matrix
 
-	// Two-round machinery (nil/empty when k == 1).
-	r1     *bitmat.Matrix  // |Sigma_1| x |Delta_1| one-round matrix of pi_1
-	r2     *bitmat.Matrix  // |Sigma_2| x |Delta_2| one-round matrix of pi_2
-	d1Sets []partition.Set // Delta_1 sets indexing r1's columns and cells' des1
-	s2Sets []partition.Set // Sigma_2 sets indexing r2's rows and cells' ses2
-	cells  []viaCell
-	// slots[i*len(desSets)+j] caches the feasible-cell list of class pair
-	// (i,j). Filled on first use; concurrent fillers compute identical
-	// lists, so last-write-wins publication is benign.
-	slots []atomic.Pointer[pairVias]
-	// hits counts pair-lookups per slot; NewFrom ranks its eager prefill by
-	// the previous epoch's counters so the hot working set is warm first.
-	hits []atomic.Uint32
-
-	filled    atomic.Int64 // slots published so far (stats only)
-	warmSlots int64        // slots carried over or prefilled at build time
-	warmHits  atomic.Int64 // pair-lookups that found their slot already filled
-	coldFills atomic.Int64 // pair-lookups that had to fill their slot
+	// Two-round machinery (empty when k == 1). cells are the via boxes in
+	// ascending (DES under pi_1, SES under pi_2) order; every node of a box
+	// is interchangeable as an intermediate (Lemma 4.1 applied to both
+	// rounds). The masks are bitsets over cell indices, words uint64s per
+	// class: rowMask[i*words:(i+1)*words] holds the cells c with
+	// R_1(i, des1(c)), colMask[j*words:(j+1)*words] the cells c with
+	// R_2(ses2(c), j). Their AND is class pair (i,j)'s feasible cells.
+	cells   []rect.Rect
+	words   int
+	rowMask []uint64
+	colMask []uint64
 }
 
 // New builds the class table for fault set f and the k-round ordering,
@@ -132,15 +111,15 @@ func New(f *mesh.FaultSet, orders routing.MultiOrder, workers int) (*Table, erro
 		return nil, err
 	}
 	t.sesSets = sigma1.Sets
-	t.r1 = bitmat.New(sigma1.Len(), delta1.Len())
-	reach.OneRound(t.r1, o, pi1, sigma1.Sets, delta1.Sets, workers, nil)
+	r1 := bitmat.New(sigma1.Len(), delta1.Len())
+	reach.OneRound(r1, o, pi1, sigma1.Sets, delta1.Sets, workers, nil)
 
 	if k == 1 {
 		t.desSets = delta1.Sets
-		t.rk = t.r1
+		t.rk = r1
 	} else {
 		pi2 := orders[1]
-		sigma2, delta2 := sigma1, delta1
+		sigma2, delta2, r2 := sigma1, delta1, r1
 		if !pi2.Equal(pi1) {
 			if sigma2, err = partition.SES(f, pi2); err != nil {
 				return nil, err
@@ -148,35 +127,11 @@ func New(f *mesh.FaultSet, orders routing.MultiOrder, workers int) (*Table, erro
 			if delta2, err = partition.DES(f, pi2); err != nil {
 				return nil, err
 			}
-			t.r2 = bitmat.New(sigma2.Len(), delta2.Len())
-			reach.OneRound(t.r2, o, pi2, sigma2.Sets, delta2.Sets, workers, nil)
-		} else {
-			t.r2 = t.r1
+			r2 = bitmat.New(sigma2.Len(), delta2.Len())
+			reach.OneRound(r2, o, pi2, sigma2.Sets, delta2.Sets, workers, nil)
 		}
 		t.desSets = delta2.Sets
-		t.d1Sets = delta1.Sets
-		t.s2Sets = sigma2.Sets
-
-		// Enumerate the via cells and the intersection matrix I in one
-		// pass; cells are ordered by (des1, ses2) so every build is
-		// deterministic regardless of worker count.
-		im := bitmat.New(len(delta1.Sets), len(sigma2.Sets))
-		for a, ds := range delta1.Sets {
-			for b, ss := range sigma2.Sets {
-				if !ds.Rect.Intersects(ss.Rect) {
-					continue
-				}
-				im.Set(a, b)
-				t.cells = append(t.cells, viaCell{
-					box:  ds.Rect.Intersect(ss.Rect),
-					des1: int32(a),
-					ses2: int32(b),
-				})
-			}
-		}
-		t.rk = bitmat.MulChainParallel(workers, t.r1, im, t.r2)
-		t.slots = make([]atomic.Pointer[pairVias], len(t.sesSets)*len(t.desSets))
-		t.hits = make([]atomic.Uint32, len(t.slots))
+		t.buildMasks(r1, r2, delta1.Sets, sigma2.Sets)
 	}
 
 	if t.sesCls, err = partition.NewClassifier(m, t.sesSets, pi1); err != nil {
@@ -188,6 +143,64 @@ func New(f *mesh.FaultSet, orders routing.MultiOrder, workers int) (*Table, erro
 		return nil, err
 	}
 	return t, nil
+}
+
+// NewFrom is New; prev is ignored. Kept for perfbench, which compiles
+// against it.
+func NewFrom(f *mesh.FaultSet, orders routing.MultiOrder, workers int, prev *Table) (*Table, error) {
+	return New(f, orders, workers)
+}
+
+// buildMasks enumerates the via cells of the round-1 DESs d1 and round-2
+// SESs s2 and fills rowMask from r1 and colMask from r2, word by word.
+// Cells are enumerated ascending in (des1, ses2) so every build is
+// deterministic and each des1 class owns a contiguous cell range.
+func (t *Table) buildMasks(r1, r2 *bitmat.Matrix, d1, s2 []partition.Set) {
+	start := make([]int, len(d1)+1) // cells of des1 a: [start[a], start[a+1])
+	var ses2 []int32
+	for a, ds := range d1 {
+		start[a] = len(t.cells)
+		for b, ss := range s2 {
+			if ds.Rect.Intersects(ss.Rect) {
+				t.cells = append(t.cells, ds.Rect.Intersect(ss.Rect))
+				ses2 = append(ses2, int32(b))
+			}
+		}
+	}
+	start[len(d1)] = len(t.cells)
+	w := (len(t.cells) + 63) / 64
+	t.words = w
+
+	t.rowMask = make([]uint64, len(t.sesSets)*w)
+	for i := range t.sesSets {
+		mask := t.rowMask[i*w : (i+1)*w]
+		for wi, x := range r1.Row(i) {
+			for ; x != 0; x &= x - 1 {
+				a := wi<<6 | bits.TrailingZeros64(x)
+				setRange(mask, start[a], start[a+1])
+			}
+		}
+	}
+
+	t.colMask = make([]uint64, len(t.desSets)*w)
+	for ci, b := range ses2 {
+		cw, bit := ci>>6, uint64(1)<<(ci&63)
+		for wi, x := range r2.Row(int(b)) {
+			for ; x != 0; x &= x - 1 {
+				j := wi<<6 | bits.TrailingZeros64(x)
+				t.colMask[j*w+cw] |= bit
+			}
+		}
+	}
+}
+
+// setRange sets bits [lo, hi) of the packed bitset mask.
+func setRange(mask []uint64, lo, hi int) {
+	for lo < hi {
+		n := min(hi-lo, 64-(lo&63)) // bits left in lo's word
+		mask[lo>>6] |= (^uint64(0) >> (64 - n)) << (lo & 63)
+		lo += n
+	}
 }
 
 // Mesh returns the topology the table routes on.
@@ -281,95 +294,68 @@ func (t *Table) Lookup(src, dst mesh.Coord, q *Scratch) Result {
 	if j < 0 {
 		return Result{Code: CodeDstFault}
 	}
-	if !t.rk.Get(i, j) {
-		return Result{Code: CodeNoRoute}
-	}
 	q.grow(t.d)
 	if t.k == 1 {
+		if !t.rk.Get(i, j) {
+			return Result{Code: CodeNoRoute}
+		}
 		hops, turns := t.walk(src, dst, nil, q)
 		return Result{Found: true, Code: CodeFound, Hops: hops, Turns: turns}
 	}
-	t.bestVia(i, j, src, dst, q)
+	if !t.bestVia(i, j, src, dst, q) {
+		return Result{Code: CodeNoRoute}
+	}
 	hops, turns := t.walk(src, dst, q.via, q)
 	return Result{Found: true, Code: CodeFound, NVias: 1, Via: mesh.Coord(q.via), Hops: hops, Turns: turns}
 }
 
-// pairCells returns the feasible-cell list of class pair (i,j), computing
-// and publishing it on first use. Concurrent first uses race benignly: the
-// computation is deterministic, so every contender publishes an identical
-// list. It also maintains the per-slot hit counter (NewFrom's prefill
-// ranking) and the warm/cold counters behind the post-swap warm-hit ratio.
-func (t *Table) pairCells(i, j int) []int32 {
-	s := i*len(t.desSets) + j
-	t.hits[s].Add(1)
-	slot := &t.slots[s]
-	if p := slot.Load(); p != nil {
-		t.warmHits.Add(1)
-		return p.cells
-	}
-	list := t.scanCells(i, j)
-	slot.Store(&pairVias{cells: list})
-	t.filled.Add(1)
-	t.coldFills.Add(1)
-	return list
-}
-
-// scanCells computes the feasible-cell list of class pair (i,j) by scanning
-// every via cell. Deterministic: ascending in cell index.
-func (t *Table) scanCells(i, j int) []int32 {
-	list := make([]int32, 0, 8)
-	for ci := range t.cells {
-		c := &t.cells[ci]
-		if t.r1.Get(i, int(c.des1)) && t.r2.Get(int(c.ses2), j) {
-			list = append(list, int32(ci))
-		}
-	}
-	return list
-}
-
 // bestVia writes into q.via the feasible intermediate minimizing
 // L1(src,u) + L1(u,dst), breaking ties toward the lowest linear index —
-// routing.ChooseRoute's exact policy. The per-cell minimum is separable by
-// dimension: within one box the cost of dimension dim is minimized by
-// clamping the [src,dst] span into the box's interval, and the lowest-index
-// minimizer takes the smallest admissible value in every dimension.
-func (t *Table) bestVia(i, j int, src, dst mesh.Coord, q *Scratch) {
+// routing.ChooseRoute's exact policy — and reports false when class pair
+// (i,j) has no feasible cell (no route). The feasible cells are the set
+// bits of rowMask[i] & colMask[j], visited in ascending cell index. The
+// per-cell minimum is separable by dimension: within one box the cost of
+// dimension dim is minimized by clamping the [src,dst] span into the box's
+// interval, and the lowest-index minimizer takes the smallest admissible
+// value in every dimension.
+func (t *Table) bestVia(i, j int, src, dst mesh.Coord, q *Scratch) bool {
+	rows := t.rowMask[i*t.words : (i+1)*t.words]
+	cols := t.colMask[j*t.words : (j+1)*t.words]
 	bestCost := -1
 	var bestIdx int64
-	for _, ci := range t.pairCells(i, j) {
-		c := &t.cells[ci]
-		cost := 0
-		var idx int64
-		for dim := 0; dim < t.d; dim++ {
-			lo, hi := c.box[dim].Lo, c.box[dim].Hi
-			l, h := src[dim], dst[dim]
-			if l > h {
-				l, h = h, l
+	for wi, x := range rows {
+		for x &= cols[wi]; x != 0; x &= x - 1 {
+			box := t.cells[wi<<6|bits.TrailingZeros64(x)]
+			cost := 0
+			var idx int64
+			for dim := 0; dim < t.d; dim++ {
+				lo, hi := box[dim].Lo, box[dim].Hi
+				l, h := src[dim], dst[dim]
+				if l > h {
+					l, h = h, l
+				}
+				var v int
+				switch {
+				case hi < l:
+					v = hi
+					cost += (l - hi) + (h - hi)
+				case lo > h:
+					v = lo
+					cost += (lo - l) + (lo - h)
+				default:
+					v = max(lo, l)
+					cost += h - l
+				}
+				q.cand[dim] = v
+				idx += int64(v) * t.m.Stride(dim)
 			}
-			var v int
-			switch {
-			case hi < l:
-				v = hi
-				cost += (l - hi) + (h - hi)
-			case lo > h:
-				v = lo
-				cost += (lo - l) + (lo - h)
-			default:
-				v = max(lo, l)
-				cost += h - l
+			if bestCost < 0 || cost < bestCost || (cost == bestCost && idx < bestIdx) {
+				bestCost, bestIdx = cost, idx
+				q.via, q.cand = q.cand, q.via
 			}
-			q.cand[dim] = v
-			idx += int64(v) * t.m.Stride(dim)
-		}
-		if bestCost < 0 || cost < bestCost || (cost == bestCost && idx < bestIdx) {
-			bestCost, bestIdx = cost, idx
-			q.via, q.cand = q.cand, q.via
 		}
 	}
-	if bestCost < 0 {
-		// rk said reachable, so the cell list cannot be empty.
-		panic("classtable: reachable class pair with no via cells")
-	}
+	return bestCost >= 0
 }
 
 // walk accumulates the hop count and turn count of the dimension-ordered
@@ -431,51 +417,35 @@ func (t *Table) RouteOf(src, dst mesh.Coord, q *Scratch) (*routing.Route, Code) 
 // Stats describes the table's size — the empirical side of the
 // ((2d-1)f+1)^2 compression bound.
 type Stats struct {
-	SESs        int   // |Sigma_1|: row classes
-	DESs        int   // |Delta_k|: column classes
-	Pairs       int   // SESs * DESs: slots in the compressed table
-	Cells       int   // nonempty DES_1 x SES_2 via cells (k == 2)
-	FilledSlots int   // class pairs whose via list has been demanded
-	WarmSlots   int64 // slots filled at build time by NewFrom carry-over
-	WarmHits    int64 // pair-lookups served from an already-filled slot
-	ColdFills   int64 // pair-lookups that paid a first-use slot fill
-	Bytes       int64 // approximate resident size of the table
+	SESs  int // |Sigma_1|: row classes
+	DESs  int // |Delta_k|: column classes
+	Pairs int // SESs * DESs: class pairs the table answers
+	Cells int // nonempty DES_1 x SES_2 via cells (k == 2)
+
+	// Retired with the lazily filled per-pair via slots: always 0. Kept
+	// for perfbench, which compiles against them.
+	FilledSlots int
+	WarmSlots   int64
+	WarmHits    int64
+	ColdFills   int64
+
+	Bytes int64 // approximate resident size of the table
 }
 
-// Stats returns the table's current size. FilledSlots and Bytes grow as
-// lazy slots fill; everything else is fixed at build time.
+// Stats returns the table's size, fixed at build time.
 func (t *Table) Stats() Stats {
-	s := Stats{
-		SESs:        len(t.sesSets),
-		DESs:        len(t.desSets),
-		Pairs:       len(t.sesSets) * len(t.desSets),
-		Cells:       len(t.cells),
-		FilledSlots: int(t.filled.Load()),
-		WarmSlots:   t.warmSlots,
-		WarmHits:    t.warmHits.Load(),
-		ColdFills:   t.coldFills.Load(),
-	}
 	b := int64(t.sesCls.MemBytes() + t.desCls.MemBytes())
 	b += int64((len(t.sesSets) + len(t.desSets)) * (t.d*16 + t.d*8 + 32)) // Set: rect intervals + rep coord + headers
 	b += matBytes(t.rk)
-	if t.k == 2 {
-		if t.r1 != t.rk {
-			b += matBytes(t.r1)
-		}
-		if t.r2 != t.r1 {
-			b += matBytes(t.r2)
-		}
-		b += int64(len(t.cells)) * int64(t.d*16+24)
-		b += int64(len(t.slots)) * 8
-		b += int64(len(t.hits)) * 4
-		for i := range t.slots {
-			if p := t.slots[i].Load(); p != nil {
-				b += int64(len(p.cells))*4 + 24
-			}
-		}
+	b += int64(len(t.cells)) * int64(t.d*16+24)
+	b += int64(len(t.rowMask)+len(t.colMask)) * 8
+	return Stats{
+		SESs:  len(t.sesSets),
+		DESs:  len(t.desSets),
+		Pairs: len(t.sesSets) * len(t.desSets),
+		Cells: len(t.cells),
+		Bytes: b,
 	}
-	s.Bytes = b
-	return s
 }
 
 func matBytes(m *bitmat.Matrix) int64 {

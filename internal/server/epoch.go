@@ -47,11 +47,9 @@ type Epoch struct {
 // newEpoch freezes a configuration: it clones the fault set (the caller's
 // copy keeps evolving inside the Reconfigurer), indexes it, and attaches a
 // fresh empty route cache. With useTable, the class table is built from the
-// snapshot — that cost is paid here, at publish time, so the query path
-// never sees a cold table. prev (may be nil) is the outgoing epoch's table:
-// its filled via slots are carried over for every class pair the fault
-// delta left untouched, so the post-swap query burst finds a warm table.
-func newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time, orders routing.MultiOrder, workers int, useTable bool, prev *classtable.Table) *Epoch {
+// snapshot — that cost is paid here, at publish time, and the table is
+// complete when built, so the query path never fills anything.
+func newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time, orders routing.MultiOrder, workers int, useTable bool) *Epoch {
 	snap := f.Clone()
 	e := &Epoch{
 		Faults:     snap,
@@ -66,7 +64,7 @@ func newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time, o
 		// Support was checked at server construction; an error here would
 		// mean a malformed partition, and falling back to the per-pair
 		// cache path keeps the epoch serving.
-		if tab, err := classtable.NewFrom(snap, orders, workers, prev); err == nil {
+		if tab, err := classtable.New(snap, orders, workers); err == nil {
 			e.Table = tab
 		}
 	}

@@ -210,16 +210,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "lambd_classtable_cells %d\n", st.Cells)
 		fmt.Fprintf(w, "# HELP lambd_classtable_bytes approximate table size\n# TYPE lambd_classtable_bytes gauge\n")
 		fmt.Fprintf(w, "lambd_classtable_bytes %d\n", st.Bytes)
-		fmt.Fprintf(w, "# HELP lambd_classtable_warm_slots via slots carried over or prefilled at the last epoch swap\n# TYPE lambd_classtable_warm_slots gauge\n")
-		fmt.Fprintf(w, "lambd_classtable_warm_slots %d\n", st.WarmSlots)
-		fmt.Fprintf(w, "# HELP lambd_classtable_warm_hits_total pair-lookups served from an already-filled slot\n# TYPE lambd_classtable_warm_hits_total counter\n")
-		fmt.Fprintf(w, "lambd_classtable_warm_hits_total %d\n", st.WarmHits)
-		fmt.Fprintf(w, "# HELP lambd_classtable_cold_fills_total pair-lookups that paid a first-use fill\n# TYPE lambd_classtable_cold_fills_total counter\n")
-		fmt.Fprintf(w, "lambd_classtable_cold_fills_total %d\n", st.ColdFills)
-		if total := st.WarmHits + st.ColdFills; total > 0 {
-			fmt.Fprintf(w, "# HELP lambd_classtable_warm_hit_ratio share of pair-lookups finding a filled slot\n# TYPE lambd_classtable_warm_hit_ratio gauge\n")
-			fmt.Fprintf(w, "lambd_classtable_warm_hit_ratio %g\n", float64(st.WarmHits)/float64(total))
-		}
 	}
 }
 

@@ -30,7 +30,7 @@ type Metrics struct {
 	RecomputesIncremental atomic.Int64
 	// Phase*Nanos are gauges splitting the most recent recompute into
 	// pipeline phases: partition construction, reachability fill, the
-	// vertex-cover tail, and the class-table build/carry-over.
+	// vertex-cover tail, and the class-table build.
 	PhasePartitionNanos atomic.Int64
 	PhaseReachNanos     atomic.Int64
 	PhaseVCoverNanos    atomic.Int64

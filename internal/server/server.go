@@ -123,7 +123,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.scratch.New = func() any { return new(classtable.Scratch) }
 	// Generation 0: the pristine mesh, no faults, no lambs.
-	s.epoch.Store(s.newEpoch(mesh.NewFaultSet(cfg.Mesh), nil, 0, time.Now(), nil))
+	s.epoch.Store(s.newEpoch(mesh.NewFaultSet(cfg.Mesh), nil, 0, time.Now()))
 	if cfg.InitialFaults != nil && cfg.InitialFaults.Count() > 0 {
 		nodes := append([]mesh.Coord(nil), cfg.InitialFaults.NodeFaults()...)
 		links := append([]mesh.Link(nil), cfg.InitialFaults.LinkFaults()...)
@@ -143,10 +143,9 @@ func (s *Server) Close() {
 }
 
 // newEpoch freezes a configuration under the server's resolved route
-// source and worker budget, carrying the class table's warm slots over
-// from prev (nil for the first epoch).
-func (s *Server) newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time, prev *classtable.Table) *Epoch {
-	return newEpoch(f, lambs, gen, now, s.orders, s.workers, s.routeSource == RouteSourceClassTable, prev)
+// source and worker budget.
+func (s *Server) newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time) *Epoch {
+	return newEpoch(f, lambs, gen, now, s.orders, s.workers, s.routeSource == RouteSourceClassTable)
 }
 
 // Epoch returns the live configuration. The result is immutable; callers
@@ -324,9 +323,8 @@ func (s *Server) recompute(nodes []mesh.Coord, links []mesh.Link) error {
 	if hook := s.testHookPrePublish; hook != nil {
 		hook()
 	}
-	prev := s.Epoch().Table
 	tableStart := time.Now()
-	next := s.newEpoch(s.recon.Faults(), res.Lambs, uint64(s.recon.Generation()), time.Now(), prev)
+	next := s.newEpoch(s.recon.Faults(), res.Lambs, uint64(s.recon.Generation()), time.Now())
 	s.epoch.Store(next)
 	// Publish the phase split of the swap we just finished: where the last
 	// reconfiguration spent its time.

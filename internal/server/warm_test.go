@@ -28,9 +28,8 @@ func metricValue(t *testing.T, page, name string) float64 {
 	return v
 }
 
-// The epoch swap carries the class table's working set forward: slots the
-// previous epoch served stay warm across the swap, and /metrics reports the
-// phase split and warm-hit ratio.
+// An epoch swap under query traffic: /metrics reports both recomputes and
+// the phase split of the last one, the class-table build included.
 func TestEpochSwapWarmStart(t *testing.T) {
 	s, ts := startHTTP(t, 8, 8)
 	if s.RouteSource() != RouteSourceClassTable {
@@ -40,7 +39,6 @@ func TestEpochSwapWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitGeneration(t, s, 1)
-	// Exercise the epoch so its table has a working set to migrate.
 	for si := 0; si < 8; si++ {
 		for di := 0; di < 8; di++ {
 			s.Route(mesh.C(si, 0), mesh.C(di, 7))
@@ -62,9 +60,6 @@ func TestEpochSwapWarmStart(t *testing.T) {
 	if v := metricValue(t, page, "lambd_recomputes_total"); v != 2 {
 		t.Errorf("recomputes = %v, want 2", v)
 	}
-	if v := metricValue(t, page, "lambd_classtable_warm_slots"); v <= 0 {
-		t.Errorf("warm slots = %v, want > 0 after an exercised swap", v)
-	}
 	for _, phase := range []string{"partition", "reach", "vcover", "table"} {
 		if !strings.Contains(page, `lambd_recompute_phase_seconds{phase="`+phase+`"}`) {
 			t.Errorf("missing phase %q in:\n%s", phase, page)
@@ -73,27 +68,12 @@ func TestEpochSwapWarmStart(t *testing.T) {
 	if v := metricValue(t, page, "lambd_recompute_phase_seconds"); v < 0 {
 		t.Error("phase gauges absent")
 	}
-
-	// Queries against the migrated working set are warm hits.
-	for si := 0; si < 8; si++ {
-		s.Route(mesh.C(si, 0), mesh.C(si, 7))
-	}
-	resp2, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	raw2, _ := io.ReadAll(resp2.Body)
-	page = string(raw2)
-	if v := metricValue(t, page, "lambd_classtable_warm_hits_total"); v <= 0 {
-		t.Errorf("warm hits = %v, want > 0", v)
-	}
-	if v := metricValue(t, page, "lambd_classtable_warm_hit_ratio"); v <= 0 || v > 1 {
-		t.Errorf("warm hit ratio = %v", v)
+	if strings.Contains(page, "lambd_classtable_warm") || strings.Contains(page, "lambd_classtable_cold") {
+		t.Errorf("retired warm-slot metrics still rendered:\n%s", page)
 	}
 }
 
-// Route answers must be identical across a warm swap: pin a sample of
+// Route answers must be identical across a swap: pin a sample of
 // pre-swap answers and re-ask after the swap on the unchanged region.
 func TestEpochSwapAnswersConsistent(t *testing.T) {
 	s, _ := startHTTP(t, 8, 8)

@@ -66,8 +66,7 @@ var requiredBenchmarks = []string{
 	"BenchmarkAddFaults/2d-delta=16",
 	"BenchmarkAddFaults/3d-delta=1",
 	"BenchmarkAddFaults/3d-delta=4",
-	"BenchmarkClassTableSwapQuery/cold",
-	"BenchmarkClassTableSwapQuery/warm",
+	"BenchmarkClassTableSwap",
 	"BenchmarkCampaignTrial",
 	"BenchmarkCampaignRun",
 	"BenchmarkGenerateWorkload",
