@@ -560,6 +560,57 @@ func BenchmarkBitmatMul(b *testing.B) {
 	}
 }
 
+// BenchmarkReachKernels times each Find-Reachability kernel alone on the
+// Fig 26 small-f input (M_3(32), 164 node faults, the uniform ascending
+// 2-round ordering), in the steady state of a reused scratch, at the
+// LAMBMESH_WORKERS pool size: rt is the R_t fill (reach.OneRound), it the
+// I_t fill (reach.Intersection, always serial), and chain the
+// R^(k) = R_1 I_1 R_2 product.
+func BenchmarkReachKernels(b *testing.B) {
+	m := mesh.MustNew(32, 32, 32)
+	f := mesh.RandomNodeFaults(m, 164, rand.New(rand.NewSource(1)))
+	pi := routing.Ascending(3)
+	sigma, err := partition.SES(f, pi)
+	if err != nil {
+		b.Fatal(err)
+	}
+	delta, err := partition.DES(f, pi)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := routing.NewOracle(f)
+	var rs reach.Scratch
+	r := bitmat.New(sigma.Len(), delta.Len())
+	reach.OneRound(r, o, pi, sigma.Sets, delta.Sets, 1, &rs)
+	im := bitmat.New(delta.Len(), sigma.Len())
+	reach.Intersection(im, delta.Sets, sigma.Sets, &rs)
+	b.Run("rt", func(b *testing.B) {
+		out := bitmat.New(sigma.Len(), delta.Len())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out = out.Reset(sigma.Len(), delta.Len())
+			reach.OneRound(out, o, pi, sigma.Sets, delta.Sets, benchWorkers(), &rs)
+		}
+	})
+	b.Run("it", func(b *testing.B) {
+		out := bitmat.New(delta.Len(), sigma.Len())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out = out.Reset(delta.Len(), sigma.Len())
+			reach.Intersection(out, delta.Sets, sigma.Sets, &rs)
+		}
+	})
+	b.Run("chain", func(b *testing.B) {
+		var chain [2]*bitmat.Matrix
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			bitmat.MulChainScratch(benchWorkers(), &chain, r, im, r)
+		}
+	})
+}
+
 func BenchmarkBipartiteWVC(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	g := &vcover.Bipartite{

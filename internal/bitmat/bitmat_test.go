@@ -141,6 +141,55 @@ func TestMulChainParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// MulChainScratch associates right to left; it must equal the
+// left-to-right fold of the reference product for chains of length 1-5,
+// rectangular shapes on both sides of word boundaries, and dense operands
+// whose output rows saturate after a few set bits (the early stop in
+// mulRows). One scratch pair serves every call, as in reach.Scratch.
+func TestMulChainScratchMatchesLeftFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	widths := []int{1, 3, 63, 64, 65, 128, 70}
+	var scratch [2]*Matrix
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + trial%5
+		density := []float64{0.02, 0.3, 0.95}[trial%3]
+		ms := make([]*Matrix, n)
+		prev := widths[rng.Intn(len(widths))]
+		for i := range ms {
+			next := widths[rng.Intn(len(widths))]
+			ms[i] = randomMatrix(prev, next, density, rng)
+			prev = next
+		}
+		want := ms[0]
+		for _, m := range ms[1:] {
+			want = naiveMul(want, m)
+		}
+		for _, workers := range []int{1, 2} {
+			if got := MulChainScratch(workers, &scratch, ms...); !got.Equal(want) {
+				t.Fatalf("trial %d workers %d: chain of %d at density %v differs from the left fold",
+					trial, workers, n, density)
+			}
+		}
+	}
+}
+
+// Products above the serial cutoff run row-block parallel; they must match
+// the one-worker product bit for bit, saturating rows included.
+func TestMulChainParallelAboveCutoff(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	r := randomMatrix(300, 290, 0.4, rng)
+	i := randomMatrix(290, 300, 0.05, rng)
+	want := MulChainParallel(1, r, i, r.Clone())
+	for _, workers := range []int{2, 3} {
+		if got := MulChainParallel(workers, r, i, r.Clone()); !got.Equal(want) {
+			t.Fatalf("workers %d: parallel chain differs", workers)
+		}
+	}
+	if !want.Equal(naiveMul(naiveMul(r, i), r)) {
+		t.Fatal("chain differs from the reference product")
+	}
+}
+
 // The chain's scratch buffers must never alias its inputs: after the chain,
 // re-multiplying the (unchanged) inputs must give the same answer.
 func TestMulChainDoesNotCorruptInputs(t *testing.T) {

@@ -2,7 +2,8 @@
 // in the lamb pipeline (bitmat products, reach matrix fills, sweep rows, sim
 // trials). It exists so the "how many workers" question is answered in
 // exactly one place: Clamp maps the conventional knob value (<= 0 means "all
-// CPUs") to an effective count, and Do/Blocks fan a loop out over that many
+// CPUs") to an effective count, ForWork drops it to one for loops too small
+// to pay for a goroutine, and Do/Blocks fan a loop out over that many
 // goroutines.
 //
 // Determinism contract: Do and Blocks only change *which goroutine* executes
@@ -27,6 +28,27 @@ func Clamp(n int) int {
 		return n
 	}
 	return runtime.NumCPU()
+}
+
+// serialCutoff is the work estimate (rows x cols of the output a kernel
+// fills) below which a parallel loop runs inline on the caller's goroutine.
+// Waking a second worker costs microseconds, which the small matrices of a
+// 2-D solve never earn back: at workers=2, BenchmarkFig17Trial (M_2(32),
+// R_t about 60 x 60) took 75-95 us with this cutoff and 85-104 us without
+// it on a 2-vCPU VM. BenchmarkReachKernels/rt and /chain (the M_3(32),
+// f = 164 input, 466 x 462) sit above it and gain 1.05-1.08x from a second
+// worker there (their speedup rows in BENCH_lamb.json).
+const serialCutoff = 1 << 16
+
+// ForWork returns the effective worker count for a loop filling work output
+// entries (rows x cols): 1 below serialCutoff, so small kernels start no
+// goroutines, and Clamp(workers) otherwise. OneRound, the chain product and
+// the sweep all size their pools through it.
+func ForWork(workers, work int) int {
+	if work < serialCutoff {
+		return 1
+	}
+	return Clamp(workers)
 }
 
 // Do runs fn(i) for every i in [0, n), fanning out over up to `workers`

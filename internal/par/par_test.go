@@ -20,6 +20,21 @@ func TestClamp(t *testing.T) {
 	}
 }
 
+// ForWork must run small loops inline and size large ones like Clamp.
+func TestForWork(t *testing.T) {
+	for _, workers := range []int{-1, 0, 1, 4} {
+		if got := ForWork(workers, serialCutoff-1); got != 1 {
+			t.Errorf("ForWork(%d, cutoff-1) = %d, want 1", workers, got)
+		}
+		if got := ForWork(workers, 0); got != 1 {
+			t.Errorf("ForWork(%d, 0) = %d, want 1", workers, got)
+		}
+		if got, want := ForWork(workers, serialCutoff), Clamp(workers); got != want {
+			t.Errorf("ForWork(%d, cutoff) = %d, want %d", workers, got, want)
+		}
+	}
+}
+
 // Do must execute every index exactly once, for any worker count.
 func TestDoCoversEachIndexOnce(t *testing.T) {
 	for _, workers := range []int{-1, 0, 1, 2, 3, 7, 64} {

@@ -7,6 +7,7 @@ import (
 	"lambmesh/internal/bitmat"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/partition"
+	"lambmesh/internal/rect"
 	"lambmesh/internal/routing"
 )
 
@@ -119,6 +120,16 @@ func FuzzOneRoundFill(f *testing.F) {
 	// 3-D, wide, boundary links and a long run of records.
 	f.Add([]byte{4, 10, 10, 10, 2, 1,
 		3, 0, 0, 0, 1, 10, 10, 10, 2, 0, 0, 0, 0x0d, 5, 0x15, 11, 0x0e, 4, 0, 5, 5, 5, 0x11, 9, 2, 7, 0x1a, 0})
+	// 3-D, pi = [1 0 2]: node faults and dim-0 links on the middle lines.
+	f.Add([]byte{1, 4, 4, 4, 2, 0,
+		0, 4, 2, 5, 0, 2, 5, 5, 0, 5, 4, 0, 0, 3, 1, 5, 0, 0, 1, 0, 0, 2, 3, 1, 0, 3, 4, 0,
+		0, 4, 1, 0, 0, 5, 1, 3, 0, 2, 1, 3, 0, 1, 0, 1, 0, 4, 4, 3, 0, 1, 1, 0, 0, 0, 1, 1,
+		1, 1, 1, 2, 2, 2, 1, 4, 1, 5, 5, 1, 2, 1, 5, 1})
+	// 3-D, pi = [0 2 1]: node faults and dim-2 links on the middle lines.
+	f.Add([]byte{1, 4, 4, 4, 1, 1,
+		0, 3, 2, 0, 0, 2, 3, 1, 0, 1, 2, 0, 0, 2, 2, 4, 0, 4, 0, 4, 0, 5, 5, 2, 0, 0, 2, 2,
+		0, 2, 3, 5, 0, 2, 1, 3, 0, 3, 5, 1, 0, 0, 2, 0, 0, 5, 2, 3, 0, 0, 4, 3, 0, 2, 3, 4,
+		0x11, 0, 3, 0, 0x12, 5, 1, 4, 0x11, 1, 0, 1, 0x12, 3, 2, 4})
 	f.Fuzz(checkOneRoundFill)
 }
 
@@ -169,6 +180,116 @@ func checkOneRoundFill(t *testing.T, data []byte) {
 				t.Fatalf("workers=%d scratch=%v: span fill differs from ReachOne on %v, pi %v, points %v\n got:\n%v\nwant:\n%v",
 					workers, sc != nil, fc.f, fc.pi, fc.pts, got, want)
 			}
+		}
+	}
+}
+
+// decodeBoxes reads a box dimension d of 2-4 and per-dimension widths 2-12,
+// then records of one op byte plus coordinate bytes. The op's low bit puts
+// the box in sigma or delta; the next two bits make it a general box (two
+// coordinates per dimension, sorted), a single point, the full span, or a
+// full span in the dimensions the next op bits select and a point in the
+// others. Coordinates wrap into the widths.
+func decodeBoxes(data []byte) (delta, sigma []partition.Set, ok bool) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	if len(data) == 0 {
+		return nil, nil, false
+	}
+	d := 2 + next()%3
+	widths := make([]int, d)
+	for i := range widths {
+		widths[i] = 2 + next()%11
+	}
+	const maxBoxes = 160
+	for n := 0; n < maxBoxes && len(data) > 0; n++ {
+		op := next()
+		box := make(rect.Rect, d)
+		for j := range box {
+			a, b := next()%widths[j], next()%widths[j]
+			switch (op >> 1) & 3 {
+			case 0:
+				box[j] = rect.Interval{Lo: min(a, b), Hi: max(a, b)}
+			case 1:
+				box[j] = rect.Interval{Lo: a, Hi: a}
+			case 2:
+				box[j] = rect.Interval{Lo: 0, Hi: widths[j] - 1}
+			case 3:
+				if op>>(3+j)&1 != 0 {
+					box[j] = rect.Interval{Lo: 0, Hi: widths[j] - 1}
+				} else {
+					box[j] = rect.Interval{Lo: b, Hi: b}
+				}
+			}
+		}
+		set := partition.Set{Rect: box, Rep: box.MinCorner()}
+		if op&1 == 0 {
+			sigma = append(sigma, set)
+		} else {
+			delta = append(delta, set)
+		}
+	}
+	return delta, sigma, true
+}
+
+// FuzzIntersectionFill checks the bitset-filled I_t against a per-pair
+// Rect.Intersects matrix, with a fresh and with a reused Scratch.
+func FuzzIntersectionFill(f *testing.F) {
+	// 2-D: general boxes on both sides.
+	f.Add([]byte{0, 9, 9, 0, 1, 5, 2, 7, 1, 3, 3, 8, 8, 0, 0, 0, 9, 9, 1, 6, 2, 4, 4})
+	// 3-D: points against full spans and mixed point/span boxes.
+	f.Add([]byte{1, 4, 7, 3, 2, 1, 2, 3, 4, 5, 6, 5, 0, 0, 0, 0, 0, 0, 0x0e, 1, 1, 2, 2, 3, 3,
+		0x1f, 3, 3, 4, 4, 5, 5, 3, 9, 9, 9, 9, 9, 9})
+	// 4-D, narrow widths, over 64 boxes per side.
+	seed := []byte{2, 0, 1, 0, 2}
+	for i := 0; i < 140; i++ {
+		seed = append(seed, byte(i*37), byte(i), byte(i*3), byte(i*5), byte(i*7), byte(i*11), byte(i*13), byte(i*17), byte(i*19))
+	}
+	f.Add(seed)
+	f.Fuzz(checkIntersectionFill)
+}
+
+// Random inputs of every length through the box decoder, so plain
+// `go test` covers far more than the seed corpus.
+func TestIntersectionFillMatchesIntersects(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 300; trial++ {
+		data := make([]byte, 4+rng.Intn(1200))
+		rng.Read(data)
+		checkIntersectionFill(t, data)
+	}
+}
+
+// checkIntersectionFill decodes data and asserts that Intersection equals
+// the per-pair Intersects matrix, also after a reused Scratch has filled a
+// matrix of another shape.
+func checkIntersectionFill(t *testing.T, data []byte) {
+	delta, sigma, ok := decodeBoxes(data)
+	if !ok {
+		return
+	}
+	want := bitmat.New(len(delta), len(sigma))
+	for j, d := range delta {
+		for i, s := range sigma {
+			if d.Rect.Intersects(s.Rect) {
+				want.Set(j, i)
+			}
+		}
+	}
+	var s Scratch
+	Intersection(bitmat.New(len(sigma), len(delta)), sigma, delta, &s)
+	for _, sc := range []*Scratch{nil, &s} {
+		got := bitmat.New(len(delta), len(sigma))
+		Intersection(got, delta, sigma, sc)
+		if !got.Equal(want) {
+			t.Fatalf("scratch=%v: bitset I_t differs from Intersects on delta %v, sigma %v\n got:\n%v\nwant:\n%v",
+				sc != nil, delta, sigma, got, want)
 		}
 	}
 }

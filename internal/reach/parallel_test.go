@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lambmesh/internal/mesh"
+	"lambmesh/internal/par"
 	"lambmesh/internal/routing"
 )
 
@@ -76,5 +77,36 @@ func TestSweepWorkersDeterministic(t *testing.T) {
 		if !got.RK.Equal(base.RK) {
 			t.Errorf("sweep R^(k) differs at workers=%d", workers)
 		}
+	}
+}
+
+// Below par.ForWork's cutoff the fills run inline, so the test above may
+// never start a goroutine. This input puts both R_t fills and both chain
+// products over the cutoff, so the row-block parallel paths run (and, under
+// -race, are checked) and must match one worker bit for bit.
+func TestComputeWorkersAboveCutoff(t *testing.T) {
+	m := mesh.MustNew(24, 24, 24)
+	f := mesh.RandomNodeFaults(m, 160, rand.New(rand.NewSource(23)))
+	orders := routing.MultiOrder{routing.Order{1, 0, 2}, routing.Order{2, 1, 0}}
+	base, err := ComputeWorkers(f, orders, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range base.R {
+		if par.ForWork(2, r.Rows()*r.Cols()) < 2 {
+			t.Fatalf("R_t is %dx%d, below the serial cutoff", r.Rows(), r.Cols())
+		}
+	}
+	got, err := ComputeWorkers(f, orders, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tt := range base.R {
+		if !got.R[tt].Equal(base.R[tt]) {
+			t.Errorf("R[%d] differs at workers=2", tt)
+		}
+	}
+	if !got.I[0].Equal(base.I[0]) || !got.RK.Equal(base.RK) {
+		t.Error("I_1 or R^(k) differs at workers=2")
 	}
 }

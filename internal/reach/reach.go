@@ -16,6 +16,7 @@ package reach
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -64,8 +65,7 @@ type Scratch struct {
 
 	// PartitionNanos records how much of the last ComputeScratch (or
 	// ComputeWithSweepScratch) call went into building SES/DES partitions,
-	// so callers can split recompute latency into phases. Only maintained
-	// on the scratch-sharing path (a nil Scratch has nowhere to record it).
+	// so callers can split recompute latency into phases.
 	PartitionNanos int64
 
 	pool    []*bitmat.Matrix
@@ -73,20 +73,14 @@ type Scratch struct {
 	chain   [2]*bitmat.Matrix
 	chainMs []*bitmat.Matrix
 	sweep   [][]bool
-	cols    []colSpan
+	boxes   boxIndex // the column index of the R_t and I_t fills
 
-	// Steady-state reuse for the shared compute path: the fault-index
+	// Steady-state reuse across calls: the fault-index
 	// oracle is rebuilt in place, and the Reachability header (plus its
 	// Sigma/Delta/R/I slices) is recycled across calls. Both are forgotten
 	// by Detach so retained results stay valid.
 	oracle *routing.Oracle
 	rcHdr  *Reachability
-	// Round/pair dedup working state (replaces the map[string] caches of
-	// the scratch-free path; k is tiny, so linear Order comparison wins).
-	roundOf []int
-	firstR  []int
-	iOf     []int
-	firstI  []int
 }
 
 func (s *Scratch) reset() {
@@ -159,13 +153,6 @@ func resizeMats(ms []*bitmat.Matrix, n int) []*bitmat.Matrix {
 	return ms
 }
 
-func resizeInts(xs []int, n int) []int {
-	if cap(xs) < n {
-		return make([]int, n)
-	}
-	return xs[:n]
-}
-
 // mat returns an all-zero rows x cols matrix from the pool, growing the pool
 // on first use of each slot.
 func (s *Scratch) mat(rows, cols int) *bitmat.Matrix {
@@ -190,158 +177,49 @@ func Compute(f *mesh.FaultSet, orders routing.MultiOrder) (*Reachability, error)
 }
 
 // ComputeWorkers is Compute with an explicit worker-pool size (<= 0 means
-// NumCPU). Three layers parallelize: distinct rounds of a non-uniform
-// ordering build their partitions and R_t concurrently, each R_t and I_t
-// fill is row-parallel (the routing.Oracle is read-only after NewOracle, so
-// concurrent span queries are safe), and the R^(k) chain product is
-// row-block parallel. Every parallel loop writes disjoint matrix rows, so
-// the result is bit-identical for every worker count.
+// NumCPU). Each large enough R_t fill is row-block parallel (the
+// routing.Oracle is read-only after NewOracle, so concurrent span queries
+// are safe), and so is each large enough step of the R^(k) chain product;
+// par.ForWork keeps small ones inline. Every parallel loop writes disjoint
+// matrix rows, so the result is bit-identical for every worker count.
 func ComputeWorkers(f *mesh.FaultSet, orders routing.MultiOrder, workers int) (*Reachability, error) {
 	return ComputeScratch(f, orders, workers, nil)
 }
 
 // ComputeScratch is ComputeWorkers drawing every buffer from s. A nil s
-// means "no reuse" and reproduces ComputeWorkers exactly. With a non-nil s
-// the distinct rounds of a non-uniform ordering are built serially (they
-// share the partition arenas) — the row-parallel matrix fills and the chain
-// product keep their full parallelism, and results remain bit-identical to
-// the scratch-free path for every worker count.
+// means "no reuse": the call runs on a fresh Scratch, so its result is
+// owned by the caller alone. Results are bit-identical for every s and
+// every worker count.
 func ComputeScratch(f *mesh.FaultSet, orders routing.MultiOrder, workers int, s *Scratch) (*Reachability, error) {
 	if err := orders.Validate(f.Mesh().Dims()); err != nil {
 		return nil, err
 	}
-	workers = par.Clamp(workers)
-	if s != nil {
-		return s.compute(f, orders, workers)
+	if s == nil {
+		s = new(Scratch)
 	}
-
-	o := routing.NewOracle(f)
-	k := orders.Rounds()
-	rc := &Reachability{
-		Orders: orders,
-		Oracle: o,
-		Sigma:  make([]*partition.Partition, k),
-		Delta:  make([]*partition.Partition, k),
-		R:      make([]*bitmat.Matrix, k),
-	}
-
-	type roundData struct {
-		round int // first round using this ordering
-		sigma *partition.Partition
-		delta *partition.Partition
-		r     *bitmat.Matrix
-		err   error
-	}
-	cache := make(map[string]*roundData)
-	var distinct []*roundData // first-appearance order
-	for t := 0; t < k; t++ {
-		key := orders[t].String()
-		if _, ok := cache[key]; !ok {
-			rd := &roundData{round: t}
-			cache[key] = rd
-			distinct = append(distinct, rd)
-		}
-	}
-	// Distinct rounds of a non-uniform ordering build their partitions and
-	// R_t concurrently; each has its own partition scratch.
-	par.Do(workers, len(distinct), func(i int) {
-		rd := distinct[i]
-		ps := new(partition.Scratch)
-		pi := orders[rd.round]
-		sigma, err := ps.SES(f, pi)
-		if err != nil {
-			rd.err = err
-			return
-		}
-		delta, err := ps.DES(f, pi)
-		if err != nil {
-			rd.err = err
-			return
-		}
-		rd.sigma = sigma
-		rd.delta = delta
-		rd.r = bitmat.New(sigma.Len(), delta.Len())
-		OneRound(rd.r, o, pi, sigma.Sets, delta.Sets, workers, nil)
-	})
-	for _, rd := range distinct {
-		if rd.err != nil {
-			return nil, rd.err
-		}
-	}
-	for t := 0; t < k; t++ {
-		rd := cache[orders[t].String()]
-		rc.Sigma[t] = rd.sigma
-		rc.Delta[t] = rd.delta
-		rc.R[t] = rd.r
-	}
-
-	rc.I = make([]*bitmat.Matrix, k-1)
-	iidx := make(map[[2]string]int) // pair key -> index into idistinct
-	var idistinct []int             // first round t using each distinct pair
-	iof := make([]int, k-1)
-	for t := 0; t < k-1; t++ {
-		key := [2]string{orders[t].String(), orders[t+1].String()}
-		di, ok := iidx[key]
-		if !ok {
-			di = len(idistinct)
-			iidx[key] = di
-			idistinct = append(idistinct, t)
-		}
-		iof[t] = di
-	}
-	ims := make([]*bitmat.Matrix, len(idistinct))
-	par.Do(workers, len(idistinct), func(i int) {
-		t := idistinct[i]
-		ims[i] = bitmat.New(rc.Delta[t].Len(), rc.Sigma[t+1].Len())
-		intersectionMatrix(ims[i], rc.Delta[t], rc.Sigma[t+1], workers)
-	})
-	for t := 0; t < k-1; t++ {
-		rc.I[t] = ims[iof[t]]
-	}
-
-	// R^(k) = R_1 I_1 R_2 ... I_{k-1} R_k.
-	chainMs := make([]*bitmat.Matrix, 0, 2*k-1)
-	chainMs = append(chainMs, rc.R[0])
-	for t := 0; t < k-1; t++ {
-		chainMs = append(chainMs, rc.I[t], rc.R[t+1])
-	}
-	rc.RK = bitmat.MulChainParallel(workers, chainMs...)
-	return rc, nil
+	return s.compute(f, orders, workers)
 }
 
-// compute is the scratch-sharing form of ComputeScratch: straight-line,
-// serial round construction (rounds share the partition arenas), with every
-// buffer — including the oracle's fault index, the Reachability header, and
-// the dedup working state — drawn from the Scratch. In steady state the
-// whole call performs zero heap allocations at workers=1; results stay
-// bit-identical to the scratch-free path at every worker count.
+// compute is ComputeScratch's body: straight-line, serial round
+// construction (rounds share the partition arenas), with every buffer —
+// including the oracle's fault index and the Reachability header — drawn
+// from the Scratch. In steady state the whole call performs zero heap
+// allocations at workers=1.
 func (s *Scratch) compute(f *mesh.FaultSet, orders routing.MultiOrder, workers int) (*Reachability, error) {
 	s.reset()
 	o := s.reuseOracle(f)
 	k := orders.Rounds()
 	rc := s.header(orders, o, k)
 
-	// Deduplicate identical per-round orderings (R_1 = R_2 = ... for a
-	// uniform ordering, as the paper notes). k is at most a handful, so a
-	// linear scan replaces the string-keyed map of the scratch-free path.
-	s.roundOf = resizeInts(s.roundOf, k)
-	s.firstR = s.firstR[:0]
+	// A round whose ordering an earlier round shares reuses its partitions
+	// and R_t (R_1 = R_2 = ... for a uniform ordering, as the paper notes),
+	// and a round pair likewise reuses its I_t.
 	for t := 0; t < k; t++ {
-		di := -1
-		for j, ft := range s.firstR {
-			if orders[t].Equal(orders[ft]) {
-				di = j
-				break
-			}
+		if u := firstSame(orders, t, 1); u < t {
+			rc.Sigma[t], rc.Delta[t], rc.R[t] = rc.Sigma[u], rc.Delta[u], rc.R[u]
+			continue
 		}
-		if di < 0 {
-			di = len(s.firstR)
-			s.firstR = append(s.firstR, t)
-		}
-		s.roundOf[t] = di
-	}
-	for j, ft := range s.firstR {
-		pi := orders[ft]
+		pi := orders[t]
 		partStart := time.Now()
 		sigma, err := s.Part.SES(f, pi)
 		if err != nil {
@@ -352,43 +230,17 @@ func (s *Scratch) compute(f *mesh.FaultSet, orders routing.MultiOrder, workers i
 			return nil, err
 		}
 		s.PartitionNanos += int64(time.Since(partStart))
-		r := s.mat(sigma.Len(), delta.Len())
-		OneRound(r, o, pi, sigma.Sets, delta.Sets, workers, s)
-		for t := 0; t < k; t++ {
-			if s.roundOf[t] == j {
-				rc.Sigma[t] = sigma
-				rc.Delta[t] = delta
-				rc.R[t] = r
-			}
-		}
+		rc.Sigma[t], rc.Delta[t] = sigma, delta
+		rc.R[t] = s.mat(sigma.Len(), delta.Len())
+		OneRound(rc.R[t], o, pi, sigma.Sets, delta.Sets, workers, s)
 	}
-
-	// Intersection matrices, deduplicated by (ordering_t, ordering_{t+1})
-	// pair the same way.
-	s.iOf = resizeInts(s.iOf, k-1)
-	s.firstI = s.firstI[:0]
 	for t := 0; t < k-1; t++ {
-		di := -1
-		for j, ft := range s.firstI {
-			if orders[t].Equal(orders[ft]) && orders[t+1].Equal(orders[ft+1]) {
-				di = j
-				break
-			}
+		if u := firstSame(orders, t, 2); u < t {
+			rc.I[t] = rc.I[u]
+			continue
 		}
-		if di < 0 {
-			di = len(s.firstI)
-			s.firstI = append(s.firstI, t)
-		}
-		s.iOf[t] = di
-	}
-	for j, ft := range s.firstI {
-		im := s.mat(rc.Delta[ft].Len(), rc.Sigma[ft+1].Len())
-		intersectionMatrix(im, rc.Delta[ft], rc.Sigma[ft+1], workers)
-		for t := 0; t < k-1; t++ {
-			if s.iOf[t] == j {
-				rc.I[t] = im
-			}
-		}
+		rc.I[t] = s.mat(rc.Delta[t].Len(), rc.Sigma[t+1].Len())
+		Intersection(rc.I[t], rc.Delta[t].Sets, rc.Sigma[t+1].Sets, s)
 	}
 
 	// R^(k) = R_1 I_1 R_2 ... I_{k-1} R_k.
@@ -402,95 +254,154 @@ func (s *Scratch) compute(f *mesh.FaultSet, orders routing.MultiOrder, workers i
 	return rc, nil
 }
 
+// firstSame returns the first round u whose n orderings from u on equal
+// those from round t on; u == t when no earlier round matches.
+func firstSame(orders routing.MultiOrder, t, n int) int {
+	for u := 0; ; u++ {
+		same := true
+		for i := 0; i < n; i++ {
+			same = same && orders[u+i].Equal(orders[t+i])
+		}
+		if same {
+			return u
+		}
+	}
+}
+
 // OneRound fills r (all-zero, |sigma| x |delta|) with the one-round matrix
-// R_t of ordering pi: R(i,j) = 1 iff the representative of sigma[i]
-// pi-reaches the representative of delta[j] (Lemma 4.1 lifts this to every
-// member pair). It is ReachOne's answer for every pair, computed from clear
-// spans instead: the first segment of the route leaves v along pi[0] on v's
-// line and the last enters w along pi[d-1] on w's line, so one SpanFrom per
-// row and one SpanTo per column decide both, and a pair costs two integer
-// range compares. Only in d >= 3 do the pairs passing both compares check
-// their inner segments. Rows fill in parallel over a read-only oracle, so
-// the result is identical for every worker count. The column spans live in
-// s's buffer (a nil s allocates one). Meshes only, like the partitions.
+// R_t of ordering pi: R(i,j) = 1 iff the representative v of sigma[i]
+// pi-reaches the representative w of delta[j] (Lemma 4.1 lifts this to
+// every member pair). It is ReachOne's answer for every pair, computed from
+// clear spans instead. The route's first segment leaves v along pi[0] and
+// is clear iff w[pi[0]] lies in SpanFrom(v, pi[0]); its last enters w along
+// pi[d-1] and is clear iff v[pi[d-1]] lies in SpanTo(w, pi[d-1]). So each
+// column is the box [w[pi[0]], w[pi[0]]] x SpanTo(w, pi[d-1]), each row the
+// box SpanFrom(v, pi[0]) x [v[pi[d-1]], v[pi[d-1]]], and a row's pairs
+// passing both tests are the columns whose boxes meet its own: a few word
+// ANDs through a boxIndex, as in Intersection. That is all of R_t in 2-D.
+//
+// In 3-D the middle segment runs along pi[1] on the line through v with
+// v's pi[0]-coordinate replaced by w's. So a row takes one SpanFromLine per
+// pi[0]-coordinate a its first span reaches (at most n of them), and where
+// that span is not the whole line it drops, word-parallel, the columns with
+// w[pi[0]] = a whose w[pi[1]] lies outside it. In d >= 4 each surviving
+// pair walks its inner segments (InnerClear). Row blocks fill in parallel
+// over a read-only oracle when the matrix is large enough (par.ForWork), so
+// the result is identical for every worker count. The column index lives
+// in s (a nil s allocates it). Meshes only, like the partitions.
 func OneRound(r *bitmat.Matrix, o *routing.Oracle, pi routing.Order, sigma, delta []partition.Set, workers int, s *Scratch) {
-	var buf []colSpan
-	if s != nil {
-		buf = s.cols
+	if s == nil {
+		s = new(Scratch)
 	}
-	cols := slices.Grow(buf[:0], len(delta))
-	f := o.Faults()
+	m, f := o.Mesh(), o.Faults()
 	first, last := pi[0], pi[len(pi)-1]
-	for _, d := range delta {
-		c := colSpan{at: d.Rep[first], span: routing.Span{Lo: 1, Hi: 0}}
-		if !f.NodeFaulty(d.Rep) {
-			c.span = o.SpanTo(d.Rep, last)
+	n := 0
+	for j := range pi {
+		n = max(n, m.Width(j))
+	}
+	// Dimension 2 (w[pi[1]]) is filled and read in 3-D only.
+	cols := &s.boxes
+	cols.reset(3, n, len(delta))
+	for j, d := range delta {
+		if f.NodeFaulty(d.Rep) {
+			continue // reached by no row: left out of every bitset
 		}
-		cols = append(cols, c)
+		span := o.SpanTo(d.Rep, last)
+		cols.add(j, 0, d.Rep[first], d.Rep[first])
+		cols.add(j, 1, span.Lo, span.Hi)
+		if len(pi) == 3 {
+			cols.add(j, 2, d.Rep[pi[1]], d.Rep[pi[1]])
+		}
 	}
-	if s != nil {
-		s.cols = cols
-	}
+	cols.seal()
+	workers = par.ForWork(workers, len(sigma)*len(delta))
 	if workers <= 1 {
-		// Serial fast path: par.Do's closure escapes and would cost a heap
-		// allocation per matrix even when it runs inline.
-		for i := range sigma {
-			oneRoundRow(r, o, pi, sigma, delta, cols, i)
-		}
+		// Serial fast path: par.Blocks' closure escapes and would cost a
+		// heap allocation per matrix even when it runs inline.
+		oneRoundRows(r, o, pi, sigma, delta, cols, 0, len(sigma))
 		return
 	}
-	par.Do(workers, len(sigma), func(i int) {
-		oneRoundRow(r, o, pi, sigma, delta, cols, i)
+	par.Blocks(workers, len(sigma), func(lo, hi int) {
+		oneRoundRows(r, o, pi, sigma, delta, cols, lo, hi)
 	})
 }
 
-// colSpan is one column's share of the R_t fill: its representative's
-// pi[0]-coordinate, and the pi[d-1]-coordinates from which the route's last
-// segment into it is clear (empty when the representative is faulty).
-type colSpan struct {
-	at   int
-	span routing.Span
-}
-
-func oneRoundRow(r *bitmat.Matrix, o *routing.Oracle, pi routing.Order, sigma, delta []partition.Set, cols []colSpan, i int) {
-	v := sigma[i].Rep
-	if o.Faults().NodeFaulty(v) {
-		return
-	}
-	from := o.SpanFrom(v, pi[0])
-	x := v[pi[len(pi)-1]]
-	inner := len(pi) >= 3
-	for j, c := range cols {
-		if !from.Contains(c.at) || !c.span.Contains(x) {
+// oneRoundRows fills rows [lo, hi) of R_t from the column index cols.
+func oneRoundRows(r *bitmat.Matrix, o *routing.Oracle, pi routing.Order, sigma, delta []partition.Set, cols *boxIndex, lo, hi int) {
+	m := o.Mesh()
+	for i := lo; i < hi; i++ {
+		v := sigma[i].Rep
+		if o.Faults().NodeFaulty(v) {
 			continue
 		}
-		if inner && !o.InnerClear(pi, v, delta[j].Rep) {
-			continue
+		from := o.SpanFrom(v, pi[0])
+		row := r.Row(i)
+		setAll(row)
+		cols.meet(row, 0, from.Lo, from.Hi)
+		cols.meet(row, 1, v[pi[len(pi)-1]], v[pi[len(pi)-1]])
+		switch {
+		case len(pi) == 3:
+			// The middle segment of a route to a column with w[pi[0]] = a
+			// leaves v with its pi[0]-coordinate set to a.
+			stride := m.Stride(pi[0])
+			p := m.ProfileIndex(v, pi[1]) + int64(from.Lo-v[pi[0]])*stride
+			full := routing.Span{Lo: 0, Hi: m.Width(pi[1]) - 1}
+			for a := from.Lo; a <= from.Hi; a, p = a+1, p+stride {
+				if mid := o.SpanFromLine(p, pi[1], v[pi[1]]); mid != full {
+					cols.drop(row, 0, a, 2, mid.Lo, mid.Hi)
+				}
+			}
+		case len(pi) >= 4:
+			for w, word := range row {
+				for word != 0 {
+					b := bits.TrailingZeros64(word)
+					word &= word - 1
+					if !o.InnerClear(pi, v, delta[w*64+b].Rep) {
+						row[w] &^= 1 << b
+					}
+				}
+			}
 		}
-		r.Set(i, j)
 	}
 }
 
-// intersectionMatrix fills im (all-zero, |delta| x |sigma|) with I_t:
-// I(j,i) = 1 iff D_j and S_i share a node. Each test is O(d) on the
-// rectangular abbreviations; rows are filled in parallel.
-func intersectionMatrix(im *bitmat.Matrix, delta, sigma *partition.Partition, workers int) {
-	if workers <= 1 {
-		for j := range delta.Sets {
-			intersectionRow(im, delta, sigma, j)
-		}
+// Intersection fills im (all-zero, |delta| x |sigma|) with I_t: I(j,i) = 1
+// iff the boxes of D_j and S_i share a node. It indexes sigma's boxes in a
+// boxIndex, so a row costs 2d word ANDs per 64 sets in place of one
+// Intersects per pair; the index holds 2 d n ceil(|sigma|/64) words for
+// coordinates up to n (in s; a nil s allocates it). The fill is serial: it
+// costs a small fraction of R_t's.
+func Intersection(im *bitmat.Matrix, delta, sigma []partition.Set, s *Scratch) {
+	if len(delta) == 0 || len(sigma) == 0 {
 		return
 	}
-	par.Do(workers, delta.Len(), func(j int) {
-		intersectionRow(im, delta, sigma, j)
-	})
-}
-
-func intersectionRow(im *bitmat.Matrix, delta, sigma *partition.Partition, j int) {
-	d := delta.Sets[j]
-	for i, s := range sigma.Sets {
-		if d.Rect.Intersects(s.Rect) {
-			im.Set(j, i)
+	if s == nil {
+		s = new(Scratch)
+	}
+	d := len(sigma[0].Rect)
+	// Coordinates run up to the largest Hi of either partition, so no query
+	// is clipped.
+	n := 0
+	for _, ps := range [2][]partition.Set{sigma, delta} {
+		for _, set := range ps {
+			for _, iv := range set.Rect {
+				n = max(n, iv.Hi+1)
+			}
+		}
+	}
+	x := &s.boxes
+	x.reset(d, n, len(sigma))
+	for i, set := range sigma {
+		for j, iv := range set.Rect {
+			x.add(i, j, iv.Lo, iv.Hi)
+		}
+	}
+	x.seal()
+	for r, set := range delta {
+		row := im.Row(r)
+		setAll(row)
+		for j, iv := range set.Rect {
+			x.meet(row, j, iv.Lo, iv.Hi)
 		}
 	}
 }
@@ -516,11 +427,11 @@ func ComputeWithSweepWorkers(f *mesh.FaultSet, orders routing.MultiOrder, worker
 }
 
 // ComputeWithSweepScratch is the Scratch-drawing form of
-// ComputeWithSweepWorkers (nil s means "no reuse"). Each worker block sweeps
-// through one reusable node-set buffer, and the Reachability header and the
-// oracle's fault index are recycled like ComputeScratch's, so neither
-// allocates per call; what remains is the sweep's per-dimension line
-// working state.
+// ComputeWithSweepWorkers (nil s means "no reuse": a fresh Scratch). Each
+// worker block sweeps through one reusable node-set buffer, and the
+// Reachability header and the oracle's fault index are recycled like
+// ComputeScratch's, so neither allocates per call; what remains is the
+// sweep's per-dimension line working state.
 func ComputeWithSweepScratch(f *mesh.FaultSet, orders routing.MultiOrder, workers int, s *Scratch) (*Reachability, error) {
 	if err := orders.Validate(f.Mesh().Dims()); err != nil {
 		return nil, err
@@ -528,90 +439,54 @@ func ComputeWithSweepScratch(f *mesh.FaultSet, orders routing.MultiOrder, worker
 	if f.Mesh().Torus() {
 		return nil, fmt.Errorf("reach: the sweep method requires a mesh")
 	}
-	workers = par.Clamp(workers)
-	shared := s != nil
+	if s == nil {
+		s = new(Scratch)
+	}
+	s.reset()
 	k := orders.Rounds()
-	var o *routing.Oracle
-	var rc *Reachability
-	ps := new(partition.Scratch)
-	if shared {
-		s.reset()
-		o = s.reuseOracle(f)
-		rc = s.header(orders, o, k)
-		ps = &s.Part
-	} else {
-		o = routing.NewOracle(f)
-		rc = &Reachability{
-			Orders: orders,
-			Oracle: o,
-			Sigma:  make([]*partition.Partition, k),
-			Delta:  make([]*partition.Partition, k),
-		}
-	}
+	o := s.reuseOracle(f)
+	rc := s.header(orders, o, k)
 	partStart := time.Now()
-	sigma, err := ps.SES(f, orders[0])
+	sigma, err := s.Part.SES(f, orders[0])
 	if err != nil {
 		return nil, err
 	}
-	delta, err := ps.DES(f, orders[k-1])
+	delta, err := s.Part.DES(f, orders[k-1])
 	if err != nil {
 		return nil, err
 	}
-	if shared {
-		s.PartitionNanos = int64(time.Since(partStart))
-	}
+	s.PartitionNanos = int64(time.Since(partStart))
 	for t := 0; t < k; t++ {
 		rc.Sigma[t] = sigma // only Sigma[0] and Delta[k-1] are meaningful here
 		rc.Delta[t] = delta
 	}
 	m := f.Mesh()
-	var rk *bitmat.Matrix
-	if shared {
-		rk = s.mat(sigma.Len(), delta.Len())
-	} else {
-		rk = bitmat.New(sigma.Len(), delta.Len())
-	}
+	rk := s.mat(sigma.Len(), delta.Len())
 	// Rows are distributed in contiguous blocks, one reusable sweep buffer
-	// per block (par.Do would not tell us which worker runs an index, so the
-	// blocking is computed here). Any blocking yields the same bits: rows are
-	// disjoint.
+	// per block. Any blocking yields the same bits: rows are disjoint. A
+	// row's sweep visits every node, so the work estimate is rows x N.
 	rows := sigma.Len()
-	nb := workers
-	if nb > rows {
-		nb = rows
+	nb := max(1, min(par.ForWork(workers, rows*int(m.Nodes())), rows))
+	chunk := (rows + nb - 1) / nb
+	for len(s.sweep) < nb {
+		s.sweep = append(s.sweep, nil)
 	}
-	if nb > 0 {
-		chunk := (rows + nb - 1) / nb
-		if shared {
-			for len(s.sweep) < nb {
-				s.sweep = append(s.sweep, nil)
+	par.Do(nb, nb, func(b int) {
+		lo, hi := min(b*chunk, rows), min((b+1)*chunk, rows)
+		buf := s.sweep[b]
+		if len(buf) != int(m.Nodes()) {
+			buf = make([]bool, m.Nodes())
+			s.sweep[b] = buf
+		}
+		for i := lo; i < hi; i++ {
+			set := o.ReachKSetSweepInto(orders, sigma.Sets[i].Rep, buf)
+			for j, d := range delta.Sets {
+				if set[m.Index(d.Rep)] {
+					rk.Set(i, j)
+				}
 			}
 		}
-		par.Do(workers, nb, func(b int) {
-			lo, hi := b*chunk, (b+1)*chunk
-			if hi > rows {
-				hi = rows
-			}
-			var buf []bool
-			if shared {
-				buf = s.sweep[b]
-			}
-			if len(buf) != int(m.Nodes()) {
-				buf = make([]bool, m.Nodes())
-				if shared {
-					s.sweep[b] = buf
-				}
-			}
-			for i := lo; i < hi; i++ {
-				set := o.ReachKSetSweepInto(orders, sigma.Sets[i].Rep, buf)
-				for j, d := range delta.Sets {
-					if set[m.Index(d.Rep)] {
-						rk.Set(i, j)
-					}
-				}
-			}
-		})
-	}
+	})
 	rc.RK = rk
 	return rc, nil
 }
@@ -632,4 +507,90 @@ func ReferenceRK(o *routing.Oracle, orders routing.MultiOrder, sigma, delta *par
 		}
 	}
 	return rk
+}
+
+// boxIndex answers, for a fixed list of boxes, "which of them meet box q"
+// a word at a time. Two closed boxes meet iff in every dimension j the
+// listed box has Lo_j <= q.Hi_j and Hi_j >= q.Lo_j, so for each j and
+// coordinate x the index keeps two bitsets over the list, loLE (the boxes
+// with Lo_j <= x) and hiGE (those with Hi_j >= x), each built by one
+// prefix-OR pass. A query is then 2d word ANDs per 64 boxes. The table
+// holds 2 d n ceil(len/64) words for coordinates 0..n-1.
+type boxIndex struct {
+	d, n, words int
+	tab         []uint64
+}
+
+// reset empties the index for count boxes of d dimensions with
+// coordinates in [0, n).
+func (x *boxIndex) reset(d, n, count int) {
+	x.d, x.n, x.words = d, n, (count+63)/64
+	size := 2 * d * n * x.words
+	x.tab = slices.Grow(x.tab[:0], size)[:size]
+	clear(x.tab)
+}
+
+// planes returns dimension j's loLE and hiGE bitsets, n of each, packed.
+func (x *boxIndex) planes(j int) (lo, hi []uint64) {
+	p := x.n * x.words
+	return x.tab[2*j*p : (2*j+1)*p], x.tab[(2*j+1)*p : (2*j+2)*p]
+}
+
+// add records that box i spans [a, b] in dimension j. A box left out of
+// any dimension — an empty interval, a > b — meets nothing.
+func (x *boxIndex) add(i, j, a, b int) {
+	if a > b {
+		return
+	}
+	lo, hi := x.planes(j)
+	lo[a*x.words+i>>6] |= 1 << (i & 63)
+	hi[b*x.words+i>>6] |= 1 << (i & 63)
+}
+
+// seal runs the prefix-OR passes; call it once after the last add.
+func (x *boxIndex) seal() {
+	for j := 0; j < x.d; j++ {
+		lo, hi := x.planes(j)
+		for w := x.words; w < len(lo); w++ {
+			lo[w] |= lo[w-x.words]
+		}
+		for w := len(hi) - x.words - 1; w >= 0; w-- {
+			hi[w] |= hi[w+x.words]
+		}
+	}
+}
+
+// meet narrows row, a bitset over the listed boxes, to those whose
+// dimension-j interval meets [a, b]. A query starts from setAll and meets
+// once per dimension.
+func (x *boxIndex) meet(row []uint64, j, a, b int) {
+	a, b = max(a, 0), min(b, x.n-1)
+	if a > b {
+		clear(row)
+		return
+	}
+	lo, hi := x.planes(j)
+	l, h := lo[b*x.words:][:x.words], hi[a*x.words:][:x.words]
+	for w := range row {
+		row[w] &= l[w] & h[w]
+	}
+}
+
+// drop clears from row the boxes whose dimension-j interval meets [a, a]
+// but whose dimension-k interval misses [lo, hi], for 0 <= lo <= hi < n.
+func (x *boxIndex) drop(row []uint64, j, a, k, lo, hi int) {
+	loJ, hiJ := x.planes(j)
+	loK, hiK := x.planes(k)
+	at, ta := loJ[a*x.words:][:x.words], hiJ[a*x.words:][:x.words]
+	l, h := loK[hi*x.words:][:x.words], hiK[lo*x.words:][:x.words]
+	for w := range row {
+		row[w] &^= at[w] & ta[w] &^ (l[w] & h[w])
+	}
+}
+
+// setAll sets every bit of row; meet clears the padding past the last box.
+func setAll(row []uint64) {
+	for w := range row {
+		row[w] = ^uint64(0)
+	}
 }

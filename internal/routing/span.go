@@ -24,8 +24,14 @@ func (s Span) Contains(x int) bool { return s.Lo <= x && x <= s.Hi }
 // of v's line. Meshes only: on a torus segments wrap and the clear
 // coordinates are not an interval.
 func (o *Oracle) SpanFrom(v mesh.Coord, dim int) Span {
-	a := v[dim]
-	p := o.m.ProfileIndex(v, dim)
+	return o.SpanFromLine(o.m.ProfileIndex(v, dim), dim, v[dim])
+}
+
+// SpanFromLine is SpanFrom for the node at coordinate a of the line along
+// dim with profile index p (mesh.ProfileIndex). Callers that walk a family
+// of parallel lines step p by a stride instead of rebuilding a coordinate
+// per line.
+func (o *Oracle) SpanFromLine(p int64, dim, a int) Span {
 	s, ok := o.nodeSpan(p, dim, a)
 	if !ok {
 		return s

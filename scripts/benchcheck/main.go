@@ -55,6 +55,9 @@ var requiredBenchmarks = []string{
 	"BenchmarkFig17Trial",
 	"BenchmarkFig18Trial",
 	"BenchmarkFig26TrialSmallF",
+	"BenchmarkReachKernels/rt",
+	"BenchmarkReachKernels/it",
+	"BenchmarkReachKernels/chain",
 	"BenchmarkBitmatMul",
 	"BenchmarkSec5LambSet",
 	"BenchmarkWormholeRun",
