@@ -26,6 +26,7 @@ import (
 	"lambmesh/internal/partition"
 	"lambmesh/internal/reach"
 	"lambmesh/internal/routing"
+	"lambmesh/internal/server"
 	"lambmesh/internal/sim"
 	"lambmesh/internal/vcover"
 	"lambmesh/internal/wire"
@@ -474,6 +475,46 @@ func BenchmarkClassTableQuery(b *testing.B) {
 		src := good[i%len(good)]
 		dst := good[(i*31+17)%len(good)]
 		tab.Lookup(src, dst, &q)
+	}
+}
+
+// BenchmarkServerQuery: one route query through lambd's query core via the
+// wire backend — load the live epoch, check both endpoints, look the pair
+// up in the class table, and copy the via into the caller's reused Answer —
+// on M2(32) with f = 31, the serve-churn configuration. The budget in
+// scripts/benchcheck holds it at 0 allocs/op.
+func BenchmarkServerQuery(b *testing.B) {
+	m := mesh.MustNew(32, 32)
+	rng := rand.New(rand.NewSource(10))
+	f := mesh.RandomNodeFaults(m, 31, rng)
+	srv, err := server.New(server.Config{
+		Mesh:          m,
+		Orders:        routing.UniformAscending(2, 2),
+		InitialFaults: f,
+		Workers:       benchWorkers(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	e := srv.Epoch()
+	var good []mesh.Coord
+	m.ForEachNode(func(c mesh.Coord) {
+		if !f.NodeFaulty(c) && !e.IsLamb(c) {
+			good = append(good, c.Clone())
+		}
+	})
+	backend := srv.WireBackend()
+	var ans wire.Answer
+	// One pass of the timed query pattern grows ans.Via and fills the
+	// scratch pool, so the loop measures the steady state.
+	for i := range good {
+		backend.Query(good[i], good[(i*31+17)%len(good)], &ans)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		backend.Query(good[i%len(good)], good[(i*31+17)%len(good)], &ans)
 	}
 }
 

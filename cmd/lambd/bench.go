@@ -82,8 +82,8 @@ func cmdBench(args []string, stdout io.Writer) error {
 		}
 	}
 
-	fmt.Fprintf(stdout, "bench: %s %s, %s plane, %d endpoints, %s mix, %d conns",
-		*proto, cfg.Mesh, cfg.RouteSource, len(good), *mix, *conns)
+	fmt.Fprintf(stdout, "bench: %s %s, %d endpoints, %s mix, %d conns",
+		*proto, cfg.Mesh, len(good), *mix, *conns)
 	if *proto == "wire" {
 		fmt.Fprintf(stdout, " x %d pipelined against %s", *pipeline, target)
 	}
@@ -144,7 +144,6 @@ func cmdBench(args []string, stdout io.Writer) error {
 type benchSummary struct {
 	Proto       string  `json:"proto"`
 	Mesh        string  `json:"mesh"`
-	RouteSource string  `json:"route_source"`
 	Mix         string  `json:"mix"`
 	Conns       int     `json:"conns"`
 	DurationSec float64 `json:"duration_seconds"`
@@ -167,7 +166,6 @@ func writeBenchJSON(path, proto, mix string, cfg server.ConfigResponse, conns in
 	s := benchSummary{
 		Proto:       proto,
 		Mesh:        cfg.Mesh,
-		RouteSource: cfg.RouteSource,
 		Mix:         mix,
 		Conns:       conns,
 		DurationSec: d.Seconds(),

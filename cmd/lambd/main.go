@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	lambd serve  -addr :8080 -wire-addr :8081 -mesh 16x16 -k 2 [-keep-lambs] [-load faults.txt] [-workers N] [-route-source classtable|cache] [-pprof-addr localhost:6060]
+//	lambd serve  -addr :8080 -wire-addr :8081 -mesh 16x16 -k 2 [-keep-lambs] [-load faults.txt] [-workers N] [-pprof-addr localhost:6060]
 //	lambd route  -addr http://host:8080 -src 0,0 -dst 5,5
 //	lambd faults -addr http://host:8080 [-nodes "(3,3);(4,4)"] [-links "(1,1),0,+1"] [-file faults.txt]
 //	lambd config -addr http://host:8080
@@ -93,7 +93,7 @@ run 'lambd <subcommand> -h' for flags.`)
 // newServerFromFlags assembles the daemon from serve's flag values.
 // Factored out of cmdServe so tests can build (and close) a server
 // without binding a listener.
-func newServerFromFlags(meshSpec string, k int, keepLambs bool, loadPath string, workers int, routeSource string) (*server.Server, error) {
+func newServerFromFlags(meshSpec string, k int, keepLambs bool, loadPath string, workers int) (*server.Server, error) {
 	var initial *lambmesh.FaultSet
 	var m *lambmesh.Mesh
 	if loadPath != "" {
@@ -123,7 +123,6 @@ func newServerFromFlags(meshSpec string, k int, keepLambs bool, loadPath string,
 		KeepLambs:     keepLambs,
 		InitialFaults: initial,
 		Workers:       workers,
-		RouteSource:   routeSource,
 	})
 }
 
@@ -138,13 +137,12 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 		keepLambs = fs.Bool("keep-lambs", false, "lamb sets only grow across generations")
 		load      = fs.String("load", "", "seed faults from a lambmesh fault file (overrides -mesh)")
 		workers   = fs.Int("workers", 0, "recompute worker pool size; 0 = all CPUs (shrinks the stale-epoch window)")
-		source    = fs.String("route-source", "", "route data plane: classtable, cache, or empty for auto")
 		pprofAddr = fs.String("pprof-addr", "", "net/http/pprof listen address, e.g. localhost:6060 (empty disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	s, err := newServerFromFlags(*meshSpec, *k, *keepLambs, *load, *workers, *source)
+	s, err := newServerFromFlags(*meshSpec, *k, *keepLambs, *load, *workers)
 	if err != nil {
 		return err
 	}
@@ -172,8 +170,8 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "lambd: binary route protocol on %s\n", *wireAddr)
 	}
 	e := s.Epoch()
-	fmt.Fprintf(stdout, "lambd: serving %v (k=%d, generation %d, %d faults, %d lambs, %s plane) on %s\n",
-		s.Mesh(), *k, e.Generation, e.Faults.Count(), len(e.Lambs), s.RouteSource(), *addr)
+	fmt.Fprintf(stdout, "lambd: serving %v (k=%d, generation %d, %d faults, %d lambs) on %s\n",
+		s.Mesh(), *k, e.Generation, e.Faults.Count(), len(e.Lambs), *addr)
 	return http.ListenAndServe(*addr, s.Handler())
 }
 
@@ -211,12 +209,8 @@ func cmdRoute(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "no route (generation %d): %s\n", resp.Generation, resp.Reason)
 		return nil
 	}
-	cached := ""
-	if resp.Cached {
-		cached = ", cached"
-	}
-	fmt.Fprintf(stdout, "%s -> %s: %d hops, %d turns, vias %s (generation %d%s)\n",
-		resp.Src, resp.Dst, resp.Hops, resp.Turns, strings.Join(resp.Vias, " "), resp.Generation, cached)
+	fmt.Fprintf(stdout, "%s -> %s: %d hops, %d turns, vias %s (generation %d)\n",
+		resp.Src, resp.Dst, resp.Hops, resp.Turns, strings.Join(resp.Vias, " "), resp.Generation)
 	fmt.Fprintln(stdout, strings.Join(resp.Path, " "))
 	return nil
 }
@@ -350,8 +344,8 @@ func cmdConfig(args []string, stdout io.Writer) error {
 	if cfg.Torus {
 		kind = "torus"
 	}
-	fmt.Fprintf(stdout, "%s %s, orders %s, %s plane, generation %d (epoch age %.1fs)\n",
-		kind, cfg.Mesh, cfg.Orders, cfg.RouteSource, cfg.Generation, cfg.EpochAgeSeconds)
+	fmt.Fprintf(stdout, "%s %s, orders %s, generation %d (epoch age %.1fs)\n",
+		kind, cfg.Mesh, cfg.Orders, cfg.Generation, cfg.EpochAgeSeconds)
 	fmt.Fprintf(stdout, "faults: %d nodes, %d links; lambs: %d; survivors: %d\n",
 		len(cfg.NodeFaults), len(cfg.LinkFaults), len(cfg.Lambs), cfg.Survivors)
 	if len(cfg.Lambs) > 0 {

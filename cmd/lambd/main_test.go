@@ -16,12 +16,7 @@ import (
 // it over httptest, so the client subcommands run against the real wire.
 func startDaemon(t *testing.T, meshSpec string, loadPath string) (*server.Server, string) {
 	t.Helper()
-	return startDaemonSource(t, meshSpec, loadPath, "")
-}
-
-func startDaemonSource(t *testing.T, meshSpec, loadPath, routeSource string) (*server.Server, string) {
-	t.Helper()
-	s, err := newServerFromFlags(meshSpec, 2, false, loadPath, 0, routeSource)
+	s, err := newServerFromFlags(meshSpec, 2, false, loadPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +48,6 @@ func TestRouteSubcommand(t *testing.T) {
 	out, _, code = runCmd(t, "route", "-addr", url, "-src", "0,0", "-dst", "7,7", "-json")
 	if code != 0 || !strings.Contains(out, `"found":true`) {
 		t.Errorf("json route output (%d): %q", code, out)
-	}
-}
-
-func TestRouteSubcommandCachePlane(t *testing.T) {
-	_, url := startDaemonSource(t, "8x8", "", server.RouteSourceCache)
-	runCmd(t, "route", "-addr", url, "-src", "0,0", "-dst", "7,7")
-	out, _, code := runCmd(t, "route", "-addr", url, "-src", "0,0", "-dst", "7,7", "-json")
-	if code != 0 || !strings.Contains(out, `"cached":true`) {
-		t.Errorf("json route output on cache plane (%d): %q", code, out)
 	}
 }
 

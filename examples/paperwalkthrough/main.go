@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	"lambmesh"
@@ -20,9 +22,15 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	m, err := lambmesh.NewMesh(12, 12)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	faults := lambmesh.NewFaultSet(m)
 	faults.AddNodes(lambmesh.C(9, 1), lambmesh.C(11, 6), lambmesh.C(10, 10))
@@ -30,7 +38,7 @@ func main() {
 
 	res, err := lambmesh.FindLambSet(faults, orders, lambmesh.WithReachability())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rc := res.Reach
 
@@ -39,31 +47,32 @@ func main() {
 	rowPerm := permByRep(m, sigma, true)
 	colPerm := permByRep(m, delta, false)
 
-	fmt.Println("Figure 3 — SES partition (paper order S1..S9):")
+	fmt.Fprintln(w, "Figure 3 — SES partition (paper order S1..S9):")
 	for i, p := range rowPerm {
-		fmt.Printf("  S%d = %s (rep %v, %d nodes)\n",
+		fmt.Fprintf(w, "  S%d = %s (rep %v, %d nodes)\n",
 			i+1, sigma.Sets[p].Rect.StringIn(m), sigma.Sets[p].Rep, sigma.Sets[p].Size())
 	}
-	fmt.Println("\nFigure 4 — DES partition (paper order D1..D7):")
+	fmt.Fprintln(w, "\nFigure 4 — DES partition (paper order D1..D7):")
 	for j, p := range colPerm {
-		fmt.Printf("  D%d = %s (rep %v, %d nodes)\n",
+		fmt.Fprintf(w, "  D%d = %s (rep %v, %d nodes)\n",
 			j+1, delta.Sets[p].Rect.StringIn(m), delta.Sets[p].Rep, delta.Sets[p].Size())
 	}
 
-	fmt.Println("\nTable 1 — one-round reachability matrix R:")
-	printMatrix(rc.R[0], rowPerm, colPerm)
-	fmt.Println("\nTable 2 — two-round matrix R^(2) = R I R:")
-	printMatrix(rc.RK, rowPerm, colPerm)
+	fmt.Fprintln(w, "\nTable 1 — one-round reachability matrix R:")
+	printMatrix(w, rc.R[0], rowPerm, colPerm)
+	fmt.Fprintln(w, "\nTable 2 — two-round matrix R^(2) = R I R:")
+	printMatrix(w, rc.RK, rowPerm, colPerm)
 
-	fmt.Println("\nRelevant sets (zero rows/columns of R^(2)) feed the bipartite")
-	fmt.Println("weighted vertex cover of Figure 10; min-cut solves it exactly.")
-	fmt.Printf("cover weight: %d\n", res.Stats.CoverWeight)
-	fmt.Printf("lamb set:     %v  (paper: {(11,10), (10,11)})\n", res.Lambs)
+	fmt.Fprintln(w, "\nRelevant sets (zero rows/columns of R^(2)) feed the bipartite")
+	fmt.Fprintln(w, "weighted vertex cover of Figure 10; min-cut solves it exactly.")
+	fmt.Fprintf(w, "cover weight: %d\n", res.Stats.CoverWeight)
+	fmt.Fprintf(w, "lamb set:     %v  (paper: {(11,10), (10,11)})\n", res.Lambs)
 
 	if err := lambmesh.VerifyLambSet(faults, orders, res.Lambs); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("verified against Definition 2.6 via Lemma 5.2")
+	fmt.Fprintln(w, "verified against Definition 2.6 via Lemma 5.2")
+	return nil
 }
 
 // permByRep orders partition sets the way the paper numbers them: SESs by
@@ -88,21 +97,21 @@ func permByRep(m *lambmesh.Mesh, p *partition.Partition, rowMajor bool) []int {
 	return perm
 }
 
-func printMatrix(mat *bitmat.Matrix, rowPerm, colPerm []int) {
-	fmt.Print("      ")
+func printMatrix(w io.Writer, mat *bitmat.Matrix, rowPerm, colPerm []int) {
+	fmt.Fprint(w, "      ")
 	for j := range colPerm {
-		fmt.Printf("D%-2d ", j+1)
+		fmt.Fprintf(w, "D%-2d ", j+1)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for i, pi := range rowPerm {
-		fmt.Printf("  S%-2d ", i+1)
+		fmt.Fprintf(w, "  S%-2d ", i+1)
 		for _, pj := range colPerm {
 			v := 0
 			if mat.Get(pi, pj) {
 				v = 1
 			}
-			fmt.Printf("%-3d ", v)
+			fmt.Fprintf(w, "%-3d ", v)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }

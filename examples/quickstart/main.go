@@ -5,19 +5,28 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"lambmesh"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// An 8x8 mesh with three faulty nodes. Two of them cut off the corner
 	// (0,0): it is still good, but no dimension-ordered route can reach
 	// it, so it will become a lamb.
 	m, err := lambmesh.NewMesh(8, 8)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	faults := lambmesh.NewFaultSet(m)
 	faults.AddNodes(lambmesh.C(1, 0), lambmesh.C(0, 1), lambmesh.C(5, 2))
@@ -27,25 +36,26 @@ func main() {
 
 	res, err := lambmesh.FindLambSet(faults, orders)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("mesh: %v, faults: %d\n", m, faults.Count())
-	fmt.Printf("lambs: %v (%d nodes sacrificed, %d survivors)\n",
+	fmt.Fprintf(w, "mesh: %v, faults: %d\n", m, faults.Count())
+	fmt.Fprintf(w, "lambs: %v (%d nodes sacrificed, %d survivors)\n",
 		res.Lambs, res.NumLambs(), res.Survivors(faults))
 
 	// The library can prove the result correct.
 	if err := lambmesh.VerifyLambSet(faults, orders, res.Lambs); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("verified: every survivor reaches every survivor in 2 rounds")
+	fmt.Fprintln(w, "verified: every survivor reaches every survivor in 2 rounds")
 
 	// Route between two survivors: at most k*d-1 = 3 turns, always.
 	oracle := lambmesh.NewOracle(faults)
 	src, dst := lambmesh.C(2, 0), lambmesh.C(7, 7)
 	route, ok := lambmesh.ChooseRoute(oracle, orders, src, dst, nil)
 	if !ok {
-		log.Fatal("survivors must be routable")
+		return errors.New("survivors must be routable")
 	}
-	fmt.Printf("route %v -> %v: %d hops, %d turns, via %v\n",
+	fmt.Fprintf(w, "route %v -> %v: %d hops, %d turns, via %v\n",
 		src, dst, route.Hops(), route.Turns(), route.Vias)
+	return nil
 }

@@ -10,8 +10,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"lambmesh"
 	"lambmesh/internal/routing"
@@ -22,61 +24,68 @@ func main() {
 	messages := flag.Int("messages", 200, "number of messages")
 	seed := flag.Int64("seed", 1, "rng seed")
 	flag.Parse()
-	rng := rand.New(rand.NewSource(*seed))
+	if err := run(os.Stdout, *messages, *seed); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, messages int, seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
 
 	m, err := lambmesh.NewMesh(16, 16)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	faults := lambmesh.RandomNodeFaults(m, 10, rng)
 	orders := lambmesh.TwoRoundXY()
 
 	res, err := lambmesh.FindLambSet(faults, orders)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("mesh %v, %d faults -> %d lambs, %d survivors\n",
+	fmt.Fprintf(w, "mesh %v, %d faults -> %d lambs, %d survivors\n",
 		m, faults.Count(), res.NumLambs(), res.Survivors(faults))
 
 	oracle := lambmesh.NewOracle(faults)
 	msgs, err := wormhole.GenerateTraffic(oracle, orders, res.Lambs, wormhole.TrafficSpec{
-		Messages: *messages, MinFlits: 4, MaxFlits: 16, InjectWindow: 100,
+		Messages: messages, MinFlits: 4, MaxFlits: 16, InjectWindow: 100,
 	}, 2, rng)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	net, err := wormhole.NewNetwork(faults, wormhole.DefaultConfig(), msgs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := net.Run(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	s := wormhole.Summarize(net)
-	fmt.Printf("\n2 virtual channels (one per round):\n")
-	fmt.Printf("  delivered %d/%d in %d cycles, deadlock=%v\n", s.Delivered, s.Messages, s.Cycles, s.Deadlocked)
-	fmt.Printf("  latency avg %.1f max %d cycles; turns avg %.2f max %d (bound kd-1 = 3)\n",
+	fmt.Fprintf(w, "\n2 virtual channels (one per round):\n")
+	fmt.Fprintf(w, "  delivered %d/%d in %d cycles, deadlock=%v\n", s.Delivered, s.Messages, s.Cycles, s.Deadlocked)
+	fmt.Fprintf(w, "  latency avg %.1f max %d cycles; turns avg %.2f max %d (bound kd-1 = 3)\n",
 		s.AvgLatency, s.MaxLatency, s.AvgTurns, s.MaxTurns)
 
 	// The adversarial counterpart: four worms in a ring on one shared VC.
-	fmt.Printf("\n1 virtual channel shared by both rounds (adversarial 4-worm ring):\n")
+	fmt.Fprintf(w, "\n1 virtual channel shared by both rounds (adversarial 4-worm ring):\n")
 	free := lambmesh.NewFaultSet(mustMesh(3, 3))
 	ring := ringMessages(free.Mesh())
 	net1, err := wormhole.NewNetwork(free, wormhole.Config{
 		VirtualChannels: 1, BufferDepth: 1, StallCycles: 300, MaxCycles: 100000,
 	}, ring)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := net1.Run(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	s1 := wormhole.Summarize(net1)
-	fmt.Printf("  delivered %d/%d, deadlock=%v after %d cycles\n",
+	fmt.Fprintf(w, "  delivered %d/%d, deadlock=%v after %d cycles\n",
 		s1.Delivered, s1.Messages, s1.Deadlocked, s1.Cycles)
-	fmt.Println("\nThis is requirement (iii) of Section 1: k rounds need k virtual")
-	fmt.Println("channels; with two channels the lamb method gives full connectivity.")
+	fmt.Fprintln(w, "\nThis is requirement (iii) of Section 1: k rounds need k virtual")
+	fmt.Fprintln(w, "channels; with two channels the lamb method gives full connectivity.")
+	return nil
 }
 
 func mustMesh(widths ...int) *lambmesh.Mesh {

@@ -27,7 +27,7 @@
 //
 // Supported configurations: meshes (not tori) with k <= 2 rounds — the
 // paper's simulated configurations and lambd's default. Callers fall back
-// to the per-pair path for anything else (ErrUnsupported).
+// to per-pair routing.ChooseRouteK for anything else (ErrUnsupported).
 package classtable
 
 import (
@@ -225,7 +225,7 @@ const (
 
 // Result is one allocation-free route answer. Via (when NVias == 1) aliases
 // the Scratch's buffer: it is valid until the Scratch's next Lookup and
-// must be cloned to be retained.
+// must be copied to be retained.
 type Result struct {
 	Found bool
 	Code  Code
@@ -233,17 +233,6 @@ type Result struct {
 	Via   mesh.Coord
 	Hops  int
 	Turns int
-}
-
-// Clone returns a copy of r whose Via no longer aliases any Scratch buffer,
-// so it stays valid after the Scratch's next Lookup (or its return to a
-// pool). Callers that retain a Result past the lifetime of the Scratch they
-// passed to Lookup must Clone it first.
-func (r Result) Clone() Result {
-	if r.Via != nil {
-		r.Via = r.Via.Clone()
-	}
-	return r
 }
 
 // Scratch holds the per-goroutine buffers of the query path, so a warm
@@ -284,7 +273,7 @@ func (t *Table) Classes() (ses, des int) { return len(t.sesSets), len(t.desSets)
 //
 // Result.Via aliases q's buffers: it is valid only until the next call
 // that reuses the same Scratch. Callers that need the via longer must
-// Clone it.
+// copy it.
 func (t *Table) Lookup(src, dst mesh.Coord, q *Scratch) Result {
 	i := t.sesCls.Classify(src)
 	if i < 0 {
@@ -393,25 +382,6 @@ func (t *Table) walk(src, dst, via mesh.Coord, q *Scratch) (hops, turns int) {
 		turns = runs - 1
 	}
 	return hops, turns
-}
-
-// RouteOf materializes the full route the way the per-pair path did:
-// byte-identical Vias and Path to routing.ChooseRoute. It allocates (the
-// path is O(hops) long); the binary wire protocol sends Lookup results
-// instead and lets clients materialize.
-func (t *Table) RouteOf(src, dst mesh.Coord, q *Scratch) (*routing.Route, Code) {
-	res := t.Lookup(src, dst, q)
-	if !res.Found {
-		return nil, res.Code
-	}
-	if t.k == 1 {
-		return &routing.Route{Path: routing.Path(t.m, t.orders[0], src, dst)}, CodeFound
-	}
-	via := res.Via.Clone()
-	return &routing.Route{
-		Vias: []mesh.Coord{via},
-		Path: routing.PathK(t.m, t.orders, src, dst, []mesh.Coord{via}),
-	}, CodeFound
 }
 
 // Stats describes the table's size — the empirical side of the

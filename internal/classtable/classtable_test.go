@@ -103,17 +103,8 @@ func checkAllPairs(t *testing.T, tab *Table, o *routing.Oracle, f *mesh.FaultSet
 			if !ok {
 				continue
 			}
-			// Result.Via aliases the scratch; snapshot before reusing q.
-			if res.Via != nil {
-				res.Via = res.Via.Clone()
-			}
-			got, code := tab.RouteOf(src, dst, q)
-			if code != CodeFound {
-				t.Fatalf("%v->%v: RouteOf code %v after Found lookup", src, dst, code)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v->%v: route mismatch\n table: vias=%v path=%v\noracle: vias=%v path=%v",
-					src, dst, got.Vias, got.Path, want.Vias, want.Path)
+			if res.NVias != len(want.Vias) {
+				t.Fatalf("%v->%v: compact %d vias, route vias %v", src, dst, res.NVias, want.Vias)
 			}
 			if res.Hops != want.Hops() || res.Turns != want.Turns() {
 				t.Fatalf("%v->%v: compact hops/turns %d/%d, route %d/%d",

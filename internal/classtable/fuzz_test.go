@@ -70,7 +70,7 @@ func decodeLookupCase(data []byte) (*mesh.FaultSet, routing.MultiOrder, bool) {
 	return f, orders, true
 }
 
-// FuzzClassTableLookup checks Lookup and RouteOf against the per-pair
+// FuzzClassTableLookup checks Lookup against the per-pair
 // routing.ChooseRoute (the k <= 2 case of ChooseRouteK) for every
 // (src,dst) pair of a decoded mesh, fault set and ordering.
 func FuzzClassTableLookup(f *testing.F) {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"lambmesh/internal/classtable"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/wire"
 )
@@ -15,76 +14,9 @@ type wireBackend struct{ s *Server }
 
 func (b wireBackend) Dims() int { return b.s.mesh.Dims() }
 
+// Query answers through the server's query core against the live epoch;
+// the wire protocol carries the compact answer and lets clients
+// materialize the path.
 func (b wireBackend) Query(src, dst []int, ans *wire.Answer) {
-	b.s.routeCompact(mesh.Coord(src), mesh.Coord(dst), ans)
-}
-
-// routeCompact is Route's compact twin for the wire protocol: the same
-// answers and the same metrics, but written into the caller's reused Answer
-// instead of materializing a Route (no path, no reason strings). With the
-// class table live, the only allocation is the cloned via coordinate that
-// detaches the answer from the pooled lookup scratch.
-func (s *Server) routeCompact(src, dst mesh.Coord, ans *wire.Answer) {
-	e := s.Epoch()
-	s.metrics.Queries.Add(1)
-	via := ans.Via[:0]
-	*ans = wire.Answer{Gen: e.Generation, Via: via}
-	m := e.Faults.Mesh()
-	if !m.Contains(src) || e.Faults.NodeFaulty(src) || e.IsLamb(src) {
-		ans.Code = wire.CodeBadSrc
-		s.metrics.RoutesRejected.Add(1)
-		return
-	}
-	if !m.Contains(dst) || e.Faults.NodeFaulty(dst) || e.IsLamb(dst) {
-		ans.Code = wire.CodeBadDst
-		s.metrics.RoutesRejected.Add(1)
-		return
-	}
-	if e.Table != nil {
-		q := s.scratch.Get().(*classtable.Scratch)
-		res := e.Table.Lookup(src, dst, q)
-		if !res.Found {
-			// Faulty endpoints were rejected above, so the only remaining
-			// miss is an unreachable pair.
-			s.scratch.Put(q)
-			ans.Code = wire.CodeNoRoute
-			s.metrics.RoutesRejected.Add(1)
-			return
-		}
-		// res.Via aliases q; detach it before the scratch goes back to the
-		// pool, where a concurrent query would overwrite it.
-		res = res.Clone()
-		s.scratch.Put(q)
-		ans.Code = wire.CodeFound
-		ans.Hops, ans.Turns, ans.NVias = res.Hops, res.Turns, res.NVias
-		ans.Via = append(ans.Via, res.Via...)
-		s.metrics.ObserveRoute(ans.Hops)
-		return
-	}
-	// Legacy data plane: the per-pair sharded cache.
-	k := pairKey{m.Index(src), m.Index(dst)}
-	ce, cached := e.cache.get(k)
-	if cached {
-		s.metrics.CacheHits.Add(1)
-	} else {
-		r, reason := e.route(s.orders, src, dst)
-		ce = &cacheEntry{route: r, reason: reason}
-		e.cache.put(k, ce)
-	}
-	if ce.route == nil {
-		ans.Code = wire.CodeNoRoute
-		if !cached {
-			s.metrics.RoutesRejected.Add(1)
-		}
-		return
-	}
-	ans.Code = wire.CodeFound
-	ans.Hops, ans.Turns = ce.route.Hops(), ce.route.Turns()
-	ans.NVias = len(ce.route.Vias)
-	for _, v := range ce.route.Vias {
-		ans.Via = append(ans.Via, v...)
-	}
-	if !cached {
-		s.metrics.ObserveRoute(ans.Hops)
-	}
+	b.s.query(b.s.Epoch(), mesh.Coord(src), mesh.Coord(dst), ans)
 }

@@ -3,96 +3,23 @@ package server
 import (
 	"math/rand"
 	"net"
-	"reflect"
 	"strings"
 	"testing"
 
 	"lambmesh/internal/mesh"
-	"lambmesh/internal/routing"
 	"lambmesh/internal/wire"
 )
 
-// TestRouteSourceResolution pins the auto/flag contract.
-func TestRouteSourceResolution(t *testing.T) {
-	m := mesh.MustNew(6, 6)
-	orders := routing.UniformAscending(2, 2)
-	s := newTestServer(t, 6, 6)
-	if s.RouteSource() != RouteSourceClassTable {
-		t.Errorf("auto on a 2D mesh resolved to %q", s.RouteSource())
-	}
-	if s.Epoch().Table == nil {
-		t.Error("classtable server has no table on the live epoch")
-	}
-	s2 := newSourceServer(t, RouteSourceCache, 6, 6)
-	if s2.RouteSource() != RouteSourceCache || s2.Epoch().Table != nil {
-		t.Errorf("cache server: source %q, table %v", s2.RouteSource(), s2.Epoch().Table)
-	}
-	if _, err := New(Config{Mesh: m, Orders: orders, RouteSource: "bogus"}); err == nil {
-		t.Error("bogus route source accepted")
-	}
-	// k=3 is outside the classtable envelope: auto falls back, explicit errors.
-	o3 := routing.UniformAscending(2, 3)
-	s3, err := New(Config{Mesh: m, Orders: o3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if s3.RouteSource() != RouteSourceCache {
-		t.Errorf("auto with k=3 resolved to %q", s3.RouteSource())
-	}
-	if _, err := New(Config{Mesh: m, Orders: o3, RouteSource: RouteSourceClassTable}); err == nil {
-		t.Error("forced classtable with k=3 accepted")
-	}
-}
-
-// TestDataPlanesAgree runs the same query stream against a classtable
-// server and a cache server with identical fault history and requires
-// byte-identical answers (modulo the Cached bit) — the A/B guarantee the
-// RouteSource flag exists to demonstrate.
-func TestDataPlanesAgree(t *testing.T) {
-	m := mesh.MustNew(9, 9)
-	rng := rand.New(rand.NewSource(5))
-	faults := mesh.RandomNodeFaults(m, 6, rng)
-	mesh.RandomLinkFaults(faults, 3, rng)
-
-	build := func(source string) *Server {
-		mm := mesh.MustNew(9, 9)
-		s, err := New(Config{
-			Mesh:          mm,
-			Orders:        routing.UniformAscending(2, 2),
-			InitialFaults: faults,
-			RouteSource:   source,
-			Workers:       1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.Close)
-		return s
-	}
-	ct, cc := build(RouteSourceClassTable), build(RouteSourceCache)
-
-	qrng := rand.New(rand.NewSource(17))
-	for i := 0; i < 4000; i++ {
-		src := mesh.C(qrng.Intn(9), qrng.Intn(9))
-		dst := mesh.C(qrng.Intn(9), qrng.Intn(9))
-		a, b := ct.Route(src, dst), cc.Route(src, dst)
-		b.Cached = a.Cached
-		if a.Found != b.Found || a.Reason != b.Reason || a.Generation != b.Generation {
-			t.Fatalf("%v->%v: answers differ:\nclasstable %+v\ncache      %+v", src, dst, a, b)
-		}
-		if a.Found && !reflect.DeepEqual(a.Route, b.Route) {
-			t.Fatalf("%v->%v: routes differ:\nclasstable %+v\ncache      %+v", src, dst, a.Route, b.Route)
-		}
-	}
-}
-
-// TestWireBackendCompact drives routeCompact through both data planes and
-// checks it against the full Route answers.
+// TestWireBackendCompact drives the wire backend through both data planes
+// (the class table at k = 2, the uncached oracle at k = 3, which gets fewer
+// queries) and checks it against the full Route answers.
 func TestWireBackendCompact(t *testing.T) {
-	for _, source := range []string{RouteSourceClassTable, RouteSourceCache} {
-		t.Run(source, func(t *testing.T) {
-			s := newSourceServer(t, source, 8, 8)
+	for _, plane := range []struct {
+		name       string
+		k, queries int
+	}{{"classtable", 2, 1500}, {"oracle", 3, 150}} {
+		t.Run(plane.name, func(t *testing.T) {
+			s := newRoundsServer(t, plane.k, 8, 8)
 			if err := s.ReportFaults([]mesh.Coord{mesh.C(3, 3), mesh.C(4, 5)}, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +30,7 @@ func TestWireBackendCompact(t *testing.T) {
 			}
 			var ans wire.Answer
 			rng := rand.New(rand.NewSource(2))
-			for i := 0; i < 1500; i++ {
+			for i := 0; i < plane.queries; i++ {
 				src := mesh.C(rng.Intn(9)-1, rng.Intn(8)) // sometimes out of mesh
 				dst := mesh.C(rng.Intn(8), rng.Intn(8))
 				b.Query(src, dst, &ans)

@@ -35,7 +35,6 @@ type RouteResponse struct {
 	Turns      int      `json:"turns"`
 	Reason     string   `json:"reason,omitempty"`
 	Generation uint64   `json:"generation"`
-	Cached     bool     `json:"cached"`
 }
 
 // LinkReport names one directed link fault on the wire.
@@ -64,7 +63,6 @@ type ConfigResponse struct {
 	Mesh            string       `json:"mesh"`
 	Torus           bool         `json:"torus"`
 	Orders          string       `json:"orders"`
-	RouteSource     string       `json:"route_source"`
 	Generation      uint64       `json:"generation"`
 	EpochAgeSeconds float64      `json:"epoch_age_seconds"`
 	NodeFaults      []string     `json:"node_faults"`
@@ -125,7 +123,6 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		Dst:        coordWire(dst),
 		Reason:     ans.Reason,
 		Generation: ans.Generation,
-		Cached:     ans.Cached,
 	}
 	if ans.Found {
 		resp.Vias = coordsWire(ans.Route.Vias)
@@ -178,7 +175,6 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		Mesh:            meshWire(m),
 		Torus:           m.Torus(),
 		Orders:          s.orders.String(),
-		RouteSource:     s.routeSource,
 		Generation:      e.Generation,
 		EpochAgeSeconds: e.Age(time.Now()).Seconds(),
 		NodeFaults:      coordsWire(e.Faults.SortedNodeFaults()),
@@ -198,9 +194,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e := s.Epoch()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.WriteTo(w, e.Generation, e.Age(time.Now()), e.cache.len())
-	fmt.Fprintf(w, "# HELP lambd_route_source live route data plane\n# TYPE lambd_route_source gauge\n")
-	fmt.Fprintf(w, "lambd_route_source{source=%q} 1\n", s.routeSource)
+	s.metrics.WriteTo(w, e.Generation, e.Age(time.Now()))
 	if e.Table != nil {
 		st := e.Table.Stats()
 		fmt.Fprintf(w, "# HELP lambd_classtable_classes (SES, DES) classes in the live epoch's table\n# TYPE lambd_classtable_classes gauge\n")

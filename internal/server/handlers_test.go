@@ -42,10 +42,7 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 }
 
 func TestHTTPRoute(t *testing.T) {
-	// Pinned to the cache plane: the final assertion is about Cached.
-	s := newSourceServer(t, RouteSourceCache, 8, 8)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+	_, ts := startHTTP(t, 8, 8)
 	resp := postJSON(t, ts.URL+"/v1/route", RouteRequest{Src: "(0,0)", Dst: "(7,7)"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -59,11 +56,6 @@ func TestHTTPRoute(t *testing.T) {
 	}
 	if len(rr.Vias) != 1 { // 2-round route has one handoff point
 		t.Errorf("vias: %v", rr.Vias)
-	}
-	// Second hit is served from the cache and says so.
-	rr = decode[RouteResponse](t, postJSON(t, ts.URL+"/v1/route", RouteRequest{Src: "(0,0)", Dst: "(7,7)"}))
-	if !rr.Cached {
-		t.Errorf("expected cached answer: %+v", rr)
 	}
 }
 
@@ -173,5 +165,34 @@ func TestHTTPMetricsAndHealth(t *testing.T) {
 	vresp.Body.Close()
 	if vresp.StatusCode != http.StatusOK {
 		t.Errorf("/debug/vars status %d", vresp.StatusCode)
+	}
+}
+
+// TestHTTPFaultsRejectBadLink posts link faults whose dimension or
+// direction is out of range; each must draw a 400 (not a handler panic)
+// and leave the generation where it was.
+func TestHTTPFaultsRejectBadLink(t *testing.T) {
+	s, ts := startHTTP(t, 8, 8)
+	for _, tc := range []struct {
+		name string
+		link LinkReport
+	}{
+		{"dim=-1", LinkReport{From: "(1,1)", Dim: -1, Dir: 1}},
+		{"dim=d", LinkReport{From: "(1,1)", Dim: 2, Dir: 1}},
+		{"dir=0", LinkReport{From: "(1,1)", Dim: 0, Dir: 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp := postJSON(t, ts.URL+"/v1/faults", FaultReport{Links: []LinkReport{tc.link}})
+			eb := decode[errorBody](t, resp)
+			if resp.StatusCode != http.StatusBadRequest || eb.Error == "" {
+				t.Errorf("status %d, error %q", resp.StatusCode, eb.Error)
+			}
+		})
+	}
+	if got := s.Epoch().Generation; got != 0 {
+		t.Errorf("rejected reports advanced generation to %d", got)
+	}
+	if got := s.Metrics().FaultReports.Load(); got != 0 {
+		t.Errorf("fault reports = %d, want 0", got)
 	}
 }

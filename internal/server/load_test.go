@@ -154,29 +154,3 @@ func TestConcurrentLoad(t *testing.T) {
 		t.Errorf("/metrics shows zero counters after load:\n%s", page)
 	}
 }
-
-// TestCacheConcurrency hammers one epoch's cache from many goroutines to
-// exercise the sharded locking under -race.
-func TestCacheConcurrency(t *testing.T) {
-	s := newSourceServer(t, RouteSourceCache, 10, 10)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 300; i++ {
-				src := mesh.C(rng.Intn(10), rng.Intn(10))
-				dst := mesh.C(rng.Intn(10), rng.Intn(10))
-				if ans := s.Route(src, dst); !ans.Found {
-					t.Errorf("fault-free mesh rejected %v->%v: %s", src, dst, ans.Reason)
-					return
-				}
-			}
-		}(int64(g))
-	}
-	wg.Wait()
-	if hits := s.Metrics().CacheHits.Load(); hits == 0 {
-		t.Error("no cache hits across 2400 queries on 100 nodes")
-	}
-}

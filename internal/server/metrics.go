@@ -15,7 +15,6 @@ import (
 // /metrics, and PublishExpvar mirrors the same numbers under expvar.
 type Metrics struct {
 	Queries        atomic.Int64 // route queries answered (found or not)
-	CacheHits      atomic.Int64 // queries served from the epoch route cache
 	RoutesFound    atomic.Int64 // queries answered with a route
 	RoutesRejected atomic.Int64 // well-formed queries with no usable route
 	BadRequests    atomic.Int64 // malformed HTTP requests
@@ -68,13 +67,12 @@ func (m *Metrics) RecomputeLatency() time.Duration {
 // WriteTo renders the counters in the Prometheus text exposition format.
 // The epoch gauges are passed in because they belong to the live epoch,
 // not the counter set.
-func (m *Metrics) WriteTo(w io.Writer, generation uint64, epochAge time.Duration, cacheSize int) {
+func (m *Metrics) WriteTo(w io.Writer, generation uint64, epochAge time.Duration) {
 	g := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP lambd_%s %s\n# TYPE lambd_%s counter\n", name, help, name)
 		fmt.Fprintf(w, "lambd_%s %d\n", name, v)
 	}
 	g("queries_total", "route queries answered", m.Queries.Load())
-	g("cache_hits_total", "queries served from the route cache", m.CacheHits.Load())
 	g("routes_found_total", "queries answered with a route", m.RoutesFound.Load())
 	g("routes_rejected_total", "queries with no usable route", m.RoutesRejected.Load())
 	g("bad_requests_total", "malformed requests", m.BadRequests.Load())
@@ -108,8 +106,6 @@ func (m *Metrics) WriteTo(w io.Writer, generation uint64, epochAge time.Duration
 	fmt.Fprintf(w, "lambd_generation %d\n", generation)
 	fmt.Fprintf(w, "# HELP lambd_epoch_age_seconds age of the live epoch\n# TYPE lambd_epoch_age_seconds gauge\n")
 	fmt.Fprintf(w, "lambd_epoch_age_seconds %g\n", epochAge.Seconds())
-	fmt.Fprintf(w, "# HELP lambd_route_cache_size cached (src,dst) pairs in the live epoch\n# TYPE lambd_route_cache_size gauge\n")
-	fmt.Fprintf(w, "lambd_route_cache_size %d\n", cacheSize)
 }
 
 // expvarOnce guards the process-global expvar names: expvar.Publish
@@ -126,7 +122,6 @@ func (s *Server) PublishExpvar() {
 			em.Set(name, expvar.Func(func() any { return load() }))
 		}
 		iv("queries", s.metrics.Queries.Load)
-		iv("cacheHits", s.metrics.CacheHits.Load)
 		iv("routesFound", s.metrics.RoutesFound.Load)
 		iv("routesRejected", s.metrics.RoutesRejected.Load)
 		iv("faultReports", s.metrics.FaultReports.Load)

@@ -15,7 +15,7 @@ func TestRouteHistogramBuckets(t *testing.T) {
 		m.ObserveRoute(hops)
 	}
 	var b strings.Builder
-	m.WriteTo(&b, 7, 3*time.Second, 42)
+	m.WriteTo(&b, 7, 3*time.Second)
 	page := b.String()
 	for _, want := range []string{
 		`lambd_route_hops_bucket{le="0"} 1`,
@@ -26,7 +26,6 @@ func TestRouteHistogramBuckets(t *testing.T) {
 		"lambd_route_hops_count 6",
 		"lambd_generation 7",
 		"lambd_epoch_age_seconds 3",
-		"lambd_route_cache_size 42",
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("missing %q in:\n%s", want, page)

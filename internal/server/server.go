@@ -10,14 +10,7 @@ import (
 	"lambmesh/internal/core"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/routing"
-)
-
-// Route sources a Config may name. Auto resolves to the class table when
-// the configuration supports it and to the legacy cache otherwise.
-const (
-	RouteSourceAuto       = ""
-	RouteSourceClassTable = "classtable"
-	RouteSourceCache      = "cache"
+	"lambmesh/internal/wire"
 )
 
 // Config parameterizes a Server.
@@ -35,13 +28,6 @@ type Config struct {
 	// directly shrinks the window during which queries are served from the
 	// stale (pre-fault) epoch. The lamb set is identical for any value.
 	Workers int
-	// RouteSource selects the query data plane: RouteSourceClassTable
-	// serves from the per-epoch compressed (SES, DES) class table,
-	// RouteSourceCache from the legacy per-pair sharded cache, and
-	// RouteSourceAuto (the default) picks the class table whenever the
-	// configuration supports it. Answers are byte-identical either way —
-	// the flag exists for A/B benchmarking and as an escape hatch.
-	RouteSource string
 }
 
 // Server is the route control plane. The live configuration is an *Epoch
@@ -54,14 +40,13 @@ type Config struct {
 //   - pending fault reports: guarded by mu; handlers append, the worker
 //     drains.
 type Server struct {
-	orders      routing.MultiOrder
-	mesh        *mesh.Mesh
-	metrics     Metrics
-	routeSource string // resolved: RouteSourceClassTable or RouteSourceCache
-	workers     int
+	orders  routing.MultiOrder
+	mesh    *mesh.Mesh
+	metrics Metrics
+	workers int
 
-	// scratch pools per-query classtable buffers so the table path stays
-	// allocation-free on the compact (wire) route.
+	// scratch pools per-query classtable buffers so the table plane stays
+	// allocation-free.
 	scratch sync.Pool
 
 	epoch atomic.Pointer[Epoch]
@@ -90,36 +75,25 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Mesh == nil {
 		return nil, fmt.Errorf("server: nil mesh")
 	}
-	recon, err := core.NewReconfigurer(cfg.Mesh, cfg.Orders, cfg.KeepLambs)
+	newRecon := core.NewReconfigurer
+	if cfg.Mesh.Torus() {
+		// The rectangular lamb pipeline is mesh-only; a torus recomputes on
+		// the generic Section 7 path.
+		newRecon = core.NewGenericReconfigurer
+	}
+	recon, err := newRecon(cfg.Mesh, cfg.Orders, cfg.KeepLambs)
 	if err != nil {
 		return nil, err
 	}
 	recon.Workers = cfg.Workers
-	source := cfg.RouteSource
-	switch source {
-	case RouteSourceAuto:
-		if classtable.Supported(cfg.Mesh, cfg.Orders) {
-			source = RouteSourceClassTable
-		} else {
-			source = RouteSourceCache
-		}
-	case RouteSourceClassTable:
-		if !classtable.Supported(cfg.Mesh, cfg.Orders) {
-			return nil, fmt.Errorf("server: route source %q: %w", source, classtable.ErrUnsupported)
-		}
-	case RouteSourceCache:
-	default:
-		return nil, fmt.Errorf("server: unknown route source %q", source)
-	}
 	s := &Server{
-		orders:      cfg.Orders,
-		mesh:        cfg.Mesh,
-		routeSource: source,
-		workers:     cfg.Workers,
-		recon:       recon,
-		kick:        make(chan struct{}, 1),
-		quit:        make(chan struct{}),
-		done:        make(chan struct{}),
+		orders:  cfg.Orders,
+		mesh:    cfg.Mesh,
+		workers: cfg.Workers,
+		recon:   recon,
+		kick:    make(chan struct{}, 1),
+		quit:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	s.scratch.New = func() any { return new(classtable.Scratch) }
 	// Generation 0: the pristine mesh, no faults, no lambs.
@@ -142,20 +116,16 @@ func (s *Server) Close() {
 	<-s.done
 }
 
-// newEpoch freezes a configuration under the server's resolved route
-// source and worker budget.
+// newEpoch freezes a configuration under the server's orders and worker
+// budget.
 func (s *Server) newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time) *Epoch {
-	return newEpoch(f, lambs, gen, now, s.orders, s.workers, s.routeSource == RouteSourceClassTable)
+	return newEpoch(f, lambs, gen, now, s.orders, s.workers)
 }
 
 // Epoch returns the live configuration. The result is immutable; callers
 // may hold it as long as they like (superseded epochs simply become
 // garbage once the last reader drops them).
 func (s *Server) Epoch() *Epoch { return s.epoch.Load() }
-
-// RouteSource returns the resolved data plane: RouteSourceClassTable or
-// RouteSourceCache.
-func (s *Server) RouteSource() string { return s.routeSource }
 
 // Metrics returns the server's counter set.
 func (s *Server) Metrics() *Metrics { return &s.metrics }
@@ -181,58 +151,71 @@ type Answer struct {
 	Route      *routing.Route
 	Reason     string
 	Generation uint64
-	Cached     bool
 }
 
-// Route answers a query against the live epoch, consulting and filling
-// the epoch's route cache. It takes no locks beyond the cache shard's and
-// never blocks on reconfiguration.
+// Route answers a query against the live epoch through the query core and
+// renders the result: the reason string on a rejection, the materialized
+// path on success. It takes no locks and never blocks on reconfiguration.
 func (s *Server) Route(src, dst mesh.Coord) Answer {
 	e := s.Epoch()
-	s.metrics.Queries.Add(1)
+	var wa wire.Answer
+	s.query(e, src, dst, &wa)
 	ans := Answer{Generation: e.Generation}
-	if !e.Faults.Mesh().Contains(src) || !e.Faults.Mesh().Contains(dst) {
-		// Out-of-mesh coordinates cannot be cache keys (Index panics).
-		if msg := e.endpointErr("src", src); msg != "" {
-			ans.Reason = msg
-		} else {
-			ans.Reason = e.endpointErr("dst", dst)
+	switch wa.Code {
+	case wire.CodeBadSrc:
+		ans.Reason = e.endpointErr("src", src)
+	case wire.CodeBadDst:
+		ans.Reason = e.endpointErr("dst", dst)
+	case wire.CodeNoRoute:
+		ans.Reason = fmt.Sprintf("no fault-free %d-round route from %v to %v", s.orders.Rounds(), src, dst)
+	default:
+		var vias []mesh.Coord
+		for i, d := 0, len(src); i < wa.NVias; i++ {
+			vias = append(vias, mesh.Coord(wa.Via[i*d:(i+1)*d:(i+1)*d]))
 		}
-		s.metrics.RoutesRejected.Add(1)
-		return ans
+		ans.Found = true
+		ans.Route = &routing.Route{Vias: vias, Path: routing.PathK(s.mesh, s.orders, src, dst, vias)}
 	}
-	if e.Table != nil {
-		q := s.scratch.Get().(*classtable.Scratch)
-		r, reason := e.tableRoute(s.orders, src, dst, q)
-		s.scratch.Put(q)
-		s.observe(&cacheEntry{route: r, reason: reason}, &ans)
-		return ans
-	}
-	k := pairKey{e.Faults.Mesh().Index(src), e.Faults.Mesh().Index(dst)}
-	if ce, ok := e.cache.get(k); ok {
-		s.metrics.CacheHits.Add(1)
-		ans.Cached = true
-		s.observe(ce, &ans)
-		return ans
-	}
-	r, reason := e.route(s.orders, src, dst)
-	ce := &cacheEntry{route: r, reason: reason}
-	e.cache.put(k, ce)
-	s.observe(ce, &ans)
 	return ans
 }
 
-func (s *Server) observe(ce *cacheEntry, ans *Answer) {
-	if ce.route != nil {
-		ans.Found = true
-		ans.Route = ce.route
-		if !ans.Cached {
-			s.metrics.ObserveRoute(ce.route.Hops())
+// query is the one route query core behind both Route (HTTP) and the wire
+// protocol. It checks src and then dst — inside the mesh, not faulty, not a
+// lamb — and answers from e's class table when it has one, else from an
+// uncached routing.ChooseRouteK over e's oracle. It counts the query and
+// exactly one of RoutesFound or RoutesRejected, and writes the code, hops,
+// turns and flattened vias into ans, reusing ans.Via's capacity. With the
+// class table live it allocates nothing.
+func (s *Server) query(e *Epoch, src, dst mesh.Coord, ans *wire.Answer) {
+	s.metrics.Queries.Add(1)
+	*ans = wire.Answer{Code: wire.CodeNoRoute, Gen: e.Generation, Via: ans.Via[:0]}
+	switch {
+	case !e.endpointOK(src):
+		ans.Code = wire.CodeBadSrc
+	case !e.endpointOK(dst):
+		ans.Code = wire.CodeBadDst
+	case e.Table != nil:
+		q := s.scratch.Get().(*classtable.Scratch)
+		if res := e.Table.Lookup(src, dst, q); res.Found {
+			ans.Code = wire.CodeFound
+			ans.Hops, ans.Turns, ans.NVias = res.Hops, res.Turns, res.NVias
+			// res.Via aliases q: copy it out before q goes back to the
+			// pool, where a concurrent query would overwrite it.
+			ans.Via = append(ans.Via, res.Via...)
 		}
-		return
+		s.scratch.Put(q)
+	default:
+		if r, ok := routing.ChooseRouteK(e.Oracle, s.orders, src, dst, nil); ok {
+			ans.Code = wire.CodeFound
+			ans.Hops, ans.Turns, ans.NVias = r.Hops(), r.Turns(), len(r.Vias)
+			for _, v := range r.Vias {
+				ans.Via = append(ans.Via, v...)
+			}
+		}
 	}
-	ans.Reason = ce.reason
-	if !ans.Cached {
+	if ans.Code == wire.CodeFound {
+		s.metrics.ObserveRoute(ans.Hops)
+	} else {
 		s.metrics.RoutesRejected.Add(1)
 	}
 }
@@ -250,6 +233,9 @@ func (s *Server) ReportFaults(nodes []mesh.Coord, links []mesh.Link) error {
 	for _, l := range links {
 		if !s.mesh.Contains(l.From) {
 			return fmt.Errorf("server: link tail %v outside mesh %v", l.From, s.mesh)
+		}
+		if l.Dim < 0 || l.Dim >= s.mesh.Dims() {
+			return fmt.Errorf("server: link %v: dimension must be in [0, %d)", l, s.mesh.Dims())
 		}
 		if l.Dir != 1 && l.Dir != -1 {
 			return fmt.Errorf("server: link %v: direction must be +1 or -1", l)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -8,19 +9,20 @@ import (
 
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/routing"
+	"lambmesh/internal/wire"
 )
 
 func newTestServer(t *testing.T, widths ...int) *Server {
 	t.Helper()
-	return newSourceServer(t, RouteSourceAuto, widths...)
+	return newRoundsServer(t, 2, widths...)
 }
 
-// newSourceServer builds a server pinned to one route data plane; tests
-// that assert cache semantics pass RouteSourceCache explicitly.
-func newSourceServer(t *testing.T, source string, widths ...int) *Server {
+// newRoundsServer builds a server on the mesh with k routing rounds; k >= 3
+// puts it on the oracle plane.
+func newRoundsServer(t *testing.T, k int, widths ...int) *Server {
 	t.Helper()
 	m := mesh.MustNew(widths...)
-	s, err := New(Config{Mesh: m, Orders: routing.UniformAscending(m.Dims(), 2), RouteSource: source})
+	s, err := New(Config{Mesh: m, Orders: routing.UniformAscending(m.Dims(), k)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,21 +47,18 @@ func waitGeneration(t *testing.T, s *Server, gen uint64) *Epoch {
 }
 
 func TestGenerationZeroRoutes(t *testing.T) {
-	s := newSourceServer(t, RouteSourceCache, 8, 8)
+	s := newTestServer(t, 8, 8)
 	ans := s.Route(mesh.C(0, 0), mesh.C(7, 7))
-	if !ans.Found || ans.Generation != 0 || ans.Cached {
+	if !ans.Found || ans.Generation != 0 {
 		t.Fatalf("pristine route: %+v", ans)
 	}
 	if ans.Route.Hops() != 14 {
 		t.Errorf("corner-to-corner hops = %d, want 14", ans.Route.Hops())
 	}
-	// Same query again: served from the epoch cache, same answer.
+	// Same query again: same answer.
 	again := s.Route(mesh.C(0, 0), mesh.C(7, 7))
-	if !again.Cached || !again.Found || again.Route != ans.Route {
-		t.Errorf("second query not cached: %+v", again)
-	}
-	if got := s.Metrics().CacheHits.Load(); got != 1 {
-		t.Errorf("cache hits = %d, want 1", got)
+	if !again.Found || !reflect.DeepEqual(again.Route, ans.Route) {
+		t.Errorf("second query differs: %+v", again)
 	}
 	if got := s.Metrics().Queries.Load(); got != 2 {
 		t.Errorf("queries = %d, want 2", got)
@@ -72,7 +71,7 @@ func TestSelfRouteAndRejections(t *testing.T) {
 		t.Errorf("self route: %+v", ans)
 	}
 	// Out-of-mesh endpoints answer gracefully rather than panicking on
-	// Index — this is the guard in Server.Route.
+	// Index — this is the endpoint check in the query core.
 	for _, bad := range []mesh.Coord{mesh.C(8, 0), mesh.C(-1, 2), mesh.C(1, 2, 3)} {
 		if ans := s.Route(bad, mesh.C(0, 0)); ans.Found || ans.Reason == "" {
 			t.Errorf("src %v: %+v", bad, ans)
@@ -272,8 +271,9 @@ func TestEpochImmutableAcrossSwap(t *testing.T) {
 	waitGeneration(t, s, 1)
 	// The superseded epoch still answers as of its snapshot: (4,4) was
 	// good at generation 0, so a route to it through the old epoch exists.
-	if r, reason := old.route(s.Orders(), mesh.C(0, 0), mesh.C(4, 4)); r == nil {
-		t.Errorf("old epoch mutated by swap: %s", reason)
+	var ans wire.Answer
+	if s.query(old, mesh.C(0, 0), mesh.C(4, 4), &ans); ans.Code != wire.CodeFound {
+		t.Errorf("old epoch mutated by swap: code %d", ans.Code)
 	}
 	if old.Faults.NumNodeFaults() != 0 {
 		t.Errorf("old epoch fault set mutated: %d faults", old.Faults.NumNodeFaults())

@@ -32,9 +32,6 @@ func metricValue(t *testing.T, page, name string) float64 {
 // the phase split of the last one, the class-table build included.
 func TestEpochSwapWarmStart(t *testing.T) {
 	s, ts := startHTTP(t, 8, 8)
-	if s.RouteSource() != RouteSourceClassTable {
-		t.Skip("class table unsupported in this configuration")
-	}
 	if err := s.ReportFaults([]mesh.Coord{mesh.C(3, 3)}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +114,7 @@ func TestMetricsPhaseRendering(t *testing.T) {
 	var m Metrics
 	m.PhasePartitionNanos.Store(int64(2 * time.Millisecond))
 	var b strings.Builder
-	m.WriteTo(&b, 1, time.Second, 0)
+	m.WriteTo(&b, 1, time.Second)
 	page := b.String()
 	if !strings.Contains(page, `lambd_recompute_phase_seconds{phase="partition"} 0.002`) {
 		t.Errorf("partition phase missing:\n%s", page)

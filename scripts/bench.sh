@@ -4,9 +4,10 @@
 # Runs the hot-path benchmarks (Fig17/Fig18 trials, the Fig 26 small-f
 # point that perfbench's solve-3d workload also runs, its three reachability
 # kernels alone (R_t fill, I_t fill, chain product), BitmatMul, the Section 5
-# pipeline, the wormhole cycle loop, the class-table query path, the wire
-# codec, the AddFaults recompute, the class-table swap (build plus the
-# post-swap query burst), the reliability-campaign trial loop and sharded scheduler,
+# pipeline, the wormhole cycle loop, the class-table query path, lambd's
+# query core behind the wire backend, the wire codec, the AddFaults
+# recompute, the class-table swap (build plus the post-swap query burst),
+# the reliability-campaign trial loop and sharded scheduler,
 # the traffic-live workload generation, and per-packet route planning for
 # every bake-off strategy) twice — LAMBMESH_WORKERS=1 and
 # LAMBMESH_WORKERS=NumCPU — and writes BENCH_lamb.json with ns/op and
@@ -30,7 +31,7 @@ cd "$(dirname "$0")/.."
 
 OUT="${OUT:-BENCH_lamb.json}"
 BENCHTIME="${BENCHTIME:-3x}"
-BENCH_RE='^(BenchmarkFig17Trial|BenchmarkFig18Trial|BenchmarkFig26TrialSmallF|BenchmarkReachKernels|BenchmarkBitmatMul|BenchmarkSec5LambSet|BenchmarkWormholeRun|BenchmarkTrafficEngine|BenchmarkClassTableQuery|BenchmarkWireRoundTrip|BenchmarkAddFaults|BenchmarkClassTableSwap|BenchmarkCampaignTrial|BenchmarkCampaignRun|BenchmarkGenerateWorkload|BenchmarkStrategyRoute)$'
+BENCH_RE='^(BenchmarkFig17Trial|BenchmarkFig18Trial|BenchmarkFig26TrialSmallF|BenchmarkReachKernels|BenchmarkBitmatMul|BenchmarkSec5LambSet|BenchmarkWormholeRun|BenchmarkTrafficEngine|BenchmarkClassTableQuery|BenchmarkServerQuery|BenchmarkWireRoundTrip|BenchmarkAddFaults|BenchmarkClassTableSwap|BenchmarkCampaignTrial|BenchmarkCampaignRun|BenchmarkGenerateWorkload|BenchmarkStrategyRoute)$'
 
 if [ "${1:-}" = "--check" ]; then
     exec go run ./scripts/benchcheck -file "$OUT"

@@ -63,6 +63,7 @@ var requiredBenchmarks = []string{
 	"BenchmarkWormholeRun",
 	"BenchmarkTrafficEngine",
 	"BenchmarkClassTableQuery",
+	"BenchmarkServerQuery",
 	"BenchmarkWireRoundTrip",
 	"BenchmarkAddFaults/2d-delta=1",
 	"BenchmarkAddFaults/2d-delta=4",
