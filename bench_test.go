@@ -17,10 +17,10 @@ import (
 
 	"lambmesh/internal/analysis"
 	"lambmesh/internal/bitmat"
-	"lambmesh/internal/blockfault"
 	"lambmesh/internal/campaign"
 	"lambmesh/internal/classtable"
 	"lambmesh/internal/core"
+	"lambmesh/internal/faultring"
 	"lambmesh/internal/hardness"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/partition"
@@ -96,18 +96,17 @@ func benchLambTrial(b *testing.B, widths []int, faults, k int) {
 	}
 }
 
-// Figure 17: M_2(32) at 3% faults.
+// Figure 17: M_2(32) at 3% faults. Figure 19's 2-D additional damage is
+// computed from the same trials.
 func BenchmarkFig17Trial(b *testing.B) { benchLambTrial(b, []int{32, 32}, 31, 2) }
 
-// Figure 18 (and the Figure 26 timing curve for the same mesh): M_3(32) at
-// 3% faults — the headline configuration.
+// Figure 18 (and the Figure 26 timing curve for the same mesh, Figure 19's
+// 3-D additional damage and Figure 24's largest point): M_3(32) at 3%
+// faults — the headline configuration.
 func BenchmarkFig18Trial(b *testing.B) { benchLambTrial(b, []int{32, 32, 32}, 983, 2) }
 
-// Figure 19 compares the additional damage of the two meshes above; its
-// unit costs are BenchmarkFig17Trial and BenchmarkFig18Trial.
-func BenchmarkFig19Trial2D(b *testing.B) { benchLambTrial(b, []int{32, 32}, 31, 2) }
-
-// Figure 20 (and Figure 26's 2D curve): M_2(181) at 3% faults.
+// Figure 20 (and Figure 26's 2D curve and Figure 23's largest point):
+// M_2(181) at 3% faults.
 func BenchmarkFig20Trial(b *testing.B) { benchLambTrial(b, []int{181, 181}, 983, 2) }
 
 // Figure 21's largest mesh at the largest fault ratio: M_2(128), 3x
@@ -116,12 +115,6 @@ func BenchmarkFig21Trial(b *testing.B) { benchLambTrial(b, []int{128, 128}, 384,
 
 // Figure 22's largest mesh at the largest ratio: M_3(25), 3x bisection.
 func BenchmarkFig22Trial(b *testing.B) { benchLambTrial(b, []int{25, 25, 25}, 1875, 2) }
-
-// Figure 23's largest point: M_2(181), 3% faults.
-func BenchmarkFig23Trial(b *testing.B) { benchLambTrial(b, []int{181, 181}, 983, 2) }
-
-// Figure 24's largest point: M_3(32), 3% faults.
-func BenchmarkFig24Trial(b *testing.B) { benchLambTrial(b, []int{32, 32, 32}, 983, 2) }
 
 // Figure 25 counts SESs: the partition stage alone at the 3% point.
 func BenchmarkFig25Partition(b *testing.B) {
@@ -229,11 +222,11 @@ func BenchmarkAblVcoverLamb2Exact(b *testing.B) {
 }
 
 // Baseline: rectangularization plus 30 ring routes on M_2(32), 3% faults.
-func BenchmarkBlockfaultBaseline(b *testing.B) {
+func BenchmarkFaultringBaseline(b *testing.B) {
 	m := mesh.MustNew(32, 32)
 	rng := rand.New(rand.NewSource(3))
 	f := mesh.RandomNodeFaults(m, 31, rng)
-	mod, err := blockfault.Build(f)
+	mod, err := faultring.Build(f)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -249,7 +242,7 @@ func BenchmarkBlockfaultBaseline(b *testing.B) {
 		for pair := 0; pair < 30; pair++ {
 			src := active[rng.Intn(len(active))]
 			dst := active[rng.Intn(len(active))]
-			_, _ = mod.RouteXY(src, dst)
+			_, _, _ = mod.Route(src, dst)
 		}
 	}
 }

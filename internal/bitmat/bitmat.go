@@ -172,28 +172,14 @@ func (m *Matrix) mulRows(out, o *Matrix, lo, hi int) {
 	}
 }
 
-// MulChain multiplies a sequence of conformant matrices.
-func MulChain(ms ...*Matrix) *Matrix {
-	return MulChainParallel(1, ms...)
-}
-
-// MulChainParallel is MulChain with each product row-block parallel across
-// `workers` goroutines (<= 0 means NumCPU). Intermediate products cycle
-// through a double-buffered scratch pair instead of allocating one matrix
-// per step, so a chain of any length costs at most two intermediate
-// allocations (amortized fewer when sizes shrink along the chain). The
-// inputs are never written; the result never aliases an input unless the
-// chain has length one, in which case ms[0] itself is returned.
-func MulChainParallel(workers int, ms ...*Matrix) *Matrix {
-	var scratch [2]*Matrix
-	return MulChainScratch(workers, &scratch, ms...)
-}
-
-// MulChainScratch is MulChainParallel with a caller-owned double-buffer
-// pair, so repeated chain products (one per lamb computation, say) stop
-// allocating once the buffers have grown to the working-set size. The result
-// aliases one of the scratch buffers (or ms[0] for a length-one chain) and
-// is valid until the next call with the same pair.
+// MulChainScratch multiplies a sequence of conformant matrices, each
+// product row-block parallel across `workers` goroutines (<= 0 means
+// NumCPU). Intermediate products cycle through the caller-owned
+// double-buffer pair, so repeated chain products (one per lamb computation,
+// say) stop allocating once the buffers have grown to the working-set size.
+// The inputs are never written. The result aliases one of the scratch
+// buffers (or ms[0] for a length-one chain) and is valid until the next
+// call with the same pair.
 //
 // The chain is associated right to left, ms[0] x (ms[1] x (... x ms[n-1])).
 // A product costs about nnz(left) x words(right), and in R^(k) = R_1 I_1

@@ -91,8 +91,9 @@ func TestMulAssociative(t *testing.T) {
 		if !left.Equal(right) {
 			t.Fatalf("trial %d: (AB)C != A(BC)", trial)
 		}
-		if !MulChain(a, b, c).Equal(left) {
-			t.Fatalf("trial %d: MulChain mismatch", trial)
+		var scratch [2]*Matrix
+		if !MulChainScratch(1, &scratch, a, b, c).Equal(left) {
+			t.Fatalf("trial %d: MulChainScratch mismatch", trial)
 		}
 	}
 }
@@ -115,10 +116,11 @@ func TestMulParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// MulChainParallel must match the step-by-step Mul chain for every worker
+// MulChainScratch must match the step-by-step Mul chain for every worker
 // count and chain length, despite the scratch-pair reuse.
-func TestMulChainParallelMatchesSerial(t *testing.T) {
+func TestMulChainScratchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
+	var scratch [2]*Matrix
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(6)
 		ms := make([]*Matrix, n)
@@ -133,7 +135,7 @@ func TestMulChainParallelMatchesSerial(t *testing.T) {
 			want = want.Mul(m)
 		}
 		for _, workers := range []int{1, 2, 5} {
-			got := MulChainParallel(workers, ms...)
+			got := MulChainScratch(workers, &scratch, ms...)
 			if !got.Equal(want) {
 				t.Fatalf("trial %d workers %d: chain of %d mismatch", trial, workers, n)
 			}
@@ -175,13 +177,14 @@ func TestMulChainScratchMatchesLeftFold(t *testing.T) {
 
 // Products above the serial cutoff run row-block parallel; they must match
 // the one-worker product bit for bit, saturating rows included.
-func TestMulChainParallelAboveCutoff(t *testing.T) {
+func TestMulChainScratchAboveCutoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	r := randomMatrix(300, 290, 0.4, rng)
 	i := randomMatrix(290, 300, 0.05, rng)
-	want := MulChainParallel(1, r, i, r.Clone())
+	var serial, parallel [2]*Matrix
+	want := MulChainScratch(1, &serial, r, i, r.Clone())
 	for _, workers := range []int{2, 3} {
-		if got := MulChainParallel(workers, r, i, r.Clone()); !got.Equal(want) {
+		if got := MulChainScratch(workers, &parallel, r, i, r.Clone()); !got.Equal(want) {
 			t.Fatalf("workers %d: parallel chain differs", workers)
 		}
 	}
@@ -198,12 +201,13 @@ func TestMulChainDoesNotCorruptInputs(t *testing.T) {
 	b := randomMatrix(40, 30, 0.3, rng)
 	c := randomMatrix(30, 20, 0.3, rng)
 	aw, bw, cw := a.Clone(), b.Clone(), c.Clone()
-	first := MulChain(a, b, c)
+	var scratch [2]*Matrix
+	first := MulChainScratch(1, &scratch, a, b, c).Clone()
 	if !a.Equal(aw) || !b.Equal(bw) || !c.Equal(cw) {
-		t.Fatal("MulChain mutated an input")
+		t.Fatal("MulChainScratch mutated an input")
 	}
-	if again := MulChain(a, b, c); !again.Equal(first) {
-		t.Fatal("MulChain not reproducible")
+	if again := MulChainScratch(1, &scratch, a, b, c); !again.Equal(first) {
+		t.Fatal("MulChainScratch not reproducible")
 	}
 }
 

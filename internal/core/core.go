@@ -41,7 +41,6 @@ type config struct {
 	values        map[int64]int64
 	predetermined []mesh.Coord
 	keepReach     bool
-	sweep         bool
 	workers       int
 }
 
@@ -66,14 +65,6 @@ func WithPredetermined(nodes []mesh.Coord) Option {
 // for inspection (partitions, matrices). Off by default to save memory.
 func WithReachability() Option {
 	return func(c *config) { c.keepReach = true }
-}
-
-// WithSweepReachability computes R^(k) by the footnote-7 spanning-tree
-// sweep (O(k d^2 f N)) instead of matrix products (O(k d^3 f^3)). The lamb
-// set found is identical; choose this when the fault count is large
-// relative to the mesh size. Meshes only.
-func WithSweepReachability() Option {
-	return func(c *config) { c.sweep = true }
 }
 
 // WithWorkers bounds the worker pool the reachability kernels run on; n <= 0

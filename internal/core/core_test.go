@@ -328,33 +328,6 @@ func TestLamb2UnknownMode(t *testing.T) {
 	}
 }
 
-// The sweep-based reachability yields exactly the same lamb set as the
-// matrix-based default.
-func TestSweepOptionSameLambs(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 8; trial++ {
-		m := mesh.MustNew(9, 9)
-		f := mesh.RandomNodeFaults(m, 3+rng.Intn(8), rng)
-		orders := routing.UniformAscending(2, 2)
-		a, err := Lamb1(f, orders)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Lamb1(f, orders, WithSweepReachability())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.NumLambs() != b.NumLambs() {
-			t.Fatalf("trial %d: matrix %v vs sweep %v", trial, a.Lambs, b.Lambs)
-		}
-		for i := range a.Lambs {
-			if !a.Lambs[i].Equal(b.Lambs[i]) {
-				t.Fatalf("trial %d: lamb sets differ: %v vs %v", trial, a.Lambs, b.Lambs)
-			}
-		}
-	}
-}
-
 // A predetermined node with a custom value must count as exactly one
 // default unit removed from its set's weight — not its custom value (it is
 // no longer in the set at all).

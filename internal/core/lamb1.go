@@ -39,13 +39,7 @@ func (s *Solver) Lamb1(f *mesh.FaultSet, orders routing.MultiOrder, opts ...Opti
 		return nil, err
 	}
 	start := time.Now()
-	var rc *reach.Reachability
-	var err error
-	if cfg.sweep {
-		rc, err = reach.ComputeWithSweepScratch(f, orders, cfg.workers, &s.rs)
-	} else {
-		rc, err = reach.ComputeScratch(f, orders, cfg.workers, &s.rs)
-	}
+	rc, err := reach.ComputeScratch(f, orders, cfg.workers, &s.rs)
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ func lambBytes(r *Result) []byte {
 	return b.Bytes()
 }
 
-// Lamb2 (and Lamb1, and the sweep path) must emit byte-identical lamb sets
+// Lamb1, Lamb2 and ExactLamb must emit byte-identical lamb sets
 // for workers in {1, 2, NumCPU} — parallelism may only change wall-clock.
 func TestWorkersByteIdenticalLambSets(t *testing.T) {
 	m := mesh.MustNew(14, 14)
@@ -34,9 +34,6 @@ func TestWorkersByteIdenticalLambSets(t *testing.T) {
 	algos := map[string]func(workers int) (*Result, error){
 		"lamb1": func(w int) (*Result, error) {
 			return Lamb1(f, orders, WithWorkers(w))
-		},
-		"lamb1-sweep": func(w int) (*Result, error) {
-			return Lamb1(f, orders, WithWorkers(w), WithSweepReachability())
 		},
 		"lamb2": func(w int) (*Result, error) {
 			return Lamb2(f, orders, ApproxWVC, WithWorkers(w))

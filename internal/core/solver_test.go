@@ -44,13 +44,6 @@ func TestSolverReuseByteIdentical(t *testing.T) {
 		{"lamb1", loads,
 			func(s *Solver, f *mesh.FaultSet, o routing.MultiOrder) (*Result, error) { return s.Lamb1(f, o) },
 			func(f *mesh.FaultSet, o routing.MultiOrder) (*Result, error) { return Lamb1(f, o) }},
-		{"lamb1-sweep", loads,
-			func(s *Solver, f *mesh.FaultSet, o routing.MultiOrder) (*Result, error) {
-				return s.Lamb1(f, o, WithSweepReachability())
-			},
-			func(f *mesh.FaultSet, o routing.MultiOrder) (*Result, error) {
-				return Lamb1(f, o, WithSweepReachability())
-			}},
 		{"lamb2", loads,
 			func(s *Solver, f *mesh.FaultSet, o routing.MultiOrder) (*Result, error) {
 				return s.Lamb2(f, o, ApproxWVC)

@@ -30,7 +30,7 @@ func VerifyLambSet(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coo
 		}
 		lambIdx[idx] = struct{}{}
 	}
-	rc, err := reach.Compute(f, orders)
+	rc, err := reach.ComputeScratch(f, orders, 0, nil)
 	if err != nil {
 		return err
 	}

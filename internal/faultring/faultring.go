@@ -5,9 +5,11 @@
 // boundary around a region) overlap — and messages then follow e-cube (XY)
 // base paths with deterministic detours along the rings.
 //
-// It supersedes internal/blockfault, the abstract inactivation-counting
-// sketch used by the abl-blockfault experiment, in three ways that matter
-// for a head-to-head bake-off against lamb routing:
+// It is the fault-ring baseline throughout: the abl-blockfault experiment
+// counts its inactivated nodes and ring turns against lambs (the paper's
+// §1 open question), and the bake-off routes traffic over it. Three choices
+// go beyond merely counting inactivated nodes, and they matter for a
+// head-to-head bake-off against lamb routing:
 //
 //   - link faults are supported, by sacrificing the link's tail node so the
 //     region machinery sees only node blocks (counted in PromotedLinks);
@@ -184,7 +186,7 @@ func componentBoxes(m *mesh.Mesh, blocked []bool) []rect.Rect {
 }
 
 // mergeOverlapping merges rectangles whose one-step expansions intersect
-// into their bounding box, to a fixpoint (the blockfault merge rule).
+// into their bounding box, to a fixpoint.
 func mergeOverlapping(regions []rect.Rect, out *[]rect.Rect) {
 	merged := true
 	for merged {

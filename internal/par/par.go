@@ -1,10 +1,10 @@
 // Package par is the shared worker-pool helper behind every parallel kernel
-// in the lamb pipeline (bitmat products, reach matrix fills, sweep rows, sim
-// trials). It exists so the "how many workers" question is answered in
-// exactly one place: Clamp maps the conventional knob value (<= 0 means "all
-// CPUs") to an effective count, ForWork drops it to one for loops too small
-// to pay for a goroutine, and Do/Blocks fan a loop out over that many
-// goroutines.
+// in the lamb pipeline (bitmat products, reach matrix fills) and the
+// simulators (sim trials, wormhole sweep cells). It exists so the "how many
+// workers" question is answered in exactly one place: Clamp maps the
+// conventional knob value (<= 0 means "all CPUs") to an effective count,
+// ForWork drops it to one for loops too small to pay for a goroutine, and
+// Do/Blocks fan a loop out over that many goroutines.
 //
 // Determinism contract: Do and Blocks only change *which goroutine* executes
 // an index, never the set of indices executed, so any loop whose iterations
@@ -42,8 +42,8 @@ const serialCutoff = 1 << 16
 
 // ForWork returns the effective worker count for a loop filling work output
 // entries (rows x cols): 1 below serialCutoff, so small kernels start no
-// goroutines, and Clamp(workers) otherwise. OneRound, the chain product and
-// the sweep all size their pools through it.
+// goroutines, and Clamp(workers) otherwise. OneRound and the chain product
+// size their pools through it.
 func ForWork(workers, work int) int {
 	if work < serialCutoff {
 		return 1

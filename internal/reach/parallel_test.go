@@ -9,10 +9,10 @@ import (
 	"lambmesh/internal/routing"
 )
 
-// ComputeWorkers must produce bit-identical matrices for every worker
+// ComputeScratch must produce bit-identical matrices for every worker
 // count, including on non-uniform orderings where the per-round R_t/I_t
 // builds themselves run in parallel.
-func TestComputeWorkersDeterministic(t *testing.T) {
+func TestComputeScratchDeterministic(t *testing.T) {
 	m := mesh.MustNew(10, 10, 10)
 	rng := rand.New(rand.NewSource(21))
 	f := mesh.RandomNodeFaults(m, 60, rng)
@@ -24,12 +24,12 @@ func TestComputeWorkersDeterministic(t *testing.T) {
 		{routing.Order{0, 1, 2}, routing.Order{2, 1, 0}, routing.Order{1, 0, 2}},
 	}
 	for oi, orders := range orderings {
-		base, err := ComputeWorkers(f, orders, 1)
+		base, err := ComputeScratch(f, orders, 1, nil)
 		if err != nil {
 			t.Fatalf("ordering %d serial: %v", oi, err)
 		}
 		for _, workers := range []int{2, 3, 0} {
-			got, err := ComputeWorkers(f, orders, workers)
+			got, err := ComputeScratch(f, orders, workers, nil)
 			if err != nil {
 				t.Fatalf("ordering %d workers=%d: %v", oi, workers, err)
 			}
@@ -50,45 +50,15 @@ func TestComputeWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// The parallel sweep path must agree with both its serial self and the
-// matrix path.
-func TestSweepWorkersDeterministic(t *testing.T) {
-	m := mesh.MustNew(9, 9)
-	rng := rand.New(rand.NewSource(22))
-	f := mesh.RandomNodeFaults(m, 10, rng)
-	orders := routing.UniformAscending(2, 2)
-
-	base, err := ComputeWithSweepWorkers(f, orders, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matrix, err := ComputeWorkers(f, orders, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !base.RK.Equal(matrix.RK) {
-		t.Fatal("sweep and matrix R^(k) disagree (pre-existing bug, not parallelism)")
-	}
-	for _, workers := range []int{2, 4, 0} {
-		got, err := ComputeWithSweepWorkers(f, orders, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !got.RK.Equal(base.RK) {
-			t.Errorf("sweep R^(k) differs at workers=%d", workers)
-		}
-	}
-}
-
 // Below par.ForWork's cutoff the fills run inline, so the test above may
 // never start a goroutine. This input puts both R_t fills and both chain
 // products over the cutoff, so the row-block parallel paths run (and, under
 // -race, are checked) and must match one worker bit for bit.
-func TestComputeWorkersAboveCutoff(t *testing.T) {
+func TestComputeScratchAboveCutoff(t *testing.T) {
 	m := mesh.MustNew(24, 24, 24)
 	f := mesh.RandomNodeFaults(m, 160, rand.New(rand.NewSource(23)))
 	orders := routing.MultiOrder{routing.Order{1, 0, 2}, routing.Order{2, 1, 0}}
-	base, err := ComputeWorkers(f, orders, 1)
+	base, err := ComputeScratch(f, orders, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +67,7 @@ func TestComputeWorkersAboveCutoff(t *testing.T) {
 			t.Fatalf("R_t is %dx%d, below the serial cutoff", r.Rows(), r.Cols())
 		}
 	}
-	got, err := ComputeWorkers(f, orders, 2)
+	got, err := ComputeScratch(f, orders, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@
 package reach
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 	"time"
@@ -52,27 +51,26 @@ type Reachability struct {
 // header and its slices — the lamb pipeline's per-epoch cost stops scaling
 // with allocator traffic.
 //
-// Ownership contract: a Reachability returned by ComputeScratch (or
-// ComputeWithSweepScratch) references scratch-owned memory and stays valid
-// only until the next Compute call with the same Scratch. Callers that
-// retain one across calls must first call Detach, which hands the current
-// buffers over to the garbage collector. A Scratch serializes the rounds it
-// builds and is not safe for concurrent use; the zero value is ready.
+// Ownership contract: a Reachability returned by ComputeScratch references
+// scratch-owned memory and stays valid only until the next ComputeScratch
+// call with the same Scratch. Callers that retain one across calls must
+// first call Detach, which hands the current buffers over to the garbage
+// collector. A Scratch serializes the rounds it builds and is not safe for
+// concurrent use; the zero value is ready.
 type Scratch struct {
 	// Part holds the SES/DES arenas; exported so callers composing larger
 	// pipelines (core.Solver) can Detach or inspect it directly.
 	Part partition.Scratch
 
-	// PartitionNanos records how much of the last ComputeScratch (or
-	// ComputeWithSweepScratch) call went into building SES/DES partitions,
-	// so callers can split recompute latency into phases.
+	// PartitionNanos records how much of the last ComputeScratch call went
+	// into building SES/DES partitions, so callers can split recompute
+	// latency into phases.
 	PartitionNanos int64
 
 	pool    []*bitmat.Matrix
 	used    int
 	chain   [2]*bitmat.Matrix
 	chainMs []*bitmat.Matrix
-	sweep   [][]bool
 	boxes   boxIndex // the column index of the R_t and I_t fills
 
 	// Steady-state reuse across calls: the fault-index
@@ -97,7 +95,6 @@ func (s *Scratch) Detach() {
 	s.pool, s.used = nil, 0
 	s.chain = [2]*bitmat.Matrix{}
 	s.chainMs = nil
-	s.sweep = nil
 	s.oracle = nil
 	s.rcHdr = nil
 }
@@ -168,28 +165,23 @@ func (s *Scratch) mat(rows, cols int) *bitmat.Matrix {
 	return m
 }
 
-// Compute runs Find-Reachability for fault set f and the k-round ordering
-// on all CPUs. Identical per-round orderings share partitions and matrices,
-// as the paper notes (R_1 = R_2 = ... and I_1 = I_2 = ... for a uniform
-// ordering).
-func Compute(f *mesh.FaultSet, orders routing.MultiOrder) (*Reachability, error) {
-	return ComputeWorkers(f, orders, 0)
-}
-
-// ComputeWorkers is Compute with an explicit worker-pool size (<= 0 means
-// NumCPU). Each large enough R_t fill is row-block parallel (the
+// ComputeScratch runs Find-Reachability for fault set f and the k-round
+// ordering, drawing every buffer from s; it is the package's one entry
+// point. A nil s means "no reuse": the call runs on a fresh Scratch, so its
+// result is owned by the caller alone. workers bounds the pool (<= 0 means
+// NumCPU): each large enough R_t fill is row-block parallel (the
 // routing.Oracle is read-only after NewOracle, so concurrent span queries
 // are safe), and so is each large enough step of the R^(k) chain product;
 // par.ForWork keeps small ones inline. Every parallel loop writes disjoint
-// matrix rows, so the result is bit-identical for every worker count.
-func ComputeWorkers(f *mesh.FaultSet, orders routing.MultiOrder, workers int) (*Reachability, error) {
-	return ComputeScratch(f, orders, workers, nil)
-}
-
-// ComputeScratch is ComputeWorkers drawing every buffer from s. A nil s
-// means "no reuse": the call runs on a fresh Scratch, so its result is
-// owned by the caller alone. Results are bit-identical for every s and
-// every worker count.
+// matrix rows, so results are bit-identical for every s and every worker
+// count. Identical per-round orderings share partitions and matrices, as
+// the paper notes (R_1 = R_2 = ... and I_1 = I_2 = ... for a uniform
+// ordering).
+//
+// Rounds are built serially (they share the partition arenas), with every
+// buffer — including the oracle's fault index and the Reachability header —
+// drawn from s. In steady state the whole call performs zero heap
+// allocations at workers=1.
 func ComputeScratch(f *mesh.FaultSet, orders routing.MultiOrder, workers int, s *Scratch) (*Reachability, error) {
 	if err := orders.Validate(f.Mesh().Dims()); err != nil {
 		return nil, err
@@ -197,15 +189,6 @@ func ComputeScratch(f *mesh.FaultSet, orders routing.MultiOrder, workers int, s 
 	if s == nil {
 		s = new(Scratch)
 	}
-	return s.compute(f, orders, workers)
-}
-
-// compute is ComputeScratch's body: straight-line, serial round
-// construction (rounds share the partition arenas), with every buffer —
-// including the oracle's fault index and the Reachability header — drawn
-// from the Scratch. In steady state the whole call performs zero heap
-// allocations at workers=1.
-func (s *Scratch) compute(f *mesh.FaultSet, orders routing.MultiOrder, workers int) (*Reachability, error) {
 	s.reset()
 	o := s.reuseOracle(f)
 	k := orders.Rounds()
@@ -404,91 +387,6 @@ func Intersection(im *bitmat.Matrix, delta, sigma []partition.Set, s *Scratch) {
 			x.meet(row, j, iv.Lo, iv.Hi)
 		}
 	}
-}
-
-// ComputeWithSweep is the footnote-7 alternative to Compute: identical
-// partitions and R^(k) semantics, but each row of R^(k) is filled by
-// growing the k-round reachable set from the SES representative with the
-// O(dN)-per-round sweep, instead of by matrix products. Total time
-// O(|Sigma| k d N) = O(k d^2 f N): for f large relative to N this beats the
-// O(k d^3 f^3) matrix path. The per-round R and I matrices are not
-// materialized (left nil). Meshes only. Runs on all CPUs.
-func ComputeWithSweep(f *mesh.FaultSet, orders routing.MultiOrder) (*Reachability, error) {
-	return ComputeWithSweepWorkers(f, orders, 0)
-}
-
-// ComputeWithSweepWorkers is ComputeWithSweep with an explicit worker-pool
-// size (<= 0 means NumCPU): each SES representative's k-round sweep is an
-// independent read-only traversal of the oracle filling its own row of
-// R^(k), so rows are distributed over the pool with no effect on the
-// result.
-func ComputeWithSweepWorkers(f *mesh.FaultSet, orders routing.MultiOrder, workers int) (*Reachability, error) {
-	return ComputeWithSweepScratch(f, orders, workers, nil)
-}
-
-// ComputeWithSweepScratch is the Scratch-drawing form of
-// ComputeWithSweepWorkers (nil s means "no reuse": a fresh Scratch). Each
-// worker block sweeps through one reusable node-set buffer, and the
-// Reachability header and the oracle's fault index are recycled like
-// ComputeScratch's, so neither allocates per call; what remains is the
-// sweep's per-dimension line working state.
-func ComputeWithSweepScratch(f *mesh.FaultSet, orders routing.MultiOrder, workers int, s *Scratch) (*Reachability, error) {
-	if err := orders.Validate(f.Mesh().Dims()); err != nil {
-		return nil, err
-	}
-	if f.Mesh().Torus() {
-		return nil, fmt.Errorf("reach: the sweep method requires a mesh")
-	}
-	if s == nil {
-		s = new(Scratch)
-	}
-	s.reset()
-	k := orders.Rounds()
-	o := s.reuseOracle(f)
-	rc := s.header(orders, o, k)
-	partStart := time.Now()
-	sigma, err := s.Part.SES(f, orders[0])
-	if err != nil {
-		return nil, err
-	}
-	delta, err := s.Part.DES(f, orders[k-1])
-	if err != nil {
-		return nil, err
-	}
-	s.PartitionNanos = int64(time.Since(partStart))
-	for t := 0; t < k; t++ {
-		rc.Sigma[t] = sigma // only Sigma[0] and Delta[k-1] are meaningful here
-		rc.Delta[t] = delta
-	}
-	m := f.Mesh()
-	rk := s.mat(sigma.Len(), delta.Len())
-	// Rows are distributed in contiguous blocks, one reusable sweep buffer
-	// per block. Any blocking yields the same bits: rows are disjoint. A
-	// row's sweep visits every node, so the work estimate is rows x N.
-	rows := sigma.Len()
-	nb := max(1, min(par.ForWork(workers, rows*int(m.Nodes())), rows))
-	chunk := (rows + nb - 1) / nb
-	for len(s.sweep) < nb {
-		s.sweep = append(s.sweep, nil)
-	}
-	par.Do(nb, nb, func(b int) {
-		lo, hi := min(b*chunk, rows), min((b+1)*chunk, rows)
-		buf := s.sweep[b]
-		if len(buf) != int(m.Nodes()) {
-			buf = make([]bool, m.Nodes())
-			s.sweep[b] = buf
-		}
-		for i := lo; i < hi; i++ {
-			set := o.ReachKSetSweepInto(orders, sigma.Sets[i].Rep, buf)
-			for j, d := range delta.Sets {
-				if set[m.Index(d.Rep)] {
-					rk.Set(i, j)
-				}
-			}
-		}
-	})
-	rc.RK = rk
-	return rc, nil
 }
 
 // ReferenceRK recomputes R^(k) by the O(N^2) spanning-tree method the paper

@@ -65,7 +65,7 @@ func permuted(mat *bitmat.Matrix, rowPerm, colPerm []int) *bitmat.Matrix {
 // 12x12 example.
 func TestPaperTable1(t *testing.T) {
 	f := paperExample()
-	rc, err := Compute(f, routing.UniformAscending(2, 2))
+	rc, err := ComputeScratch(f, routing.UniformAscending(2, 2), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPaperTable1(t *testing.T) {
 // Table 2 of the paper: the two-round matrix R^(2) = R I R.
 func TestPaperTable2(t *testing.T) {
 	f := paperExample()
-	rc, err := Compute(f, routing.UniformAscending(2, 2))
+	rc, err := ComputeScratch(f, routing.UniformAscending(2, 2), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestPaperTable2(t *testing.T) {
 // paper's note that R_1 = R_2 = ... for identical rounds.
 func TestUniformRoundsShared(t *testing.T) {
 	f := paperExample()
-	rc, err := Compute(f, routing.UniformAscending(2, 3))
+	rc, err := ComputeScratch(f, routing.UniformAscending(2, 3), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestUniformRoundsShared(t *testing.T) {
 func TestNoFaults(t *testing.T) {
 	m := mesh.MustNew(6, 6)
 	f := mesh.NewFaultSet(m)
-	rc, err := Compute(f, routing.UniformAscending(2, 2))
+	rc, err := ComputeScratch(f, routing.UniformAscending(2, 2), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestMatchesSpanningTreeReference(t *testing.T) {
 		for i := range orders {
 			orders[i] = routing.Order(rng.Perm(m.Dims()))
 		}
-		rc, err := Compute(f, orders)
+		rc, err := ComputeScratch(f, orders, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,12 +194,35 @@ func TestMatchesSpanningTreeReference(t *testing.T) {
 	}
 }
 
+// The matrix R^(k) matches the spanning-tree reference on larger shapes
+// with up to 8 node and 3 link faults and uniform ascending orders.
+func TestMatrixRKMatchesReferenceWithLinkFaults(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	shapes := [][]int{{8, 8}, {6, 5, 4}, {4, 4, 4}}
+	for trial := 0; trial < 15; trial++ {
+		m := mesh.MustNew(shapes[trial%len(shapes)]...)
+		f := mesh.RandomNodeFaults(m, 1+rng.Intn(8), rng)
+		mesh.RandomLinkFaults(f, rng.Intn(4), rng)
+		k := 1 + rng.Intn(2)
+		orders := routing.UniformAscending(m.Dims(), k)
+		rc, err := ComputeScratch(f, orders, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := ReferenceRK(rc.Oracle, orders, rc.Sigma[0], rc.Delta[k-1])
+		if !rc.RK.Equal(ref) {
+			t.Fatalf("trial %d (%v, k=%d, faults=%v): matrix RK disagrees with spanning tree\nmatrix:\n%v\nreference:\n%v",
+				trial, m, k, f.SortedNodeFaults(), rc.RK, ref)
+		}
+	}
+}
+
 // R^(k) can only gain ones as k grows (more rounds reach more).
 func TestMonotoneInRounds(t *testing.T) {
 	f := paperExample()
 	prevOnes := -1
 	for k := 1; k <= 3; k++ {
-		rc, err := Compute(f, routing.UniformAscending(2, k))
+		rc, err := ComputeScratch(f, routing.UniformAscending(2, k), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,40 +236,7 @@ func TestMonotoneInRounds(t *testing.T) {
 
 func TestInvalidOrderRejected(t *testing.T) {
 	f := paperExample()
-	if _, err := Compute(f, routing.MultiOrder{{0, 0}}); err == nil {
+	if _, err := ComputeScratch(f, routing.MultiOrder{{0, 0}}, 0, nil); err == nil {
 		t.Error("invalid ordering should be rejected")
-	}
-}
-
-// The sweep method must produce exactly the same R^(k) as the matrix
-// method, over random meshes, fault mixes, and round counts.
-func TestSweepRKMatchesMatrixRK(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	shapes := [][]int{{8, 8}, {6, 5, 4}, {4, 4, 4}}
-	for trial := 0; trial < 15; trial++ {
-		m := mesh.MustNew(shapes[trial%len(shapes)]...)
-		f := mesh.RandomNodeFaults(m, 1+rng.Intn(8), rng)
-		mesh.RandomLinkFaults(f, rng.Intn(4), rng)
-		k := 1 + rng.Intn(2)
-		orders := routing.UniformAscending(m.Dims(), k)
-		matrix, err := Compute(f, orders)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sweep, err := ComputeWithSweep(f, orders)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matrix.RK.Equal(sweep.RK) {
-			t.Fatalf("trial %d: sweep RK disagrees with matrix RK\nmatrix:\n%v\nsweep:\n%v",
-				trial, matrix.RK, sweep.RK)
-		}
-	}
-}
-
-func TestSweepTorusRejected(t *testing.T) {
-	m, _ := mesh.NewTorus(4, 4)
-	if _, err := ComputeWithSweep(mesh.NewFaultSet(m), routing.UniformAscending(2, 2)); err == nil {
-		t.Error("torus should be rejected")
 	}
 }

@@ -14,7 +14,7 @@ import (
 //
 // The oracle is safe for concurrent use after construction: NewOracle is
 // the only writer of the per-dimension fault indexes, and every query method
-// (ReachOne, ReachableSetOne, the sweeps, ReachK*) only reads them and the
+// (ReachOne, ReachableSetOne, ReachK*) only reads them and the
 // (itself immutable) fault set. The parallel reachability kernels in
 // internal/reach depend on this guarantee — callers who mutate a FaultSet
 // must build a fresh Oracle rather than reuse one across the mutation.

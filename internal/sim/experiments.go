@@ -138,7 +138,7 @@ func paperMatrixTable(id, title, paper string, rc *reach.Reachability, two bool)
 }
 
 func runTable1(Config) *Table {
-	rc, err := reach.Compute(paperExampleFaults(), routing.UniformAscending(2, 2))
+	rc, err := reach.ComputeScratch(paperExampleFaults(), routing.UniformAscending(2, 2), 0, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -147,7 +147,7 @@ func runTable1(Config) *Table {
 }
 
 func runTable2(Config) *Table {
-	rc, err := reach.Compute(paperExampleFaults(), routing.UniformAscending(2, 2))
+	rc, err := reach.ComputeScratch(paperExampleFaults(), routing.UniformAscending(2, 2), 0, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -431,7 +431,7 @@ func runProp65(Config) *Table {
 		if err != nil {
 			panic(err)
 		}
-		rc, err := reach.Compute(fs, routing.UniformAscending(c.d, 1))
+		rc, err := reach.ComputeScratch(fs, routing.UniformAscending(c.d, 1), 0, nil)
 		if err != nil {
 			panic(err)
 		}

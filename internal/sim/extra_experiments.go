@@ -5,10 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"time"
 
-	"lambmesh/internal/blockfault"
 	"lambmesh/internal/core"
+	"lambmesh/internal/faultring"
 	"lambmesh/internal/hardness"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/routing"
@@ -22,7 +21,6 @@ func init() {
 		Experiment{ID: "hardness", Title: "NP-hardness reduction sanity (Section 9)", Run: runHardness},
 		Experiment{ID: "ext-linkfaults", Title: "extension: mixed node and directed-link faults (Definition 2.4)", Weight: 2, Run: runLinkFaults},
 		Experiment{ID: "ext-reconfig", Title: "extension: roll-back/reconfigure generations with persistent lambs (Section 1/7)", Run: runReconfig},
-		Experiment{ID: "abl-sptree", Title: "ablation: matrix R^(k) vs footnote-7 spanning-tree sweep", Weight: 5, Run: runSptree},
 		Experiment{ID: "ext-congestion", Title: "extension: intermediate-node choice and congestion (Section 2.1 heuristic)", Run: runCongestion},
 		Experiment{ID: "ext-torus", Title: "extension: torus vs mesh lamb counts at equal faults (Section 7)", Weight: 2, Run: runTorusCompare},
 	)
@@ -152,52 +150,6 @@ func runCongestion(cfg Config) *Table {
 	return t
 }
 
-// runSptree times the two ways of computing R^(k) (footnote 7): matrix
-// products are O(k d^3 f^3) and win at small f; the per-representative
-// sweep is O(k d^2 f N) and wins once f is large relative to N.
-func runSptree(cfg Config) *Table {
-	trials := scaledTrials(cfg, 5)
-	m := mesh.MustNew(16, 16, 16)
-	orders := routing.UniformAscending(3, 2)
-	t := &Table{ID: "abl-sptree",
-		Title:   fmt.Sprintf("Lamb1 time on M_3(16): matrix vs sweep reachability (%d trials/point)", trials),
-		Paper:   "footnote 7 predicts the sweep wins for f large vs N; with 64-bit packed matrices the crossover sits far beyond these fault rates (an honest constant-factor deviation)",
-		Columns: []string{"faults", "matrix sec", "sweep sec", "same lamb count"},
-	}
-	for _, faults := range []int{40, 150, 400, 900} {
-		var tm, ts Agg
-		same := true
-		var mu sync.Mutex
-		ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand) {
-			fs := mesh.RandomNodeFaults(m, faults, rng)
-			t0 := time.Now()
-			a, err := core.Lamb1(fs, orders)
-			if err != nil {
-				panic(err)
-			}
-			d0 := time.Since(t0).Seconds()
-			t1 := time.Now()
-			b, err := core.Lamb1(fs, orders, core.WithSweepReachability())
-			if err != nil {
-				panic(err)
-			}
-			d1 := time.Since(t1).Seconds()
-			mu.Lock()
-			tm.Add(d0)
-			ts.Add(d1)
-			if a.NumLambs() != b.NumLambs() {
-				same = false
-			}
-			mu.Unlock()
-		})
-		t.AddRow(fmt.Sprint(faults),
-			fmt.Sprintf("%.4f", tm.Mean()),
-			fmt.Sprintf("%.4f", ts.Mean()),
-			fmt.Sprint(same))
-	}
-	return t
-}
-
 // runLinkFaults exercises the full Definition 2.4 fault model, which the
 // paper's own simulations leave out: half the faults are nodes, half are
 // one-directional links. Lamb counts stay modest and verification holds.
@@ -310,7 +262,7 @@ func runBlockfault(cfg Config) *Table {
 			if err != nil {
 				panic(err)
 			}
-			mod, err := blockfault.Build(fs)
+			mod, err := faultring.Build(fs)
 			if err != nil {
 				panic(err)
 			}
@@ -324,15 +276,15 @@ func runBlockfault(cfg Config) *Table {
 			for pair := 0; pair < 30; pair++ {
 				src := active[rng.Intn(len(active))]
 				dst := active[rng.Intn(len(active))]
-				p, err := mod.RouteXY(src, dst)
-				if err != nil {
-					continue // region touching an edge; skip the pair
+				p, ok, err := mod.Route(src, dst)
+				if err != nil || !ok {
+					continue // a full band cuts the pair apart; skip it
 				}
 				localTurns = append(localTurns, routing.CountTurns(p))
 			}
 			mu.Lock()
 			lambs.Add(float64(res.NumLambs()))
-			inact.Add(float64(mod.Inactivated))
+			inact.Add(float64(len(mod.Inactivated)))
 			for _, tn := range localTurns {
 				turns.Add(float64(tn))
 				if tn > maxTurns {

@@ -25,8 +25,8 @@ func init() {
 // rows run the wormhole traffic engine through a mid-run fault event and
 // report the recompute stall the event charged
 // (EventRecovery.RecomputeTime) — the host-side latency a reconfiguration
-// adds on top of the in-network recovery cycles. Like abl-sptree, the
-// table reports wall-clock, so renders are not comparable across runs.
+// adds on top of the in-network recovery cycles. Like fig26, the table
+// reports wall-clock, so renders are not comparable across runs.
 func runIncReconfig(cfg Config) *Table {
 	trials := scaledTrials(cfg, 10)
 	t := &Table{ID: "increconf",

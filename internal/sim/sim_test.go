@@ -107,7 +107,7 @@ func TestAllExperiments(t *testing.T) {
 	heavy := map[string]bool{"fig24": true, "fig26": true, "sec3one": true}
 	// timed experiments report wall-clock measurements; their renders cannot
 	// be compared across runs (structure is still checked).
-	timed := map[string]bool{"abl-sptree": true, "increconf": true}
+	timed := map[string]bool{"increconf": true}
 	seen := map[string]bool{}
 	for _, e := range Registry() {
 		if seen[e.ID] {
@@ -274,7 +274,7 @@ func TestRegistryCoversDesignIndex(t *testing.T) {
 		"table1", "table2", "sec5lamb",
 		"fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "fig24", "fig25", "fig26",
 		"sec3one", "sec3two", "fig15", "prop65", "hardness",
-		"abl-rounds", "abl-vcover", "abl-blockfault", "abl-sptree", "worm",
+		"abl-rounds", "abl-vcover", "abl-blockfault", "worm",
 		"ext-linkfaults", "ext-reconfig", "ext-congestion", "ext-torus",
 		"worm-saturation", "worm-recovery", "classtable", "increconf",
 		"bakeoff", "topo-compare",

@@ -21,7 +21,7 @@
 // (SES/DES partitions), internal/reach (k-round reachability matrices),
 // internal/vcover + internal/maxflow (weighted vertex cover), internal/core
 // (the Lamb1/Lamb2 reductions), internal/wormhole (a flit-level network
-// simulator), internal/blockfault (the fault-ring baseline), and
+// simulator), internal/faultring (the fault-ring baseline), and
 // internal/analysis + internal/sim (the paper's bounds and every
 // table/figure experiment). This package re-exports the public workflow.
 package lambmesh
@@ -234,11 +234,6 @@ func WithPredetermined(nodes []Coord) Option { return core.WithPredetermined(nod
 // WithReachability retains the SES/DES partitions and matrices on the
 // Result for inspection.
 func WithReachability() Option { return core.WithReachability() }
-
-// WithSweepReachability switches R^(k) computation to the footnote-7
-// spanning-tree sweep, O(k d^2 f N) — preferable when f is large relative
-// to the mesh size. The lamb set is identical.
-func WithSweepReachability() Option { return core.WithSweepReachability() }
 
 // WithWorkers bounds the worker pool the reachability kernels run on;
 // n <= 0 (the default) means all CPUs. The lamb set is bit-identical for

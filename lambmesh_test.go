@@ -123,21 +123,8 @@ func TestPublicTorusAndGeneric(t *testing.T) {
 	}
 }
 
-func TestPublicSweepAndReconfigurer(t *testing.T) {
+func TestPublicReconfigurer(t *testing.T) {
 	m, _ := NewMesh(10, 10)
-	f := NewFaultSet(m)
-	f.AddNodes(C(1, 0), C(0, 1))
-	a, err := FindLambSet(f, TwoRoundXY())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FindLambSet(f, TwoRoundXY(), WithSweepReachability())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.NumLambs() != b.NumLambs() {
-		t.Error("sweep and matrix paths disagree")
-	}
 	rec, err := NewReconfigurer(m, TwoRoundXY(), true)
 	if err != nil {
 		t.Fatal(err)

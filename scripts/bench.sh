@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh — record the lamb pipeline's perf trajectory.
 #
-# Runs the hot-path benchmarks (Fig17/Fig18 trials, the Fig 26 small-f
+# Runs the hot-path benchmarks (Fig17/Fig18 trials, the Fig 20 large-f 2-D
+# trial whose time the vertex cover dominates, the Fig 26 small-f
 # point that perfbench's solve-3d workload also runs, its three reachability
 # kernels alone (R_t fill, I_t fill, chain product), BitmatMul, the Section 5
 # pipeline, the wormhole cycle loop, the class-table query path, lambd's
@@ -31,7 +32,7 @@ cd "$(dirname "$0")/.."
 
 OUT="${OUT:-BENCH_lamb.json}"
 BENCHTIME="${BENCHTIME:-3x}"
-BENCH_RE='^(BenchmarkFig17Trial|BenchmarkFig18Trial|BenchmarkFig26TrialSmallF|BenchmarkReachKernels|BenchmarkBitmatMul|BenchmarkSec5LambSet|BenchmarkWormholeRun|BenchmarkTrafficEngine|BenchmarkClassTableQuery|BenchmarkServerQuery|BenchmarkWireRoundTrip|BenchmarkAddFaults|BenchmarkClassTableSwap|BenchmarkCampaignTrial|BenchmarkCampaignRun|BenchmarkGenerateWorkload|BenchmarkStrategyRoute)$'
+BENCH_RE='^(BenchmarkFig17Trial|BenchmarkFig18Trial|BenchmarkFig20Trial|BenchmarkFig26TrialSmallF|BenchmarkReachKernels|BenchmarkBitmatMul|BenchmarkSec5LambSet|BenchmarkWormholeRun|BenchmarkTrafficEngine|BenchmarkClassTableQuery|BenchmarkServerQuery|BenchmarkWireRoundTrip|BenchmarkAddFaults|BenchmarkClassTableSwap|BenchmarkCampaignTrial|BenchmarkCampaignRun|BenchmarkGenerateWorkload|BenchmarkStrategyRoute)$'
 
 if [ "${1:-}" = "--check" ]; then
     exec go run ./scripts/benchcheck -file "$OUT"

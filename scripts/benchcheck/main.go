@@ -54,6 +54,7 @@ type benchFile struct {
 var requiredBenchmarks = []string{
 	"BenchmarkFig17Trial",
 	"BenchmarkFig18Trial",
+	"BenchmarkFig20Trial",
 	"BenchmarkFig26TrialSmallF",
 	"BenchmarkReachKernels/rt",
 	"BenchmarkReachKernels/it",
