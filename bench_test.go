@@ -74,7 +74,13 @@ func BenchmarkSec5LambSet(b *testing.B) {
 	f := paperFaults12()
 	orders := routing.UniformAscending(2, 2)
 	s := core.NewSolver()
+	// One untimed call grows the scratch, so allocs/op is the steady state
+	// at any -benchtime.
+	if _, err := s.Lamb1(f, orders, core.WithWorkers(benchWorkers())); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Lamb1(f, orders, core.WithWorkers(benchWorkers())); err != nil {
 			b.Fatal(err)
@@ -89,10 +95,13 @@ func benchLambTrial(b *testing.B, widths []int, faults, k int) {
 	m := mesh.MustNew(widths...)
 	rng := rand.New(rand.NewSource(1))
 	s := core.NewSolver()
+	// One untimed trial on its own rng grows the scratch (the timed draws
+	// are unchanged), so allocs/op is the steady state at any -benchtime.
+	sim.RunLambTrial(m, faults, k, benchWorkers(), rand.New(rand.NewSource(2)), s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.RunLambTrialSolverWorkers(m, faults, k, benchWorkers(), rng, s)
+		sim.RunLambTrial(m, faults, k, benchWorkers(), rng, s)
 	}
 }
 
@@ -587,6 +596,7 @@ func BenchmarkBitmatMul(b *testing.B) {
 			}
 		}
 	}
+	a.MulParallel(c, benchWorkers()) // untimed warm-up
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -620,6 +630,7 @@ func BenchmarkReachKernels(b *testing.B) {
 	reach.Intersection(im, delta.Sets, sigma.Sets, &rs)
 	b.Run("rt", func(b *testing.B) {
 		out := bitmat.New(sigma.Len(), delta.Len())
+		reach.OneRound(out, o, pi, sigma.Sets, delta.Sets, benchWorkers(), &rs) // untimed warm-up
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -638,7 +649,9 @@ func BenchmarkReachKernels(b *testing.B) {
 	})
 	b.Run("chain", func(b *testing.B) {
 		var chain [2]*bitmat.Matrix
+		bitmat.MulChainScratch(benchWorkers(), &chain, r, im, r) // untimed warm-up
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			bitmat.MulChainScratch(benchWorkers(), &chain, r, im, r)
 		}
@@ -819,7 +832,13 @@ func BenchmarkCampaignRun(b *testing.B) {
 		ShardSize: 32,
 		Workers:   benchWorkers(),
 	}
+	// One untimed run warms the pools, so allocs/op is the steady state at
+	// any -benchtime.
+	if _, err := campaign.Run(context.Background(), spec, campaign.Opts{}); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := campaign.Run(context.Background(), spec, campaign.Opts{}); err != nil {
 			b.Fatal(err)

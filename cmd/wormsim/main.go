@@ -48,7 +48,6 @@ import (
 	"strconv"
 	"strings"
 
-	"lambmesh/internal/core"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/routing"
 	"lambmesh/internal/wormhole"
@@ -225,7 +224,7 @@ func parseRates(s string) ([]float64, error) {
 
 // sweepRow is one (case, rate) result, flattened for csv/json emission.
 type sweepRow struct {
-	Case      string  `json:"case"` // "lamb" or "baseline"
+	Case      string  `json:"case"` // the strategy name or "baseline"
 	Rate      float64 `json:"rate"`
 	Offered   float64 `json:"offeredFlitRate"`
 	Accepted  float64 `json:"acceptedFlitRate"`
@@ -247,9 +246,10 @@ type sweepRow struct {
 }
 
 // report is the full JSON document; table/csv emit only the rows. Strategy
-// and Sacrificed are set only by -strategy ring|adaptive|direct runs, and
-// Topology only by non-mesh -topology runs (omitempty keeps the default
-// lamb-on-mesh JSON byte-identical to earlier releases).
+// and Sacrificed replace Lambs on runs that name their strategy (any but
+// lamb, and lamb on a torus), and Topology is set only by non-mesh
+// -topology runs (omitempty keeps the default lamb-on-mesh JSON
+// byte-identical to earlier releases).
 type report struct {
 	Topology   string     `json:"topology,omitempty"`
 	Mesh       string     `json:"mesh"`
@@ -291,13 +291,14 @@ func buildTopology(cfg *cliConfig) (mesh.Topology, error) {
 	}
 }
 
+// run is one wormsim invocation: every case routes through a
+// RouteStrategy. Each strategy draws from its own TrialSeed stream block
+// (StrategyStream; lamb is block 0), so cross-strategy comparisons at one
+// seed are independent samples, and the fault draw is shared, so they face
+// the identical fault set. The baseline runs the same strategy on the
+// fault-free network: a strategy's fault-free behavior is its own
+// reference, not lamb's.
 func run(cfg *cliConfig, w io.Writer) error {
-	// Tori go through the strategy path even for lamb: the lamb strategy
-	// dispatches to the generic (TorusLamb) reconfigurer and its MinVCs
-	// check enforces the 2k dateline VC requirement.
-	if cfg.strategy != "lamb" || cfg.topology == "torus" {
-		return runStrategy(cfg, w)
-	}
 	topo, err := buildTopology(cfg)
 	if err != nil {
 		return err
@@ -305,82 +306,6 @@ func run(cfg *cliConfig, w io.Writer) error {
 	m := topo.Grid()
 	// The fault draw gets its own rng: sweep cells reseed from (seed, rate,
 	// trial), so consuming here cannot shift workload randomness.
-	faults := mesh.RandomNodeFaultsOn(topo, cfg.nFaults, rand.New(rand.NewSource(cfg.seed)))
-	orders := routing.UniformAscending(m.Dims(), cfg.k)
-	res, err := core.Lamb1(faults, orders)
-	if err != nil {
-		return err
-	}
-
-	spec := wormhole.SweepSpec{
-		Rates:           cfg.rates,
-		Trials:          cfg.trials,
-		Pattern:         cfg.pattern,
-		PacketFlits:     cfg.packet,
-		HotspotFraction: cfg.hotspot,
-		Warmup:          cfg.warmup,
-		Measure:         cfg.measure,
-		Drain:           cfg.drain,
-		Net: wormhole.Config{
-			VirtualChannels: cfg.vcs,
-			BufferDepth:     cfg.buffer,
-			StallCycles:     2000,
-			MaxCycles:       5_000_000,
-		},
-		Seed:    cfg.seed,
-		Workers: cfg.workers,
-	}
-
-	rep := report{
-		Mesh:      fmt.Sprint(topo),
-		Faults:    faults.Count(),
-		Lambs:     res.NumLambs(),
-		Survivors: int(res.Survivors(faults)),
-		Rounds:    cfg.k,
-		VCs:       cfg.vcs,
-		Pattern:   cfg.pattern.String(),
-		Packet:    cfg.packet,
-		Trials:    cfg.trials,
-		Seed:      cfg.seed,
-		Live:      cfg.live(),
-	}
-	if cfg.topology != "mesh" {
-		rep.Topology = cfg.topology
-	}
-	// Mid-run faults strike the lamb case only: the baseline stays the
-	// clean fault-free reference the recovery numbers are read against.
-	lambSpec := spec
-	lambSpec.Schedule = cfg.schedule
-	lambSpec.MTBF = cfg.mtbf
-	lamb, err := wormhole.RunSweep(faults, orders, res.Lambs, lambSpec)
-	if err != nil {
-		return err
-	}
-	rep.Rows = appendRows(rep.Rows, "lamb", lamb)
-	if cfg.baseline {
-		free := mesh.NewFaultSet(m)
-		base, err := wormhole.RunSweep(free, orders, nil, spec)
-		if err != nil {
-			return err
-		}
-		rep.Rows = appendRows(rep.Rows, "baseline", base)
-	}
-	return render(w, cfg.format, rep)
-}
-
-// runStrategy is the -strategy ring|adaptive path: the same sweep harness
-// as run, routed through a RouteStrategy instead of the lamb data plane.
-// Each strategy draws from its own TrialSeed stream block (StrategyStream),
-// so cross-strategy comparisons at one seed are independent samples, and
-// the fault draw is shared, so they face the identical fault set. The
-// baseline runs the same strategy on the fault-free mesh — a strategy's
-// fault-free behavior is its own reference, not lamb's.
-func runStrategy(cfg *cliConfig, w io.Writer) error {
-	topo, err := buildTopology(cfg)
-	if err != nil {
-		return err
-	}
-	m := topo.Grid()
 	faults := mesh.RandomNodeFaultsOn(topo, cfg.nFaults, rand.New(rand.NewSource(cfg.seed)))
 	orders := routing.UniformAscending(m.Dims(), cfg.k)
 	stream, err := wormhole.StrategyIndex(cfg.strategy)
@@ -395,7 +320,12 @@ func runStrategy(cfg *cliConfig, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if cfg.vcs < strat.MinVCs() {
+	// Lamb on a mesh or hypercube keeps the lamb report and runs with any
+	// -vcs: fewer VCs than rounds is the under-provisioning deadlock
+	// demonstration. Every other case names its strategy and must meet the
+	// scheme's VC discipline (2k dateline VCs for lamb on a torus).
+	named := cfg.strategy != "lamb" || cfg.topology == "torus"
+	if named && cfg.vcs < strat.MinVCs() {
 		return fmt.Errorf("strategy %s needs at least %d VCs (got -vcs %d)",
 			cfg.strategy, strat.MinVCs(), cfg.vcs)
 	}
@@ -421,34 +351,40 @@ func runStrategy(cfg *cliConfig, w io.Writer) error {
 		StrategyStream: stream,
 	}
 
+	sacrificed := strat.Sacrificed()
 	rep := report{
-		Mesh:       fmt.Sprint(topo),
-		Faults:     faults.Count(),
-		Survivors:  len(wormhole.Survivors(faults, strat.Sacrificed())),
-		Rounds:     cfg.k,
-		VCs:        cfg.vcs,
-		Pattern:    cfg.pattern.String(),
-		Packet:     cfg.packet,
-		Trials:     cfg.trials,
-		Seed:       cfg.seed,
-		Live:       cfg.live(),
-		Strategy:   cfg.strategy,
-		Sacrificed: len(strat.Sacrificed()),
+		Mesh:      fmt.Sprint(topo),
+		Faults:    faults.Count(),
+		Survivors: len(wormhole.Survivors(faults, sacrificed)),
+		Rounds:    cfg.k,
+		VCs:       cfg.vcs,
+		Pattern:   cfg.pattern.String(),
+		Packet:    cfg.packet,
+		Trials:    cfg.trials,
+		Seed:      cfg.seed,
+		Live:      cfg.live(),
+	}
+	if named {
+		rep.Strategy = cfg.strategy
+		rep.Sacrificed = len(sacrificed)
+	} else {
+		rep.Lambs = len(sacrificed)
 	}
 	if cfg.topology != "mesh" {
 		rep.Topology = cfg.topology
 	}
+	// Mid-run faults strike the faulty case only: the baseline stays the
+	// clean fault-free reference the recovery numbers are read against.
 	faultySpec := spec
 	faultySpec.Schedule = cfg.schedule
 	faultySpec.MTBF = cfg.mtbf
-	faulty, err := wormhole.RunSweep(faults, orders, nil, faultySpec)
+	faulty, err := wormhole.RunSweep(faults, faultySpec)
 	if err != nil {
 		return err
 	}
 	rep.Rows = appendRows(rep.Rows, cfg.strategy, faulty)
 	if cfg.baseline {
-		free := mesh.NewFaultSetOn(topo)
-		base, err := wormhole.RunSweep(free, orders, nil, spec)
+		base, err := wormhole.RunSweep(mesh.NewFaultSetOn(topo), spec)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -179,9 +180,7 @@ func TestRunByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestRunStrategyReport checks the -strategy path end to end: the JSON
-// report carries the strategy name, rows are labeled with it, and the ring
-// strategy errors out rather than running with fewer VCs than its
-// discipline needs.
+// report carries the strategy name and rows are labeled with it.
 func TestRunStrategyReport(t *testing.T) {
 	out := runWormsim(t, smallArgs("-strategy", "adaptive", "-format", "json", "-baseline=false"))
 	var rep report
@@ -194,13 +193,27 @@ func TestRunStrategyReport(t *testing.T) {
 	if rep.Lambs != 0 {
 		t.Fatalf("strategy report should not count lambs: %+v", rep)
 	}
+}
 
+// TestRunVCGate pins which runs the MinVCs gate refuses. Lamb on a mesh runs
+// with fewer VCs than rounds (the under-provisioning deadlock
+// demonstration) and keeps the lamb report; the ring scheme's 2 class VCs
+// are enforced (the torus lamb's 2k dateline VCs are in
+// TestTopologyRunValidation).
+func TestRunVCGate(t *testing.T) {
+	out := runWormsim(t, smallArgs("-vcs", "1", "-format", "json"))
+	var rep report
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatalf("json output does not parse: %v\n%s", err, out)
+	}
+	if rep.VCs != 1 || rep.Rounds != 2 || rep.Strategy != "" || len(rep.Rows) != 2 || rep.Rows[0].Case != "lamb" {
+		t.Fatalf("mesh lamb at -vcs 1 should run and report as lamb: %+v", rep)
+	}
 	cfg, err := parseConfig(smallArgs("-strategy", "ring", "-vcs", "1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := run(cfg, &buf); err == nil || !strings.Contains(err.Error(), "at least 2 VCs") {
+	if err := run(cfg, io.Discard); err == nil || !strings.Contains(err.Error(), "at least 2 VCs") {
 		t.Fatalf("ring with 1 VC should be rejected, got %v", err)
 	}
 }

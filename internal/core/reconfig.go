@@ -38,42 +38,27 @@ type Reconfigurer struct {
 	solver *Solver
 	// generic routes every recompute through TorusLamb (the Section 7
 	// profile-grouped SEC/DEC fallback) instead of the rectangular mesh
-	// pipeline; set by NewGenericReconfigurer for tori.
+	// pipeline; set by NewReconfigurer for tori.
 	generic bool
 }
 
-// NewReconfigurer starts with a fault-free mesh and an empty lamb set.
+// NewReconfigurer starts with a fault-free network and an empty lamb set.
+// Meshes run the rectangular Lamb1 pipeline. Tori, which that pipeline
+// cannot handle, run the generic O(kN^2) TorusLamb path on every recompute;
+// with keepLambs the previous generation's still-good lambs are folded back
+// into its result (a superset of a valid lamb set is valid: lambs remain
+// routable through, so shrinking the endpoint set never breaks pairwise
+// reachability).
 func NewReconfigurer(m *mesh.Mesh, orders routing.MultiOrder, keepLambs bool) (*Reconfigurer, error) {
 	if err := orders.Validate(m.Dims()); err != nil {
 		return nil, err
 	}
-	if m.Torus() {
-		return nil, fmt.Errorf("core: Reconfigurer uses the mesh algorithms; tori need the generic path")
-	}
 	return &Reconfigurer{
 		faults:    mesh.NewFaultSet(m),
 		orders:    orders,
 		KeepLambs: keepLambs,
 		solver:    NewSolver(),
-	}, nil
-}
-
-// NewGenericReconfigurer is NewReconfigurer for topologies the rectangular
-// mesh pipeline cannot handle — tori in particular. Every recompute runs
-// the generic O(kN^2) TorusLamb path, and with keepLambs the previous
-// generation's still-good lambs are folded back into the result (a superset
-// of a valid lamb set is valid: lambs remain routable through, so shrinking
-// the endpoint set never breaks pairwise reachability).
-func NewGenericReconfigurer(m *mesh.Mesh, orders routing.MultiOrder, keepLambs bool) (*Reconfigurer, error) {
-	if err := orders.Validate(m.Dims()); err != nil {
-		return nil, err
-	}
-	return &Reconfigurer{
-		faults:    mesh.NewFaultSet(m),
-		orders:    orders,
-		KeepLambs: keepLambs,
-		solver:    NewSolver(),
-		generic:   true,
+		generic:   m.Torus(),
 	}, nil
 }
 

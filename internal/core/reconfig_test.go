@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 
 	"lambmesh/internal/mesh"
@@ -126,16 +127,61 @@ func TestReconfigurerValidation(t *testing.T) {
 	if _, err := NewReconfigurer(m, routing.MultiOrder{{0, 0}}, false); err == nil {
 		t.Error("bad ordering should fail")
 	}
-	tor, _ := mesh.NewTorus(4, 4)
-	if _, err := NewReconfigurer(tor, routing.UniformAscending(2, 2), false); err == nil {
-		t.Error("torus should be rejected")
-	}
 	r, err := NewReconfigurer(m, routing.UniformAscending(2, 2), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.AddFaults([]mesh.Coord{mesh.C(99, 0)}, nil); err == nil {
 		t.Error("out-of-mesh fault should fail")
+	}
+}
+
+// On a torus NewReconfigurer takes the generic path: every generation's
+// lamb set is TorusLamb's on the accumulated faults plus the previous
+// generation's still-good lambs (KeepLambs), in mesh-index order, and it
+// passes the brute-force Definition 2.6 check.
+func TestReconfigurerTorusGenerations(t *testing.T) {
+	tor, err := mesh.NewTorus(6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders := routing.UniformAscending(2, 2)
+	r, err := NewReconfigurer(tor, orders, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	kept := 0
+	for gen := 1; gen <= 6; gen++ {
+		prev := append([]mesh.Coord(nil), r.Lambs()...)
+		dn, dl := growthStep(tor, r.Faults(), rng, 3)
+		got, err := r.AddFaults(dn, dl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := TorusLamb(r.Faults(), orders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fresh.Lambs
+		for _, c := range prev {
+			if !r.Faults().NodeFaulty(c) && !fresh.IsLamb(c) {
+				want = append(want, c)
+				kept++
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return tor.Index(want[i]) < tor.Index(want[j]) })
+		if r.Generation() != gen {
+			t.Fatalf("generation %d, want %d", r.Generation(), gen)
+		}
+		sameLambs(t, got.Lambs, want, fmt.Sprintf("gen %d", gen))
+		sameLambs(t, r.Lambs(), want, fmt.Sprintf("gen %d Lambs()", gen))
+		if err := VerifyLambSetBrute(r.Faults(), orders, got.Lambs); err != nil {
+			t.Fatalf("gen %d: %v", gen, err)
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no generation kept a lamb TorusLamb dropped: the fixture misses the KeepLambs union")
 	}
 }
 
@@ -360,7 +406,7 @@ func TestGenericAddFaultsRejectedReportChangesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	orders := routing.UniformAscending(2, 2)
-	r, err := NewGenericReconfigurer(tor, orders, true)
+	r, err := NewReconfigurer(tor, orders, true)
 	if err != nil {
 		t.Fatal(err)
 	}

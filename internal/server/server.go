@@ -75,13 +75,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Mesh == nil {
 		return nil, fmt.Errorf("server: nil mesh")
 	}
-	newRecon := core.NewReconfigurer
-	if cfg.Mesh.Torus() {
-		// The rectangular lamb pipeline is mesh-only; a torus recomputes on
-		// the generic Section 7 path.
-		newRecon = core.NewGenericReconfigurer
-	}
-	recon, err := newRecon(cfg.Mesh, cfg.Orders, cfg.KeepLambs)
+	recon, err := core.NewReconfigurer(cfg.Mesh, cfg.Orders, cfg.KeepLambs)
 	if err != nil {
 		return nil, err
 	}

@@ -76,7 +76,7 @@ func runBakeoff(cfg Config) *Table {
 					Strategy:       builder,
 					StrategyStream: si,
 				}
-				pts, err := wormhole.RunSweep(fs, orders, nil, spec)
+				pts, err := wormhole.RunSweep(fs, spec)
 				if err != nil {
 					panic(err)
 				}
@@ -85,7 +85,7 @@ func runBakeoff(cfg Config) *Table {
 				liveSpec.Schedule = wormhole.FaultSchedule{Events: []wormhole.FaultEvent{
 					{Cycle: warmup + measure/2, Nodes: event},
 				}}
-				lpts, err := wormhole.RunSweep(fs, orders, nil, liveSpec)
+				lpts, err := wormhole.RunSweep(fs, liveSpec)
 				if err != nil {
 					panic(err)
 				}

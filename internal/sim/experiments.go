@@ -338,10 +338,10 @@ func runSec3One(cfg Config) *Table {
 	m := mesh.MustNew(32, 32, 32)
 	var empirical, oneRoundLambs, lowerBounds Agg
 	var mu sync.Mutex
-	ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand) {
+	ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand, s *core.Solver) {
 		fs := mesh.RandomNodeFaults(m, 32, rng)
 		lb := analysis.OneRoundEmpiricalLowerBound(fs)
-		res, err := core.Lamb1(fs, routing.UniformAscending(3, 1))
+		res, err := s.Lamb1(fs, routing.UniformAscending(3, 1))
 		if err != nil {
 			panic(err)
 		}
@@ -369,8 +369,8 @@ func runSec3Two(cfg Config) *Table {
 	m := mesh.MustNew(32, 32, 32)
 	var needing, totalLambs int
 	var mu sync.Mutex
-	ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand) {
-		obs := RunLambTrial(m, 32, 2, rng)
+	ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand, s *core.Solver) {
+		obs := RunLambTrial(m, 32, 2, 1, rng, s)
 		mu.Lock()
 		if obs.Lambs > 0 {
 			needing++
@@ -480,9 +480,9 @@ func runAblVcover(cfg Config) *Table {
 	for _, faults := range []int{4, 8, 12} {
 		var a1, a2, ex Agg
 		var mu sync.Mutex
-		ForEachTrial(Config{Seed: cfg.Seed, Workers: cfg.Workers}, trials, func(_ int, rng *rand.Rand) {
+		ForEachTrial(Config{Seed: cfg.Seed, Workers: cfg.Workers}, trials, func(_ int, rng *rand.Rand, s *core.Solver) {
 			fs := mesh.RandomNodeFaults(m, faults, rng)
-			r1, err := core.Lamb1(fs, orders)
+			r1, err := s.Lamb1(fs, orders)
 			if err != nil {
 				panic(err)
 			}

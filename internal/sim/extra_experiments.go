@@ -44,10 +44,10 @@ func runTorusCompare(cfg Config) *Table {
 	for _, faults := range []int{4, 8, 14} {
 		var meshL, torusL Agg
 		var mu sync.Mutex
-		ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand) {
+		ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand, s *core.Solver) {
 			mm := mesh.MustNew(12, 12)
 			fm := mesh.RandomNodeFaults(mm, faults, rng)
-			resM, err := core.Lamb1(fm, orders)
+			resM, err := s.Lamb1(fm, orders)
 			if err != nil {
 				panic(err)
 			}
@@ -169,10 +169,10 @@ func runLinkFaults(cfg Config) *Table {
 		var lambs Agg
 		verified := true
 		var mu sync.Mutex
-		ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand) {
+		ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand, s *core.Solver) {
 			fs := mesh.RandomNodeFaults(m, nNodes, rng)
 			mesh.RandomLinkFaults(fs, nLinks, rng)
-			res, err := core.Lamb1(fs, orders)
+			res, err := s.Lamb1(fs, orders)
 			if err != nil {
 				panic(err)
 			}
@@ -256,9 +256,9 @@ func runBlockfault(cfg Config) *Table {
 		var lambs, inact, turns Agg
 		var maxTurns int
 		var mu sync.Mutex
-		ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand) {
+		ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand, s *core.Solver) {
 			fs := mesh.RandomNodeFaults(m, faults, rng)
-			res, err := core.Lamb1(fs, orders)
+			res, err := s.Lamb1(fs, orders)
 			if err != nil {
 				panic(err)
 			}

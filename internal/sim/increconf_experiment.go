@@ -94,19 +94,15 @@ func liveRecomputeStall(m *mesh.Mesh, seed int64) time.Duration {
 	rng := rand.New(rand.NewSource(seed))
 	fs := mesh.RandomNodeFaults(m, 8, rng)
 	orders := routing.UniformAscending(m.Dims(), 2)
-	rec, err := core.NewReconfigurer(m, orders, true)
+	strat, err := wormhole.NewLambStrategy(fs, orders)
 	if err != nil {
-		panic(err)
-	}
-	rec.Workers = 1
-	if _, err := rec.AddFaults(fs.NodeFaults(), nil); err != nil {
 		panic(err)
 	}
 	// The event: two fresh node faults, drawn from the trial seed.
 	var nodes []mesh.Coord
 	for len(nodes) < 2 {
 		c := m.CoordOf(rng.Int63n(m.Nodes()))
-		dup := rec.Faults().NodeFaulty(c)
+		dup := strat.Faults().NodeFaulty(c)
 		for _, p := range nodes {
 			dup = dup || p.Equal(c)
 		}
@@ -114,8 +110,7 @@ func liveRecomputeStall(m *mesh.Mesh, seed int64) time.Duration {
 			nodes = append(nodes, c)
 		}
 	}
-	o := routing.NewOracle(rec.Faults())
-	packets, err := wormhole.GenerateWorkload(o, orders, rec.Lambs(), wormhole.WorkloadSpec{
+	packets, _, err := wormhole.GenerateStrategyWorkload(strat, wormhole.WorkloadSpec{
 		Pattern:     wormhole.PatternUniform,
 		Rate:        0.01,
 		PacketFlits: 8,
@@ -128,11 +123,10 @@ func liveRecomputeStall(m *mesh.Mesh, seed int64) time.Duration {
 		Net:           wormhole.DefaultConfig(),
 		WarmupCycles:  warmup,
 		MeasureCycles: measure,
-		Nodes:         len(wormhole.Survivors(rec.Faults(), rec.Lambs())),
+		Nodes:         len(wormhole.Survivors(strat.Faults(), strat.Sacrificed())),
 	}, wormhole.LiveConfig{
 		Schedule:  wormhole.FaultSchedule{Events: []wormhole.FaultEvent{{Cycle: warmup + measure/2, Nodes: nodes}}},
-		Reconf:    rec,
-		Orders:    orders,
+		Strategy:  strat,
 		RouteSeed: rng.Int63(),
 	}, packets)
 	if err != nil {

@@ -34,7 +34,10 @@ func runWormRecovery(cfg Config) *Table {
 	for _, widths := range [][]int{{16, 16}, {8, 8, 8}} {
 		m := mesh.MustNew(widths...)
 		fs := mesh.RandomNodeFaults(m, 8, rand.New(rand.NewSource(cfg.Seed)))
-		orders := routing.UniformAscending(m.Dims(), 2)
+		lamb, err := wormhole.NewStrategyBuilder("lamb", routing.UniformAscending(m.Dims(), 2))
+		if err != nil {
+			panic(err)
+		}
 		for _, size := range []int{1, 2, 4} {
 			// The event's nodes are drawn once per (mesh, size) from the
 			// config seed, so the row is a pure function of cfg.
@@ -60,11 +63,12 @@ func runWormRecovery(cfg Config) *Table {
 				Net:         wormhole.DefaultConfig(),
 				Seed:        cfg.Seed,
 				Workers:     cfg.Workers,
+				Strategy:    lamb,
 				Schedule: wormhole.FaultSchedule{Events: []wormhole.FaultEvent{
 					{Cycle: warmup + measure/2, Nodes: nodes},
 				}},
 			}
-			pts, err := wormhole.RunSweep(fs, orders, nil, spec)
+			pts, err := wormhole.RunSweep(fs, spec)
 			if err != nil {
 				panic(err)
 			}

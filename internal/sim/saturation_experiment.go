@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"lambmesh/internal/core"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/routing"
 	"lambmesh/internal/wormhole"
@@ -26,7 +25,7 @@ func runWormSaturation(cfg Config) *Table {
 	m := mesh.MustNew(16, 16)
 	fs := mesh.RandomNodeFaults(m, 8, rand.New(rand.NewSource(cfg.Seed)))
 	orders := routing.UniformAscending(2, 2)
-	res, err := core.Lamb1(fs, orders)
+	lamb, err := wormhole.NewStrategyBuilder("lamb", orders)
 	if err != nil {
 		panic(err)
 	}
@@ -40,12 +39,13 @@ func runWormSaturation(cfg Config) *Table {
 		Net:         wormhole.DefaultConfig(),
 		Seed:        cfg.Seed,
 		Workers:     cfg.Workers,
+		Strategy:    lamb,
 	}
-	lamb, err := wormhole.RunSweep(fs, orders, res.Lambs, spec)
+	faulty, err := wormhole.RunSweep(fs, spec)
 	if err != nil {
 		panic(err)
 	}
-	base, err := wormhole.RunSweep(mesh.NewFaultSet(m), orders, nil, spec)
+	base, err := wormhole.RunSweep(mesh.NewFaultSet(m), spec)
 	if err != nil {
 		panic(err)
 	}
@@ -55,7 +55,7 @@ func runWormSaturation(cfg Config) *Table {
 		Paper:   "Section 1 requirements: wormhole routing with one VC per round; the open-loop latency-vs-rate curve is the standard evaluation",
 		Columns: []string{"rate", "lamb accepted", "lamb avg lat", "lamb p99", "lamb sat", "base accepted", "base avg lat", "base p99", "base sat"},
 	}
-	for i, lp := range lamb {
+	for i, lp := range faulty {
 		bp := base[i]
 		t.AddRow(fmt.Sprint(lp.Rate),
 			fmt.Sprintf("%.4f", lp.AcceptedFlitRate), F(lp.MeanLatency), F(lp.P99Latency), fmt.Sprint(lp.Saturated),

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"lambmesh/internal/core"
 	"lambmesh/internal/mesh"
 )
 
@@ -66,7 +67,7 @@ func TestForEachTrialDeterministic(t *testing.T) {
 	run := func(workers int) []int64 {
 		out := make([]int64, 16)
 		var mu sync.Mutex
-		ForEachTrial(Config{Seed: 7, Workers: workers}, 16, func(trial int, rng *rand.Rand) {
+		ForEachTrial(Config{Seed: 7, Workers: workers}, 16, func(trial int, rng *rand.Rand, _ *core.Solver) {
 			v := rng.Int63()
 			mu.Lock()
 			out[trial] = v

@@ -79,7 +79,7 @@ func runTopoCompare(cfg Config) *Table {
 			Strategy:       builder,
 			StrategyStream: si,
 		}
-		pts, err := wormhole.RunSweep(fs, orders, nil, spec)
+		pts, err := wormhole.RunSweep(fs, spec)
 		if err != nil {
 			panic(err)
 		}

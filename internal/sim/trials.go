@@ -37,22 +37,14 @@ func (c Config) trials() int {
 	return 100
 }
 
-// ForEachTrial runs fn(trial, rng) for trial = 0..trials-1 on a worker
+// ForEachTrial runs fn(trial, rng, s) for trial = 0..trials-1 on a worker
 // pool. Each trial gets its own deterministic RNG, so results do not depend
-// on scheduling.
-func ForEachTrial(cfg Config, trials int, fn func(trial int, rng *rand.Rand)) {
-	ForEachTrialSolver(cfg, trials, func(t int, rng *rand.Rand, _ *core.Solver) {
-		fn(t, rng)
-	})
-}
-
-// ForEachTrialSolver is ForEachTrial handing each worker goroutine one
-// long-lived core.Solver, so per-trial lamb computations amortize their
-// scratch across the whole run instead of allocating per trial. A Solver is
-// confined to its worker (it is not safe for concurrent use); trial results
-// stay independent of scheduling because the Solver only carries buffers,
+// on scheduling. Each worker goroutine hands its trials one long-lived
+// core.Solver, so per-trial lamb computations amortize their scratch across
+// the whole run instead of allocating per trial; a Solver is confined to
+// its worker (it is not safe for concurrent use) and only carries buffers,
 // never results.
-func ForEachTrialSolver(cfg Config, trials int, fn func(trial int, rng *rand.Rand, s *core.Solver)) {
+func ForEachTrial(cfg Config, trials int, fn func(trial int, rng *rand.Rand, s *core.Solver)) {
 	workers := cfg.workers()
 	if workers > trials {
 		workers = trials
@@ -93,33 +85,13 @@ type LambObservation struct {
 }
 
 // RunLambTrial draws `faults` random node faults on the mesh and runs Lamb1
-// with k rounds of ascending (e-cube) ordering, timing just the algorithm
-// (fault generation excluded, matching the paper's running-time figure).
-// The trial itself is single-threaded (workers=1): ForEachTrial already
-// saturates the machine with concurrent trials, so nesting per-trial
-// parallelism would only add scheduling noise to the timings.
-func RunLambTrial(m *mesh.Mesh, faults, k int, rng *rand.Rand) LambObservation {
-	return RunLambTrialSolver(m, faults, k, rng, core.NewSolver())
-}
-
-// RunLambTrialSolver is RunLambTrial computing through the caller's Solver —
-// the steady-state form the trial pools and benchmarks use, where the same
-// Solver serves every trial a worker runs. The observation is identical to
-// RunLambTrial's for the same rng stream.
-func RunLambTrialSolver(m *mesh.Mesh, faults, k int, rng *rand.Rand, s *core.Solver) LambObservation {
-	return RunLambTrialSolverWorkers(m, faults, k, 1, rng, s)
-}
-
-// RunLambTrialWorkers is RunLambTrial with an explicit worker-pool size for
-// the Lamb1 reachability kernels (<= 0 means NumCPU). The benchmarks use it
-// to measure the single-trial hot path at workers=1 vs workers=NumCPU.
-func RunLambTrialWorkers(m *mesh.Mesh, faults, k, workers int, rng *rand.Rand) LambObservation {
-	return RunLambTrialSolverWorkers(m, faults, k, workers, rng, core.NewSolver())
-}
-
-// RunLambTrialSolverWorkers is the fully explicit trial: caller's Solver,
-// caller's worker-pool size. Every other Run* form delegates here.
-func RunLambTrialSolverWorkers(m *mesh.Mesh, faults, k, workers int, rng *rand.Rand, s *core.Solver) LambObservation {
+// through s with k rounds of ascending (e-cube) ordering on a pool of
+// `workers` reachability workers (<= 0 means NumCPU), timing just the
+// algorithm (fault generation excluded, matching the paper's running-time
+// figure). The trial pools pass workers=1: ForEachTrial already saturates
+// the machine with concurrent trials, so nesting per-trial parallelism
+// would only add scheduling noise to the timings.
+func RunLambTrial(m *mesh.Mesh, faults, k, workers int, rng *rand.Rand, s *core.Solver) LambObservation {
 	fs := mesh.RandomNodeFaults(m, faults, rng)
 	start := time.Now()
 	res, err := s.Lamb1(fs, routing.UniformAscending(m.Dims(), k), core.WithWorkers(workers))
@@ -146,8 +118,8 @@ type PointStats struct {
 func RunLambPoint(cfg Config, m *mesh.Mesh, faults, k int) *PointStats {
 	ps := &PointStats{Faults: faults}
 	var mu sync.Mutex
-	ForEachTrialSolver(cfg, cfg.trials(), func(_ int, rng *rand.Rand, s *core.Solver) {
-		obs := RunLambTrialSolver(m, faults, k, rng, s)
+	ForEachTrial(cfg, cfg.trials(), func(_ int, rng *rand.Rand, s *core.Solver) {
+		obs := RunLambTrial(m, faults, k, 1, rng, s)
 		mu.Lock()
 		ps.Lambs.Add(float64(obs.Lambs))
 		ps.SES.Add(float64(obs.SES))

@@ -35,20 +35,13 @@ type LiveConfig struct {
 	Schedule FaultSchedule
 	// Strategy owns the evolving routing configuration: its fault set must
 	// already hold the faults the workload was routed around, and the
-	// engine mutates it (AddFaults) as events apply. When nil, the legacy
-	// Reconf+Orders pair below is wrapped into a lamb strategy, preserving
-	// the original behavior bit for bit.
+	// engine mutates it (AddFaults) as events apply.
 	Strategy RouteStrategy
-	// Reconf owns the evolving fault/lamb configuration (legacy lamb path;
-	// ignored when Strategy is set). The engine shares its fault set, so
-	// the Reconfigurer must already hold the faults the workload was routed
-	// around, and must not be mutated elsewhere during the run. KeepLambs
-	// should be set: a survivor that silently becomes a lamb mid-run loses
-	// its queued traffic.
+	// Reconf and Orders are a perfbench-only shim, used when Strategy is
+	// nil: the caller-owned Reconfigurer (KeepLambs set, holding the
+	// workload's faults, not mutated elsewhere during the run) and the
+	// workload's k-round ordering are wrapped into a lamb strategy.
 	Reconf *core.Reconfigurer
-	// Orders is the k-round dimension ordering used to reroute traffic
-	// (the same MultiOrder the workload was generated with; legacy lamb
-	// path only).
 	Orders routing.MultiOrder
 	// RouteSeed seeds the rng used for rerouting draws, keeping live runs
 	// a pure function of (workload, schedule, RouteSeed).

@@ -177,9 +177,10 @@ func TestLiveSweepDeterministicAcrossWorkers(t *testing.T) {
 			Schedule: FaultSchedule{Events: []FaultEvent{
 				{Cycle: 180, Nodes: []mesh.Coord{mesh.C(4, 4)}},
 			}},
-			MTBF: 500,
+			MTBF:     500,
+			Strategy: mustBuilder(t, "lamb", orders),
 		}
-		pts, err := RunSweep(f, orders, nil, spec)
+		pts, err := RunSweep(f, spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,8 +92,7 @@ func NewStrategyBuilder(name string, orders routing.MultiOrder) (StrategyBuilder
 
 // LambStrategy is the paper's method as a RouteStrategy: a Reconfigurer
 // maintains the lamb set under growing faults, and routes are the k-round
-// dimension-ordered routes of RouteMessage (so this path is byte-identical
-// to the pre-strategy code for the same rng stream).
+// dimension-ordered routes of RouteMessage.
 type LambStrategy struct {
 	rec    *core.Reconfigurer // nil for a static view over a fixed lamb set
 	orders routing.MultiOrder
@@ -102,20 +101,15 @@ type LambStrategy struct {
 }
 
 // NewLambStrategy builds the reconfigurable lamb strategy over f. Meshes
-// and hypercubes run the rectangular pipeline; tori take the generic
-// (TorusLamb) path; full meshes are rejected — the lamb method solves a
-// problem the complete network does not have.
+// and hypercubes run the rectangular pipeline and tori the generic
+// (TorusLamb) path, as core.NewReconfigurer picks; full meshes are
+// rejected — the lamb method solves a problem the complete network does
+// not have.
 func NewLambStrategy(f *mesh.FaultSet, orders routing.MultiOrder) (*LambStrategy, error) {
-	var rec *core.Reconfigurer
-	var err error
-	switch f.Topology().Tag() {
-	case "fullmesh":
+	if f.Topology().Tag() == "fullmesh" {
 		return nil, fmt.Errorf("wormhole: lamb strategy does not support the full-mesh topology (use the direct strategy)")
-	case "torus":
-		rec, err = core.NewGenericReconfigurer(f.Mesh(), orders, true)
-	default:
-		rec, err = core.NewReconfigurer(f.Mesh(), orders, true)
 	}
+	rec, err := core.NewReconfigurer(f.Mesh(), orders, true)
 	if err != nil {
 		return nil, err
 	}
@@ -125,17 +119,18 @@ func NewLambStrategy(f *mesh.FaultSet, orders routing.MultiOrder) (*LambStrategy
 			return nil, err
 		}
 	}
-	return &LambStrategy{rec: rec, orders: orders, o: routing.NewOracle(rec.Faults())}, nil
+	return wrapReconfigurer(rec, orders), nil
 }
 
-// wrapReconfigurer adapts a caller-owned Reconfigurer (the live engine's
-// legacy LiveConfig.Reconf path) into a strategy.
+// wrapReconfigurer adapts a caller-owned Reconfigurer into a strategy: the
+// NewLambStrategy body, and the LiveConfig.Reconf/Orders shim that only
+// perfbench's traffic workload still sets.
 func wrapReconfigurer(rec *core.Reconfigurer, orders routing.MultiOrder) *LambStrategy {
 	return &LambStrategy{rec: rec, orders: orders, o: routing.NewOracle(rec.Faults())}
 }
 
 // lambView is the static strategy over a precomputed lamb set — the shape
-// of the legacy GenerateWorkload arguments. AddFaults is rejected.
+// of the GenerateWorkload arguments. AddFaults is rejected.
 func lambView(o *routing.Oracle, orders routing.MultiOrder, lambs []mesh.Coord) *LambStrategy {
 	return &LambStrategy{orders: orders, o: o, lambs: lambs}
 }

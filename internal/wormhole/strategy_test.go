@@ -113,7 +113,7 @@ func checkStrategyRoute(t *testing.T, name string, m *mesh.Mesh, f *mesh.FaultSe
 	t.Helper()
 	switch name {
 	case "lamb":
-		// Full legacy discipline: round monotonicity and per-round
+		// Full lamb discipline: round monotonicity and per-round
 		// dimension order on top of the common checks.
 		checkRouteProperties(t, m, f, sacrificedAt, routing.UniformAscending(m.Dims(), 2), msg)
 		return
@@ -293,7 +293,7 @@ func TestStrategySweepWorkerDeterminism(t *testing.T) {
 				s.Rates = []float64{0.02}
 				s.Schedule = FaultSchedule{Events: []FaultEvent{{Cycle: 80, Nodes: []mesh.Coord{mesh.C(6, 6)}}}}
 			}
-			pts, err := RunSweep(f, orders, nil, s)
+			pts, err := RunSweep(f, s)
 			if err != nil {
 				t.Fatalf("%s workers=%d live=%v: %v", name, workers, live, err)
 			}
@@ -338,7 +338,7 @@ func TestSweepStrategyStreamSeparation(t *testing.T) {
 	at := func(stream int) []SweepPoint {
 		s := spec
 		s.StrategyStream = stream
-		pts, err := RunSweep(f, orders, nil, s)
+		pts, err := RunSweep(f, s)
 		if err != nil {
 			t.Fatal(err)
 		}

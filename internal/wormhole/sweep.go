@@ -10,10 +10,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"lambmesh/internal/core"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/par"
-	"lambmesh/internal/routing"
 )
 
 // SweepSpec describes an injection-rate saturation sweep.
@@ -41,25 +39,22 @@ type SweepSpec struct {
 	// Schedule injects the listed fault events into every cell's run
 	// (NewLiveEngine); MTBF additionally draws per-cell random single-node
 	// events with the given mean inter-arrival time in cycles (0 disables).
-	// Either makes the sweep a live sweep: each cell then carries its own
-	// core.Reconfigurer, the lamb set is the Reconfigurer's (the lambs
-	// argument of RunSweep is ignored), and results stay deterministic at
-	// any worker count. Live sweeps require a mesh (not a torus).
+	// Either makes the sweep a live sweep, whose results stay deterministic
+	// at any worker count.
 	Schedule FaultSchedule
 	MTBF     float64
 
-	// Strategy, when set, routes every cell through the given RouteStrategy
-	// builder instead of the legacy lamb arguments (orders and lambs are
-	// then ignored except by the builder itself). Static sweeps build one
-	// strategy and share it across cells (Route is concurrent-safe); live
-	// sweeps build one per cell over a private fault-set clone so mid-run
-	// events stay cell-local.
+	// Strategy builds the RouteStrategy every cell routes through (for the
+	// paper's method, NewStrategyBuilder("lamb", orders)); it is required.
+	// Static sweeps build one strategy and share it across cells (Route is
+	// concurrent-safe); live sweeps build one per cell over a private
+	// fault-set clone so mid-run events stay cell-local.
 	Strategy StrategyBuilder
 	// StrategyStream offsets the per-cell seed stream so sweeps over
 	// different strategies draw disjoint trial seeds from the same base
 	// Seed: cell (rate ri, trial ti) uses stream
-	// StrategyStream*strategyStreamStride + ri. Zero (the lamb position in
-	// StrategyNames) preserves the legacy stream assignment exactly.
+	// StrategyStream*strategyStreamStride + ri. Use the strategy's position
+	// in StrategyNames (0 for lamb).
 	StrategyStream int
 }
 
@@ -99,11 +94,14 @@ type SweepPoint struct {
 }
 
 // RunSweep runs Trials independent engine runs at every rate over the given
-// faulty mesh and lamb set, fanning the (rate, trial) cells out over the
-// worker pool. The oracle is built once and shared (it is safe for
-// concurrent reads); each cell generates, routes, and simulates its own
-// workload. Results are deterministic for any worker count.
-func RunSweep(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coord, spec SweepSpec) ([]SweepPoint, error) {
+// faulty network, routed through spec.Strategy, fanning the (rate, trial)
+// cells out over the worker pool. Each cell generates, routes, and
+// simulates its own workload. Results are deterministic for any worker
+// count.
+func RunSweep(f *mesh.FaultSet, spec SweepSpec) ([]SweepPoint, error) {
+	if spec.Strategy == nil {
+		return nil, fmt.Errorf("wormhole: sweep needs a strategy")
+	}
 	if len(spec.Rates) == 0 {
 		return nil, fmt.Errorf("wormhole: sweep needs at least one rate")
 	}
@@ -124,23 +122,16 @@ func RunSweep(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coord, s
 	if spec.StrategyStream < 0 {
 		return nil, fmt.Errorf("wormhole: negative strategy stream %d", spec.StrategyStream)
 	}
-	live := spec.Live()
-	if live {
+	var shared RouteStrategy
+	if spec.Live() {
 		if err := spec.Schedule.Validate(f.Mesh()); err != nil {
 			return nil, err
 		}
-	}
-	var o *routing.Oracle
-	if spec.Strategy == nil {
-		o = routing.NewOracle(f)
-	}
-	var strat RouteStrategy
-	if spec.Strategy != nil && !live {
+	} else {
 		// One shared strategy for the whole static sweep; Route is
 		// concurrent-safe once built.
 		var err error
-		strat, err = spec.Strategy(f)
-		if err != nil {
+		if shared, err = spec.Strategy(f); err != nil {
 			return nil, err
 		}
 	}
@@ -155,18 +146,7 @@ func RunSweep(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coord, s
 		// other's trial seeds.
 		stream := spec.StrategyStream*strategyStreamStride + ri
 		rng := rand.New(rand.NewSource(par.TrialSeed(spec.Seed, stream, ti)))
-		var res EngineResult
-		var err error
-		switch {
-		case spec.Strategy != nil && live:
-			res, err = runStrategyLiveCell(f, spec, spec.Rates[ri], rng)
-		case spec.Strategy != nil:
-			res, err = runStrategyCell(strat, spec, spec.Rates[ri], rng)
-		case live:
-			res, err = runLiveCell(f, orders, spec, spec.Rates[ri], rng)
-		default:
-			res, err = runCell(o, orders, lambs, spec, spec.Rates[ri], rng)
-		}
+		res, err := runCell(f, shared, spec, spec.Rates[ri], rng)
 		if err != nil {
 			errs[ci] = fmt.Errorf("rate %v trial %d: %w", spec.Rates[ri], ti, err)
 			return
@@ -232,93 +212,18 @@ func RunSweep(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coord, s
 	return points, nil
 }
 
-// runCell is one (rate, trial) cell: generate, build, run.
-func runCell(o *routing.Oracle, orders routing.MultiOrder, lambs []mesh.Coord,
-	spec SweepSpec, rate float64, rng *rand.Rand) (EngineResult, error) {
-	wl := WorkloadSpec{
-		Pattern:         spec.Pattern,
-		Rate:            rate,
-		PacketFlits:     spec.PacketFlits,
-		Cycles:          spec.Warmup + spec.Measure,
-		HotspotFraction: spec.HotspotFraction,
-	}
-	packets, err := GenerateWorkload(o, orders, lambs, wl, spec.Net.VirtualChannels, rng)
-	if err != nil {
-		return EngineResult{}, err
-	}
-	nodes := survivorCount(o.Faults(), lambs)
-	eng, err := NewEngine(o.Faults(), EngineConfig{
-		Net:           spec.Net,
-		WarmupCycles:  spec.Warmup,
-		MeasureCycles: spec.Measure,
-		DrainCycles:   spec.Drain,
-		Nodes:         nodes,
-	}, packets)
-	if err != nil {
-		return EngineResult{}, err
-	}
-	return eng.Run(), nil
-}
-
-// runLiveCell is one (rate, trial) cell of a live sweep. Each cell owns a
-// core.Reconfigurer seeded with the sweep's initial fault set (so mid-run
-// events can evolve it independently of the other cells) and uses the
-// Reconfigurer's lamb set for traffic endpoints. The workload draw consumes
-// the cell rng exactly as runCell does, so a live sweep with an empty
-// schedule and zero MTBF would generate the identical workloads.
-func runLiveCell(f *mesh.FaultSet, orders routing.MultiOrder,
-	spec SweepSpec, rate float64, rng *rand.Rand) (EngineResult, error) {
-	rec, err := core.NewReconfigurer(f.Mesh(), orders, true)
-	if err != nil {
-		return EngineResult{}, err
-	}
-	rec.Workers = 1 // the sweep already parallelizes across cells
-	if f.Count() > 0 {
-		if _, err := rec.AddFaults(f.NodeFaults(), f.LinkFaults()); err != nil {
+// runCell is one (rate, trial) cell: generate, build, run. A static cell
+// routes through the sweep's shared strategy; a live cell builds its own
+// over a private clone of the initial fault set, so mid-run events evolve
+// it independently of the other cells.
+func runCell(f *mesh.FaultSet, s RouteStrategy, spec SweepSpec, rate float64, rng *rand.Rand) (EngineResult, error) {
+	live := spec.Live()
+	if live {
+		var err error
+		if s, err = spec.Strategy(f.Clone()); err != nil {
 			return EngineResult{}, err
 		}
 	}
-	o := routing.NewOracle(rec.Faults())
-	wl := WorkloadSpec{
-		Pattern:         spec.Pattern,
-		Rate:            rate,
-		PacketFlits:     spec.PacketFlits,
-		Cycles:          spec.Warmup + spec.Measure,
-		HotspotFraction: spec.HotspotFraction,
-	}
-	packets, err := GenerateWorkload(o, orders, rec.Lambs(), wl, spec.Net.VirtualChannels, rng)
-	if err != nil {
-		return EngineResult{}, err
-	}
-	sched := spec.Schedule
-	if spec.MTBF > 0 {
-		random := RandomSchedule(rec.Faults(), spec.MTBF, spec.Warmup+spec.Measure, rng)
-		merged := FaultSchedule{Events: append(append([]FaultEvent(nil), sched.Events...), random.Events...)}
-		sched = merged
-	}
-	nodes := survivorCount(rec.Faults(), rec.Lambs())
-	eng, err := NewLiveEngine(EngineConfig{
-		Net:           spec.Net,
-		WarmupCycles:  spec.Warmup,
-		MeasureCycles: spec.Measure,
-		DrainCycles:   spec.Drain,
-		Nodes:         nodes,
-	}, LiveConfig{
-		Schedule:  sched,
-		Reconf:    rec,
-		Orders:    orders,
-		RouteSeed: rng.Int63(),
-	}, packets)
-	if err != nil {
-		return EngineResult{}, err
-	}
-	return eng.RunLive()
-}
-
-// runStrategyCell is one (rate, trial) cell routed through a shared
-// strategy. The workload draw consumes the cell rng exactly as runCell
-// does for the lamb strategy.
-func runStrategyCell(s RouteStrategy, spec SweepSpec, rate float64, rng *rand.Rand) (EngineResult, error) {
 	wl := WorkloadSpec{
 		Pattern:         spec.Pattern,
 		Rate:            rate,
@@ -330,53 +235,26 @@ func runStrategyCell(s RouteStrategy, spec SweepSpec, rate float64, rng *rand.Ra
 	if err != nil {
 		return EngineResult{}, err
 	}
-	nodes := survivorCount(s.Faults(), s.Sacrificed())
-	eng, err := NewEngine(s.Faults(), EngineConfig{
+	cfg := EngineConfig{
 		Net:           spec.Net,
 		WarmupCycles:  spec.Warmup,
 		MeasureCycles: spec.Measure,
 		DrainCycles:   spec.Drain,
-		Nodes:         nodes,
-	}, packets)
-	if err != nil {
-		return EngineResult{}, err
+		Nodes:         survivorCount(s.Faults(), s.Sacrificed()),
 	}
-	return eng.Run(), nil
-}
-
-// runStrategyLiveCell is one (rate, trial) cell of a strategy live sweep.
-// Each cell builds its own strategy over a private clone of the initial
-// fault set, so mid-run events evolve it independently of the other cells.
-func runStrategyLiveCell(f *mesh.FaultSet, spec SweepSpec, rate float64, rng *rand.Rand) (EngineResult, error) {
-	s, err := spec.Strategy(f.Clone())
-	if err != nil {
-		return EngineResult{}, err
-	}
-	wl := WorkloadSpec{
-		Pattern:         spec.Pattern,
-		Rate:            rate,
-		PacketFlits:     spec.PacketFlits,
-		Cycles:          spec.Warmup + spec.Measure,
-		HotspotFraction: spec.HotspotFraction,
-	}
-	packets, _, err := GenerateStrategyWorkload(s, wl, spec.Net.VirtualChannels, rng)
-	if err != nil {
-		return EngineResult{}, err
+	if !live {
+		eng, err := NewEngine(s.Faults(), cfg, packets)
+		if err != nil {
+			return EngineResult{}, err
+		}
+		return eng.Run(), nil
 	}
 	sched := spec.Schedule
 	if spec.MTBF > 0 {
 		random := RandomSchedule(s.Faults(), spec.MTBF, spec.Warmup+spec.Measure, rng)
-		merged := FaultSchedule{Events: append(append([]FaultEvent(nil), sched.Events...), random.Events...)}
-		sched = merged
+		sched = FaultSchedule{Events: append(append([]FaultEvent(nil), sched.Events...), random.Events...)}
 	}
-	nodes := survivorCount(s.Faults(), s.Sacrificed())
-	eng, err := NewLiveEngine(EngineConfig{
-		Net:           spec.Net,
-		WarmupCycles:  spec.Warmup,
-		MeasureCycles: spec.Measure,
-		DrainCycles:   spec.Drain,
-		Nodes:         nodes,
-	}, LiveConfig{
+	eng, err := NewLiveEngine(cfg, LiveConfig{
 		Schedule:  sched,
 		Strategy:  s,
 		RouteSeed: rng.Int63(),

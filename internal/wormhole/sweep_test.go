@@ -6,24 +6,26 @@ import (
 	"runtime"
 	"testing"
 
-	"lambmesh/internal/core"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/routing"
 )
 
-func sweepFixture(t *testing.T) (*mesh.FaultSet, routing.MultiOrder, []mesh.Coord) {
+func sweepFixture() *mesh.FaultSet {
+	return mesh.RandomNodeFaults(mesh.MustNew(8, 8), 4, rand.New(rand.NewSource(2)))
+}
+
+// mustBuilder is NewStrategyBuilder for a name known to be valid.
+func mustBuilder(t *testing.T, name string, orders routing.MultiOrder) StrategyBuilder {
 	t.Helper()
-	m := mesh.MustNew(8, 8)
-	f := mesh.RandomNodeFaults(m, 4, rand.New(rand.NewSource(2)))
-	orders := routing.UniformAscending(2, 2)
-	res, err := core.Lamb1(f, orders)
+	b, err := NewStrategyBuilder(name, orders)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f, orders, res.Lambs
+	return b
 }
 
-func smallSweepSpec(workers int) SweepSpec {
+// smallSweepSpec is a 2-round lamb sweep on a 2-D network.
+func smallSweepSpec(t *testing.T, workers int) SweepSpec {
 	return SweepSpec{
 		Rates:       []float64{0.005, 0.02, 0.08},
 		Trials:      3,
@@ -34,6 +36,7 @@ func smallSweepSpec(workers int) SweepSpec {
 		Net:         DefaultConfig(),
 		Seed:        42,
 		Workers:     workers,
+		Strategy:    mustBuilder(t, "lamb", routing.UniformAscending(2, 2)),
 	}
 }
 
@@ -41,10 +44,10 @@ func smallSweepSpec(workers int) SweepSpec {
 // contract: the sweep's numbers are a function of the seed alone, not of
 // the worker count or goroutine scheduling.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
-	f, orders, lambs := sweepFixture(t)
+	f := sweepFixture()
 	var baseline []SweepPoint
 	for _, workers := range []int{1, 2, runtime.NumCPU()} {
-		points, err := RunSweep(f, orders, lambs, smallSweepSpec(workers))
+		points, err := RunSweep(f, smallSweepSpec(t, workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -62,10 +65,10 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 // asks for: mean latency grows with injection rate, and the top of a wide
 // enough sweep saturates.
 func TestSweepLatencyMonotone(t *testing.T) {
-	f, orders, lambs := sweepFixture(t)
-	spec := smallSweepSpec(0)
+	f := sweepFixture()
+	spec := smallSweepSpec(t, 0)
 	spec.Rates = []float64{0.002, 0.01, 0.05, 0.2}
-	points, err := RunSweep(f, orders, lambs, spec)
+	points, err := RunSweep(f, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,16 +92,17 @@ func TestSweepLatencyMonotone(t *testing.T) {
 }
 
 func TestSweepValidation(t *testing.T) {
-	f, orders, lambs := sweepFixture(t)
+	f := sweepFixture()
 	for _, breakIt := range []func(*SweepSpec){
 		func(s *SweepSpec) { s.Rates = nil },
 		func(s *SweepSpec) { s.Trials = 0 },
 		func(s *SweepSpec) { s.Rates = []float64{0.5, -1} },
 		func(s *SweepSpec) { s.Rates = []float64{1.5} },
+		func(s *SweepSpec) { s.Strategy = nil },
 	} {
-		spec := smallSweepSpec(1)
+		spec := smallSweepSpec(t, 1)
 		breakIt(&spec)
-		if _, err := RunSweep(f, orders, lambs, spec); err == nil {
+		if _, err := RunSweep(f, spec); err == nil {
 			t.Fatalf("RunSweep accepted invalid spec %+v", spec)
 		}
 	}
@@ -109,15 +113,15 @@ func TestSweepValidation(t *testing.T) {
 // cannot be slower than the faulty one by more than noise, and both
 // deliver everything.
 func TestSweepFaultFreeBaselineFaster(t *testing.T) {
-	f, orders, lambs := sweepFixture(t)
-	spec := smallSweepSpec(0)
+	f := sweepFixture()
+	spec := smallSweepSpec(t, 0)
 	spec.Rates = []float64{0.01}
-	faulty, err := RunSweep(f, orders, lambs, spec)
+	faulty, err := RunSweep(f, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	free := mesh.NewFaultSet(f.Mesh())
-	baseline, err := RunSweep(free, orders, nil, spec)
+	baseline, err := RunSweep(free, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -371,7 +371,7 @@ func checkMatrixPairs(t *testing.T, tc topoCase, name string) {
 // and NumCPU, static and (where an event is configured) live.
 func checkMatrixSweepDeterminism(t *testing.T, tc topoCase, name string, stream int) {
 	t.Helper()
-	_, builder, f, orders := matrixStrategy(t, tc, name, 41)
+	_, builder, f, _ := matrixStrategy(t, tc, name, 41)
 	cfg := DefaultConfig()
 	cfg.VirtualChannels = tc.vcs
 	spec := SweepSpec{
@@ -392,7 +392,7 @@ func checkMatrixSweepDeterminism(t *testing.T, tc topoCase, name string, stream 
 		if live {
 			s.Schedule = FaultSchedule{Events: []FaultEvent{{Cycle: 80, Nodes: []mesh.Coord{tc.event}}}}
 		}
-		pts, err := RunSweep(f, orders, nil, s)
+		pts, err := RunSweep(f, s)
 		if err != nil {
 			t.Fatalf("%s on %s workers=%d live=%v: %v", name, tc.name, workers, live, err)
 		}

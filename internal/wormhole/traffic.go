@@ -173,8 +173,8 @@ func hotspotNode(m *mesh.Mesh, survivors []mesh.Coord) mesh.Coord {
 // generation order (ascending InjectAt; at most one per node per cycle).
 //
 // This is the lamb-strategy specialization of GenerateStrategyWorkload,
-// kept for the many callers that hold an (oracle, orders, lambs) triple;
-// both consume the rng stream identically.
+// kept for perfbench's traffic workload, which holds an (oracle, orders,
+// lambs) triple; both consume the rng stream identically.
 func GenerateWorkload(o *routing.Oracle, orders routing.MultiOrder, lambs []mesh.Coord,
 	spec WorkloadSpec, vcs int, rng *rand.Rand) ([]*Message, error) {
 	msgs, _, err := GenerateStrategyWorkload(lambView(o, orders, lambs), spec, vcs, rng)
@@ -182,14 +182,14 @@ func GenerateWorkload(o *routing.Oracle, orders routing.MultiOrder, lambs []mesh
 }
 
 // GenerateStrategyWorkload draws the open-loop workload through an
-// arbitrary RouteStrategy. The draw order matches GenerateWorkload exactly
-// (Bernoulli coin, pattern destination, route with random tie-breaks), so
-// the lamb strategy reproduces the legacy byte stream. Strategies that can
-// leave survivor pairs unreachable (fault rings across a full band, the
-// negative-first turn model around hostile clusters) get the nominal
-// destination redrawn uniformly a bounded number of times; a packet whose
-// redraws all fail is skipped and counted in the second return value, so
-// callers can report explicitly what the scheme could not serve.
+// arbitrary RouteStrategy. The draw order is fixed (Bernoulli coin,
+// pattern destination, route with random tie-breaks), so a lamb strategy
+// and GenerateWorkload over the same lamb set draw the same bytes.
+// Strategies that can leave survivor pairs unreachable (fault rings across
+// a full band, the negative-first turn model around hostile clusters) get
+// the nominal destination redrawn uniformly a bounded number of times; a
+// packet whose redraws all fail is skipped and counted in the second return
+// value, so callers can report explicitly what the scheme could not serve.
 func GenerateStrategyWorkload(s RouteStrategy, spec WorkloadSpec, vcs int,
 	rng *rand.Rand) ([]*Message, int, error) {
 	if spec.Rate <= 0 || spec.Rate > 1 {

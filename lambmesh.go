@@ -202,16 +202,11 @@ func VerifyLambSet(f *FaultSet, orders MultiOrder, lambs []Coord) error {
 // NewReconfigurer starts the roll-back/reconfigure loop (Section 1): fold
 // in newly detected faults with AddFaults and get a fresh verified lamb set
 // each generation. With keepLambs, lamb sets only grow (old lambs persist
-// unless they fail outright).
+// unless they fail outright). Tori recompute on the generic (TorusLamb)
+// path, at O(k N^2) per generation instead of the rectangular pipeline's
+// fault-polynomial cost.
 func NewReconfigurer(m *Mesh, orders MultiOrder, keepLambs bool) (*Reconfigurer, error) {
 	return core.NewReconfigurer(m, orders, keepLambs)
-}
-
-// NewGenericReconfigurer is the reconfiguration loop over the generic
-// (TorusLamb) solve: it accepts tori, at O(k N^2) per generation instead of
-// the rectangular pipeline's fault-polynomial cost.
-func NewGenericReconfigurer(m *Mesh, orders MultiOrder, keepLambs bool) (*Reconfigurer, error) {
-	return core.NewGenericReconfigurer(m, orders, keepLambs)
 }
 
 // WriteFaults serializes a fault set in the line-oriented lambmesh fault

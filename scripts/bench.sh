@@ -15,9 +15,10 @@
 # allocs/op per (benchmark, workers) pair plus per-benchmark speedups. On a
 # single-CPU machine only the workers=1 pass runs (there is nothing to
 # compare against) and a "speedup_skipped" marker records why the speedup
-# map is empty. The final benchcheck pass also enforces the allocation
-# budgets in scripts/benchcheck/budgets.json; after a deliberate change in
-# allocation behaviour, regenerate them with
+# map is empty. The new recording is checked by benchcheck (shape plus the
+# allocation budgets in scripts/benchcheck/budgets.json) before it replaces
+# OUT, so a failed check leaves the previous recording in place. After a
+# deliberate change in allocation behaviour, regenerate the budgets with
 # `go run ./scripts/benchcheck -write`.
 #
 # Usage:
@@ -71,7 +72,8 @@ if [ -f "$OUT" ]; then
 fi
 
 TMP="$(mktemp)"
-trap 'rm -f "$TMP"' EXIT
+REC="$(mktemp)"
+trap 'rm -f "$TMP" "$REC"' EXIT
 run_pass 1 >"$TMP"
 if [ "$NCPU" -gt 1 ]; then
     run_pass "$NCPU" >>"$TMP"
@@ -107,11 +109,16 @@ awk -v ncpu="$NCPU" -v gmp="$GMP" -v gover="$GOVER" -v date="$DATE" -v benchtime
         }
         printf "  }\n"
         printf "}\n"
-    }' "$TMP" >"$OUT"
+    }' "$TMP" >"$REC"
 
 if [ -n "$BASELINE" ]; then
-    awk -v b="$BASELINE" '/^  "speedup": \{$/ { print b } { print }' "$OUT" >"$OUT.tmp" && mv "$OUT.tmp" "$OUT"
+    awk -v b="$BASELINE" '/^  "speedup": \{$/ { print b } { print }' "$REC" >"$TMP" && cp "$TMP" "$REC"
 fi
 
+if ! go run ./scripts/benchcheck -file "$REC"; then
+    echo "bench.sh: check failed; $OUT left unchanged" >&2
+    exit 1
+fi
+chmod 0644 "$REC"
+mv "$REC" "$OUT"
 echo "bench.sh: wrote $OUT (num_cpu=$NCPU)" >&2
-go run ./scripts/benchcheck -file "$OUT"
