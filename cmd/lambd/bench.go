@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"lambmesh"
+	"lambmesh/internal/mesh"
 	"lambmesh/internal/server"
 	"lambmesh/internal/wire"
 )
@@ -64,7 +65,7 @@ func cmdBench(args []string, stdout io.Writer) error {
 	if _, err := getJSON(httpClient(*timeout), *addr+"/v1/config", &cfg); err != nil {
 		return fmt.Errorf("bench: discovering config: %w", err)
 	}
-	widths, err := parseWidths(cfg.Mesh)
+	widths, err := mesh.ParseWidths(cfg.Mesh)
 	if err != nil {
 		return err
 	}

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"lambmesh"
+	"lambmesh/internal/mesh"
 	"lambmesh/internal/server"
 	"lambmesh/internal/wire"
 )
@@ -106,9 +107,14 @@ func newServerFromFlags(meshSpec string, k int, keepLambs bool, loadPath string,
 		if err != nil {
 			return nil, err
 		}
+		// A full mesh's grid is the ring T_1(N): serving it would silently
+		// solve a different network.
+		if tag := initial.Topology().Tag(); tag == "fullmesh" {
+			return nil, fmt.Errorf("%s: lambd does not serve the %s topology (want mesh, torus, or hypercube)", loadPath, tag)
+		}
 		m = initial.Mesh()
 	} else {
-		widths, err := parseWidths(meshSpec)
+		widths, err := mesh.ParseWidths(meshSpec)
 		if err != nil {
 			return nil, err
 		}
@@ -374,19 +380,6 @@ func cmdMetrics(args []string, stdout io.Writer) error {
 	}
 	_, err = io.Copy(stdout, resp.Body)
 	return err
-}
-
-func parseWidths(s string) ([]int, error) {
-	parts := strings.Split(s, "x")
-	widths := make([]int, len(parts))
-	for i, p := range parts {
-		w, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad mesh spec %q: %v", s, err)
-		}
-		widths[i] = w
-	}
-	return widths, nil
 }
 
 // httpClient builds the client every subcommand queries through; a zero

@@ -26,6 +26,24 @@ func startDaemon(t *testing.T, meshSpec string, loadPath string) (*server.Server
 	return s, ts.URL
 }
 
+// serve -mesh goes through mesh.ParseWidths: a 3D width list builds a
+// server on that mesh, and malformed lists are refused.
+func TestParseWidths(t *testing.T) {
+	s, err := newServerFromFlags("16x16x8", 2, false, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if m := s.Mesh(); m.Dims() != 3 || m.Width(2) != 8 {
+		t.Fatalf("-mesh 16x16x8 built %v", m)
+	}
+	for _, bad := range []string{"", "ax3", "8x"} {
+		if _, err := newServerFromFlags(bad, 2, false, "", 0); err == nil {
+			t.Errorf("-mesh %q should fail", bad)
+		}
+	}
+}
+
 func runCmd(t *testing.T, args ...string) (string, string, int) {
 	t.Helper()
 	var out, errb bytes.Buffer
@@ -135,6 +153,23 @@ func TestServeLoadSeedsFaults(t *testing.T) {
 	}
 }
 
+// A full mesh's grid is the ring T_1(N); serve -load must refuse the file
+// rather than solve that ring.
+func TestServeLoadRejectsFullMesh(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "k12.txt")
+	if err := os.WriteFile(path, []byte("fullmesh 12\nnode 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := newServerFromFlags("ignored", 2, false, path, 1)
+	if err == nil {
+		s.Close()
+		t.Fatal("fullmesh fault file accepted")
+	}
+	if !strings.Contains(err.Error(), "fullmesh") {
+		t.Errorf("error %q does not name the family", err)
+	}
+}
+
 func TestBuildFaultReport(t *testing.T) {
 	r, err := buildFaultReport("(1,2); (3,4)", "(0,0),1,-; (2,2),0,+1", "")
 	if err != nil {
@@ -172,18 +207,6 @@ func TestUnknownSubcommandAndUsage(t *testing.T) {
 	}
 	if out, _, code := runCmd(t, "help"); code != 0 || !strings.Contains(out, "subcommands:") {
 		t.Errorf("help: exit %d, %q", code, out)
-	}
-}
-
-func TestParseWidths(t *testing.T) {
-	got, err := parseWidths("16x16x8")
-	if err != nil || len(got) != 3 || got[2] != 8 {
-		t.Fatalf("parseWidths: %v %v", got, err)
-	}
-	for _, bad := range []string{"", "ax3", "8x"} {
-		if _, err := parseWidths(bad); err == nil {
-			t.Errorf("parseWidths(%q) should fail", bad)
-		}
 	}
 }
 

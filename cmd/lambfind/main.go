@@ -3,13 +3,17 @@
 // Usage:
 //
 //	lambfind -mesh 32x32x32 [-torus] -k 2 [-algo lamb1|lamb2|exact|generic]
-//	         [-faults "(9,1);(11,6);(10,10)" | -fault-file faults.txt | -random 983 -seed 1]
-//	         [-workers N] [-verify] [-v]
+//	         [-load faults.txt] [-faults "(9,1);(11,6);(10,10)"] [-random 983 -seed 1]
+//	         [-save faults.txt] [-workers N] [-verify] [-v]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-repeat N]
 //
-// The fault file lists one node coordinate per line ("x,y,z"); lines
-// starting with '#' are ignored. Output is the lamb set, one coordinate per
-// line, preceded by a summary on stderr.
+// -load reads the network and its faults from a lambmesh fault file (the
+// internal/mesh format, e.g. "mesh 12x12" / "node 9,1" / "link 1,1 0 +1"),
+// overriding -mesh and -torus; -save writes the final fault set in the same
+// format, so a saved run reloads unchanged. -faults and -random add node
+// faults on top. Full-mesh fault files are rejected: the lamb method needs a
+// mesh, torus or hypercube. Output is the lamb set, one coordinate per line,
+// preceded by a summary on stderr.
 //
 // -workers N bounds the worker pool the reachability kernels run on (0, the
 // default, means all CPUs). The computed lamb set is bit-identical for every
@@ -26,14 +30,12 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"lambmesh/internal/core"
@@ -49,7 +51,6 @@ func main() {
 		k         = flag.Int("k", 2, "number of routing rounds (virtual channels)")
 		algo      = flag.String("algo", "lamb1", "algorithm: lamb1 | lamb2 | exact | generic")
 		faultsStr = flag.String("faults", "", "semicolon-separated fault coordinates, e.g. \"(9,1);(11,6)\"")
-		faultFile = flag.String("fault-file", "", "file with one fault coordinate per line")
 		random    = flag.Int("random", 0, "number of random node faults to draw instead")
 		seed      = flag.Int64("seed", 1, "seed for -random")
 		workers   = flag.Int("workers", 0, "reachability worker pool size; 0 = all CPUs (result is identical for any value)")
@@ -64,26 +65,12 @@ func main() {
 	)
 	flag.Parse()
 
-	var f *mesh.FaultSet
-	if *load != "" {
-		fh, err := os.Open(*load)
-		if err != nil {
-			fatal(err)
-		}
-		f, err = mesh.ReadFaults(fh)
-		fh.Close()
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		m, err := parseMesh(*meshFlag, *torus)
-		if err != nil {
-			fatal(err)
-		}
-		f = mesh.NewFaultSet(m)
+	f, err := openFaults(*load, *meshFlag, *torus)
+	if err != nil {
+		fatal(err)
 	}
 	m := f.Mesh()
-	if err := loadFaults(f, *faultsStr, *faultFile); err != nil {
+	if err := loadFaults(f, *faultsStr); err != nil {
 		fatal(err)
 	}
 	if *random > 0 {
@@ -121,7 +108,6 @@ func main() {
 		defer fh.Close()
 	}
 	var res *core.Result
-	var err error
 	s := core.NewSolver()
 	for i := 0; i < *repeat || i == 0; i++ {
 		res, err = computeLamb(s, f, orders, *algo, *workers)
@@ -197,57 +183,60 @@ func computeLamb(s *core.Solver, f *mesh.FaultSet, orders routing.MultiOrder, al
 	}
 }
 
-func parseMesh(s string, torus bool) (*mesh.Mesh, error) {
-	parts := strings.Split(s, "x")
-	widths := make([]int, len(parts))
-	for i, p := range parts {
-		w, err := strconv.Atoi(strings.TrimSpace(p))
+// openFaults returns the starting fault set: the -load file's, or an empty
+// one on the -mesh network (a torus with -torus).
+func openFaults(load, meshSpec string, torus bool) (*mesh.FaultSet, error) {
+	if load != "" {
+		fh, err := os.Open(load)
 		if err != nil {
-			return nil, fmt.Errorf("bad mesh spec %q: %v", s, err)
+			return nil, err
 		}
-		widths[i] = w
+		defer fh.Close()
+		f, err := mesh.ReadFaults(fh)
+		if err != nil {
+			return nil, err
+		}
+		// A full mesh's grid is the ring T_1(N): solving it would silently
+		// answer for a different network.
+		if tag := f.Topology().Tag(); tag == "fullmesh" {
+			return nil, fmt.Errorf("%s: lambfind does not solve the %s topology (want mesh, torus, or hypercube)", load, tag)
+		}
+		return f, nil
 	}
+	widths, err := mesh.ParseWidths(meshSpec)
+	if err != nil {
+		return nil, err
+	}
+	family := "mesh"
 	if torus {
-		return mesh.NewTorus(widths...)
+		family = "torus"
 	}
-	return mesh.New(widths...)
+	t, err := mesh.NewTopology(family, widths)
+	if err != nil {
+		return nil, err
+	}
+	return mesh.NewFaultSetOn(t), nil
 }
 
-func loadFaults(f *mesh.FaultSet, inline, file string) error {
-	add := func(spec string) error {
+// loadFaults adds the -faults list ("(9,1);(11,6)", '#' starts a comment)
+// to f; the whole list is validated before any fault is added.
+func loadFaults(f *mesh.FaultSet, inline string) error {
+	var nodes []mesh.Coord
+	for _, spec := range strings.Split(inline, ";") {
 		spec = strings.TrimSpace(spec)
 		if spec == "" || strings.HasPrefix(spec, "#") {
-			return nil
+			continue
 		}
 		c, err := mesh.ParseCoord(spec)
 		if err != nil {
 			return err
 		}
-		if !f.Mesh().Contains(c) {
-			return fmt.Errorf("fault %v outside mesh %v", c, f.Mesh())
-		}
-		f.AddNode(c)
-		return nil
+		nodes = append(nodes, c)
 	}
-	for _, spec := range strings.Split(inline, ";") {
-		if err := add(spec); err != nil {
-			return err
-		}
+	if err := mesh.ValidateFaults(f.Topology(), nodes, nil); err != nil {
+		return err
 	}
-	if file != "" {
-		fh, err := os.Open(file)
-		if err != nil {
-			return err
-		}
-		defer fh.Close()
-		sc := bufio.NewScanner(fh)
-		for sc.Scan() {
-			if err := add(sc.Text()); err != nil {
-				return err
-			}
-		}
-		return sc.Err()
-	}
+	f.AddNodes(nodes...)
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lambmesh/internal/core"
@@ -12,18 +13,53 @@ import (
 	"lambmesh/internal/routing"
 )
 
-func TestParseMesh(t *testing.T) {
-	m, err := parseMesh("12x8", false)
-	if err != nil || m.Dims() != 2 || m.Width(0) != 12 || m.Width(1) != 8 {
-		t.Fatalf("parseMesh: %v %v", m, err)
+// openFaults builds -mesh/-torus networks and reads -load files, and
+// refuses a full-mesh file instead of solving its T_1(N) grid.
+func TestOpenFaults(t *testing.T) {
+	f, err := openFaults("", "12x8", false)
+	if err != nil || f.Topology().String() != "M_2(12x8)" {
+		t.Fatalf("-mesh 12x8: %v %v", f, err)
 	}
-	tor, err := parseMesh("5x5", true)
-	if err != nil || !tor.Torus() {
-		t.Fatalf("torus parse: %v %v", tor, err)
+	if f, err = openFaults("", "5x5", true); err != nil || !f.Mesh().Torus() {
+		t.Fatalf("-mesh 5x5 -torus: %v", err)
+	}
+	if _, err := openFaults("", "1x5", false); err == nil {
+		t.Error("-mesh 1x5 should fail")
+	}
+	dir := t.TempDir()
+	saved := filepath.Join(dir, "saved.txt")
+	if err := os.WriteFile(saved, []byte("torus 6x6\nnode 2,3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = openFaults(saved, "ignored", false); err != nil || !f.Mesh().Torus() || !f.NodeFaulty(mesh.C(2, 3)) {
+		t.Fatalf("-load: %v", err)
+	}
+	k12 := filepath.Join(dir, "k12.txt")
+	if err := os.WriteFile(k12, []byte("fullmesh 12\nnode 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openFaults(k12, "", false); err == nil || !strings.Contains(err.Error(), "fullmesh") {
+		t.Errorf("fullmesh -load: err = %v, want one naming the family", err)
+	}
+	if _, err := openFaults(filepath.Join(dir, "missing.txt"), "", false); err == nil {
+		t.Error("missing -load file should fail")
+	}
+}
+
+// -mesh and -torus go through openFaults: mesh and torus specs build the
+// named network, and malformed or too-narrow specs are refused.
+func TestParseMesh(t *testing.T) {
+	f, err := openFaults("", "12x8", false)
+	if err != nil || f.Mesh().Dims() != 2 || f.Mesh().Width(0) != 12 || f.Mesh().Width(1) != 8 {
+		t.Fatalf("-mesh 12x8: %v %v", f, err)
+	}
+	tor, err := openFaults("", "5x5", true)
+	if err != nil || !tor.Mesh().Torus() {
+		t.Fatalf("-mesh 5x5 -torus: %v %v", tor, err)
 	}
 	for _, bad := range []string{"", "ax3", "3x", "1x5"} {
-		if _, err := parseMesh(bad, false); err == nil {
-			t.Errorf("parseMesh(%q) should fail", bad)
+		if _, err := openFaults("", bad, false); err == nil {
+			t.Errorf("-mesh %q should fail", bad)
 		}
 	}
 }
@@ -31,36 +67,17 @@ func TestParseMesh(t *testing.T) {
 func TestLoadFaultsInline(t *testing.T) {
 	m := mesh.MustNew(12, 12)
 	f := mesh.NewFaultSet(m)
-	if err := loadFaults(f, "(9,1);(11,6); # comment", ""); err != nil {
+	if err := loadFaults(f, "(9,1);(11,6); # comment"); err != nil {
 		t.Fatal(err)
 	}
 	if f.NumNodeFaults() != 2 {
 		t.Errorf("loaded %d faults", f.NumNodeFaults())
 	}
-	if err := loadFaults(f, "(99,0)", ""); err == nil {
+	if err := loadFaults(f, "(99,0)"); err == nil {
 		t.Error("out-of-mesh fault should fail")
 	}
-	if err := loadFaults(f, "nope", ""); err == nil {
+	if err := loadFaults(f, "nope"); err == nil {
 		t.Error("junk should fail")
-	}
-}
-
-func TestLoadFaultsFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "faults.txt")
-	if err := os.WriteFile(path, []byte("# header\n3,4\n\n(5,6)\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m := mesh.MustNew(12, 12)
-	f := mesh.NewFaultSet(m)
-	if err := loadFaults(f, "", path); err != nil {
-		t.Fatal(err)
-	}
-	if f.NumNodeFaults() != 2 || !f.NodeFaulty(mesh.C(3, 4)) || !f.NodeFaulty(mesh.C(5, 6)) {
-		t.Errorf("file faults wrong: %v", f.SortedNodeFaults())
-	}
-	if err := loadFaults(f, "", filepath.Join(dir, "missing.txt")); err == nil {
-		t.Error("missing file should fail")
 	}
 }
 

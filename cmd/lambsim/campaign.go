@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"lambmesh/internal/campaign"
+	"lambmesh/internal/mesh"
 )
 
 // campaignUsage documents the subcommand (shown on -h and flag errors).
@@ -160,13 +161,9 @@ func parseMeshList(s string) ([][]int, error) {
 		if name == "" {
 			continue
 		}
-		var widths []int
-		for _, part := range strings.Split(name, "x") {
-			w, err := strconv.Atoi(part)
-			if err != nil || w < 1 {
-				return nil, fmt.Errorf("bad mesh %q (want e.g. 8x8)", name)
-			}
-			widths = append(widths, w)
+		widths, err := mesh.ParseWidths(name)
+		if err != nil {
+			return nil, err
 		}
 		meshes = append(meshes, widths)
 	}

@@ -45,6 +45,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -126,7 +127,7 @@ func parseConfig(args []string) (*cliConfig, error) {
 		sweep: *sweep, baseline: *baseline, format: *format,
 	}
 	var err error
-	if cfg.widths, err = parseWidths(*meshFlag); err != nil {
+	if cfg.widths, err = mesh.ParseWidths(*meshFlag); err != nil {
 		return nil, err
 	}
 	if cfg.pattern, err = wormhole.ParsePattern(*patternFlag); err != nil {
@@ -142,11 +143,7 @@ func parseConfig(args []string) (*cliConfig, error) {
 		return nil, err
 	}
 	cfg.topology = *topoFlag
-	known := false
-	for _, n := range mesh.TopologyNames() {
-		known = known || n == cfg.topology
-	}
-	if !known {
+	if !slices.Contains(mesh.TopologyNames(), cfg.topology) {
 		return nil, fmt.Errorf("unknown topology %q (want one of %v)", cfg.topology, mesh.TopologyNames())
 	}
 	// The direct strategy and the full-mesh topology define each other.
@@ -185,28 +182,6 @@ func parseConfig(args []string) (*cliConfig, error) {
 		}
 	}
 	return cfg, nil
-}
-
-func parseWidths(s string) ([]int, error) {
-	var widths []int
-	cur := 0
-	seen := false
-	for _, r := range s {
-		switch {
-		case r >= '0' && r <= '9':
-			cur = cur*10 + int(r-'0')
-			seen = true
-		case r == 'x' && seen:
-			widths = append(widths, cur)
-			cur, seen = 0, false
-		default:
-			return nil, fmt.Errorf("bad mesh spec %q", s)
-		}
-	}
-	if !seen {
-		return nil, fmt.Errorf("bad mesh spec %q", s)
-	}
-	return append(widths, cur), nil
 }
 
 func parseRates(s string) ([]float64, error) {
@@ -268,29 +243,6 @@ type report struct {
 	Rows       []sweepRow `json:"rows"`
 }
 
-// buildTopology constructs the network from -topology and -mesh. The mesh
-// case goes through mesh.New exactly as before the flag existed.
-func buildTopology(cfg *cliConfig) (mesh.Topology, error) {
-	switch cfg.topology {
-	case "torus":
-		return mesh.NewTorus(cfg.widths...)
-	case "hypercube":
-		for _, w := range cfg.widths {
-			if w != 2 {
-				return nil, fmt.Errorf("-topology hypercube needs every width to be 2 (e.g. -mesh 2x2x2x2), got %v", cfg.widths)
-			}
-		}
-		return mesh.NewHypercube(len(cfg.widths))
-	case "fullmesh":
-		if len(cfg.widths) != 1 {
-			return nil, fmt.Errorf("-topology fullmesh takes a node count (e.g. -mesh 12), got %v", cfg.widths)
-		}
-		return mesh.NewFullMesh(cfg.widths[0])
-	default:
-		return mesh.New(cfg.widths...)
-	}
-}
-
 // run is one wormsim invocation: every case routes through a
 // RouteStrategy. Each strategy draws from its own TrialSeed stream block
 // (StrategyStream; lamb is block 0), so cross-strategy comparisons at one
@@ -299,7 +251,7 @@ func buildTopology(cfg *cliConfig) (mesh.Topology, error) {
 // fault-free network: a strategy's fault-free behavior is its own
 // reference, not lamb's.
 func run(cfg *cliConfig, w io.Writer) error {
-	topo, err := buildTopology(cfg)
+	topo, err := mesh.NewTopology(cfg.topology, cfg.widths)
 	if err != nil {
 		return err
 	}

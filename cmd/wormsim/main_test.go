@@ -10,22 +10,6 @@ import (
 	"lambmesh/internal/wormhole"
 )
 
-func TestParseWidths(t *testing.T) {
-	got, err := parseWidths("16x16")
-	if err != nil || len(got) != 2 || got[0] != 16 || got[1] != 16 {
-		t.Fatalf("parseWidths: %v %v", got, err)
-	}
-	got, err = parseWidths("8x4x2")
-	if err != nil || len(got) != 3 || got[2] != 2 {
-		t.Fatalf("parseWidths 3D: %v %v", got, err)
-	}
-	for _, bad := range []string{"", "x", "8x", "x8", "8y8", "a"} {
-		if _, err := parseWidths(bad); err == nil {
-			t.Errorf("parseWidths(%q) should fail", bad)
-		}
-	}
-}
-
 func TestParseRates(t *testing.T) {
 	got, err := parseRates("0.01, 0.05,0.2")
 	if err != nil || len(got) != 3 || got[1] != 0.05 {
@@ -33,6 +17,24 @@ func TestParseRates(t *testing.T) {
 	}
 	if _, err := parseRates("0.01,oops"); err == nil {
 		t.Fatal("parseRates should reject non-numeric entries")
+	}
+}
+
+// -mesh goes through mesh.ParseWidths: 2D and 3D width lists parse, and
+// malformed lists are refused before any network is built.
+func TestParseWidths(t *testing.T) {
+	cfg, err := parseConfig([]string{"-mesh", "16x16"})
+	if err != nil || len(cfg.widths) != 2 || cfg.widths[0] != 16 || cfg.widths[1] != 16 {
+		t.Fatalf("-mesh 16x16: %+v %v", cfg, err)
+	}
+	cfg, err = parseConfig([]string{"-mesh", "8x4x2"})
+	if err != nil || len(cfg.widths) != 3 || cfg.widths[2] != 2 {
+		t.Fatalf("-mesh 8x4x2: %+v %v", cfg, err)
+	}
+	for _, bad := range []string{"", "x", "8x", "x8", "8y8", "a"} {
+		if _, err := parseConfig([]string{"-mesh", bad}); err == nil {
+			t.Errorf("-mesh %q should fail", bad)
+		}
 	}
 }
 

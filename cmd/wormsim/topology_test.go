@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -75,3 +78,33 @@ func TestTopologyRunValidation(t *testing.T) {
 type nopWriter struct{}
 
 func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestFullMeshScheduleLinks: a scheduled K_12 link is checked against the
+// full mesh, not its T_1(12) grid. Direction -1 is no K_12 link and must
+// be a run error naming it (it used to panic mid-run); delta +5 is a valid
+// link and must strike as one reconfiguration.
+func TestFullMeshScheduleLinks(t *testing.T) {
+	dir := t.TempDir()
+	args := func(link string) []string {
+		path := filepath.Join(dir, "sched.txt")
+		if err := os.WriteFile(path, []byte("event 100\nlink "+link+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return smallArgs("-topology", "fullmesh", "-mesh", "12", "-strategy", "direct", "-vcs", "1",
+			"-faults", "2", "-trials", "1", "-format", "json", "-fault-schedule", path)
+	}
+	cfg, err := parseConfig(args("3 0 -1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(cfg, nopWriter{}); err == nil || !strings.Contains(err.Error(), "link (3) dim 0 dir -1") {
+		t.Errorf("link 3 0 -1: err = %v, want an error naming the link", err)
+	}
+	var rep report
+	if err := json.Unmarshal([]byte(runWormsim(t, args("3 0 +5"))), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rows) == 0 || rep.Rows[0].Case != "direct" || rep.Rows[0].Reconfigs != 1 {
+		t.Errorf("link 3 0 +5: rows %+v, want one direct reconfiguration", rep.Rows)
+	}
+}

@@ -149,31 +149,20 @@ func buildGrid(spec *Spec) ([]*point, []*mesh.Mesh, error) {
 	if spec.Trials < 1 {
 		return nil, nil, fmt.Errorf("campaign: trials must be >= 1")
 	}
-	topo := spec.topology()
-	switch topo {
-	case "", "torus", "hypercube":
-	default:
-		return nil, nil, fmt.Errorf("campaign: unsupported topology %q (want mesh, torus, or hypercube)", spec.Topology)
+	family := spec.Topology
+	if family == "" {
+		family = "mesh"
 	}
 	meshes := make([]*mesh.Mesh, len(spec.Meshes))
 	for i, widths := range spec.Meshes {
-		var m *mesh.Mesh
-		var err error
-		switch topo {
-		case "torus":
-			m, err = mesh.NewTorus(widths...)
-		case "hypercube":
-			for _, w := range widths {
-				if w != 2 {
-					return nil, nil, fmt.Errorf("campaign: hypercube needs every width to be 2, got %v", widths)
-				}
-			}
-			m, err = mesh.NewHypercube(len(widths))
-		default:
-			m, err = mesh.New(widths...)
-		}
+		topo, err := mesh.NewTopology(family, widths)
 		if err != nil {
 			return nil, nil, fmt.Errorf("campaign: mesh %v: %w", widths, err)
+		}
+		// Full meshes are the one family that is not its own grid.
+		m, ok := topo.(*mesh.Mesh)
+		if !ok {
+			return nil, nil, fmt.Errorf("campaign: unsupported topology %q (want mesh, torus, or hypercube)", spec.Topology)
 		}
 		meshes[i] = m
 	}

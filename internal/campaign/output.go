@@ -3,19 +3,10 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 
+	"lambmesh/internal/mesh"
 	"lambmesh/internal/sim"
 )
-
-// MeshName formats a widths slice the way the campaign reports it ("8x8").
-func MeshName(widths []int) string {
-	parts := make([]string, len(widths))
-	for i, w := range widths {
-		parts[i] = fmt.Sprint(w)
-	}
-	return strings.Join(parts, "x")
-}
 
 // Table renders the campaign result as a sim.Table (one row per grid
 // point). The default columns are all derived from the seed and therefore
@@ -48,7 +39,7 @@ func (r *Result) Table(timing bool) *sim.Table {
 			pconn = float64(a.Connected) / float64(a.Trials)
 		}
 		row := []string{
-			MeshName(p.Mesh),
+			mesh.FormatWidths(p.Mesh),
 			p.Model.String(),
 			p.Proc.String(),
 			fmt.Sprint(a.Trials),

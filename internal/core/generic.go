@@ -130,14 +130,16 @@ func GenericLamb(p *GenericProblem) (*GenericResult, error) {
 	}
 
 	// R^(k) = R_1 I_1 R_2 ... I_{k-1} R_k, with I_t built from co-membership.
-	rk := rounds[0].r
+	chain := []*bitmat.Matrix{rounds[0].r}
 	for t := 0; t < p.Rounds-1; t++ {
 		im := bitmat.New(len(rounds[t].decRep), len(rounds[t+1].secRep))
 		for _, v := range good {
 			im.Set(rounds[t].decOf[v], rounds[t+1].secOf[v])
 		}
-		rk = rk.Mul(im).Mul(rounds[t+1].r)
+		chain = append(chain, im, rounds[t+1].r)
 	}
+	var scratch [2]*bitmat.Matrix
+	rk := bitmat.MulChainScratch(1, &scratch, chain...)
 
 	first, last := rounds[0], rounds[p.Rounds-1]
 	zr := rk.ZeroRows()

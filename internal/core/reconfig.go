@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"lambmesh/internal/mesh"
@@ -84,15 +83,8 @@ func (r *Reconfigurer) LastPhases() PhaseTimes { return r.solver.LastPhases() }
 // outside the mesh or an invalid link rejects it, leaving Faults, Lambs
 // and Generation untouched. Re-reported faults are harmless duplicates.
 func (r *Reconfigurer) AddFaults(nodes []mesh.Coord, links []mesh.Link) (*Result, error) {
-	for _, c := range nodes {
-		if !r.faults.Mesh().Contains(c) {
-			return nil, fmt.Errorf("core: new fault %v outside mesh", c)
-		}
-	}
-	for _, l := range links {
-		if _, ok := r.faults.Topology().LinkHead(l); !ok {
-			return nil, fmt.Errorf("core: new link fault %v invalid in %v", l, r.faults.Topology())
-		}
+	if err := mesh.ValidateFaults(r.faults.Topology(), nodes, links); err != nil {
+		return nil, err
 	}
 	for _, c := range nodes {
 		r.faults.AddNode(c)

@@ -125,14 +125,12 @@ func (f *FaultSet) AddNodes(cs ...Coord) {
 	}
 }
 
-// AddLink marks the directed link l faulty. To fail a link in both
-// directions, add both orientations.
+// AddLink marks the directed link l faulty, panicking if l is not a link
+// of the fault set's topology. To fail a link in both directions, add both
+// orientations.
 func (f *FaultSet) AddLink(l Link) {
-	if !f.m.Contains(l.From) {
-		panic(fmt.Sprintf("mesh: link tail %v outside %v", l.From, f.m))
-	}
-	if _, ok := f.topo.LinkHead(l); !ok {
-		panic(fmt.Sprintf("mesh: link %v invalid in %v", l, f.topo))
+	if err := checkLink(f.topo, l); err != nil {
+		panic("mesh: " + err.Error())
 	}
 	k := linkKey{f.m.Index(l.From), l.Dim, l.Dir}
 	if _, ok := f.links[k]; ok {
@@ -150,6 +148,39 @@ func (f *FaultSet) AddLink(l Link) {
 		return
 	}
 	f.lord = append(f.lord, Link{From: l.From.Clone(), Dim: l.Dim, Dir: l.Dir})
+}
+
+// ValidateFaults checks a fault report against topology t: every node must
+// be a node of t's grid (Contains) and every link a link of t (LinkHead).
+// It is the one validity rule behind fault files, fault schedules, lambd
+// reports and every AddFaults, so a report it accepts can be applied with
+// AddNode and AddLink without a panic. Node checks allocate nothing.
+func ValidateFaults(t Topology, nodes []Coord, links []Link) error {
+	for _, c := range nodes {
+		if err := checkNode(t, c); err != nil {
+			return fmt.Errorf("mesh: %w", err)
+		}
+	}
+	for _, l := range links {
+		if err := checkLink(t, l); err != nil {
+			return fmt.Errorf("mesh: %w", err)
+		}
+	}
+	return nil
+}
+
+func checkNode(t Topology, c Coord) error {
+	if !t.Grid().Contains(c) {
+		return fmt.Errorf("node %v outside mesh %v", c, t)
+	}
+	return nil
+}
+
+func checkLink(t Topology, l Link) error {
+	if _, ok := t.LinkHead(l); !ok {
+		return fmt.Errorf("link %v dim %d dir %+d invalid in %v", l.From, l.Dim, l.Dir, t)
+	}
+	return nil
 }
 
 // NodeFaulty reports whether node c is in F_N.

@@ -12,7 +12,10 @@
 // so a link may fail in only one direction.
 package mesh
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Mesh describes a d-dimensional mesh (or torus) topology. The zero value is
 // not usable; construct with New, NewCube, or NewTorus.
@@ -92,6 +95,9 @@ func build(widths []int, torus bool) (*Mesh, error) {
 	for i, w := range widths {
 		if w < 2 {
 			return nil, fmt.Errorf("mesh: width of dimension %d is %d; must be >= 2", i, w)
+		}
+		if m.n > math.MaxInt64/int64(w) {
+			return nil, fmt.Errorf("mesh: widths %v overflow the int64 node count", widths)
 		}
 		m.strides[i] = m.n
 		m.n *= int64(w)
@@ -240,12 +246,5 @@ func (m *Mesh) String() string {
 	if m.torus {
 		kind = "T"
 	}
-	s := fmt.Sprintf("%s_%d(", kind, len(m.widths))
-	for i, w := range m.widths {
-		if i > 0 {
-			s += "x"
-		}
-		s += fmt.Sprint(w)
-	}
-	return s + ")"
+	return fmt.Sprintf("%s_%d(%s)", kind, len(m.widths), FormatWidths(m.widths))
 }

@@ -16,6 +16,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(0); err == nil {
 		t.Error("width 0 should fail")
 	}
+	// 2^64 nodes would wrap Nodes() to 0.
+	if _, err := New(1<<32, 1<<32); err == nil {
+		t.Error("a node count beyond int64 should fail")
+	}
 	m, err := New(3, 4, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,10 @@ package mesh
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -16,170 +18,165 @@ import (
 //
 // The header carries the topology tag: "mesh"/"torus" take a width list,
 // "hypercube" the dimension count d (widths are all 2), "fullmesh" the node
-// count N (link directions are then clockwise deltas in [1, N-1]). Blank
-// lines and lines starting with '#' are ignored on read. The format is what
-// cmd/lambfind's -fault-file consumes and -save emits, so fault
-// configurations round-trip between diagnostics runs.
+// count N (link directions are then clockwise deltas in [1, N-1]). The node
+// and link lines are the WriteFaultLines grammar. Blank lines and lines
+// starting with '#' are ignored on read. cmd/lambfind's -save writes this
+// format and its -load, cmd/lambd's -load and lambd faults -file read it,
+// so fault configurations round-trip between diagnostics runs.
 func WriteFaults(w io.Writer, f *FaultSet) error {
 	bw := bufio.NewWriter(w)
 	m := f.Mesh()
 	kind := f.Topology().Tag()
-	var shape string
-	switch kind {
-	case "hypercube":
+	shape := FormatWidths(m.widths)
+	if kind == "hypercube" {
 		shape = strconv.Itoa(m.Dims())
-	case "fullmesh":
-		shape = strconv.FormatInt(m.Nodes(), 10)
-	default:
-		dims := make([]string, m.Dims())
-		for i := range dims {
-			dims[i] = strconv.Itoa(m.Width(i))
-		}
-		shape = strings.Join(dims, "x")
 	}
 	fmt.Fprintf(bw, "# lambmesh fault set: %d node faults, %d link faults\n",
 		f.NumNodeFaults(), f.NumLinkFaults())
 	fmt.Fprintf(bw, "%s %s\n", kind, shape)
-	for _, c := range f.SortedNodeFaults() {
-		fmt.Fprintf(bw, "node %s\n", strings.Trim(c.String(), "()"))
-	}
-	for _, l := range f.LinkFaults() {
-		fmt.Fprintf(bw, "link %s %d %+d\n", strings.Trim(l.From.String(), "()"), l.Dim, l.Dir)
-	}
+	WriteFaultLines(bw, f.SortedNodeFaults(), f.LinkFaults())
 	return bw.Flush()
 }
 
-// ReadFaults parses the WriteFaults format, reconstructing the mesh and its
-// fault set.
+// ReadFaults parses the WriteFaults format, reconstructing the topology and
+// its fault set. Every fault must be valid in the declared topology.
 func ReadFaults(r io.Reader) (*FaultSet, error) {
-	sc := bufio.NewScanner(r)
 	var f *FaultSet
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	header := func(fields []string) error {
+		if !slices.Contains(TopologyNames(), fields[0]) {
+			return fmt.Errorf("unknown directive %q", fields[0])
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "mesh", "torus":
-			if f != nil {
-				return nil, fmt.Errorf("mesh: line %d: duplicate mesh declaration", lineNo)
-			}
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("mesh: line %d: want '%s WxH...'", lineNo, fields[0])
-			}
-			widths, err := parseWidthList(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("mesh: line %d: %v", lineNo, err)
-			}
-			var m *Mesh
-			if fields[0] == "torus" {
-				m, err = NewTorus(widths...)
-			} else {
-				m, err = New(widths...)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("mesh: line %d: %v", lineNo, err)
-			}
-			f = NewFaultSet(m)
-		case "hypercube":
-			if f != nil {
-				return nil, fmt.Errorf("mesh: line %d: duplicate mesh declaration", lineNo)
-			}
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("mesh: line %d: want 'hypercube d'", lineNo)
-			}
-			d, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("mesh: line %d: bad dimension count %q", lineNo, fields[1])
-			}
-			m, err := NewHypercube(d)
-			if err != nil {
-				return nil, fmt.Errorf("mesh: line %d: %v", lineNo, err)
-			}
-			f = NewFaultSet(m)
-		case "fullmesh":
-			if f != nil {
-				return nil, fmt.Errorf("mesh: line %d: duplicate mesh declaration", lineNo)
-			}
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("mesh: line %d: want 'fullmesh N'", lineNo)
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("mesh: line %d: bad node count %q", lineNo, fields[1])
-			}
-			fm, err := NewFullMesh(n)
-			if err != nil {
-				return nil, fmt.Errorf("mesh: line %d: %v", lineNo, err)
-			}
-			f = NewFaultSetOn(fm)
-		case "node":
-			if f == nil {
-				return nil, fmt.Errorf("mesh: line %d: node before mesh declaration", lineNo)
-			}
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("mesh: line %d: want 'node x,y,...'", lineNo)
-			}
-			c, err := ParseCoord(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("mesh: line %d: %v", lineNo, err)
-			}
-			if !f.Mesh().Contains(c) {
-				return nil, fmt.Errorf("mesh: line %d: node %v outside %v", lineNo, c, f.Mesh())
-			}
-			f.AddNode(c)
-		case "link":
-			if f == nil {
-				return nil, fmt.Errorf("mesh: line %d: link before mesh declaration", lineNo)
-			}
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("mesh: line %d: want 'link x,y dim dir'", lineNo)
-			}
-			c, err := ParseCoord(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("mesh: line %d: %v", lineNo, err)
-			}
-			dim, err := strconv.Atoi(fields[2])
-			if err != nil || dim < 0 || dim >= f.Mesh().Dims() {
-				return nil, fmt.Errorf("mesh: line %d: bad dimension %q", lineNo, fields[2])
-			}
-			dir, err := strconv.Atoi(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("mesh: line %d: bad direction %q", lineNo, fields[3])
-			}
-			if !f.Mesh().Contains(c) {
-				return nil, fmt.Errorf("mesh: line %d: link tail %v outside %v", lineNo, c, f.Mesh())
-			}
-			l := Link{From: c, Dim: dim, Dir: dir}
-			if _, ok := f.Topology().LinkHead(l); !ok {
-				return nil, fmt.Errorf("mesh: line %d: link %v dim %d dir %d invalid in %v", lineNo, c, dim, dir, f.Topology())
-			}
-			f.AddLink(l)
-		default:
-			return nil, fmt.Errorf("mesh: line %d: unknown directive %q", lineNo, fields[0])
+		if f != nil {
+			return errors.New("duplicate mesh declaration")
 		}
+		t, err := parseHeader(fields)
+		if err != nil {
+			return err
+		}
+		f = NewFaultSetOn(t)
+		return nil
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	node := func(c Coord) error {
+		if f == nil {
+			return errors.New("node before mesh declaration")
+		}
+		if err := checkNode(f.topo, c); err != nil {
+			return err
+		}
+		f.AddNode(c)
+		return nil
+	}
+	link := func(l Link) error {
+		if f == nil {
+			return errors.New("link before mesh declaration")
+		}
+		if err := checkLink(f.topo, l); err != nil {
+			return err
+		}
+		f.AddLink(l)
+		return nil
+	}
+	if err := ReadFaultLines(r, header, node, link); err != nil {
+		return nil, fmt.Errorf("mesh: %w", err)
 	}
 	if f == nil {
-		return nil, fmt.Errorf("mesh: no mesh declaration found")
+		return nil, errors.New("mesh: no mesh declaration found")
 	}
 	return f, nil
 }
 
-func parseWidthList(s string) ([]int, error) {
-	parts := strings.Split(s, "x")
-	widths := make([]int, len(parts))
-	for i, p := range parts {
-		w, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("bad width %q", p)
-		}
-		widths[i] = w
+// parseHeader parses a fault-file header "family shape": the dimension
+// count d for a hypercube, a ParseWidths list for every other family.
+func parseHeader(fields []string) (Topology, error) {
+	family := fields[0]
+	if len(fields) != 2 {
+		return nil, fmt.Errorf("want '%s SHAPE'", family)
 	}
-	return widths, nil
+	if family != "hypercube" {
+		widths, err := ParseWidths(fields[1])
+		if err != nil {
+			return nil, err
+		}
+		return NewTopology(family, widths)
+	}
+	// Q_d has 2^d nodes, which must fit the int64 node index.
+	d, err := strconv.Atoi(fields[1])
+	if err != nil || d < 1 || d > 62 {
+		return nil, fmt.Errorf("bad dimension count %q", fields[1])
+	}
+	widths := make([]int, d)
+	for i := range widths {
+		widths[i] = 2
+	}
+	return NewTopology(family, widths)
+}
+
+// WriteFaultLines writes nodes, then links, in the ReadFaultLines grammar:
+//
+//	node x,y,...
+//	link x,y,... dim dir      (dir signed: +1, -1, or a full-mesh delta)
+//
+// Write errors surface at w.Flush.
+func WriteFaultLines(w *bufio.Writer, nodes []Coord, links []Link) {
+	for _, c := range nodes {
+		fmt.Fprintf(w, "node %s\n", strings.Trim(c.String(), "()"))
+	}
+	for _, l := range links {
+		fmt.Fprintf(w, "link %s %d %+d\n", strings.Trim(l.From.String(), "()"), l.Dim, l.Dir)
+	}
+}
+
+// ReadFaultLines reads the node/link line grammar that fault files and
+// fault schedules share. Blank lines and lines starting with '#' are
+// skipped. Node and link lines are parsed and passed to node and link;
+// every other line goes to directive as its whitespace-separated fields.
+// The grammar checks syntax only (a link's dim must index its tail
+// coordinate and its dir must be nonzero); validity in a topology is
+// ValidateFaults' job. Every error, the callbacks' included, is prefixed
+// with its line number.
+func ReadFaultLines(r io.Reader, directive func(fields []string) error, node func(Coord) error, link func(Link) error) error {
+	sc := bufio.NewScanner(r)
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if err := readFaultLine(strings.Fields(line), directive, node, link); err != nil {
+			return fmt.Errorf("line %d: %w", lineNo, err)
+		}
+	}
+	return sc.Err()
+}
+
+func readFaultLine(fields []string, directive func([]string) error, node func(Coord) error, link func(Link) error) error {
+	switch fields[0] {
+	case "node":
+		if len(fields) != 2 {
+			return errors.New("want 'node x,y,...'")
+		}
+		c, err := ParseCoord(fields[1])
+		if err != nil {
+			return err
+		}
+		return node(c)
+	case "link":
+		if len(fields) != 4 {
+			return errors.New("want 'link x,y dim dir'")
+		}
+		c, err := ParseCoord(fields[1])
+		if err != nil {
+			return err
+		}
+		dim, err := strconv.Atoi(fields[2])
+		if err != nil || dim < 0 || dim >= len(c) {
+			return fmt.Errorf("bad dimension %q", fields[2])
+		}
+		dir, err := strconv.Atoi(fields[3])
+		if err != nil || dir == 0 {
+			return fmt.Errorf("bad direction %q", fields[3])
+		}
+		return link(Link{From: c, Dim: dim, Dir: dir})
+	default:
+		return directive(fields)
+	}
 }

@@ -1,6 +1,10 @@
 package mesh
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Topology abstracts the network substrate the routing, wormhole, and
 // campaign layers consume: a set of nodes addressed by Coord over a *Mesh
@@ -16,8 +20,7 @@ import "fmt"
 //     the wormhole simulator's flat channel-state arrays index by it.
 //   - LinkHead(l) returns the head node of l and reports whether l is a
 //     valid link of the topology. It is the single source of truth for link
-//     validity (AddLink, Usable, and fault-file parsing all route through
-//     it).
+//     validity: ValidateFaults, AddLink and Usable all route through it.
 //   - BasePath is the canonical fault-oblivious dimension-ordered path; it
 //     pins the serialization-independent notion of "the default route" that
 //     tests compare against.
@@ -51,6 +54,70 @@ type Topology interface {
 
 // TopologyNames lists the accepted -topology spellings, in flag-help order.
 func TopologyNames() []string { return []string{"mesh", "torus", "hypercube", "fullmesh"} }
+
+// NewTopology builds the network a family name and a width list describe.
+// It is the one constructor behind every -topology flag, campaign spec and
+// fault-file header: "mesh" and "torus" take any widths, "hypercube" takes
+// d widths that are all 2, and "fullmesh" takes one width, the node count N.
+func NewTopology(family string, widths []int) (Topology, error) {
+	var m *Mesh
+	var err error
+	switch family {
+	case "mesh":
+		m, err = New(widths...)
+	case "torus":
+		m, err = NewTorus(widths...)
+	case "hypercube":
+		for _, w := range widths {
+			if w != 2 {
+				return nil, fmt.Errorf("mesh: hypercube needs every width to be 2 (e.g. 2x2x2x2), got %v", widths)
+			}
+		}
+		m, err = NewHypercube(len(widths))
+	case "fullmesh":
+		if len(widths) != 1 {
+			return nil, fmt.Errorf("mesh: fullmesh takes a node count (e.g. 12), got %v", widths)
+		}
+		fm, err := NewFullMesh(widths[0])
+		if err != nil {
+			return nil, err
+		}
+		return fm, nil
+	default:
+		return nil, fmt.Errorf("mesh: unknown topology %q (want one of %v)", family, TopologyNames())
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// ParseWidths parses a width list such as "16x16" or "8x8x8", the -mesh
+// spelling of every command and the shape of a mesh, torus or fullmesh
+// fault-file header (a full mesh has one width, its node count). Each
+// width must be a positive integer; the constructors enforce their own
+// floors. FormatWidths is the inverse.
+func ParseWidths(s string) ([]int, error) {
+	parts := strings.Split(s, "x")
+	widths := make([]int, len(parts))
+	for i, p := range parts {
+		w, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || w < 1 {
+			return nil, fmt.Errorf("mesh: bad width list %q (want e.g. 16x16)", s)
+		}
+		widths[i] = w
+	}
+	return widths, nil
+}
+
+// FormatWidths renders widths as ParseWidths reads them, e.g. "16x16".
+func FormatWidths(widths []int) string {
+	parts := make([]string, len(widths))
+	for i, w := range widths {
+		parts[i] = strconv.Itoa(w)
+	}
+	return strings.Join(parts, "x")
+}
 
 // --- *Mesh as a Topology (mesh, torus, hypercube) ---
 

@@ -10,24 +10,20 @@ import (
 // testTopologies builds one instance of each topology family.
 func testTopologies(t *testing.T) map[string]Topology {
 	t.Helper()
-	tor, err := NewTorus(5, 4)
-	if err != nil {
-		t.Fatal(err)
+	topos := make(map[string]Topology)
+	for family, widths := range map[string][]int{
+		"mesh":      {5, 4},
+		"torus":     {5, 4},
+		"hypercube": {2, 2, 2, 2},
+		"fullmesh":  {9},
+	} {
+		topo, err := NewTopology(family, widths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topos[family] = topo
 	}
-	hc, err := NewHypercube(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm, err := NewFullMesh(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]Topology{
-		"mesh":      MustNew(5, 4),
-		"torus":     tor,
-		"hypercube": hc,
-		"fullmesh":  fm,
-	}
+	return topos
 }
 
 func TestTopologyNamesMatchTags(t *testing.T) {
@@ -43,6 +39,87 @@ func TestTopologyNamesMatchTags(t *testing.T) {
 		}
 		if topo.Tag() != name {
 			t.Errorf("%q topology has Tag %q", name, topo.Tag())
+		}
+	}
+}
+
+// TestParseWidthsNewTopology covers the -mesh spellings every command
+// accepts or rejects: ParseWidths reads the width list, NewTopology builds
+// the family and enforces its shape.
+func TestParseWidthsNewTopology(t *testing.T) {
+	for _, tc := range []struct {
+		family, spec string
+		want         string // topology String(); "" when construction fails
+		errPart      string // expected error substring, if any
+	}{
+		{"mesh", "16x16", "M_2(16x16)", ""},
+		{"mesh", "8x4x2", "M_3(8x4x2)", ""},
+		{"mesh", "16x16x8", "M_3(16x16x8)", ""},
+		{"mesh", "12x8", "M_2(12x8)", ""},
+		{"mesh", "12 x 8", "M_2(12x8)", ""},
+		{"torus", "5x5", "T_2(5x5)", ""},
+		{"hypercube", "2x2x2x2", "Q_4", ""},
+		{"fullmesh", "12", "K_12", ""},
+		{"mesh", "", "", "bad width list"},
+		{"mesh", "x", "", "bad width list"},
+		{"mesh", "8x", "", "bad width list"},
+		{"mesh", "3x", "", "bad width list"},
+		{"mesh", "x8", "", "bad width list"},
+		{"mesh", "8y8", "", "bad width list"},
+		{"mesh", "a", "", "bad width list"},
+		{"mesh", "ax3", "", "bad width list"},
+		{"mesh", "axb", "", "bad width list"},
+		{"mesh", "0x8", "", "bad width list"},
+		{"mesh", "-4x4", "", "bad width list"},
+		{"mesh", "1x5", "", "must be >= 2"},
+		{"hypercube", "2x3x2", "", "every width to be 2"},
+		{"fullmesh", "4x3", "", "takes a node count"},
+		{"fullmesh", "2", "", "at least 3 nodes"},
+		{"klein-bottle", "4x4", "", "unknown topology"},
+	} {
+		var topo Topology
+		widths, err := ParseWidths(tc.spec)
+		if err == nil {
+			topo, err = NewTopology(tc.family, widths)
+		}
+		switch {
+		case tc.want != "" && (err != nil || topo.String() != tc.want):
+			t.Errorf("%s %q: got %v, %v; want %s", tc.family, tc.spec, topo, err, tc.want)
+		case tc.want == "" && (err == nil || !strings.Contains(err.Error(), tc.errPart)):
+			t.Errorf("%s %q: err = %v, want one containing %q", tc.family, tc.spec, err, tc.errPart)
+		}
+		if err == nil && FormatWidths(widths) != strings.ReplaceAll(tc.spec, " ", "") {
+			t.Errorf("FormatWidths(%v) = %q, want %q", widths, FormatWidths(widths), tc.spec)
+		}
+	}
+}
+
+// TestValidateFaults: one rule per family, nodes by Contains and links by
+// LinkHead, and a node-only report costs no allocation.
+func TestValidateFaults(t *testing.T) {
+	topos := testTopologies(t)
+	for family, tc := range map[string]struct {
+		goodNode, badNode Coord
+		goodLink, badLink Link
+	}{
+		"mesh":      {C(4, 3), C(5, 0), Link{From: C(0, 0), Dim: 1, Dir: 1}, Link{From: C(4, 0), Dim: 0, Dir: 1}},
+		"torus":     {C(4, 3), C(4, 4), Link{From: C(4, 0), Dim: 0, Dir: 1}, Link{From: C(4, 0), Dim: 0, Dir: 2}},
+		"hypercube": {C(1, 0, 1, 1), C(1, 0, 1), Link{From: C(0, 0, 0, 0), Dim: 3, Dir: 1}, Link{From: C(0, 0, 0, 0), Dim: 3, Dir: -1}},
+		"fullmesh":  {C(8), C(9), Link{From: C(3), Dim: 0, Dir: 5}, Link{From: C(3), Dim: 0, Dir: -1}},
+	} {
+		topo := topos[family]
+		if err := ValidateFaults(topo, []Coord{tc.goodNode}, []Link{tc.goodLink}); err != nil {
+			t.Errorf("%s: valid report rejected: %v", family, err)
+		}
+		if err := ValidateFaults(topo, []Coord{tc.goodNode, tc.badNode}, nil); err == nil {
+			t.Errorf("%s: node %v accepted", family, tc.badNode)
+		}
+		if err := ValidateFaults(topo, nil, []Link{tc.goodLink, tc.badLink}); err == nil {
+			t.Errorf("%s: link %v accepted", family, tc.badLink)
+		}
+		nodes := []Coord{tc.goodNode}
+		if allocs := testing.AllocsPerRun(100, func() { _ = ValidateFaults(topo, nodes, nil) }); allocs != 0 {
+			t.Errorf("%s: node report costs %v allocs", family, allocs)
 		}
 	}
 }

@@ -29,23 +29,6 @@ func ChooseRouteK(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand)
 	for i := 0; i < n; i++ {
 		coords[i] = m.CoordOf(int64(i))
 	}
-	hopLen := func(a, b mesh.Coord) int {
-		if !m.Torus() {
-			return a.L1(b)
-		}
-		total := 0
-		for dim := range a {
-			d := b[dim] - a[dim]
-			if d < 0 {
-				d = -d
-			}
-			if wrap := m.Width(dim) - d; wrap < d {
-				d = wrap
-			}
-			total += d
-		}
-		return total
-	}
 
 	cost := make([][]int, k)   // cost[t][u]: best t+1-round... see below
 	choice := make([][]int, k) // predecessor node index
@@ -60,7 +43,7 @@ func ChooseRouteK(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand)
 	// Round 1: direct pi_1 reachability from v.
 	for u := 0; u < n; u++ {
 		if o.ReachOne(orders[0], v, coords[u]) {
-			cost[0][u] = hopLen(v, coords[u])
+			cost[0][u] = m.Distance(v, coords[u])
 			choice[0][u] = -2 // from the source
 		}
 	}
@@ -74,7 +57,7 @@ func ChooseRouteK(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand)
 				if !o.ReachOne(orders[t], coords[p], coords[u]) {
 					continue
 				}
-				c := cost[t-1][p] + hopLen(coords[p], coords[u])
+				c := cost[t-1][p] + m.Distance(coords[p], coords[u])
 				switch {
 				case c < cost[t][u]:
 					cost[t][u], choice[t][u], ties = c, p, 1

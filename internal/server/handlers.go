@@ -5,7 +5,6 @@ import (
 	"expvar"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"lambmesh/internal/mesh"
@@ -172,7 +171,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	e := s.Epoch()
 	m := e.Faults.Mesh()
 	resp := ConfigResponse{
-		Mesh:            meshWire(m),
+		Mesh:            mesh.FormatWidths(m.Widths()), // the -mesh spelling
 		Torus:           m.Torus(),
 		Orders:          s.orders.String(),
 		Generation:      e.Generation,
@@ -227,13 +226,4 @@ func coordsWire(cs []mesh.Coord) []string {
 		out[i] = c.String()
 	}
 	return out
-}
-
-// meshWire renders the topology as the "WxH..." spec the CLIs accept.
-func meshWire(m *mesh.Mesh) string {
-	dims := make([]string, m.Dims())
-	for i := range dims {
-		dims[i] = fmt.Sprint(m.Width(i))
-	}
-	return strings.Join(dims, "x")
 }

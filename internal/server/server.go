@@ -219,24 +219,8 @@ func (s *Server) query(e *Epoch, src, dst mesh.Coord, ans *wire.Answer) {
 // epoch. Reports arriving while a recompute runs coalesce into one batch.
 // Already-known faults are accepted and deduplicated by the fault set.
 func (s *Server) ReportFaults(nodes []mesh.Coord, links []mesh.Link) error {
-	for _, c := range nodes {
-		if !s.mesh.Contains(c) {
-			return fmt.Errorf("server: fault %v outside mesh %v", c, s.mesh)
-		}
-	}
-	for _, l := range links {
-		if !s.mesh.Contains(l.From) {
-			return fmt.Errorf("server: link tail %v outside mesh %v", l.From, s.mesh)
-		}
-		if l.Dim < 0 || l.Dim >= s.mesh.Dims() {
-			return fmt.Errorf("server: link %v: dimension must be in [0, %d)", l, s.mesh.Dims())
-		}
-		if l.Dir != 1 && l.Dir != -1 {
-			return fmt.Errorf("server: link %v: direction must be +1 or -1", l)
-		}
-		if _, ok := s.mesh.Neighbor(l.From, l.Dim, l.Dir); !ok {
-			return fmt.Errorf("server: link %v has no head in %v", l, s.mesh)
-		}
+	if err := mesh.ValidateFaults(s.mesh, nodes, links); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	for _, c := range nodes {

@@ -39,16 +39,17 @@ func runTopoCompare(cfg Config) *Table {
 			"delivered"},
 	}
 	cases := []struct {
-		build    func() (mesh.Topology, error)
+		family   string
+		widths   []int
 		strategy string
 	}{
-		{func() (mesh.Topology, error) { return mesh.New(8, 8) }, "lamb"},
-		{func() (mesh.Topology, error) { return mesh.NewTorus(8, 8) }, "lamb"},
-		{func() (mesh.Topology, error) { return mesh.NewHypercube(6) }, "lamb"},
-		{func() (mesh.Topology, error) { return mesh.NewFullMesh(64) }, "direct"},
+		{"mesh", []int{8, 8}, "lamb"},
+		{"torus", []int{8, 8}, "lamb"},
+		{"hypercube", []int{2, 2, 2, 2, 2, 2}, "lamb"},
+		{"fullmesh", []int{64}, "direct"},
 	}
 	for _, tc := range cases {
-		topo, err := tc.build()
+		topo, err := mesh.NewTopology(tc.family, tc.widths)
 		if err != nil {
 			panic(err)
 		}

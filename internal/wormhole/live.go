@@ -137,7 +137,7 @@ func NewLiveEngine(cfg EngineConfig, lc LiveConfig, packets []*Message) (*Engine
 		strat = wrapReconfigurer(lc.Reconf, lc.Orders)
 	}
 	f := strat.Faults()
-	if err := lc.Schedule.Validate(f.Mesh()); err != nil {
+	if err := lc.Schedule.Validate(f.Topology()); err != nil {
 		return nil, err
 	}
 	e, err := NewEngine(f, cfg, packets)

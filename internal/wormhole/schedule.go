@@ -8,7 +8,9 @@ package wormhole
 // applies them between cycles and measures how long accepted throughput
 // takes to recover.
 //
-// The text format mirrors the fault-file format of internal/mesh:
+// The text format is the event directive plus the node/link line grammar
+// that internal/mesh owns (mesh.ReadFaultLines, mesh.WriteFaultLines) and
+// shares with fault files:
 //
 //	# lambmesh fault schedule: 2 events
 //	event 500
@@ -18,19 +20,20 @@ package wormhole
 //	node 7,7
 //
 // Blank lines and '#' comments are ignored. The schedule carries no mesh
-// declaration — coordinates are validated against a mesh only when the
-// schedule is applied (Validate), so the same file can drive differently
-// sized runs of the same topology family.
+// declaration — faults are validated against the run's topology only when
+// the schedule is applied (Validate, with mesh.ValidateFaults), so the same
+// file can drive differently sized runs of the same topology family. On a
+// full mesh a link's dir is its clockwise delta, e.g. "link 3 0 +5".
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 
 	"lambmesh/internal/mesh"
 )
@@ -136,28 +139,16 @@ func sortDedupLinks(ls []mesh.Link) []mesh.Link {
 	return out
 }
 
-// Validate checks every scheduled fault against the mesh: nodes in bounds,
-// link tails in bounds with an existing head, cycles nonnegative.
-func (s FaultSchedule) Validate(m *mesh.Mesh) error {
+// Validate checks the schedule against the run's topology: cycles must be
+// nonnegative and every event must pass mesh.ValidateFaults, so applying
+// it with AddNode/AddLink cannot panic.
+func (s FaultSchedule) Validate(t mesh.Topology) error {
 	for _, ev := range s.Events {
 		if ev.Cycle < 0 {
 			return fmt.Errorf("wormhole: fault event at negative cycle %d", ev.Cycle)
 		}
-		for _, c := range ev.Nodes {
-			if !m.Contains(c) {
-				return fmt.Errorf("wormhole: scheduled fault %v outside %v", c, m)
-			}
-		}
-		for _, l := range ev.Links {
-			if !m.Contains(l.From) {
-				return fmt.Errorf("wormhole: scheduled link tail %v outside %v", l.From, m)
-			}
-			if l.Dim < 0 || l.Dim >= m.Dims() || (l.Dir != 1 && l.Dir != -1) {
-				return fmt.Errorf("wormhole: scheduled link %v has bad dim/dir", l)
-			}
-			if _, ok := m.Neighbor(l.From, l.Dim, l.Dir); !ok {
-				return fmt.Errorf("wormhole: scheduled link %v has no head in %v", l, m)
-			}
+		if err := mesh.ValidateFaults(t, ev.Nodes, ev.Links); err != nil {
+			return fmt.Errorf("wormhole: fault event at cycle %d: %w", ev.Cycle, err)
 		}
 	}
 	return nil
@@ -176,80 +167,48 @@ func WriteSchedule(w io.Writer, s FaultSchedule) error {
 		len(canon.Events), nodes, links)
 	for _, ev := range canon.Events {
 		fmt.Fprintf(bw, "event %d\n", ev.Cycle)
-		for _, c := range ev.Nodes {
-			fmt.Fprintf(bw, "node %s\n", strings.Trim(c.String(), "()"))
-		}
-		for _, l := range ev.Links {
-			fmt.Fprintf(bw, "link %s %d %+d\n", strings.Trim(l.From.String(), "()"), l.Dim, l.Dir)
-		}
+		mesh.WriteFaultLines(bw, ev.Nodes, ev.Links)
 	}
 	return bw.Flush()
 }
 
-// ReadSchedule parses the WriteSchedule format. Coordinates are checked for
-// internal consistency only (a link's dimension must index its tail
-// coordinate); mesh-bounds checks happen in Validate.
+// ReadSchedule parses the WriteSchedule format. It owns only the event
+// directive; node and link lines are mesh.ReadFaultLines' grammar, checked
+// for syntax only. Validity in a topology is Validate's job.
 func ReadSchedule(r io.Reader) (FaultSchedule, error) {
-	sc := bufio.NewScanner(r)
 	var s FaultSchedule
 	var cur *FaultEvent
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	event := func(fields []string) error {
+		if fields[0] != "event" {
+			return fmt.Errorf("unknown directive %q", fields[0])
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "event":
-			if len(fields) != 2 {
-				return FaultSchedule{}, fmt.Errorf("wormhole: line %d: want 'event CYCLE'", lineNo)
-			}
-			cycle, err := strconv.Atoi(fields[1])
-			if err != nil || cycle < 0 {
-				return FaultSchedule{}, fmt.Errorf("wormhole: line %d: bad event cycle %q", lineNo, fields[1])
-			}
-			s.Events = append(s.Events, FaultEvent{Cycle: cycle})
-			cur = &s.Events[len(s.Events)-1]
-		case "node":
-			if cur == nil {
-				return FaultSchedule{}, fmt.Errorf("wormhole: line %d: node before any event", lineNo)
-			}
-			if len(fields) != 2 {
-				return FaultSchedule{}, fmt.Errorf("wormhole: line %d: want 'node x,y,...'", lineNo)
-			}
-			c, err := mesh.ParseCoord(fields[1])
-			if err != nil {
-				return FaultSchedule{}, fmt.Errorf("wormhole: line %d: %v", lineNo, err)
-			}
-			cur.Nodes = append(cur.Nodes, c)
-		case "link":
-			if cur == nil {
-				return FaultSchedule{}, fmt.Errorf("wormhole: line %d: link before any event", lineNo)
-			}
-			if len(fields) != 4 {
-				return FaultSchedule{}, fmt.Errorf("wormhole: line %d: want 'link x,y dim dir'", lineNo)
-			}
-			c, err := mesh.ParseCoord(fields[1])
-			if err != nil {
-				return FaultSchedule{}, fmt.Errorf("wormhole: line %d: %v", lineNo, err)
-			}
-			dim, err := strconv.Atoi(fields[2])
-			if err != nil || dim < 0 || dim >= len(c) {
-				return FaultSchedule{}, fmt.Errorf("wormhole: line %d: bad dimension %q", lineNo, fields[2])
-			}
-			dir, err := strconv.Atoi(fields[3])
-			if err != nil || (dir != 1 && dir != -1) {
-				return FaultSchedule{}, fmt.Errorf("wormhole: line %d: bad direction %q", lineNo, fields[3])
-			}
-			cur.Links = append(cur.Links, mesh.Link{From: c, Dim: dim, Dir: dir})
-		default:
-			return FaultSchedule{}, fmt.Errorf("wormhole: line %d: unknown directive %q", lineNo, fields[0])
+		if len(fields) != 2 {
+			return errors.New("want 'event CYCLE'")
 		}
+		cycle, err := strconv.Atoi(fields[1])
+		if err != nil || cycle < 0 {
+			return fmt.Errorf("bad event cycle %q", fields[1])
+		}
+		s.Events = append(s.Events, FaultEvent{Cycle: cycle})
+		cur = &s.Events[len(s.Events)-1]
+		return nil
 	}
-	if err := sc.Err(); err != nil {
-		return FaultSchedule{}, err
+	node := func(c mesh.Coord) error {
+		if cur == nil {
+			return errors.New("node before any event")
+		}
+		cur.Nodes = append(cur.Nodes, c)
+		return nil
+	}
+	link := func(l mesh.Link) error {
+		if cur == nil {
+			return errors.New("link before any event")
+		}
+		cur.Links = append(cur.Links, l)
+		return nil
+	}
+	if err := mesh.ReadFaultLines(r, event, node, link); err != nil {
+		return FaultSchedule{}, fmt.Errorf("wormhole: %w", err)
 	}
 	return s, nil
 }

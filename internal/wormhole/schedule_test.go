@@ -99,6 +99,18 @@ func TestScheduleValidate(t *testing.T) {
 			t.Errorf("bad schedule %d accepted", i)
 		}
 	}
+	// Links are checked against the topology, not its grid: K_12's links
+	// are clockwise deltas, so "+5" is one and "-1" (a T_1(12) link) is not.
+	k12 := mesh.MustNewFullMesh(12)
+	for in, valid := range map[string]bool{"link 3 0 +5": true, "link 3 0 -1": false} {
+		s, err := ReadSchedule(strings.NewReader("event 100\n" + in + "\n"))
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		if err := s.Validate(k12); (err == nil) != valid {
+			t.Errorf("%q on K_12: Validate = %v, want valid=%v", in, err, valid)
+		}
+	}
 }
 
 func TestReadScheduleErrors(t *testing.T) {
@@ -164,8 +176,28 @@ func TestRandomSchedule(t *testing.T) {
 // FuzzFaultSchedule checks the schedule-file format's round-trip invariant
 // on arbitrary input: whatever ReadSchedule accepts, WriteSchedule must
 // serialize to a canonical form that re-parses and re-serializes to
-// byte-identical output, and nothing may panic.
+// byte-identical output, and nothing may panic. It also checks Validate
+// against every topology family: a schedule Validate accepts must apply
+// with AddNode/AddLink without a panic.
 func FuzzFaultSchedule(f *testing.F) {
+	var topos []mesh.Topology
+	for _, spec := range []struct {
+		family string
+		widths []int
+	}{
+		{"mesh", []int{6, 6}},
+		{"torus", []int{6, 6}},
+		{"hypercube", []int{2, 2, 2}},
+		{"fullmesh", []int{12}},
+	} {
+		topo, err := mesh.NewTopology(spec.family, spec.widths)
+		if err != nil {
+			f.Fatal(err)
+		}
+		topos = append(topos, topo)
+	}
+	f.Add("event 100\nlink 3 0 -1\n") // no K_12 link, but a T_1(12) one
+	f.Add("event 100\nlink 3 0 +5\n") // a K_12 link only
 	f.Add("event 500\nnode 3,4\nlink 1,1 0 +1\nevent 900\nnode 7,7\n")
 	f.Add("# comment\n\nevent 0\nnode 0,0,0\nlink 2,2,2 2 -1\n")
 	f.Add("event 7\nevent 7\nnode 1,2\nnode 1,2\n")
@@ -193,6 +225,18 @@ func FuzzFaultSchedule(f *testing.F) {
 		}
 		if !reflect.DeepEqual(s.Canonical(), s2.Canonical()) {
 			t.Fatalf("round-trip changed the schedule:\n%+v\nvs\n%+v", s.Canonical(), s2.Canonical())
+		}
+		for _, topo := range topos {
+			if s.Validate(topo) != nil {
+				continue
+			}
+			fs := mesh.NewFaultSetOn(topo)
+			for _, ev := range s.Events {
+				fs.AddNodes(ev.Nodes...)
+				for _, l := range ev.Links {
+					fs.AddLink(l)
+				}
+			}
 		}
 	})
 }

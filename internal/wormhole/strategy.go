@@ -39,7 +39,8 @@ type RouteStrategy interface {
 	// it); an error is a configuration bug and aborts the run.
 	Route(src, dst mesh.Coord, id, length, injectAt, vcs int, rng *rand.Rand) (*Message, bool, error)
 	// AddFaults grows the fault configuration mid-run and recomputes the
-	// scheme's derived structure (lamb set, ring regions).
+	// scheme's derived structure (lamb set, ring regions). A report that
+	// mesh.ValidateFaults rejects returns its error and changes nothing.
 	AddFaults(nodes []mesh.Coord, links []mesh.Link) error
 }
 

@@ -84,6 +84,9 @@ func (s *AdaptiveStrategy) Sacrificed() []mesh.Coord { return nil }
 func (s *AdaptiveStrategy) MinVCs() int              { return 1 }
 
 func (s *AdaptiveStrategy) AddFaults(nodes []mesh.Coord, links []mesh.Link) error {
+	if err := mesh.ValidateFaults(s.f.Topology(), nodes, links); err != nil {
+		return err
+	}
 	for _, c := range nodes {
 		s.f.AddNode(c)
 	}

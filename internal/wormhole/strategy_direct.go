@@ -99,6 +99,9 @@ func (s *DirectStrategy) Route(src, dst mesh.Coord, id, length, injectAt, vcs in
 }
 
 func (s *DirectStrategy) AddFaults(nodes []mesh.Coord, links []mesh.Link) error {
+	if err := mesh.ValidateFaults(s.f.Topology(), nodes, links); err != nil {
+		return err
+	}
 	for _, c := range nodes {
 		s.f.AddNode(c)
 	}

@@ -90,6 +90,9 @@ func (s *RingStrategy) Route(src, dst mesh.Coord, id, length, injectAt, vcs int,
 }
 
 func (s *RingStrategy) AddFaults(nodes []mesh.Coord, links []mesh.Link) error {
+	if err := mesh.ValidateFaults(s.f.Topology(), nodes, links); err != nil {
+		return err
+	}
 	for _, c := range nodes {
 		s.f.AddNode(c)
 	}

@@ -420,3 +420,52 @@ func TestLiveStrategyReconfiguration(t *testing.T) {
 		}
 	}
 }
+
+// TestStrategyAddFaultsInvalidReport: every strategy checks a report with
+// mesh.ValidateFaults before it mutates anything, so an invalid node or
+// link is an error, not a panic, and the report's valid faults are not
+// applied either.
+func TestStrategyAddFaultsInvalidReport(t *testing.T) {
+	grid := mesh.MustNew(8, 8)
+	k12 := mesh.MustNewFullMesh(12)
+	for _, tc := range []struct {
+		name          string
+		topo          mesh.Topology
+		initial, good mesh.Coord
+		outside       mesh.Coord
+		badLink       mesh.Link
+	}{
+		{"lamb", grid, mesh.C(5, 5), mesh.C(2, 2), mesh.C(8, 0), mesh.Link{From: mesh.C(7, 0), Dim: 0, Dir: 1}},
+		{"ring", grid, mesh.C(5, 5), mesh.C(2, 2), mesh.C(0, -1), mesh.Link{From: mesh.C(1, 1), Dim: 2, Dir: 1}},
+		{"adaptive", grid, mesh.C(5, 5), mesh.C(2, 2), mesh.C(1, 1, 1), mesh.Link{From: mesh.C(1, 1), Dim: 0, Dir: 2}},
+		{"direct", k12, mesh.C(7), mesh.C(5), mesh.C(12), mesh.Link{From: mesh.C(3), Dim: 0, Dir: -1}},
+	} {
+		f := mesh.NewFaultSetOn(tc.topo)
+		f.AddNode(tc.initial)
+		builder, err := NewStrategyBuilder(tc.name, routing.UniformAscending(tc.topo.Grid().Dims(), 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := builder(f)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, rep := range []struct {
+			nodes []mesh.Coord
+			links []mesh.Link
+		}{
+			{[]mesh.Coord{tc.good, tc.outside}, nil},
+			{[]mesh.Coord{tc.good}, []mesh.Link{tc.badLink}},
+		} {
+			if err := s.AddFaults(rep.nodes, rep.links); err == nil {
+				t.Errorf("%s: invalid report %v %v accepted", tc.name, rep.nodes, rep.links)
+			}
+			if got := s.Faults(); got.Count() != 1 || !got.NodeFaulty(tc.initial) {
+				t.Errorf("%s: rejected report changed the faults to %d (%v)", tc.name, got.Count(), got.NodeFaults())
+			}
+		}
+		if err := s.AddFaults([]mesh.Coord{tc.good}, nil); err != nil || !s.Faults().NodeFaulty(tc.good) {
+			t.Errorf("%s: valid report: %v", tc.name, err)
+		}
+	}
+}

@@ -124,7 +124,7 @@ func RunSweep(f *mesh.FaultSet, spec SweepSpec) ([]SweepPoint, error) {
 	}
 	var shared RouteStrategy
 	if spec.Live() {
-		if err := spec.Schedule.Validate(f.Mesh()); err != nil {
+		if err := spec.Schedule.Validate(f.Topology()); err != nil {
 			return nil, err
 		}
 	} else {

@@ -210,8 +210,8 @@ func NewReconfigurer(m *Mesh, orders MultiOrder, keepLambs bool) (*Reconfigurer,
 }
 
 // WriteFaults serializes a fault set in the line-oriented lambmesh fault
-// format ("mesh 12x12" / "node 9,1" / "link 1,1 0 +1"). The format is what
-// cmd/lambfind's -fault-file and cmd/lambd's -load consume, so fault
+// format ("mesh 12x12" / "node 9,1" / "link 1,1 0 +1"). cmd/lambfind's
+// -save writes it and its -load and cmd/lambd's -load read it, so fault
 // configurations round-trip between diagnostics runs and the daemon.
 func WriteFaults(w io.Writer, f *FaultSet) error { return mesh.WriteFaults(w, f) }
 
