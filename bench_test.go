@@ -88,6 +88,30 @@ func BenchmarkSec5LambSet(b *testing.B) {
 	}
 }
 
+// BenchmarkTorusLamb: Solver.Lamb1 on a torus, the Section 7 class
+// reduction (T_2(16), 7 node faults, k = 2), through a long-lived Solver.
+func BenchmarkTorusLamb(b *testing.B) {
+	tor, err := mesh.NewTorus(16, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := mesh.RandomNodeFaultsOn(tor, 7, rand.New(rand.NewSource(1)))
+	orders := routing.UniformAscending(2, 2)
+	s := core.NewSolver()
+	// One untimed call grows the scratch, so allocs/op is the steady state
+	// at any -benchtime.
+	if _, err := s.Lamb1(f, orders); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Lamb1(f, orders); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchLambTrial measures one randomized trial at a figure's data point,
 // at the LAMBMESH_WORKERS pool size (default all CPUs).
 func benchLambTrial(b *testing.B, widths []int, faults, k int) {

@@ -18,7 +18,9 @@
 // -workers N bounds the worker pool the reachability kernels run on (0, the
 // default, means all CPUs). The computed lamb set is bit-identical for every
 // worker count; the flag only trades wall-clock time against CPU share. The
-// generic/torus path is single-threaded and ignores it.
+// torus path (and -algo generic) is single-threaded and ignores it; -algo
+// lamb2 and exact need rectangular partitions, so they fail on a torus.
+// -verify checks Definition 2.6 on meshes and tori alike.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the lamb
 // computation (inspect with `go tool pprof`). The CPU profile covers only
@@ -32,6 +34,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -45,54 +48,61 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "lambfind:", err)
+		os.Exit(1)
+	}
+}
+
+// run is lambfind with its command line, lamb output and report streams
+// passed in.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("lambfind", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		meshFlag  = flag.String("mesh", "32x32x32", "mesh widths, e.g. 32x32 or 32x32x32")
-		torus     = flag.Bool("torus", false, "use a torus (wrap-around links; generic algorithm)")
-		k         = flag.Int("k", 2, "number of routing rounds (virtual channels)")
-		algo      = flag.String("algo", "lamb1", "algorithm: lamb1 | lamb2 | exact | generic")
-		faultsStr = flag.String("faults", "", "semicolon-separated fault coordinates, e.g. \"(9,1);(11,6)\"")
-		random    = flag.Int("random", 0, "number of random node faults to draw instead")
-		seed      = flag.Int64("seed", 1, "seed for -random")
-		workers   = flag.Int("workers", 0, "reachability worker pool size; 0 = all CPUs (result is identical for any value)")
-		verify    = flag.Bool("verify", false, "re-verify the lamb set through the SES/DES algebra")
-		verbose   = flag.Bool("v", false, "print partition statistics")
-		load      = flag.String("load", "", "load mesh+faults from a file in the lambmesh fault format (overrides -mesh)")
-		save      = flag.String("save", "", "save the mesh+faults to a file in the lambmesh fault format")
-		draw      = flag.Bool("draw", false, "draw the mesh with faults (X) and lambs (L); 2D meshes only")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the lamb computation to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile (after the computation, post-GC) to this file")
-		repeat    = flag.Int("repeat", 1, "run the computation N times through one Solver (for profiling the steady state)")
+		meshFlag  = fs.String("mesh", "32x32x32", "mesh widths, e.g. 32x32 or 32x32x32")
+		torus     = fs.Bool("torus", false, "use a torus (wrap-around links; Section 7 class reduction)")
+		k         = fs.Int("k", 2, "number of routing rounds (virtual channels)")
+		algo      = fs.String("algo", "lamb1", "algorithm: lamb1 | lamb2 | exact | generic")
+		faultsStr = fs.String("faults", "", "semicolon-separated fault coordinates, e.g. \"(9,1);(11,6)\"")
+		random    = fs.Int("random", 0, "number of random node faults to draw instead")
+		seed      = fs.Int64("seed", 1, "seed for -random")
+		workers   = fs.Int("workers", 0, "reachability worker pool size; 0 = all CPUs (result is identical for any value)")
+		verify    = fs.Bool("verify", false, "re-verify the lamb set (SES/DES algebra on meshes, survivor pairs on tori)")
+		verbose   = fs.Bool("v", false, "print partition statistics")
+		load      = fs.String("load", "", "load mesh+faults from a file in the lambmesh fault format (overrides -mesh)")
+		save      = fs.String("save", "", "save the mesh+faults to a file in the lambmesh fault format")
+		draw      = fs.Bool("draw", false, "draw the mesh with faults (X) and lambs (L); 2D meshes only")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the lamb computation to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile (after the computation, post-GC) to this file")
+		repeat    = fs.Int("repeat", 1, "run the computation N times through one Solver (for profiling the steady state)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return nil // -h: the usage is already printed
+		}
+		return err
+	}
 
 	f, err := openFaults(*load, *meshFlag, *torus)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	m := f.Mesh()
 	if err := loadFaults(f, *faultsStr); err != nil {
-		fatal(err)
+		return err
 	}
 	if *random > 0 {
 		rf := mesh.RandomNodeFaults(m, *random, rand.New(rand.NewSource(*seed)))
-		for _, c := range rf.NodeFaults() {
-			f.AddNode(c)
-		}
+		f.AddNodes(rf.NodeFaults()...)
 	}
 	if f.Count() == 0 {
-		fmt.Fprintln(os.Stderr, "lambfind: no faults given; every good node already reaches every other")
+		fmt.Fprintln(stderr, "lambfind: no faults given; every good node already reaches every other")
 	}
 
 	if *save != "" {
-		fh, err := os.Create(*save)
-		if err != nil {
-			fatal(err)
-		}
-		if err := mesh.WriteFaults(fh, f); err != nil {
-			fatal(err)
-		}
-		if err := fh.Close(); err != nil {
-			fatal(err)
+		if err := writeFile(*save, func(w io.Writer) error { return mesh.WriteFaults(w, f) }); err != nil {
+			return err
 		}
 	}
 
@@ -100,10 +110,10 @@ func main() {
 	if *cpuProf != "" {
 		fh, err := os.Create(*cpuProf)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(fh); err != nil {
-			fatal(err)
+			return err
 		}
 		defer fh.Close()
 	}
@@ -112,75 +122,81 @@ func main() {
 	for i := 0; i < *repeat || i == 0; i++ {
 		res, err = computeLamb(s, f, orders, *algo, *workers)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *cpuProf != "" {
 		pprof.StopCPUProfile()
 	}
 	if *memProf != "" {
-		fh, err := os.Create(*memProf)
-		if err != nil {
-			fatal(err)
-		}
 		runtime.GC()
-		if err := pprof.WriteHeapProfile(fh); err != nil {
-			fatal(err)
-		}
-		if err := fh.Close(); err != nil {
-			fatal(err)
+		if err := writeFile(*memProf, pprof.WriteHeapProfile); err != nil {
+			return err
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "mesh %v, %d node faults, %d link faults, k=%d (%v)\n",
+	fmt.Fprintf(stderr, "mesh %v, %d node faults, %d link faults, k=%d (%v)\n",
 		m, f.NumNodeFaults(), f.NumLinkFaults(), *k, orders)
-	fmt.Fprintf(os.Stderr, "lambs: %d (%.4f%% of nodes, %.1f%% of faults), survivors: %d\n",
+	fmt.Fprintf(stderr, "lambs: %d (%.4f%% of nodes, %.1f%% of faults), survivors: %d\n",
 		res.NumLambs(),
 		100*float64(res.NumLambs())/float64(m.Nodes()),
 		pct(res.NumLambs(), f.Count()),
 		res.Survivors(f))
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "SESs %d, DESs %d, relevant %d/%d, cover weight %d, proven lower bound %d\n",
+		fmt.Fprintf(stderr, "SESs %d, DESs %d, relevant %d/%d, cover weight %d, proven lower bound %d\n",
 			res.Stats.NumSES, res.Stats.NumDES,
 			res.Stats.RelevantSES, res.Stats.RelevantDES,
 			res.Stats.CoverWeight, res.LowerBound())
 	}
-	if *verify && !m.Torus() && *algo != "generic" {
+	if *verify {
 		if err := core.VerifyLambSet(f, orders, res.Lambs); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintln(os.Stderr, "verification: OK")
+		fmt.Fprintln(stderr, "verification: OK")
 	}
 	if *draw {
 		pic, err := viz.Render(f, res.Lambs, viz.Marks{})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lambfind: -draw:", err)
+			fmt.Fprintln(stderr, "lambfind: -draw:", err)
 		} else {
-			fmt.Fprint(os.Stderr, pic)
+			fmt.Fprint(stderr, pic)
 		}
 	}
 	for _, c := range res.Lambs {
-		fmt.Println(strings.Trim(c.String(), "()"))
+		fmt.Fprintln(stdout, strings.Trim(c.String(), "()"))
 	}
+	return nil
 }
 
 // computeLamb dispatches to the selected lamb algorithm, running it through
-// the caller's Solver so -repeat profiles the scratch-reuse steady state. The
-// torus/generic path has no worker knob (it is single-threaded); everywhere
-// else the result is bit-identical for any workers value.
+// the caller's Solver so -repeat profiles the scratch-reuse steady state.
+// The result is bit-identical for any workers value.
 func computeLamb(s *core.Solver, f *mesh.FaultSet, orders routing.MultiOrder, algo string, workers int) (*core.Result, error) {
-	switch {
-	case f.Mesh().Torus() || algo == "generic":
+	switch algo {
+	case "generic":
 		return core.TorusLamb(f, orders)
-	case algo == "lamb1":
+	case "lamb1":
 		return s.Lamb1(f, orders, core.WithWorkers(workers))
-	case algo == "lamb2":
+	case "lamb2":
 		return s.Lamb2(f, orders, core.ApproxWVC, core.WithWorkers(workers))
-	case algo == "exact":
+	case "exact":
 		return s.ExactLamb(f, orders, core.WithWorkers(workers))
 	default:
 		return nil, fmt.Errorf("unknown -algo %q", algo)
 	}
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	fh, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(fh); err != nil {
+		fh.Close()
+		return err
+	}
+	return fh.Close()
 }
 
 // openFaults returns the starting fault set: the -load file's, or an empty
@@ -245,9 +261,4 @@ func pct(a, b int) float64 {
 		return 0
 	}
 	return 100 * float64(a) / float64(b)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "lambfind:", err)
-	os.Exit(1)
 }

@@ -113,6 +113,62 @@ func TestComputeLambUnknownAlgo(t *testing.T) {
 	}
 }
 
+// On a torus lamb1 and generic solve on the class reduction, while lamb2
+// and exact need the rectangular partitions and fail instead of silently
+// running another algorithm.
+func TestComputeLambTorusAlgos(t *testing.T) {
+	tor, err := mesh.NewTorus(10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := mesh.RandomNodeFaults(tor, 12, rand.New(rand.NewSource(2)))
+	orders := routing.UniformAscending(2, 2)
+	for _, algo := range []string{"lamb2", "exact"} {
+		if _, err := computeLamb(core.NewSolver(), f, orders, algo, 1); err == nil || !strings.Contains(err.Error(), "torus") {
+			t.Errorf("%s on a torus: err = %v, want the partition error", algo, err)
+		}
+	}
+	want, err := core.TorusLamb(f, orders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"lamb1", "generic"} {
+		got, err := computeLamb(core.NewSolver(), f, orders, algo, 1)
+		if err != nil || !reflect.DeepEqual(got.Lambs, want.Lambs) {
+			t.Errorf("%s on a torus: %v %v, want %v", algo, got, err, want.Lambs)
+		}
+	}
+}
+
+// -verify reports on every path: the mesh pipeline, -algo generic and a
+// torus. -algo exact on a torus exits with the partition error.
+func TestRunVerify(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		lambs string
+	}{
+		{[]string{"-mesh", "12x12", "-faults", "(9,1);(11,6);(10,10)", "-verify"}, "11,10\n10,11\n"},
+		{[]string{"-mesh", "12x12", "-faults", "(9,1);(11,6);(10,10)", "-algo", "generic", "-verify"}, "11,10\n10,11\n"},
+		{[]string{"-mesh", "8x8", "-torus", "-random", "6", "-seed", "2", "-verify"}, ""},
+	} {
+		var stdout, stderr strings.Builder
+		if err := run(tc.args, &stdout, &stderr); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if !strings.Contains(stderr.String(), "verification: OK") {
+			t.Errorf("%v: no verification line in %q", tc.args, stderr.String())
+		}
+		if stdout.String() != tc.lambs {
+			t.Errorf("%v: lambs %q, want %q", tc.args, stdout.String(), tc.lambs)
+		}
+	}
+	var stdout, stderr strings.Builder
+	err := run([]string{"-mesh", "10x10", "-torus", "-random", "12", "-seed", "2", "-algo", "exact"}, &stdout, &stderr)
+	if err == nil || stdout.Len() != 0 {
+		t.Errorf("-torus -algo exact: err = %v, lambs %q; want an error and no lambs", err, stdout.String())
+	}
+}
+
 func TestPct(t *testing.T) {
 	if pct(1, 0) != 0 {
 		t.Error("pct with zero denominator")

@@ -36,12 +36,12 @@ func ExampleChooseRoute() {
 }
 
 // A torus rescues nodes a mesh cannot (Section 7).
-func ExampleFindLambSetTorus() {
+func ExampleFindLambSet_torus() {
 	torus, _ := lambmesh.NewTorus(6, 6)
 	faults := lambmesh.NewFaultSet(torus)
 	faults.AddNodes(lambmesh.C(1, 0), lambmesh.C(0, 1), lambmesh.C(1, 1))
 
-	res, _ := lambmesh.FindLambSetTorus(faults, lambmesh.TwoRoundXY())
+	res, _ := lambmesh.FindLambSet(faults, lambmesh.TwoRoundXY())
 	fmt.Println("lambs needed:", res.NumLambs())
 	// Output:
 	// lambs needed: 0

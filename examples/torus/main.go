@@ -47,7 +47,7 @@ func torusDemo(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	torusRes, err := lambmesh.FindLambSetTorus(faultsFor(tm), lambmesh.TwoRoundXY())
+	torusRes, err := lambmesh.FindLambSet(faultsFor(tm), lambmesh.TwoRoundXY())
 	if err != nil {
 		return err
 	}

@@ -35,9 +35,9 @@ type Spec struct {
 	Models []Model    `json:"models"`
 	Procs  []ProcSpec `json:"procs"`
 	// Topology selects the network family every grid mesh is built as:
-	// "" or "mesh" (rectangular, the default), "torus" (wrap-around links,
-	// solved by the generic TorusLamb path), or "hypercube" (every width
-	// must be 2). Part of the campaign identity; omitempty keeps the spec
+	// "" or "mesh" (rectangular, the default), "torus" (wrap-around links;
+	// Solver.Lamb1Count runs the O(kN^2) class reduction on it), or
+	// "hypercube" (every width must be 2). Part of the campaign identity; omitempty keeps the spec
 	// keys of pre-topology checkpoints valid. Full meshes are rejected —
 	// they have no lamb problem to sample.
 	Topology string `json:"topology,omitempty"`
@@ -133,9 +133,6 @@ type point struct {
 	proc    ProcSpec
 	orders  routing.MultiOrder
 	samp    *sampler
-	// generic routes the trial solve through core.TorusLamb instead of the
-	// rectangular count pipeline (tori only; it allocates per trial).
-	generic bool
 }
 
 // buildGrid validates the spec and precomputes every grid point.
@@ -194,7 +191,6 @@ func buildGrid(spec *Spec) ([]*point, []*mesh.Mesh, error) {
 					proc:    proc,
 					orders:  orders,
 					samp:    samp,
-					generic: m.Torus(),
 				})
 			}
 		}
@@ -251,8 +247,8 @@ func newWorker(meshes []*mesh.Mesh) *worker {
 }
 
 // runTrial executes one deterministic trial: seed, fault draw, count-only
-// lamb solve, aggregate. The loop body is allocation-free in steady state
-// (pinned by BenchmarkCampaignTrial).
+// lamb solve, aggregate. On a mesh the loop body is allocation-free in
+// steady state (pinned by BenchmarkCampaignTrial).
 func (w *worker) runTrial(spec *Spec, pts []*point, pointIdx int, trial int64, agg *PointAgg) error {
 	pt := pts[pointIdx]
 	r := newRNG(par.TrialSeed(spec.Seed, pointIdx, int(trial)))
@@ -260,19 +256,7 @@ func (w *worker) runTrial(spec *Spec, pts []*point, pointIdx int, trial int64, a
 	f := w.faults[pt.meshIdx]
 	drawFaults(pt.m, f, pt.model, count, &r, w.coord[pt.meshIdx], w.head[pt.meshIdx])
 	start := time.Now()
-	var lambs int64
-	var err error
-	if pt.generic {
-		// Tori fall outside the rectangular count pipeline; the generic
-		// solve materializes the lamb set (and allocates) every trial.
-		var res *core.Result
-		res, err = core.TorusLamb(f, pt.orders)
-		if err == nil {
-			lambs = int64(res.NumLambs())
-		}
-	} else {
-		_, lambs, err = w.solver.Lamb1Count(f, pt.orders, 1)
-	}
+	_, lambs, err := w.solver.Lamb1Count(f, pt.orders, 1)
 	if err != nil {
 		return fmt.Errorf("campaign: point %d trial %d: %w", pointIdx, trial, err)
 	}

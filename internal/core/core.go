@@ -19,8 +19,8 @@
 //     with the Bar-Yehuda & Even solver it is a 2-approximation in
 //     polynomial time.
 //   - GenericLamb: the topology-agnostic variant of Section 7 for any
-//     finite node set with a "simple reachability" relation — used for tori
-//     and other non-mesh networks (O(k N^2) time).
+//     finite node set with a "simple reachability" relation (O(k N^2)
+//     time). Lamb1 runs the same class reduction on tori by itself.
 //
 // The Section 7 extensions are supported: per-node values (weights) and a
 // predetermined set of nodes that must be lambs.
@@ -148,17 +148,6 @@ func newResult(m *mesh.Mesh, orders routing.MultiOrder, cfg *config, st Stats, r
 		return m.Index(r.Lambs[i]) < m.Index(r.Lambs[j])
 	})
 	return r
-}
-
-// nodeValue returns the value of node c under cfg (default 1).
-func (cfg *config) nodeValue(m *mesh.Mesh, c mesh.Coord) int64 {
-	if cfg.values == nil {
-		return 1
-	}
-	if v, ok := cfg.values[m.Index(c)]; ok {
-		return v
-	}
-	return 1
 }
 
 // predeterminedIndex returns the predetermined lambs as an index set.

@@ -8,16 +8,26 @@ import (
 	"lambmesh/internal/routing"
 )
 
-// TestLamb1CountMatchesLamb1 pins the rectangle-arithmetic lamb count to the
-// materialized result across randomized fault sets, mesh shapes, and round
-// counts, reusing one Solver throughout so scratch reuse is exercised too.
+// TestLamb1CountMatchesLamb1 pins the lamb count to the materialized result
+// across randomized fault sets, mesh and torus shapes, and round counts,
+// reusing one Solver throughout so scratch reuse is exercised too.
 func TestLamb1CountMatchesLamb1(t *testing.T) {
-	shapes := [][]int{{8, 8}, {6, 7, 5}, {16, 4}, {4, 4, 4}}
+	var grids []*mesh.Mesh
+	for _, widths := range [][]int{{8, 8}, {6, 7, 5}, {16, 4}, {4, 4, 4}} {
+		grids = append(grids, mesh.MustNew(widths...))
+	}
+	for _, widths := range [][]int{{6, 6}, {8, 5}, {4, 4, 4}} {
+		tor, err := mesh.NewTorus(widths...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grids = append(grids, tor)
+	}
 	s := NewSolver()
 	check := NewSolver()
 	rng := rand.New(rand.NewSource(42))
-	for _, widths := range shapes {
-		m := mesh.MustNew(widths...)
+	for _, m := range grids {
+		widths := m.Widths()
 		for trial := 0; trial < 25; trial++ {
 			faults := 1 + rng.Intn(int(m.Nodes()/4))
 			f := mesh.RandomNodeFaults(m, faults, rng)

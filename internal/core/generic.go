@@ -2,12 +2,13 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"time"
 
 	"lambmesh/internal/bitmat"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/routing"
-	"lambmesh/internal/vcover"
 )
 
 // GenericProblem is the topology-agnostic lamb problem of Section 7: "all
@@ -37,206 +38,236 @@ type GenericResult struct {
 // same bipartite WVC reduction as Lamb1. Cost is O(k N^2) reachability
 // calls, so this suits moderate N — tori, hypercube variants, irregular
 // networks — where the rectangular partition algorithm does not apply.
+// Lambs come in ascending node order.
 func GenericLamb(p *GenericProblem) (*GenericResult, error) {
-	if p.NumNodes <= 0 {
-		return nil, fmt.Errorf("core: generic problem needs nodes")
+	s := NewSolver()
+	st, err := s.classCover(p, time.Now())
+	if err != nil {
+		return nil, err
 	}
-	if p.Rounds <= 0 {
-		return nil, fmt.Errorf("core: generic problem needs at least one round")
+	out := &GenericResult{Stats: st}
+	s.cls.forEachLamb(func(v int) { out.Lambs = append(out.Lambs, v) })
+	return out, nil
+}
+
+// TorusLamb runs the class reduction of Section 7 on a torus or any mesh,
+// with the dimension-ordered routing oracle as the simple-reachability
+// relation: the path Solver.Lamb1 takes on tori by itself, on a throwaway
+// Solver. On a mesh it is the explicit generic algorithm (lambfind -algo
+// generic), an O(k N^2 d log f) alternative to the rectangular pipeline.
+func TorusLamb(f *mesh.FaultSet, orders routing.MultiOrder) (*Result, error) {
+	return NewSolver().classLamb1(f, orders, &defaultCfg)
+}
+
+// classLamb1 is Lamb1 on the class reduction: the lamb set is every node of
+// a chosen class, plus the predetermined lambs.
+func (s *Solver) classLamb1(f *mesh.FaultSet, orders routing.MultiOrder, cfg *config) (*Result, error) {
+	start := time.Now()
+	st, err := s.torusCover(f, orders, start)
+	if err != nil {
+		return nil, err
 	}
-	var good []int
+	res := newResult(f.Mesh(), orders, cfg, st, nil, func(emit func(mesh.Coord)) {
+		s.cls.forEachLamb(func(v int) { emit(s.cls.coords[v]) })
+	})
+	s.phases.close(start)
+	return res, nil
+}
+
+// classScratch holds the buffers of the class reduction: the good nodes,
+// one partition per round, the chain, the chosen classes, and the node
+// coordinates of the torus path.
+type classScratch struct {
+	good   []int // good node ids, ascending
+	rounds []classRound
+	chain  []*bitmat.Matrix
+	mul    [2]*bitmat.Matrix
+	slots  []int
+	// first and last are the rounds whose SECs and DECs the cover chose
+	// from; secIn and decIn mark the chosen classes.
+	first, last  *classRound
+	secIn, decIn []bool
+	coords       []mesh.Coord
+	coordBuf     []int
+}
+
+// classRound is one round's partitions: prof(i, j) says good node i reaches
+// good node j in one round and dst is its transpose, so SECs are the
+// distinct rows of prof and DECs the distinct rows of dst. r is R_t, SECs x
+// DECs, and im is I_t, this round's DECs x the next round's SECs.
+type classRound struct {
+	prof, dst, r, im *bitmat.Matrix
+	sec, dec         classes
+}
+
+// classes labels the rows of a bit matrix by content.
+type classes struct {
+	of   []int   // row -> class, numbered by first appearance
+	rep  []int   // class -> its first row
+	size []int64 // class -> row count
+}
+
+// group sets cl to the classes of m's rows. Each row is hashed a word at a
+// time into slots, an open-addressed table of class ids (0 = empty), and
+// compared word for word with the representative of each class it meets.
+func (cl *classes) group(m *bitmat.Matrix, slots *[]int) {
+	n := m.Rows()
+	lg := bits.Len(uint(2 * n)) // 1<<lg > 2n slots
+	*slots = growZero(*slots, 1<<lg)
+	tab := *slots
+	cl.of = grow(cl.of, n)
+	cl.rep, cl.size = cl.rep[:0], cl.size[:0]
+	for i := 0; i < n; i++ {
+		row := m.Row(i)
+		h := uint64(len(row))
+		for _, w := range row {
+			h = bits.RotateLeft64(h^w, 27) * 0x9E3779B97F4A7C15
+		}
+		j := int(h >> (64 - lg))
+		c := tab[j] - 1
+		for c >= 0 && !slices.Equal(m.Row(cl.rep[c]), row) {
+			j = (j + 1) & (len(tab) - 1)
+			c = tab[j] - 1
+		}
+		if c < 0 {
+			c = len(cl.rep)
+			tab[j] = c + 1
+			cl.rep = append(cl.rep, i)
+			cl.size = append(cl.size, 0)
+		}
+		cl.of[i] = c
+		cl.size[c]++
+	}
+}
+
+// torusCover runs classCover with f's routing oracle as the 1-round
+// reachability relation, over the mesh's linear node indices.
+func (s *Solver) torusCover(f *mesh.FaultSet, orders routing.MultiOrder, start time.Time) (Stats, error) {
+	m := f.Mesh()
+	if err := orders.Validate(m.Dims()); err != nil {
+		return Stats{}, err
+	}
+	c := &s.cls
+	o := routing.NewOracle(f)
+	n, d := int(m.Nodes()), m.Dims()
+	c.coordBuf = grow(c.coordBuf, n*d)
+	c.coords = grow(c.coords, n)
+	for v := range c.coords {
+		c.coords[v] = c.coordBuf[v*d : (v+1)*d : (v+1)*d]
+		m.CoordInto(int64(v), c.coords[v])
+	}
+	st, err := s.classCover(&GenericProblem{
+		NumNodes:      n,
+		Rounds:        orders.Rounds(),
+		UniformRounds: !slices.ContainsFunc(orders, func(o routing.Order) bool { return !o.Equal(orders[0]) }),
+		Faulty:        func(v int) bool { return f.NodeFaulty(c.coords[v]) },
+		Reach: func(round, v, w int) bool {
+			return o.ReachOne(orders[round], c.coords[v], c.coords[w])
+		},
+	}, start)
+	if err != nil {
+		return Stats{}, err
+	}
+	st.Faults = f.Count()
+	return st, nil
+}
+
+// classCover is the class reduction of Section 7 on p: group the good
+// nodes into SECs and DECs by their full reachability profiles, one
+// partition per round; chain R^(k) = R_1 I_1 R_2 ... I_{k-1} R_k with I_t
+// built from co-membership; and cover R^(k)'s zeros with class sizes as
+// weights. The chosen classes stay in s.cls until the Solver's next
+// computation. The Partition and Reach phases are timed from start.
+func (s *Solver) classCover(p *GenericProblem, start time.Time) (Stats, error) {
+	if p.NumNodes <= 0 || p.Rounds <= 0 {
+		return Stats{}, fmt.Errorf("core: generic problem needs nodes and at least one round")
+	}
+	c := &s.cls
+	c.good = c.good[:0]
 	for v := 0; v < p.NumNodes; v++ {
 		if !p.Faulty(v) {
-			good = append(good, v)
+			c.good = append(c.good, v)
 		}
 	}
-	if len(good) == 0 {
-		return &GenericResult{}, nil
+	s.phases = PhaseTimes{}
+	if len(c.good) == 0 {
+		return Stats{}, nil
 	}
+	n := len(c.good)
+	c.rounds = grow(c.rounds, p.Rounds)
+	distinct := p.Rounds
+	if p.UniformRounds {
+		distinct = 1
+	}
+	round := func(t int) *classRound { return &c.rounds[min(t, distinct-1)] }
 
-	type roundData struct {
-		secOf, decOf   []int   // node -> class id (good nodes only; -1 otherwise)
-		secRep, decRep []int   // class id -> representative node
-		secMem, decMem [][]int // class id -> member nodes
-		r              *bitmat.Matrix
-	}
-	buildRound := func(t int) *roundData {
-		rd := &roundData{
-			secOf: make([]int, p.NumNodes),
-			decOf: make([]int, p.NumNodes),
-		}
-		for v := range rd.secOf {
-			rd.secOf[v] = -1
-			rd.decOf[v] = -1
-		}
-		// Group good nodes by source profile and by destination profile.
-		secKey := make(map[string]int)
-		decKey := make(map[string]int)
-		srcProfile := make([]byte, len(good))
-		dstProfile := make([][]byte, len(good))
-		for gi := range good {
-			dstProfile[gi] = make([]byte, len(good))
-		}
-		for gi, v := range good {
-			for gj, w := range good {
+	for t := 0; t < distinct; t++ {
+		rd := round(t)
+		rd.prof, rd.dst = rd.prof.Reset(n, n), rd.dst.Reset(n, n)
+		for i, v := range c.good {
+			for j, w := range c.good {
 				if p.Reach(t, v, w) {
-					srcProfile[gj] = 1
-				} else {
-					srcProfile[gj] = 0
+					rd.prof.Set(i, j)
+					rd.dst.Set(j, i)
 				}
-				dstProfile[gj][gi] = srcProfile[gj]
 			}
-			key := string(srcProfile)
-			id, ok := secKey[key]
-			if !ok {
-				id = len(rd.secRep)
-				secKey[key] = id
-				rd.secRep = append(rd.secRep, v)
-				rd.secMem = append(rd.secMem, nil)
-			}
-			rd.secOf[v] = id
-			rd.secMem[id] = append(rd.secMem[id], v)
 		}
-		for gj, w := range good {
-			key := string(dstProfile[gj])
-			id, ok := decKey[key]
-			if !ok {
-				id = len(rd.decRep)
-				decKey[key] = id
-				rd.decRep = append(rd.decRep, w)
-				rd.decMem = append(rd.decMem, nil)
-			}
-			rd.decOf[w] = id
-			rd.decMem[id] = append(rd.decMem[id], w)
-		}
-		rd.r = bitmat.New(len(rd.secRep), len(rd.decRep))
-		for i, sv := range rd.secRep {
-			for j, dw := range rd.decRep {
-				if p.Reach(t, sv, dw) {
+		rd.sec.group(rd.prof, &c.slots)
+		rd.dec.group(rd.dst, &c.slots)
+	}
+	s.phases.Partition = time.Since(start)
+
+	for t := 0; t < distinct; t++ {
+		rd := round(t)
+		rd.r = rd.r.Reset(len(rd.sec.rep), len(rd.dec.rep))
+		for i, v := range rd.sec.rep {
+			for j, w := range rd.dec.rep {
+				if rd.prof.Get(v, w) {
 					rd.r.Set(i, j)
 				}
 			}
 		}
-		return rd
 	}
-
-	rounds := make([]*roundData, p.Rounds)
-	for t := range rounds {
-		if p.UniformRounds && t > 0 {
-			rounds[t] = rounds[0]
-			continue
-		}
-		rounds[t] = buildRound(t)
-	}
-
-	// R^(k) = R_1 I_1 R_2 ... I_{k-1} R_k, with I_t built from co-membership.
-	chain := []*bitmat.Matrix{rounds[0].r}
+	c.chain = append(c.chain[:0], round(0).r)
 	for t := 0; t < p.Rounds-1; t++ {
-		im := bitmat.New(len(rounds[t].decRep), len(rounds[t+1].secRep))
-		for _, v := range good {
-			im.Set(rounds[t].decOf[v], rounds[t+1].secOf[v])
+		from, to := round(t), round(t+1)
+		im := c.rounds[t].im.Reset(len(from.dec.rep), len(to.sec.rep))
+		c.rounds[t].im = im
+		for g := range c.good {
+			im.Set(from.dec.of[g], to.sec.of[g])
 		}
-		chain = append(chain, im, rounds[t+1].r)
+		c.chain = append(c.chain, im, to.r)
 	}
-	var scratch [2]*bitmat.Matrix
-	rk := bitmat.MulChainScratch(1, &scratch, chain...)
+	rk := bitmat.MulChainScratch(1, &c.mul, c.chain...)
+	s.phases.Reach = time.Since(start) - s.phases.Partition
 
-	first, last := rounds[0], rounds[p.Rounds-1]
-	zr := rk.ZeroRows()
-	zc := rk.ZeroCols()
-	bg := &vcover.Bipartite{
-		LeftWeight:  make([]int64, len(zr)),
-		RightWeight: make([]int64, len(zc)),
-		Edges:       make([][]int, len(zr)),
+	c.first, c.last = round(0), round(p.Rounds-1)
+	cover := s.coverZeros(rk,
+		func(i int) int64 { return c.first.sec.size[i] },
+		func(j int) int64 { return c.last.dec.size[j] })
+	c.secIn = growZero(c.secIn, len(c.first.sec.rep))
+	c.decIn = growZero(c.decIn, len(c.last.dec.rep))
+	for ii, i := range s.zr {
+		c.secIn[i] = cover.Left[ii]
 	}
-	for ii, i := range zr {
-		bg.LeftWeight[ii] = int64(len(first.secMem[i]))
-		for jj, j := range zc {
-			if !rk.Get(i, j) {
-				bg.Edges[ii] = append(bg.Edges[ii], jj)
-			}
-		}
+	for jj, j := range s.zc {
+		c.decIn[j] = cover.Right[jj]
 	}
-	for jj, j := range zc {
-		bg.RightWeight[jj] = int64(len(last.decMem[j]))
-	}
-	cover := vcover.SolveBipartite(bg)
-
-	lambSet := make(map[int]struct{})
-	for ii, i := range zr {
-		if cover.Left[ii] {
-			for _, v := range first.secMem[i] {
-				lambSet[v] = struct{}{}
-			}
-		}
-	}
-	for jj, j := range zc {
-		if cover.Right[jj] {
-			for _, v := range last.decMem[j] {
-				lambSet[v] = struct{}{}
-			}
-		}
-	}
-	out := &GenericResult{
-		Stats: Stats{
-			NumSES:      len(first.secRep),
-			NumDES:      len(last.decRep),
-			RelevantSES: len(zr),
-			RelevantDES: len(zc),
-			CoverWeight: cover.Weight,
-		},
-	}
-	for v := range lambSet {
-		out.Lambs = append(out.Lambs, v)
-	}
-	sort.Ints(out.Lambs)
-	return out, nil
+	return Stats{
+		NumSES:      len(c.first.sec.rep),
+		NumDES:      len(c.last.dec.rep),
+		RelevantSES: len(s.zr),
+		RelevantDES: len(s.zc),
+		CoverWeight: cover.Weight,
+	}, nil
 }
 
-// TorusLamb runs the generic lamb algorithm on a torus (or any mesh) using
-// the dimension-ordered routing oracle as the simple-reachability relation.
-// This realizes the torus extension of Section 7. Cost O(k N^2 d log f).
-func TorusLamb(f *mesh.FaultSet, orders routing.MultiOrder) (*Result, error) {
-	m := f.Mesh()
-	if err := orders.Validate(m.Dims()); err != nil {
-		return nil, err
-	}
-	o := routing.NewOracle(f)
-	n := int(m.Nodes())
-	coords := make([]mesh.Coord, n)
-	for v := 0; v < n; v++ {
-		coords[v] = m.CoordOf(int64(v))
-	}
-	uniform := true
-	for _, ord := range orders[1:] {
-		if !ord.Equal(orders[0]) {
-			uniform = false
+// forEachLamb calls fn, in ascending order, on every good node whose
+// first-round SEC or last-round DEC the last classCover chose.
+func (c *classScratch) forEachLamb(fn func(v int)) {
+	for g, v := range c.good {
+		if c.secIn[c.first.sec.of[g]] || c.decIn[c.last.dec.of[g]] {
+			fn(v)
 		}
 	}
-	gp := &GenericProblem{
-		NumNodes:      n,
-		Rounds:        orders.Rounds(),
-		UniformRounds: uniform,
-		Faulty:        func(v int) bool { return f.NodeFaulty(coords[v]) },
-		Reach: func(round, v, w int) bool {
-			return o.ReachOne(orders[round], coords[v], coords[w])
-		},
-	}
-	gr, err := GenericLamb(gp)
-	if err != nil {
-		return nil, err
-	}
-	st := gr.Stats
-	st.Faults = f.Count()
-	res := &Result{
-		Mesh:    m,
-		Orders:  orders,
-		Stats:   st,
-		lambIdx: make(map[int64]struct{}),
-	}
-	for _, v := range gr.Lambs {
-		res.lambIdx[int64(v)] = struct{}{}
-		res.Lambs = append(res.Lambs, coords[v])
-	}
-	return res, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"lambmesh/internal/mesh"
@@ -182,5 +183,146 @@ func TestGenericLineTopology(t *testing.T) {
 		if v == 1 {
 			t.Errorf("faulty node %d chosen as lamb", v)
 		}
+	}
+}
+
+// randomTorusFaults draws a torus (T_2 widths 4-12 or T_3 widths 4-6), node
+// and link faults on it, and k = 1-3 ascending rounds.
+func randomTorusFaults(t *testing.T, rng *rand.Rand) (*mesh.FaultSet, routing.MultiOrder) {
+	t.Helper()
+	var widths []int
+	if rng.Intn(3) == 0 {
+		widths = []int{4 + rng.Intn(3), 4 + rng.Intn(3), 4 + rng.Intn(3)}
+	} else {
+		widths = []int{4 + rng.Intn(9), 4 + rng.Intn(9)}
+	}
+	tor, err := mesh.NewTorus(widths...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := mesh.RandomNodeFaults(tor, rng.Intn(int(tor.Nodes())/6+1), rng)
+	if rng.Intn(2) == 0 {
+		mesh.RandomLinkFaults(f, rng.Intn(5), rng)
+	}
+	return f, routing.UniformAscending(tor.Dims(), 1+rng.Intn(3))
+}
+
+// Solver.Lamb1 takes tori itself: through one reused Solver it returns
+// TorusLamb's lambs and stats, and Lamb1Count its lamb count, on every
+// draw.
+func TestSolverLamb1TorusMatchesTorusLamb(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	s := NewSolver()
+	nonEmpty := 0
+	for trial := 0; trial < 240; trial++ {
+		f, orders := randomTorusFaults(t, rng)
+		want, err := TorusLamb(f, orders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Lamb1(f, orders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Lambs, want.Lambs) || got.Stats != want.Stats {
+			t.Fatalf("trial %d %v k=%d: Lamb1 %v %+v, TorusLamb %v %+v",
+				trial, f.Mesh(), orders.Rounds(), got.Lambs, got.Stats, want.Lambs, want.Stats)
+		}
+		st, n, err := s.Lamb1Count(f, orders, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(n) != want.NumLambs() || st != want.Stats {
+			t.Fatalf("trial %d: Lamb1Count %d %+v, want %d %+v", trial, n, st, want.NumLambs(), want.Stats)
+		}
+		if want.NumLambs() > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty < 40 {
+		t.Fatalf("only %d of 240 draws needed lambs: the fixture is too easy", nonEmpty)
+	}
+}
+
+// The torus path's option rules: predetermined lambs are unioned in,
+// workers are ignored, values and retained reachability are refused.
+func TestLamb1TorusOptions(t *testing.T) {
+	tor, err := mesh.NewTorus(6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := mesh.NewFaultSet(tor)
+	f.AddNodes(mesh.C(1, 0), mesh.C(3, 3))
+	orders := routing.UniformAscending(2, 2)
+	plain, err := Lamb1(f, orders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range map[string]Option{
+		"WithValues":       WithValues(map[int64]int64{0: 2}),
+		"WithReachability": WithReachability(),
+	} {
+		if _, err := Lamb1(f, orders, opt); err == nil {
+			t.Errorf("%s on a torus: want an error", name)
+		}
+	}
+	workers, err := Lamb1(f, orders, WithWorkers(4))
+	if err != nil || !reflect.DeepEqual(workers.Lambs, plain.Lambs) {
+		t.Errorf("WithWorkers(4): %v %v, want %v", workers, err, plain.Lambs)
+	}
+	extra := mesh.C(5, 5)
+	pre, err := Lamb1(f, orders, WithPredetermined([]mesh.Coord{extra}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pre.IsLamb(extra) || pre.Stats != plain.Stats || pre.NumLambs() != plain.NumLambs()+1 {
+		t.Errorf("WithPredetermined: %v %+v, want %v plus %v with stats %+v", pre.Lambs, pre.Stats, plain.Lambs, extra, plain.Stats)
+	}
+}
+
+// VerifyLambSet accepts Lamb1's set on random tori and rejects it with a
+// lamb removed. Lamb1 is a 2-approximation, so a single lamb may be
+// spare; the empty set, though, always fails when Lamb1 needed lambs (a
+// zero of R^(k) is an unreachable survivor pair), and some one-lamb removal
+// must fail too.
+func TestVerifyLambSetTorus(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	s := NewSolver()
+	nonEmpty := 0
+	for trial := 0; trial < 30; trial++ {
+		tor, err := mesh.NewTorus(4+rng.Intn(5), 4+rng.Intn(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := mesh.RandomNodeFaults(tor, 1+rng.Intn(int(tor.Nodes())/6), rng)
+		orders := routing.UniformAscending(2, 1+rng.Intn(2))
+		res, err := s.Lamb1(f, orders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyLambSet(f, orders, res.Lambs); err != nil {
+			t.Fatalf("trial %d: Lamb1's set rejected: %v", trial, err)
+		}
+		if res.NumLambs() == 0 {
+			continue
+		}
+		nonEmpty++
+		if VerifyLambSet(f, orders, nil) == nil {
+			t.Fatalf("trial %d: empty set accepted, Lamb1 needed %v", trial, res.Lambs)
+		}
+		rejected := false
+		for drop := range res.Lambs {
+			short := append(append([]mesh.Coord(nil), res.Lambs[:drop]...), res.Lambs[drop+1:]...)
+			if VerifyLambSet(f, orders, short) != nil {
+				rejected = true
+				break
+			}
+		}
+		if !rejected {
+			t.Fatalf("trial %d: every one-lamb removal of %v accepted", trial, res.Lambs)
+		}
+	}
+	if nonEmpty < 10 {
+		t.Fatalf("only %d draws needed lambs", nonEmpty)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"lambmesh/internal/bitmat"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/reach"
 	"lambmesh/internal/rect"
@@ -33,20 +34,35 @@ func Lamb1(f *mesh.FaultSet, orders routing.MultiOrder, opts ...Option) (*Result
 
 // Lamb1 is the package-level Lamb1 drawing every intermediate from the
 // Solver's scratch. The returned Result owns its memory.
+//
+// Tori have no rectangular SES/DES partitions, so on a torus Lamb1 runs the
+// class reduction of Section 7 (TorusLamb's algorithm) on the Solver's
+// scratch: SECs and DECs are grouped by full reachability profile, at
+// O(k N^2 d log f) per call. Meshes and hypercubes take the rectangular
+// pipeline above. On the torus path the options mean:
+//
+//   - WithPredetermined: the lamb set is the union of the computed set and
+//     the predetermined nodes, which are not discounted from the class
+//     weights;
+//   - WithWorkers: ignored, the path is single-threaded;
+//   - WithValues, WithReachability: an error.
 func (s *Solver) Lamb1(f *mesh.FaultSet, orders routing.MultiOrder, opts ...Option) (*Result, error) {
 	cfg := buildConfig(opts)
 	if err := validateConfig(f, cfg); err != nil {
 		return nil, err
 	}
+	if f.Mesh().Torus() {
+		if cfg.values != nil || cfg.keepReach {
+			return nil, fmt.Errorf("core: node values and retained reachability need the rectangular pipeline; %v is a torus", f.Mesh())
+		}
+		return s.classLamb1(f, orders, cfg)
+	}
 	start := time.Now()
-	rc, err := reach.ComputeScratch(f, orders, cfg.workers, &s.rs)
+	rc, cover, st, err := s.meshCover(f, orders, cfg, cfg.workers, start)
 	if err != nil {
 		return nil, err
 	}
-	reachElapsed := time.Since(start)
-	sigma := rc.Sigma[0]
-	delta := rc.Delta[len(rc.Delta)-1]
-	cover, st := s.coverFromReach(f, cfg, rc)
+	sigma, delta := rc.Sigma[0], rc.Delta[len(rc.Delta)-1]
 	zr, zc := s.zr, s.zc
 	res := newResult(f.Mesh(), orders, cfg, st, rc, func(emit func(mesh.Coord)) {
 		for ii, i := range zr {
@@ -65,80 +81,96 @@ func (s *Solver) Lamb1(f *mesh.FaultSet, orders routing.MultiOrder, opts ...Opti
 		// the garbage collector so the next call cannot clobber it.
 		s.rs.Detach()
 	}
-	part := time.Duration(s.rs.PartitionNanos)
-	s.phases = PhaseTimes{
-		Partition: part,
-		Reach:     reachElapsed - part,
-		VCover:    time.Since(start) - reachElapsed,
-		Total:     time.Since(start),
-	}
+	s.phases.close(start)
 	return res, nil
 }
 
-// coverFromReach is the WVC reduction proper: build the bipartite graph on
-// the relevant SESs/DESs of rc and solve it. Shared by Lamb1 and
-// Lamb1Count. The chosen sets are indexed by s.zr/s.zc, which stay valid
+// coverZeros is the WVC reduction both Lamb1 paths share: a bipartite graph
+// on the rows and columns of rk that contain a zero, an edge per zero
+// entry, weighted by rowWeight and colWeight, solved exactly by min-cut.
+// The chosen rows and columns are indexed by s.zr/s.zc; both stay valid
 // until the Solver's next computation.
-func (s *Solver) coverFromReach(f *mesh.FaultSet, cfg *config, rc *reach.Reachability) (*vcover.Cover, Stats) {
-	sigma := rc.Sigma[0]
-	delta := rc.Delta[len(rc.Delta)-1]
-
-	s.zr = rc.RK.AppendZeroRows(s.zr[:0])
-	s.zc = rc.RK.AppendZeroCols(s.zc[:0], &s.colCounts)
-	zr, zc := s.zr, s.zc
-
-	pre := cfg.predeterminedIndex(f.Mesh())
+func (s *Solver) coverZeros(rk *bitmat.Matrix, rowWeight, colWeight func(int) int64) *vcover.Cover {
+	s.zr = rk.AppendZeroRows(s.zr[:0])
+	s.zc = rk.AppendZeroCols(s.zc[:0], &s.colCounts)
 	bg := &s.bg
-	bg.LeftWeight = growInt64s(bg.LeftWeight, len(zr))
-	bg.RightWeight = growInt64s(bg.RightWeight, len(zc))
-	bg.Edges = growLists(bg.Edges, len(zr))
-	for ii, i := range zr {
-		bg.LeftWeight[ii] = setWeight(f.Mesh(), sigma.Sets[i].Rect, cfg, pre)
-		for jj, j := range zc {
-			if !rc.RK.Get(i, j) {
+	bg.LeftWeight = grow(bg.LeftWeight, len(s.zr))
+	bg.RightWeight = grow(bg.RightWeight, len(s.zc))
+	bg.Edges = growLists(bg.Edges, len(s.zr))
+	for ii, i := range s.zr {
+		bg.LeftWeight[ii] = rowWeight(i)
+		for jj, j := range s.zc {
+			if !rk.Get(i, j) {
 				bg.Edges[ii] = append(bg.Edges[ii], jj)
 			}
 		}
 	}
-	for jj, j := range zc {
-		bg.RightWeight[jj] = setWeight(f.Mesh(), delta.Sets[j].Rect, cfg, pre)
+	for jj, j := range s.zc {
+		bg.RightWeight[jj] = colWeight(j)
 	}
+	return s.vs.SolveBipartite(bg)
+}
 
-	cover := s.vs.SolveBipartite(bg)
-	return cover, Stats{
+// meshCover is the rectangular pipeline up to the cover, shared by Lamb1
+// and Lamb1Count on meshes: it computes the SES/DES partitions and R^(k),
+// then covers R^(k)'s zeros with the relevant SESs and DESs weighted by
+// their sizes (or total values). The Partition and Reach phases are timed
+// from start.
+func (s *Solver) meshCover(f *mesh.FaultSet, orders routing.MultiOrder, cfg *config, workers int, start time.Time) (*reach.Reachability, *vcover.Cover, Stats, error) {
+	rc, err := reach.ComputeScratch(f, orders, workers, &s.rs)
+	if err != nil {
+		return nil, nil, Stats{}, err
+	}
+	s.phases = PhaseTimes{Partition: time.Duration(s.rs.PartitionNanos)}
+	s.phases.Reach = time.Since(start) - s.phases.Partition
+	m := f.Mesh()
+	sigma, delta := rc.Sigma[0], rc.Delta[len(rc.Delta)-1]
+	pre := cfg.predeterminedIndex(m)
+	cover := s.coverZeros(rc.RK,
+		func(i int) int64 { return setWeight(m, sigma.Sets[i].Rect, cfg, pre) },
+		func(j int) int64 { return setWeight(m, delta.Sets[j].Rect, cfg, pre) })
+	return rc, cover, Stats{
 		Faults:      f.Count(),
 		NumSES:      sigma.Len(),
 		NumDES:      delta.Len(),
-		RelevantSES: len(zr),
-		RelevantDES: len(zc),
+		RelevantSES: len(s.zr),
+		RelevantDES: len(s.zc),
 		CoverWeight: cover.Weight,
-	}
+	}, nil
 }
 
-// defaultCfg is the option-free configuration Lamb1Count runs with; shared
-// and never written.
+// defaultCfg is the option-free configuration Lamb1Count and TorusLamb run
+// with; shared and never written.
 var defaultCfg config
 
 // Lamb1Count runs the Lamb1 pipeline but returns only the stats and the
-// exact number of distinct lamb nodes, without materializing a Result. The
-// count comes from rectangle arithmetic: the chosen SESs are pairwise
-// disjoint (they come from one partition), as are the chosen DESs, so the
-// union size is sum|S| + sum_j (|D_j| - sum_i |D_j n S_i|) — identical to
-// Result.NumLambs() on the same inputs. Extension options (node values,
-// predetermined lambs) are not supported; use Lamb1 for those. In steady
-// state a Solver's Lamb1Count performs zero heap allocations at
-// workers <= 1 — the campaign trial loop is built on it.
+// exact number of distinct lamb nodes, without materializing a Result. On
+// a mesh the count comes from rectangle arithmetic: the chosen SESs are
+// pairwise disjoint (they come from one partition), as are the chosen DESs,
+// so the union size is sum|S| + sum_j (|D_j| - sum_i |D_j n S_i|). On a
+// torus it counts the nodes of the chosen classes. Either way it is
+// identical to Result.NumLambs() on the same inputs. Extension options
+// (node values, predetermined lambs) are not supported; use Lamb1 for
+// those. In steady state a Solver's Lamb1Count on a mesh performs zero
+// heap allocations at workers <= 1 — the campaign trial loop is built on
+// it.
 func (s *Solver) Lamb1Count(f *mesh.FaultSet, orders routing.MultiOrder, workers int) (Stats, int64, error) {
 	start := time.Now()
-	rc, err := reach.ComputeScratch(f, orders, workers, &s.rs)
+	if f.Mesh().Torus() {
+		st, err := s.torusCover(f, orders, start)
+		if err != nil {
+			return Stats{}, 0, err
+		}
+		var n int64
+		s.cls.forEachLamb(func(int) { n++ })
+		s.phases.close(start)
+		return st, n, nil
+	}
+	rc, cover, st, err := s.meshCover(f, orders, &defaultCfg, workers, start)
 	if err != nil {
 		return Stats{}, 0, err
 	}
-	reachElapsed := time.Since(start)
-	cover, st := s.coverFromReach(f, &defaultCfg, rc)
-
-	sigma := rc.Sigma[0]
-	delta := rc.Delta[len(rc.Delta)-1]
+	sigma, delta := rc.Sigma[0], rc.Delta[len(rc.Delta)-1]
 	zr, zc := s.zr, s.zc
 	var n int64
 	for ii, i := range zr {
@@ -158,14 +190,7 @@ func (s *Solver) Lamb1Count(f *mesh.FaultSet, orders routing.MultiOrder, workers
 			}
 		}
 	}
-
-	part := time.Duration(s.rs.PartitionNanos)
-	s.phases = PhaseTimes{
-		Partition: part,
-		Reach:     reachElapsed - part,
-		VCover:    time.Since(start) - reachElapsed,
-		Total:     time.Since(start),
-	}
+	s.phases.close(start)
 	return st, n, nil
 }
 

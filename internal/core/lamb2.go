@@ -83,7 +83,7 @@ func (s *Solver) Lamb2(f *mesh.FaultSet, orders routing.MultiOrder, mode WVCMode
 	// each other, so u_{i,j} is forced into every cover. Handle forced
 	// vertices up front — this also preserves optimality, because any lamb
 	// set must contain such an intersection entirely.
-	s.forced = growBools(s.forced, len(verts))
+	s.forced = growZero(s.forced, len(verts))
 	forced := s.forced
 	for u, vv := range verts {
 		if !rc.RK.Get(vv.i, vv.j) {
@@ -92,7 +92,7 @@ func (s *Solver) Lamb2(f *mesh.FaultSet, orders routing.MultiOrder, mode WVCMode
 	}
 
 	g := &s.gg
-	g.Weight = growInt64s(g.Weight, len(verts))
+	g.Weight = grow(g.Weight, len(verts))
 	g.Adj = growLists(g.Adj, len(verts))
 	for u, vv := range verts {
 		g.Weight[u] = setWeight(m, sigma.Sets[vv.i].Rect.Intersect(delta.Sets[vv.j].Rect), cfg, pre)

@@ -9,12 +9,20 @@ import (
 
 // PhaseTimes splits one lamb recomputation into pipeline phases, the
 // latency breakdown lambd's /metrics exposes. The lamb set itself is
-// independent of how the time divides.
+// independent of how the time divides. On a torus Partition is the class
+// grouping (oracle, profile fills), Reach the R_t/I_t fills and the chain.
 type PhaseTimes struct {
 	Partition time.Duration // SES/DES partition construction
 	Reach     time.Duration // oracle + R/I fills + R^(k) chain
 	VCover    time.Duration // zero rows/cols, WVC min-cut, result assembly
 	Total     time.Duration
+}
+
+// close ends a computation that began at start: Total is the time since,
+// and VCover whatever of it Partition and Reach did not take.
+func (ph *PhaseTimes) close(start time.Time) {
+	ph.Total = time.Since(start)
+	ph.VCover = ph.Total - ph.Partition - ph.Reach
 }
 
 // Solver owns every piece of scratch the lamb pipeline needs — partition
@@ -41,10 +49,11 @@ type Solver struct {
 	vs vcover.Scratch
 
 	// Lamb1 buffers: zero rows/cols of R^(k), popcount scratch, bipartite
-	// graph backing.
+	// graph backing, and the class reduction Lamb1 runs on tori.
 	zr, zc    []int
 	colCounts []int
 	bg        vcover.Bipartite
+	cls       classScratch
 
 	// Lamb2 buffers: intersection vertices, forced flags, general graph
 	// backing.
@@ -57,7 +66,8 @@ type Solver struct {
 	phases PhaseTimes
 }
 
-// LastPhases returns the phase split of the most recent Lamb1 call.
+// LastPhases returns the phase split of the most recent Lamb1 or
+// Lamb1Count call, on a mesh or a torus.
 func (s *Solver) LastPhases() PhaseTimes { return s.phases }
 
 // intersection identifies the nonempty SES x DES intersection u_{i,j} of the
@@ -72,21 +82,18 @@ func NewSolver() *Solver {
 	return &Solver{}
 }
 
-// growInt64s reslices b to n int64s, reallocating only on growth. Entries
-// are not zeroed; callers overwrite every index.
-func growInt64s(b []int64, n int) []int64 {
+// grow reslices b to n entries, reallocating only on growth. Entries are
+// not zeroed; callers overwrite every index.
+func grow[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]int64, n)
+		return make([]T, n)
 	}
 	return b[:n]
 }
 
-// growBools reslices b to n zeroed bools, reallocating only on growth.
-func growBools(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
-	}
-	b = b[:n]
+// growZero is grow with every entry zeroed.
+func growZero[T any](b []T, n int) []T {
+	b = grow(b, n)
 	clear(b)
 	return b
 }

@@ -215,3 +215,24 @@ func TestSolverPhases(t *testing.T) {
 		t.Fatalf("phase sum exceeds total: %+v", ph)
 	}
 }
+
+// On a torus LastPhases splits the class reduction: the phases are filled
+// and add up to no more than the total.
+func TestSolverPhasesTorus(t *testing.T) {
+	tor, err := mesh.NewTorus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := mesh.RandomNodeFaults(tor, 6, rand.New(rand.NewSource(2)))
+	s := NewSolver()
+	if _, err := s.Lamb1(f, routing.UniformAscending(2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	ph := s.LastPhases()
+	if ph.Total <= 0 || ph.Partition <= 0 || ph.Reach <= 0 {
+		t.Fatalf("phases = %+v", ph)
+	}
+	if ph.Partition+ph.Reach+ph.VCover > ph.Total {
+		t.Fatalf("phase sum exceeds total: %+v", ph)
+	}
+}

@@ -13,7 +13,8 @@ import (
 // survivor nodes v, w (good, not lambs) v can (k,F,pi)-reach w. The check
 // runs through the SES/DES algebra using Lemma 5.2 — Λ is a lamb set iff
 // for every zero entry R^(k)(i,j) either S_i ⊆ Λ or D_j ⊆ Λ — so it costs
-// O(poly(d,k,f) + |Λ|), not O(N^2).
+// O(poly(d,k,f) + |Λ|), not O(N^2). A torus has no rectangular partitions,
+// so there the lamb list checks are followed by VerifyLambSetBrute's.
 func VerifyLambSet(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coord) error {
 	m := f.Mesh()
 	lambIdx := make(map[int64]struct{}, len(lambs))
@@ -29,6 +30,9 @@ func VerifyLambSet(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coo
 			return fmt.Errorf("core: lamb %v listed twice", c)
 		}
 		lambIdx[idx] = struct{}{}
+	}
+	if m.Torus() {
+		return VerifyLambSetBrute(f, orders, lambs)
 	}
 	rc, err := reach.ComputeScratch(f, orders, 0, nil)
 	if err != nil {
@@ -56,8 +60,8 @@ func VerifyLambSet(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coo
 }
 
 // VerifyLambSetBrute re-checks a lamb set against the raw Definition 2.6 by
-// enumerating all survivor pairs with the spanning-tree reachability
-// reference. O(N^2) and then some — tests on small meshes only. It is
+// enumerating all survivor pairs with the oracle's reference k-round
+// reachability: O(k N^3) queries, so small networks only. It is
 // deliberately independent of the partition/matrix machinery.
 func VerifyLambSetBrute(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coord) error {
 	m := f.Mesh()

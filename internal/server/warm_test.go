@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lambmesh/internal/mesh"
+	"lambmesh/internal/routing"
 )
 
 // metricValue extracts the first sample of the named metric from a
@@ -121,5 +122,33 @@ func TestMetricsPhaseRendering(t *testing.T) {
 	}
 	if strings.Contains(page, "recomputes_incremental") {
 		t.Errorf("retired incremental counter still rendered:\n%s", page)
+	}
+}
+
+// On a torus the recompute's phase split is filled as well, so the phase
+// gauges show the class reduction's grouping and reachability time.
+func TestTorusRecomputePhases(t *testing.T) {
+	tor, err := mesh.NewTorus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Mesh: tor, Orders: routing.UniformAscending(2, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if err := s.ReportFaults([]mesh.Coord{mesh.C(3, 3), mesh.C(5, 6)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	m := s.Metrics()
+	// The phase gauges are stored before the recompute counter.
+	for deadline := time.Now().Add(10 * time.Second); m.Recomputes.Load() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no recompute finished (last error %q)", s.LastError())
+		}
+	}
+	if m.PhasePartitionNanos.Load() <= 0 || m.PhaseReachNanos.Load() <= 0 {
+		t.Errorf("torus phases: partition %d ns, reach %d ns; want both > 0",
+			m.PhasePartitionNanos.Load(), m.PhaseReachNanos.Load())
 	}
 }

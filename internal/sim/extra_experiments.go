@@ -28,12 +28,12 @@ func init() {
 
 // runTorusCompare quantifies what the Section 7 torus extension buys: the
 // same random fault sets need fewer lambs on a torus than on a mesh,
-// because wrap-around links give boundary nodes a second way out. The
-// torus path uses the generic SEC/DEC machinery.
+// because wrap-around links give boundary nodes a second way out. On the
+// torus Lamb1 runs the Section 7 class reduction.
 func runTorusCompare(cfg Config) *Table {
 	trials := scaledTrials(cfg, 2)
 	if trials > 30 {
-		trials = 30 // the generic path is O(N^2)
+		trials = 30 // the torus class reduction is O(N^2)
 	}
 	t := &Table{ID: "ext-torus",
 		Title:   fmt.Sprintf("average lambs, mesh vs torus, 12x12, same fault draws (%d trials/point)", trials),
@@ -41,25 +41,23 @@ func runTorusCompare(cfg Config) *Table {
 		Columns: []string{"faults", "mesh avg lambs", "torus avg lambs"},
 	}
 	orders := routing.UniformAscending(2, 2)
+	mm := mesh.MustNew(12, 12)
+	tm, err := mesh.NewTorus(12, 12)
+	if err != nil {
+		panic(err)
+	}
 	for _, faults := range []int{4, 8, 14} {
 		var meshL, torusL Agg
 		var mu sync.Mutex
 		ForEachTrial(cfg, trials, func(_ int, rng *rand.Rand, s *core.Solver) {
-			mm := mesh.MustNew(12, 12)
 			fm := mesh.RandomNodeFaults(mm, faults, rng)
 			resM, err := s.Lamb1(fm, orders)
 			if err != nil {
 				panic(err)
 			}
-			tm, err := mesh.NewTorus(12, 12)
-			if err != nil {
-				panic(err)
-			}
 			ft := mesh.NewFaultSet(tm)
-			for _, c := range fm.NodeFaults() {
-				ft.AddNode(c)
-			}
-			resT, err := core.TorusLamb(ft, orders)
+			ft.AddNodes(fm.NodeFaults()...)
+			resT, err := s.Lamb1(ft, orders)
 			if err != nil {
 				panic(err)
 			}

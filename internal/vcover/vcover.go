@@ -4,7 +4,7 @@
 //
 // Three solvers are provided, matching the paper's toolbox:
 //
-//   - SolveBipartite: exact minimum-weight vertex cover on a bipartite
+//   - Scratch.SolveBipartite: exact minimum-weight vertex cover on a bipartite
 //     graph via max-flow/min-cut [Gusfield 1992], polynomial time. Used by
 //     Lamb1 (Section 6.3.1).
 //   - Approx2: the Bar-Yehuda & Even linear-time 2-approximation for
@@ -43,8 +43,8 @@ type Cover struct {
 // network behind SolveBipartite and the edge-list/weight buffers behind
 // Approx2. Covers and picks returned through a Scratch reference
 // scratch-owned memory and are valid until the next call on the same
-// Scratch; the package-level functions wrap a throwaway Scratch and so keep
-// their caller-owns-result contracts. Not safe for concurrent use; the zero
+// Scratch; the package-level Approx2 wraps a throwaway Scratch and so keeps
+// its caller-owns-result contract. Not safe for concurrent use; the zero
 // value is ready.
 type Scratch struct {
 	fg        maxflow.Graph
@@ -58,13 +58,9 @@ type Scratch struct {
 // min-cut: source->left_i with capacity w(left_i), right_j->sink with
 // capacity w(right_j), and infinite-capacity edges across. A left vertex is
 // in the cover iff its source edge is cut (unreachable in the residual
-// graph); a right vertex iff its sink edge is cut (reachable).
-func SolveBipartite(g *Bipartite) *Cover {
-	return new(Scratch).SolveBipartite(g)
-}
-
-// SolveBipartite is the package-level SolveBipartite drawing the flow
-// network and the Cover from s. The Cover is valid until the next call on s.
+// graph); a right vertex iff its sink edge is cut (reachable). The flow
+// network and the Cover come from s; the Cover is valid until the next call
+// on s.
 func (s *Scratch) SolveBipartite(g *Bipartite) *Cover {
 	p, q := len(g.LeftWeight), len(g.RightWeight)
 	fg := s.fg.Reset(p + q + 2)

@@ -73,7 +73,7 @@ func TestPaperFigure10(t *testing.T) {
 		RightWeight: []int64{9, 1, 6},     // d2, d5, d6
 		Edges:       [][]int{{1}, {0, 2}}, // s3-d5; s8-d2, s8-d6
 	}
-	c := SolveBipartite(g)
+	c := new(Scratch).SolveBipartite(g)
 	if err := g.Validate(c); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPaperFigure10(t *testing.T) {
 
 func TestBipartiteEmpty(t *testing.T) {
 	g := &Bipartite{LeftWeight: []int64{3}, RightWeight: []int64{4}, Edges: [][]int{nil}}
-	c := SolveBipartite(g)
+	c := new(Scratch).SolveBipartite(g)
 	if c.Weight != 0 || c.Left[0] || c.Right[0] {
 		t.Errorf("edgeless graph needs empty cover, got %+v", c)
 	}
@@ -116,7 +116,7 @@ func TestBipartiteMatchesBrute(t *testing.T) {
 				}
 			}
 		}
-		c := SolveBipartite(g)
+		c := new(Scratch).SolveBipartite(g)
 		if err := g.Validate(c); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

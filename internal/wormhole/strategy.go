@@ -101,11 +101,10 @@ type LambStrategy struct {
 	lambs  []mesh.Coord // static view only; rec.Lambs() otherwise
 }
 
-// NewLambStrategy builds the reconfigurable lamb strategy over f. Meshes
-// and hypercubes run the rectangular pipeline and tori the generic
-// (TorusLamb) path, as core.NewReconfigurer picks; full meshes are
-// rejected — the lamb method solves a problem the complete network does
-// not have.
+// NewLambStrategy builds the reconfigurable lamb strategy over f. Meshes,
+// hypercubes and tori all recompute through core.Solver.Lamb1, which picks
+// the torus path itself; full meshes are rejected — the lamb method solves
+// a problem the complete network does not have.
 func NewLambStrategy(f *mesh.FaultSet, orders routing.MultiOrder) (*LambStrategy, error) {
 	if f.Topology().Tag() == "fullmesh" {
 		return nil, fmt.Errorf("wormhole: lamb strategy does not support the full-mesh topology (use the direct strategy)")

@@ -155,7 +155,10 @@ func ChooseRoute(o *Oracle, orders MultiOrder, src, dst Coord, rng *rand.Rand) (
 
 // FindLambSet runs Lamb1 (Section 6.3.1): the production algorithm — exact
 // bipartite WVC via min-cut, guaranteed within twice the minimum lamb set,
-// in time O(k d^3 f^3 + |lambs|) independent of the mesh size.
+// in time O(k d^3 f^3 + |lambs|) independent of the mesh size. On a torus
+// it covers the Section 7 profile classes instead, at O(k N^2); there
+// WithValues and WithReachability are an error and predetermined lambs are
+// unioned in without being discounted from the class weights.
 func FindLambSet(f *FaultSet, orders MultiOrder, opts ...Option) (*Result, error) {
 	return core.Lamb1(f, orders, opts...)
 }
@@ -186,15 +189,8 @@ func FindLambSetGeneric(p *GenericProblem) (*GenericResult, error) {
 	return core.GenericLamb(p)
 }
 
-// FindLambSetTorus solves the lamb problem on a torus (or mesh) through
-// the generic machinery, using dimension-ordered routing with minimal
-// wrap-around direction per hop.
-func FindLambSetTorus(f *FaultSet, orders MultiOrder) (*Result, error) {
-	return core.TorusLamb(f, orders)
-}
-
 // VerifyLambSet checks Definition 2.6 through the SES/DES algebra in time
-// polynomial in the number of faults.
+// polynomial in the number of faults (on a torus, survivor pair by pair).
 func VerifyLambSet(f *FaultSet, orders MultiOrder, lambs []Coord) error {
 	return core.VerifyLambSet(f, orders, lambs)
 }
@@ -202,9 +198,9 @@ func VerifyLambSet(f *FaultSet, orders MultiOrder, lambs []Coord) error {
 // NewReconfigurer starts the roll-back/reconfigure loop (Section 1): fold
 // in newly detected faults with AddFaults and get a fresh verified lamb set
 // each generation. With keepLambs, lamb sets only grow (old lambs persist
-// unless they fail outright). Tori recompute on the generic (TorusLamb)
-// path, at O(k N^2) per generation instead of the rectangular pipeline's
-// fault-polynomial cost.
+// unless they fail outright). Each generation is one FindLambSet solve, so
+// tori recompute at O(k N^2) per generation instead of the rectangular
+// pipeline's fault-polynomial cost.
 func NewReconfigurer(m *Mesh, orders MultiOrder, keepLambs bool) (*Reconfigurer, error) {
 	return core.NewReconfigurer(m, orders, keepLambs)
 }

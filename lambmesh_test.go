@@ -105,7 +105,7 @@ func TestPublicTorusAndGeneric(t *testing.T) {
 	tor, _ := NewTorus(5, 5)
 	f := NewFaultSet(tor)
 	f.AddNodes(C(1, 0), C(0, 1), C(1, 1))
-	res, err := FindLambSetTorus(f, TwoRoundXY())
+	res, err := FindLambSet(f, TwoRoundXY())
 	if err != nil {
 		t.Fatal(err)
 	}

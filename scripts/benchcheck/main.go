@@ -61,6 +61,7 @@ var requiredBenchmarks = []string{
 	"BenchmarkReachKernels/chain",
 	"BenchmarkBitmatMul",
 	"BenchmarkSec5LambSet",
+	"BenchmarkTorusLamb",
 	"BenchmarkWormholeRun",
 	"BenchmarkTrafficEngine",
 	"BenchmarkClassTableQuery",
