@@ -170,20 +170,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // computeLamb dispatches to the selected lamb algorithm, running it through
 // the caller's Solver so -repeat profiles the scratch-reuse steady state.
-// The result is bit-identical for any workers value.
+// The result is bit-identical for any workers value. lamb2 and exact need
+// the rectangular partitions, so on a torus their error names the two
+// algorithms that run there.
 func computeLamb(s *core.Solver, f *mesh.FaultSet, orders routing.MultiOrder, algo string, workers int) (*core.Result, error) {
+	var res *core.Result
+	var err error
 	switch algo {
 	case "generic":
 		return core.TorusLamb(f, orders)
 	case "lamb1":
 		return s.Lamb1(f, orders, core.WithWorkers(workers))
 	case "lamb2":
-		return s.Lamb2(f, orders, core.ApproxWVC, core.WithWorkers(workers))
+		res, err = s.Lamb2(f, orders, core.ApproxWVC, core.WithWorkers(workers))
 	case "exact":
-		return s.ExactLamb(f, orders, core.WithWorkers(workers))
+		res, err = s.ExactLamb(f, orders, core.WithWorkers(workers))
 	default:
 		return nil, fmt.Errorf("unknown -algo %q", algo)
 	}
+	if err != nil && f.Mesh().Torus() {
+		err = fmt.Errorf("-algo %s: %w; on a torus use -algo lamb1 or -algo generic", algo, err)
+	}
+	return res, err
 }
 
 // writeFile creates path and fills it with write.

@@ -124,8 +124,10 @@ func TestComputeLambTorusAlgos(t *testing.T) {
 	f := mesh.RandomNodeFaults(tor, 12, rand.New(rand.NewSource(2)))
 	orders := routing.UniformAscending(2, 2)
 	for _, algo := range []string{"lamb2", "exact"} {
-		if _, err := computeLamb(core.NewSolver(), f, orders, algo, 1); err == nil || !strings.Contains(err.Error(), "torus") {
-			t.Errorf("%s on a torus: err = %v, want the partition error", algo, err)
+		_, err := computeLamb(core.NewSolver(), f, orders, algo, 1)
+		if err == nil || !strings.Contains(err.Error(), "torus") ||
+			!strings.Contains(err.Error(), "-algo lamb1") || !strings.Contains(err.Error(), "-algo generic") {
+			t.Errorf("%s on a torus: err = %v, want the partition error naming -algo lamb1 and -algo generic", algo, err)
 		}
 	}
 	want, err := core.TorusLamb(f, orders)

@@ -259,10 +259,23 @@ func (m *Matrix) ZeroRows() []int {
 }
 
 // AppendZeroRows appends the zero-row indices to dst and returns it,
-// reusing dst's backing array — the allocation-free form of ZeroRows.
+// reusing dst's backing array — the allocation-free form of ZeroRows. A row
+// is compared with all-ones a word at a time, padding bits masked.
 func (m *Matrix) AppendZeroRows(dst []int) []int {
+	if m.stride == 0 {
+		return dst
+	}
+	last := m.lastMask()
 	for i := 0; i < m.rows; i++ {
-		if m.rowOnes(i) != m.cols {
+		row := m.Row(i)
+		full := row[m.stride-1]|^last == ^uint64(0)
+		for _, w := range row[:m.stride-1] {
+			if w != ^uint64(0) {
+				full = false
+				break
+			}
+		}
+		if !full {
 			dst = append(dst, i)
 		}
 	}
@@ -275,47 +288,39 @@ func (m *Matrix) ZeroCols() []int {
 	return m.AppendZeroCols(nil, nil)
 }
 
-// AppendZeroCols appends the zero-column indices to dst and returns it.
-// countsBuf, when non-nil, is a reusable scratch buffer for the per-column
-// popcounts (grown in place as needed); passing the same pointer across
-// calls makes this allocation-free in steady state.
-func (m *Matrix) AppendZeroCols(dst []int, countsBuf *[]int) []int {
-	var counts []int
-	if countsBuf != nil {
-		counts = *countsBuf
-	}
-	if cap(counts) < m.cols {
-		counts = make([]int, m.cols)
-		if countsBuf != nil {
-			*countsBuf = counts
+// AppendZeroCols appends the zero-column indices to dst and returns it,
+// reusing dst's backing array. The columns come from the AND of all rows,
+// one 64-column word at a time: a word column stops at the first row that
+// clears its accumulator, so an almost-full matrix costs about one pass
+// over its words and no per-bit work. Padding bits past Cols are masked,
+// whatever the rows hold there.
+//
+// The second argument is unused. It was a per-column popcount buffer, and
+// stays only so that callers written against that form still compile.
+func (m *Matrix) AppendZeroCols(dst []int, _ *[]int) []int {
+	for w := 0; w < m.stride; w++ {
+		valid := ^uint64(0)
+		if w == m.stride-1 {
+			valid = m.lastMask()
 		}
-	}
-	counts = counts[:m.cols]
-	clear(counts)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for w, word := range row {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				counts[w*64+b]++
-			}
+		acc := valid
+		for i := w; i < len(m.bits) && acc != 0; i += m.stride {
+			acc &= m.bits[i]
 		}
-	}
-	for j, c := range counts {
-		if c != m.rows {
-			dst = append(dst, j)
+		for zero := valid &^ acc; zero != 0; zero &= zero - 1 {
+			dst = append(dst, w*64+bits.TrailingZeros64(zero))
 		}
 	}
 	return dst
 }
 
-func (m *Matrix) rowOnes(i int) int {
-	n := 0
-	for _, w := range m.Row(i) {
-		n += bits.OnesCount64(w)
+// lastMask has the bits of the last row word that hold columns (all of
+// them when Cols is a multiple of 64).
+func (m *Matrix) lastMask() uint64 {
+	if r := m.cols % 64; r != 0 {
+		return 1<<uint(r) - 1
 	}
-	return n
+	return ^uint64(0)
 }
 
 // Equal reports entry-wise equality.

@@ -1,7 +1,9 @@
 package bitmat
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -254,6 +256,54 @@ func TestZeroRowsCols(t *testing.T) {
 	full := FromRows([][]bool{{true}, {true}})
 	if full.ZeroRows() != nil || full.ZeroCols() != nil {
 		t.Error("full matrix has no zero rows/cols")
+	}
+
+	// Random matrices against a per-entry Get reference, at column counts
+	// around word boundaries, with no rows, nearly full rows (the R^(k)
+	// case) and padding bits set past Cols, as reach's setAll leaves them.
+	rng := rand.New(rand.NewSource(7))
+	for _, cols := range []int{0, 1, 63, 64, 65, 130} {
+		for _, rows := range []int{0, 1, 3, 70} {
+			for _, density := range []float64{0, 0.5, 0.97, 1} {
+				for _, pad := range []bool{false, true} {
+					m := New(rows, cols)
+					for i := 0; i < rows; i++ {
+						for j := 0; j < cols; j++ {
+							if rng.Float64() < density {
+								m.Set(i, j)
+							}
+						}
+						if r := m.Row(i); pad && cols%64 != 0 {
+							r[len(r)-1] |= ^uint64(0) << uint(cols%64)
+						}
+					}
+					var wantRows, wantCols []int
+					for i := 0; i < rows; i++ {
+						for j := 0; j < cols; j++ {
+							if !m.Get(i, j) {
+								wantRows = append(wantRows, i)
+								break
+							}
+						}
+					}
+					for j := 0; j < cols; j++ {
+						for i := 0; i < rows; i++ {
+							if !m.Get(i, j) {
+								wantCols = append(wantCols, j)
+								break
+							}
+						}
+					}
+					name := fmt.Sprintf("%dx%d density %v pad %v", rows, cols, density, pad)
+					if got := m.ZeroRows(); !slices.Equal(got, wantRows) {
+						t.Errorf("%s: ZeroRows = %v, want %v", name, got, wantRows)
+					}
+					if got := m.AppendZeroCols([]int{-1}, nil); !slices.Equal(got, append([]int{-1}, wantCols...)) {
+						t.Errorf("%s: AppendZeroCols = %v, want [-1] + %v", name, got, wantCols)
+					}
+				}
+			}
+		}
 	}
 }
 

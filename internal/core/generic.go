@@ -89,6 +89,7 @@ type classScratch struct {
 	secIn, decIn []bool
 	coords       []mesh.Coord
 	coordBuf     []int
+	oracle       *routing.Oracle // the torus path's reachability relation
 }
 
 // classRound is one round's partitions: prof(i, j) says good node i reaches
@@ -141,14 +142,20 @@ func (cl *classes) group(m *bitmat.Matrix, slots *[]int) {
 }
 
 // torusCover runs classCover with f's routing oracle as the 1-round
-// reachability relation, over the mesh's linear node indices.
+// reachability relation, over the mesh's linear node indices. The oracle is
+// the Solver's own, rebuilt in place for f.
 func (s *Solver) torusCover(f *mesh.FaultSet, orders routing.MultiOrder, start time.Time) (Stats, error) {
 	m := f.Mesh()
 	if err := orders.Validate(m.Dims()); err != nil {
 		return Stats{}, err
 	}
 	c := &s.cls
-	o := routing.NewOracle(f)
+	if c.oracle == nil {
+		c.oracle = routing.NewOracle(f)
+	} else {
+		c.oracle.Rebuild(f)
+	}
+	o := c.oracle
 	n, d := int(m.Nodes()), m.Dims()
 	c.coordBuf = grow(c.coordBuf, n*d)
 	c.coords = grow(c.coords, n)

@@ -92,7 +92,7 @@ func (s *Solver) Lamb1(f *mesh.FaultSet, orders routing.MultiOrder, opts ...Opti
 // until the Solver's next computation.
 func (s *Solver) coverZeros(rk *bitmat.Matrix, rowWeight, colWeight func(int) int64) *vcover.Cover {
 	s.zr = rk.AppendZeroRows(s.zr[:0])
-	s.zc = rk.AppendZeroCols(s.zc[:0], &s.colCounts)
+	s.zc = rk.AppendZeroCols(s.zc[:0], nil)
 	bg := &s.bg
 	bg.LeftWeight = grow(bg.LeftWeight, len(s.zr))
 	bg.RightWeight = grow(bg.RightWeight, len(s.zc))

@@ -48,12 +48,11 @@ type Solver struct {
 	rs reach.Scratch
 	vs vcover.Scratch
 
-	// Lamb1 buffers: zero rows/cols of R^(k), popcount scratch, bipartite
-	// graph backing, and the class reduction Lamb1 runs on tori.
-	zr, zc    []int
-	colCounts []int
-	bg        vcover.Bipartite
-	cls       classScratch
+	// Lamb1 buffers: zero rows/cols of R^(k), bipartite graph backing, and
+	// the class reduction Lamb1 runs on tori.
+	zr, zc []int
+	bg     vcover.Bipartite
+	cls    classScratch
 
 	// Lamb2 buffers: intersection vertices, forced flags, general graph
 	// backing.

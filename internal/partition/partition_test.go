@@ -240,6 +240,62 @@ func TestRandomPartitionsValidate(t *testing.T) {
 			}
 		}
 	}
+	validateEveryOrder(t)
+}
+
+// validateEveryOrder draws random 1-4-D meshes with node and link faults
+// and checks, under every ordering and on one Scratch reused across all of
+// them, that each SES and DES partition validates.
+func validateEveryOrder(t *testing.T) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(25))
+	var s Scratch
+	for trial := 0; trial < 24; trial++ {
+		d := 1 + trial%4
+		widths := make([]int, d)
+		for i := range widths {
+			widths[i] = 2 + rng.Intn(7-d)
+		}
+		m := mesh.MustNew(widths...)
+		f := mesh.RandomNodeFaults(m, rng.Intn(int(m.Nodes())/4+1), rng)
+		for i := rng.Intn(5); i > 0; i-- {
+			c := m.CoordOf(rng.Int63n(m.Nodes()))
+			dim, dir := rng.Intn(d), 1-2*rng.Intn(2)
+			if _, ok := m.Neighbor(c, dim, dir); !ok {
+				dir = -dir
+			}
+			f.AddLink(mesh.Link{From: c, Dim: dim, Dir: dir})
+		}
+		o := routing.NewOracle(f)
+		for _, pi := range orderings(d) {
+			for _, find := range []func(*mesh.FaultSet, routing.Order) (*Partition, error){s.SES, s.DES} {
+				s.Reset()
+				p, err := find(f, pi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := Validate(p, o); err != nil {
+					t.Fatalf("trial %d %v order %v faults %v links %v: %v",
+						trial, m, pi, f.SortedNodeFaults(), f.LinkFaults(), err)
+				}
+			}
+		}
+	}
+}
+
+// orderings lists every ordering of d dimensions.
+func orderings(d int) []routing.Order {
+	if d == 0 {
+		return []routing.Order{{}}
+	}
+	var out []routing.Order
+	for _, sub := range orderings(d - 1) {
+		for at := 0; at <= len(sub); at++ {
+			pi := append(append(append(routing.Order{}, sub[:at]...), d-1), sub[at:]...)
+			out = append(out, pi)
+		}
+	}
+	return out
 }
 
 // Representatives must be the min corner of their set (the paper's choice)

@@ -2,7 +2,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/rect"
@@ -49,13 +49,12 @@ type Scratch struct {
 // returned by findAscending at depth t lives in out and is valid until the
 // next call at the same depth — parents consume child results immediately.
 type levelScratch struct {
-	dirty    map[int]bool
-	h        []int
+	h        []int // dirty values, sorted and duplicate-free
 	subNodes []mesh.Coord
 	subLinks []mesh.Link
 	out      []rect.Rect
 	runs     []rect.Interval
-	cutAfter map[int]bool // base case only
+	cuts     []int // base case only: sorted cut points
 }
 
 // intArena hands out []int chunks from a reusable block. Chunks allocated
@@ -161,10 +160,7 @@ func (s *Scratch) DES(f *mesh.FaultSet, pi routing.Order) (*Partition, error) {
 
 func (s *Scratch) level(depth int) *levelScratch {
 	for len(s.levels) <= depth {
-		s.levels = append(s.levels, &levelScratch{
-			dirty:    make(map[int]bool),
-			cutAfter: make(map[int]bool),
-		})
+		s.levels = append(s.levels, &levelScratch{})
 	}
 	return s.levels[depth]
 }
@@ -277,23 +273,17 @@ func (s *Scratch) findAscending(depth int, widths []int, nodeFaults []mesh.Coord
 	// "dirty". Node faults and links along dimensions < last dirty their
 	// own slice; a link along the last dimension spans two slices and
 	// dirties both.
-	clear(lv.dirty)
+	lv.h = lv.h[:0]
 	for _, c := range nodeFaults {
-		lv.dirty[c[last]] = true
+		lv.h = append(lv.h, c[last])
 	}
 	for _, l := range linkFaults {
-		if l.Dim != last {
-			lv.dirty[l.From[last]] = true
-		} else {
-			lv.dirty[l.From[last]] = true
-			lv.dirty[l.From[last]+l.Dir] = true
+		lv.h = append(lv.h, l.From[last])
+		if l.Dim == last {
+			lv.h = append(lv.h, l.From[last]+l.Dir)
 		}
 	}
-	lv.h = lv.h[:0]
-	for c := range lv.dirty {
-		lv.h = append(lv.h, c)
-	}
-	sort.Ints(lv.h)
+	lv.h = sortedSet(lv.h)
 
 	// Step 2(b): recurse into each dirty slice with the faults that live
 	// wholly inside it (the paper's F/c), then extend each returned set
@@ -321,7 +311,7 @@ func (s *Scratch) findAscending(depth int, widths []int, nodeFaults []mesh.Coord
 
 	// Steps 2(c)-(d): the clean slice values, grouped into maximal runs,
 	// become full-width sets (*,...,*,[l,r]) (Lemma 6.3).
-	lv.runs = appendCleanRuns(lv.runs[:0], n, lv.dirty)
+	lv.runs = appendCleanRuns(lv.runs[:0], n, lv.h)
 	for _, iv := range lv.runs {
 		r := rect.Rect(s.tmpIvals.alloc(d))
 		for j := 0; j < last; j++ {
@@ -334,65 +324,58 @@ func (s *Scratch) findAscending(depth int, widths []int, nodeFaults []mesh.Coord
 }
 
 // base1D is the d=1 base case (step 1 of Figure 11): maximal intervals of
-// good nodes containing no node fault and not spanning any faulty link.
+// good nodes containing no node fault and not spanning any faulty link. The
+// clean runs between node faults are split at each cut point c, a value
+// whose link to c+1 failed in at least one direction.
 func (s *Scratch) base1D(lv *levelScratch, n int, nodeFaults []mesh.Coord, linkFaults []mesh.Link) []rect.Rect {
-	clear(lv.dirty) // reused as the faulty-node set at the base
+	lv.h = lv.h[:0]
 	for _, c := range nodeFaults {
-		lv.dirty[c[0]] = true
+		lv.h = append(lv.h, c[0])
 	}
-	// cutAfter[c]: no interval may contain both c and c+1 (a link between
-	// them failed in at least one direction).
-	clear(lv.cutAfter)
+	lv.cuts = lv.cuts[:0]
 	for _, l := range linkFaults {
-		if l.Dir > 0 {
-			lv.cutAfter[l.From[0]] = true
-		} else {
-			lv.cutAfter[l.From[0]-1] = true
-		}
+		lv.cuts = append(lv.cuts, min(l.From[0], l.From[0]+l.Dir))
 	}
-	start := -1
-	flush := func(end int) {
-		if start >= 0 {
-			r := rect.Rect(s.tmpIvals.alloc(1))
-			r[0] = rect.Interval{Lo: start, Hi: end}
-			lv.out = append(lv.out, r)
-			start = -1
-		}
+	lv.cuts = sortedSet(lv.cuts)
+	emit := func(lo, hi int) {
+		r := rect.Rect(s.tmpIvals.alloc(1))
+		r[0] = rect.Interval{Lo: lo, Hi: hi}
+		lv.out = append(lv.out, r)
 	}
-	for v := 0; v < n; v++ {
-		if lv.dirty[v] {
-			flush(v - 1)
-			continue
+	cuts := lv.cuts
+	lv.runs = appendCleanRuns(lv.runs[:0], n, sortedSet(lv.h))
+	for _, run := range lv.runs {
+		lo := run.Lo
+		for len(cuts) > 0 && cuts[0] < lo {
+			cuts = cuts[1:]
 		}
-		if start < 0 {
-			start = v
+		for ; len(cuts) > 0 && cuts[0] < run.Hi; cuts = cuts[1:] {
+			emit(lo, cuts[0])
+			lo = cuts[0] + 1
 		}
-		if lv.cutAfter[v] {
-			flush(v)
-		}
+		emit(lo, run.Hi)
 	}
-	flush(n - 1)
 	return lv.out
 }
 
-// appendCleanRuns appends the maximal runs of [0,n-1] minus the dirty values
-// to dst.
-func appendCleanRuns(dst []rect.Interval, n int, dirty map[int]bool) []rect.Interval {
-	start := -1
-	for v := 0; v < n; v++ {
-		if dirty[v] {
-			if start >= 0 {
-				dst = append(dst, rect.Interval{Lo: start, Hi: v - 1})
-				start = -1
-			}
-			continue
+// appendCleanRuns appends to dst the maximal runs of [0,n-1] between the
+// values of dirty, which must be sorted and duplicate-free.
+func appendCleanRuns(dst []rect.Interval, n int, dirty []int) []rect.Interval {
+	lo := 0
+	for _, v := range dirty {
+		if v > lo {
+			dst = append(dst, rect.Interval{Lo: lo, Hi: v - 1})
 		}
-		if start < 0 {
-			start = v
-		}
+		lo = v + 1
 	}
-	if start >= 0 {
-		dst = append(dst, rect.Interval{Lo: start, Hi: n - 1})
+	if lo < n {
+		dst = append(dst, rect.Interval{Lo: lo, Hi: n - 1})
 	}
 	return dst
+}
+
+// sortedSet sorts xs in place and drops repeats.
+func sortedSet(xs []int) []int {
+	slices.Sort(xs)
+	return slices.Compact(xs)
 }

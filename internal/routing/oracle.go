@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"sort"
 
 	"lambmesh/internal/mesh"
@@ -10,30 +11,41 @@ import (
 // presence of a fault set (Definition 2.5(1)). A query costs O(d log f)
 // time: the pi-route from v to w is d axis-aligned segments, and each
 // segment asks "is there a fault on this line interval?" against a
-// per-dimension index of the faults, built once in O(d f log f).
+// per-dimension index of the faults, built in O(d f log f).
 //
-// The oracle is safe for concurrent use after construction: NewOracle is
-// the only writer of the per-dimension fault indexes, and every query method
-// (ReachOne, ReachableSetOne, ReachK*) only reads them and the
-// (itself immutable) fault set. The parallel reachability kernels in
-// internal/reach depend on this guarantee — callers who mutate a FaultSet
-// must build a fresh Oracle rather than reuse one across the mutation.
+// The oracle is safe for concurrent use after construction: NewOracle and
+// Rebuild are the only writers of the per-dimension fault indexes, and
+// every query method (ReachOne, ReachableSetOne, ReachK*) only reads them
+// and the (itself immutable) fault set. The parallel reachability kernels
+// in internal/reach depend on this guarantee — callers who mutate a
+// FaultSet must Rebuild (or build a fresh Oracle) before querying again.
 type Oracle struct {
 	m *mesh.Mesh
 	f *mesh.FaultSet
 
-	// nodeIdx[dim][profile] lists, sorted, the dim-coordinates of node
-	// faults whose remaining coordinates have the given profile index.
-	nodeIdx []map[int64][]int
-	// posLink/negLink[dim][profile] list the tail dim-coordinates of faulty
-	// links pointing in the +/- direction along dim.
-	posLink []map[int64][]int
-	negLink []map[int64][]int
-
-	// free recycles the value slices of a previous index across Rebuild
-	// calls so steady-state reindexing stays allocation-free.
-	free [][]int
+	// dims[j] indexes the faults on the lines along dimension j.
+	dims []lineIndex
 }
+
+// lineIndex lists the faults on every line along one dimension, whose
+// nodes are stride apart and which holds width nodes. A line is named by
+// the dense id (p/(stride*width))*stride + p%stride of its profile index p
+// (mesh.ProfileIndex), so the ids run over [0, N/width).
+type lineIndex struct {
+	stride, width, span int64      // span = stride * width
+	node, pos, neg      faultLists // node faults, tails of +links and of -links
+}
+
+// faultLists holds, for every line, the sorted dim-coordinates of one kind
+// of fault on it: line l's are vals[at[l].start:][:at[l].count].
+type faultLists struct {
+	keys []int64 // line*width + coordinate, sorted; also names the lines the next build clears
+	vals []int   // the coordinates, in key order
+	at   []lineRun
+}
+
+// lineRun locates one line's faults in faultLists.vals.
+type lineRun struct{ start, count int32 }
 
 // NewOracle indexes fault set f for reachability queries.
 func NewOracle(f *mesh.FaultSet) *Oracle {
@@ -42,73 +54,124 @@ func NewOracle(f *mesh.FaultSet) *Oracle {
 	return o
 }
 
-// Rebuild re-indexes the oracle for fault set f, reusing the previous
-// index's map buckets and value slices: the steady-state form of NewOracle
-// for trial loops that redraw faults millions of times. The concurrency
-// guarantee above covers only the quiescent index — callers must make sure
-// no reader is in flight while Rebuild runs.
+// Rebuild re-indexes the oracle for fault set f: the steady-state form of
+// NewOracle for trial loops that redraw faults millions of times. The
+// per-line arrays (N/w_j entries along dimension j) are allocated once per
+// mesh shape, the link ones only once a link fault appears; after that a
+// rebuild clears only the lines the previous fault set touched and sorts
+// the new faults, O(d f log f) with no N term, and allocates nothing
+// unless some dimension's list of node faults, +links or -links outgrows
+// every earlier one. The concurrency guarantee above covers only the
+// quiescent index — callers must make sure no reader is in flight while
+// Rebuild runs.
 func (o *Oracle) Rebuild(f *mesh.FaultSet) {
 	m := f.Mesh()
-	d := m.Dims()
-	o.m, o.f = m, f
-	if len(o.nodeIdx) != d {
-		o.nodeIdx = make([]map[int64][]int, d)
-		o.posLink = make([]map[int64][]int, d)
-		o.negLink = make([]map[int64][]int, d)
-		for j := 0; j < d; j++ {
-			o.nodeIdx[j] = make(map[int64][]int)
-			o.posLink[j] = make(map[int64][]int)
-			o.negLink[j] = make(map[int64][]int)
-		}
-	} else {
-		for j := 0; j < d; j++ {
-			o.recycle(o.nodeIdx[j])
-			o.recycle(o.posLink[j])
-			o.recycle(o.negLink[j])
+	if !o.shaped(m) {
+		o.dims = make([]lineIndex, m.Dims())
+		for j := range o.dims {
+			x := &o.dims[j]
+			x.stride, x.width = m.Stride(j), int64(m.Width(j))
+			x.span = x.stride * x.width
+			x.node.at = make([]lineRun, m.Nodes()/x.width)
 		}
 	}
+	o.m, o.f = m, f
+	for j := range o.dims {
+		x := &o.dims[j]
+		for _, fl := range []*faultLists{&x.node, &x.pos, &x.neg} {
+			for _, k := range fl.keys {
+				fl.at[k/x.width] = lineRun{}
+			}
+			fl.keys = fl.keys[:0]
+		}
+		x.node.keys = slices.Grow(x.node.keys, f.NumNodeFaults())
+	}
 	for _, c := range f.NodeFaults() {
-		for j := 0; j < d; j++ {
-			o.put(o.nodeIdx[j], m.ProfileIndex(c, j), c[j])
+		idx := m.Index(c)
+		for j := range o.dims {
+			x := &o.dims[j]
+			x.node.keys = append(x.node.keys, x.key(idx, c[j]))
 		}
 	}
 	for _, l := range f.LinkFaults() {
-		p := m.ProfileIndex(l.From, l.Dim)
-		if l.Dir > 0 {
-			o.put(o.posLink[l.Dim], p, l.From[l.Dim])
-		} else {
-			o.put(o.negLink[l.Dim], p, l.From[l.Dim])
+		x := &o.dims[l.Dim]
+		fl := &x.pos
+		if l.Dir < 0 {
+			fl = &x.neg
 		}
+		fl.keys = append(fl.keys, x.key(m.Index(l.From), l.From[l.Dim]))
 	}
-	for j := 0; j < d; j++ {
-		for _, idx := range []map[int64][]int{o.nodeIdx[j], o.posLink[j], o.negLink[j]} {
-			for _, lst := range idx {
-				sort.Ints(lst)
-			}
+	for j := range o.dims {
+		x := &o.dims[j]
+		for _, fl := range []*faultLists{&x.node, &x.pos, &x.neg} {
+			fl.seal(x.width, len(x.node.at))
 		}
 	}
 }
 
-// put appends v to idx[p], seeding new profile entries from the recycle
-// pool so Rebuild converges to zero allocations.
-func (o *Oracle) put(idx map[int64][]int, p int64, v int) {
-	lst, ok := idx[p]
-	if !ok && len(o.free) > 0 {
-		lst = o.free[len(o.free)-1][:0]
-		o.free = o.free[:len(o.free)-1]
+// shaped reports whether the index arrays fit m's shape.
+func (o *Oracle) shaped(m *mesh.Mesh) bool {
+	if len(o.dims) != m.Dims() {
+		return false
 	}
-	idx[p] = append(lst, v)
-}
-
-// recycle harvests the value slices of idx into the free pool and empties
-// the map in place (clear keeps the buckets).
-func (o *Oracle) recycle(idx map[int64][]int) {
-	for _, lst := range idx {
-		if cap(lst) > 0 {
-			o.free = append(o.free, lst[:0])
+	for j := range o.dims {
+		if o.dims[j].width != int64(m.Width(j)) {
+			return false
 		}
 	}
-	clear(idx)
+	return true
+}
+
+// line returns the dense id of the line with profile index p. As p's own
+// coordinate is zero, p = q*span + p%stride with q = p/span, so the id
+// q*stride + p%stride takes one division.
+func (x *lineIndex) line(p int64) int64 {
+	return p - int64(uint64(p)/uint64(x.span))*(x.span-x.stride)
+}
+
+// key orders the fault at coordinate c of the node with linear index idx
+// by line, then by coordinate.
+func (x *lineIndex) key(idx int64, c int) int64 {
+	return x.line(idx-int64(c)*x.stride)*x.width + int64(c)
+}
+
+// seal sorts the keys gathered by Rebuild and lays the coordinates out line
+// by line, allocating the per-line array of lines entries on first use.
+func (fl *faultLists) seal(width int64, lines int) {
+	fl.vals = slices.Grow(fl.vals[:0], len(fl.keys))
+	if len(fl.keys) == 0 {
+		return
+	}
+	if fl.at == nil {
+		fl.at = make([]lineRun, lines)
+	}
+	slices.Sort(fl.keys)
+	for i, k := range fl.keys {
+		r := &fl.at[k/width]
+		if r.count == 0 {
+			r.start = int32(i)
+		}
+		r.count++
+		fl.vals = append(fl.vals, int(k%width))
+	}
+}
+
+// on returns the sorted coordinates listed for line l.
+func (fl *faultLists) on(l int64) []int {
+	if len(fl.vals) == 0 {
+		return nil
+	}
+	r := fl.at[l]
+	return fl.vals[r.start : r.start+r.count]
+}
+
+// faultsOn returns the sorted dim-coordinates of the node faults and of the
+// tails of the faulty +links and -links on the line along dim with profile
+// index p: the one accessor every segment and span query reads.
+func (o *Oracle) faultsOn(dim int, p int64) (nodes, pos, neg []int) {
+	x := &o.dims[dim]
+	l := x.line(p)
+	return x.node.on(l), x.pos.on(l), x.neg.on(l)
 }
 
 // Mesh returns the oracle's topology.
@@ -156,7 +219,7 @@ func (o *Oracle) segmentsClear(dims []int, idx int64, v, w mesh.Coord) bool {
 // faults. On a torus the segment takes the minimal direction, breaking ties
 // toward +.
 func (o *Oracle) segmentClear(p int64, dim, a, b int) bool {
-	nodes := o.nodeIdx[dim][p]
+	nodes, pos, neg := o.faultsOn(dim, p)
 	if !o.m.Torus() {
 		lo, hi := a, b
 		if lo > hi {
@@ -166,9 +229,9 @@ func (o *Oracle) segmentClear(p int64, dim, a, b int) bool {
 			return false
 		}
 		if b > a {
-			return !anyIn(o.posLink[dim][p], a, b-1)
+			return !anyIn(pos, a, b-1)
 		}
-		return !anyIn(o.negLink[dim][p], b+1, a)
+		return !anyIn(neg, b+1, a)
 	}
 	n := o.m.Width(dim)
 	dpos := ((b-a)%n + n) % n
@@ -176,14 +239,14 @@ func (o *Oracle) segmentClear(p int64, dim, a, b int) bool {
 		if anyInCircular(nodes, a, b, n) {
 			return false
 		}
-		return !anyInCircular(o.posLink[dim][p], a, mod(b-1, n), n)
+		return !anyInCircular(pos, a, mod(b-1, n), n)
 	}
 	// - direction: nodes visited are a, a-1, ..., b; tails of -links used
 	// are a, a-1, ..., b+1.
 	if anyInCircular(nodes, b, a, n) {
 		return false
 	}
-	return !anyInCircular(o.negLink[dim][p], mod(b+1, n), a, n)
+	return !anyInCircular(neg, mod(b+1, n), a, n)
 }
 
 // anyIn reports whether the sorted list has a value in [lo, hi].

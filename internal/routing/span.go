@@ -32,18 +32,19 @@ func (o *Oracle) SpanFrom(v mesh.Coord, dim int) Span {
 // of parallel lines step p by a stride instead of rebuilding a coordinate
 // per line.
 func (o *Oracle) SpanFromLine(p int64, dim, a int) Span {
-	s, ok := o.nodeSpan(p, dim, a)
+	nodes, pos, neg := o.faultsOn(dim, p)
+	s, ok := o.nodeSpan(nodes, dim, a)
 	if !ok {
 		return s
 	}
 	// +link tails t >= a block every b > t; -link tails t <= a block every
 	// b < t.
-	if pos := o.posLink[dim][p]; len(pos) > 0 {
+	if len(pos) > 0 {
 		if j := sort.SearchInts(pos, a); j < len(pos) {
 			s.Hi = min(s.Hi, pos[j])
 		}
 	}
-	if neg := o.negLink[dim][p]; len(neg) > 0 {
+	if len(neg) > 0 {
 		if j := sort.SearchInts(neg, a+1) - 1; j >= 0 {
 			s.Lo = max(s.Lo, neg[j])
 		}
@@ -59,19 +60,19 @@ func (o *Oracle) SpanFromLine(p int64, dim, a int) Span {
 // cost is three binary searches. Meshes only.
 func (o *Oracle) SpanTo(w mesh.Coord, dim int) Span {
 	c := w[dim]
-	p := o.m.ProfileIndex(w, dim)
-	s, ok := o.nodeSpan(p, dim, c)
+	nodes, pos, neg := o.faultsOn(dim, o.m.ProfileIndex(w, dim))
+	s, ok := o.nodeSpan(nodes, dim, c)
 	if !ok {
 		return s
 	}
 	// -link tails t > c block every y >= t; +link tails t < c block every
 	// y <= t.
-	if neg := o.negLink[dim][p]; len(neg) > 0 {
+	if len(neg) > 0 {
 		if j := sort.SearchInts(neg, c+1); j < len(neg) {
 			s.Hi = min(s.Hi, neg[j]-1)
 		}
 	}
-	if pos := o.posLink[dim][p]; len(pos) > 0 {
+	if len(pos) > 0 {
 		if j := sort.SearchInts(pos, c) - 1; j >= 0 {
 			s.Lo = max(s.Lo, pos[j]+1)
 		}
@@ -79,15 +80,15 @@ func (o *Oracle) SpanTo(w mesh.Coord, dim int) Span {
 	return s
 }
 
-// nodeSpan returns the maximal fault-free run of line p along dim around
-// coordinate a, bounded by the nearest node faults on either side and the
-// mesh boundary. When a itself is faulty it returns [a, a] and false.
-func (o *Oracle) nodeSpan(p int64, dim, a int) (Span, bool) {
+// nodeSpan returns the maximal fault-free run around coordinate a of a line
+// along dim whose node faults sit at the sorted coordinates nodes, bounded
+// by the nearest of them on either side and the mesh boundary. When a
+// itself is faulty it returns [a, a] and false.
+func (o *Oracle) nodeSpan(nodes []int, dim, a int) (Span, bool) {
 	if o.m.Torus() {
 		panic("routing: segment spans are defined on meshes only")
 	}
 	s := Span{0, o.m.Width(dim) - 1}
-	nodes := o.nodeIdx[dim][p]
 	if len(nodes) == 0 {
 		return s, true
 	}
