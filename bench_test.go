@@ -633,7 +633,7 @@ func BenchmarkBitmatMul(b *testing.B) {
 // 2-round ordering), in the steady state of a reused scratch, at the
 // LAMBMESH_WORKERS pool size: rt is the R_t fill (reach.OneRound), it the
 // I_t fill (reach.Intersection, always serial), and chain the
-// R^(k) = R_1 I_1 R_2 product.
+// R^(k) = R_1 I_1 R_2 product (demand-driven, so serial on this input).
 func BenchmarkReachKernels(b *testing.B) {
 	m := mesh.MustNew(32, 32, 32)
 	f := mesh.RandomNodeFaults(m, 164, rand.New(rand.NewSource(1)))
@@ -672,7 +672,7 @@ func BenchmarkReachKernels(b *testing.B) {
 		}
 	})
 	b.Run("chain", func(b *testing.B) {
-		var chain [2]*bitmat.Matrix
+		var chain bitmat.ChainScratch
 		bitmat.MulChainScratch(benchWorkers(), &chain, r, im, r) // untimed warm-up
 		b.ReportAllocs()
 		b.ResetTimer()

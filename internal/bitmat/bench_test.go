@@ -30,12 +30,12 @@ func BenchmarkMulParallel(b *testing.B) {
 	}
 }
 
-// The chain benchmarks hold one scratch pair, as reach.Scratch does: once
+// The chain benchmarks hold one scratch, as reach.Scratch does: once
 // it has grown, a chain of any length allocates nothing.
 func BenchmarkMulChain3(b *testing.B) {
 	a, c := benchPair(800, 0.2, 2)
 	d, _ := benchPair(800, 0.2, 3)
-	var scratch [2]*Matrix
+	var scratch ChainScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -48,7 +48,7 @@ func BenchmarkMulChain7(b *testing.B) {
 	d, e := benchPair(800, 0.2, 3)
 	f, g := benchPair(800, 0.2, 4)
 	h, _ := benchPair(800, 0.2, 5)
-	var scratch [2]*Matrix
+	var scratch ChainScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,6 +10,7 @@ package bitmat
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"lambmesh/internal/par"
@@ -116,55 +117,46 @@ func (m *Matrix) MulParallel(o *Matrix, workers int) *Matrix {
 		panic(fmt.Sprintf("bitmat: %dx%d * %dx%d", m.rows, m.cols, o.rows, o.cols))
 	}
 	out := New(m.rows, o.cols)
-	m.mulInto(out, o, workers)
+	m.mulInto(out, o, workers, nil)
 	return out
 }
 
-// mulInto fills out (all-zero, m.rows x o.cols) with the product m x o,
-// row-block parallel across workers once the output is large enough to pay
-// for them (par.ForWork).
-func (m *Matrix) mulInto(out, o *Matrix, workers int) {
+// mulInto fills the rows of out, an m.rows x o.cols matrix, with those of
+// the product m x o, row-block parallel across workers once they are many
+// enough to pay for them (par.ForWork). Rows marked in skip (nil for none)
+// already hold their product rows and are left alone; the others must be
+// all zero.
+func (m *Matrix) mulInto(out, o *Matrix, workers int, skip []uint64) {
 	workers = par.ForWork(workers, m.rows*o.cols)
 	// Serial fast path: skip the closure (which escapes through par.Blocks
 	// and would cost a heap allocation per product even at workers=1).
 	if workers <= 1 {
-		m.mulRows(out, o, 0, m.rows)
+		m.mulRows(out, o, 0, m.rows, skip)
 		return
 	}
 	par.Blocks(workers, m.rows, func(lo, hi int) {
-		m.mulRows(out, o, lo, hi)
+		m.mulRows(out, o, lo, hi, skip)
 	})
 }
 
-// mulRows computes output rows [lo, hi) of m x o. A row stops once every
-// column is set: in R^(k) most rows saturate after a few of their set bits,
-// so a dense left operand costs far less than nnz x words.
-func (m *Matrix) mulRows(out, o *Matrix, lo, hi int) {
+// mulRows computes output rows [lo, hi) of m x o, but those marked in skip.
+// A row stops once every column is set: in R^(k) most rows saturate after a
+// few of their set bits, so a dense left operand costs far less than
+// nnz x words.
+func (m *Matrix) mulRows(out, o *Matrix, lo, hi int, skip []uint64) {
 	if o.stride == 0 {
 		return
 	}
-	last := o.stride - 1
-	// pad sets the bits of the last word past Cols, which stay zero in dst.
-	var pad uint64
-	if r := o.cols % 64; r != 0 {
-		pad = ^uint64(0) << uint(r)
-	}
+	pad := ^o.lastMask()
 	for i := lo; i < hi; i++ {
-		src := m.Row(i)
+		if skip != nil && skip[i>>6]&(1<<(i&63)) != 0 {
+			continue
+		}
 		dst := out.Row(i)
 	row:
-		for w, word := range src {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				orow := o.Row(w*64 + b)
-				dst[last] |= orow[last]
-				full := dst[last] | pad
-				for x, ow := range orow[:last] {
-					dst[x] |= ow
-					full &= dst[x]
-				}
-				if full == ^uint64(0) {
+		for w, word := range m.Row(i) {
+			for ; word != 0; word &= word - 1 {
+				if orFull(dst, o.Row(w*64+bits.TrailingZeros64(word)), pad) {
 					break row
 				}
 			}
@@ -172,39 +164,158 @@ func (m *Matrix) mulRows(out, o *Matrix, lo, hi int) {
 	}
 }
 
-// MulChainScratch multiplies a sequence of conformant matrices, each
-// product row-block parallel across `workers` goroutines (<= 0 means
-// NumCPU). Intermediate products cycle through the caller-owned
-// double-buffer pair, so repeated chain products (one per lamb computation,
-// say) stop allocating once the buffers have grown to the working-set size.
-// The inputs are never written. The result aliases one of the scratch
-// buffers (or ms[0] for a length-one chain) and is valid until the next
-// call with the same pair.
+// ChainScratch holds what MulChainScratch reuses across calls: one matrix
+// per product P_j, the output P_0 included, and for each the bitset of rows
+// computed so far. Once grown to the working-set size, a chain of any
+// length allocates nothing at one worker. The zero value is ready.
+type ChainScratch struct {
+	memo []*Matrix  // memo[j] holds the computed rows of P_j
+	done [][]uint64 // done[j] marks them
+	pad  uint64     // the bits of a row's last word past Cols
+	ors  int        // row ORs the demand-driven phase has spent
+}
+
+// The demand-driven phase of MulChainScratch may spend orsPerRow row ORs
+// per output row, plus orsPerRow x warmRows for the first rows, which find
+// the memo empty. On the Fig 26 small-f inputs (M_3(32...128), f = 164,
+// 20 draws each) it spends under 9 per row and at most about 3,200 in its
+// first 64 rows; at Fig 18's M_3(32), f = 983, Fig 22's M_3(25),
+// f = 1875 and Fig 20's M_2(181), f = 983 it spends over 6,000 in its
+// first 64.
+const (
+	orsPerRow = 16
+	warmRows  = 256
+)
+
+// MulChainScratch multiplies a sequence of conformant matrices, drawing
+// every buffer from s. The inputs are never written. The result aliases a
+// buffer of s (or ms[0] for a length-one chain) and is valid until the next
+// call with the same s.
 //
-// The chain is associated right to left, ms[0] x (ms[1] x (... x ms[n-1])).
-// A product costs about nnz(left) x words(right), and in R^(k) = R_1 I_1
-// R_2 ... the sparse I_t is the left operand of every step but the last:
-// on M_3(32) with 164 faults R_1 has density 0.40 and I_1 0.075, but R_1 I_1
-// has 0.88, so the left-to-right order fed that dense product into the
-// second step as its left operand. Boolean products are associative, so
-// the result is the same.
-func MulChainScratch(workers int, scratch *[2]*Matrix, ms ...*Matrix) *Matrix {
+// The chain is associated right to left, P_j = ms[j] x P_{j+1} with
+// P_{n-1} = ms[n-1], and the result is P_0. Every row of P_0 is computed,
+// but a row of a suffix product P_j (j >= 1) only when some row of P_{j-1}
+// asks for it, and then once. A row ORs the rows its set bits name, the
+// ones already computed first, and stops as soon as it is all ones. OR is
+// order-independent and a row stops early only when it is full, so the
+// product is exact.
+//
+// Right to left is the order that makes this pay. A suffix row, once
+// computed, serves every row to its left that names it, and in
+// R^(k) = R_1 I_1 R_2 the sparse I_t is the left operand of its own
+// product. The rows of R_1 saturate after a few of their bits, so most rows
+// of I_1 R_2 are never asked for: on M_3(32) with 164 faults 30 of its 462
+// rows get computed. Left to right would build the dense R_1 I_1 (density
+// 0.88 there, against 0.40 for R_1) in full.
+//
+// When rows saturate late (large f), a row ORs tens of rows and nearly
+// every suffix row is asked for. Computing them one at a time between the
+// rows of P_0 then costs locality (on M_3(25), f = 1875, 1.1-1.4x the
+// time of the level-by-level products for the same ORs at one worker) and
+// keeps a second worker out. So once the demand-driven phase has spent
+// more row ORs than its budget (orsPerRow), the chain finishes as plain
+// products from the right: the rows of each level not yet computed,
+// P_{n-2} first and P_0 last, each level row-block parallel across up to
+// workers goroutines (<= 0 means NumCPU) once it is large enough to pay
+// for them (par.ForWork). Every row is written by one goroutine and reads only
+// finished rows, so the result is bit-identical for every worker count.
+func MulChainScratch(workers int, s *ChainScratch, ms ...*Matrix) *Matrix {
 	if len(ms) == 0 {
 		panic("bitmat: empty chain")
 	}
 	n := len(ms)
-	cur := ms[n-1]
-	for step := 0; step < n-1; step++ {
-		m := ms[n-2-step]
-		if m.cols != cur.rows {
-			panic(fmt.Sprintf("bitmat: %dx%d * %dx%d", m.rows, m.cols, cur.rows, cur.cols))
+	cols := ms[n-1].cols
+	for j := n - 2; j >= 0; j-- {
+		if ms[j].cols != ms[j+1].rows {
+			panic(fmt.Sprintf("bitmat: %dx%d * %dx%d", ms[j].rows, ms[j].cols, ms[j+1].rows, cols))
 		}
-		buf := scratch[step%2].reset(m.rows, cur.cols)
-		scratch[step%2] = buf
-		m.mulInto(buf, cur, workers)
-		cur = buf
 	}
-	return cur
+	if n == 1 {
+		return ms[0]
+	}
+	for len(s.memo) < n-1 {
+		s.memo = append(s.memo, nil)
+		s.done = append(s.done, nil)
+	}
+	for j := 0; j < n-1; j++ {
+		s.memo[j] = s.memo[j].Reset(ms[j].rows, cols)
+		words := (ms[j].rows + 63) / 64
+		s.done[j] = slices.Grow(s.done[j][:0], words)[:words]
+		clear(s.done[j])
+	}
+	out := s.memo[0]
+	if out.stride == 0 {
+		return out
+	}
+	s.pad = ^out.lastMask()
+	s.ors = 0
+	for i := 0; i < out.rows; i++ {
+		if s.ors > orsPerRow*(i+warmRows) {
+			next := ms[n-1]
+			for j := n - 2; j >= 0; j-- {
+				ms[j].mulInto(s.memo[j], next, workers, s.done[j])
+				next = s.memo[j]
+			}
+			break
+		}
+		s.fill(ms, 0, i)
+		s.done[0][i>>6] |= 1 << (i & 63)
+	}
+	return out
+}
+
+// fill computes row i of P_j, which is all zero, stopping as soon as it is
+// all ones. When P_{j+1} is the last matrix this is a plain product row;
+// otherwise the computed rows of P_{j+1} that row i of ms[j] names are
+// ORed first, and the rest are computed (and marked done) as they are
+// needed.
+func (s *ChainScratch) fill(ms []*Matrix, j, i int) {
+	src, dst := ms[j].Row(i), s.memo[j].Row(i)
+	if j+1 == len(ms)-1 {
+		o := ms[j+1]
+		for w, word := range src {
+			for ; word != 0; word &= word - 1 {
+				s.ors++
+				if orFull(dst, o.Row(w*64+bits.TrailingZeros64(word)), s.pad) {
+					return
+				}
+			}
+		}
+		return
+	}
+	memo, done := s.memo[j+1], s.done[j+1]
+	for w, word := range src {
+		for word &= done[w]; word != 0; word &= word - 1 {
+			s.ors++
+			if orFull(dst, memo.Row(w*64+bits.TrailingZeros64(word)), s.pad) {
+				return
+			}
+		}
+	}
+	for w, word := range src {
+		for word &^= done[w]; word != 0; word &= word - 1 {
+			b := w*64 + bits.TrailingZeros64(word)
+			s.fill(ms, j+1, b)
+			done[w] |= 1 << (b & 63)
+			s.ors++
+			if orFull(dst, memo.Row(b), s.pad) {
+				return
+			}
+		}
+	}
+}
+
+// orFull ORs src into dst, a row of the same width, and reports whether
+// dst is then all ones; pad sets the bits of the last word past Cols.
+func orFull(dst, src []uint64, pad uint64) bool {
+	last := len(src) - 1
+	dst[last] |= src[last]
+	full := dst[last] | pad
+	for x, w := range src[:last] {
+		dst[x] |= w
+		full &= dst[x]
+	}
+	return full == ^uint64(0)
 }
 
 // Reset returns an all-zero rows x cols matrix, reusing m's storage when it
@@ -214,12 +325,6 @@ func (m *Matrix) Reset(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic("bitmat: negative dimension")
 	}
-	return m.reset(rows, cols)
-}
-
-// reset returns an all-zero rows x cols matrix, reusing m's storage when it
-// is large enough. m may be nil.
-func (m *Matrix) reset(rows, cols int) *Matrix {
 	stride := (cols + 63) / 64
 	need := rows * stride
 	if m == nil || cap(m.bits) < need {

@@ -93,7 +93,7 @@ func TestMulAssociative(t *testing.T) {
 		if !left.Equal(right) {
 			t.Fatalf("trial %d: (AB)C != A(BC)", trial)
 		}
-		var scratch [2]*Matrix
+		var scratch ChainScratch
 		if !MulChainScratch(1, &scratch, a, b, c).Equal(left) {
 			t.Fatalf("trial %d: MulChainScratch mismatch", trial)
 		}
@@ -119,10 +119,10 @@ func TestMulParallelMatchesSerial(t *testing.T) {
 }
 
 // MulChainScratch must match the step-by-step Mul chain for every worker
-// count and chain length, despite the scratch-pair reuse.
+// count and chain length, despite the scratch reuse.
 func TestMulChainScratchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	var scratch [2]*Matrix
+	var scratch ChainScratch
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(6)
 		ms := make([]*Matrix, n)
@@ -148,12 +148,12 @@ func TestMulChainScratchMatchesSerial(t *testing.T) {
 // MulChainScratch associates right to left; it must equal the
 // left-to-right fold of the reference product for chains of length 1-5,
 // rectangular shapes on both sides of word boundaries, and dense operands
-// whose output rows saturate after a few set bits (the early stop in
-// mulRows). One scratch pair serves every call, as in reach.Scratch.
+// whose output rows saturate after a few set bits (the early stop). One
+// scratch serves every call, as in reach.Scratch.
 func TestMulChainScratchMatchesLeftFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	widths := []int{1, 3, 63, 64, 65, 128, 70}
-	var scratch [2]*Matrix
+	var scratch ChainScratch
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + trial%5
 		density := []float64{0.02, 0.3, 0.95}[trial%3]
@@ -178,20 +178,38 @@ func TestMulChainScratchMatchesLeftFold(t *testing.T) {
 }
 
 // Products above the serial cutoff run row-block parallel; they must match
-// the one-worker product bit for bit, saturating rows included.
+// the one-worker product bit for bit. With the dense R a row saturates
+// after a few set bits, so the chain stays demand-driven. In the second
+// chain the last matrix has empty columns, so no row ever saturates, every
+// row ORs all the rows it names, the demand-driven phase runs out of
+// budget, and the rest of the chain is finished level by level in
+// parallel.
 func TestMulChainScratchAboveCutoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	r := randomMatrix(300, 290, 0.4, rng)
-	i := randomMatrix(290, 300, 0.05, rng)
-	var serial, parallel [2]*Matrix
-	want := MulChainScratch(1, &serial, r, i, r.Clone())
-	for _, workers := range []int{2, 3} {
-		if got := MulChainScratch(workers, &parallel, r, i, r.Clone()); !got.Equal(want) {
-			t.Fatalf("workers %d: parallel chain differs", workers)
+	for _, finish := range []bool{false, true} {
+		r := randomMatrix(300, 290, 0.4, rng)
+		i := randomMatrix(290, 300, 0.05, rng)
+		last := r.Clone()
+		if finish {
+			for row := 0; row < last.Rows(); row++ {
+				for col := 0; col < 10; col++ {
+					last.Clear(row, col)
+				}
+			}
 		}
-	}
-	if !want.Equal(naiveMul(naiveMul(r, i), r)) {
-		t.Fatal("chain differs from the reference product")
+		var serial, parallel ChainScratch
+		want := MulChainScratch(1, &serial, r, i, last)
+		if finished := !serial.rowDone(0, want.Rows()-1); finished != finish {
+			t.Fatalf("finish %v: the chain finished level by level: %v", finish, finished)
+		}
+		for _, workers := range []int{2, 3} {
+			if got := MulChainScratch(workers, &parallel, r, i, last); !got.Equal(want) {
+				t.Fatalf("finish %v workers %d: parallel chain differs", finish, workers)
+			}
+		}
+		if !want.Equal(naiveMul(naiveMul(r, i), last)) {
+			t.Fatalf("finish %v: chain differs from the reference product", finish)
+		}
 	}
 }
 
@@ -203,7 +221,7 @@ func TestMulChainDoesNotCorruptInputs(t *testing.T) {
 	b := randomMatrix(40, 30, 0.3, rng)
 	c := randomMatrix(30, 20, 0.3, rng)
 	aw, bw, cw := a.Clone(), b.Clone(), c.Clone()
-	var scratch [2]*Matrix
+	var scratch ChainScratch
 	first := MulChainScratch(1, &scratch, a, b, c).Clone()
 	if !a.Equal(aw) || !b.Equal(bw) || !c.Equal(cw) {
 		t.Fatal("MulChainScratch mutated an input")
@@ -385,4 +403,9 @@ func TestMulIdentityQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// rowDone reports whether the demand-driven phase computed row i of P_j.
+func (s *ChainScratch) rowDone(j, i int) bool {
+	return s.done[j][i>>6]&(1<<(i&63)) != 0
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"lambmesh/internal/mesh"
+	"lambmesh/internal/reach"
 	"lambmesh/internal/routing"
 )
 
@@ -356,4 +358,70 @@ func TestPredeterminedWithValuesWeight(t *testing.T) {
 	if res.Stats.CoverWeight != 1 {
 		t.Errorf("cover weight = %d, want 1", res.Stats.CoverWeight)
 	}
+}
+
+// VerifyLambSet scans R^(k) a word at a time; it must report the same
+// first failing (SES, DES) pair as the entry-by-entry row-major scan of
+// Lemma 5.2, so its error messages stay the same. Lamb sets with lambs
+// dropped fail; R^(k) is wider than a word on both meshes.
+func TestVerifyLambSetFirstFailure(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	failures := 0
+	for _, tc := range []struct {
+		widths []int
+		faults int
+	}{{[]int{40, 40}, 90}, {[]int{12, 12, 12}, 120}} {
+		m := mesh.MustNew(tc.widths...)
+		for trial := 0; trial < 4; trial++ {
+			f := mesh.RandomNodeFaults(m, tc.faults, rng)
+			orders := routing.UniformAscending(m.Dims(), 2)
+			res, err := Lamb1(f, orders)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, keep := range []int{0, len(res.Lambs) / 2, len(res.Lambs)} {
+				lambs := append([]mesh.Coord(nil), res.Lambs...)
+				rng.Shuffle(len(lambs), func(i, j int) { lambs[i], lambs[j] = lambs[j], lambs[i] })
+				lambs = lambs[:keep]
+				got, want := VerifyLambSet(f, orders, lambs), verifyByEntry(t, f, orders, lambs)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%v trial %d keep %d: got %v, want %v", m, trial, keep, got, want)
+				}
+				if got != nil {
+					failures++
+				}
+			}
+		}
+	}
+	if failures == 0 {
+		t.Fatal("no lamb set failed; the test checks nothing")
+	}
+	t.Logf("%d failing lamb sets", failures)
+}
+
+// verifyByEntry is Lemma 5.2 read off R^(k) one entry at a time, in row-major
+// order.
+func verifyByEntry(t *testing.T, f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coord) error {
+	t.Helper()
+	m := f.Mesh()
+	in := make(map[int64]bool, len(lambs))
+	for _, c := range lambs {
+		in[m.Index(c)] = true
+	}
+	inLambs := func(c mesh.Coord) bool { return in[m.Index(c)] }
+	rc, err := reach.ComputeScratch(f, orders, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigma, delta := rc.Sigma[0], rc.Delta[len(rc.Delta)-1]
+	for i := 0; i < rc.RK.Rows(); i++ {
+		for j := 0; j < rc.RK.Cols(); j++ {
+			if rc.RK.Get(i, j) || sigma.Sets[i].Rect.All(inLambs) || delta.Sets[j].Rect.All(inLambs) {
+				continue
+			}
+			return fmt.Errorf("core: not a lamb set: some survivor in SES %v cannot %d-reach some survivor in DES %v",
+				sigma.Sets[i].Rect.StringIn(m), orders.Rounds(), delta.Sets[j].Rect.StringIn(m))
+		}
+	}
+	return nil
 }

@@ -81,7 +81,7 @@ type classScratch struct {
 	good   []int // good node ids, ascending
 	rounds []classRound
 	chain  []*bitmat.Matrix
-	mul    [2]*bitmat.Matrix
+	mul    bitmat.ChainScratch
 	slots  []int
 	// first and last are the rounds whose SECs and DECs the cover chose
 	// from; secIn and decIn mark the chosen classes.

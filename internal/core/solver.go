@@ -26,7 +26,7 @@ func (ph *PhaseTimes) close(start time.Time) {
 }
 
 // Solver owns every piece of scratch the lamb pipeline needs — partition
-// arenas, the reachability matrix pool and chain double-buffer, the
+// arenas, the reachability matrix pool and chain memo, the
 // vertex-cover flow network, and the index/weight buffers of the WVC
 // reductions — so that repeated Lamb1/Lamb2/ExactLamb calls stop allocating
 // once the buffers reach the working-set size. That steady state is exactly

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/reach"
@@ -44,14 +45,26 @@ func VerifyLambSet(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coo
 		_, ok := lambIdx[m.Index(c)]
 		return ok
 	}
-	for i := 0; i < rc.RK.Rows(); i++ {
-		for j := 0; j < rc.RK.Cols(); j++ {
-			if rc.RK.Get(i, j) {
+	// open has bit j set when DES j is not inside the lamb set, so a zero
+	// entry (i, j) with j in open needs S_i inside it. Each set is tested
+	// once, and a row costs a word AND per 64 columns.
+	rk := rc.RK
+	open := make([]uint64, (rk.Cols()+63)/64)
+	for j, d := range delta.Sets {
+		if !d.Rect.All(inLambs) {
+			open[j>>6] |= 1 << (j & 63)
+		}
+	}
+	for i := 0; i < rk.Rows(); i++ {
+		for w, word := range rk.Row(i) {
+			bad := ^word & open[w]
+			if bad == 0 {
 				continue
 			}
-			if sigma.Sets[i].Rect.All(inLambs) || delta.Sets[j].Rect.All(inLambs) {
-				continue
+			if sigma.Sets[i].Rect.All(inLambs) {
+				break
 			}
+			j := w*64 + bits.TrailingZeros64(bad)
 			return fmt.Errorf("core: not a lamb set: some survivor in SES %v cannot %d-reach some survivor in DES %v",
 				sigma.Sets[i].Rect.StringIn(m), orders.Rounds(), delta.Sets[j].Rect.StringIn(m))
 		}

@@ -35,9 +35,14 @@ func Clamp(n int) int {
 // Waking a second worker costs microseconds, which the small matrices of a
 // 2-D solve never earn back: at workers=2, BenchmarkFig17Trial (M_2(32),
 // R_t about 60 x 60) took 75-95 us with this cutoff and 85-104 us without
-// it on a 2-vCPU VM. BenchmarkReachKernels/rt and /chain (the M_3(32),
-// f = 164 input, 466 x 462) sit above it and gain 1.05-1.08x from a second
-// worker there (their speedup rows in BENCH_lamb.json).
+// it on a 2-vCPU VM. The large-f chain products gain from a second worker:
+// on the Fig 18, 20 and 22 inputs (M_3(32), f = 983; M_2(181), f = 983;
+// M_3(25), f = 1875) a chain left serial took 1.4-1.9x the time of the
+// row-block parallel one at workers=2 on that VM. The M_3(32), f = 164 R_t
+// fill (BenchmarkReachKernels/rt, 466 x 462) sits above the cutoff but, at
+// about 0.13 ms since its fill visits only the faulty middle lines, gains
+// nothing from a second worker there (four alternating runs); its chain
+// product stays in the serial demand-driven phase.
 const serialCutoff = 1 << 16
 
 // ForWork returns the effective worker count for a loop filling work output

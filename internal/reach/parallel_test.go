@@ -51,9 +51,9 @@ func TestComputeScratchDeterministic(t *testing.T) {
 }
 
 // Below par.ForWork's cutoff the fills run inline, so the test above may
-// never start a goroutine. This input puts both R_t fills and both chain
-// products over the cutoff, so the row-block parallel paths run (and, under
-// -race, are checked) and must match one worker bit for bit.
+// never start a goroutine. This input puts both R_t fills over the cutoff,
+// so the row-block parallel path runs (and, under -race, is checked) and
+// must match one worker bit for bit.
 func TestComputeScratchAboveCutoff(t *testing.T) {
 	m := mesh.MustNew(24, 24, 24)
 	f := mesh.RandomNodeFaults(m, 160, rand.New(rand.NewSource(23)))

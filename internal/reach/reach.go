@@ -45,11 +45,11 @@ type Reachability struct {
 }
 
 // Scratch owns the reusable buffers of a Find-Reachability computation: the
-// partition arenas and a pool of bit matrices (R_t, I_t, and the chain
-// double-buffer behind R^(k)) recycled across rounds and across calls. In
-// steady state a ComputeScratch call allocates only the small Reachability
-// header and its slices — the lamb pipeline's per-epoch cost stops scaling
-// with allocator traffic.
+// partition arenas, a pool of bit matrices (R_t and I_t) and the chain
+// product's memo behind R^(k), recycled across rounds and across calls. In
+// steady state a ComputeScratch call allocates nothing at workers=1 (pinned
+// by TestComputeScratchZeroAllocs) — the lamb pipeline's per-epoch cost
+// stops scaling with allocator traffic.
 //
 // Ownership contract: a Reachability returned by ComputeScratch references
 // scratch-owned memory and stays valid only until the next ComputeScratch
@@ -69,9 +69,10 @@ type Scratch struct {
 
 	pool    []*bitmat.Matrix
 	used    int
-	chain   [2]*bitmat.Matrix
+	chain   bitmat.ChainScratch
 	chainMs []*bitmat.Matrix
 	boxes   boxIndex // the column index of the R_t and I_t fills
+	lines   []uint64 // the 3-D R_t fill's blockable middle lines (midLines)
 
 	// Steady-state reuse across calls: the fault-index
 	// oracle is rebuilt in place, and the Reachability header (plus its
@@ -93,7 +94,7 @@ func (s *Scratch) reset() {
 func (s *Scratch) Detach() {
 	s.Part.Detach()
 	s.pool, s.used = nil, 0
-	s.chain = [2]*bitmat.Matrix{}
+	s.chain = bitmat.ChainScratch{}
 	s.chainMs = nil
 	s.oracle = nil
 	s.rcHdr = nil
@@ -171,12 +172,13 @@ func (s *Scratch) mat(rows, cols int) *bitmat.Matrix {
 // result is owned by the caller alone. workers bounds the pool (<= 0 means
 // NumCPU): each large enough R_t fill is row-block parallel (the
 // routing.Oracle is read-only after NewOracle, so concurrent span queries
-// are safe), and so is each large enough step of the R^(k) chain product;
-// par.ForWork keeps small ones inline. Every parallel loop writes disjoint
-// matrix rows, so results are bit-identical for every s and every worker
-// count. Identical per-round orderings share partitions and matrices, as
-// the paper notes (R_1 = R_2 = ... and I_1 = I_2 = ... for a uniform
-// ordering).
+// are safe), and so is the level-by-level finish of a large-f R^(k) chain
+// (bitmat.MulChainScratch computes suffix rows on demand, serially, until
+// its budget runs out); par.ForWork keeps small ones inline. Every
+// parallel loop writes disjoint matrix rows, so results are bit-identical
+// for every s and every worker count. The I_t fills are serial. Identical per-round orderings share
+// partitions and matrices, as the paper notes (R_1 = R_2 = ... and
+// I_1 = I_2 = ... for a uniform ordering).
 //
 // Rounds are built serially (they share the partition arenas), with every
 // buffer — including the oracle's fault index and the Reachability header —
@@ -264,14 +266,17 @@ func firstSame(orders routing.MultiOrder, t, n int) int {
 // ANDs through a boxIndex, as in Intersection. That is all of R_t in 2-D.
 //
 // In 3-D the middle segment runs along pi[1] on the line through v with
-// v's pi[0]-coordinate replaced by w's. So a row takes one SpanFromLine per
-// pi[0]-coordinate a its first span reaches (at most n of them), and where
-// that span is not the whole line it drops, word-parallel, the columns with
-// w[pi[0]] = a whose w[pi[1]] lies outside it. In d >= 4 each surviving
-// pair walks its inner segments (InnerClear). Row blocks fill in parallel
-// over a read-only oracle when the matrix is large enough (par.ForWork), so
-// the result is identical for every worker count. The column index lives
-// in s (a nil s allocates it). Meshes only, like the partitions.
+// v's pi[0]-coordinate replaced by w's. Only a line that holds a node fault
+// or a pi[1] link fault can block it, and midLines marks those in a bitset
+// by plane v[pi[2]] and pi[0]-coordinate, once per fill. So a row reads
+// the marked pi[0]-coordinates a of its plane in its first span, a word at
+// a time, takes one SpanFromLine for each, and where that span is not the
+// whole line it drops, word-parallel, the columns with w[pi[0]] = a whose
+// w[pi[1]] lies outside it. In d >= 4 each surviving pair walks its
+// inner segments (InnerClear). Row blocks fill in parallel over a read-only
+// oracle when the matrix is large enough (par.ForWork), so the result is
+// identical for every worker count. The column index and the line bitset
+// live in s (a nil s allocates them). Meshes only, like the partitions.
 func OneRound(r *bitmat.Matrix, o *routing.Oracle, pi routing.Order, sigma, delta []partition.Set, workers int, s *Scratch) {
 	if s == nil {
 		s = new(Scratch)
@@ -297,20 +302,50 @@ func OneRound(r *bitmat.Matrix, o *routing.Oracle, pi routing.Order, sigma, delt
 		}
 	}
 	cols.seal()
+	var lines []uint64
+	if len(pi) == 3 {
+		s.lines = midLines(s.lines, f, pi)
+		lines = s.lines
+	}
 	workers = par.ForWork(workers, len(sigma)*len(delta))
 	if workers <= 1 {
 		// Serial fast path: par.Blocks' closure escapes and would cost a
 		// heap allocation per matrix even when it runs inline.
-		oneRoundRows(r, o, pi, sigma, delta, cols, 0, len(sigma))
+		oneRoundRows(r, o, pi, sigma, delta, cols, lines, 0, len(sigma))
 		return
 	}
 	par.Blocks(workers, len(sigma), func(lo, hi int) {
-		oneRoundRows(r, o, pi, sigma, delta, cols, lo, hi)
+		oneRoundRows(r, o, pi, sigma, delta, cols, lines, lo, hi)
 	})
 }
 
-// oneRoundRows fills rows [lo, hi) of R_t from the column index cols.
-func oneRoundRows(r *bitmat.Matrix, o *routing.Oracle, pi routing.Order, sigma, delta []partition.Set, cols *boxIndex, lo, hi int) {
+// midLines returns dst, resized and cleared, as a bitset over the
+// pi[1]-lines of a 3-D mesh: bit c*w + a (w the mesh's pi[0]-width) stands
+// for the line whose pi[2]- and pi[0]-coordinates are c and a, and is set
+// when the line holds a node fault or a faulty pi[1] link. Those are the
+// middle lines of R_t that can be blocked. It costs O(f + n^2/64).
+func midLines(dst []uint64, f *mesh.FaultSet, pi routing.Order) []uint64 {
+	m := f.Mesh()
+	w := m.Width(pi[0])
+	words := (m.Width(pi[2])*w + 63) / 64
+	dst = slices.Grow(dst[:0], words)[:words]
+	clear(dst)
+	for _, c := range f.NodeFaults() {
+		k := c[pi[2]]*w + c[pi[0]]
+		dst[k>>6] |= 1 << (k & 63)
+	}
+	for _, l := range f.LinkFaults() {
+		if l.Dim == pi[1] {
+			k := l.From[pi[2]]*w + l.From[pi[0]]
+			dst[k>>6] |= 1 << (k & 63)
+		}
+	}
+	return dst
+}
+
+// oneRoundRows fills rows [lo, hi) of R_t from the column index cols and,
+// in 3-D, the blockable middle lines (midLines).
+func oneRoundRows(r *bitmat.Matrix, o *routing.Oracle, pi routing.Order, sigma, delta []partition.Set, cols *boxIndex, lines []uint64, lo, hi int) {
 	m := o.Mesh()
 	for i := lo; i < hi; i++ {
 		v := sigma[i].Rep
@@ -325,13 +360,26 @@ func oneRoundRows(r *bitmat.Matrix, o *routing.Oracle, pi routing.Order, sigma, 
 		switch {
 		case len(pi) == 3:
 			// The middle segment of a route to a column with w[pi[0]] = a
-			// leaves v with its pi[0]-coordinate set to a.
+			// leaves v with its pi[0]-coordinate set to a; only the marked
+			// lines of v's plane with a in the first span can block it.
 			stride := m.Stride(pi[0])
-			p := m.ProfileIndex(v, pi[1]) + int64(from.Lo-v[pi[0]])*stride
+			p := m.ProfileIndex(v, pi[1]) - int64(v[pi[0]])*stride
 			full := routing.Span{Lo: 0, Hi: m.Width(pi[1]) - 1}
-			for a := from.Lo; a <= from.Hi; a, p = a+1, p+stride {
-				if mid := o.SpanFromLine(p, pi[1], v[pi[1]]); mid != full {
-					cols.drop(row, 0, a, 2, mid.Lo, mid.Hi)
+			plane := v[pi[2]] * m.Width(pi[0])
+			k0, k1 := plane+from.Lo, plane+from.Hi
+			for x := k0 >> 6; x <= k1>>6; x++ {
+				word := lines[x]
+				if x == k0>>6 {
+					word &= ^uint64(0) << (k0 & 63)
+				}
+				if x == k1>>6 {
+					word &= ^uint64(0) >> (63 - k1&63)
+				}
+				for ; word != 0; word &= word - 1 {
+					a := x*64 + bits.TrailingZeros64(word) - plane
+					if mid := o.SpanFromLine(p+int64(a)*stride, pi[1], v[pi[1]]); mid != full {
+						cols.drop(row, 0, a, 2, mid.Lo, mid.Hi)
+					}
 				}
 			}
 		case len(pi) >= 4:

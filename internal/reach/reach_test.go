@@ -240,3 +240,46 @@ func TestInvalidOrderRejected(t *testing.T) {
 		t.Error("invalid ordering should be rejected")
 	}
 }
+
+// ComputeScratch allocates nothing in steady state at workers=1: every
+// buffer, the 3-D fill's middle-line bitset and the chain memo included,
+// lives in the Scratch. One Scratch per mesh cycles through node- and
+// link-fault sets at k = 1, 2, 3, with uniform and mixed orderings, after a
+// warm-up pass that grows it to the largest of them.
+func TestComputeScratchZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for _, widths := range [][]int{{32, 32}, {32, 32, 32}} {
+		m := mesh.MustNew(widths...)
+		d := m.Dims()
+		var faults []*mesh.FaultSet
+		for _, n := range []int{d * 20, d * 60} {
+			f := mesh.RandomNodeFaults(m, n, rng)
+			mesh.RandomLinkFaults(f, n/4, rng)
+			faults = append(faults, f)
+		}
+		var orders []routing.MultiOrder
+		for k := 1; k <= 3; k++ {
+			orders = append(orders, routing.UniformAscending(d, k))
+			mixed := make(routing.MultiOrder, k)
+			for t := range mixed {
+				mixed[t] = routing.Order(rng.Perm(d))
+			}
+			orders = append(orders, mixed)
+		}
+		var s Scratch
+		run := func() {
+			for _, f := range faults {
+				for _, mo := range orders {
+					if _, err := ComputeScratch(f, mo, 1, &s); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(3, run); allocs != 0 {
+			t.Errorf("%v: %v allocations per pass of %d ComputeScratch calls, want 0",
+				m, allocs, len(faults)*len(orders))
+		}
+	}
+}

@@ -55,6 +55,7 @@ var requiredBenchmarks = []string{
 	"BenchmarkFig17Trial",
 	"BenchmarkFig18Trial",
 	"BenchmarkFig20Trial",
+	"BenchmarkFig22Trial",
 	"BenchmarkFig26TrialSmallF",
 	"BenchmarkReachKernels/rt",
 	"BenchmarkReachKernels/it",
