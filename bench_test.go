@@ -479,7 +479,11 @@ func BenchmarkClassTableQuery(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	f := mesh.RandomNodeFaults(m, 31, rng)
 	orders := routing.UniformAscending(2, 2)
-	tab, err := classtable.New(f, orders, benchWorkers())
+	rc, err := reach.ComputeScratch(f, orders, benchWorkers(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tab, err := classtable.New(rc)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -724,6 +728,29 @@ func BenchmarkVerifyLambSet(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyLambSetTorus: VerifyLambSet on a torus (T_2(16), 20 node
+// faults, k = 2) checking Lamb1's set, which runs Lemma 5.2 over the exact
+// SEC/DEC classes of the Section 7 reduction.
+func BenchmarkVerifyLambSetTorus(b *testing.B) {
+	tor, err := mesh.NewTorus(16, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := mesh.RandomNodeFaultsOn(tor, 20, rand.New(rand.NewSource(1)))
+	orders := routing.UniformAscending(2, 2)
+	res, err := core.Lamb1(f, orders)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := core.VerifyLambSet(f, orders, res.Lambs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Reconfiguration benchmarks: the AddFaults recompute and the class-table
 // swap.
 
@@ -769,10 +796,11 @@ func BenchmarkAddFaults(b *testing.B) {
 }
 
 // BenchmarkClassTableSwap: what one fault report costs the class-table data
-// plane until the post-swap query burst is answered — classtable.New for
-// the next epoch (M_2(32) holding 31 faults plus one reported mid-mesh)
-// followed by a fixed pseudo-random sweep of 4096 route lookups over the
-// surviving endpoints.
+// plane until the post-swap query burst is answered, built as lambd builds
+// it — Find-Reachability on a Scratch reused across reports (the
+// recompute's), classtable.New from its result for the next epoch (M_2(32)
+// holding 31 faults plus one reported mid-mesh), then a fixed pseudo-random
+// sweep of 4096 route lookups over the surviving endpoints.
 func BenchmarkClassTableSwap(b *testing.B) {
 	m := mesh.MustNew(32, 32)
 	rng := rand.New(rand.NewSource(10))
@@ -797,10 +825,20 @@ func BenchmarkClassTableSwap(b *testing.B) {
 		pairs = append(pairs, pair{src: s, dst: d})
 	}
 	var q classtable.Scratch
+	var rs reach.Scratch
+	// One untimed call grows the Scratch, so allocs/op is the steady state
+	// at any -benchtime.
+	if _, err := reach.ComputeScratch(f, orders, benchWorkers(), &rs); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab, err := classtable.New(f, orders, benchWorkers())
+		rc, err := reach.ComputeScratch(f, orders, benchWorkers(), &rs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tab, err := classtable.New(rc)
 		if err != nil {
 			b.Fatal(err)
 		}

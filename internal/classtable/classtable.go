@@ -3,7 +3,10 @@
 // (k,F,pi)-reachable from v depends only on the SES equivalence class of v
 // (under pi_1) and the DES class of w (under pi_k) — at most
 // ((2d-1)f+1)^2 class pairs, versus N^2 node pairs. A Table materializes
-// that insight as an immutable serving structure built once per epoch:
+// that insight as an immutable serving structure built once per epoch from
+// the partitions and one-round matrices R_t that Find-Reachability (Section
+// 6.2) already produced for the lamb solve — New runs no partition or
+// reachability pass of its own:
 //
 //   - classify src and dst in O(d log f) via the sorted fault-interval
 //     trees of partition.Classifier;
@@ -36,7 +39,6 @@ import (
 
 	"lambmesh/internal/bitmat"
 	"lambmesh/internal/mesh"
-	"lambmesh/internal/par"
 	"lambmesh/internal/partition"
 	"lambmesh/internal/reach"
 	"lambmesh/internal/rect"
@@ -62,10 +64,9 @@ type Table struct {
 	k      int
 	d      int
 
-	sesSets []partition.Set // SES partition of pi_1 (row classes)
-	desSets []partition.Set // DES partition of pi_k (column classes)
-	sesCls  *partition.Classifier
-	desCls  *partition.Classifier
+	ses, des int // |SES partition of pi_1| (rows), |DES partition of pi_k| (columns)
+	sesCls   *partition.Classifier
+	desCls   *partition.Classifier
 
 	// rk is the 1-round class reachability matrix: rk(i,j) == 1 iff every
 	// node of SES i can reach every node of DES j. Nil when k == 2.
@@ -84,71 +85,48 @@ type Table struct {
 	colMask []uint64
 }
 
-// New builds the class table for fault set f and the k-round ordering,
-// using up to workers goroutines for the matrix fills (<= 0 means NumCPU).
-// The fault set is captured by reference and must not be mutated afterwards
-// — the same contract as routing.NewOracle.
-func New(f *mesh.FaultSet, orders routing.MultiOrder, workers int) (*Table, error) {
-	m := f.Mesh()
-	if !Supported(m, orders) {
+// New builds the class table from rc, the Find-Reachability of the fault
+// set it serves (lambd passes its recompute's, core.Reconfigurer.LastReach).
+// It classifies by rc.Sigma[0] and rc.Delta[k-1], and reads R[0] (k = 1) or
+// the via cells of Delta[0] x Sigma[1] under R[0] and R[1] (k = 2). It keeps
+// none of rc's memory, so it outlives rc's Scratch.
+func New(rc *reach.Reachability) (*Table, error) {
+	m := rc.Oracle.Mesh()
+	if !Supported(m, rc.Orders) {
 		return nil, ErrUnsupported
 	}
-	if err := orders.Validate(m.Dims()); err != nil {
-		return nil, err
-	}
-	workers = par.Clamp(workers)
-	o := routing.NewOracle(f)
-	k := orders.Rounds()
-	t := &Table{m: m, orders: orders, k: k, d: m.Dims()}
-
-	pi1 := orders[0]
-	sigma1, err := partition.SES(f, pi1)
-	if err != nil {
-		return nil, err
-	}
-	delta1, err := partition.DES(f, pi1)
-	if err != nil {
-		return nil, err
-	}
-	t.sesSets = sigma1.Sets
-	r1 := bitmat.New(sigma1.Len(), delta1.Len())
-	reach.OneRound(r1, o, pi1, sigma1.Sets, delta1.Sets, workers, nil)
-
+	k := rc.Orders.Rounds()
+	sigma, delta := rc.Sigma[0], rc.Delta[k-1]
+	t := &Table{m: m, orders: rc.Orders, k: k, d: m.Dims(), ses: sigma.Len(), des: delta.Len()}
 	if k == 1 {
-		t.desSets = delta1.Sets
-		t.rk = r1
+		t.rk = rc.R[0].Clone()
 	} else {
-		pi2 := orders[1]
-		sigma2, delta2, r2 := sigma1, delta1, r1
-		if !pi2.Equal(pi1) {
-			if sigma2, err = partition.SES(f, pi2); err != nil {
-				return nil, err
-			}
-			if delta2, err = partition.DES(f, pi2); err != nil {
-				return nil, err
-			}
-			r2 = bitmat.New(sigma2.Len(), delta2.Len())
-			reach.OneRound(r2, o, pi2, sigma2.Sets, delta2.Sets, workers, nil)
-		}
-		t.desSets = delta2.Sets
-		t.buildMasks(r1, r2, delta1.Sets, sigma2.Sets)
+		t.buildMasks(rc.R[0], rc.R[1], rc.Delta[0].Sets, rc.Sigma[1].Sets)
 	}
-
-	if t.sesCls, err = partition.NewClassifier(m, t.sesSets, pi1); err != nil {
+	var err error
+	if t.sesCls, err = partition.NewClassifier(m, sigma.Sets, rc.Orders[0]); err != nil {
 		return nil, err
 	}
 	// DESs are found as SESs of the reversed ordering, so their rects are
 	// ascending-canonical in the reversed working order.
-	if t.desCls, err = partition.NewClassifier(m, t.desSets, orders[k-1].Reverse()); err != nil {
+	if t.desCls, err = partition.NewClassifier(m, delta.Sets, rc.Orders[k-1].Reverse()); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// NewFrom is New; prev is ignored. Kept for perfbench, which compiles
-// against it.
+// NewFrom is New on a Find-Reachability of its own (reach.ComputeScratch
+// with up to workers goroutines); prev is ignored. Kept for perfbench,
+// which compiles against it.
 func NewFrom(f *mesh.FaultSet, orders routing.MultiOrder, workers int, prev *Table) (*Table, error) {
-	return New(f, orders, workers)
+	if !Supported(f.Mesh(), orders) {
+		return nil, ErrUnsupported
+	}
+	rc, err := reach.ComputeScratch(f, orders, workers, nil)
+	if err != nil {
+		return nil, err
+	}
+	return New(rc)
 }
 
 // buildMasks enumerates the via cells of the round-1 DESs d1 and round-2
@@ -171,8 +149,8 @@ func (t *Table) buildMasks(r1, r2 *bitmat.Matrix, d1, s2 []partition.Set) {
 	w := (len(t.cells) + 63) / 64
 	t.words = w
 
-	t.rowMask = make([]uint64, len(t.sesSets)*w)
-	for i := range t.sesSets {
+	t.rowMask = make([]uint64, t.ses*w)
+	for i := range t.ses {
 		mask := t.rowMask[i*w : (i+1)*w]
 		for wi, x := range r1.Row(i) {
 			for ; x != 0; x &= x - 1 {
@@ -182,7 +160,7 @@ func (t *Table) buildMasks(r1, r2 *bitmat.Matrix, d1, s2 []partition.Set) {
 		}
 	}
 
-	t.colMask = make([]uint64, len(t.desSets)*w)
+	t.colMask = make([]uint64, t.des*w)
 	for ci, b := range ses2 {
 		cw, bit := ci>>6, uint64(1)<<(ci&63)
 		for wi, x := range r2.Row(int(b)) {
@@ -202,12 +180,6 @@ func setRange(mask []uint64, lo, hi int) {
 		lo += n
 	}
 }
-
-// Mesh returns the topology the table routes on.
-func (t *Table) Mesh() *mesh.Mesh { return t.m }
-
-// Orders returns the k-round ordering the table was built for.
-func (t *Table) Orders() routing.MultiOrder { return t.orders }
 
 // Code classifies a Lookup outcome.
 type Code uint8
@@ -263,7 +235,7 @@ func (t *Table) ClassOf(c mesh.Coord) (ses, des int) {
 
 // Classes returns the class-pair dimensions (|SES partition|, |DES
 // partition|).
-func (t *Table) Classes() (ses, des int) { return len(t.sesSets), len(t.desSets) }
+func (t *Table) Classes() (ses, des int) { return t.ses, t.des }
 
 // Lookup answers a route query for good endpoints src and dst, both of
 // which must lie inside the mesh (the caller checks containment — indexes
@@ -405,22 +377,19 @@ type Stats struct {
 // Stats returns the table's size, fixed at build time.
 func (t *Table) Stats() Stats {
 	b := int64(t.sesCls.MemBytes() + t.desCls.MemBytes())
-	b += int64((len(t.sesSets) + len(t.desSets)) * (t.d*16 + t.d*8 + 32)) // Set: rect intervals + rep coord + headers
-	b += matBytes(t.rk)
+	// Per class, the record the classifiers stand in for (rect intervals,
+	// rep coord, headers), so the figure stays comparable across builds.
+	b += int64((t.ses + t.des) * (t.d*16 + t.d*8 + 32))
+	if t.rk != nil {
+		b += int64((t.rk.Cols()+63)/64) * 8 * int64(t.rk.Rows())
+	}
 	b += int64(len(t.cells)) * int64(t.d*16+24)
 	b += int64(len(t.rowMask)+len(t.colMask)) * 8
 	return Stats{
-		SESs:  len(t.sesSets),
-		DESs:  len(t.desSets),
-		Pairs: len(t.sesSets) * len(t.desSets),
+		SESs:  t.ses,
+		DESs:  t.des,
+		Pairs: t.ses * t.des,
 		Cells: len(t.cells),
 		Bytes: b,
 	}
-}
-
-func matBytes(m *bitmat.Matrix) int64 {
-	if m == nil {
-		return 0
-	}
-	return int64((m.Cols()+63)/64) * 8 * int64(m.Rows())
 }

@@ -5,12 +5,29 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"lambmesh/internal/mesh"
+	"lambmesh/internal/reach"
 	"lambmesh/internal/routing"
 )
+
+// newTable builds f's table the way every caller does: one
+// Find-Reachability, then New.
+func newTable(t testing.TB, f *mesh.FaultSet, orders routing.MultiOrder, workers int) *Table {
+	t.Helper()
+	rc, err := reach.ComputeScratch(f, orders, workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := New(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
 
 // randomFaults builds a reproducible fault set with n node faults and l
 // link faults.
@@ -48,10 +65,7 @@ func TestEquivalenceExhaustive(t *testing.T) {
 				m := mesh.MustNew(tc.widths...)
 				f := randomFaults(m, tc.nodes, tc.links, seed)
 				orders := routing.UniformAscending(m.Dims(), tc.k)
-				tab, err := New(f, orders, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
+				tab := newTable(t, f, orders, 1)
 				o := routing.NewOracle(f)
 				var q Scratch
 				checkAllPairs(t, tab, o, f, orders, &q)
@@ -66,10 +80,7 @@ func TestEquivalenceNonUniformOrders(t *testing.T) {
 	m := mesh.MustNew(7, 6)
 	f := randomFaults(m, 5, 2, 11)
 	orders := routing.MultiOrder{routing.Ascending(2), routing.Descending(2)}
-	tab, err := New(f, orders, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := newTable(t, f, orders, 1)
 	var q Scratch
 	checkAllPairs(t, tab, routing.NewOracle(f), f, orders, &q)
 }
@@ -123,14 +134,8 @@ func TestWorkerDeterminism(t *testing.T) {
 	m := mesh.MustNew(6, 6, 5)
 	f := randomFaults(m, 8, 3, 7)
 	orders := routing.UniformAscending(3, 2)
-	t1, err := New(f, orders, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn, err := New(f, orders, runtime.NumCPU())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t1 := newTable(t, f, orders, 1)
+	tn := newTable(t, f, orders, runtime.NumCPU())
 	if !reflect.DeepEqual(t1.cells, tn.cells) ||
 		!reflect.DeepEqual(t1.rowMask, tn.rowMask) || !reflect.DeepEqual(t1.colMask, tn.colMask) {
 		t.Fatal("via cells or masks differ between worker counts")
@@ -160,10 +165,7 @@ func TestConcurrentLookups(t *testing.T) {
 	m := mesh.MustNew(10, 10)
 	f := randomFaults(m, 9, 4, 3)
 	orders := routing.UniformAscending(2, 2)
-	tab, err := New(f, orders, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := newTable(t, f, orders, 0)
 	o := routing.NewOracle(f)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -197,19 +199,23 @@ func TestClassifier(t *testing.T) {
 	for _, widths := range [][]int{{8, 8}, {6, 5, 4}, {12}} {
 		m := mesh.MustNew(widths...)
 		f := randomFaults(m, 5, 2, 19)
-		tab, err := New(f, routing.UniformAscending(m.Dims(), 2), 1)
+		rc, err := reach.ComputeScratch(f, routing.UniformAscending(m.Dims(), 2), 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := New(rc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.ForEachNode(func(c mesh.Coord) {
 			ses, des := tab.ClassOf(c)
 			wantSes, wantDes := -1, -1
-			for i, s := range tab.sesSets {
+			for i, s := range rc.Sigma[0].Sets {
 				if s.Rect.Contains(c) {
 					wantSes = i
 				}
 			}
-			for j, s := range tab.desSets {
+			for j, s := range rc.Delta[1].Sets {
 				if s.Rect.Contains(c) {
 					wantDes = j
 				}
@@ -227,12 +233,19 @@ func TestClassifier(t *testing.T) {
 // TestUnsupported pins the fallback contract.
 func TestUnsupported(t *testing.T) {
 	torus, _ := mesh.NewTorus(8, 8)
-	if _, err := New(mesh.NewFaultSet(torus), routing.UniformAscending(2, 2), 1); err != ErrUnsupported {
+	if _, err := NewFrom(mesh.NewFaultSet(torus), routing.UniformAscending(2, 2), 1, nil); err != ErrUnsupported {
 		t.Fatalf("torus: want ErrUnsupported, got %v", err)
 	}
 	m := mesh.MustNew(8, 8)
-	if _, err := New(mesh.NewFaultSet(m), routing.UniformAscending(2, 3), 1); err != ErrUnsupported {
+	if _, err := NewFrom(mesh.NewFaultSet(m), routing.UniformAscending(2, 3), 1, nil); err != ErrUnsupported {
 		t.Fatalf("k=3: want ErrUnsupported, got %v", err)
+	}
+	rc, err := reach.ComputeScratch(mesh.NewFaultSet(m), routing.UniformAscending(2, 3), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(rc); err != ErrUnsupported {
+		t.Fatalf("k=3 reachability: want ErrUnsupported, got %v", err)
 	}
 	if Supported(torus, routing.UniformAscending(2, 2)) || !Supported(m, routing.UniformAscending(2, 2)) {
 		t.Fatal("Supported disagrees with New")
@@ -242,10 +255,7 @@ func TestUnsupported(t *testing.T) {
 // TestFaultFree: the empty fault set compresses to a single class pair.
 func TestFaultFree(t *testing.T) {
 	m := mesh.MustNew(16, 16)
-	tab, err := New(mesh.NewFaultSet(m), routing.UniformAscending(2, 2), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := newTable(t, mesh.NewFaultSet(m), routing.UniformAscending(2, 2), 1)
 	s := tab.Stats()
 	if s.SESs != 1 || s.DESs != 1 || s.Pairs != 1 || s.Cells != 1 {
 		t.Fatalf("fault-free table not fully compressed: %+v", s)
@@ -265,14 +275,65 @@ func TestStatsIndependentOfMeshSize(t *testing.T) {
 		m := mesh.MustNew(n, n)
 		f := mesh.NewFaultSet(m)
 		f.AddNodes(mesh.C(3, 3), mesh.C(5, 2), mesh.C(7, 7))
-		tab, err := New(f, routing.UniformAscending(2, 2), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tab.Stats()
+		return newTable(t, f, routing.UniformAscending(2, 2), 1).Stats()
 	}
 	small, large := build(16), build(256)
 	if small.SESs != large.SESs || small.DESs != large.DESs || small.Cells != large.Cells {
 		t.Fatalf("class structure scales with N: %+v vs %+v", small, large)
 	}
+}
+
+// TestTableOutlivesScratch pins that New keeps none of the Reachability's
+// memory: a table built from one ComputeScratch answers exactly as before
+// after the same Scratch computes other fault sets. The later sets are
+// smaller, so the Scratch reuses the first call's buffers in place.
+func TestTableOutlivesScratch(t *testing.T) {
+	cases := []struct {
+		widths []int
+		orders routing.MultiOrder
+	}{
+		{[]int{9, 8}, routing.UniformAscending(2, 1)},
+		{[]int{9, 8}, routing.UniformAscending(2, 2)},
+		{[]int{9, 8}, routing.MultiOrder{routing.Ascending(2), routing.Descending(2)}},
+		{[]int{5, 4, 5}, routing.UniformAscending(3, 1)},
+		{[]int{5, 4, 5}, routing.MultiOrder{routing.Ascending(3), routing.Descending(3)}},
+	}
+	for ci, tc := range cases {
+		m := mesh.MustNew(tc.widths...)
+		f := randomFaults(m, 10, 4, 23)
+		var s reach.Scratch
+		rc, err := reach.ComputeScratch(f, tc.orders, 1, &s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := New(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := answers(tab, m)
+		for seed := int64(0); seed < 4; seed++ {
+			if _, err := reach.ComputeScratch(randomFaults(m, 2+int(seed), 1, 100+seed), tc.orders, 1, &s); err != nil {
+				t.Fatal(err)
+			}
+			if got := answers(tab, m); got != want {
+				t.Fatalf("case %d: the table's answers changed when its Scratch computed seed %d", ci, seed)
+			}
+		}
+	}
+}
+
+// answers renders everything tab reports: its stats and class counts and
+// the lookup of every ordered node pair of m.
+func answers(tab *Table, m *mesh.Mesh) string {
+	var b strings.Builder
+	ses, des := tab.Classes()
+	fmt.Fprintf(&b, "%+v %d %d\n", tab.Stats(), ses, des)
+	var q Scratch
+	m.ForEachNode(func(src mesh.Coord) {
+		s := src.Clone()
+		m.ForEachNode(func(dst mesh.Coord) {
+			fmt.Fprintf(&b, "%v %v %+v\n", s, dst, tab.Lookup(s, dst, &q))
+		})
+	})
+	return b.String()
 }

@@ -103,10 +103,7 @@ func checkLookupCase(t *testing.T, data []byte) {
 	if !ok {
 		return
 	}
-	tab, err := New(f, orders, 1)
-	if err != nil {
-		t.Fatalf("New(%v, %v): %v", f, orders, err)
-	}
+	tab := newTable(t, f, orders, 1)
 	var q Scratch
 	checkAllPairs(t, tab, routing.NewOracle(f), f, orders, &q)
 }

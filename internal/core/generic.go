@@ -41,11 +41,11 @@ type GenericResult struct {
 // Lambs come in ascending node order.
 func GenericLamb(p *GenericProblem) (*GenericResult, error) {
 	s := NewSolver()
-	st, err := s.classCover(p, time.Now())
+	rk, err := s.classReach(p, time.Now())
 	if err != nil {
 		return nil, err
 	}
-	out := &GenericResult{Stats: st}
+	out := &GenericResult{Stats: s.coverClasses(rk)}
 	s.cls.forEachLamb(func(v int) { out.Lambs = append(out.Lambs, v) })
 	return out, nil
 }
@@ -141,13 +141,26 @@ func (cl *classes) group(m *bitmat.Matrix, slots *[]int) {
 	}
 }
 
-// torusCover runs classCover with f's routing oracle as the 1-round
+// torusCover runs the class reduction with f's routing oracle as the
+// 1-round reachability relation (torusReach), then the cover.
+func (s *Solver) torusCover(f *mesh.FaultSet, orders routing.MultiOrder, start time.Time) (Stats, error) {
+	s.lastReach = nil
+	rk, err := s.torusReach(f, orders, start)
+	if err != nil {
+		return Stats{}, err
+	}
+	st := s.coverClasses(rk)
+	st.Faults = f.Count()
+	return st, nil
+}
+
+// torusReach runs classReach with f's routing oracle as the 1-round
 // reachability relation, over the mesh's linear node indices. The oracle is
 // the Solver's own, rebuilt in place for f.
-func (s *Solver) torusCover(f *mesh.FaultSet, orders routing.MultiOrder, start time.Time) (Stats, error) {
+func (s *Solver) torusReach(f *mesh.FaultSet, orders routing.MultiOrder, start time.Time) (*bitmat.Matrix, error) {
 	m := f.Mesh()
 	if err := orders.Validate(m.Dims()); err != nil {
-		return Stats{}, err
+		return nil, err
 	}
 	c := &s.cls
 	if c.oracle == nil {
@@ -163,7 +176,7 @@ func (s *Solver) torusCover(f *mesh.FaultSet, orders routing.MultiOrder, start t
 		c.coords[v] = c.coordBuf[v*d : (v+1)*d : (v+1)*d]
 		m.CoordInto(int64(v), c.coords[v])
 	}
-	st, err := s.classCover(&GenericProblem{
+	return s.classReach(&GenericProblem{
 		NumNodes:      n,
 		Rounds:        orders.Rounds(),
 		UniformRounds: !slices.ContainsFunc(orders, func(o routing.Order) bool { return !o.Equal(orders[0]) }),
@@ -172,22 +185,46 @@ func (s *Solver) torusCover(f *mesh.FaultSet, orders routing.MultiOrder, start t
 			return o.ReachOne(orders[round], c.coords[v], c.coords[w])
 		},
 	}, start)
-	if err != nil {
-		return Stats{}, err
-	}
-	st.Faults = f.Count()
-	return st, nil
 }
 
-// classCover is the class reduction of Section 7 on p: group the good
-// nodes into SECs and DECs by their full reachability profiles, one
-// partition per round; chain R^(k) = R_1 I_1 R_2 ... I_{k-1} R_k with I_t
-// built from co-membership; and cover R^(k)'s zeros with class sizes as
-// weights. The chosen classes stay in s.cls until the Solver's next
-// computation. The Partition and Reach phases are timed from start.
-func (s *Solver) classCover(p *GenericProblem, start time.Time) (Stats, error) {
+// coverClasses covers the zeros of classReach's R^(k) with class sizes as
+// weights; a nil rk (no good node) chooses nothing. The chosen classes stay
+// in s.cls until the Solver's next computation.
+func (s *Solver) coverClasses(rk *bitmat.Matrix) Stats {
+	if rk == nil {
+		return Stats{}
+	}
+	c := &s.cls
+	cover := s.coverZeros(rk,
+		func(i int) int64 { return c.first.sec.size[i] },
+		func(j int) int64 { return c.last.dec.size[j] })
+	c.secIn = growZero(c.secIn, len(c.first.sec.rep))
+	c.decIn = growZero(c.decIn, len(c.last.dec.rep))
+	for ii, i := range s.zr {
+		c.secIn[i] = cover.Left[ii]
+	}
+	for jj, j := range s.zc {
+		c.decIn[j] = cover.Right[jj]
+	}
+	return Stats{
+		NumSES:      len(c.first.sec.rep),
+		NumDES:      len(c.last.dec.rep),
+		RelevantSES: len(s.zr),
+		RelevantDES: len(s.zc),
+		CoverWeight: cover.Weight,
+	}
+}
+
+// classReach is the class reduction up to the cover: group the good nodes
+// into SECs and DECs by their full reachability profiles, one partition per
+// round, and chain R^(k) = R_1 I_1 R_2 ... I_{k-1} R_k with I_t built from
+// co-membership. It returns R^(k) over the first round's SECs (s.cls.first)
+// x the last round's DECs (s.cls.last), or nil when no node is good; both
+// stay valid until the Solver's next computation. The Partition and Reach
+// phases are timed from start.
+func (s *Solver) classReach(p *GenericProblem, start time.Time) (*bitmat.Matrix, error) {
 	if p.NumNodes <= 0 || p.Rounds <= 0 {
-		return Stats{}, fmt.Errorf("core: generic problem needs nodes and at least one round")
+		return nil, fmt.Errorf("core: generic problem needs nodes and at least one round")
 	}
 	c := &s.cls
 	c.good = c.good[:0]
@@ -198,7 +235,7 @@ func (s *Solver) classCover(p *GenericProblem, start time.Time) (Stats, error) {
 	}
 	s.phases = PhaseTimes{}
 	if len(c.good) == 0 {
-		return Stats{}, nil
+		return nil, nil
 	}
 	n := len(c.good)
 	c.rounds = grow(c.rounds, p.Rounds)
@@ -247,30 +284,12 @@ func (s *Solver) classCover(p *GenericProblem, start time.Time) (Stats, error) {
 	}
 	rk := bitmat.MulChainScratch(1, &c.mul, c.chain...)
 	s.phases.Reach = time.Since(start) - s.phases.Partition
-
 	c.first, c.last = round(0), round(p.Rounds-1)
-	cover := s.coverZeros(rk,
-		func(i int) int64 { return c.first.sec.size[i] },
-		func(j int) int64 { return c.last.dec.size[j] })
-	c.secIn = growZero(c.secIn, len(c.first.sec.rep))
-	c.decIn = growZero(c.decIn, len(c.last.dec.rep))
-	for ii, i := range s.zr {
-		c.secIn[i] = cover.Left[ii]
-	}
-	for jj, j := range s.zc {
-		c.decIn[j] = cover.Right[jj]
-	}
-	return Stats{
-		NumSES:      len(c.first.sec.rep),
-		NumDES:      len(c.last.dec.rep),
-		RelevantSES: len(s.zr),
-		RelevantDES: len(s.zc),
-		CoverWeight: cover.Weight,
-	}, nil
+	return rk, nil
 }
 
 // forEachLamb calls fn, in ascending order, on every good node whose
-// first-round SEC or last-round DEC the last classCover chose.
+// first-round SEC or last-round DEC the last coverClasses chose.
 func (c *classScratch) forEachLamb(fn func(v int)) {
 	for g, v := range c.good {
 		if c.secIn[c.first.sec.of[g]] || c.decIn[c.last.dec.of[g]] {

@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"regexp"
+	"slices"
 	"testing"
 
 	"lambmesh/internal/mesh"
@@ -324,5 +326,85 @@ func TestVerifyLambSetTorus(t *testing.T) {
 	}
 	if nonEmpty < 10 {
 		t.Fatalf("only %d draws needed lambs", nonEmpty)
+	}
+}
+
+// survivorPair reads the two nodes out of VerifyLambSetBrute's error
+// format, which VerifyLambSet's torus path shares.
+var survivorPair = regexp.MustCompile(`^core: survivor (\(.*\)) cannot \d+-reach survivor (\(.*\))$`)
+
+// On a torus VerifyLambSet tests Lemma 5.2 over the exact classes. It must
+// accept and reject exactly what VerifyLambSetBrute does on Lamb1's set,
+// the empty set and one-lamb removals, and the survivor pair it names must
+// be one the brute check rejects: two survivors, the first unable to reach
+// the second in k rounds.
+func TestVerifyLambSetTorusMatchesBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	s := NewSolver()
+	rejected := 0
+	for trial := 0; trial < 200; trial++ {
+		var widths []int
+		if trial%3 == 0 {
+			widths = []int{3 + rng.Intn(3), 3 + rng.Intn(3), 3 + rng.Intn(3)}
+		} else {
+			widths = []int{3 + rng.Intn(6), 3 + rng.Intn(6)}
+		}
+		tor, err := mesh.NewTorus(widths...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := mesh.RandomNodeFaults(tor, rng.Intn(int(tor.Nodes())/5+1), rng)
+		if trial%2 == 0 {
+			mesh.RandomLinkFaults(f, 1+rng.Intn(4), rng)
+		}
+		orders := make(routing.MultiOrder, 1+rng.Intn(3))
+		for r := range orders {
+			orders[r] = routing.Ascending(len(widths))
+			if rng.Intn(2) == 0 {
+				orders[r] = routing.Descending(len(widths))
+			}
+		}
+		res, err := s.Lamb1(f, orders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets := [][]mesh.Coord{res.Lambs, nil}
+		if n := len(res.Lambs); n > 0 {
+			for _, drop := range []int{0, rng.Intn(n)} {
+				sets = append(sets, append(append([]mesh.Coord(nil), res.Lambs[:drop]...), res.Lambs[drop+1:]...))
+			}
+		}
+		o := routing.NewOracle(f)
+		for si, lambs := range sets {
+			got, want := VerifyLambSet(f, orders, lambs), VerifyLambSetBrute(f, orders, lambs)
+			if (got == nil) != (want == nil) {
+				t.Fatalf("trial %d %v k=%d set %d %v: VerifyLambSet %v, brute %v", trial, tor, len(orders), si, lambs, got, want)
+			}
+			if got == nil {
+				continue
+			}
+			rejected++
+			pair := survivorPair.FindStringSubmatch(got.Error())
+			if pair == nil {
+				t.Fatalf("trial %d: error %q names no survivor pair", trial, got)
+			}
+			v, err1 := mesh.ParseCoord(pair[1])
+			w, err2 := mesh.ParseCoord(pair[2])
+			if err1 != nil || err2 != nil {
+				t.Fatalf("trial %d: error %q: %v %v", trial, got, err1, err2)
+			}
+			for _, c := range []mesh.Coord{v, w} {
+				if !tor.Contains(c) || f.NodeFaulty(c) || slices.ContainsFunc(lambs, c.Equal) {
+					t.Fatalf("trial %d: error %q names %v, not a survivor", trial, got, c)
+				}
+			}
+			if o.ReachKSet(orders, v)[tor.Index(w)] {
+				t.Fatalf("trial %d: error %q, but %v reaches %v", trial, got, v, w)
+			}
+		}
+	}
+	t.Logf("%d sets rejected", rejected)
+	if rejected < 50 {
+		t.Fatalf("only %d rejections: the draws do not exercise the error path", rejected)
 	}
 }

@@ -118,6 +118,7 @@ func (s *Solver) coverZeros(rk *bitmat.Matrix, rowWeight, colWeight func(int) in
 // from start.
 func (s *Solver) meshCover(f *mesh.FaultSet, orders routing.MultiOrder, cfg *config, workers int, start time.Time) (*reach.Reachability, *vcover.Cover, Stats, error) {
 	rc, err := reach.ComputeScratch(f, orders, workers, &s.rs)
+	s.lastReach = rc
 	if err != nil {
 		return nil, nil, Stats{}, err
 	}

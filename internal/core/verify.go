@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"time"
 
+	"lambmesh/internal/bitmat"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/reach"
 	"lambmesh/internal/routing"
@@ -15,7 +17,8 @@ import (
 // runs through the SES/DES algebra using Lemma 5.2 — Λ is a lamb set iff
 // for every zero entry R^(k)(i,j) either S_i ⊆ Λ or D_j ⊆ Λ — so it costs
 // O(poly(d,k,f) + |Λ|), not O(N^2). A torus has no rectangular partitions,
-// so there the lamb list checks are followed by VerifyLambSetBrute's.
+// so there the same test runs over the exact SEC/DEC classes of the
+// Section 7 reduction (verifyClasses), at O(k N^2 d log f).
 func VerifyLambSet(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coord) error {
 	m := f.Mesh()
 	lambIdx := make(map[int64]struct{}, len(lambs))
@@ -33,7 +36,7 @@ func VerifyLambSet(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coo
 		lambIdx[idx] = struct{}{}
 	}
 	if m.Torus() {
-		return VerifyLambSetBrute(f, orders, lambs)
+		return verifyClasses(f, orders, lambIdx)
 	}
 	rc, err := reach.ComputeScratch(f, orders, 0, nil)
 	if err != nil {
@@ -45,9 +48,8 @@ func VerifyLambSet(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coo
 		_, ok := lambIdx[m.Index(c)]
 		return ok
 	}
-	// open has bit j set when DES j is not inside the lamb set, so a zero
-	// entry (i, j) with j in open needs S_i inside it. Each set is tested
-	// once, and a row costs a word AND per 64 columns.
+	// A column is open when DES j is not inside the lamb set, so a zero
+	// entry (i, j) in it needs S_i inside it.
 	rk := rc.RK
 	open := make([]uint64, (rk.Cols()+63)/64)
 	for j, d := range delta.Sets {
@@ -55,21 +57,73 @@ func VerifyLambSet(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coo
 			open[j>>6] |= 1 << (j & 63)
 		}
 	}
+	i, j, bad := firstOpenZero(rk, open, func(i int) bool { return !sigma.Sets[i].Rect.All(inLambs) })
+	if bad {
+		return fmt.Errorf("core: not a lamb set: some survivor in SES %v cannot %d-reach some survivor in DES %v",
+			sigma.Sets[i].Rect.StringIn(m), orders.Rounds(), delta.Sets[j].Rect.StringIn(m))
+	}
+	return nil
+}
+
+// verifyClasses is VerifyLambSet's Lemma 5.2 test over exact classes (the
+// torus path of Lamb1): every node of SEC i reaches every node of DEC j in
+// k rounds or none does, so a zero R^(k)(i, j) is a violation iff SEC i and
+// DEC j each hold a survivor. The error names the first survivor of each,
+// in VerifyLambSetBrute's format.
+func verifyClasses(f *mesh.FaultSet, orders routing.MultiOrder, lambIdx map[int64]struct{}) error {
+	s := NewSolver()
+	rk, err := s.torusReach(f, orders, time.Now())
+	if err != nil || rk == nil {
+		return err
+	}
+	c := &s.cls
+	survivor := func(g int) bool {
+		_, lamb := lambIdx[int64(c.good[g])]
+		return !lamb
+	}
+	secLive := make([]bool, rk.Rows())
+	open := make([]uint64, (rk.Cols()+63)/64) // DECs holding a survivor
+	for g := range c.good {
+		if survivor(g) {
+			secLive[c.first.sec.of[g]] = true
+			j := c.last.dec.of[g]
+			open[j>>6] |= 1 << (j & 63)
+		}
+	}
+	i, j, bad := firstOpenZero(rk, open, func(i int) bool { return secLive[i] })
+	if !bad {
+		return nil
+	}
+	var src, dst mesh.Coord
+	for g, v := range c.good {
+		if src == nil && c.first.sec.of[g] == i && survivor(g) {
+			src = c.coords[v]
+		}
+		if dst == nil && c.last.dec.of[g] == j && survivor(g) {
+			dst = c.coords[v]
+		}
+	}
+	return fmt.Errorf("core: survivor %v cannot %d-reach survivor %v", src, orders.Rounds(), dst)
+}
+
+// firstOpenZero returns the first zero entry (i, j) of rk in row-major
+// order whose column is set in open and whose row passes rowOpen, or
+// false when there is none. A row costs a word AND per 64 columns, and
+// rowOpen runs at most once per row, only on a row with a zero in open.
+func firstOpenZero(rk *bitmat.Matrix, open []uint64, rowOpen func(i int) bool) (i, j int, ok bool) {
 	for i := 0; i < rk.Rows(); i++ {
 		for w, word := range rk.Row(i) {
 			bad := ^word & open[w]
 			if bad == 0 {
 				continue
 			}
-			if sigma.Sets[i].Rect.All(inLambs) {
+			if !rowOpen(i) {
 				break
 			}
-			j := w*64 + bits.TrailingZeros64(bad)
-			return fmt.Errorf("core: not a lamb set: some survivor in SES %v cannot %d-reach some survivor in DES %v",
-				sigma.Sets[i].Rect.StringIn(m), orders.Rounds(), delta.Sets[j].Rect.StringIn(m))
+			return i, w*64 + bits.TrailingZeros64(bad), true
 		}
 	}
-	return nil
+	return 0, 0, false
 }
 
 // VerifyLambSetBrute re-checks a lamb set against the raw Definition 2.6 by

@@ -30,23 +30,27 @@ func Clamp(n int) int {
 	return runtime.NumCPU()
 }
 
-// serialCutoff is the work estimate (rows x cols of the output a kernel
-// fills) below which a parallel loop runs inline on the caller's goroutine.
-// Waking a second worker costs microseconds, which the small matrices of a
-// 2-D solve never earn back: at workers=2, BenchmarkFig17Trial (M_2(32),
-// R_t about 60 x 60) took 75-95 us with this cutoff and 85-104 us without
-// it on a 2-vCPU VM. The large-f chain products gain from a second worker:
-// on the Fig 18, 20 and 22 inputs (M_3(32), f = 983; M_2(181), f = 983;
-// M_3(25), f = 1875) a chain left serial took 1.4-1.9x the time of the
-// row-block parallel one at workers=2 on that VM. The M_3(32), f = 164 R_t
-// fill (BenchmarkReachKernels/rt, 466 x 462) sits above the cutoff but, at
-// about 0.13 ms since its fill visits only the faulty middle lines, gains
-// nothing from a second worker there (four alternating runs); its chain
-// product stays in the serial demand-driven phase.
+// serialCutoff is the work estimate below which a parallel loop runs inline
+// on the caller's goroutine: output entries (rows x cols) for a matrix
+// product or a 3-D R_t fill, and row words (rows x ceil(cols/64)) for a 2-D
+// R_t fill, whose rows cost only a few word passes each. Waking a second
+// worker costs microseconds, which the small matrices of a 2-D solve never
+// earn back: at workers=2, BenchmarkFig17Trial (M_2(32), R_t about 60 x
+// 60) took 75-95 us with this cutoff and 85-104 us without it on a 2-vCPU
+// VM. The large-f chain products gain from a second worker: on the Fig 18,
+// 20 and 22 inputs (M_3(32), f = 983; M_2(181), f = 983; M_3(25), f =
+// 1875) a chain left serial took 1.4-1.9x the time of the row-block
+// parallel one at workers=2 on that VM. The Fig 20 R_t fill (1132 x 1117,
+// 20k row words) stays serial: it took a median 253 us alone and 290 us
+// with a second worker over ten alternating runs. The M_3(32), f = 164 R_t
+// fill (BenchmarkReachKernels/rt, 466 x 462) stays parallel: in three
+// series of 10-12 alternating runs a serial fill took 1.25x, 1.09x and
+// 0.98x the time of the parallel one, the gain showing when the second
+// core is idle.
 const serialCutoff = 1 << 16
 
-// ForWork returns the effective worker count for a loop filling work output
-// entries (rows x cols): 1 below serialCutoff, so small kernels start no
+// ForWork returns the effective worker count for a loop of work units (see
+// serialCutoff): 1 below serialCutoff, so small kernels start no
 // goroutines, and Clamp(workers) otherwise. OneRound and the chain product
 // size their pools through it.
 func ForWork(workers, work int) int {

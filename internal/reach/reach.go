@@ -274,7 +274,7 @@ func firstSame(orders routing.MultiOrder, t, n int) int {
 // whole line it drops, word-parallel, the columns with w[pi[0]] = a whose
 // w[pi[1]] lies outside it. In d >= 4 each surviving pair walks its
 // inner segments (InnerClear). Row blocks fill in parallel over a read-only
-// oracle when the matrix is large enough (par.ForWork), so the result is
+// oracle when the fill is costly enough (par.ForWork), so the result is
 // identical for every worker count. The column index and the line bitset
 // live in s (a nil s allocates them). Meshes only, like the partitions.
 func OneRound(r *bitmat.Matrix, o *routing.Oracle, pi routing.Order, sigma, delta []partition.Set, workers int, s *Scratch) {
@@ -307,7 +307,14 @@ func OneRound(r *bitmat.Matrix, o *routing.Oracle, pi routing.Order, sigma, delt
 		s.lines = midLines(s.lines, f, pi)
 		lines = s.lines
 	}
-	workers = par.ForWork(workers, len(sigma)*len(delta))
+	// A 2-D row costs a few passes over its words. A 3-D row also takes a
+	// SpanFromLine per blockable middle line, and a row beyond 3-D an
+	// InnerClear per pair, so those are sized by entries.
+	work := len(sigma) * len(delta)
+	if len(pi) == 2 {
+		work = len(sigma) * ((len(delta) + 63) / 64)
+	}
+	workers = par.ForWork(workers, work)
 	if workers <= 1 {
 		// Serial fast path: par.Blocks' closure escapes and would cost a
 		// heap allocation per matrix even when it runs inline.

@@ -19,15 +19,16 @@ import (
 
 	"lambmesh/internal/classtable"
 	"lambmesh/internal/mesh"
+	"lambmesh/internal/reach"
 	"lambmesh/internal/routing"
 )
 
 // Epoch is one immutable routing configuration. Everything reachable from
 // an Epoch is frozen at publish time: the fault set is a private clone,
-// the oracle and the class table index that clone, and the lamb set is
-// never mutated. Nothing in an epoch changes after publish, so queries read
-// it without locks and a superseded epoch keeps answering as of its
-// snapshot for as long as a reader holds it.
+// the oracle indexes that clone, the class table owns its memory, and the
+// lamb set is never mutated. Nothing in an epoch changes after publish, so
+// queries read it without locks and a superseded epoch keeps answering as
+// of its snapshot for as long as a reader holds it.
 type Epoch struct {
 	Faults     *mesh.FaultSet // private snapshot; never mutated after publish
 	Oracle     *routing.Oracle
@@ -45,11 +46,12 @@ type Epoch struct {
 }
 
 // newEpoch freezes a configuration: it clones the fault set (the caller's
-// copy keeps evolving inside the Reconfigurer) and indexes it. When the
-// configuration is supported, the class table is built from the snapshot —
-// that cost is paid here, at publish time, and the table is complete when
-// built, so the query path never fills anything.
-func newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time, orders routing.MultiOrder, workers int) *Epoch {
+// copy keeps evolving inside the Reconfigurer) and indexes it. The class
+// table is built from rc, that fault set's Find-Reachability (the
+// recompute's own, Reconfigurer.LastReach), so a fault report runs it
+// once; the table copies what it keeps. A nil rc, or a configuration
+// outside classtable.Supported, leaves the epoch without a table.
+func newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time, rc *reach.Reachability) *Epoch {
 	snap := f.Clone()
 	e := &Epoch{
 		Faults:     snap,
@@ -59,10 +61,10 @@ func newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time, o
 		Created:    now,
 		lambIdx:    make(map[int64]struct{}, len(lambs)),
 	}
-	if classtable.Supported(snap.Mesh(), orders) {
-		// An error here would mean a malformed partition; the epoch then
-		// serves from the oracle plane instead.
-		if tab, err := classtable.New(snap, orders, workers); err == nil {
+	if rc != nil {
+		// Besides ErrUnsupported, an error here would mean a malformed
+		// partition; the epoch then serves from the oracle plane instead.
+		if tab, err := classtable.New(rc); err == nil {
 			e.Table = tab
 		}
 	}

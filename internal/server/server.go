@@ -9,6 +9,7 @@ import (
 	"lambmesh/internal/classtable"
 	"lambmesh/internal/core"
 	"lambmesh/internal/mesh"
+	"lambmesh/internal/reach"
 	"lambmesh/internal/routing"
 	"lambmesh/internal/wire"
 )
@@ -43,7 +44,6 @@ type Server struct {
 	orders  routing.MultiOrder
 	mesh    *mesh.Mesh
 	metrics Metrics
-	workers int
 
 	// scratch pools per-query classtable buffers so the table plane stays
 	// allocation-free.
@@ -81,17 +81,24 @@ func New(cfg Config) (*Server, error) {
 	}
 	recon.Workers = cfg.Workers
 	s := &Server{
-		orders:  cfg.Orders,
-		mesh:    cfg.Mesh,
-		workers: cfg.Workers,
-		recon:   recon,
-		kick:    make(chan struct{}, 1),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
+		orders: cfg.Orders,
+		mesh:   cfg.Mesh,
+		recon:  recon,
+		kick:   make(chan struct{}, 1),
+		quit:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	s.scratch.New = func() any { return new(classtable.Scratch) }
-	// Generation 0: the pristine mesh, no faults, no lambs.
-	s.epoch.Store(s.newEpoch(mesh.NewFaultSet(cfg.Mesh), nil, 0, time.Now()))
+	// Generation 0: the pristine mesh, no faults, no lambs, and the one
+	// epoch whose table needs a Find-Reachability of its own.
+	pristine := mesh.NewFaultSet(cfg.Mesh)
+	var rc *reach.Reachability
+	if classtable.Supported(cfg.Mesh, cfg.Orders) {
+		if rc, err = reach.ComputeScratch(pristine, cfg.Orders, cfg.Workers, nil); err != nil {
+			return nil, err
+		}
+	}
+	s.epoch.Store(newEpoch(pristine, nil, 0, time.Now(), rc))
 	if cfg.InitialFaults != nil && cfg.InitialFaults.Count() > 0 {
 		nodes := append([]mesh.Coord(nil), cfg.InitialFaults.NodeFaults()...)
 		links := append([]mesh.Link(nil), cfg.InitialFaults.LinkFaults()...)
@@ -108,12 +115,6 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Close() {
 	close(s.quit)
 	<-s.done
-}
-
-// newEpoch freezes a configuration under the server's orders and worker
-// budget.
-func (s *Server) newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time) *Epoch {
-	return newEpoch(f, lambs, gen, now, s.orders, s.workers)
 }
 
 // Epoch returns the live configuration. The result is immutable; callers
@@ -288,7 +289,7 @@ func (s *Server) recompute(nodes []mesh.Coord, links []mesh.Link) error {
 		hook()
 	}
 	tableStart := time.Now()
-	next := s.newEpoch(s.recon.Faults(), res.Lambs, uint64(s.recon.Generation()), time.Now())
+	next := newEpoch(s.recon.Faults(), res.Lambs, uint64(s.recon.Generation()), time.Now(), s.recon.LastReach())
 	s.epoch.Store(next)
 	// Publish the phase split of the swap we just finished: where the last
 	// reconfiguration spent its time.

@@ -7,6 +7,7 @@ import (
 	"lambmesh/internal/classtable"
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/par"
+	"lambmesh/internal/reach"
 	"lambmesh/internal/routing"
 )
 
@@ -58,7 +59,11 @@ func runClassTable(cfg Config) *Table {
 		for trial := 0; trial < trials; trial++ {
 			rng := rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, 0, trial)))
 			fs := mesh.RandomNodeFaults(m, c.faults, rng)
-			tab, err := classtable.New(fs, orders, cfg.Workers)
+			rc, err := reach.ComputeScratch(fs, orders, cfg.Workers, nil)
+			if err != nil {
+				panic(err)
+			}
+			tab, err := classtable.New(rc)
 			if err != nil {
 				panic(err)
 			}

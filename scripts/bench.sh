@@ -6,7 +6,8 @@
 # Fig 26 small-f point that perfbench's solve-3d workload also runs, its
 # three reachability kernels alone (R_t fill, I_t fill, chain product),
 # BitmatMul, the Section 5 pipeline, the torus lamb solve (the Section 7
-# class reduction), the wormhole cycle loop, the class-table query path, lambd's
+# class reduction) and the torus lamb-set check over its classes, the
+# wormhole cycle loop, the class-table query path, lambd's
 # query core behind the wire backend, the wire codec, the AddFaults
 # recompute, the class-table swap (build plus the post-swap query burst),
 # the reliability-campaign trial loop and sharded scheduler,
@@ -34,7 +35,7 @@ cd "$(dirname "$0")/.."
 
 OUT="${OUT:-BENCH_lamb.json}"
 BENCHTIME="${BENCHTIME:-3x}"
-BENCH_RE='^(BenchmarkFig17Trial|BenchmarkFig18Trial|BenchmarkFig20Trial|BenchmarkFig22Trial|BenchmarkFig26TrialSmallF|BenchmarkReachKernels|BenchmarkBitmatMul|BenchmarkSec5LambSet|BenchmarkTorusLamb|BenchmarkWormholeRun|BenchmarkTrafficEngine|BenchmarkClassTableQuery|BenchmarkServerQuery|BenchmarkWireRoundTrip|BenchmarkAddFaults|BenchmarkClassTableSwap|BenchmarkCampaignTrial|BenchmarkCampaignRun|BenchmarkGenerateWorkload|BenchmarkStrategyRoute)$'
+BENCH_RE='^(BenchmarkFig17Trial|BenchmarkFig18Trial|BenchmarkFig20Trial|BenchmarkFig22Trial|BenchmarkFig26TrialSmallF|BenchmarkReachKernels|BenchmarkBitmatMul|BenchmarkSec5LambSet|BenchmarkTorusLamb|BenchmarkVerifyLambSetTorus|BenchmarkWormholeRun|BenchmarkTrafficEngine|BenchmarkClassTableQuery|BenchmarkServerQuery|BenchmarkWireRoundTrip|BenchmarkAddFaults|BenchmarkClassTableSwap|BenchmarkCampaignTrial|BenchmarkCampaignRun|BenchmarkGenerateWorkload|BenchmarkStrategyRoute)$'
 
 if [ "${1:-}" = "--check" ]; then
     exec go run ./scripts/benchcheck -file "$OUT"

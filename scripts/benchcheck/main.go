@@ -63,6 +63,7 @@ var requiredBenchmarks = []string{
 	"BenchmarkBitmatMul",
 	"BenchmarkSec5LambSet",
 	"BenchmarkTorusLamb",
+	"BenchmarkVerifyLambSetTorus",
 	"BenchmarkWormholeRun",
 	"BenchmarkTrafficEngine",
 	"BenchmarkClassTableQuery",
