@@ -256,7 +256,7 @@ func (w *worker) runTrial(spec *Spec, pts []*point, pointIdx int, trial int64, a
 	f := w.faults[pt.meshIdx]
 	drawFaults(pt.m, f, pt.model, count, &r, w.coord[pt.meshIdx], w.head[pt.meshIdx])
 	start := time.Now()
-	_, lambs, err := w.solver.Lamb1Count(f, pt.orders, 1)
+	_, lambs, err := w.solver.Lamb1Count(f, pt.orders)
 	if err != nil {
 		return fmt.Errorf("campaign: point %d trial %d: %w", pointIdx, trial, err)
 	}

@@ -27,8 +27,6 @@
 package core
 
 import (
-	"sort"
-
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/reach"
 	"lambmesh/internal/routing"
@@ -96,70 +94,39 @@ type Result struct {
 	// Reach is populated only under WithReachability.
 	Reach *reach.Reachability
 
-	lambIdx map[int64]struct{}
+	lambs *mesh.NodeSet
 }
 
 // NumLambs returns |Lambs|.
 func (r *Result) NumLambs() int { return len(r.Lambs) }
 
 // IsLamb reports whether node c was sacrificed.
-func (r *Result) IsLamb(c mesh.Coord) bool {
-	_, ok := r.lambIdx[r.Mesh.Index(c)]
-	return ok
-}
+func (r *Result) IsLamb(c mesh.Coord) bool { return r.lambs.Has(c) }
 
 // Survivors returns the number of nodes that remain full citizens: neither
 // faulty nor lambs.
-func (r *Result) Survivors(f *mesh.FaultSet) int64 {
-	return f.GoodNodes() - int64(len(r.Lambs))
-}
+func (r *Result) Survivors(f *mesh.FaultSet) int64 { return r.lambs.SurvivorCount(f) }
 
 // LowerBound returns a proven lower bound on the minimum lamb-set weight,
 // derived from the vertex cover: any lamb set induces a cover of weight at
 // most twice its own (proof of Lemma 6.6), so opt >= ceil(CoverWeight/2).
 func (r *Result) LowerBound() int64 { return (r.Stats.CoverWeight + 1) / 2 }
 
-// newResult assembles a Result from chosen node sets, deduplicating nodes
-// that appear in both a chosen SES and a chosen DES and folding in the
-// predetermined lambs.
+// newResult assembles a Result from chosen node sets and the predetermined
+// lambs; a node in both a chosen SES and a chosen DES counts once.
 func newResult(m *mesh.Mesh, orders routing.MultiOrder, cfg *config, st Stats, rc *reach.Reachability, collect func(emit func(mesh.Coord))) *Result {
-	r := &Result{
-		Mesh:    m,
-		Orders:  orders,
-		Stats:   st,
-		lambIdx: make(map[int64]struct{}),
+	idx := make([]int64, 0, len(cfg.predetermined))
+	emit := func(c mesh.Coord) { idx = append(idx, m.Index(c)) }
+	for _, c := range cfg.predetermined {
+		emit(c)
 	}
+	collect(emit)
+	lambs := mesh.NewNodeSetIndices(m, idx)
+	r := &Result{Mesh: m, Orders: orders, Lambs: lambs.Coords(), Stats: st, lambs: lambs}
 	if cfg.keepReach {
 		r.Reach = rc
 	}
-	add := func(c mesh.Coord) {
-		idx := m.Index(c)
-		if _, dup := r.lambIdx[idx]; dup {
-			return
-		}
-		r.lambIdx[idx] = struct{}{}
-		r.Lambs = append(r.Lambs, c.Clone())
-	}
-	for _, c := range cfg.predetermined {
-		add(c)
-	}
-	collect(add)
-	sort.Slice(r.Lambs, func(i, j int) bool {
-		return m.Index(r.Lambs[i]) < m.Index(r.Lambs[j])
-	})
 	return r
-}
-
-// predeterminedIndex returns the predetermined lambs as an index set.
-func (cfg *config) predeterminedIndex(m *mesh.Mesh) map[int64]struct{} {
-	if len(cfg.predetermined) == 0 {
-		return nil
-	}
-	out := make(map[int64]struct{}, len(cfg.predetermined))
-	for _, c := range cfg.predetermined {
-		out[m.Index(c)] = struct{}{}
-	}
-	return out
 }
 
 func buildConfig(opts []Option) *config {

@@ -94,6 +94,38 @@ func TestVerifyRejectsBadMembers(t *testing.T) {
 	if err := VerifyLambSet(f, orders, []mesh.Coord{mesh.C(0, 0), mesh.C(0, 0)}); err == nil {
 		t.Error("duplicate lamb should fail")
 	}
+	// The error names the first malformed entry in list order, whichever
+	// way it is malformed, on a mesh and on a torus.
+	torus := mesh.NewFaultSet(mustTorus(t, 12, 12))
+	torus.AddNodes(f.NodeFaults()...)
+	for _, tc := range []struct {
+		lambs []mesh.Coord
+		want  string
+	}{
+		{[]mesh.Coord{mesh.C(0, 0), mesh.C(1, 1), mesh.C(1, 1), mesh.C(0, 0)}, "core: lamb (1,1) listed twice"},
+		{[]mesh.Coord{mesh.C(0, 0), mesh.C(1, 1), mesh.C(0, 0), mesh.C(1, 1)}, "core: lamb (0,0) listed twice"},
+		{[]mesh.Coord{mesh.C(3, 3), mesh.C(4, 4), mesh.C(3, 3), mesh.C(4, 4), mesh.C(4, 4)}, "core: lamb (3,3) listed twice"},
+		{[]mesh.Coord{mesh.C(2, 2), mesh.C(2, 2), mesh.C(99, 0)}, "core: lamb (2,2) listed twice"},
+		{[]mesh.Coord{mesh.C(2, 2), mesh.C(99, 0), mesh.C(2, 2)}, "core: lamb (99,0) outside mesh"},
+		{[]mesh.Coord{mesh.C(2, 2), mesh.C(9, 1), mesh.C(2, 2)}, "core: lamb (9,1) is a faulty node"},
+		{[]mesh.Coord{mesh.C(3, 3), mesh.C(9, 1), mesh.C(99, 0)}, "core: lamb (9,1) is a faulty node"},
+		{[]mesh.Coord{mesh.C(3, 3), mesh.C(1, 2, 3), mesh.C(9, 1)}, "core: lamb (1,2,3) outside mesh"},
+	} {
+		for _, fs := range []*mesh.FaultSet{f, torus} {
+			if err := VerifyLambSet(fs, orders, tc.lambs); fmt.Sprint(err) != tc.want {
+				t.Errorf("%v %v: got %v, want %s", fs.Mesh(), tc.lambs, err, tc.want)
+			}
+		}
+	}
+}
+
+func mustTorus(t *testing.T, widths ...int) *mesh.Mesh {
+	t.Helper()
+	m, err := mesh.NewTorus(widths...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestNoFaultsNoLambs(t *testing.T) {

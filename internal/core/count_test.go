@@ -36,7 +36,7 @@ func TestLamb1CountMatchesLamb1(t *testing.T) {
 			}
 			k := 1 + rng.Intn(3)
 			orders := routing.UniformAscending(m.Dims(), k)
-			st, n, err := s.Lamb1Count(f, orders, 1)
+			st, n, err := s.Lamb1Count(f, orders)
 			if err != nil {
 				t.Fatalf("Lamb1Count(%v, %d faults, k=%d): %v", widths, faults, k, err)
 			}
@@ -63,7 +63,7 @@ func TestLamb1CountNonUniform(t *testing.T) {
 	orders := routing.MultiOrder{routing.Order{0, 1}, routing.Order{1, 0}, routing.Order{0, 1}}
 	for trial := 0; trial < 10; trial++ {
 		f := mesh.RandomNodeFaults(m, 1+rng.Intn(12), rng)
-		_, n, err := s.Lamb1Count(f, orders, 1)
+		_, n, err := s.Lamb1Count(f, orders)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -230,7 +230,7 @@ func TestSolverLamb1TorusMatchesTorusLamb(t *testing.T) {
 			t.Fatalf("trial %d %v k=%d: Lamb1 %v %+v, TorusLamb %v %+v",
 				trial, f.Mesh(), orders.Rounds(), got.Lambs, got.Stats, want.Lambs, want.Stats)
 		}
-		st, n, err := s.Lamb1Count(f, orders, 1)
+		st, n, err := s.Lamb1Count(f, orders)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,7 +58,7 @@ func (s *Solver) Lamb1(f *mesh.FaultSet, orders routing.MultiOrder, opts ...Opti
 		return s.classLamb1(f, orders, cfg)
 	}
 	start := time.Now()
-	rc, cover, st, err := s.meshCover(f, orders, cfg, cfg.workers, start)
+	rc, cover, st, err := s.meshCover(f, orders, cfg, start)
 	if err != nil {
 		return nil, err
 	}
@@ -116,8 +116,8 @@ func (s *Solver) coverZeros(rk *bitmat.Matrix, rowWeight, colWeight func(int) in
 // then covers R^(k)'s zeros with the relevant SESs and DESs weighted by
 // their sizes (or total values). The Partition and Reach phases are timed
 // from start.
-func (s *Solver) meshCover(f *mesh.FaultSet, orders routing.MultiOrder, cfg *config, workers int, start time.Time) (*reach.Reachability, *vcover.Cover, Stats, error) {
-	rc, err := reach.ComputeScratch(f, orders, workers, &s.rs)
+func (s *Solver) meshCover(f *mesh.FaultSet, orders routing.MultiOrder, cfg *config, start time.Time) (*reach.Reachability, *vcover.Cover, Stats, error) {
+	rc, err := reach.ComputeScratch(f, orders, cfg.workers, &s.rs)
 	s.lastReach = rc
 	if err != nil {
 		return nil, nil, Stats{}, err
@@ -126,7 +126,7 @@ func (s *Solver) meshCover(f *mesh.FaultSet, orders routing.MultiOrder, cfg *con
 	s.phases.Reach = time.Since(start) - s.phases.Partition
 	m := f.Mesh()
 	sigma, delta := rc.Sigma[0], rc.Delta[len(rc.Delta)-1]
-	pre := cfg.predeterminedIndex(m)
+	pre := mesh.NewNodeSet(m, cfg.predetermined)
 	cover := s.coverZeros(rc.RK,
 		func(i int) int64 { return setWeight(m, sigma.Sets[i].Rect, cfg, pre) },
 		func(j int) int64 { return setWeight(m, delta.Sets[j].Rect, cfg, pre) })
@@ -140,9 +140,9 @@ func (s *Solver) meshCover(f *mesh.FaultSet, orders routing.MultiOrder, cfg *con
 	}, nil
 }
 
-// defaultCfg is the option-free configuration Lamb1Count and TorusLamb run
-// with; shared and never written.
-var defaultCfg config
+// defaultCfg is the configuration Lamb1Count and TorusLamb run with: no
+// extension options, one worker; shared and never written.
+var defaultCfg = config{workers: 1}
 
 // Lamb1Count runs the Lamb1 pipeline but returns only the stats and the
 // exact number of distinct lamb nodes, without materializing a Result. On
@@ -152,10 +152,11 @@ var defaultCfg config
 // torus it counts the nodes of the chosen classes. Either way it is
 // identical to Result.NumLambs() on the same inputs. Extension options
 // (node values, predetermined lambs) are not supported; use Lamb1 for
-// those. In steady state a Solver's Lamb1Count on a mesh performs zero
-// heap allocations at workers <= 1 — the campaign trial loop is built on
-// it.
-func (s *Solver) Lamb1Count(f *mesh.FaultSet, orders routing.MultiOrder, workers int) (Stats, int64, error) {
+// those. The reachability kernels run on one worker, since callers run
+// many counts side by side. In steady state a Solver's Lamb1Count on a
+// mesh performs zero heap allocations — the campaign trial loop is built
+// on it.
+func (s *Solver) Lamb1Count(f *mesh.FaultSet, orders routing.MultiOrder) (Stats, int64, error) {
 	start := time.Now()
 	if f.Mesh().Torus() {
 		st, err := s.torusCover(f, orders, start)
@@ -167,7 +168,7 @@ func (s *Solver) Lamb1Count(f *mesh.FaultSet, orders routing.MultiOrder, workers
 		s.phases.close(start)
 		return st, n, nil
 	}
-	rc, cover, st, err := s.meshCover(f, orders, &defaultCfg, workers, start)
+	rc, cover, st, err := s.meshCover(f, orders, &defaultCfg, start)
 	if err != nil {
 		return Stats{}, 0, err
 	}
@@ -198,10 +199,10 @@ func (s *Solver) Lamb1Count(f *mesh.FaultSet, orders routing.MultiOrder, workers
 // setWeight returns the total value of the nodes of r, excluding
 // predetermined lambs (which are removed from every set per Section 7).
 // With no options this is just the set size, computed in O(d).
-func setWeight(m *mesh.Mesh, r rect.Rect, cfg *config, pre map[int64]struct{}) int64 {
+func setWeight(m *mesh.Mesh, r rect.Rect, cfg *config, pre *mesh.NodeSet) int64 {
 	w := r.Size() // default value 1 per node
 	for idx, v := range cfg.values {
-		if _, isPre := pre[idx]; isPre {
+		if pre.HasIndex(idx) {
 			continue // removed below; its custom value must not count
 		}
 		if r.Contains(m.CoordOf(idx)) {
@@ -210,11 +211,11 @@ func setWeight(m *mesh.Mesh, r rect.Rect, cfg *config, pre map[int64]struct{}) i
 	}
 	// Predetermined nodes are removed from the set; each contributed the
 	// default 1 to Size above (their custom values were skipped).
-	for idx := range pre {
-		if r.Contains(m.CoordOf(idx)) {
+	pre.ForEach(func(c mesh.Coord) {
+		if r.Contains(c) {
 			w--
 		}
-	}
+	})
 	if w < 0 {
 		w = 0
 	}

@@ -62,7 +62,7 @@ func (s *Solver) Lamb2(f *mesh.FaultSet, orders routing.MultiOrder, mode WVCMode
 	sigma := rc.Sigma[0]
 	delta := rc.Delta[len(rc.Delta)-1]
 	m := f.Mesh()
-	pre := cfg.predeterminedIndex(m)
+	pre := mesh.NewNodeSet(m, cfg.predetermined)
 
 	// Vertices: nonempty intersections.
 	verts := s.verts[:0]

@@ -21,22 +21,28 @@ import (
 // Section 7 reduction (verifyClasses), at O(k N^2 d log f).
 func VerifyLambSet(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coord) error {
 	m := f.Mesh()
-	lambIdx := make(map[int64]struct{}, len(lambs))
-	for _, c := range lambs {
+	// The error names the first malformed entry in list order: outside the
+	// mesh, faulty, or a repeat of an earlier entry.
+	good := len(lambs) // lambs[:good] are good nodes of the mesh
+	for i, c := range lambs {
+		if !m.Contains(c) || f.NodeFaulty(c) {
+			good = i
+			break
+		}
+	}
+	set := mesh.NewNodeSet(m, lambs[:good])
+	if i := set.FirstRepeat(lambs[:good]); i >= 0 {
+		return fmt.Errorf("core: lamb %v listed twice", lambs[i])
+	}
+	if good < len(lambs) {
+		c := lambs[good]
 		if !m.Contains(c) {
 			return fmt.Errorf("core: lamb %v outside mesh", c)
 		}
-		if f.NodeFaulty(c) {
-			return fmt.Errorf("core: lamb %v is a faulty node", c)
-		}
-		idx := m.Index(c)
-		if _, dup := lambIdx[idx]; dup {
-			return fmt.Errorf("core: lamb %v listed twice", c)
-		}
-		lambIdx[idx] = struct{}{}
+		return fmt.Errorf("core: lamb %v is a faulty node", c)
 	}
 	if m.Torus() {
-		return verifyClasses(f, orders, lambIdx)
+		return verifyClasses(f, orders, set)
 	}
 	rc, err := reach.ComputeScratch(f, orders, 0, nil)
 	if err != nil {
@@ -44,10 +50,7 @@ func VerifyLambSet(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coo
 	}
 	sigma := rc.Sigma[0]
 	delta := rc.Delta[len(rc.Delta)-1]
-	inLambs := func(c mesh.Coord) bool {
-		_, ok := lambIdx[m.Index(c)]
-		return ok
-	}
+	inLambs := set.Has
 	// A column is open when DES j is not inside the lamb set, so a zero
 	// entry (i, j) in it needs S_i inside it.
 	rk := rc.RK
@@ -70,17 +73,14 @@ func VerifyLambSet(f *mesh.FaultSet, orders routing.MultiOrder, lambs []mesh.Coo
 // k rounds or none does, so a zero R^(k)(i, j) is a violation iff SEC i and
 // DEC j each hold a survivor. The error names the first survivor of each,
 // in VerifyLambSetBrute's format.
-func verifyClasses(f *mesh.FaultSet, orders routing.MultiOrder, lambIdx map[int64]struct{}) error {
+func verifyClasses(f *mesh.FaultSet, orders routing.MultiOrder, lambs *mesh.NodeSet) error {
 	s := NewSolver()
 	rk, err := s.torusReach(f, orders, time.Now())
 	if err != nil || rk == nil {
 		return err
 	}
 	c := &s.cls
-	survivor := func(g int) bool {
-		_, lamb := lambIdx[int64(c.good[g])]
-		return !lamb
-	}
+	survivor := func(g int) bool { return !lambs.HasIndex(int64(c.good[g])) }
 	secLive := make([]bool, rk.Rows())
 	open := make([]uint64, (rk.Cols()+63)/64) // DECs holding a survivor
 	for g := range c.good {

@@ -203,10 +203,7 @@ func (c *Construction) LambSetFromCover(cover []bool) []mesh.Coord {
 // non-outlet node of column i is a lamb — the proof's decoding direction.
 // If lambs is a lamb set, the result is a vertex cover.
 func (c *Construction) CoverFromLambSet(lambs []mesh.Coord) []bool {
-	lambIdx := make(map[int64]struct{}, len(lambs))
-	for _, v := range lambs {
-		lambIdx[c.Mesh.Index(v)] = struct{}{}
-	}
+	lambSet := mesh.NewNodeSet(c.Mesh, lambs)
 	cover := make([]bool, c.NumVertices)
 	for i := 0; i < c.NumVertices; i++ {
 		all := true
@@ -214,7 +211,7 @@ func (c *Construction) CoverFromLambSet(lambs []mesh.Coord) []bool {
 			if c.IsOutlet(v) {
 				continue
 			}
-			if _, ok := lambIdx[c.Mesh.Index(v)]; !ok {
+			if !lambSet.Has(v) {
 				all = false
 				break
 			}

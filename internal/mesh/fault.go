@@ -276,14 +276,8 @@ func RandomNodeFaultsOn(t Topology, count int, rng *rand.Rand) *FaultSet {
 		panic(fmt.Sprintf("mesh: %d faults exceed %d nodes", count, m.Nodes()))
 	}
 	f := NewFaultSetOn(t)
-	seen := make(map[int64]struct{}, count)
-	for len(seen) < count {
-		idx := rng.Int63n(m.Nodes())
-		if _, dup := seen[idx]; dup {
-			continue
-		}
-		seen[idx] = struct{}{}
-		f.AddNode(m.CoordOf(idx))
+	for f.NumNodeFaults() < count {
+		f.AddNode(m.CoordOf(rng.Int63n(m.Nodes())))
 	}
 	return f
 }

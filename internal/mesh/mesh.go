@@ -157,6 +157,11 @@ func (m *Mesh) Index(c Coord) int64 {
 	if !m.Contains(c) {
 		panic(fmt.Sprintf("mesh: coordinate %v outside %v", c, m))
 	}
+	return m.index(c)
+}
+
+// index is Index for a c known to be inside the mesh.
+func (m *Mesh) index(c Coord) int64 {
 	var idx int64
 	for i, v := range c {
 		idx += int64(v) * m.strides[i]

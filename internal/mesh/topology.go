@@ -21,9 +21,6 @@ import (
 //   - LinkHead(l) returns the head node of l and reports whether l is a
 //     valid link of the topology. It is the single source of truth for link
 //     validity: ValidateFaults, AddLink and Usable all route through it.
-//   - BasePath is the canonical fault-oblivious dimension-ordered path; it
-//     pins the serialization-independent notion of "the default route" that
-//     tests compare against.
 //   - Tag is the stable serialization token ("mesh", "torus", "hypercube",
 //     "fullmesh") used by fault files and checkpoint keys.
 type Topology interface {
@@ -44,9 +41,6 @@ type Topology interface {
 	// deterministic order (ascending dimension, then direction -1 before +1
 	// on grids; ascending delta on full meshes).
 	ForEachLink(from Coord, fn func(l Link))
-	// BasePath returns the canonical dimension-ordered fault-oblivious path
-	// from a to b, inclusive of both endpoints.
-	BasePath(a, b Coord) []Coord
 	// String renders a human-readable name, e.g. "M_2(8x8)", "T_2(6x6)",
 	// "Q_4", "K_12".
 	String() string
@@ -194,37 +188,6 @@ func (m *Mesh) ForEachLink(from Coord, fn func(l Link)) {
 	}
 }
 
-// BasePath walks dimensions in ascending order; on a torus each dimension
-// takes the minimal direction, ties broken toward +1 (the same convention as
-// routing.Path).
-func (m *Mesh) BasePath(a, b Coord) []Coord {
-	path := []Coord{a.Clone()}
-	cur := a.Clone()
-	for dim := range m.widths {
-		for cur[dim] != b[dim] {
-			dir := 1
-			if !m.torus {
-				if b[dim] < cur[dim] {
-					dir = -1
-				}
-			} else {
-				w := m.widths[dim]
-				fwd := ((b[dim]-cur[dim])%w + w) % w
-				if w-fwd < fwd {
-					dir = -1
-				}
-			}
-			next, ok := m.Neighbor(cur, dim, dir)
-			if !ok {
-				panic(fmt.Sprintf("mesh: BasePath fell off %v at %v", m, cur))
-			}
-			cur = next
-			path = append(path, cur.Clone())
-		}
-	}
-	return path
-}
-
 // --- FullMesh ---
 
 // FullMesh is the complete network K_N: every ordered pair of distinct nodes
@@ -303,14 +266,6 @@ func (fm *FullMesh) ForEachLink(from Coord, fn func(l Link)) {
 	for delta := 1; delta < fm.n; delta++ {
 		fn(Link{From: from, Dim: 0, Dir: delta})
 	}
-}
-
-// BasePath is the direct link.
-func (fm *FullMesh) BasePath(a, b Coord) []Coord {
-	if a.Equal(b) {
-		return []Coord{a.Clone()}
-	}
-	return []Coord{a.Clone(), b.Clone()}
 }
 
 // Delta returns the link delta from node a to node b, panicking if a == b.

@@ -157,40 +157,6 @@ func TestTopologyChannelIDDense(t *testing.T) {
 	}
 }
 
-// TestTopologyBasePath: the canonical path connects its endpoints through
-// existing links and has length Distance(a, b).
-func TestTopologyBasePath(t *testing.T) {
-	for name, topo := range testTopologies(t) {
-		m := topo.Grid()
-		rng := rand.New(rand.NewSource(3))
-		for trial := 0; trial < 50; trial++ {
-			a := m.CoordOf(rng.Int63n(m.Nodes()))
-			b := m.CoordOf(rng.Int63n(m.Nodes()))
-			path := topo.BasePath(a, b)
-			if len(path) == 0 || !path[0].Equal(a) || !path[len(path)-1].Equal(b) {
-				t.Fatalf("%s: BasePath(%v,%v) = %v", name, a, b, path)
-			}
-			if got, want := len(path)-1, topo.Distance(a, b); got != want {
-				t.Fatalf("%s: BasePath(%v,%v) has %d hops, Distance says %d", name, a, b, got, want)
-			}
-			for i := 1; i < len(path); i++ {
-				found := false
-				topo.ForEachLink(path[i-1], func(l Link) {
-					if head, ok := topo.LinkHead(l); ok && head.Equal(path[i]) {
-						found = true
-					}
-				})
-				if !found {
-					t.Fatalf("%s: BasePath step %v -> %v has no link", name, path[i-1], path[i])
-				}
-			}
-		}
-	}
-}
-
-// TestTopologySerializeRoundTrip: a fault set on any topology writes to a
-// canonical form that re-parses to the same topology and faults, and a
-// second write is byte-identical.
 func TestTopologySerializeRoundTrip(t *testing.T) {
 	for name, topo := range testTopologies(t) {
 		rng := rand.New(rand.NewSource(11))

@@ -3,7 +3,7 @@
 // and answers route queries under load while fault reports stream in.
 //
 // The concurrency model is epoch swapping. An Epoch is an immutable bundle
-// {fault set, reachability oracle, lamb set, class table, generation}
+// {fault set, lamb set, class table or reachability oracle, generation}
 // published behind an atomic pointer. Route queries load the current epoch
 // lock-free and compute against it; a fault report only enqueues work for a
 // single background worker, which recomputes the lamb set (coalescing
@@ -31,8 +31,7 @@ import (
 // of its snapshot for as long as a reader holds it.
 type Epoch struct {
 	Faults     *mesh.FaultSet // private snapshot; never mutated after publish
-	Oracle     *routing.Oracle
-	Lambs      []mesh.Coord
+	Lambs      []mesh.Coord   // in index order
 	Generation uint64
 	Created    time.Time
 
@@ -41,8 +40,11 @@ type Epoch struct {
 	// torus, or k >= 3 rounds). Queries on an epoch without a table run
 	// routing.ChooseRouteK against Oracle, uncached.
 	Table *classtable.Table
+	// Oracle indexes Faults for the epochs without a Table; it is nil
+	// whenever Table is set.
+	Oracle *routing.Oracle
 
-	lambIdx map[int64]struct{}
+	lambs *mesh.NodeSet
 }
 
 // newEpoch freezes a configuration: it clones the fault set (the caller's
@@ -50,16 +52,17 @@ type Epoch struct {
 // table is built from rc, that fault set's Find-Reachability (the
 // recompute's own, Reconfigurer.LastReach), so a fault report runs it
 // once; the table copies what it keeps. A nil rc, or a configuration
-// outside classtable.Supported, leaves the epoch without a table.
+// outside classtable.Supported, leaves the epoch without a table, and
+// only then is the oracle built.
 func newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time, rc *reach.Reachability) *Epoch {
 	snap := f.Clone()
+	set := mesh.NewNodeSet(snap.Mesh(), lambs)
 	e := &Epoch{
 		Faults:     snap,
-		Oracle:     routing.NewOracle(snap),
-		Lambs:      append([]mesh.Coord(nil), lambs...),
+		Lambs:      set.Coords(),
 		Generation: gen,
 		Created:    now,
-		lambIdx:    make(map[int64]struct{}, len(lambs)),
+		lambs:      set,
 	}
 	if rc != nil {
 		// Besides ErrUnsupported, an error here would mean a malformed
@@ -68,28 +71,23 @@ func newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time, r
 			e.Table = tab
 		}
 	}
-	for _, c := range lambs {
-		e.lambIdx[snap.Mesh().Index(c)] = struct{}{}
+	if e.Table == nil {
+		e.Oracle = routing.NewOracle(snap)
 	}
 	return e
 }
 
 // IsLamb reports whether node c is sacrificed in this epoch.
-func (e *Epoch) IsLamb(c mesh.Coord) bool {
-	_, ok := e.lambIdx[e.Faults.Mesh().Index(c)]
-	return ok
-}
+func (e *Epoch) IsLamb(c mesh.Coord) bool { return e.lambs.Has(c) }
 
 // Age returns how long this epoch has been the live configuration.
 func (e *Epoch) Age(now time.Time) time.Duration { return now.Sub(e.Created) }
 
-// endpointOK reports whether c can be a route endpoint: inside the mesh,
-// not faulty, and not a lamb. Lambs forward traffic but never send or
-// receive (Definition 2.6), so they are valid intermediates yet invalid
-// endpoints.
-func (e *Epoch) endpointOK(c mesh.Coord) bool {
-	return e.Faults.Mesh().Contains(c) && !e.Faults.NodeFaulty(c) && !e.IsLamb(c)
-}
+// endpointOK reports whether c can be a route endpoint, a survivor:
+// inside the mesh, not faulty, and not a lamb. Lambs forward traffic
+// but never send or receive (Definition 2.6), so they are valid
+// intermediates yet invalid endpoints.
+func (e *Epoch) endpointOK(c mesh.Coord) bool { return e.lambs.IsSurvivor(e.Faults, c) }
 
 // endpointErr renders why endpointOK rejected c; role is "src" or "dst".
 func (e *Epoch) endpointErr(role string, c mesh.Coord) string {

@@ -179,7 +179,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		NodeFaults:      coordsWire(e.Faults.SortedNodeFaults()),
 		LinkFaults:      make([]LinkReport, 0, e.Faults.NumLinkFaults()),
 		Lambs:           coordsWire(e.Lambs),
-		Survivors:       e.Faults.GoodNodes() - int64(len(e.Lambs)),
+		Survivors:       e.lambs.SurvivorCount(e.Faults),
 		LastError:       s.LastError(),
 	}
 	for _, l := range e.Faults.LinkFaults() {

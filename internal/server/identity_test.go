@@ -20,9 +20,9 @@ import (
 // checkQueryIdentity asks s for src -> dst over HTTP (POST /v1/route
 // through h) and over the wire backend, and requires both answers to equal
 // the reference built from the live epoch: a rejection naming the first
-// unusable endpoint, else routing.ChooseRouteK over the epoch's oracle with
-// a nil rng — its path, vias, hops and turns, or the no-route reason and
-// code. The HTTP body must match byte for byte.
+// unusable endpoint, else routing.ChooseRouteK over an oracle on the
+// epoch's fault set with a nil rng — its path, vias, hops and turns, or
+// the no-route reason and code. The HTTP body must match byte for byte.
 func checkQueryIdentity(t testing.TB, s *Server, h http.Handler, src, dst mesh.Coord) {
 	t.Helper()
 	e := s.Epoch()
@@ -51,7 +51,7 @@ func checkQueryIdentity(t testing.TB, s *Server, h http.Handler, src, dst mesh.C
 		wantWire.Code = wire.CodeBadSrc
 	} else if want.Reason = unusable("dst", dst); want.Reason != "" {
 		wantWire.Code = wire.CodeBadDst
-	} else if r, ok := routing.ChooseRouteK(e.Oracle, s.Orders(), src, dst, nil); !ok {
+	} else if r, ok := routing.ChooseRouteK(routing.NewOracle(e.Faults), s.Orders(), src, dst, nil); !ok {
 		want.Reason = fmt.Sprintf("no fault-free %d-round route from %v to %v", s.Orders().Rounds(), src, dst)
 		wantWire.Code = wire.CodeNoRoute
 	} else {
@@ -134,7 +134,7 @@ func identityConfigs() []identityConfig {
 // k = 3, torus with k = 2), at generation 0 and after a report of node and
 // link faults, every (src, dst) — out-of-mesh, faulty and lamb endpoints
 // included — gets the same answer over HTTP and over the wire as
-// routing.ChooseRouteK on the epoch's oracle.
+// routing.ChooseRouteK on an oracle over the epoch's fault set.
 func TestQueryCoreMatchesOracle(t *testing.T) {
 	for _, cfg := range identityConfigs() {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -163,8 +163,8 @@ func TestQueryCoreMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := waitGeneration(t, s, 1)
-			if (e.Table != nil) != cfg.table {
-				t.Fatalf("class table present = %v, want %v", e.Table != nil, cfg.table)
+			if (e.Table != nil) != cfg.table || (e.Oracle != nil) == cfg.table {
+				t.Fatalf("class table present = %v, oracle present = %v, want exactly one (table: %v)", e.Table != nil, e.Oracle != nil, cfg.table)
 			}
 			if len(e.Lambs) == 0 {
 				t.Fatal("the fault set left no lamb, so lamb endpoints go unchecked")

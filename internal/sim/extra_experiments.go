@@ -85,6 +85,7 @@ func runCongestion(cfg Config) *Table {
 		panic(err)
 	}
 	o := routing.NewOracle(fs)
+	survivors := wormhole.Survivors(fs, res.Lambs)
 
 	runPolicy := func(randomTies bool) (wormhole.SummaryStats, float64) {
 		rng := rand.New(rand.NewSource(cfg.Seed + 1))
@@ -94,20 +95,6 @@ func runCongestion(cfg Config) *Table {
 		}
 		// Same (src, dst, length, inject) stream for both policies: draw
 		// the workload with rng, route with tieRng.
-		lambIdx := make(map[int64]struct{})
-		for _, c := range res.Lambs {
-			lambIdx[m.Index(c)] = struct{}{}
-		}
-		var survivors []mesh.Coord
-		m.ForEachNode(func(c mesh.Coord) {
-			if fs.NodeFaulty(c) {
-				return
-			}
-			if _, ok := lambIdx[m.Index(c)]; ok {
-				return
-			}
-			survivors = append(survivors, c.Clone())
-		})
 		var msgs []*wormhole.Message
 		for id := 0; id < 200; id++ {
 			src := survivors[rng.Intn(len(survivors))]
@@ -208,7 +195,7 @@ func runReconfig(cfg Config) *Table {
 		Paper:   "Section 1: reconfiguration reruns the lamb algorithm on the grown fault set",
 		Columns: []string{"generation", "total faults", "lambs", "lambs kept from previous", "verified"},
 	}
-	prev := map[int64]bool{}
+	var prev *mesh.NodeSet
 	for gen := 1; gen <= 5; gen++ {
 		var batch []mesh.Coord
 		for i := 0; i < 80; i++ {
@@ -219,19 +206,16 @@ func runReconfig(cfg Config) *Table {
 			panic(err)
 		}
 		kept := 0
-		cur := map[int64]bool{}
 		for _, l := range res.Lambs {
-			idx := m.Index(l)
-			cur[idx] = true
-			if prev[idx] {
+			if prev.Has(l) {
 				kept++
 			}
 		}
 		ok := core.VerifyLambSet(rec.Faults(), orders, res.Lambs) == nil
 		t.AddRow(fmt.Sprint(gen), fmt.Sprint(rec.Faults().Count()),
-			fmt.Sprint(res.NumLambs()), fmt.Sprintf("%d/%d", kept, len(prev)),
+			fmt.Sprint(res.NumLambs()), fmt.Sprintf("%d/%d", kept, prev.Len()),
 			fmt.Sprint(ok))
-		prev = cur
+		prev = mesh.NewNodeSet(m, res.Lambs)
 	}
 	return t
 }

@@ -64,7 +64,10 @@ func runTopoCompare(cfg Config) *Table {
 		if err != nil {
 			panic(err)
 		}
-		si := strategyIndex(tc.strategy)
+		si, err := wormhole.StrategyIndex(tc.strategy)
+		if err != nil {
+			panic(err)
+		}
 		net := wormhole.DefaultConfig()
 		net.VirtualChannels = strat.MinVCs()
 		spec := wormhole.SweepSpec{
@@ -93,15 +96,4 @@ func runTopoCompare(cfg Config) *Table {
 			fmt.Sprintf("%.4f", pts[0].DeliveredFraction))
 	}
 	return t
-}
-
-// strategyIndex maps a strategy name to its StrategyNames position, the
-// sweep seed stream that keeps strategies on disjoint trial seeds.
-func strategyIndex(name string) int {
-	for i, n := range wormhole.StrategyNames() {
-		if n == name {
-			return i
-		}
-	}
-	panic("unknown strategy " + name)
 }

@@ -44,10 +44,7 @@ func Render(f *mesh.FaultSet, lambs []mesh.Coord, mk Marks) (string, error) {
 		return "", fmt.Errorf("viz: Render needs a 2D mesh; use RenderSlice for %dD", m.Dims())
 	}
 	mk = mk.defaults()
-	lambIdx := make(map[int64]struct{}, len(lambs))
-	for _, c := range lambs {
-		lambIdx[m.Index(c)] = struct{}{}
-	}
+	lambSet := mesh.NewNodeSet(m, lambs)
 
 	nx, ny := m.Width(0), m.Width(1)
 	var b strings.Builder
@@ -61,7 +58,7 @@ func Render(f *mesh.FaultSet, lambs []mesh.Coord, mk Marks) (string, error) {
 		fmt.Fprintf(&b, "%3d ", y)
 		for x := 0; x < nx; x++ {
 			c := mesh.C(x, y)
-			b.WriteRune(nodeRune(f, c, lambIdx, mk))
+			b.WriteRune(nodeRune(f, c, lambSet, mk))
 			if x < nx-1 {
 				b.WriteString(hEdge(f, c))
 			}
@@ -89,17 +86,14 @@ func RenderSlice(f *mesh.FaultSet, lambs []mesh.Coord, dimX, dimY int, fix mesh.
 		return "", fmt.Errorf("viz: bad slice dims %d,%d", dimX, dimY)
 	}
 	mk = mk.defaults()
-	lambIdx := make(map[int64]struct{}, len(lambs))
-	for _, c := range lambs {
-		lambIdx[m.Index(c)] = struct{}{}
-	}
+	lambSet := mesh.NewNodeSet(m, lambs)
 	var b strings.Builder
 	fmt.Fprintf(&b, "slice with %v fixed except dims %d,%d\n", fix, dimX, dimY)
 	for y := 0; y < m.Width(dimY); y++ {
 		for x := 0; x < m.Width(dimX); x++ {
 			c := fix.Clone()
 			c[dimX], c[dimY] = x, y
-			b.WriteRune(nodeRune(f, c, lambIdx, mk))
+			b.WriteRune(nodeRune(f, c, lambSet, mk))
 			b.WriteByte(' ')
 		}
 		b.WriteByte('\n')
@@ -107,7 +101,7 @@ func RenderSlice(f *mesh.FaultSet, lambs []mesh.Coord, dimX, dimY int, fix mesh.
 	return b.String(), nil
 }
 
-func nodeRune(f *mesh.FaultSet, c mesh.Coord, lambIdx map[int64]struct{}, mk Marks) rune {
+func nodeRune(f *mesh.FaultSet, c mesh.Coord, lambs *mesh.NodeSet, mk Marks) rune {
 	m := f.Mesh()
 	if f.NodeFaulty(c) {
 		return mk.Fault
@@ -115,7 +109,7 @@ func nodeRune(f *mesh.FaultSet, c mesh.Coord, lambIdx map[int64]struct{}, mk Mar
 	if r, ok := mk.Extra[m.Index(c)]; ok {
 		return r
 	}
-	if _, isLamb := lambIdx[m.Index(c)]; isLamb {
+	if lambs.Has(c) {
 		return mk.Lamb
 	}
 	return mk.Good

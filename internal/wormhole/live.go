@@ -46,13 +46,16 @@ type LiveConfig struct {
 	// RouteSeed seeds the rng used for rerouting draws, keeping live runs
 	// a pure function of (workload, schedule, RouteSeed).
 	RouteSeed int64
-	// RecoveryWindow is the width in cycles of the throughput window used
-	// for recovery detection; <= 0 means 32.
-	RecoveryWindow int
-	// RecoveryFraction is the fraction of the pre-event accepted rate that
-	// counts as recovered; <= 0 means 0.9.
-	RecoveryFraction float64
 }
+
+const (
+	// recoveryWindow is the width in cycles of the throughput window used
+	// for recovery detection.
+	recoveryWindow = 32
+	// recoveryFraction is the fraction of the pre-event accepted rate that
+	// counts as recovered.
+	recoveryFraction = 0.9
+)
 
 // EventRecovery records the impact of one applied fault event.
 type EventRecovery struct {
@@ -68,10 +71,10 @@ type EventRecovery struct {
 	// destination died with the event.
 	Lost int
 	// PreRate is the accepted flit rate (flits/cycle, network-wide) over
-	// the RecoveryWindow cycles before the event.
+	// the recoveryWindow cycles before the event.
 	PreRate float64
 	// RecoveryLatency is the number of cycles after the event until the
-	// windowed accepted rate first reached RecoveryFraction*PreRate again;
+	// windowed accepted rate first reached recoveryFraction*PreRate again;
 	// 0 if PreRate was zero (nothing to recover), -1 if the run ended
 	// before recovery.
 	RecoveryLatency int
@@ -85,22 +88,19 @@ type EventRecovery struct {
 
 // liveState is the engine's mid-run fault-injection machinery.
 type liveState struct {
-	cfg      LiveConfig
 	sched    FaultSchedule // canonical
 	next     int           // next schedule event to apply
 	strat    RouteStrategy
 	routeRng *rand.Rand
-	// isSacrificed densely flags the strategy's sacrificed nodes (lambs,
-	// ring-inactivated) for the current configuration.
-	isSacrificed []bool
+	// sacrificed is the strategy's sacrificed nodes (lambs,
+	// ring-inactivated) in the current configuration.
+	sacrificed *mesh.NodeSet
 
-	// ring holds the last window per-cycle ejected-flit counts.
-	ring        []int
+	// ring holds the last recoveryWindow per-cycle ejected-flit counts.
+	ring        [recoveryWindow]int
 	ringPos     int
 	ringLen     int
 	prevEjected int
-	window      int
-	fraction    float64
 
 	pending []pendingRecovery
 	events  []EventRecovery
@@ -144,28 +144,12 @@ func NewLiveEngine(cfg EngineConfig, lc LiveConfig, packets []*Message) (*Engine
 	if err != nil {
 		return nil, err
 	}
-	window := lc.RecoveryWindow
-	if window <= 0 {
-		window = 32
+	e.live = &liveState{
+		sched:      lc.Schedule.Canonical(),
+		strat:      strat,
+		routeRng:   rand.New(rand.NewSource(lc.RouteSeed)),
+		sacrificed: mesh.NewNodeSet(f.Mesh(), strat.Sacrificed()),
 	}
-	fraction := lc.RecoveryFraction
-	if fraction <= 0 {
-		fraction = 0.9
-	}
-	live := &liveState{
-		cfg:          lc,
-		sched:        lc.Schedule.Canonical(),
-		strat:        strat,
-		routeRng:     rand.New(rand.NewSource(lc.RouteSeed)),
-		isSacrificed: make([]bool, f.Mesh().Nodes()),
-		ring:         make([]int, window),
-		window:       window,
-		fraction:     fraction,
-	}
-	for _, c := range strat.Sacrificed() {
-		live.isSacrificed[f.Mesh().Index(c)] = true
-	}
-	e.live = live
 	return e, nil
 }
 
@@ -179,12 +163,6 @@ func (l *liveState) applyDue(e *Engine, cycle int, undelivered *int) error {
 		}
 	}
 	return nil
-}
-
-// dead reports whether c can no longer be a traffic endpoint: it failed
-// outright or was sacrificed by the strategy (lamb, ring-inactivated).
-func (l *liveState) dead(f *mesh.FaultSet, c mesh.Coord) bool {
-	return f.NodeFaulty(c) || l.isSacrificed[f.Mesh().Index(c)]
 }
 
 // routeBroken reports whether any of msg's hops from `from` onward crosses
@@ -203,27 +181,14 @@ func routeBroken(f *mesh.FaultSet, msg *Message, from int) bool {
 // pair is unreachable under the strategy's new configuration (the caller
 // accounts the packet as lost); an error aborts the run.
 func (l *liveState) reroute(e *Engine, msg *Message) (bool, error) {
-	vcs := e.cfg.Net.VirtualChannels
-	m := l.strat.Faults().Mesh()
-	for attempt := 0; ; attempt++ {
-		fresh, ok, err := l.strat.Route(msg.Src, msg.Dst,
-			msg.ID, msg.Length, msg.InjectAt, vcs, l.routeRng)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-		if !hasVCReuse(m, fresh) {
-			msg.Hops = fresh.Hops
-			msg.PathHops = fresh.PathHops
-			msg.PathTurns = fresh.PathTurns
-			break
-		}
-		if attempt >= 50 {
-			return false, fmt.Errorf("wormhole: could not redraw a self-overlap-free route for packet %d", msg.ID)
-		}
+	fresh, ok, err := routeFree(l.strat, msg.Src, msg.Dst,
+		msg.ID, msg.Length, msg.InjectAt, e.cfg.Net.VirtualChannels, l.routeRng)
+	if err != nil || !ok {
+		return false, err
 	}
+	msg.Hops = fresh.Hops
+	msg.PathHops = fresh.PathHops
+	msg.PathTurns = fresh.PathTurns
 	msg.Delivered = false
 	msg.DoneCycle = 0
 	msg.StartCycle = 0
@@ -260,10 +225,7 @@ func (l *liveState) applyEvent(e *Engine, ev FaultEvent, cycle int, undelivered 
 	recomputeTime := time.Since(recomputeStart)
 	l.reconfigs++
 	f = l.strat.Faults()
-	clear(l.isSacrificed)
-	for _, c := range l.strat.Sacrificed() {
-		l.isSacrificed[m.Index(c)] = true
-	}
+	l.sacrificed = mesh.NewNodeSet(m, l.strat.Sacrificed())
 
 	killed, lost := 0, 0
 	markLost := func(p *Message) {
@@ -289,7 +251,7 @@ func (l *liveState) applyEvent(e *Engine, ev FaultEvent, cycle int, undelivered 
 				tail++
 			}
 		}
-		endpointDead := l.dead(f, p.Src) || l.dead(f, p.Dst)
+		endpointDead := !l.sacrificed.IsSurvivor(f, p.Src) || !l.sacrificed.IsSurvivor(f, p.Dst)
 		if !endpointDead && !routeBroken(f, p, tail) {
 			e.active[w] = p
 			w++
@@ -328,7 +290,7 @@ func (l *liveState) applyEvent(e *Engine, ev FaultEvent, cycle int, undelivered 
 		w := e.qhead[v]
 		for h := e.qhead[v]; h < len(q); h++ {
 			p := q[h]
-			if l.dead(f, p.Src) || l.dead(f, p.Dst) {
+			if !l.sacrificed.IsSurvivor(f, p.Src) || !l.sacrificed.IsSurvivor(f, p.Dst) {
 				markLost(p)
 				continue
 			}
@@ -375,7 +337,7 @@ func (l *liveState) applyEvent(e *Engine, ev FaultEvent, cycle int, undelivered 
 }
 
 // windowedRate returns the mean ejected flits per cycle over the last k
-// recorded cycles (k <= window; 0 yields 0).
+// recorded cycles (k <= recoveryWindow; 0 yields 0).
 func (l *liveState) windowedRate(k int) float64 {
 	if k <= 0 {
 		return 0
@@ -388,7 +350,7 @@ func (l *liveState) windowedRate(k int) float64 {
 	for i := 0; i < k; i++ {
 		pos--
 		if pos < 0 {
-			pos = l.window - 1
+			pos = recoveryWindow - 1
 		}
 		sum += l.ring[pos]
 	}
@@ -402,10 +364,10 @@ func (l *liveState) endCycle(e *Engine, cycle int) {
 	l.prevEjected = e.net.ejectedTotal
 	l.ring[l.ringPos] = delta
 	l.ringPos++
-	if l.ringPos == l.window {
+	if l.ringPos == recoveryWindow {
 		l.ringPos = 0
 	}
-	if l.ringLen < l.window {
+	if l.ringLen < recoveryWindow {
 		l.ringLen++
 	}
 	if len(l.pending) == 0 {
@@ -414,7 +376,7 @@ func (l *liveState) endCycle(e *Engine, cycle int) {
 	w := 0
 	for _, p := range l.pending {
 		age := cycle - p.cycle + 1
-		if l.windowedRate(age) >= l.fraction*p.preRate {
+		if l.windowedRate(age) >= recoveryFraction*p.preRate {
 			l.events[p.idx].RecoveryLatency = cycle - p.cycle
 			continue
 		}

@@ -240,6 +240,26 @@ func hasVCReuse(m *mesh.Mesh, msg *Message) bool {
 	return false
 }
 
+// routeFree routes one packet through s and, while the route revisits a
+// (link, VC) pair — possible with fewer VCs than rounds, and a
+// self-deadlock — redraws it, its random tie-breaks giving a different
+// via, a bounded number of times. ok=false means s cannot route the pair.
+func routeFree(s RouteStrategy, src, dst mesh.Coord, id, length, injectAt, vcs int, rng *rand.Rand) (*Message, bool, error) {
+	m := s.Faults().Mesh()
+	for attempt := 0; ; attempt++ {
+		msg, ok, err := s.Route(src, dst, id, length, injectAt, vcs, rng)
+		if err != nil || !ok {
+			return nil, ok, err
+		}
+		if !hasVCReuse(m, msg) {
+			return msg, true, nil
+		}
+		if attempt >= 50 {
+			return nil, false, fmt.Errorf("wormhole: could not draw a self-overlap-free route for packet %d with %d VCs", id, vcs)
+		}
+	}
+}
+
 // SummaryStats aggregates a finished simulation.
 type SummaryStats struct {
 	Messages   int

@@ -240,7 +240,7 @@ func runCell(f *mesh.FaultSet, s RouteStrategy, spec SweepSpec, rate float64, rn
 		WarmupCycles:  spec.Warmup,
 		MeasureCycles: spec.Measure,
 		DrainCycles:   spec.Drain,
-		Nodes:         survivorCount(s.Faults(), s.Sacrificed()),
+		Nodes:         int(mesh.NewNodeSet(s.Faults().Mesh(), s.Sacrificed()).SurvivorCount(s.Faults())),
 	}
 	if !live {
 		eng, err := NewEngine(s.Faults(), cfg, packets)
@@ -263,20 +263,4 @@ func runCell(f *mesh.FaultSet, s RouteStrategy, spec SweepSpec, rate float64, rn
 		return EngineResult{}, err
 	}
 	return eng.RunLive()
-}
-
-// survivorCount avoids materializing the survivor list per cell.
-func survivorCount(f *mesh.FaultSet, lambs []mesh.Coord) int {
-	n := int(f.Mesh().Nodes()) - f.NumNodeFaults()
-	seen := make(map[int64]struct{}, len(lambs))
-	m := f.Mesh()
-	for _, c := range lambs {
-		idx := m.Index(c)
-		if _, dup := seen[idx]; dup || f.NodeFaulty(c) {
-			continue
-		}
-		seen[idx] = struct{}{}
-		n--
-	}
-	return n
 }

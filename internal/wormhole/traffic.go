@@ -62,22 +62,7 @@ func (p Pattern) String() string {
 // good nodes that are not lambs. Lambs stay functional for routing through,
 // but by definition send and receive no traffic of their own.
 func Survivors(f *mesh.FaultSet, lambs []mesh.Coord) []mesh.Coord {
-	m := f.Mesh()
-	lambIdx := make(map[int64]struct{}, len(lambs))
-	for _, c := range lambs {
-		lambIdx[m.Index(c)] = struct{}{}
-	}
-	var survivors []mesh.Coord
-	m.ForEachNode(func(c mesh.Coord) {
-		if f.NodeFaulty(c) {
-			return
-		}
-		if _, isLamb := lambIdx[m.Index(c)]; isLamb {
-			return
-		}
-		survivors = append(survivors, c.Clone())
-	})
-	return survivors
+	return mesh.NewNodeSet(f.Mesh(), lambs).Survivors(f)
 }
 
 // WorkloadSpec describes an open-loop injection workload: every survivor
@@ -100,9 +85,10 @@ type WorkloadSpec struct {
 }
 
 // workloadDest picks a packet destination for src under the spec's pattern.
-// survivorAt maps node index -> survivor (nil for faults and lambs).
-func workloadDest(m *mesh.Mesh, spec WorkloadSpec, src mesh.Coord,
-	survivors []mesh.Coord, survivorAt []mesh.Coord, hotspot mesh.Coord, rng *rand.Rand) mesh.Coord {
+// A nominal destination must be a survivor of f and the sacrificed nodes.
+func workloadDest(f *mesh.FaultSet, sacrificed *mesh.NodeSet, spec WorkloadSpec, src mesh.Coord,
+	survivors []mesh.Coord, hotspot mesh.Coord, rng *rand.Rand) mesh.Coord {
+	m := f.Mesh()
 	uniform := func() mesh.Coord {
 		for {
 			dst := survivors[rng.Intn(len(survivors))]
@@ -112,13 +98,10 @@ func workloadDest(m *mesh.Mesh, spec WorkloadSpec, src mesh.Coord,
 		}
 	}
 	nominal := func(dst mesh.Coord) mesh.Coord {
-		if !m.Contains(dst) || dst.Equal(src) {
+		if dst.Equal(src) || !sacrificed.IsSurvivor(f, dst) {
 			return uniform()
 		}
-		if s := survivorAt[m.Index(dst)]; s != nil {
-			return s
-		}
-		return uniform()
+		return dst
 	}
 	switch spec.Pattern {
 	case PatternTranspose:
@@ -202,16 +185,12 @@ func GenerateStrategyWorkload(s RouteStrategy, spec WorkloadSpec, vcs int,
 		return nil, 0, fmt.Errorf("wormhole: injection horizon %d cycles", spec.Cycles)
 	}
 	f := s.Faults()
-	m := f.Mesh()
-	survivors := Survivors(f, s.Sacrificed())
+	sacrificed := mesh.NewNodeSet(f.Mesh(), s.Sacrificed())
+	survivors := sacrificed.Survivors(f)
 	if len(survivors) < 2 {
 		return nil, 0, fmt.Errorf("wormhole: fewer than two survivors")
 	}
-	survivorAt := make([]mesh.Coord, m.Nodes())
-	for _, c := range survivors {
-		survivorAt[m.Index(c)] = c
-	}
-	hotspot := hotspotNode(m, survivors)
+	hotspot := hotspotNode(f.Mesh(), survivors)
 
 	expected := int(spec.Rate*float64(len(survivors)*spec.Cycles)) + 1
 	msgs := make([]*Message, 0, expected)
@@ -222,44 +201,23 @@ func GenerateStrategyWorkload(s RouteStrategy, spec WorkloadSpec, vcs int,
 			if rng.Float64() >= spec.Rate {
 				continue
 			}
-			dst := workloadDest(m, spec, src, survivors, survivorAt, hotspot, rng)
-			var msg *Message
-			// With fewer VCs than rounds a route may revisit a (link, VC)
-			// pair, which would self-deadlock; redraw the route (its random
-			// tie-breaks give a different via) a bounded number of times.
-			attempt, redraws := 0, 0
-			for {
-				var ok bool
-				var err error
-				msg, ok, err = s.Route(src, dst, id, spec.PacketFlits, cycle, vcs, rng)
-				if err != nil {
-					return nil, 0, err
-				}
-				if !ok {
-					// Unreachable under this strategy: redraw the destination
-					// uniformly; give the packet up after a bounded number of
-					// tries (e.g. src walled off entirely).
-					redraws++
-					if redraws > 20 {
-						msg = nil
-						unreachable++
-						break
-					}
+			dst := workloadDest(f, sacrificed, spec, src, survivors, hotspot, rng)
+			msg, ok, err := routeFree(s, src, dst, id, spec.PacketFlits, cycle, vcs, rng)
+			// Unreachable under this strategy: redraw the destination
+			// uniformly; give the packet up after a bounded number of tries
+			// (e.g. src walled off entirely).
+			for redraws := 0; err == nil && !ok && redraws < 20; redraws++ {
+				dst = survivors[rng.Intn(len(survivors))]
+				for dst.Equal(src) {
 					dst = survivors[rng.Intn(len(survivors))]
-					for dst.Equal(src) {
-						dst = survivors[rng.Intn(len(survivors))]
-					}
-					continue
 				}
-				if !hasVCReuse(m, msg) {
-					break
-				}
-				if attempt >= 50 {
-					return nil, 0, fmt.Errorf("wormhole: could not draw a self-overlap-free route with %d VCs", vcs)
-				}
-				attempt++
+				msg, ok, err = routeFree(s, src, dst, id, spec.PacketFlits, cycle, vcs, rng)
 			}
-			if msg == nil {
+			if err != nil {
+				return nil, 0, err
+			}
+			if !ok {
+				unreachable++
 				continue
 			}
 			msgs = append(msgs, msg)
