@@ -197,12 +197,46 @@ func (f *FaultSet) LinkFaulty(l Link) bool {
 }
 
 // Usable reports whether the directed link l can carry traffic: the link is
-// not in F_L and neither endpoint is in F_N.
+// not in F_L and neither endpoint is in F_N. A link that is neither faulty
+// nor leaves a faulty node must be a link of the fault set's topology, or
+// Usable panics. It allocates nothing: the head is found by linear index.
 func (f *FaultSet) Usable(l Link) bool {
-	if f.LinkFaulty(l) || f.NodeFaulty(l.From) {
+	from := f.m.Index(l.From)
+	if _, ok := f.links[linkKey{from, l.Dim, l.Dir}]; ok {
 		return false
 	}
-	return !f.NodeFaulty(f.LinkHead(l))
+	if _, ok := f.nodes[from]; ok {
+		return false
+	}
+	head, ok := f.headIndex(from, l)
+	if !ok {
+		panic(fmt.Sprintf("mesh: link %v invalid in %v", l, f.topo))
+	}
+	_, ok = f.nodes[head]
+	return !ok
+}
+
+// headIndex returns the linear index of the head of l, whose tail has
+// linear index from, and whether l is a link of the fault set's topology:
+// LinkHead without building the head's coordinate.
+func (f *FaultSet) headIndex(from int64, l Link) (int64, bool) {
+	switch t := f.topo.(type) {
+	case *Mesh:
+		if l.Dir != 1 && l.Dir != -1 || l.Dim < 0 || l.Dim >= t.Dims() {
+			return 0, false
+		}
+	case *FullMesh:
+		if l.Dim != 0 || l.Dir < 1 || l.Dir >= t.n {
+			return 0, false
+		}
+	default:
+		head, ok := f.topo.LinkHead(l)
+		if !ok {
+			return 0, false
+		}
+		return f.m.Index(head), true
+	}
+	return f.m.step(from, l.From[l.Dim], l.Dim, l.Dir)
 }
 
 // NumNodeFaults returns |F_N|.

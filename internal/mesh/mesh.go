@@ -221,6 +221,21 @@ func (m *Mesh) Neighbor(c Coord, dim, dir int) (Coord, bool) {
 	return out, true
 }
 
+// step returns the linear index of the node dir steps along dim from the
+// node with linear index idx, whose coordinate along dim is x, and whether
+// that node exists: Neighbor by index, without building a coordinate. On a
+// torus the step wraps around.
+func (m *Mesh) step(idx int64, x, dim, dir int) (int64, bool) {
+	v, w := x+dir, m.widths[dim]
+	if v < 0 || v >= w {
+		if !m.torus {
+			return 0, false
+		}
+		v = ((v % w) + w) % w
+	}
+	return idx + int64(v-x)*m.strides[dim], true
+}
+
 // ForEachNode calls fn for every node of the mesh in index order. The Coord
 // passed to fn is reused between calls; clone it if it must be retained.
 func (m *Mesh) ForEachNode(fn func(c Coord)) {

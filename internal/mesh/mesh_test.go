@@ -230,6 +230,72 @@ func TestFaultSetLinks(t *testing.T) {
 	}
 }
 
+// usableByHead is Usable's formula through the head coordinate: the
+// reference the index-based head lookup must agree with.
+func usableByHead(f *FaultSet, l Link) bool {
+	return !f.LinkFaulty(l) && !f.NodeFaulty(l.From) && !f.NodeFaulty(f.LinkHead(l))
+}
+
+// Usable must answer as the head-coordinate formula does for every link of
+// meshes, tori, hypercubes and full meshes with node and link faults, must
+// allocate nothing, and must still reject a link its topology lacks.
+func TestUsableMatchesLinkHead(t *testing.T) {
+	topos := []Topology{
+		MustNew(5, 4), MustNew(3, 4, 2), mustTopo(t, "torus", 5, 4), mustTopo(t, "torus", 2, 3, 4),
+		mustTopo(t, "hypercube", 2, 2, 2, 2), mustTopo(t, "fullmesh", 7),
+	}
+	for _, tp := range topos {
+		m := tp.Grid()
+		for layout := int64(0); layout < 8; layout++ {
+			rng := rand.New(rand.NewSource(layout))
+			f := RandomNodeFaultsOn(tp, int(layout%4)*int(m.Nodes())/10, rng)
+			RandomLinkFaults(f, int(layout%3)*3, rng)
+			m.ForEachNode(func(c Coord) {
+				tp.ForEachLink(c, func(l Link) {
+					if got, want := f.Usable(l), usableByHead(f, l); got != want {
+						t.Fatalf("%v faults %v %v: Usable(%v) = %v, want %v", tp, f.NodeFaults(), f.LinkFaults(), l, got, want)
+					}
+				})
+			})
+		}
+		f := RandomNodeFaultsOn(tp, 1, rand.New(rand.NewSource(1)))
+		l := Link{From: make(Coord, m.Dims()), Dim: 0, Dir: 1}
+		if allocs := testing.AllocsPerRun(100, func() { f.Usable(l) }); allocs != 0 {
+			t.Errorf("%v: Usable allocates %v times per call", tp, allocs)
+		}
+	}
+	// Links no topology has: a two-step direction, a dimension out of
+	// range, a step off the mesh, and a zero delta on a full mesh.
+	bad := []struct {
+		t Topology
+		l Link
+	}{
+		{MustNew(4, 4), Link{From: C(1, 1), Dim: 0, Dir: 2}},
+		{MustNew(4, 4), Link{From: C(1, 1), Dim: 2, Dir: 1}},
+		{MustNew(4, 4), Link{From: C(3, 1), Dim: 0, Dir: 1}},
+		{mustTopo(t, "fullmesh", 5), Link{From: C(1), Dim: 0, Dir: 0}},
+	}
+	for _, b := range bad {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: Usable(%v) did not panic", b.t, b.l)
+				}
+			}()
+			NewFaultSetOn(b.t).Usable(b.l)
+		}()
+	}
+}
+
+func mustTopo(t *testing.T, family string, widths ...int) Topology {
+	t.Helper()
+	tp, err := NewTopology(family, widths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tp
+}
+
 func TestLinkTo(t *testing.T) {
 	m := MustNew(4, 4)
 	l := Link{From: C(1, 2), Dim: 1, Dir: -1}

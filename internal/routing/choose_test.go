@@ -103,14 +103,18 @@ func TestChooseRouteMatchesFullScan(t *testing.T) {
 	for _, nt := range nets {
 		t.Run(nt.name, func(t *testing.T) {
 			d := nt.m.Dims()
-			asc := Ascending(d)
-			for layout := int64(0); layout < 3; layout++ {
-				f := mesh.RandomNodeFaults(nt.m, nt.faults, rand.New(rand.NewSource(layout)))
-				if layout == 0 {
+			asc, desc := Ascending(d), Descending(d)
+			for layout := int64(0); layout < 4; layout++ {
+				rng := rand.New(rand.NewSource(layout))
+				f := mesh.RandomNodeFaults(nt.m, nt.faults, rng)
+				switch layout {
+				case 0:
 					f = mesh.NewFaultSet(nt.m)
+				case 3:
+					mesh.RandomLinkFaults(f, nt.faults, rng)
 				}
 				o := NewOracle(f)
-				for _, orders := range []MultiOrder{{asc, asc}, {asc, asc.Reverse()}} {
+				for _, orders := range []MultiOrder{{asc, asc}, {asc, desc}, {desc, asc}} {
 					seed := layout
 					nt.m.ForEachNode(func(v mesh.Coord) {
 						v = v.Clone()
@@ -125,46 +129,109 @@ func TestChooseRouteMatchesFullScan(t *testing.T) {
 	}
 }
 
-// Every minimal via of (0,0)->(2,0) is blocked by the fault at (1,0), so
-// ChooseRoute must fall back to the full scan and find the length-4 detour.
+// Every minimal via of (0,0)->(2,0) is blocked — by the fault at (1,0), on a
+// mesh and on a torus whose minimal x-arc is the same, or by the faulty
+// +link out of (1,0) — so ChooseRoute must fall back to the full scan and
+// find a length-4 detour.
 func TestChooseRouteFallbackWhenBoxBlocked(t *testing.T) {
-	m := mesh.MustNew(5, 5)
-	f := mesh.NewFaultSet(m)
-	f.AddNode(mesh.C(1, 0))
-	o := NewOracle(f)
-	orders := UniformAscending(2, 2)
-	v, w := mesh.C(0, 0), mesh.C(2, 0)
-	r, ok := ChooseRoute(o, orders, v, w, nil)
-	if !ok || r.Hops() != 4 {
-		t.Fatalf("route %v ok=%v, want a 4-hop detour", r, ok)
+	torus, err := mesh.NewTorus(7, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for seed := int64(0); seed < 20; seed++ {
-		sameRoute(t, o, orders, v, w, seed)
+	cases := []struct {
+		name string
+		m    *mesh.Mesh
+		link bool
+	}{
+		{"mesh-node", mesh.MustNew(5, 5), false},
+		{"torus-node", torus, false},
+		{"mesh-link", mesh.MustNew(5, 5), true},
+		{"torus-link", torus, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := mesh.NewFaultSet(tc.m)
+			if tc.link {
+				f.AddLink(mesh.Link{From: mesh.C(1, 0), Dim: 0, Dir: 1})
+			} else {
+				f.AddNode(mesh.C(1, 0))
+			}
+			o := NewOracle(f)
+			v, w := mesh.C(0, 0), mesh.C(2, 0)
+			for _, orders := range []MultiOrder{UniformAscending(2, 2), {Descending(2), Ascending(2)}} {
+				r, ok := ChooseRoute(o, orders, v, w, nil)
+				if !ok || r.Hops() != 4 {
+					t.Fatalf("%v: route %v ok=%v, want a 4-hop detour", orders, r, ok)
+				}
+				for seed := int64(0); seed < 20; seed++ {
+					sameRoute(t, o, orders, v, w, seed)
+				}
+			}
+		})
 	}
 }
 
-// FuzzChooseRoute drives the differential check over small meshes and tori
-// with random faults, pairs, orders and tie-break seeds.
+// permutations returns every ordering of d dimensions.
+func permutations(d int) []Order {
+	if d == 1 {
+		return []Order{{0}}
+	}
+	var out []Order
+	for _, p := range permutations(d - 1) {
+		for i := 0; i <= len(p); i++ {
+			q := append(append(append(Order{}, p[:i]...), d-1), p[i:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// goodLinks counts the links between two good nodes that are not faulty
+// yet: the most mesh.RandomLinkFaults can add without looping forever.
+func goodLinks(f *mesh.FaultSet) int {
+	m := f.Mesh()
+	n := 0
+	m.ForEachNode(func(c mesh.Coord) {
+		m.ForEachLink(c, func(l mesh.Link) {
+			if f.Usable(l) {
+				n++
+			}
+		})
+	})
+	return n
+}
+
+// FuzzChooseRoute drives the differential check over small 2-D and 3-D
+// meshes and tori with random node and link faults, pairs, order pairs
+// (any permutation in either round) and tie-break seeds.
 func FuzzChooseRoute(f *testing.F) {
-	f.Add(uint8(5), uint8(5), false, uint8(3), int64(1), uint16(0), uint16(24), false, int64(7))
-	f.Add(uint8(6), uint8(4), true, uint8(4), int64(2), uint16(3), uint16(20), true, int64(9))
-	f.Add(uint8(2), uint8(2), false, uint8(0), int64(3), uint16(0), uint16(3), false, int64(1))
-	f.Fuzz(func(t *testing.T, w0, w1 uint8, torus bool, faults uint8, layout int64,
-		src, dst uint16, reverse bool, seed int64) {
+	f.Add(uint8(0), uint8(5), uint8(5), uint8(0), uint8(3), uint8(0), int64(1), uint16(0), uint16(24), uint8(0), int64(7))
+	f.Add(uint8(1), uint8(6), uint8(4), uint8(0), uint8(4), uint8(0), int64(2), uint16(3), uint16(20), uint8(1), int64(9))
+	f.Add(uint8(0), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), int64(3), uint16(0), uint16(3), uint8(0), int64(1))
+	f.Add(uint8(2), uint8(3), uint8(2), uint8(1), uint8(4), uint8(5), int64(4), uint16(7), uint16(40), uint8(27), int64(3))
+	f.Add(uint8(3), uint8(3), uint8(1), uint8(2), uint8(3), uint8(6), int64(5), uint16(11), uint16(77), uint8(14), int64(5))
+	f.Add(uint8(1), uint8(5), uint8(2), uint8(0), uint8(2), uint8(9), int64(6), uint16(1), uint16(33), uint8(2), int64(8))
+	f.Fuzz(func(t *testing.T, shape, w0, w1, w2, faults, links uint8, layout int64,
+		src, dst uint16, orderPair uint8, seed int64) {
+		// Bit 0 of shape picks a torus, bit 1 three dimensions.
 		widths := []int{2 + int(w0)%6, 2 + int(w1)%6}
+		if shape&2 != 0 {
+			widths = []int{2 + int(w0)%4, 2 + int(w1)%4, 2 + int(w2)%4}
+		}
 		m, err := mesh.New(widths...)
-		if torus {
+		if shape&1 != 0 {
 			m, err = mesh.NewTorus(widths...)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := m.Nodes()
-		fs := mesh.RandomNodeFaults(m, int(int64(faults)%(n/2+1)), rand.New(rand.NewSource(layout)))
-		orders := UniformAscending(2, 2)
-		if reverse {
-			orders = MultiOrder{Ascending(2), Descending(2)}
-		}
+		rng := rand.New(rand.NewSource(layout))
+		fs := mesh.RandomNodeFaults(m, int(int64(faults)%(n/2+1)), rng)
+		mesh.RandomLinkFaults(fs, min(int(links)%int(n/2+1), goodLinks(fs)), rng)
+		perms := permutations(m.Dims())
+		p := int(orderPair) % (len(perms) * len(perms))
+		orders := MultiOrder{perms[p/len(perms)], perms[p%len(perms)]}
 		v, w := m.CoordOf(int64(src)%n), m.CoordOf(int64(dst)%n)
 		sameRoute(t, NewOracle(fs), orders, v, w, seed)
 	})

@@ -34,6 +34,15 @@ func TestOracleConcurrentQueries(t *testing.T) {
 		want[i] = o.ReachOne(pi, q.v, q.w)
 	}
 	wantSet := o.ReachableSetOne(pi, mesh.C(0, 0, 0))
+	// ChooseRoute keeps its scratch per call, so concurrent 2-round
+	// searches must pick what a serial one picks.
+	orders := MultiOrder{pi, Descending(3)}
+	wantVia := make([]mesh.Coord, len(queries))
+	for i, q := range queries {
+		if r, ok := ChooseRoute(o, orders, q.v, q.w, nil); ok {
+			wantVia[i] = r.Vias[0]
+		}
+	}
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -45,6 +54,13 @@ func TestOracleConcurrentQueries(t *testing.T) {
 			for i, q := range queries {
 				if got := o.ReachOne(pi, q.v, q.w); got != want[i] {
 					errs <- "ReachOne diverged under concurrency"
+					return
+				}
+			}
+			for i, q := range queries {
+				r, ok := ChooseRoute(o, orders, q.v, q.w, nil)
+				if ok != (wantVia[i] != nil) || ok && !r.Vias[0].Equal(wantVia[i]) {
+					errs <- "ChooseRoute diverged under concurrency"
 					return
 				}
 			}

@@ -153,114 +153,19 @@ func (r *Route) Turns() int { return CountTurns(r.Path) }
 // For k = 2 the search first tries only the intermediates on some minimal
 // v→w route (the bounding box on a mesh, the minimal arcs on a torus): a
 // feasible one there is strictly shorter than any via outside, so the tied
-// set is the same as a scan of all N nodes would find. That costs
-// O(box · d log f). Only when every minimal via is blocked does it fall
-// back to the O(N d log f) scan of every node. It serves traffic generation
-// for the wormhole simulator, not the lamb algorithm (which never routes).
+// set is the same as a scan of all N nodes would find. Each segment is
+// tested against its line's clear run, computed once per line with O(log f)
+// binary searches. In 2-D round 1's segments lie on at most 1 + w lines,
+// w the box's width along pi_1's first dimension, and round 2's on 1 + the
+// width along pi_2's last. With those runs an intermediate costs O(d)
+// rather than a reachability query's O(d log f), so the search costs
+// O(box · d + lines · log f). Only when every minimal via is blocked does
+// it fall back to the same walk over all N nodes. It serves traffic
+// generation for the wormhole simulator, not the lamb algorithm (which
+// never routes).
 func ChooseRoute(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) (*Route, bool) {
-	m := o.Mesh()
-	switch len(orders) {
-	case 1:
-		if !o.ReachOne(orders[0], v, w) {
-			return nil, false
-		}
-		return &Route{Path: Path(m, orders[0], v, w)}, true
-	case 2:
-		if o.f.NodeFaulty(v) || o.f.NodeFaulty(w) {
-			return nil, false // no via can join a faulty endpoint
-		}
-		var buf [64]int64
-		best := minimalVias(o, orders, v, w, buf[:0])
-		if len(best) == 0 {
-			best = shortestVias(o, orders, v, w, best)
-		}
-		if len(best) == 0 {
-			return nil, false
-		}
-		pick := 0
-		if rng != nil {
-			pick = rng.Intn(len(best))
-		}
-		vias := []mesh.Coord{m.CoordOf(best[pick])}
-		return &Route{Vias: vias, Path: PathK(m, orders, v, w, vias)}, true
-	default:
-		panic(fmt.Sprintf("routing: ChooseRoute supports 1 or 2 rounds, got %d", len(orders)))
+	if k := len(orders); k != 1 && k != 2 {
+		panic(fmt.Sprintf("routing: ChooseRoute supports 1 or 2 rounds, got %d", k))
 	}
-}
-
-// feasibleVia reports whether u joins a fault-free pi_1-route from v to a
-// fault-free pi_2-route to w.
-func (o *Oracle) feasibleVia(orders MultiOrder, v, u, w mesh.Coord) bool {
-	return o.ReachOne(orders[0], v, u) && o.ReachOne(orders[1], u, w)
-}
-
-// minimalVias appends to best, in node-index order, the index of every
-// feasible intermediate on a minimal v→w route. Per dimension those are the
-// coordinates on a shortest arc from v to w: the closed interval between
-// them on a mesh; on a torus the minimal arc, or the whole ring when both
-// arcs have length n/2. Each dimension's set is kept as up to two ascending
-// runs [lo0,hi0] ∪ [lo1,hi1] (hi1 = -1 when the second is empty) and walked
-// like an odometer, dimension 0 fastest, which is ascending node-index
-// order.
-func minimalVias(o *Oracle, orders MultiOrder, v, w mesh.Coord, best []int64) []int64 {
-	m := o.Mesh()
-	d := len(v)
-	buf := make([]int, 5*d)
-	u, lo0, hi0, lo1, hi1 := mesh.Coord(buf[:d]), buf[d:2*d], buf[2*d:3*d], buf[3*d:4*d], buf[4*d:]
-	for j := range u {
-		a, b := min(v[j], w[j]), max(v[j], w[j])
-		lo0[j], hi0[j], lo1[j], hi1[j] = a, b, 0, -1
-		if n := m.Width(j); m.Torus() {
-			switch span := b - a; {
-			case 2*span == n: // both arcs are minimal: the whole ring
-				lo0[j], hi0[j] = 0, n-1
-			case 2*span > n: // the minimal arc wraps: [0,a] ∪ [b,n-1]
-				lo0[j], hi0[j], lo1[j], hi1[j] = 0, a, b, n-1
-			}
-		}
-		u[j] = lo0[j]
-	}
-	for {
-		if o.feasibleVia(orders, v, u, w) {
-			best = append(best, m.Index(u))
-		}
-		j := 0
-		for ; j < d; j++ {
-			x := u[j]
-			if x == hi0[j] && hi1[j] >= 0 {
-				u[j] = lo1[j] // on to the second run
-				break
-			}
-			if x != hi0[j] && x != hi1[j] {
-				u[j]++
-				break
-			}
-			u[j] = lo0[j] // this dimension wrapped: carry into the next
-		}
-		if j == d {
-			return best
-		}
-	}
-}
-
-// shortestVias appends to best, in node-index order, the index of every
-// feasible intermediate whose total route length is minimal over all N
-// nodes: the fallback when no minimal v→w route has a feasible via.
-func shortestVias(o *Oracle, orders MultiOrder, v, w mesh.Coord, best []int64) []int64 {
-	m := o.Mesh()
-	bestLen := -1
-	m.ForEachNode(func(u mesh.Coord) {
-		if !o.feasibleVia(orders, v, u, w) {
-			return
-		}
-		l := m.Distance(v, u) + m.Distance(u, w)
-		switch {
-		case bestLen == -1 || l < bestLen:
-			bestLen = l
-			best = append(best[:0], m.Index(u))
-		case l == bestLen:
-			best = append(best, m.Index(u))
-		}
-	})
-	return best
+	return ChooseRouteK(o, orders, v, w, rng)
 }

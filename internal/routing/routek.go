@@ -6,21 +6,28 @@ import (
 	"lambmesh/internal/mesh"
 )
 
-// ChooseRouteK picks a fault-free k-round route for any k >= 1 by dynamic
+// ChooseRouteK picks a fault-free k-round route for any k >= 1: the vias
+// ChooseVias picks, and the node path through them. Returns false if no
+// fault-free route exists.
+func ChooseRouteK(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) (*Route, bool) {
+	vias, ok := ChooseVias(o, orders, v, w, rng)
+	if !ok {
+		return nil, false
+	}
+	return &Route{Vias: vias, Path: PathK(o.Mesh(), orders, v, w, vias)}, true
+}
+
+// chooseViasDP picks the k-1 vias of a k-round route, k >= 3, by dynamic
 // programming over rounds: cost_t(u) is the cheapest total hop count of a
 // fault-free t-round prefix ending at u, and the intermediates are
 // recovered by backtracking. Ties between predecessors are broken by lowest
 // node index when rng is nil, else uniformly by reservoir sampling (the
 // j-th tied predecessor replaces the kept one with probability 1/j). Cost
-// is O(k N^2) reachability queries, so this complements ChooseRoute
-// (O(box · d log f) for k <= 2, with an O(N) fallback) for the multi-round
-// configurations the simulator explores; the lamb algorithms themselves
-// never route.
-func ChooseRouteK(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) (*Route, bool) {
+// is O(k N^2) reachability queries, so this complements the 2-round span
+// fill for the multi-round configurations the simulator explores; the lamb
+// algorithms themselves never route.
+func chooseViasDP(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) ([]mesh.Coord, bool) {
 	k := orders.Rounds()
-	if k <= 2 {
-		return ChooseRoute(o, orders, v, w, rng)
-	}
 	m := o.Mesh()
 	n := int(m.Nodes())
 	const inf = int(^uint(0) >> 2)
@@ -80,8 +87,5 @@ func ChooseRouteK(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand)
 		cur = choice[t][cur]
 		vias[t-1] = coords[cur].Clone()
 	}
-	return &Route{
-		Vias: vias,
-		Path: PathK(m, orders, v, w, vias),
-	}, true
+	return vias, true
 }

@@ -16,19 +16,19 @@ import (
 // demonstrate.
 func RouteMessage(o *routing.Oracle, orders routing.MultiOrder, src, dst mesh.Coord,
 	id, length, injectAt, vcs int, rng *rand.Rand) (*Message, error) {
-	r, ok := routing.ChooseRouteK(o, orders, src, dst, rng)
+	vias, ok := routing.ChooseVias(o, orders, src, dst, rng)
 	if !ok {
 		return nil, fmt.Errorf("wormhole: no fault-free %d-round route from %v to %v", orders.Rounds(), src, dst)
 	}
-	return MessageFromRoute(o.Mesh(), orders, r, src, dst, id, length, injectAt, vcs)
+	return MessageFromRoute(o.Mesh(), orders, &routing.Route{Vias: vias}, src, dst, id, length, injectAt, vcs)
 }
 
 // MessageFromRoute converts an explicit k-round route into a message with
 // per-round virtual channels. The hops are walked straight from the stops
-// (src, vias..., dst), one dimension-ordered segment at a time, so r.Path
-// is not re-read; it must be the route PathK gives for those stops, as
-// ChooseRoute and ChooseRouteK return. Every hop's From coordinate is carved
-// from one backing array per message.
+// (src, r.Vias..., dst), one dimension-ordered segment at a time, so
+// r.Path is not read: the route is the one PathK gives for those stops, as
+// ChooseRoute and ChooseRouteK return. The message's Src, Dst and every
+// hop's From coordinate are carved from one backing array per message.
 //
 // On a mesh round t rides VC min(t, vcs-1). On a torus the dateline
 // discipline (Dally–Seitz) applies: round t owns the VC pair (2t, 2t+1).
@@ -64,14 +64,17 @@ func MessageFromRoute(m *mesh.Mesh, orders routing.MultiOrder, r *routing.Route,
 		}
 	}
 	d := m.Dims()
-	// One backing array holds every hop's From and, in its last d ints, the
-	// walk's current position.
-	back := make([]int, (total+1)*d)
-	pos := mesh.Coord(back[total*d:])
+	// One backing array holds every hop's From, then Src, Dst and the
+	// walk's current position, d ints each.
+	back := make([]int, (total+3)*d)
+	carve := func(i int) mesh.Coord { return mesh.Coord(back[i*d : (i+1)*d : (i+1)*d]) }
+	msgSrc, msgDst, pos := carve(total), carve(total+1), carve(total+2)
+	copy(msgSrc, src)
+	copy(msgDst, dst)
 	msg := &Message{
 		ID:       id,
-		Src:      src.Clone(),
-		Dst:      dst.Clone(),
+		Src:      msgSrc,
+		Dst:      msgDst,
 		Length:   length,
 		InjectAt: injectAt,
 		Hops:     make([]Hop, 0, total),
@@ -92,8 +95,7 @@ func MessageFromRoute(m *mesh.Mesh, orders routing.MultiOrder, r *routing.Route,
 			n, dir := m.Width(dim), routing.SegmentDir(m, dim, a, b)
 			vc := vcLo
 			for pos[dim] != b {
-				i := len(msg.Hops)
-				from := mesh.Coord(back[i*d : (i+1)*d : (i+1)*d])
+				from := carve(len(msg.Hops))
 				copy(from, pos)
 				x := pos[dim] + dir
 				if x < 0 || x >= n { // only on a torus: the wrap link

@@ -65,6 +65,60 @@ func TestSelfDelivery(t *testing.T) {
 	}
 }
 
+// RouteMessage skips the node path, yet must build the message
+// MessageFromRoute builds from ChooseRouteK's route with the same rng
+// draws, and the message must own its Src and Dst: they share the hops'
+// backing array but no coordinate with the caller or with a hop.
+func TestRouteMessageMatchesRoute(t *testing.T) {
+	torus, err := mesh.NewTorus(6, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*mesh.Mesh{mesh.MustNew(7, 6), torus, mesh.MustNew(4, 3, 3)} {
+		rng := rand.New(rand.NewSource(3))
+		f := mesh.RandomNodeFaults(m, int(m.Nodes()/10), rng)
+		mesh.RandomLinkFaults(f, 4, rng)
+		o := routing.NewOracle(f)
+		d := m.Dims()
+		for _, orders := range []routing.MultiOrder{
+			{routing.Ascending(d)},
+			{routing.Descending(d), routing.Ascending(d)},
+			routing.UniformAscending(d, 3),
+		} {
+			for i := 0; i < 40; i++ {
+				src, dst := m.CoordOf(rng.Int63n(m.Nodes())), m.CoordOf(rng.Int63n(m.Nodes()))
+				seed := rng.Int63()
+				got, err := RouteMessage(o, orders, src, dst, i, 4, 0, 2*len(orders), rand.New(rand.NewSource(seed)))
+				r, ok := routing.ChooseRouteK(o, orders, src, dst, rand.New(rand.NewSource(seed)))
+				if ok != (err == nil) {
+					t.Fatalf("%v %v %v->%v: RouteMessage err %v, ChooseRouteK ok=%v", m, orders, src, dst, err, ok)
+				}
+				if !ok {
+					continue
+				}
+				want, err := MessageFromRoute(m, orders, r, src, dst, i, 4, 0, 2*len(orders))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v %v %v->%v: RouteMessage %+v, from the route %+v", m, orders, src, dst, got, want)
+				}
+				src[0], dst[0] = -1, -1
+				if got.Src[0] == -1 || got.Dst[0] == -1 {
+					t.Fatalf("message shares Src or Dst with the caller")
+				}
+				if len(got.Hops) > 0 {
+					first, last := got.Hops[0].Link.From.Clone(), got.Hops[len(got.Hops)-1].Link.From.Clone()
+					got.Src[0], got.Dst[0] = -2, -2
+					if !got.Hops[0].Link.From.Equal(first) || !got.Hops[len(got.Hops)-1].Link.From.Equal(last) {
+						t.Fatalf("message Src or Dst aliases a hop")
+					}
+				}
+			}
+		}
+	}
+}
+
 // ringMessages builds the classic 4-worm cyclic workload on a 3x3 mesh:
 // with a single virtual channel shared by both rounds the channel
 // dependency graph has a cycle and the worms deadlock; with one VC per
