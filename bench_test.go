@@ -879,8 +879,38 @@ func BenchmarkCampaignTrial(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignRun: a complete small campaign through the sharded
-// scheduler — claim feeding, shard execution, in-order merging — at the
+// BenchmarkCampaignGrid: perfbench's campaign-2d op — 16x16, {node,
+// mixed} x {fixed:8, mtbf:50,2000}, k = 2, 128 trials per point, default
+// shard size — at the LAMBMESH_WORKERS pool size. Its mixed/mtbf point
+// costs ~4x the others, so the row shows how evenly the scheduler spreads
+// one slow grid point over the pool.
+func BenchmarkCampaignGrid(b *testing.B) {
+	spec := campaign.Spec{
+		Meshes: [][]int{{16, 16}},
+		Models: []campaign.Model{campaign.ModelNode, campaign.ModelMixed},
+		Procs: []campaign.ProcSpec{
+			{Proc: campaign.ProcFixed, Count: 8},
+			{Proc: campaign.ProcMTBF, Mission: 50, Theta: 2000},
+		},
+		K:       2,
+		Trials:  128,
+		Seed:    1,
+		Workers: benchWorkers(),
+	}
+	if _, err := campaign.Run(context.Background(), spec, campaign.Opts{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := campaign.Run(context.Background(), spec, campaign.Opts{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCampaignRun: a complete small campaign through the scheduler —
+// block claims, per-shard outcome folding, in-order merging — at the
 // LAMBMESH_WORKERS pool size. The workers=1 vs workers=NumCPU pair in
 // BENCH_lamb.json records the scheduler's trials/sec scaling.
 func BenchmarkCampaignRun(b *testing.B) {

@@ -5,21 +5,25 @@
 // expected lamb count with confidence intervals and quantiles, and measured
 // recovery latency. The paper's per-figure experiments (internal/sim) top
 // out at thousands of trials; this engine is built like the data plane —
-// zero steady-state allocation per trial, shard-parallel over internal/par,
-// checkpointed to disk — so campaigns following Safaei & ValadBeigi's
-// reliability methodology can run for hours and survive interruption.
+// zero steady-state allocation per trial, a worker pool that claims small
+// blocks of trials, checkpointed to disk — so campaigns following Safaei &
+// ValadBeigi's reliability methodology can run for hours and survive
+// interruption.
 //
 // Determinism: trial t of grid point g draws every random bit from a
-// generator seeded with par.TrialSeed(Seed, g, t), and shard aggregates
-// merge in shard order. Everything derived from the seed — every count,
-// mean, histogram and interval except the measured recovery wall-times —
-// is byte-identical at any worker count and across interrupt/resume.
+// generator seeded with par.TrialSeed(Seed, g, t). The unit of work (a
+// block of trials) is not the unit of merging (a shard): each shard's
+// outcomes fold in trial order, and shard aggregates merge in shard order.
+// Everything derived from the seed — every count, mean, histogram and
+// interval except the measured recovery wall-times — is byte-identical at
+// any worker count and across interrupt/resume.
 package campaign
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"lambmesh/internal/core"
@@ -48,18 +52,19 @@ type Spec struct {
 	// a campaign; it does not redefine it.
 	Trials int64 `json:"trials"`
 	Seed   int64 `json:"seed"`
-	// ShardSize is the scheduler's unit of work and of deterministic
-	// merging; 0 means DefaultShardSize. Results are independent of it
-	// only in the integer aggregates (Welford merge order follows shards),
-	// so it is part of the campaign's identity.
+	// ShardSize is the unit of deterministic merging and of resume;
+	// 0 means DefaultShardSize. Results are independent of it only in the
+	// integer aggregates (Welford merge order follows shards), so it is
+	// part of the campaign's identity. Workers claim shards in smaller
+	// blocks, which the merger reassembles in trial order.
 	ShardSize int `json:"shard_size"`
 	// Workers sizes the worker pool (<= 0 means NumCPU). Not part of the
 	// campaign identity: any value yields byte-identical results.
 	Workers int `json:"-"`
 }
 
-// DefaultShardSize balances scheduling overhead against the re-run waste on
-// resume (incomplete shards are re-run from their seeds).
+// DefaultShardSize bounds the re-run waste on resume (incomplete shards are
+// re-run from their seeds) and the merger's per-shard outcome buffers.
 const DefaultShardSize = 256
 
 func (s *Spec) shardSize() int {
@@ -99,7 +104,8 @@ type Opts struct {
 	// Resume loads Checkpoint and continues from its cursor.
 	Resume bool
 	// Duration pauses the campaign after roughly this much wall time
-	// (0 = none). The in-flight shards drain and the state checkpoints.
+	// (0 = none). The in-flight blocks drain, partly finished shards are
+	// dropped, and the state checkpoints.
 	Duration time.Duration
 	// Progress receives live trials/sec + ETA lines (nil = silent).
 	Progress io.Writer
@@ -246,10 +252,30 @@ func newWorker(meshes []*mesh.Mesh) *worker {
 	return w
 }
 
+// outcome is what one trial contributes to its point's aggregate.
+type outcome struct {
+	lambs  int64
+	faults int
+	secs   float64 // recovery wall time of the lamb solve
+}
+
+// add folds one trial's outcome in. Every shard and TrialRunner fold
+// through it, in trial order, so the float operations are always the same.
+func (a *PointAgg) add(o outcome) {
+	a.Trials++
+	if o.lambs == 0 {
+		a.Connected++
+	}
+	a.Lambs.Add(float64(o.lambs))
+	a.LambHist.Add(float64(o.lambs))
+	a.Faults.Add(float64(o.faults))
+	a.Recovery.Add(o.secs)
+}
+
 // runTrial executes one deterministic trial: seed, fault draw, count-only
-// lamb solve, aggregate. On a mesh the loop body is allocation-free in
-// steady state (pinned by BenchmarkCampaignTrial).
-func (w *worker) runTrial(spec *Spec, pts []*point, pointIdx int, trial int64, agg *PointAgg) error {
+// lamb solve. On a mesh it is allocation-free in steady state (pinned by
+// BenchmarkCampaignTrial).
+func (w *worker) runTrial(spec *Spec, pts []*point, pointIdx int, trial int64) (outcome, error) {
 	pt := pts[pointIdx]
 	r := newRNG(par.TrialSeed(spec.Seed, pointIdx, int(trial)))
 	count := pt.samp.draw(&r)
@@ -258,45 +284,76 @@ func (w *worker) runTrial(spec *Spec, pts []*point, pointIdx int, trial int64, a
 	start := time.Now()
 	_, lambs, err := w.solver.Lamb1Count(f, pt.orders)
 	if err != nil {
-		return fmt.Errorf("campaign: point %d trial %d: %w", pointIdx, trial, err)
+		return outcome{}, fmt.Errorf("campaign: point %d trial %d: %w", pointIdx, trial, err)
 	}
-	secs := time.Since(start).Seconds()
-	agg.Trials++
-	if lambs == 0 {
-		agg.Connected++
-	}
-	agg.Lambs.Add(float64(lambs))
-	agg.LambHist.Add(float64(lambs))
-	agg.Faults.Add(float64(f.Count()))
-	agg.Recovery.Add(secs)
-	return nil
+	return outcome{lambs: lambs, faults: f.Count(), secs: time.Since(start).Seconds()}, nil
 }
 
-// runShard executes one shard (a contiguous block of one point's trials)
-// into agg.
-func (w *worker) runShard(spec *Spec, pts []*point, shard int64, agg *PointAgg) error {
-	agg.reset()
-	spp := spec.shardsPerPoint()
-	pointIdx := int(shard / spp)
-	ss := int64(spec.shardSize())
-	lo := (shard % spp) * ss
-	hi := lo + ss
-	if hi > spec.Trials {
-		hi = spec.Trials
-	}
-	for t := lo; t < hi; t++ {
-		if err := w.runTrial(spec, pts, pointIdx, t, agg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// claimTrials is the scheduler's unit of work: a worker claims this many
+// consecutive trials of one shard at a time (fewer at a shard's end). It is
+// small so that one slow grid point spreads over every worker, and it is
+// not part of the campaign's identity: Run folds each shard's outcomes in
+// trial order whichever workers ran its blocks.
+const claimTrials = 16
 
-// shardResult is a completed shard travelling from a worker to the merger.
-type shardResult struct {
+// claim names one block: trials [block*claimTrials, ...) of a shard.
+type claim struct {
 	shard int64
-	agg   PointAgg
-	err   error
+	block int
+}
+
+// blockResult is a finished block as a worker hands it in. The outcomes sit
+// in a fixed array the worker reuses, so a block costs no allocation.
+type blockResult struct {
+	claim
+	n   int // outcomes in out
+	out [claimTrials]outcome
+	err error
+}
+
+// runBlock executes the trials of one block into res.
+func (w *worker) runBlock(spec *Spec, pts []*point, c claim, res *blockResult) {
+	res.claim, res.n, res.err = c, 0, nil
+	pointIdx := int(c.shard / spec.shardsPerPoint())
+	slo, shi := spec.shardTrials(c.shard)
+	lo := slo + int64(c.block)*claimTrials
+	for t, hi := lo, min(lo+claimTrials, shi); t < hi; t++ {
+		o, err := w.runTrial(spec, pts, pointIdx, t)
+		if err != nil {
+			res.err = err
+			return
+		}
+		res.out[res.n] = o
+		res.n++
+	}
+}
+
+// shardTrials returns the trial range [lo, hi) of a shard within its point.
+func (s *Spec) shardTrials(shard int64) (lo, hi int64) {
+	ss := int64(s.shardSize())
+	lo = (shard % s.shardsPerPoint()) * ss
+	return lo, min(lo+ss, s.Trials)
+}
+
+// shardBlocks returns the number of blocks a shard is claimed in.
+func (s *Spec) shardBlocks(shard int64) int {
+	lo, hi := s.shardTrials(shard)
+	return int((hi - lo + claimTrials - 1) / claimTrials)
+}
+
+// remainingTrials returns the trials in shards [cursor, TotalShards): the
+// work left once the prefix before cursor has merged.
+func (s *Spec) remainingTrials(cursor int64) int64 {
+	spp := s.shardsPerPoint()
+	merged := (cursor/spp)*s.Trials + (cursor%spp)*int64(s.shardSize())
+	return s.Trials*int64(s.Points()) - merged
+}
+
+// shardBuf collects one unfinished shard's outcomes, indexed by trial
+// offset within the shard, until every block has arrived.
+type shardBuf struct {
+	out  []outcome
+	left int // trials not yet reported
 }
 
 // Run executes (or resumes) a campaign. It returns a partial Result (with
@@ -333,101 +390,120 @@ func Run(ctx context.Context, spec Spec, opts Opts) (*Result, error) {
 		every = 30 * time.Second
 	}
 
+	// The pool is capped by the blocks left to claim, counted only as far
+	// as the pool size.
 	workers := par.Clamp(spec.Workers)
-	if remaining := totalShards - cursor; int64(workers) > remaining {
-		workers = int(remaining)
+	var blocks int64
+	for s := cursor; s < totalShards && blocks < int64(workers); s++ {
+		blocks += int64(spec.shardBlocks(s))
 	}
+	workers = int(min(int64(workers), blocks))
 
 	var baseTrials int64
 	for i := range aggs {
 		baseTrials += aggs[i].Trials
 	}
 
-	if workers > 0 {
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		results := make(chan shardResult, workers)
-		claims := make(chan int64)
-		// The claim feeder owns the stop conditions: context, deadline.
+	// Workers share one lock to hand in a finished block and claim the
+	// next, so neither claiming nor merging waits for another goroutine to
+	// be scheduled. The merge state: outcome buffers of the shards past the
+	// cursor; once the cursor shard is whole, its outcomes fold in trial
+	// order and merge into the contiguous prefix in shard order. The
+	// periodic checkpoint and progress line are written under the lock.
+	var (
+		mu       sync.Mutex
+		next     = claim{shard: cursor}
+		stopped  bool // no more claims: done, paused or failed
+		firstErr error
+		pending  = make(map[int64]*shardBuf)
+		free     []*shardBuf
+		shardAgg PointAgg
+		spp      = spec.shardsPerPoint()
+		lastCp   = start
+		lastProg = start
+	)
+	merge := func(res *blockResult) {
+		if res.err != nil {
+			if firstErr == nil {
+				firstErr = res.err
+			}
+			stopped = true
+			return
+		}
+		sb := pending[res.shard]
+		if sb == nil {
+			if n := len(free); n > 0 {
+				sb, free = free[n-1], free[:n-1]
+			} else {
+				sb = &shardBuf{out: make([]outcome, spec.shardSize())}
+			}
+			lo, hi := spec.shardTrials(res.shard)
+			sb.out, sb.left = sb.out[:hi-lo], int(hi-lo)
+			pending[res.shard] = sb
+		}
+		copy(sb.out[res.block*claimTrials:], res.out[:res.n])
+		sb.left -= res.n
+		for {
+			done, ok := pending[cursor]
+			if !ok || done.left > 0 {
+				break
+			}
+			delete(pending, cursor)
+			shardAgg.reset()
+			for _, o := range done.out {
+				shardAgg.add(o)
+			}
+			aggs[cursor/spp].Merge(&shardAgg)
+			free = append(free, done)
+			cursor++
+		}
+		now := time.Now()
+		if opts.Checkpoint != "" && now.Sub(lastCp) >= every && firstErr == nil {
+			if err := saveCheckpoint(opts.Checkpoint, &spec, cursor, aggs); err != nil {
+				firstErr = err
+				stopped = true
+			}
+			lastCp = now
+		}
+		if opts.Progress != nil && now.Sub(lastProg) >= time.Second {
+			reportProgress(opts.Progress, &spec, aggs, baseTrials, totalShards, cursor, start)
+			lastProg = now
+		}
+	}
+	// handIn merges res (nil on a worker's first call) and claims the next
+	// block; ok is false once the campaign is done, paused or failed.
+	handIn := func(res *blockResult) (c claim, ok bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if res != nil {
+			merge(res)
+		}
+		if stopped || next.shard >= totalShards || ctx.Err() != nil ||
+			!deadline.IsZero() && time.Now().After(deadline) {
+			stopped = true
+			return claim{}, false
+		}
+		c = next
+		if next.block++; next.block == spec.shardBlocks(next.shard) {
+			next = claim{shard: next.shard + 1}
+		}
+		return c, true
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
 		go func() {
-			defer close(claims)
-			for s := cursor; s < totalShards; s++ {
-				if ctx.Err() != nil {
-					return
-				}
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					return
-				}
-				select {
-				case claims <- s:
-				case <-ctx.Done():
-					return
-				}
+			defer wg.Done()
+			w := newWorker(meshes)
+			var res blockResult
+			for c, ok := handIn(nil); ok; c, ok = handIn(&res) {
+				w.runBlock(&spec, pts, c, &res)
 			}
 		}()
-		for i := 0; i < workers; i++ {
-			go func() {
-				w := newWorker(meshes)
-				var res shardResult
-				for s := range claims {
-					res.shard = s
-					res.err = w.runShard(&spec, pts, s, &res.agg)
-					results <- res
-				}
-				results <- shardResult{shard: -1} // worker drained
-			}()
-		}
-
-		// Merge loop: fold shard results into the contiguous prefix in
-		// shard order, checkpoint periodically, report progress.
-		pending := make(map[int64]*PointAgg)
-		spp := spec.shardsPerPoint()
-		lastCp := start
-		lastProgress := start
-		drained := 0
-		var firstErr error
-		for drained < workers {
-			res := <-results
-			if res.shard < 0 {
-				drained++
-				continue
-			}
-			if res.err != nil {
-				// Keep draining so the feeder and workers shut down
-				// cleanly; report the first failure afterwards.
-				if firstErr == nil {
-					firstErr = res.err
-					cancel()
-				}
-				continue
-			}
-			a := res.agg
-			pending[res.shard] = &a
-			for {
-				next, ok := pending[cursor]
-				if !ok {
-					break
-				}
-				delete(pending, cursor)
-				aggs[cursor/spp].Merge(next)
-				cursor++
-			}
-			now := time.Now()
-			if opts.Checkpoint != "" && now.Sub(lastCp) >= every && firstErr == nil {
-				if err := saveCheckpoint(opts.Checkpoint, &spec, cursor, aggs); err != nil {
-					firstErr = err
-					cancel()
-				}
-				lastCp = now
-			}
-			if opts.Progress != nil && now.Sub(lastProgress) >= time.Second {
-				reportProgress(opts.Progress, &spec, aggs, baseTrials, totalShards, cursor, start)
-				lastProgress = now
-			}
-		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
 	}
 
 	var trials int64
@@ -470,7 +546,7 @@ func reportProgress(w io.Writer, spec *Spec, aggs []PointAgg, baseTrials, totalS
 	ran := trials - baseTrials
 	el := time.Since(start).Seconds()
 	rate := float64(ran) / el
-	remaining := float64((totalShards - cursor) * int64(spec.shardSize()))
+	remaining := float64(spec.remainingTrials(cursor))
 	eta := "?"
 	if rate > 0 {
 		eta = (time.Duration(remaining/rate) * time.Second).String()

@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -44,28 +46,58 @@ func strip(t *testing.T, r *Result) string {
 	return string(raw)
 }
 
+// gridSpec is an uneven campaign for the scheduler's determinism tests: its
+// mixed/mtbf point draws ~34 faults per trial against 2 on the fixed
+// points, and 37 trials per point is not a multiple of the 16-trial claim
+// block nor of most shard sizes.
+func gridSpec() Spec {
+	return Spec{
+		Meshes: [][]int{{8, 8}},
+		Models: []Model{ModelNode, ModelMixed},
+		Procs: []ProcSpec{
+			{Proc: ProcFixed, Count: 2},
+			{Proc: ProcMTBF, Mission: 50, Theta: 400},
+		},
+		K:      2,
+		Trials: 37,
+		Seed:   11,
+	}
+}
+
+// gridGolden is the sha256 of gridSpec's stripped result at each shard size
+// (0 = DefaultShardSize), as the shard-at-a-time scheduler produced it: the
+// shard size moves the Welford merge tree, so each has its own bytes, and
+// how trials are dealt to workers must move none of them.
+var gridGolden = map[int]string{
+	1:  "f5c2f0104bb8c5d5eb4c17abb58f756b6a42cc2ad8802f1eb6990fc561adfc5f",
+	5:  "e34884fb2c79ddae94e72622a02389cacfb93664879c76a132b555fcbd5b7b7f",
+	16: "9d22f97afb2d077aeda459c681e34ad377724b85c513b442d01768e9003c3230",
+	17: "bffb4b8aa4ab73e19449195419fb0e9d3864865579274557090a9ee2426c8e44",
+	0:  "a0501378f431240cac63ad87b6240cb0ce0ec1b7b674170909c49af01ddabe8e",
+}
+
 // TestRunDeterministicAcrossWorkers is the campaign's core guarantee:
-// byte-identical results at any worker count.
+// byte-identical results at any worker count, for shard sizes below, equal
+// to, around and above the claim block, each matching its golden bytes.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	var ref string
-	for _, workers := range []int{1, 2, 4} {
-		spec := testSpec()
-		spec.Workers = workers
-		res, err := Run(context.Background(), spec, Opts{})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !res.Complete {
-			t.Fatalf("workers=%d: campaign incomplete", workers)
-		}
-		if res.TrialsRun != spec.Trials*int64(spec.Points()) {
-			t.Fatalf("workers=%d: ran %d trials, want %d", workers, res.TrialsRun, spec.Trials*int64(spec.Points()))
-		}
-		s := strip(t, res)
-		if ref == "" {
-			ref = s
-		} else if s != ref {
-			t.Fatalf("workers=%d: results differ from workers=1", workers)
+	for _, shard := range []int{1, 5, 16, 17, 0} {
+		for _, workers := range []int{1, 2, 3, 4, 7} {
+			spec := gridSpec()
+			spec.ShardSize = shard
+			spec.Workers = workers
+			res, err := Run(context.Background(), spec, Opts{})
+			if err != nil {
+				t.Fatalf("shard=%d workers=%d: %v", shard, workers, err)
+			}
+			if !res.Complete {
+				t.Fatalf("shard=%d workers=%d: campaign incomplete", shard, workers)
+			}
+			if want := spec.Trials * int64(spec.Points()); res.TrialsRun != want {
+				t.Fatalf("shard=%d workers=%d: ran %d trials, want %d", shard, workers, res.TrialsRun, want)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(strip(t, res)))); got != gridGolden[shard] {
+				t.Fatalf("shard=%d workers=%d: result sha256 %s, want %s", shard, workers, got, gridGolden[shard])
+			}
 		}
 	}
 }
@@ -128,10 +160,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	w := newWorker(ms)
 	aggs := make([]PointAgg, len(pts))
 	spp := spec.shardsPerPoint()
-	var agg PointAgg
 	for s := int64(0); s < cut; s++ {
-		if err := w.runShard(&spec, pts, s, &agg); err != nil {
-			t.Fatal(err)
+		var agg PointAgg
+		lo, hi := spec.shardTrials(s)
+		for trial := lo; trial < hi; trial++ {
+			o, err := w.runTrial(&spec, pts, int(s/spp), trial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agg.add(o)
 		}
 		aggs[s/spp].Merge(&agg)
 	}
@@ -196,6 +233,85 @@ func TestPauseAndResume(t *testing.T) {
 	}
 	if strip(t, res) != strip(t, ref) {
 		t.Fatal("paused+resumed result differs from uninterrupted run")
+	}
+}
+
+// TestPauseMidRun pauses a ~30 ms campaign at several wall-clock points,
+// most of them inside a shard, and requires each pause to resume to the
+// uninterrupted bytes: partly finished shards are dropped and re-run from
+// their seeds.
+func TestPauseMidRun(t *testing.T) {
+	spec := Spec{
+		Meshes: [][]int{{16, 16}},
+		Models: []Model{ModelNode, ModelMixed},
+		Procs: []ProcSpec{
+			{Proc: ProcFixed, Count: 8},
+			{Proc: ProcMTBF, Mission: 50, Theta: 2000},
+		},
+		K:         2,
+		Trials:    296,
+		Seed:      5,
+		ShardSize: 40, // blocks of 16, 16 and 8 trials; a 16-trial tail shard
+		Workers:   2,
+	}
+	ref, err := Run(context.Background(), spec, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strip(t, ref)
+	paused := 0
+	for _, d := range []time.Duration{time.Millisecond, 4 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond} {
+		path := filepath.Join(t.TempDir(), "campaign.ckpt")
+		part, err := Run(context.Background(), spec, Opts{Checkpoint: path, Duration: d})
+		if err != nil {
+			t.Fatalf("duration %v: %v", d, err)
+		}
+		if !part.Complete {
+			paused++
+		}
+		res, err := Run(context.Background(), spec, Opts{Checkpoint: path, Resume: true})
+		if err != nil {
+			t.Fatalf("duration %v: resume: %v", d, err)
+		}
+		if !res.Complete {
+			t.Fatalf("duration %v: resumed campaign incomplete", d)
+		}
+		if part.TrialsRun+res.TrialsRun != spec.Trials*int64(spec.Points()) {
+			t.Fatalf("duration %v: %d + %d trials merged, want %d", d, part.TrialsRun, res.TrialsRun, spec.Trials*int64(spec.Points()))
+		}
+		if strip(t, res) != want {
+			t.Fatalf("duration %v: paused+resumed result differs from uninterrupted run", d)
+		}
+	}
+	if paused == 0 {
+		t.Fatal("no duration paused the campaign")
+	}
+}
+
+// TestRemainingTrials checks the progress ETA's work count against the
+// shards enumerated one by one, for trial budgets below, equal to and not a
+// multiple of the shard size.
+func TestRemainingTrials(t *testing.T) {
+	for _, trials := range []int64{100, DefaultShardSize, 600} {
+		spec := testSpec()
+		spec.Trials = trials
+		spec.ShardSize = 0
+		left := trials * int64(spec.Points())
+		want := []int64{left}
+		for p := 0; p < spec.Points(); p++ {
+			for lo := int64(0); lo < trials; lo += DefaultShardSize {
+				left -= min(DefaultShardSize, trials-lo)
+				want = append(want, left)
+			}
+		}
+		if int64(len(want)-1) != spec.TotalShards() {
+			t.Fatalf("trials=%d: enumerated %d shards, spec has %d", trials, len(want)-1, spec.TotalShards())
+		}
+		for c, w := range want {
+			if got := spec.remainingTrials(int64(c)); got != w {
+				t.Fatalf("trials=%d cursor=%d: %d trials remaining, want %d", trials, c, got, w)
+			}
+		}
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 // merged state. Because the scheduler merges shards into a contiguous
 // prefix, the whole resumable state is tiny and exact — the per-point
 // aggregates over shards [0, Cursor) plus the cursor itself. Trials of
-// shards past the cursor (including any that finished out of order before a
-// pause) are simply re-run on resume from their deterministic seeds, so a
-// resumed campaign is bit-for-bit the campaign that was never interrupted.
+// shards past the cursor (including any that finished, wholly or in some
+// blocks, out of order before a pause) are simply re-run on resume from
+// their deterministic seeds, so a resumed campaign is bit-for-bit the
+// campaign that was never interrupted.
 //
 // Snapshots are atomic: written to <path>.tmp in full, fsynced, then
 // renamed over <path>. A crash mid-write leaves the previous snapshot

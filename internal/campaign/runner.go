@@ -4,7 +4,7 @@ package campaign
 // long-lived solver and scratch over a spec's grid — for embedding and for
 // the repo's benchmarks (BenchmarkCampaignTrial pins the loop at zero
 // steady-state allocations). It runs trials serially; Run is the
-// scheduler that shards them across workers.
+// scheduler that deals them to workers in blocks.
 type TrialRunner struct {
 	spec Spec
 	pts  []*point
@@ -28,5 +28,10 @@ func (tr *TrialRunner) Points() int { return len(tr.pts) }
 // Trial runs one deterministic trial of grid point pointIdx into Agg. The
 // same (spec.Seed, pointIdx, trial) always yields the same outcome.
 func (tr *TrialRunner) Trial(pointIdx int, trial int64) error {
-	return tr.w.runTrial(&tr.spec, tr.pts, pointIdx, trial, &tr.Agg)
+	o, err := tr.w.runTrial(&tr.spec, tr.pts, pointIdx, trial)
+	if err != nil {
+		return err
+	}
+	tr.Agg.add(o)
+	return nil
 }

@@ -247,6 +247,12 @@ func hasVCReuse(m *mesh.Mesh, msg *Message) bool {
 // self-deadlock — redraws it, its random tie-breaks giving a different
 // via, a bounded number of times. ok=false means s cannot route the pair.
 func routeFree(s RouteStrategy, src, dst mesh.Coord, id, length, injectAt, vcs int, rng *rand.Rand) (*Message, bool, error) {
+	// With its full VC complement a lamb route gives each round VCs of its
+	// own, and a dimension-ordered minimal segment never repeats a link, so
+	// no (link, VC) pair can repeat and the scan would only cost time.
+	if ls, ok := s.(*LambStrategy); ok && vcs >= ls.MinVCs() {
+		return s.Route(src, dst, id, length, injectAt, vcs, rng)
+	}
 	m := s.Faults().Mesh()
 	for attempt := 0; ; attempt++ {
 		msg, ok, err := s.Route(src, dst, id, length, injectAt, vcs, rng)

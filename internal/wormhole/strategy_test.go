@@ -20,6 +20,51 @@ import (
 	"lambmesh/internal/routing"
 )
 
+// TestLambRoutesNeverReuseVC pins the premise of routeFree's lamb fast path:
+// with at least MinVCs virtual channels, no lamb route visits a (link, VC)
+// pair twice — on meshes and tori, with link faults, for k = 1..3 — so
+// skipping the hasVCReuse scan changes no route and no rng draw.
+func TestLambRoutesNeverReuseVC(t *testing.T) {
+	type net struct {
+		widths []int
+		torus  bool
+	}
+	for _, c := range []net{{[]int{8, 8}, false}, {[]int{4, 4, 4}, false}, {[]int{6, 6}, true}} {
+		for k := 1; k <= 3; k++ {
+			build := mesh.New
+			if c.torus {
+				build = mesh.NewTorus
+			}
+			m, err := build(c.widths...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(31*k + len(c.widths))))
+			f := mesh.RandomNodeFaults(m, 2, rng)
+			mesh.RandomLinkFaults(f, 6, rng)
+			s, err := NewLambStrategy(f, routing.UniformAscending(m.Dims(), k))
+			if err != nil {
+				t.Fatalf("%v k=%d: %v", m, k, err)
+			}
+			survivors := Survivors(f, s.Sacrificed())
+			for i := 0; i < 300; i++ {
+				src := survivors[rng.Intn(len(survivors))]
+				dst := survivors[rng.Intn(len(survivors))]
+				if src.Equal(dst) {
+					continue
+				}
+				msg, _, err := s.Route(src, dst, i, 4, 0, s.MinVCs(), rng)
+				if err != nil {
+					t.Fatalf("%v k=%d %v->%v: %v", m, k, src, dst, err)
+				}
+				if hasVCReuse(m, msg) {
+					t.Fatalf("%v k=%d %v->%v: route revisits a (link, VC) pair with %d VCs", m, k, src, dst, s.MinVCs())
+				}
+			}
+		}
+	}
+}
+
 // strategyUnderTest builds a strategy over a random fault draw.
 func strategyUnderTest(t *testing.T, name string, m *mesh.Mesh, faults int, seed int64) RouteStrategy {
 	t.Helper()

@@ -77,6 +77,7 @@ var requiredBenchmarks = []string{
 	"BenchmarkClassTableSwap",
 	"BenchmarkCampaignTrial",
 	"BenchmarkCampaignRun",
+	"BenchmarkCampaignGrid",
 	"BenchmarkGenerateWorkload",
 	"BenchmarkStrategyRoute/lamb",
 	"BenchmarkStrategyRoute/ring",
