@@ -466,6 +466,62 @@ func BenchmarkTrafficEngine(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveTrial: one traffic-live op (perfbench) end to end —
+// GenerateStrategyWorkload, NewLiveEngine and RunLive on M_2(16) with 8
+// node faults, uniform 8-flit packets at rate 0.01, 2 VCs, and a 2-node
+// fault event at cycle 450, the middle of the measurement window. The lamb
+// strategy the live event mutates is rebuilt outside the timer each op;
+// the workload is redrawn from the same seed, so every op runs the same
+// trial.
+func BenchmarkLiveTrial(b *testing.B) {
+	m := mesh.MustNew(16, 16)
+	f := mesh.RandomNodeFaults(m, 8, rand.New(rand.NewSource(4)))
+	orders := routing.UniformAscending(2, 2)
+	spec := wormhole.WorkloadSpec{
+		Pattern:     wormhole.PatternUniform,
+		Rate:        0.01,
+		PacketFlits: 8,
+		Cycles:      700,
+	}
+	net := wormhole.DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := wormhole.NewLambStrategy(f.Clone(), orders)
+		if err != nil {
+			b.Fatal(err)
+		}
+		survivors := wormhole.Survivors(s.Faults(), s.Sacrificed())
+		event := []mesh.Coord{survivors[len(survivors)/3], survivors[2*len(survivors)/3]}
+		b.StartTimer()
+		packets, _, err := wormhole.GenerateStrategyWorkload(s, spec, net.VirtualChannels, rand.New(rand.NewSource(9)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := wormhole.NewLiveEngine(wormhole.EngineConfig{
+			Net:           net,
+			WarmupCycles:  200,
+			MeasureCycles: 500,
+			Nodes:         len(survivors),
+		}, wormhole.LiveConfig{
+			Schedule:  wormhole.FaultSchedule{Events: []wormhole.FaultEvent{{Cycle: 450, Nodes: event}}},
+			Strategy:  s,
+			RouteSeed: 11,
+		}, packets)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := eng.RunLive()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r.Deadlocked || r.Reconfigurations != 1 {
+			b.Fatalf("unexpected outcome: %+v", r)
+		}
+	}
+}
+
 // Data-plane benchmarks: the class-table query path and the wire codec.
 
 // BenchmarkClassTableQuery: one route lookup through the compressed

@@ -11,10 +11,20 @@ package wormhole
 //
 // The cycle loop preserves the allocation discipline of the Network: the
 // engine pre-sizes its active list, source queues, and latency scratch at
-// construction, so Reset+Run in a loop performs zero allocations.
+// construction, so Reset+Run in a loop performs zero allocations
+// (BenchmarkTrafficEngine in BENCH_lamb.json).
+//
+// A cycle costs work only for what is active. The release pass skips every
+// node whose due cycle (the InjectAt of its queue head) has not come,
+// without touching its queue; the step pass walks only the released worms,
+// and each worm only its occupied span of hops, from its tail index to its
+// head, in the network's one hop-state arena. The traffic-live benchmark
+// measures the gain end to end (EXPERIMENTS.md, "Occupied-span flit loop";
+// BenchmarkLiveTrial in BENCH_lamb.json).
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"lambmesh/internal/mesh"
@@ -97,6 +107,10 @@ type Engine struct {
 	queueOf [][]*Message // per node index: packets in injection order
 	nodes   []int        // node indexes with nonempty queues, ascending
 	qhead   []int        // per node index: next packet to release
+	// due is, per node index, the InjectAt of the packet at the head of the
+	// node's queue (math.MaxInt when it is empty), so the release pass
+	// skips a node that has nothing due without touching its queue.
+	due []int
 
 	active    []*Message // released, undelivered
 	latencies []int      // sample latency scratch
@@ -115,6 +129,10 @@ type Engine struct {
 
 	// live holds mid-run fault-injection state (nil for static engines).
 	live *liveState
+
+	// afterCycle, when set, runs at the end of every simulated cycle; the
+	// tests check the network's invariants with it.
+	afterCycle func(cycle int)
 }
 
 // NewEngine validates the workload against the faulty mesh (via NewNetwork)
@@ -142,6 +160,7 @@ func NewEngine(f *mesh.FaultSet, cfg EngineConfig, packets []*Message) (*Engine,
 		packets:      packets,
 		queueOf:      make([][]*Message, m.Nodes()),
 		qhead:        make([]int, m.Nodes()),
+		due:          make([]int, m.Nodes()),
 		active:       make([]*Message, 0, len(packets)),
 		latencies:    make([]int, 0, len(packets)),
 		vcMean:       make([]float64, cfg.Net.VirtualChannels),
@@ -174,7 +193,25 @@ func NewEngine(f *mesh.FaultSet, cfg EngineConfig, packets []*Message) (*Engine,
 			e.nodes = append(e.nodes, v)
 		}
 	}
+	e.refreshDue()
 	return e, nil
+}
+
+// refreshDue recomputes every node's due cycle from its queue head. A live
+// event calls it after requeueing, rerouting and dropping packets.
+func (e *Engine) refreshDue() {
+	for _, v := range e.nodes {
+		e.due[v] = e.headDue(v)
+	}
+}
+
+// headDue is the InjectAt of node v's next unreleased packet, or
+// math.MaxInt when its queue is exhausted.
+func (e *Engine) headDue(v int) int {
+	if q, h := e.queueOf[v], e.qhead[v]; h < len(q) {
+		return q[h].InjectAt
+	}
+	return math.MaxInt
 }
 
 // Reset rewinds the engine and its network so the same workload can run
@@ -187,6 +224,7 @@ func (e *Engine) Reset() {
 	clear(e.lastReleased)
 	e.active = e.active[:0]
 	e.latencies = e.latencies[:0]
+	e.refreshDue()
 }
 
 // Run executes warm-up, measurement, and drain, and returns the summary.
@@ -230,25 +268,35 @@ func (e *Engine) run(live *liveState) (EngineResult, error) {
 
 		// Release: a node's next packet enters the network once its
 		// generation time has come and the previous worm has fully left
-		// the source (single injection port per node).
+		// the source (single injection port per node). A released worm
+		// still has all its flits at the source, so a node releases at
+		// most one packet per cycle.
 		for _, v := range e.nodes {
-			q := e.queueOf[v]
-			h := e.qhead[v]
-			for h < len(q) && q[h].InjectAt <= cycle &&
-				(e.lastReleased[v] == nil || e.lastReleased[v].remaining == 0) {
-				e.active = append(e.active, q[h])
-				e.lastReleased[v] = q[h]
-				h++
+			if e.due[v] > cycle {
+				continue
 			}
-			e.qhead[v] = h
+			if p := e.lastReleased[v]; p != nil && p.remaining > 0 {
+				continue
+			}
+			p := e.queueOf[v][e.qhead[v]]
+			e.active = append(e.active, p)
+			e.lastReleased[v] = p
+			e.qhead[v]++
+			e.due[v] = e.headDue(v)
 		}
 
-		// One network cycle over the active worms, rotation for fairness.
+		// One network cycle over the active worms, rotated by the cycle
+		// for fairness.
 		n.stamp++
 		moves := 0
-		count := len(e.active)
-		for off := 0; off < count; off++ {
-			moves += n.stepMessage(e.active[(off+cycle)%count], cycle)
+		if count := len(e.active); count > 0 {
+			start := cycle % count
+			for _, p := range e.active[start:] {
+				moves += n.stepMessage(p, cycle)
+			}
+			for _, p := range e.active[:start] {
+				moves += n.stepMessage(p, cycle)
+			}
 		}
 		n.MovesTotal += moves
 		n.Cycles = cycle + 1
@@ -282,6 +330,9 @@ func (e *Engine) run(live *liveState) (EngineResult, error) {
 
 		if live != nil {
 			live.endCycle(e, cycle)
+		}
+		if e.afterCycle != nil {
+			e.afterCycle(cycle)
 		}
 
 		if cycle == e.cfg.WarmupCycles-1 {

@@ -241,18 +241,12 @@ func (l *liveState) applyEvent(e *Engine, ev FaultEvent, cycle int, undelivered 
 	}
 
 	// Active worms: kill any whose remaining path crosses the new faults or
-	// whose endpoints died. The tail position bounds the relevant hops — a
-	// fault behind the tail no longer matters to this worm.
+	// whose endpoints died. The worm's tail index bounds the relevant hops —
+	// a fault behind the tail no longer matters to this worm.
 	w := 0
 	for _, p := range e.active {
-		tail := 0
-		if p.remaining == 0 {
-			for tail < len(p.Hops) && p.buf[tail] == 0 {
-				tail++
-			}
-		}
 		endpointDead := !l.sacrificed.IsSurvivor(f, p.Src) || !l.sacrificed.IsSurvivor(f, p.Dst)
-		if !endpointDead && !routeBroken(f, p, tail) {
+		if !endpointDead && !routeBroken(f, p, p.settleTail()) {
 			e.active[w] = p
 			w++
 			continue
@@ -310,6 +304,7 @@ func (l *liveState) applyEvent(e *Engine, ev FaultEvent, cycle int, undelivered 
 		}
 		e.queueOf[v] = q[:w]
 	}
+	e.refreshDue()
 
 	rate := l.windowedRate(l.ringLen)
 	l.events = append(l.events, EventRecovery{

@@ -59,7 +59,7 @@ func TestLiveEngineMidMeasureEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := e.RunLive()
+	r, err := runChecked(t, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestLiveEngineEmptyScheduleMatchesStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := le.RunLive()
+	live, err := runChecked(t, le)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestLiveEngineMultiEventReusesReconfigurer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := e.RunLive()
+	r, err := runChecked(t, e)
 	if err != nil {
 		t.Fatal(err)
 	}

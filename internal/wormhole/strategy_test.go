@@ -441,7 +441,7 @@ func TestLiveStrategyReconfiguration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := eng.RunLive()
+			r, err := runChecked(t, eng)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

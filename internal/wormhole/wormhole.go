@@ -15,6 +15,8 @@ package wormhole
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"lambmesh/internal/mesh"
 )
@@ -53,23 +55,33 @@ type Message struct {
 	Hops     []Hop
 
 	// Results, valid after Run.
-	Delivered   bool
-	DoneCycle   int
-	StartCycle  int // cycle the head flit entered the network
-	PathTurns   int
-	PathHops    int
-	remaining   int   // flits still at the source
-	ejected     int   // flits consumed at the destination
-	buf         []int // flits currently in each hop's buffer
-	headHop     int   // furthest hop the head has entered; -1 before injection
+	Delivered  bool
+	DoneCycle  int
+	StartCycle int // cycle the head flit entered the network
+	PathTurns  int
+	PathHops   int
+	remaining  int // flits still at the source
+	ejected    int // flits consumed at the destination
+	headHop    int // furthest hop the head has entered; -1 before injection
+	// tail bounds the occupied span from below: once remaining == 0, no hop
+	// below tail holds flits or will again. It only moves up, so stepping
+	// walks [tail, headHop] and the tail-passed test is amortized O(1).
+	tail        int
 	injectedAny bool
 	lost        bool // endpoint died mid-run; packet will never deliver
 
-	// hopChan/hopVC are the dense channel and VC ids of each hop,
-	// precomputed once in NewNetwork so the per-cycle loops index flat
-	// arrays instead of hashing coordinates.
-	hopChan []int
-	hopVC   []int
+	// hops is the runtime state of each hop: the dense channel and VC ids
+	// (precomputed by bindMessage, so the per-cycle loops index flat arrays
+	// instead of hashing coordinates) and the flits buffered there.
+	// NewNetwork carves every message's hops from one arena.
+	hops []hopState
+}
+
+// hopState is one hop of a bound message: its physical channel id, its
+// virtual channel id, and the flits currently in that VC's buffer. Packing
+// the three keeps a worm's step on consecutive memory.
+type hopState struct {
+	ch, vc, buf int32
 }
 
 // Latency returns delivery latency in cycles (delivery - earliest inject).
@@ -93,6 +105,12 @@ type vcKey struct {
 // no map hashing, no per-cycle clearing (channel occupancy uses a cycle
 // stamp). Memory is O(N d VCs), fine for the mesh sizes a flit-level
 // simulation can cover anyway.
+//
+// A cycle costs work only for the occupied span of each released worm:
+// per-hop state is packed into one arena allocated by NewNetwork, each worm
+// steps only the hops between its tail and its head, and Run walks a
+// compacted list of released, undelivered messages instead of every
+// message (BenchmarkWormholeRun in BENCH_lamb.json).
 type Network struct {
 	cfg    Config
 	m      *mesh.Mesh
@@ -106,6 +124,16 @@ type Network struct {
 	stamp     int   // current cycle's stamp (starts at 1)
 	busy      []int // per channel id: cycles it carried a flit
 	vcBusy    []int // per VC id: cycles it carried a flit
+
+	// runOrder holds the indexes of the messages with hops, sorted by
+	// (InjectAt, index) on Run's first call: its release order, kept for
+	// later Runs since no message's InjectAt changes. runAct is
+	// Run's list of released, undelivered message indexes in ascending
+	// order, so walking it from a rotated start visits messages exactly as
+	// a rotated scan of every message would.
+	runOrder  []int32
+	runAct    []int32
+	runSorted bool
 
 	// bindSeen/bindStamp back route validation in bindMessage: a (link,VC)
 	// pair is marked with the current bind stamp so reuse within one message
@@ -140,6 +168,9 @@ func NewNetwork(f *mesh.FaultSet, cfg Config, msgs []*Message) (*Network, error)
 		cfg.MaxCycles = 1_000_000
 	}
 	numChans := f.Topology().NumChannels()
+	if numChans*cfg.VirtualChannels > math.MaxInt32 {
+		return nil, fmt.Errorf("wormhole: %d channels x %d VCs overflow the 32-bit hop state", numChans, cfg.VirtualChannels)
+	}
 	n := &Network{
 		cfg:       cfg,
 		m:         f.Mesh(),
@@ -151,12 +182,23 @@ func NewNetwork(f *mesh.FaultSet, cfg Config, msgs []*Message) (*Network, error)
 		chanStamp: make([]int, numChans),
 		busy:      make([]int, numChans),
 		vcBusy:    make([]int, numChans*cfg.VirtualChannels),
+		runOrder:  make([]int32, 0, len(msgs)),
+		runAct:    make([]int32, 0, len(msgs)),
 	}
 	for i := range n.vcOwner {
 		n.vcOwner[i] = -1
 	}
 	n.bindSeen = make([]int, numChans*cfg.VirtualChannels)
+	total := 0
 	for _, msg := range msgs {
+		total += len(msg.Hops)
+	}
+	arena := make([]hopState, total)
+	for _, msg := range msgs {
+		// Capacity-capped, so a longer reroute gets a fresh slice instead
+		// of overwriting the next message's hops.
+		l := len(msg.Hops)
+		msg.hops, arena = arena[:l:l], arena[l:]
 		if err := n.bindMessage(msg); err != nil {
 			return nil, err
 		}
@@ -173,12 +215,10 @@ func (n *Network) bindMessage(msg *Message) error {
 		return fmt.Errorf("wormhole: message %d has no flits", msg.ID)
 	}
 	n.bindStamp++
-	if cap(msg.hopChan) >= len(msg.Hops) {
-		msg.hopChan = msg.hopChan[:len(msg.Hops)]
-		msg.hopVC = msg.hopVC[:len(msg.Hops)]
+	if cap(msg.hops) >= len(msg.Hops) {
+		msg.hops = msg.hops[:len(msg.Hops)]
 	} else {
-		msg.hopChan = make([]int, len(msg.Hops))
-		msg.hopVC = make([]int, len(msg.Hops))
+		msg.hops = make([]hopState, len(msg.Hops))
 	}
 	for hi, h := range msg.Hops {
 		if h.VC < 0 || h.VC >= n.cfg.VirtualChannels {
@@ -193,19 +233,13 @@ func (n *Network) bindMessage(msg *Message) error {
 			return fmt.Errorf("wormhole: message %d reuses link %v on VC %d (self-deadlock)", msg.ID, h.Link, h.VC)
 		}
 		n.bindSeen[v] = n.bindStamp
-		msg.hopChan[hi] = c
-		msg.hopVC[hi] = v
+		msg.hops[hi] = hopState{ch: int32(c), vc: int32(v)}
 	}
 	msg.remaining = msg.Length
 	msg.ejected = 0
 	msg.headHop = -1
+	msg.tail = 0
 	msg.injectedAny = false
-	if cap(msg.buf) >= len(msg.Hops) {
-		msg.buf = msg.buf[:len(msg.Hops)]
-		clear(msg.buf)
-	} else {
-		msg.buf = make([]int, len(msg.Hops))
-	}
 	return nil
 }
 
@@ -216,17 +250,19 @@ func (n *Network) bindMessage(msg *Message) error {
 // retransmission and loss.
 func (n *Network) removeWorm(m *Message) int {
 	dropped := 0
-	for i := range m.Hops {
-		if m.buf[i] > 0 {
-			n.vcFlits[m.hopVC[i]] -= m.buf[i]
-			dropped += m.buf[i]
-			m.buf[i] = 0
+	for i := range m.hops {
+		h := &m.hops[i]
+		if h.buf > 0 {
+			n.vcFlits[h.vc] -= int(h.buf)
+			dropped += int(h.buf)
+			h.buf = 0
 		}
-		if v := m.hopVC[i]; n.vcOwner[v] == m.ID {
-			n.vcOwner[v] = -1
+		if n.vcOwner[h.vc] == m.ID {
+			n.vcOwner[h.vc] = -1
 		}
 	}
 	m.headHop = -1
+	m.tail = 0
 	return dropped
 }
 
@@ -258,8 +294,11 @@ func (n *Network) Reset() {
 		m.StartCycle = 0
 		m.remaining = m.Length
 		m.ejected = 0
-		clear(m.buf)
+		for i := range m.hops {
+			m.hops[i].buf = 0
+		}
 		m.headHop = -1
+		m.tail = 0
 		m.injectedAny = false
 		m.lost = false
 	}
@@ -329,7 +368,26 @@ func (n *Network) VCUtilizationInto(cycles int, meanPerVC, maxPerVC []float64) {
 // or MaxCycles elapse. It returns an error only for malformed setups;
 // deadlock is reported via the Deadlocked field (it is an expected outcome
 // of under-provisioned configurations).
+//
+// There is no source queueing: a message is runnable from its InjectAt
+// cycle on. Each cycle serves the released, undelivered messages in
+// message order rotated by the cycle (long-run fairness); within a
+// message, flits advance head-first so a pipeline compresses and refills
+// like hardware.
 func (n *Network) Run() error {
+	if !n.runSorted {
+		for i, m := range n.msgs {
+			if len(m.Hops) > 0 {
+				n.runOrder = append(n.runOrder, int32(i))
+			}
+		}
+		// Every InjectAt <= 0 releases at cycle 0, so clamping keeps each
+		// cycle's batch in ascending index order.
+		slices.SortStableFunc(n.runOrder, func(a, b int32) int {
+			return max(n.msgs[a].InjectAt, 0) - max(n.msgs[b].InjectAt, 0)
+		})
+		n.runSorted = true
+	}
 	active := len(n.msgs)
 	for _, m := range n.msgs {
 		if len(m.Hops) == 0 {
@@ -340,12 +398,45 @@ func (n *Network) Run() error {
 			active--
 		}
 	}
+	act := n.runAct[:0]
+	next := 0 // next runOrder position to release
 	stall := 0
 	for cycle := 0; active > 0 && cycle < n.cfg.MaxCycles; cycle++ {
-		moves := n.step(cycle)
+		end := next
+		for end < len(n.runOrder) && n.msgs[n.runOrder[end]].InjectAt <= cycle {
+			end++
+		}
+		act = mergeAscending(act, n.runOrder[next:end])
+		next = end
+
+		n.stamp++ // invalidates every channel-occupancy mark from the last cycle
+		moves := 0
+		start, _ := slices.BinarySearch(act, int32(cycle%len(n.msgs)))
+		for _, i := range act[start:] {
+			moves += n.stepMessage(n.msgs[i], cycle)
+		}
+		for _, i := range act[:start] {
+			moves += n.stepMessage(n.msgs[i], cycle)
+		}
 		n.MovesTotal += moves
 		n.Cycles = cycle + 1
-		if moves == 0 && n.anyRunnable(cycle) {
+
+		w := 0
+		for _, i := range act {
+			if m := n.msgs[i]; m.ejected == m.Length {
+				m.Delivered = true
+				m.DoneCycle = cycle
+				active--
+				continue
+			}
+			act[w] = i
+			w++
+		}
+		act = act[:w]
+
+		// A zero-move cycle delivered nothing, so act still holds every
+		// released message: it stalls only if one is waiting.
+		if moves == 0 && len(act) > 0 {
 			stall++
 			if stall >= n.cfg.StallCycles {
 				n.Deadlocked = true
@@ -354,67 +445,55 @@ func (n *Network) Run() error {
 		} else {
 			stall = 0
 		}
-		for _, m := range n.msgs {
-			if !m.Delivered && m.ejected == m.Length {
-				m.Delivered = true
-				m.DoneCycle = cycle
-				active--
-			}
-		}
 	}
 	return nil
 }
 
-// anyRunnable reports whether some undelivered message has been released
-// (so a zero-move cycle indicates contention, not an empty future).
-func (n *Network) anyRunnable(cycle int) bool {
-	for _, m := range n.msgs {
-		if !m.Delivered && len(m.Hops) > 0 && m.InjectAt <= cycle && m.ejected < m.Length {
-			return true
+// mergeAscending merges the ascending batch into the ascending act in
+// place, from the back; act has room for every message.
+func mergeAscending(act, batch []int32) []int32 {
+	i, j := len(act)-1, len(batch)-1
+	act = act[:len(act)+len(batch)]
+	for k := len(act) - 1; j >= 0; k-- {
+		if i >= 0 && act[i] > batch[j] {
+			act[k] = act[i]
+			i--
+		} else {
+			act[k] = batch[j]
+			j--
 		}
 	}
-	return false
+	return act
 }
 
-// step advances one cycle and returns the number of flit movements.
-// Messages are served in an order rotated by cycle for long-run fairness;
-// within a message, flits advance head-first so a pipeline compresses and
-// refills like hardware.
-func (n *Network) step(cycle int) int {
-	n.stamp++ // invalidates every channel-occupancy mark from the last cycle
-	moves := 0
-	count := len(n.msgs)
-	for off := 0; off < count; off++ {
-		m := n.msgs[(off+cycle)%count]
-		if m.Delivered || len(m.Hops) == 0 || m.InjectAt > cycle {
-			continue
-		}
-		moves += n.stepMessage(m, cycle)
-	}
-	return moves
-}
-
+// stepMessage advances m by one cycle: ejection at the destination, then
+// the in-network flits head-first over the occupied span [tail, headHop],
+// then injection from the source. It returns the number of flit moves.
 func (n *Network) stepMessage(m *Message, cycle int) int {
 	moves := 0
-	last := len(m.Hops) - 1
+	hops := m.hops
+	last := len(hops) - 1
+	depth := n.cfg.BufferDepth
 
 	// Ejection: the destination consumes one flit per cycle.
-	if m.buf[last] > 0 {
-		m.buf[last]--
-		n.vcFlits[m.hopVC[last]]--
+	if hops[last].buf > 0 {
+		hops[last].buf--
+		n.vcFlits[hops[last].vc]--
 		m.ejected++
 		n.ejectedTotal++
 		moves++
 		n.maybeRelease(m, last)
 	}
 
-	// Advance in-network flits head-first.
-	for i := minInt(m.headHop, last-1); i >= 0; i-- {
-		if m.buf[i] == 0 {
+	// Advance in-network flits head-first. maybeRelease may raise m.tail,
+	// which ends the walk: every hop below it is empty.
+	for i := min(m.headHop, last-1); i >= m.tail; i-- {
+		cur := &hops[i]
+		if cur.buf == 0 {
 			continue
 		}
-		nv := m.hopVC[i+1]
-		owner := n.vcOwner[nv]
+		nxt := &hops[i+1]
+		owner := n.vcOwner[nxt.vc]
 		isHead := i == m.headHop
 		if isHead {
 			if owner != -1 && owner != m.ID {
@@ -423,18 +502,17 @@ func (n *Network) stepMessage(m *Message, cycle int) int {
 		} else if owner != m.ID {
 			continue
 		}
-		nc := m.hopChan[i+1]
-		if n.vcFlits[nv] >= n.cfg.BufferDepth || n.chanStamp[nc] == n.stamp {
+		if n.vcFlits[nxt.vc] >= depth || n.chanStamp[nxt.ch] == n.stamp {
 			continue
 		}
-		n.vcOwner[nv] = m.ID
-		n.vcFlits[nv]++
-		m.buf[i+1]++
-		m.buf[i]--
-		n.vcFlits[m.hopVC[i]]--
-		n.chanStamp[nc] = n.stamp
-		n.busy[nc]++
-		n.vcBusy[nv]++
+		n.vcOwner[nxt.vc] = m.ID
+		n.vcFlits[nxt.vc]++
+		nxt.buf++
+		cur.buf--
+		n.vcFlits[cur.vc]--
+		n.chanStamp[nxt.ch] = n.stamp
+		n.busy[nxt.ch]++
+		n.vcBusy[nxt.vc]++
 		if isHead {
 			m.headHop = i + 1
 		}
@@ -444,17 +522,17 @@ func (n *Network) stepMessage(m *Message, cycle int) int {
 
 	// Injection of the next flit from the source into hop 0.
 	if m.remaining > 0 {
-		v0, c0 := m.hopVC[0], m.hopChan[0]
-		owner := n.vcOwner[v0]
+		h0 := &hops[0]
+		owner := n.vcOwner[h0.vc]
 		ok := owner == m.ID || (owner == -1 && !m.injectedAny)
-		if ok && n.vcFlits[v0] < n.cfg.BufferDepth && n.chanStamp[c0] != n.stamp {
-			n.vcOwner[v0] = m.ID
-			n.vcFlits[v0]++
-			m.buf[0]++
+		if ok && n.vcFlits[h0.vc] < depth && n.chanStamp[h0.ch] != n.stamp {
+			n.vcOwner[h0.vc] = m.ID
+			n.vcFlits[h0.vc]++
+			h0.buf++
 			m.remaining--
-			n.chanStamp[c0] = n.stamp
-			n.busy[c0]++
-			n.vcBusy[v0]++
+			n.chanStamp[h0.ch] = n.stamp
+			n.busy[h0.ch]++
+			n.vcBusy[h0.vc]++
 			if !m.injectedAny {
 				m.injectedAny = true
 				m.headHop = 0
@@ -466,29 +544,27 @@ func (n *Network) stepMessage(m *Message, cycle int) int {
 	return moves
 }
 
+// settleTail raises m.tail past the empty hops at the bottom of the worm
+// once the source is drained, and returns it: every hop below it is empty
+// for good. Each hop is passed at most once per binding, so the tail scans
+// of a worm's whole life cost O(hops).
+func (m *Message) settleTail() int {
+	if m.remaining == 0 {
+		for m.tail < len(m.hops) && m.hops[m.tail].buf == 0 {
+			m.tail++
+		}
+	}
+	return m.tail
+}
+
 // maybeRelease frees the VC at hop i once the tail has passed it: the
 // buffer is empty and no more of the message's flits can arrive there.
 func (n *Network) maybeRelease(m *Message, i int) {
-	if m.buf[i] != 0 {
+	if m.remaining > 0 || m.hops[i].buf != 0 || m.settleTail() <= i {
 		return
 	}
-	if m.remaining > 0 {
-		return
-	}
-	for j := 0; j < i; j++ {
-		if m.buf[j] > 0 {
-			return
-		}
-	}
-	v := m.hopVC[i]
+	v := m.hops[i].vc
 	if n.vcOwner[v] == m.ID && n.vcFlits[v] == 0 {
 		n.vcOwner[v] = -1
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

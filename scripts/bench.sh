@@ -12,7 +12,8 @@
 # recompute, the class-table swap (build plus the post-swap query burst),
 # the reliability-campaign trial loop, its scheduler on a small campaign and
 # on perfbench's uneven campaign-2d grid,
-# the traffic-live workload generation, and per-packet route planning for
+# the traffic-live workload generation and the whole traffic-live op
+# (generate, build, live run), and per-packet route planning for
 # every bake-off strategy) twice — LAMBMESH_WORKERS=1 and
 # LAMBMESH_WORKERS=NumCPU — and writes BENCH_lamb.json with ns/op and
 # allocs/op per (benchmark, workers) pair plus per-benchmark speedups. On a
@@ -36,7 +37,7 @@ cd "$(dirname "$0")/.."
 
 OUT="${OUT:-BENCH_lamb.json}"
 BENCHTIME="${BENCHTIME:-3x}"
-BENCH_RE='^(BenchmarkFig17Trial|BenchmarkFig18Trial|BenchmarkFig20Trial|BenchmarkFig22Trial|BenchmarkFig26TrialSmallF|BenchmarkReachKernels|BenchmarkBitmatMul|BenchmarkSec5LambSet|BenchmarkTorusLamb|BenchmarkVerifyLambSetTorus|BenchmarkWormholeRun|BenchmarkTrafficEngine|BenchmarkClassTableQuery|BenchmarkServerQuery|BenchmarkWireRoundTrip|BenchmarkAddFaults|BenchmarkClassTableSwap|BenchmarkCampaignTrial|BenchmarkCampaignRun|BenchmarkCampaignGrid|BenchmarkGenerateWorkload|BenchmarkStrategyRoute)$'
+BENCH_RE='^(BenchmarkFig17Trial|BenchmarkFig18Trial|BenchmarkFig20Trial|BenchmarkFig22Trial|BenchmarkFig26TrialSmallF|BenchmarkReachKernels|BenchmarkBitmatMul|BenchmarkSec5LambSet|BenchmarkTorusLamb|BenchmarkVerifyLambSetTorus|BenchmarkWormholeRun|BenchmarkTrafficEngine|BenchmarkClassTableQuery|BenchmarkServerQuery|BenchmarkWireRoundTrip|BenchmarkAddFaults|BenchmarkClassTableSwap|BenchmarkCampaignTrial|BenchmarkCampaignRun|BenchmarkCampaignGrid|BenchmarkGenerateWorkload|BenchmarkLiveTrial|BenchmarkStrategyRoute)$'
 
 if [ "${1:-}" = "--check" ]; then
     exec go run ./scripts/benchcheck -file "$OUT"

@@ -79,6 +79,7 @@ var requiredBenchmarks = []string{
 	"BenchmarkCampaignRun",
 	"BenchmarkCampaignGrid",
 	"BenchmarkGenerateWorkload",
+	"BenchmarkLiveTrial",
 	"BenchmarkStrategyRoute/lamb",
 	"BenchmarkStrategyRoute/ring",
 	"BenchmarkStrategyRoute/adaptive",
