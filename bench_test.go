@@ -583,10 +583,10 @@ func BenchmarkServerQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	e := srv.Epoch()
+	lambs := mesh.NewNodeSet(m, srv.Epoch().Lambs)
 	var good []mesh.Coord
 	m.ForEachNode(func(c mesh.Coord) {
-		if !f.NodeFaulty(c) && !e.IsLamb(c) {
+		if !f.NodeFaulty(c) && !lambs.Has(c) {
 			good = append(good, c.Clone())
 		}
 	})

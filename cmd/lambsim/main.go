@@ -31,7 +31,7 @@ func main() {
 	var (
 		expFlag = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 		trials  = flag.Int("trials", 100, "baseline trials per data point (paper: 1000)")
-		seed    = flag.Int64("seed", 1, "base RNG seed; trial t uses seed+t")
+		seed    = flag.Int64("seed", 1, "base RNG seed; trial t uses par.TrialSeed(seed, 0, t)")
 		workers = flag.Int("workers", 0, "trial parallelism (0 = NumCPU)")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		format  = flag.String("format", "text", "output format: text | md | csv")

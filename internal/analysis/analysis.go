@@ -127,52 +127,6 @@ func prop65Coords(d, n, f int) []mesh.Coord {
 	return out
 }
 
-// Prop65LinkFaultSet is the link-fault variant of Proposition 6.5: the same
-// recursive placement, but each fault is the +direction link whose tail is
-// the node the node-variant would have failed (along the dimension whose
-// interval it cuts). Find-SES-Partition returns exactly B(d,f) sets for it
-// too, since a cut link splits a 1-D interval just as a faulty node does.
-func Prop65LinkFaultSet(d, n, f int) (*mesh.FaultSet, error) {
-	if n < 3 || n%2 == 0 {
-		return nil, fmt.Errorf("analysis: Prop 6.5 needs odd n >= 3, got %d", n)
-	}
-	maxF := (pow(n, d-1) * int64(n-1)) / 2
-	if int64(f) > maxF {
-		return nil, fmt.Errorf("analysis: f = %d exceeds n^(d-1)(n-1)/2 = %d", f, maxF)
-	}
-	m, err := mesh.NewCube(d, n)
-	if err != nil {
-		return nil, err
-	}
-	fs := mesh.NewFaultSet(m)
-	for _, c := range prop65Coords(d, n, f) {
-		fs.AddLink(mesh.Link{From: c, Dim: 0, Dir: 1})
-	}
-	return fs, nil
-}
-
-// DiagonalFaults places one fault at (i,i,...,i) for each odd i in
-// [1, 2f-1] on M_d(n). For f <= (n-1)/2 and odd n, both the SEC and the DEC
-// partitions have exactly (2d-1)f + 1 classes (Section 6.1).
-func DiagonalFaults(d, n, f int) (*mesh.FaultSet, error) {
-	if 2*f > n-1 {
-		return nil, fmt.Errorf("analysis: diagonal pattern needs f <= (n-1)/2")
-	}
-	m, err := mesh.NewCube(d, n)
-	if err != nil {
-		return nil, err
-	}
-	fs := mesh.NewFaultSet(m)
-	for i := 1; i <= f; i++ {
-		c := make(mesh.Coord, d)
-		for t := range c {
-			c[t] = 2*i - 1
-		}
-		fs.AddNode(c)
-	}
-	return fs, nil
-}
-
 // Figure15 is the adversarial family of Section 6.3.1 on which Lamb1 is
 // nonoptimal by a factor 2 - 1/(2m): the 2D mesh M_2(n) with n = 4m+1 and
 // two full fault rows y = m and y = n-m-1, cutting the mesh into three

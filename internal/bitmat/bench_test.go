@@ -17,7 +17,7 @@ func BenchmarkMulSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Mul(c)
+		a.MulParallel(c, 1)
 	}
 }
 

@@ -65,12 +65,6 @@ func (m *Matrix) Set(i, j int) {
 	m.bits[i*m.stride+j/64] |= 1 << uint(j%64)
 }
 
-// Clear sets entry (i, j) to 0.
-func (m *Matrix) Clear(i, j int) {
-	m.check(i, j)
-	m.bits[i*m.stride+j/64] &^= 1 << uint(j%64)
-}
-
 // Get returns entry (i, j).
 func (m *Matrix) Get(i, j int) bool {
 	m.check(i, j)
@@ -89,29 +83,13 @@ func (m *Matrix) Row(i int) []uint64 {
 	return m.bits[i*m.stride : (i+1)*m.stride]
 }
 
-// OrRowInto ORs row i of m into dst, which must have the same column count.
-func (m *Matrix) OrRowInto(i int, dst *Matrix, di int) {
-	if m.cols != dst.cols {
-		panic("bitmat: column mismatch")
-	}
-	src := m.Row(i)
-	d := dst.Row(di)
-	for w := range src {
-		d[w] |= src[w]
-	}
-}
-
-// Mul returns the Boolean product m x o (OR of ANDs). It walks the set bits
-// of each row of m and ORs in the corresponding rows of o, so the cost is
-// O(nnz(m) * cols(o)/64): sparse left operands are cheap and dense ones
-// degrade gracefully to the packed dense product.
-func (m *Matrix) Mul(o *Matrix) *Matrix {
-	return m.MulParallel(o, 1)
-}
-
-// MulParallel is Mul with the rows of the output filled by up to `workers`
-// goroutines (<= 0 means NumCPU). Output rows occupy disjoint word ranges,
-// so the result is bit-identical to Mul for every worker count.
+// MulParallel returns the Boolean product m x o (OR of ANDs), with the rows
+// of the output filled by up to `workers` goroutines (<= 0 means NumCPU). It
+// walks the set bits of each row of m and ORs in the corresponding rows of
+// o, so the cost is O(nnz(m) * cols(o)/64): sparse left operands are cheap
+// and dense ones degrade gracefully to the packed dense product. Output rows
+// occupy disjoint word ranges, so the result is bit-identical for every
+// worker count.
 func (m *Matrix) MulParallel(o *Matrix, workers int) *Matrix {
 	if m.cols != o.rows {
 		panic(fmt.Sprintf("bitmat: %dx%d * %dx%d", m.rows, m.cols, o.rows, o.cols))
@@ -343,15 +321,6 @@ func (m *Matrix) Ones() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// Density returns Ones / (rows*cols), or 0 for an empty matrix.
-func (m *Matrix) Density() float64 {
-	total := m.rows * m.cols
-	if total == 0 {
-		return 0
-	}
-	return float64(m.Ones()) / float64(total)
 }
 
 // AllOnes reports whether every entry is 1.

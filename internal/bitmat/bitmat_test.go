@@ -51,9 +51,9 @@ func TestSetGetClear(t *testing.T) {
 	if m.Ones() != 4 {
 		t.Errorf("Ones = %d", m.Ones())
 	}
-	m.Clear(1, 63)
+	m.Row(1)[0] &^= 1 << 63
 	if m.Get(1, 63) || m.Ones() != 3 {
-		t.Error("Clear failed")
+		t.Error("clearing a bit through Row failed")
 	}
 }
 
@@ -74,7 +74,7 @@ func TestMulMatchesNaive(t *testing.T) {
 		r := 1 + rng.Intn(70)
 		a := randomMatrix(p, q, rng.Float64(), rng)
 		b := randomMatrix(q, r, rng.Float64(), rng)
-		got := a.Mul(b)
+		got := a.MulParallel(b, 1)
 		want := naiveMul(a, b)
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: product mismatch (%dx%d * %dx%d)", trial, p, q, q, r)
@@ -88,8 +88,8 @@ func TestMulAssociative(t *testing.T) {
 		a := randomMatrix(1+rng.Intn(40), 1+rng.Intn(40), 0.2, rng)
 		b := randomMatrix(a.Cols(), 1+rng.Intn(40), 0.2, rng)
 		c := randomMatrix(b.Cols(), 1+rng.Intn(40), 0.2, rng)
-		left := a.Mul(b).Mul(c)
-		right := a.Mul(b.Mul(c))
+		left := a.MulParallel(b, 1).MulParallel(c, 1)
+		right := a.MulParallel(b.MulParallel(c, 1), 1)
 		if !left.Equal(right) {
 			t.Fatalf("trial %d: (AB)C != A(BC)", trial)
 		}
@@ -100,7 +100,8 @@ func TestMulAssociative(t *testing.T) {
 	}
 }
 
-// MulParallel must be bit-identical to Mul for every worker count.
+// MulParallel must be bit-identical to the one-worker product for every
+// worker count.
 func TestMulParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
@@ -109,7 +110,7 @@ func TestMulParallelMatchesSerial(t *testing.T) {
 		r := 1 + rng.Intn(90)
 		a := randomMatrix(p, q, rng.Float64(), rng)
 		b := randomMatrix(q, r, rng.Float64(), rng)
-		want := a.Mul(b)
+		want := a.MulParallel(b, 1)
 		for _, workers := range []int{-1, 0, 1, 2, 3, 8} {
 			if got := a.MulParallel(b, workers); !got.Equal(want) {
 				t.Fatalf("trial %d workers %d: MulParallel mismatch", trial, workers)
@@ -118,7 +119,7 @@ func TestMulParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// MulChainScratch must match the step-by-step Mul chain for every worker
+// MulChainScratch must match the step-by-step product chain for every worker
 // count and chain length, despite the scratch reuse.
 func TestMulChainScratchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
@@ -134,7 +135,7 @@ func TestMulChainScratchMatchesSerial(t *testing.T) {
 		}
 		want := ms[0]
 		for _, m := range ms[1:] {
-			want = want.Mul(m)
+			want = want.MulParallel(m, 1)
 		}
 		for _, workers := range []int{1, 2, 5} {
 			got := MulChainScratch(workers, &scratch, ms...)
@@ -193,7 +194,7 @@ func TestMulChainScratchAboveCutoff(t *testing.T) {
 		if finish {
 			for row := 0; row < last.Rows(); row++ {
 				for col := 0; col < 10; col++ {
-					last.Clear(row, col)
+					last.Row(row)[col/64] &^= 1 << uint(col%64)
 				}
 			}
 		}
@@ -237,16 +238,13 @@ func TestMulDimensionPanic(t *testing.T) {
 			t.Error("mismatched product should panic")
 		}
 	}()
-	New(2, 3).Mul(New(4, 2))
+	New(2, 3).MulParallel(New(4, 2), 1)
 }
 
 func TestFromRowsAndString(t *testing.T) {
 	m := FromRows([][]bool{{true, false}, {false, true}})
 	if m.String() != "1 0\n0 1\n" {
 		t.Errorf("String = %q", m.String())
-	}
-	if m.Density() != 0.5 {
-		t.Errorf("Density = %v", m.Density())
 	}
 	if m.AllOnes() {
 		t.Error("not all ones")
@@ -338,24 +336,15 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestOrRowInto(t *testing.T) {
-	a := FromRows([][]bool{{true, false, true}})
-	b := New(2, 3)
-	a.OrRowInto(0, b, 1)
-	if !b.Get(1, 0) || b.Get(1, 1) || !b.Get(1, 2) || b.Get(0, 0) {
-		t.Error("OrRowInto wrong")
-	}
-}
-
 func TestEmptyMatrix(t *testing.T) {
 	m := New(0, 0)
-	if m.Ones() != 0 || m.Density() != 0 || !m.AllOnes() {
+	if m.Ones() != 0 || !m.AllOnes() {
 		t.Error("empty matrix invariants")
 	}
 	// Product with empty inner dimension.
 	a := New(3, 0)
 	b := New(0, 4)
-	p := a.Mul(b)
+	p := a.MulParallel(b, 1)
 	if p.Rows() != 3 || p.Cols() != 4 || p.Ones() != 0 {
 		t.Error("empty inner product wrong")
 	}
@@ -368,7 +357,10 @@ func TestMulDistributesOverOrQuick(t *testing.T) {
 	orMat := func(a, b *Matrix) *Matrix {
 		out := a.Clone()
 		for i := 0; i < b.Rows(); i++ {
-			b.OrRowInto(i, out, i)
+			dst := out.Row(i)
+			for w, word := range b.Row(i) {
+				dst[w] |= word
+			}
 		}
 		return out
 	}
@@ -378,8 +370,8 @@ func TestMulDistributesOverOrQuick(t *testing.T) {
 		a := randomMatrix(p, q, 0.3, rng)
 		b := randomMatrix(p, q, 0.3, rng)
 		c := randomMatrix(q, s, 0.3, rng)
-		left := orMat(a, b).Mul(c)
-		right := orMat(a.Mul(c), b.Mul(c))
+		left := orMat(a, b).MulParallel(c, 1)
+		right := orMat(a.MulParallel(c, 1), b.MulParallel(c, 1))
 		return left.Equal(right)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -398,7 +390,7 @@ func TestMulIdentityQuick(t *testing.T) {
 		for i := 0; i < q; i++ {
 			id.Set(i, i)
 		}
-		return a.Mul(id).Equal(a)
+		return a.MulParallel(id, 1).Equal(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

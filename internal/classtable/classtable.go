@@ -227,12 +227,6 @@ func (q *Scratch) grow(d int) {
 	q.cur = q.cur[:d]
 }
 
-// ClassOf returns the SES and DES class indices of c (-1 where c is
-// faulty). Exposed for tests and stats; Lookup inlines the same walk.
-func (t *Table) ClassOf(c mesh.Coord) (ses, des int) {
-	return t.sesCls.Classify(c), t.desCls.Classify(c)
-}
-
 // Classes returns the class-pair dimensions (|SES partition|, |DES
 // partition|).
 func (t *Table) Classes() (ses, des int) { return t.ses, t.des }
@@ -365,11 +359,10 @@ type Stats struct {
 	Cells int // nonempty DES_1 x SES_2 via cells (k == 2)
 
 	// Retired with the lazily filled per-pair via slots: always 0. Kept
-	// for perfbench, which compiles against them.
-	FilledSlots int
-	WarmSlots   int64
-	WarmHits    int64
-	ColdFills   int64
+	// for perfbench, which reads WarmSlots, WarmHits and ColdFills.
+	WarmSlots int64
+	WarmHits  int64
+	ColdFills int64
 
 	Bytes int64 // approximate resident size of the table
 }

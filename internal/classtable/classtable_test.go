@@ -79,7 +79,7 @@ func TestEquivalenceExhaustive(t *testing.T) {
 func TestEquivalenceNonUniformOrders(t *testing.T) {
 	m := mesh.MustNew(7, 6)
 	f := randomFaults(m, 5, 2, 11)
-	orders := routing.MultiOrder{routing.Ascending(2), routing.Descending(2)}
+	orders := routing.MultiOrder{routing.Ascending(2), routing.Ascending(2).Reverse()}
 	tab := newTable(t, f, orders, 1)
 	var q Scratch
 	checkAllPairs(t, tab, routing.NewOracle(f), f, orders, &q)
@@ -208,7 +208,7 @@ func TestClassifier(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.ForEachNode(func(c mesh.Coord) {
-			ses, des := tab.ClassOf(c)
+			ses, des := tab.sesCls.Classify(c), tab.desCls.Classify(c)
 			wantSes, wantDes := -1, -1
 			for i, s := range rc.Sigma[0].Sets {
 				if s.Rect.Contains(c) {
@@ -294,9 +294,9 @@ func TestTableOutlivesScratch(t *testing.T) {
 	}{
 		{[]int{9, 8}, routing.UniformAscending(2, 1)},
 		{[]int{9, 8}, routing.UniformAscending(2, 2)},
-		{[]int{9, 8}, routing.MultiOrder{routing.Ascending(2), routing.Descending(2)}},
+		{[]int{9, 8}, routing.MultiOrder{routing.Ascending(2), routing.Ascending(2).Reverse()}},
 		{[]int{5, 4, 5}, routing.UniformAscending(3, 1)},
-		{[]int{5, 4, 5}, routing.MultiOrder{routing.Ascending(3), routing.Descending(3)}},
+		{[]int{5, 4, 5}, routing.MultiOrder{routing.Ascending(3), routing.Ascending(3).Reverse()}},
 	}
 	for ci, tc := range cases {
 		m := mesh.MustNew(tc.widths...)

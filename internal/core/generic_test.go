@@ -361,7 +361,7 @@ func TestVerifyLambSetTorusMatchesBrute(t *testing.T) {
 		for r := range orders {
 			orders[r] = routing.Ascending(len(widths))
 			if rng.Intn(2) == 0 {
-				orders[r] = routing.Descending(len(widths))
+				orders[r] = routing.Ascending(len(widths)).Reverse()
 			}
 		}
 		res, err := s.Lamb1(f, orders)

@@ -234,9 +234,6 @@ func boundingBox(a, b rect.Rect) rect.Rect {
 // Blocked reports whether node c is faulty or inactivated.
 func (mod *Model) Blocked(c mesh.Coord) bool { return mod.blocked[mod.Mesh.Index(c)] }
 
-// Active reports whether node c can process and route.
-func (mod *Model) Active(c mesh.Coord) bool { return !mod.Blocked(c) }
-
 // regionAt returns the region containing c, if any.
 func (mod *Model) regionAt(c mesh.Coord) (rect.Rect, bool) {
 	for _, r := range mod.Regions {

@@ -16,7 +16,7 @@ func validatePath(t *testing.T, f *mesh.FaultSet, mod *Model, src, dst mesh.Coor
 		t.Fatalf("path %v does not span %v -> %v", path, src, dst)
 	}
 	for i, c := range path {
-		if !mod.Active(c) {
+		if mod.Blocked(c) {
 			t.Fatalf("path visits blocked node %v (step %d)", c, i)
 		}
 		if i == 0 {
@@ -277,7 +277,7 @@ func TestRouteAllPairsSmall(t *testing.T) {
 	}
 	var active []mesh.Coord
 	m.ForEachNode(func(c mesh.Coord) {
-		if mod.Active(c) {
+		if !mod.Blocked(c) {
 			active = append(active, c.Clone())
 		}
 	})
@@ -527,7 +527,7 @@ func TestRouteXYRandom(t *testing.T) {
 		}
 		var active []mesh.Coord
 		m.ForEachNode(func(c mesh.Coord) {
-			if mod.Active(c) {
+			if !mod.Blocked(c) {
 				active = append(active, c.Clone())
 			}
 		})

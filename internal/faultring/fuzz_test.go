@@ -107,7 +107,7 @@ func FuzzRectangularize(f *testing.F) {
 			}
 		}
 		for _, l := range fs.LinkFaults() {
-			if mod.Active(l.From) && mod.Active(l.To(m)) {
+			if !mod.Blocked(l.From) && !mod.Blocked(l.To(m)) {
 				t.Fatalf("faulty link %v kept two active endpoints", l)
 			}
 		}
@@ -122,7 +122,7 @@ func FuzzRectangularize(f *testing.F) {
 		var queue []int64
 		var active []mesh.Coord
 		m.ForEachNode(func(c mesh.Coord) {
-			if !mod.Active(c) {
+			if mod.Blocked(c) {
 				return
 			}
 			active = append(active, c.Clone())

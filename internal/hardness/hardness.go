@@ -145,9 +145,6 @@ func Build(adjList [][]int, extraPlanes int) (*Construction, error) {
 	return c, nil
 }
 
-// HasEdge reports adjacency between (shifted) vertices i and j.
-func (c *Construction) HasEdge(i, j int) bool { return c.adj[i][j] }
-
 // ColumnNodes returns the nodes of column i: (2i, y, 2i) for every level y.
 func (c *Construction) ColumnNodes(i int) []mesh.Coord {
 	out := make([]mesh.Coord, 0, c.Mesh.Width(1))
@@ -175,15 +172,6 @@ func (c *Construction) columnOf(v mesh.Coord) (int, bool) {
 	}
 	return 0, false
 }
-
-// IsExternal reports whether v lies outside the internal region.
-func (c *Construction) IsExternal(v mesh.Coord) bool {
-	return v[0] >= 2*c.NumVertices || v[2] >= 2*c.NumVertices
-}
-
-// PathNodes returns the good internal nodes that are neither column nodes
-// nor external (outlets excluded: outlets are column nodes).
-func (c *Construction) PathNodes() []mesh.Coord { return c.pathNodes }
 
 // LambSetFromCover realizes the proof's Lambda*: all nodes of column i for
 // every covered vertex, plus all path nodes. If cover covers the graph,

@@ -22,7 +22,7 @@ func checkProperties(t *testing.T, c *Construction) {
 	// other, in both directions.
 	for i := 0; i < c.NumVertices; i++ {
 		for j := 0; j < c.NumVertices; j++ {
-			if i == j || c.HasEdge(i, j) {
+			if i == j || c.adj[i][j] {
 				continue
 			}
 			for _, v := range c.ColumnNodes(i) {
@@ -40,7 +40,7 @@ func checkProperties(t *testing.T, c *Construction) {
 	// each other.
 	for i := 0; i < c.NumVertices; i++ {
 		for j := 0; j < c.NumVertices; j++ {
-			if !c.HasEdge(i, j) {
+			if !c.adj[i][j] {
 				continue
 			}
 			for _, v := range c.ColumnNodes(i) {
@@ -71,7 +71,7 @@ func checkProperties(t *testing.T, c *Construction) {
 		mesh.C(1, 2, 2*c.NumVertices),
 	}
 	for _, e := range externals {
-		if !c.IsExternal(e) {
+		if !external(c, e) {
 			t.Fatalf("test bug: %v is not external", e)
 		}
 	}
@@ -222,18 +222,21 @@ func TestGeometryHelpers(t *testing.T) {
 		t.Errorf("found %d outlets, want 4", outlets)
 	}
 	// Path nodes are good, internal, non-column.
-	for _, p := range c.PathNodes() {
+	for _, p := range c.pathNodes {
 		if c.Faults.NodeFaulty(p) {
 			t.Fatalf("path node %v is faulty", p)
 		}
-		if c.IsExternal(p) {
+		if external(c, p) {
 			t.Fatalf("path node %v is external", p)
 		}
 		if _, isCol := c.columnOf(p); isCol {
 			t.Fatalf("path node %v is a column node", p)
 		}
 	}
-	if !c.IsExternal(mesh.C(2*c.NumVertices, 0, 0)) || c.IsExternal(mesh.C(0, 0, 0)) {
-		t.Error("IsExternal wrong")
-	}
+}
+
+// external reports whether v lies outside the construction's internal
+// region.
+func external(c *Construction, v mesh.Coord) bool {
+	return v[0] >= 2*c.NumVertices || v[2] >= 2*c.NumVertices
 }

@@ -77,15 +77,6 @@ func (g *Graph) AddEdge(u, v int, capacity int64) int {
 	return id
 }
 
-// Flow returns the flow pushed through edge id after MaxFlow.
-func (g *Graph) Flow(id int) int64 {
-	// Residual capacity of the reverse edge equals the flow on the edge.
-	return g.heads[id^1].cap
-}
-
-// Capacity returns the remaining (residual) capacity of edge id.
-func (g *Graph) Capacity(id int) int64 { return g.heads[id].cap }
-
 // MaxFlow computes the maximum s-t flow and mutates the network into its
 // residual form. Call at most once per Reset.
 func (g *Graph) MaxFlow(s, t int) int64 {

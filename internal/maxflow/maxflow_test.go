@@ -48,21 +48,24 @@ func TestParallelAndAntiparallel(t *testing.T) {
 	if got := g.MaxFlow(0, 1); got != 5 {
 		t.Errorf("MaxFlow = %d, want 5", got)
 	}
-	if g.Flow(a)+g.Flow(b) != 5 {
-		t.Errorf("edge flows = %d + %d", g.Flow(a), g.Flow(b))
+	// The residual capacity of an edge's reverse is the flow on the edge.
+	if fa, fb := g.heads[a^1].cap, g.heads[b^1].cap; fa+fb != 5 {
+		t.Errorf("edge flows = %d + %d", fa, fb)
 	}
 }
 
+// After MaxFlow each edge holds its residual capacity, and its reverse
+// holds the flow pushed through it.
 func TestFlowAndCapacityAccessors(t *testing.T) {
 	g := New(3)
 	e := g.AddEdge(0, 1, 5)
 	g.AddEdge(1, 2, 2)
 	g.MaxFlow(0, 2)
-	if g.Flow(e) != 2 {
-		t.Errorf("Flow = %d, want 2", g.Flow(e))
+	if flow := g.heads[e^1].cap; flow != 2 {
+		t.Errorf("flow = %d, want 2", flow)
 	}
-	if g.Capacity(e) != 3 {
-		t.Errorf("Capacity = %d, want 3", g.Capacity(e))
+	if residual := g.heads[e].cap; residual != 3 {
+		t.Errorf("residual capacity = %d, want 3", residual)
 	}
 }
 

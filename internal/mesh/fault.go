@@ -272,30 +272,6 @@ func (f *FaultSet) Clone() *FaultSet {
 	return out
 }
 
-// SliceNodes returns F/c restricted to node faults (the paper's F_N/c): the
-// node faults whose coordinate in dimension dim equals c, projected into the
-// (d-1)-dimensional sub-mesh that drops dimension dim.
-func (f *FaultSet) SliceNodes(dim, c int) []Coord {
-	var out []Coord
-	for _, v := range f.order {
-		if v[dim] != c {
-			continue
-		}
-		out = append(out, dropDim(v, dim))
-	}
-	return out
-}
-
-func dropDim(c Coord, dim int) Coord {
-	out := make(Coord, 0, len(c)-1)
-	for i, v := range c {
-		if i != dim {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // RandomNodeFaults returns a fault set with exactly count distinct node
 // faults chosen uniformly at random (the paper's simulation fault model,
 // Section 8). The rng makes trials reproducible.

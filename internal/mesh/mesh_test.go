@@ -304,23 +304,6 @@ func TestLinkTo(t *testing.T) {
 	}
 }
 
-func TestSliceNodes(t *testing.T) {
-	m := MustNew(12, 12)
-	f := NewFaultSet(m)
-	f.AddNodes(C(9, 1), C(11, 6), C(10, 10))
-	got := f.SliceNodes(1, 1) // slice y=1 projecting away dim 1
-	if len(got) != 1 || !got[0].Equal(C(9)) {
-		t.Errorf("SliceNodes(1,1) = %v, want [(9)]", got)
-	}
-	if got := f.SliceNodes(1, 3); len(got) != 0 {
-		t.Errorf("SliceNodes(1,3) = %v, want empty", got)
-	}
-	got = f.SliceNodes(0, 10)
-	if len(got) != 1 || !got[0].Equal(C(10)) {
-		t.Errorf("SliceNodes(0,10) = %v, want [(10)]", got)
-	}
-}
-
 func TestRandomNodeFaults(t *testing.T) {
 	m := MustNew(8, 8, 8)
 	rng := rand.New(rand.NewSource(42))

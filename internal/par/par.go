@@ -1,10 +1,12 @@
 // Package par is the shared worker-pool helper behind every parallel kernel
 // in the lamb pipeline (bitmat products, reach matrix fills) and the
-// simulators (sim trials, wormhole sweep cells). It exists so the "how many
-// workers" question is answered in exactly one place: Clamp maps the
-// conventional knob value (<= 0 means "all CPUs") to an effective count,
-// ForWork drops it to one for loops too small to pay for a goroutine, and
-// Do/Blocks fan a loop out over that many goroutines.
+// wormhole sweep cells. It exists so the "how many workers" question is
+// answered in exactly one place: Clamp maps the conventional knob value
+// (<= 0 means "all CPUs") to an effective count, ForWork drops it to one for
+// loops too small to pay for a goroutine, and Do/Blocks fan a loop out over
+// that many goroutines. The sim trial pool (sim.ForEachTrial) and the
+// campaign scheduler run their own workers and take only Clamp and
+// TrialSeed from here.
 //
 // Determinism contract: Do and Blocks only change *which goroutine* executes
 // an index, never the set of indices executed, so any loop whose iterations

@@ -444,24 +444,6 @@ func Intersection(im *bitmat.Matrix, delta, sigma []partition.Set, s *Scratch) {
 	}
 }
 
-// ReferenceRK recomputes R^(k) by the O(N^2) spanning-tree method the paper
-// describes as the straightforward alternative (Section 4): a k-round
-// reachable set is grown from each SES representative. Tests use it to
-// cross-check the matrix-product result on small meshes.
-func ReferenceRK(o *routing.Oracle, orders routing.MultiOrder, sigma, delta *partition.Partition) *bitmat.Matrix {
-	m := o.Mesh()
-	rk := bitmat.New(sigma.Len(), delta.Len())
-	for i, s := range sigma.Sets {
-		set := o.ReachKSet(orders, s.Rep)
-		for j, d := range delta.Sets {
-			if set[m.Index(d.Rep)] {
-				rk.Set(i, j)
-			}
-		}
-	}
-	return rk
-}
-
 // boxIndex answers, for a fixed list of boxes, "which of them meet box q"
 // a word at a time. Two closed boxes meet iff in every dimension j the
 // listed box has Lo_j <= q.Hi_j and Hi_j >= q.Lo_j, so for each j and

@@ -44,15 +44,6 @@ func (iv Interval) Intersect(o Interval) Interval {
 // box empty.
 type Rect []Interval
 
-// Full returns the box covering every node of m.
-func Full(m *mesh.Mesh) Rect {
-	r := make(Rect, m.Dims())
-	for i := range r {
-		r[i] = Interval{0, m.Width(i) - 1}
-	}
-	return r
-}
-
 // Point returns the single-node box {c}.
 func Point(c mesh.Coord) Rect {
 	r := make(Rect, len(c))
@@ -201,18 +192,6 @@ func (r Rect) All(pred func(c mesh.Coord) bool) bool {
 func (r Rect) Nodes() []mesh.Coord {
 	out := make([]mesh.Coord, 0, r.Size())
 	r.ForEach(func(c mesh.Coord) { out = append(out, c.Clone()) })
-	return out
-}
-
-// Permute returns the box with dimensions reordered so that output dimension
-// i is input dimension perm[i]. It is the inverse companion of coordinate
-// permutation used to reduce general dimension-ordered routings to the
-// ascending order.
-func (r Rect) Permute(perm []int) Rect {
-	out := make(Rect, len(r))
-	for i, p := range perm {
-		out[i] = r[p]
-	}
 	return out
 }
 

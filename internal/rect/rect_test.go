@@ -45,12 +45,12 @@ func TestRectSizeAndContains(t *testing.T) {
 	if got := p.StringIn(m); got != "(3,4)" {
 		t.Errorf("Point StringIn = %q", got)
 	}
-	full := Full(m)
+	full := Rect{{0, 11}, {0, 11}}
 	if full.Size() != 144 {
-		t.Errorf("Full Size = %d", full.Size())
+		t.Errorf("full Size = %d", full.Size())
 	}
 	if got := full.StringIn(m); got != "(*,*)" {
-		t.Errorf("Full StringIn = %q", got)
+		t.Errorf("full StringIn = %q", got)
 	}
 }
 
@@ -129,17 +129,6 @@ func TestMinCorner(t *testing.T) {
 	r := Rect{{3, 7}, {2, 2}, {0, 5}}
 	if !r.MinCorner().Equal(mesh.C(3, 2, 0)) {
 		t.Errorf("MinCorner = %v", r.MinCorner())
-	}
-}
-
-func TestPermute(t *testing.T) {
-	r := Rect{{0, 1}, {2, 3}, {4, 5}}
-	p := r.Permute([]int{2, 0, 1})
-	want := Rect{{4, 5}, {0, 1}, {2, 3}}
-	for i := range p {
-		if p[i] != want[i] {
-			t.Fatalf("Permute = %v, want %v", p, want)
-		}
 	}
 }
 

@@ -103,7 +103,7 @@ func TestChooseRouteMatchesFullScan(t *testing.T) {
 	for _, nt := range nets {
 		t.Run(nt.name, func(t *testing.T) {
 			d := nt.m.Dims()
-			asc, desc := Ascending(d), Descending(d)
+			asc, desc := Ascending(d), Ascending(d).Reverse()
 			for layout := int64(0); layout < 4; layout++ {
 				rng := rand.New(rand.NewSource(layout))
 				f := mesh.RandomNodeFaults(nt.m, nt.faults, rng)
@@ -158,7 +158,7 @@ func TestChooseRouteFallbackWhenBoxBlocked(t *testing.T) {
 			}
 			o := NewOracle(f)
 			v, w := mesh.C(0, 0), mesh.C(2, 0)
-			for _, orders := range []MultiOrder{UniformAscending(2, 2), {Descending(2), Ascending(2)}} {
+			for _, orders := range []MultiOrder{UniformAscending(2, 2), {Ascending(2).Reverse(), Ascending(2)}} {
 				r, ok := ChooseRoute(o, orders, v, w, nil)
 				if !ok || r.Hops() != 4 {
 					t.Fatalf("%v: route %v ok=%v, want a 4-hop detour", orders, r, ok)

@@ -36,7 +36,7 @@ func TestOracleConcurrentQueries(t *testing.T) {
 	wantSet := o.ReachableSetOne(pi, mesh.C(0, 0, 0))
 	// ChooseRoute keeps its scratch per call, so concurrent 2-round
 	// searches must pick what a serial one picks.
-	orders := MultiOrder{pi, Descending(3)}
+	orders := MultiOrder{pi, Ascending(3).Reverse()}
 	wantVia := make([]mesh.Coord, len(queries))
 	for i, q := range queries {
 		if r, ok := ChooseRoute(o, orders, q.v, q.w, nil); ok {

@@ -31,18 +31,9 @@ func Ascending(d int) Order {
 	return o
 }
 
-// Descending returns (d-1,...,1,0). A set is a DES for the ascending
-// ordering iff it is an SES for the descending ordering (Section 6.1).
-func Descending(d int) Order {
-	o := make(Order, d)
-	for i := range o {
-		o[i] = d - 1 - i
-	}
-	return o
-}
-
 // Reverse returns the ordering that corrects dimensions in the opposite
-// sequence.
+// sequence. A set is a DES for o iff it is an SES for o.Reverse() (Section
+// 6.1); Ascending(d).Reverse() is the descending ordering (d-1,...,1,0).
 func (o Order) Reverse() Order {
 	r := make(Order, len(o))
 	for i, v := range o {

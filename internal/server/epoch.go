@@ -77,9 +77,6 @@ func newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time, r
 	return e
 }
 
-// IsLamb reports whether node c is sacrificed in this epoch.
-func (e *Epoch) IsLamb(c mesh.Coord) bool { return e.lambs.Has(c) }
-
 // Age returns how long this epoch has been the live configuration.
 func (e *Epoch) Age(now time.Time) time.Duration { return now.Sub(e.Created) }
 

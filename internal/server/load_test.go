@@ -118,7 +118,7 @@ func TestConcurrentLoad(t *testing.T) {
 	// With the dust settled, any two survivors of the final epoch route.
 	var survivors []mesh.Coord
 	e.Faults.Mesh().ForEachNode(func(c mesh.Coord) {
-		if !e.Faults.NodeFaulty(c) && !e.IsLamb(c) {
+		if !e.Faults.NodeFaulty(c) && !e.lambs.Has(c) {
 			survivors = append(survivors, c.Clone())
 		}
 	})

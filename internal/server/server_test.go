@@ -256,7 +256,7 @@ func TestKeepLambsMonotone(t *testing.T) {
 	}
 	e2 := waitGeneration(t, s, 2)
 	for _, lamb := range e1.Lambs {
-		if !e2.Faults.NodeFaulty(lamb) && !e2.IsLamb(lamb) {
+		if !e2.Faults.NodeFaulty(lamb) && !e2.lambs.Has(lamb) {
 			t.Errorf("lamb %v from generation 1 demoted despite KeepLambs", lamb)
 		}
 	}

@@ -23,7 +23,7 @@ func TestEpochTableMatchesFreshReach(t *testing.T) {
 		orderSets := []routing.MultiOrder{
 			routing.UniformAscending(d, 1),
 			routing.UniformAscending(d, 2),
-			{routing.Ascending(d), routing.Descending(d)},
+			{routing.Ascending(d), routing.Ascending(d).Reverse()},
 		}
 		for _, orders := range orderSets {
 			for _, keep := range []bool{false, true} {
@@ -92,7 +92,7 @@ func checkEpochTable(t *testing.T, e *Epoch, orders routing.MultiOrder) {
 	m := e.Faults.Mesh()
 	var survivors []mesh.Coord
 	m.ForEachNode(func(c mesh.Coord) {
-		if !e.Faults.NodeFaulty(c) && !e.IsLamb(c) {
+		if !e.Faults.NodeFaulty(c) && !e.lambs.Has(c) {
 			survivors = append(survivors, c.Clone())
 		}
 	})

@@ -13,7 +13,7 @@ import (
 
 func TestAgg(t *testing.T) {
 	var a Agg
-	if a.Mean() != 0 || a.Std() != 0 {
+	if a.Mean() != 0 || a.Max() != 0 {
 		t.Error("empty Agg should be zero")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -22,22 +22,14 @@ func TestAgg(t *testing.T) {
 	if a.Mean() != 5 {
 		t.Errorf("Mean = %v", a.Mean())
 	}
-	if a.Std() != 2 {
-		t.Errorf("Std = %v", a.Std())
+	if a.Max() != 9 {
+		t.Errorf("Max = %v", a.Max())
 	}
-	if a.Max() != 9 || a.Min() != 2 {
-		t.Errorf("Max/Min = %v/%v", a.Max(), a.Min())
-	}
-	var b Agg
-	b.Add(100)
-	a.Merge(&b)
-	if a.Count != 9 || a.Max() != 100 {
-		t.Errorf("Merge wrong: %+v", a)
-	}
-	var c Agg
-	c.Merge(&a)
-	if c.Count != 9 {
-		t.Error("Merge into empty wrong")
+	var neg Agg
+	neg.Add(-3)
+	neg.Add(-1)
+	if neg.Max() != -1 {
+		t.Errorf("Max of negatives = %v", neg.Max())
 	}
 }
 

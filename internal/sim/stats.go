@@ -4,9 +4,9 @@
 // and aggregates the statistics the paper plots: lamb counts, SES counts,
 // additional damage, percentages of the mesh, and running time.
 //
-// Trials run in parallel on a bounded worker pool; a trial's RNG is seeded
-// with seed+trial so results are independent of scheduling and worker
-// count.
+// Trials run in parallel on a bounded worker pool (ForEachTrial); trial t's
+// RNG is seeded with par.TrialSeed(seed, 0, t), so results are independent
+// of scheduling and worker count.
 package sim
 
 import (
@@ -17,25 +17,18 @@ import (
 
 // Agg accumulates a scalar observation across trials.
 type Agg struct {
-	Count    int
-	Sum, Sq  float64
-	MinV     float64
-	MaxV     float64
-	anything bool
+	Count int
+	Sum   float64
+	MaxV  float64
 }
 
 // Add records one observation.
 func (a *Agg) Add(x float64) {
-	a.Count++
-	a.Sum += x
-	a.Sq += x * x
-	if !a.anything || x < a.MinV {
-		a.MinV = x
-	}
-	if !a.anything || x > a.MaxV {
+	if a.Count == 0 || x > a.MaxV {
 		a.MaxV = x
 	}
-	a.anything = true
+	a.Count++
+	a.Sum += x
 }
 
 // Mean returns the sample mean (0 with no observations).
@@ -48,42 +41,6 @@ func (a *Agg) Mean() float64 {
 
 // Max returns the largest observation (0 with none).
 func (a *Agg) Max() float64 { return a.MaxV }
-
-// Min returns the smallest observation (0 with none).
-func (a *Agg) Min() float64 { return a.MinV }
-
-// Std returns the population standard deviation.
-func (a *Agg) Std() float64 {
-	if a.Count == 0 {
-		return 0
-	}
-	m := a.Mean()
-	v := a.Sq/float64(a.Count) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// Merge folds another aggregate into a.
-func (a *Agg) Merge(b *Agg) {
-	if b.Count == 0 {
-		return
-	}
-	if !a.anything {
-		*a = *b
-		return
-	}
-	a.Count += b.Count
-	a.Sum += b.Sum
-	a.Sq += b.Sq
-	if b.MinV < a.MinV {
-		a.MinV = b.MinV
-	}
-	if b.MaxV > a.MaxV {
-		a.MaxV = b.MaxV
-	}
-}
 
 // Table is a rendered experiment result: the rows/series a paper figure or
 // table reports.

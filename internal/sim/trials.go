@@ -25,9 +25,6 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig runs 100 trials on all CPUs with a fixed seed.
-func DefaultConfig() Config { return Config{Trials: 100, Seed: 1, Workers: 0} }
-
 func (c Config) workers() int { return par.Clamp(c.Workers) }
 
 func (c Config) trials() int {

@@ -161,16 +161,6 @@ func (g *General) appendEdgeList(dst [][2]int) [][2]int {
 	return dst[:base+len(out)]
 }
 
-// ValidateGeneral reports an error if pick is not a vertex cover of g.
-func (g *General) ValidateGeneral(pick []bool) error {
-	for _, e := range g.edgeList() {
-		if !pick[e[0]] && !pick[e[1]] {
-			return fmt.Errorf("vcover: edge (%d,%d) uncovered", e[0], e[1])
-		}
-	}
-	return nil
-}
-
 // WeightOf sums the weights of the picked vertices.
 func (g *General) WeightOf(pick []bool) int64 {
 	var w int64

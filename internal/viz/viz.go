@@ -36,12 +36,11 @@ func (mk Marks) defaults() Marks {
 
 // Render draws a 2D mesh with its faults and lamb set. Link faults are
 // drawn by breaking the corresponding edge ('/' replaces '-' or '|'). Only
-// 2D meshes are supported; higher dimensions should render one slice at a
-// time via RenderSlice.
+// 2D meshes are supported.
 func Render(f *mesh.FaultSet, lambs []mesh.Coord, mk Marks) (string, error) {
 	m := f.Mesh()
 	if m.Dims() != 2 {
-		return "", fmt.Errorf("viz: Render needs a 2D mesh; use RenderSlice for %dD", m.Dims())
+		return "", fmt.Errorf("viz: Render needs a 2D mesh, got %dD", m.Dims())
 	}
 	mk = mk.defaults()
 	lambSet := mesh.NewNodeSet(m, lambs)
@@ -74,29 +73,6 @@ func Render(f *mesh.FaultSet, lambs []mesh.Coord, mk Marks) (string, error) {
 			}
 			b.WriteByte('\n')
 		}
-	}
-	return b.String(), nil
-}
-
-// RenderSlice draws the 2D slice of a higher-dimensional mesh obtained by
-// fixing every coordinate except dimX and dimY to the values in fix.
-func RenderSlice(f *mesh.FaultSet, lambs []mesh.Coord, dimX, dimY int, fix mesh.Coord, mk Marks) (string, error) {
-	m := f.Mesh()
-	if dimX == dimY || dimX >= m.Dims() || dimY >= m.Dims() {
-		return "", fmt.Errorf("viz: bad slice dims %d,%d", dimX, dimY)
-	}
-	mk = mk.defaults()
-	lambSet := mesh.NewNodeSet(m, lambs)
-	var b strings.Builder
-	fmt.Fprintf(&b, "slice with %v fixed except dims %d,%d\n", fix, dimX, dimY)
-	for y := 0; y < m.Width(dimY); y++ {
-		for x := 0; x < m.Width(dimX); x++ {
-			c := fix.Clone()
-			c[dimX], c[dimY] = x, y
-			b.WriteRune(nodeRune(f, c, lambSet, mk))
-			b.WriteByte(' ')
-		}
-		b.WriteByte('\n')
 	}
 	return b.String(), nil
 }

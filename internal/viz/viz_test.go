@@ -76,27 +76,3 @@ func TestRenderRejectsNon2D(t *testing.T) {
 		t.Error("3D Render should fail")
 	}
 }
-
-func TestRenderSlice(t *testing.T) {
-	m := mesh.MustNew(3, 3, 3)
-	f := mesh.NewFaultSet(m)
-	f.AddNode(mesh.C(1, 1, 2))
-	out, err := RenderSlice(f, []mesh.Coord{mesh.C(0, 0, 2)}, 0, 1, mesh.C(0, 0, 2), Marks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Count(out, "X") != 1 || strings.Count(out, "L") != 1 {
-		t.Errorf("slice marks wrong:\n%s", out)
-	}
-	// A different slice hides the fault.
-	out2, err := RenderSlice(f, nil, 0, 1, mesh.C(0, 0, 0), Marks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out2, "X") {
-		t.Errorf("fault leaked into wrong slice:\n%s", out2)
-	}
-	if _, err := RenderSlice(f, nil, 1, 1, mesh.C(0, 0, 0), Marks{}); err == nil {
-		t.Error("equal dims should fail")
-	}
-}

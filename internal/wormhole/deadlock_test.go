@@ -1,6 +1,7 @@
 package wormhole
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,108 @@ import (
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/routing"
 )
+
+// ChannelDependencies builds the channel dependency graph of Dally & Seitz
+// [8] for a workload: vertices are virtual channels (link, VC) and there is
+// an edge from each hop's channel to the next hop's channel of the same
+// message (a worm holding the first may wait on the second). The workload
+// is statically deadlock-free if this graph is acyclic.
+//
+// The paper's discipline — round t on virtual channel t, dimension-ordered
+// within a round — makes the graph acyclic for ANY traffic: within a round,
+// dimension order gives a topological order; between rounds, the VC number
+// strictly increases. FindCycle machine-checks this.
+type ChannelDependencies struct {
+	m     *mesh.Mesh
+	nodes []vcKey
+	index map[vcKey]int
+	adj   [][]int
+}
+
+// NewChannelDependencies builds the graph from a set of routed messages.
+func NewChannelDependencies(m *mesh.Mesh, msgs []*Message) *ChannelDependencies {
+	cd := &ChannelDependencies{m: m, index: make(map[vcKey]int)}
+	id := func(h Hop) int {
+		k := vcKey{from: m.Index(h.Link.From), dim: h.Link.Dim, dir: h.Link.Dir, vc: h.VC}
+		if i, ok := cd.index[k]; ok {
+			return i
+		}
+		i := len(cd.nodes)
+		cd.index[k] = i
+		cd.nodes = append(cd.nodes, k)
+		cd.adj = append(cd.adj, nil)
+		return i
+	}
+	seen := make(map[[2]int]bool)
+	for _, msg := range msgs {
+		for i := 0; i+1 < len(msg.Hops); i++ {
+			a, b := id(msg.Hops[i]), id(msg.Hops[i+1])
+			if a == b || seen[[2]int{a, b}] {
+				continue
+			}
+			seen[[2]int{a, b}] = true
+			cd.adj[a] = append(cd.adj[a], b)
+		}
+	}
+	return cd
+}
+
+// Channels returns the number of distinct virtual channels used.
+func (cd *ChannelDependencies) Channels() int { return len(cd.nodes) }
+
+// FindCycle returns a dependency cycle as a human-readable description, or
+// ok=false if the graph is acyclic (statically deadlock-free for any
+// message lengths and buffer sizes).
+func (cd *ChannelDependencies) FindCycle() (string, bool) {
+	const (
+		white = 0
+		gray  = 1
+		black = 2
+	)
+	color := make([]int, len(cd.nodes))
+	parent := make([]int, len(cd.nodes))
+	for i := range parent {
+		parent[i] = -1
+	}
+	var cycleAt, cycleTo int
+	var dfs func(v int) bool
+	dfs = func(v int) bool {
+		color[v] = gray
+		for _, w := range cd.adj[v] {
+			switch color[w] {
+			case white:
+				parent[w] = v
+				if dfs(w) {
+					return true
+				}
+			case gray:
+				cycleAt, cycleTo = v, w
+				return true
+			}
+		}
+		color[v] = black
+		return false
+	}
+	for v := range cd.nodes {
+		if color[v] == white && dfs(v) {
+			// Reconstruct the cycle cycleTo -> ... -> cycleAt -> cycleTo.
+			var chain []int
+			for u := cycleAt; u != -1 && u != cycleTo; u = parent[u] {
+				chain = append(chain, u)
+			}
+			chain = append(chain, cycleTo)
+			s := ""
+			for i := len(chain) - 1; i >= 0; i-- {
+				k := cd.nodes[chain[i]]
+				s += fmt.Sprintf("%v.vc%d -> ", mesh.Link{From: cd.m.CoordOf(k.from), Dim: k.dim, Dir: k.dir}, k.vc)
+			}
+			k := cd.nodes[cycleTo]
+			s += fmt.Sprintf("%v.vc%d", mesh.Link{From: cd.m.CoordOf(k.from), Dim: k.dim, Dir: k.dir}, k.vc)
+			return s, true
+		}
+	}
+	return "", false
+}
 
 // The adversarial 4-worm ring has a dependency cycle with 1 shared VC, and
 // none with one VC per round — the static counterpart of the dynamic

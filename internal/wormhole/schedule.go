@@ -26,7 +26,6 @@ package wormhole
 // full mesh a link's dir is its clockwise delta, e.g. "link 3 0 +5".
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -63,8 +62,8 @@ func (s FaultSchedule) Empty() bool {
 
 // Canonical returns the schedule in canonical form: events sorted by cycle,
 // same-cycle events merged, nodes and links sorted and deduplicated, and
-// empty events dropped. WriteSchedule emits this form, so canonicalization
-// is the fixed point of a Read/Write round-trip.
+// empty events dropped. The tests' WriteSchedule emits this form, so
+// canonicalization is the fixed point of a Read/Write round-trip.
 func (s FaultSchedule) Canonical() FaultSchedule {
 	byCycle := make(map[int]*FaultEvent)
 	var cycles []int
@@ -154,25 +153,7 @@ func (s FaultSchedule) Validate(t mesh.Topology) error {
 	return nil
 }
 
-// WriteSchedule serializes the schedule in canonical form.
-func WriteSchedule(w io.Writer, s FaultSchedule) error {
-	bw := bufio.NewWriter(w)
-	canon := s.Canonical()
-	nodes, links := 0, 0
-	for _, ev := range canon.Events {
-		nodes += len(ev.Nodes)
-		links += len(ev.Links)
-	}
-	fmt.Fprintf(bw, "# lambmesh fault schedule: %d events, %d node faults, %d link faults\n",
-		len(canon.Events), nodes, links)
-	for _, ev := range canon.Events {
-		fmt.Fprintf(bw, "event %d\n", ev.Cycle)
-		mesh.WriteFaultLines(bw, ev.Nodes, ev.Links)
-	}
-	return bw.Flush()
-}
-
-// ReadSchedule parses the WriteSchedule format. It owns only the event
+// ReadSchedule parses the text format above. It owns only the event
 // directive; node and link lines are mesh.ReadFaultLines' grammar, checked
 // for syntax only. Validity in a topology is Validate's job.
 func ReadSchedule(r io.Reader) (FaultSchedule, error) {

@@ -1,7 +1,10 @@
 package wormhole
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -239,4 +242,22 @@ func FuzzFaultSchedule(f *testing.F) {
 			}
 		}
 	})
+}
+
+// WriteSchedule serializes the schedule in canonical form.
+func WriteSchedule(w io.Writer, s FaultSchedule) error {
+	bw := bufio.NewWriter(w)
+	canon := s.Canonical()
+	nodes, links := 0, 0
+	for _, ev := range canon.Events {
+		nodes += len(ev.Nodes)
+		links += len(ev.Links)
+	}
+	fmt.Fprintf(bw, "# lambmesh fault schedule: %d events, %d node faults, %d link faults\n",
+		len(canon.Events), nodes, links)
+	for _, ev := range canon.Events {
+		fmt.Fprintf(bw, "event %d\n", ev.Cycle)
+		mesh.WriteFaultLines(bw, ev.Nodes, ev.Links)
+	}
+	return bw.Flush()
 }

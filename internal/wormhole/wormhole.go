@@ -87,8 +87,8 @@ type hopState struct {
 // Latency returns delivery latency in cycles (delivery - earliest inject).
 func (m *Message) Latency() int { return m.DoneCycle - m.InjectAt }
 
-// vcKey identifies one virtual channel of one directed physical link; the
-// dependency-graph tooling (deadlock.go) and route validation key on it.
+// vcKey identifies one virtual channel of one directed physical link; route
+// validation and the tests' channel dependency graph key on it.
 type vcKey struct {
 	from int64
 	dim  int

@@ -82,7 +82,7 @@ func TestRouteMessageMatchesRoute(t *testing.T) {
 		d := m.Dims()
 		for _, orders := range []routing.MultiOrder{
 			{routing.Ascending(d)},
-			{routing.Descending(d), routing.Ascending(d)},
+			{routing.Ascending(d).Reverse(), routing.Ascending(d)},
 			routing.UniformAscending(d, 3),
 		} {
 			for i := 0; i < 40; i++ {
