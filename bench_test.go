@@ -421,6 +421,48 @@ func BenchmarkGenerateWorkload(b *testing.B) {
 	}
 }
 
+// BenchmarkChooseVias: the 2-round via search alone — one
+// routing.ChooseVias call per op, cycling through a fixed list of 4,096
+// random survivor pairs with a seeded tie-break rng — on the
+// BenchmarkGenerateWorkload layout (M_2(16), 8 node faults) and on T_2(16)
+// with 8 node faults. The search itself allocates nothing; the two
+// allocs/op are the returned via slice and its coordinate.
+func BenchmarkChooseVias(b *testing.B) {
+	tor, err := mesh.NewTorus(16, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	orders := routing.UniformAscending(2, 2)
+	for _, net := range []struct {
+		name string
+		m    *mesh.Mesh
+	}{{"mesh16x16", mesh.MustNew(16, 16)}, {"torus16x16", tor}} {
+		b.Run(net.name, func(b *testing.B) {
+			f := mesh.RandomNodeFaults(net.m, 8, rand.New(rand.NewSource(4)))
+			res, err := core.Lamb1(f, orders)
+			if err != nil {
+				b.Fatal(err)
+			}
+			survivors := wormhole.Survivors(f, res.Lambs)
+			const pairs = 4096
+			var src, dst [pairs]mesh.Coord
+			pick := rand.New(rand.NewSource(5))
+			for i := range src {
+				src[i], dst[i] = survivors[pick.Intn(len(survivors))], survivors[pick.Intn(len(survivors))]
+			}
+			o := routing.NewOracle(f)
+			rng := rand.New(rand.NewSource(9))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := routing.ChooseVias(o, orders, src[i%pairs], dst[i%pairs], rng); !ok {
+					b.Fatalf("no route %v -> %v", src[i%pairs], dst[i%pairs])
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTrafficEngine: the open-loop traffic engine's cycle loop —
 // warm-up, measurement, and drain over a Bernoulli workload on a faulty
 // 16x16 mesh — with the engine built once and rewound with Reset between

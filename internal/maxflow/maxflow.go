@@ -36,11 +36,6 @@ type edge struct {
 	cap int64
 }
 
-// New returns an empty flow network with n vertices.
-func New(n int) *Graph {
-	return new(Graph).Reset(n)
-}
-
 // Reset makes g an empty flow network with n vertices, reusing every buffer
 // from previous instances. Edge ids from before the Reset are invalid.
 func (g *Graph) Reset(n int) *Graph {

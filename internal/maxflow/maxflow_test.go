@@ -6,7 +6,7 @@ import (
 )
 
 func TestSimplePath(t *testing.T) {
-	g := New(3)
+	g := new(Graph).Reset(3)
 	g.AddEdge(0, 1, 5)
 	g.AddEdge(1, 2, 3)
 	if got := g.MaxFlow(0, 2); got != 3 {
@@ -16,7 +16,7 @@ func TestSimplePath(t *testing.T) {
 
 func TestClassicNetwork(t *testing.T) {
 	// CLRS-style example.
-	g := New(6)
+	g := new(Graph).Reset(6)
 	g.AddEdge(0, 1, 16)
 	g.AddEdge(0, 2, 13)
 	g.AddEdge(1, 3, 12)
@@ -32,7 +32,7 @@ func TestClassicNetwork(t *testing.T) {
 }
 
 func TestDisconnected(t *testing.T) {
-	g := New(4)
+	g := new(Graph).Reset(4)
 	g.AddEdge(0, 1, 7)
 	g.AddEdge(2, 3, 7)
 	if got := g.MaxFlow(0, 3); got != 0 {
@@ -41,7 +41,7 @@ func TestDisconnected(t *testing.T) {
 }
 
 func TestParallelAndAntiparallel(t *testing.T) {
-	g := New(2)
+	g := new(Graph).Reset(2)
 	a := g.AddEdge(0, 1, 2)
 	b := g.AddEdge(0, 1, 3)
 	g.AddEdge(1, 0, 10)
@@ -57,7 +57,7 @@ func TestParallelAndAntiparallel(t *testing.T) {
 // After MaxFlow each edge holds its residual capacity, and its reverse
 // holds the flow pushed through it.
 func TestFlowAndCapacityAccessors(t *testing.T) {
-	g := New(3)
+	g := new(Graph).Reset(3)
 	e := g.AddEdge(0, 1, 5)
 	g.AddEdge(1, 2, 2)
 	g.MaxFlow(0, 2)
@@ -72,7 +72,7 @@ func TestFlowAndCapacityAccessors(t *testing.T) {
 func TestResidualReachable(t *testing.T) {
 	// Bottleneck at the middle edge: after max flow, only the source side
 	// of the cut is reachable.
-	g := New(4)
+	g := new(Graph).Reset(4)
 	g.AddEdge(0, 1, 10)
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(2, 3, 10)
@@ -123,7 +123,7 @@ func TestMaxFlowEqualsBruteMinCut(t *testing.T) {
 				}
 			}
 		}
-		g := New(n)
+		g := new(Graph).Reset(n)
 		for _, e := range edges {
 			g.AddEdge(int(e[0]), int(e[1]), e[2])
 		}
@@ -145,7 +145,7 @@ func TestPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	check("vertex range", func() { New(2).AddEdge(0, 5, 1) })
-	check("negative capacity", func() { New(2).AddEdge(0, 1, -1) })
-	check("s==t", func() { New(2).MaxFlow(1, 1) })
+	check("vertex range", func() { new(Graph).Reset(2).AddEdge(0, 5, 1) })
+	check("negative capacity", func() { new(Graph).Reset(2).AddEdge(0, 1, -1) })
+	check("s==t", func() { new(Graph).Reset(2).MaxFlow(1, 1) })
 }

@@ -21,7 +21,7 @@ func fullScanRoute(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand
 		}
 		l := v.L1(u) + u.L1(w)
 		if m.Torus() {
-			l = len(Path(m, orders[0], v, u)) + len(Path(m, orders[1], u, w)) - 2
+			l = len(path1(m, orders[0], v, u)) + len(path1(m, orders[1], u, w)) - 2
 		}
 		switch {
 		case bestLen == -1 || l < bestLen:
@@ -81,6 +81,10 @@ func samePath(a, b []mesh.Coord) bool {
 	return true
 }
 
+// TestChooseRouteMatchesFullScan compares ChooseRoute with the full scan
+// on small networks over every pair, and on thin wide ones, whose rows
+// span two mask words, over sampled pairs and one pair whose via box a
+// fault blocks, so that the full-grid fallback runs.
 func TestChooseRouteMatchesFullScan(t *testing.T) {
 	must := func(m *mesh.Mesh, err error) *mesh.Mesh {
 		if err != nil {
@@ -92,13 +96,22 @@ func TestChooseRouteMatchesFullScan(t *testing.T) {
 		name   string
 		m      *mesh.Mesh
 		faults int
+		pairs  int // sampled pairs; 0 compares every pair
+		// A fault, and a pair along its line whose every minimal via it
+		// blocks.
+		block, v, w mesh.Coord
 	}{
-		{"mesh6x5", mesh.MustNew(6, 5), 5},
-		{"mesh4x3x3", mesh.MustNew(4, 3, 3), 4},
-		{"torus5x5", must(mesh.NewTorus(5, 5)), 4},
-		{"torus6x4", must(mesh.NewTorus(6, 4)), 4},
-		{"torus2x3", must(mesh.NewTorus(2, 3)), 1},
-		{"hypercube4", must(mesh.NewHypercube(4)), 2},
+		{name: "mesh6x5", m: mesh.MustNew(6, 5), faults: 5},
+		{name: "mesh4x3x3", m: mesh.MustNew(4, 3, 3), faults: 4},
+		{name: "torus5x5", m: must(mesh.NewTorus(5, 5)), faults: 4},
+		{name: "torus6x4", m: must(mesh.NewTorus(6, 4)), faults: 4},
+		{name: "torus2x3", m: must(mesh.NewTorus(2, 3)), faults: 1},
+		{name: "hypercube4", m: must(mesh.NewHypercube(4)), faults: 2},
+		{name: "mesh70x3", m: mesh.MustNew(70, 3), faults: 12, pairs: 300,
+			block: mesh.C(30, 1), v: mesh.C(2, 1), w: mesh.C(66, 1)},
+		// The minimal arc from 0 to 40 wraps through 64 and 50.
+		{name: "torus65x4", m: must(mesh.NewTorus(65, 4)), faults: 12, pairs: 300,
+			block: mesh.C(50, 1), v: mesh.C(0, 1), w: mesh.C(40, 1)},
 	}
 	for _, nt := range nets {
 		t.Run(nt.name, func(t *testing.T) {
@@ -113,16 +126,39 @@ func TestChooseRouteMatchesFullScan(t *testing.T) {
 				case 3:
 					mesh.RandomLinkFaults(f, nt.faults, rng)
 				}
+				if nt.block != nil {
+					if f.NodeFaulty(nt.v) || f.NodeFaulty(nt.w) {
+						t.Fatalf("layout %d: a random fault hit %v or %v", layout, nt.v, nt.w)
+					}
+					f.AddNode(nt.block)
+				}
 				o := NewOracle(f)
 				for _, orders := range []MultiOrder{{asc, asc}, {asc, desc}, {desc, asc}} {
 					seed := layout
-					nt.m.ForEachNode(func(v mesh.Coord) {
-						v = v.Clone()
-						nt.m.ForEachNode(func(w mesh.Coord) {
-							seed++
-							sameRoute(t, o, orders, v, w, seed)
+					if nt.pairs == 0 {
+						nt.m.ForEachNode(func(v mesh.Coord) {
+							v = v.Clone()
+							nt.m.ForEachNode(func(w mesh.Coord) {
+								seed++
+								sameRoute(t, o, orders, v, w, seed)
+							})
 						})
-					})
+						continue
+					}
+					n := nt.m.Nodes()
+					for i := 0; i < nt.pairs; i++ {
+						seed++
+						sameRoute(t, o, orders, nt.m.CoordOf(rng.Int63n(n)), nt.m.CoordOf(rng.Int63n(n)), seed)
+					}
+					// Without other faults XY-XY detours along the next
+					// row; whether random faults leave a detour, the full
+					// scan decides.
+					r, ok := ChooseRoute(o, orders, nt.v, nt.w, nil)
+					if !ok && layout == 0 && orders[1].Equal(asc) && orders[0].Equal(asc) ||
+						ok && r.Hops() <= nt.m.Distance(nt.v, nt.w) {
+						t.Fatalf("%v %v->%v: route %v ok=%v, want a detour round %v", orders, nt.v, nt.w, r, ok, nt.block)
+					}
+					sameRoute(t, o, orders, nt.v, nt.w, seed)
 				}
 			}
 		})
@@ -202,8 +238,9 @@ func goodLinks(f *mesh.FaultSet) int {
 }
 
 // FuzzChooseRoute drives the differential check over small 2-D and 3-D
-// meshes and tori with random node and link faults, pairs, order pairs
-// (any permutation in either round) and tie-break seeds.
+// meshes and tori, and thin 2-D ones with a side of 63-70, with random node
+// and link faults, pairs, order pairs (any permutation in either round) and
+// tie-break seeds.
 func FuzzChooseRoute(f *testing.F) {
 	f.Add(uint8(0), uint8(5), uint8(5), uint8(0), uint8(3), uint8(0), int64(1), uint16(0), uint16(24), uint8(0), int64(7))
 	f.Add(uint8(1), uint8(6), uint8(4), uint8(0), uint8(4), uint8(0), int64(2), uint16(3), uint16(20), uint8(1), int64(9))
@@ -211,11 +248,23 @@ func FuzzChooseRoute(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint8(2), uint8(1), uint8(4), uint8(5), int64(4), uint16(7), uint16(40), uint8(27), int64(3))
 	f.Add(uint8(3), uint8(3), uint8(1), uint8(2), uint8(3), uint8(6), int64(5), uint16(11), uint16(77), uint8(14), int64(5))
 	f.Add(uint8(1), uint8(5), uint8(2), uint8(0), uint8(2), uint8(9), int64(6), uint16(1), uint16(33), uint8(2), int64(8))
+	// A 66 x 2 torus and a 3 x 68 mesh, with node and link faults.
+	f.Add(uint8(5), uint8(3), uint8(0), uint8(0), uint8(9), uint8(4), int64(7), uint16(64), uint16(2), uint8(1), int64(2))
+	f.Add(uint8(12), uint8(5), uint8(1), uint8(0), uint8(30), uint8(6), int64(8), uint16(5), uint16(190), uint8(3), int64(4))
 	f.Fuzz(func(t *testing.T, shape, w0, w1, w2, faults, links uint8, layout int64,
 		src, dst uint16, orderPair uint8, seed int64) {
-		// Bit 0 of shape picks a torus, bit 1 three dimensions.
+		// Bit 0 of shape picks a torus, bit 1 three dimensions. Bit 2
+		// picks a thin 2-D network with a side of 63-70, whose rows span
+		// two mask words; bit 3 turns it on its side, so that it has that
+		// many rows.
 		widths := []int{2 + int(w0)%6, 2 + int(w1)%6}
-		if shape&2 != 0 {
+		switch {
+		case shape&4 != 0:
+			widths = []int{63 + int(w0)%8, 2 + int(w1)%3}
+			if shape&8 != 0 {
+				widths[0], widths[1] = widths[1], widths[0]
+			}
+		case shape&2 != 0:
 			widths = []int{2 + int(w0)%4, 2 + int(w1)%4, 2 + int(w2)%4}
 		}
 		m, err := mesh.New(widths...)
@@ -258,6 +307,31 @@ func TestChooseRouteKTieIsUniform(t *testing.T) {
 	for x, c := range tally {
 		if c < draws/3-150 || c > draws/3+150 {
 			t.Errorf("second via %d picked %d of %d times, want about %d (tally %v)", x, c, draws, draws/3, tally)
+		}
+	}
+}
+
+// The 2-round via search allocates nothing on a 16 x 16 mesh or torus, for
+// a pair with a clear via box and for one whose box is blocked, so that the
+// full-grid fallback runs: its scratch fits in the caller's frame.
+func TestChooseViaAllocs(t *testing.T) {
+	torus, err := mesh.NewTorus(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*mesh.Mesh{mesh.MustNew(16, 16), torus} {
+		f := mesh.NewFaultSet(m)
+		f.AddNodes(mesh.C(5, 3), mesh.C(9, 12), mesh.C(1, 1))
+		o := NewOracle(f)
+		orders := UniformAscending(2, 2)
+		rng := rand.New(rand.NewSource(1))
+		for _, pair := range [][2]mesh.Coord{{mesh.C(2, 2), mesh.C(12, 9)}, {mesh.C(3, 3), mesh.C(7, 3)}} {
+			if _, ok := chooseVia(o, orders, pair[0], pair[1], rng); !ok {
+				t.Fatalf("%v: no route %v -> %v", m, pair[0], pair[1])
+			}
+			if n := testing.AllocsPerRun(20, func() { chooseVia(o, orders, pair[0], pair[1], rng) }); n != 0 {
+				t.Errorf("%v %v -> %v: chooseVia allocated %v times", m, pair[0], pair[1], n)
+			}
 		}
 	}
 }

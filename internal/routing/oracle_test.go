@@ -271,7 +271,7 @@ func TestReachOneConsistentWithPathQuick(t *testing.T) {
 	prop := func(a, b, c, d, e, g uint) bool {
 		v := mesh.C(int(a%6), int(b%5), int(c%4))
 		w := mesh.C(int(d%6), int(e%5), int(g%4))
-		path := Path(m, pi, v, w)
+		path := path1(m, pi, v, w)
 		clean := !f.NodeFaulty(path[0])
 		for i := 1; i < len(path); i++ {
 			if path[i].L1(path[i-1]) != 1 {

@@ -7,19 +7,14 @@ import (
 	"lambmesh/internal/mesh"
 )
 
-// Path materializes the unique pi-ordered route from v to w as the full node
-// sequence, starting at v and ending at w. On a torus each segment takes the
-// minimal direction, ties toward + (SegmentDir). The route is returned
-// whether or not it is fault-free; use Oracle.ReachOne to test validity.
-// All coordinates of the result share one backing array.
-func Path(m *mesh.Mesh, pi Order, v, w mesh.Coord) []mesh.Coord {
-	return PathK(m, MultiOrder{pi}, v, w, nil)
-}
-
-// PathK concatenates the per-round pi_t-routes through the given
-// intermediate nodes: vias must have length k-1 for a k-round ordering. The
-// result includes every node visited, once per visit (a node may repeat if
-// rounds cross). All coordinates of the result share one backing array.
+// PathK materializes a k-round route as its full node sequence: the
+// per-round pi_t-routes through the given intermediate nodes, starting at v
+// and ending at w. vias must have length k-1 for a k-round ordering. On a
+// torus each segment takes the minimal direction, ties toward +
+// (SegmentDir). The route is returned whether or not it is fault-free; use
+// Oracle.ReachOne to test validity. The result includes every node visited,
+// once per visit (a node may repeat if rounds cross). All coordinates of
+// the result share one backing array.
 func PathK(m *mesh.Mesh, orders MultiOrder, v, w mesh.Coord, vias []mesh.Coord) []mesh.Coord {
 	if len(vias) != len(orders)-1 {
 		panic(fmt.Sprintf("routing: %d-round route needs %d intermediates, got %d",
@@ -155,12 +150,15 @@ func (r *Route) Turns() int { return CountTurns(r.Path) }
 // feasible one there is strictly shorter than any via outside, so the tied
 // set is the same as a scan of all N nodes would find. Each segment is
 // tested against its line's clear run, computed once per line with O(log f)
-// binary searches. In 2-D round 1's segments lie on at most 1 + w lines,
-// w the box's width along pi_1's first dimension, and round 2's on 1 + the
-// width along pi_2's last. With those runs an intermediate costs O(d)
-// rather than a reachability query's O(d log f), so the search costs
-// O(box · d + lines · log f). Only when every minimal via is blocked does
-// it fall back to the same walk over all N nodes. It serves traffic
+// binary searches. The candidates are swept a row at a time, a row being
+// those that differ only along dimension 0, as a mask of ⌈n₀/64⌉ words: a
+// segment along dimension 0 clears the bits outside its run, one on a line
+// fixed for the row keeps or empties the row, and only one on a line that
+// moves along the row is tested bit by bit, for the bits still set. The
+// search costs O(rows · (d² + ⌈n₀/64⌉) + bits · d + lines · log f); the tie
+// count is the sum of the rows' popcounts, and the via the pick-th set bit.
+// Only when every minimal via is blocked does the same sweep run over all
+// N nodes, keeping the bits of minimal total length. It serves traffic
 // generation for the wormhole simulator, not the lamb algorithm (which
 // never routes).
 func ChooseRoute(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) (*Route, bool) {

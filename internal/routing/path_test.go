@@ -7,9 +7,14 @@ import (
 	"lambmesh/internal/mesh"
 )
 
+// path1 is the 1-round route from v to w under pi, as PathK builds it.
+func path1(m *mesh.Mesh, pi Order, v, w mesh.Coord) []mesh.Coord {
+	return PathK(m, MultiOrder{pi}, v, w, nil)
+}
+
 func TestPathXY(t *testing.T) {
 	m := mesh.MustNew(4, 4)
-	p := Path(m, Ascending(2), mesh.C(0, 0), mesh.C(2, 1))
+	p := path1(m, Ascending(2), mesh.C(0, 0), mesh.C(2, 1))
 	want := []mesh.Coord{{0, 0}, {1, 0}, {2, 0}, {2, 1}}
 	if len(p) != len(want) {
 		t.Fatalf("Path = %v", p)
@@ -29,7 +34,7 @@ func TestPathXY(t *testing.T) {
 
 func TestPathSelf(t *testing.T) {
 	m := mesh.MustNew(4, 4)
-	p := Path(m, Ascending(2), mesh.C(1, 1), mesh.C(1, 1))
+	p := path1(m, Ascending(2), mesh.C(1, 1), mesh.C(1, 1))
 	if len(p) != 1 || CountTurns(p) != 0 || PathLen(p) != 0 {
 		t.Errorf("self path = %v", p)
 	}
@@ -37,7 +42,7 @@ func TestPathSelf(t *testing.T) {
 
 func TestPathNegativeDirection(t *testing.T) {
 	m := mesh.MustNew(4, 4)
-	p := Path(m, Order{1, 0}, mesh.C(3, 3), mesh.C(1, 0))
+	p := path1(m, Order{1, 0}, mesh.C(3, 3), mesh.C(1, 0))
 	// YX order: Y from 3 to 0 first, then X from 3 to 1.
 	want := []mesh.Coord{{3, 3}, {3, 2}, {3, 1}, {3, 0}, {2, 0}, {1, 0}}
 	for i := range p {
@@ -49,7 +54,7 @@ func TestPathNegativeDirection(t *testing.T) {
 
 func TestPathTorusWrap(t *testing.T) {
 	m, _ := mesh.NewTorus(8, 8)
-	p := Path(m, Ascending(2), mesh.C(7, 0), mesh.C(1, 0))
+	p := path1(m, Ascending(2), mesh.C(7, 0), mesh.C(1, 0))
 	// Minimal direction wraps + through 0.
 	want := []mesh.Coord{{7, 0}, {0, 0}, {1, 0}}
 	for i := range p {
@@ -58,7 +63,7 @@ func TestPathTorusWrap(t *testing.T) {
 		}
 	}
 	// Tie (distance 4 both ways on width 8) goes +.
-	p = Path(m, Ascending(2), mesh.C(0, 0), mesh.C(4, 0))
+	p = path1(m, Ascending(2), mesh.C(0, 0), mesh.C(4, 0))
 	if !p[1].Equal(mesh.C(1, 0)) {
 		t.Errorf("tie should go +, got second node %v", p[1])
 	}
@@ -149,7 +154,7 @@ func TestChooseRouteShortestHeuristic(t *testing.T) {
 
 func TestCountTurnsStraightLine(t *testing.T) {
 	m := mesh.MustNew(6, 6)
-	p := Path(m, Ascending(2), mesh.C(0, 3), mesh.C(5, 3))
+	p := path1(m, Ascending(2), mesh.C(0, 3), mesh.C(5, 3))
 	if CountTurns(p) != 0 {
 		t.Errorf("straight line has %d turns", CountTurns(p))
 	}

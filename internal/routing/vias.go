@@ -2,7 +2,9 @@ package routing
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"lambmesh/internal/mesh"
@@ -10,7 +12,8 @@ import (
 
 // ChooseVias picks the k-1 intermediates of a fault-free k-round route
 // from v to w: for k = 2 by ChooseRoute's policy (a shortest total route,
-// one rng.Intn among the ties), for k >= 3 by dynamic programming over
+// one rng.Intn among the ties) with a row-mask sweep of the candidates that
+// allocates nothing but the result, for k >= 3 by dynamic programming over
 // rounds. ChooseRouteK adds the node path; callers that walk the route from
 // its stops, such as the wormhole message builder, need only the vias.
 // Returns false if no fault-free route exists.
@@ -37,7 +40,9 @@ func ChooseVias(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) (
 // route, the via box: a feasible one there is strictly shorter than any via
 // outside, so the tied set is the same as a search of all N nodes would
 // find. Only when every via in the box is blocked does it search the whole
-// grid.
+// grid. Either search marks the feasible vias in row masks (viaRows): the
+// tie count is the sum of the rows' popcounts, and the via is the pick-th
+// set bit in node-index order.
 func chooseVia(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) (int64, bool) {
 	if o.f.NodeFaulty(v) || o.f.NodeFaulty(w) {
 		return 0, false // no via can join a faulty endpoint
@@ -46,37 +51,43 @@ func chooseVia(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) (i
 	// The slices are cut here, in the frame that owns the arrays, so that
 	// they stay on the stack.
 	var (
-		dimBuf [stackDims]viaDim
-		intBuf [3 * stackDims]int
-		runBuf [stackRuns]clearRun
-		found  [stackVias]int64
+		dimBuf  [stackDims]viaDim
+		strBuf  [stackDims * stackDims]int64
+		segBuf  [2 * stackDims]viaSeg
+		runBuf  [stackRuns]clearRun
+		maskBuf [stackWords]uint64
 	)
-	ints := grow(intBuf[:0], 3*d)
-	s := viaFill{o: o, pi1: orders[0], pi2: orders[1], v: v, w: w,
-		dims: grow(dimBuf[:0], d), u: ints[:d], base: ints[d:]}
-	best := found[:0]
+	s := viaRows{o: o, v: v, w: w, torus: o.m.Torus(),
+		dims: grow(dimBuf[:0], d), lstride: grow(strBuf[:0], d*d)}
+	s.segs, s.cols = s.plan(grow(segBuf[:0], 2*d), orders[0], orders[1])
+	count := 0
 	for _, all := range [...]bool{false, true} {
-		s.runs = grow(runBuf[:0], s.layout(all))
-		if best = s.collect(best, all); len(best) > 0 {
+		runs, words := s.layout(all)
+		s.runs = grow(runBuf[:0], runs)
+		s.masks = grow(maskBuf[:0], words)
+		if count = s.sweep(); count > 0 {
+			if all {
+				count = s.keepShortest()
+			}
 			break
 		}
 	}
-	if len(best) == 0 {
+	if count == 0 {
 		return 0, false
 	}
 	pick := 0
 	if rng != nil {
-		pick = rng.Intn(len(best))
+		pick = rng.Intn(count)
 	}
-	return best[pick], true
+	return s.index(pick), true
 }
 
 // Stack sizes of chooseVia's scratch: dimensions, memoized clear runs and
-// tied vias. A larger search allocates the part that does not fit.
+// row mask words. A larger search allocates the part that does not fit.
 const (
-	stackDims = 8
-	stackRuns = 64
-	stackVias = 256
+	stackDims  = 3
+	stackRuns  = 64
+	stackWords = 32
 )
 
 // grow returns buf resliced to length n, reusing its array when it fits.
@@ -92,263 +103,518 @@ func grow[T any](buf []T, n int) []T {
 // steps in the - direction. For a round's first-taken segments the steps
 // are counted from a fixed start, for its last-taken ones into a fixed end.
 // minus < 0 marks a memo entry not computed yet.
-type clearRun struct{ plus, minus int }
+type clearRun struct{ plus, minus int32 }
 
-// viaFill tests every candidate via u of a 2-round route v → u → w with
-// O(d) table lookups. Round 1's segment t runs along pi1[t] on the line
-// where u's coordinates along pi1[0..t-1] and v's elsewhere are held, so
-// it is clear iff u's coordinate lies in that line's clear run from v's;
-// the run depends only on u's coordinates along the prefix, and is
-// computed once per prefix, on first use, with the binary searches of
-// Oracle.faultsOn's sorted lists. Round 2 mirrors it: segment t runs along
-// pi2[t] into w's coordinate on a line fixed by u's coordinates along
-// pi2[t+1..d-1]. Tori use the same runs: a segment takes the minimal
-// direction, ties toward +, so the test is on the signed minimal
-// displacement.
+// inRun reports whether a segment of signed displacement x stays in run r.
+func inRun(x int, r clearRun) bool { return x <= int(r.plus) && -x <= int(r.minus) }
+
+// viaRows finds the feasible vias u of a 2-round route v → u → w a row at a
+// time. Round 1's segment t runs along pi1[t] on the line where u's
+// coordinates along pi1[0..t-1] and v's elsewhere are held, so it is clear
+// iff u's displacement from v along pi1[t] lies in that line's clear run
+// (Lemma 4.1 per line); the run is computed once per line, on first use,
+// with binary searches in the oracle's sorted fault lists. Round 2 mirrors
+// it: segment t runs along pi2[t] into w's coordinate on a line fixed by
+// u's coordinates along pi2[t+1..d-1]. Tori use the same runs: a segment
+// takes the minimal direction, ties toward +, so the test is on the signed
+// minimal displacement.
+//
+// A row holds the candidates that share every coordinate but u₀, the
+// fastest-varying one in node-index order, as a mask of ⌈n₀/64⌉ words over
+// u₀. Per row a segment is one of three kinds (viaSeg): along dimension 0
+// its clear run is an interval of u₀, an arc on a torus, and clears the
+// bits outside it; on a line that does not move with u₀ it passes or
+// fails the whole row; on a line that moves with u₀ its displacement is the
+// row's, and each bit still set is tested against its column's run. No
+// test is made per candidate, only per bit left set.
 //
 // All scratch lives in the caller's frame or in slices grown per call, so
 // concurrent searches on one Oracle share nothing but its read-only index.
-type viaFill struct {
-	o        *Oracle
-	pi1, pi2 Order
-	v, w     mesh.Coord
+type viaRows struct {
+	o     *Oracle
+	v, w  mesh.Coord
+	torus bool
 
 	dims []viaDim // per dimension
-	u    []int    // the candidate being tested
-	// runs holds the memoized clear runs; base[t] and base[d+t] locate
-	// round 1's and round 2's entries for segment t.
-	runs []clearRun
-	base []int
+	// lstride[dim*d+j] is what a unit step along j adds to the id of a line
+	// along dim (lineIndex): the product of the widths below j but dim's.
+	lstride []int64
+	// segs holds the route's 2d segments in the order a row tests them,
+	// cols the segCols at its end.
+	segs, cols []viaSeg
+	// runs holds the memoized clear runs, masks one row of words per row
+	// of candidates, in node-index order.
+	runs  []clearRun
+	masks []uint64
+	words int // per row
 }
 
-// viaDim is one dimension of the candidate walk.
+// viaDim is one dimension of the candidate grid.
 type viaDim struct {
 	// The candidate coordinates are the ascending intervals [lo0, hi0]
 	// and [lo1, hi1] (hi1 = -1 when the second is empty), size of them.
 	lo0, hi0, lo1, hi1, size int
-	// loc is u's position among the candidates, d1 and d2 the signed
-	// displacements of the segments from v's coordinate to u's and from
-	// u's to w's.
-	loc, d1, d2 int
+	// For dimensions 1 and up, x is the current row's coordinate and loc
+	// its position among the candidates; d1 and d2 are the signed
+	// displacements of the segments from v's coordinate to x and from x
+	// to w's.
+	x, loc, d1, d2 int
 }
 
-// layout places the candidate coordinates and the memo tables, and returns
-// how many memo entries the two rounds need. The via box takes, per
-// dimension, the coordinates on a shortest arc from v to w: the closed
-// interval between them on a mesh; on a torus the minimal arc, or the
-// whole ring when both arcs have length n/2. With all set every coordinate
-// is a candidate.
-func (s *viaFill) layout(all bool) (runs int) {
+// The kinds of segment, in the order a row tests them.
+const (
+	segRow = iota // on a line that does not move with u₀: one test per row
+	segArc        // along dimension 0: an interval of u₀ per row
+	segCol        // on a line that moves with u₀: one test per bit
+)
+
+// viaSeg is one segment of the 2-round route: round 2's when into is set,
+// along dim. Its line holds u's coordinates along the dimensions taken
+// before it in round 1, after it in round 2: those of them above 0 are the
+// bits of keys, and fixed is the part of the line's id that the other
+// dimensions, held at v's or w's coordinate, contribute. Its memo entries
+// start at base, one per line, keyed by the candidate positions along keys
+// and, for a segCol, along dimension 0 innermost.
+type viaSeg struct {
+	into  bool
+	kind  uint8
+	dim   int
+	keys  uint64
+	fixed int64
+	base  int
+	// For a segCol, set per row: the memo offset and the line id at u₀'s
+	// first candidate and at u₀ = 0, and the row's displacement.
+	at, disp int
+	l        int64
+}
+
+// plan fills the line strides and lays out the route's segments in segs,
+// which must be zero, in the order a row tests them: those that pass or
+// fail a whole row first, then the two along dimension 0, then the
+// segCols, which it also returns.
+func (s *viaRows) plan(segs []viaSeg, pi1, pi2 Order) (all, cols []viaSeg) {
+	m, d := s.o.m, len(s.dims)
+	for dim := 0; dim < d; dim++ {
+		row, step := s.lstride[dim*d:dim*d+d], int64(1)
+		for j := range row {
+			if j != dim {
+				row[j] = step
+				step *= int64(m.Width(j))
+			}
+		}
+	}
+	// Round 1's segments before its dimension-0 one and round 2's after
+	// it test whole rows; the others test bits.
+	z1, z2 := slices.Index(pi1, 0), slices.Index(pi2, 0)
+	rows := z1 + d - 1 - z2
+	next := [...]int{segRow: 0, segArc: rows, segCol: rows + 2}
+	for _, into := range [...]bool{false, true} {
+		pi, held, z := pi1, s.v, z1
+		if into {
+			pi, held, z = pi2, s.w, z2
+		}
+		for t, dim := range pi {
+			kind := segCol
+			switch {
+			case t == z:
+				kind = segArc
+			case into == (t > z):
+				kind = segRow
+			}
+			sg := &segs[next[kind]]
+			next[kind]++
+			sg.into, sg.kind, sg.dim = into, uint8(kind), dim
+			lstride := s.lstride[dim*d : dim*d+d]
+			for i, j := range pi {
+				switch {
+				case i == t:
+				case (i < t) != into: // u's coordinate
+					sg.keys |= 1 << j &^ 1
+				default:
+					sg.fixed += int64(held[j]) * lstride[j]
+				}
+			}
+		}
+	}
+	return segs, segs[next[segArc]:]
+}
+
+// layout places the candidate coordinates and the segments' memo entries,
+// and returns how many memo entries there are and how many words the row
+// masks take. The via box takes, per dimension, the coordinates on a
+// shortest arc from v to w: the closed interval between them on a mesh; on
+// a torus the minimal arc, or the whole ring when both arcs have length
+// n/2. With all set every coordinate is a candidate.
+func (s *viaRows) layout(all bool) (runs, words int) {
 	m := s.o.m
-	d := len(s.v)
+	rows := 1
 	for j := range s.dims {
 		n := m.Width(j)
 		a, b := min(s.v[j], s.w[j]), max(s.v[j], s.w[j])
 		lo0, hi0, lo1, hi1 := a, b, 0, -1
 		switch span := b - a; {
-		case all || m.Torus() && 2*span == n:
+		case all || s.torus && 2*span == n:
 			lo0, hi0 = 0, n-1
-		case m.Torus() && 2*span > n: // the minimal arc wraps: [0,a] ∪ [b,n-1]
+		case s.torus && 2*span > n: // the minimal arc wraps: [0,a] ∪ [b,n-1]
 			lo0, hi0, lo1, hi1 = 0, a, b, n-1
 		}
-		s.dims[j] = viaDim{lo0: lo0, hi0: hi0, lo1: lo1, hi1: hi1, size: hi0 - lo0 + 1 + hi1 - lo1 + 1}
+		dim := &s.dims[j]
+		dim.lo0, dim.hi0, dim.lo1, dim.hi1 = lo0, hi0, lo1, hi1
+		dim.size = hi0 - lo0 + 1 + hi1 - lo1 + 1
+		if j > 0 {
+			rows *= dim.size
+		}
 	}
-	// Round 1's segment t has one line per prefix of candidates along
-	// pi1[0..t-1], round 2's one per suffix along pi2[t+1..d-1].
-	for t, lines := 0, 1; t < d; t++ {
-		s.base[t] = runs
+	for i := range s.segs {
+		sg := &s.segs[i]
+		sg.base = runs
+		lines := 1
+		if sg.kind == segCol {
+			lines = s.dims[0].size
+		}
+		for keys := sg.keys; keys != 0; keys &= keys - 1 {
+			lines *= s.dims[bits.TrailingZeros64(keys)].size
+		}
 		runs += lines
-		lines *= s.dims[s.pi1[t]].size
 	}
-	for t, lines := d-1, 1; t >= 0; t-- {
-		s.base[d+t] = runs
-		runs += lines
-		lines *= s.dims[s.pi2[t]].size
-	}
-	return runs
+	s.words = (m.Width(0) + 63) / 64
+	return runs, rows * s.words
 }
 
-// collect appends to best, in node-index order, the index of every feasible
-// via among the candidates layout placed: those of the via box, or with all
-// set every node, keeping only the vias of the shortest total route. The
-// memo table must have the size layout returned.
-func (s *viaFill) collect(best []int64, all bool) []int64 {
+// sweep fills every row's mask with its feasible vias among the candidates
+// layout placed, and returns how many there are; when there are none the
+// masks are left undefined. The memo table and the masks must have the
+// sizes layout returned.
+func (s *viaRows) sweep() (count int) {
 	for i := range s.runs {
 		s.runs[i].minus = -1
 	}
-	m := s.o.m
-	var idx int64
-	for j := range s.dims {
-		s.move(j, s.dims[j].lo0)
-		s.dims[j].loc = 0
-		idx += int64(s.u[j]) * m.Stride(j)
+	s.firstRow()
+	for rest := s.masks; len(rest) > 0; rest = rest[s.words:] {
+		count += s.fill(rest[:s.words])
+		s.nextRow()
 	}
-	bestLen := -1
-	for {
-		if s.feasible() {
-			if !all {
-				best = append(best, idx)
-			} else {
-				l := 0
-				for _, dim := range s.dims {
-					l += abs(dim.d1) + abs(dim.d2)
+	return count
+}
+
+// fill sets row to the current row's feasible vias and returns their count.
+// v and w are good; a faulty u ends a nonempty segment of round 1, whose
+// run then excludes it, or is v. A segment of length zero passes whatever
+// its run.
+func (s *viaRows) fill(row []uint64) int {
+	c := &s.dims[0]
+	clear(row)
+	setBits(row, c.lo0, c.hi0)
+	setBits(row, c.lo1, c.hi1)
+	for i := range s.segs {
+		sg := &s.segs[i]
+		key, l := s.line(sg)
+		disp := s.dims[sg.dim].d1
+		if sg.into {
+			disp = s.dims[sg.dim].d2
+		}
+		switch sg.kind {
+		case segRow:
+			if !inRun(disp, s.run(sg, key, l)) {
+				clear(row)
+				return 0
+			}
+		case segArc:
+			if s.keepRun(row, sg, s.run(sg, key, l)); empty(row) {
+				return 0
+			}
+		case segCol:
+			sg.at, sg.l, sg.disp = sg.base+key*c.size, l, disp
+		}
+	}
+	// Each segCol in turn clears the bits whose column's run does not
+	// reach the row's displacement.
+	lo0, hi0, gap := c.lo0, c.hi0, c.lo1-c.hi0-1
+	for k := range s.cols {
+		sg := &s.cols[k]
+		runs, disp := s.runs[sg.at:sg.at+c.size], sg.disp
+		for i, word := range row {
+			for b := word; b != 0; b &= b - 1 {
+				x := i<<6 | bits.TrailingZeros64(b)
+				loc := x - lo0
+				if x > hi0 { // in the second interval
+					loc -= gap
 				}
-				switch {
-				case bestLen == -1 || l < bestLen:
-					bestLen = l
-					best = append(best[:0], idx)
-				case l == bestLen:
-					best = append(best, idx)
+				r := runs[loc]
+				if r.minus < 0 {
+					r = s.lineRun(sg.into, sg.dim, sg.l+int64(x)) // dimension 0's line stride is 1
+					runs[loc] = r
+				}
+				if !inRun(disp, r) {
+					word &^= b & -b
 				}
 			}
+			row[i] = word
 		}
-		// Step to the next candidate like an odometer, dimension 0
-		// fastest: ascending node-index order.
-		j := 0
-		for ; j < len(s.dims); j++ {
-			x, dim := s.u[j], &s.dims[j]
-			switch {
-			case x == dim.hi0 && dim.hi1 >= 0: // on to the second interval
-				s.move(j, dim.lo1)
-			case x != dim.hi0 && x != dim.hi1:
-				s.move(j, x+1)
-			default: // this dimension wrapped: carry into the next
-				s.move(j, dim.lo0)
-				dim.loc = 0
-				idx += int64(dim.lo0-x) * m.Stride(j)
-				continue
-			}
-			dim.loc++
-			idx += int64(s.u[j]-x) * m.Stride(j)
-			break
-		}
-		if j == len(s.dims) {
-			return best
-		}
+	}
+	count := 0
+	for _, word := range row {
+		count += bits.OnesCount64(word)
+	}
+	return count
+}
+
+// line returns, for the current row, the memo key of segment sg's line
+// among its lines, and the line's id (at u₀ = 0 for a segCol).
+func (s *viaRows) line(sg *viaSeg) (key int, l int64) {
+	l = sg.fixed
+	lstride := s.lstride[sg.dim*len(s.dims):]
+	step := 1
+	for keys := sg.keys; keys != 0; keys &= keys - 1 {
+		j := bits.TrailingZeros64(keys)
+		dim := &s.dims[j]
+		key += dim.loc * step
+		step *= dim.size
+		l += int64(dim.x) * lstride[j]
+	}
+	return key, l
+}
+
+// run returns the memoized clear run of segment sg's line with memo key
+// key and line id l.
+func (s *viaRows) run(sg *viaSeg, key int, l int64) clearRun {
+	r := &s.runs[sg.base+key]
+	if r.minus < 0 {
+		*r = s.lineRun(sg.into, sg.dim, l)
+	}
+	return *r
+}
+
+// keepRun clears the bits of row outside the u₀ that dimension-0 segment
+// sg's clear run r lets through. On a torus a displacement is minimal: at
+// most n/2 steps + (ties go +) and (n-1)/2 steps -.
+func (s *viaRows) keepRun(row []uint64, sg *viaSeg, r clearRun) {
+	n := s.o.m.Width(0)
+	plus, minus := int(r.plus), int(r.minus)
+	if s.torus {
+		plus, minus = min(plus, n/2), min(minus, (n-1)/2)
+	}
+	if sg.into { // u₀ = w₀ - displacement
+		keepArc(row, s.w[0]-plus, s.w[0]+minus, n)
+	} else {
+		keepArc(row, s.v[0]-minus, s.v[0]+plus, n)
 	}
 }
 
-// move sets u's coordinate along dim j to x, with its displacements.
-func (s *viaFill) move(j, x int) {
-	s.u[j] = x
-	s.dims[j].d1, s.dims[j].d2 = s.displacement(j, s.v[j], x), s.displacement(j, x, s.w[j])
+// keepShortest clears, after a full-grid sweep, the vias whose total route
+// is longer than the shortest's, and returns how many are left.
+func (s *viaRows) keepShortest() (count int) {
+	best := -1
+	for pass := 0; pass < 2; pass++ {
+		s.firstRow()
+		for rest := s.masks; len(rest) > 0; rest = rest[s.words:] {
+			l0 := 0
+			for _, dim := range s.dims[1:] {
+				l0 += abs(dim.d1) + abs(dim.d2)
+			}
+			for i, b := range rest[:s.words] {
+				for ; b != 0; b &= b - 1 {
+					x := i<<6 | bits.TrailingZeros64(b)
+					l := l0 + abs(s.displacement(0, s.v[0], x)) + abs(s.displacement(0, x, s.w[0]))
+					switch {
+					case pass == 0:
+						if best < 0 || l < best {
+							best = l
+						}
+					case l > best:
+						rest[i] &^= b & -b
+					default:
+						count++
+					}
+				}
+			}
+			s.nextRow()
+		}
+	}
+	return count
+}
+
+// index returns the node index of the pick-th set bit of the masks, in
+// node-index order.
+func (s *viaRows) index(pick int) int64 {
+	s.firstRow()
+	for rest := s.masks; ; rest = rest[s.words:] {
+		for i, b := range rest[:s.words] {
+			if c := bits.OnesCount64(b); pick >= c {
+				pick -= c
+				continue
+			}
+			for ; pick > 0; pick-- {
+				b &= b - 1
+			}
+			idx := int64(i<<6 | bits.TrailingZeros64(b))
+			for j := 1; j < len(s.dims); j++ {
+				idx += int64(s.dims[j].x) * s.o.m.Stride(j)
+			}
+			return idx
+		}
+		s.nextRow()
+	}
+}
+
+// firstRow moves to the first row: every dimension but 0 at its first
+// candidate.
+func (s *viaRows) firstRow() {
+	for j := 1; j < len(s.dims); j++ {
+		s.move(j, s.dims[j].lo0)
+		s.dims[j].loc = 0
+	}
+}
+
+// nextRow steps to the next row like an odometer over dimensions 1 and up,
+// dimension 1 fastest: ascending node-index order. After the last row it
+// wraps to the first.
+func (s *viaRows) nextRow() {
+	for j := 1; j < len(s.dims); j++ {
+		dim := &s.dims[j]
+		switch x := dim.x; {
+		case x == dim.hi0 && dim.hi1 >= 0: // on to the second interval
+			s.move(j, dim.lo1)
+		case x != dim.hi0 && x != dim.hi1:
+			s.move(j, x+1)
+		default: // this dimension wrapped: carry into the next
+			s.move(j, dim.lo0)
+			dim.loc = 0
+			continue
+		}
+		dim.loc++
+		return
+	}
+}
+
+// move sets the row's coordinate along dim j to x, with its displacements.
+func (s *viaRows) move(j, x int) {
+	dim := &s.dims[j]
+	dim.x, dim.d1, dim.d2 = x, s.displacement(j, s.v[j], x), s.displacement(j, x, s.w[j])
 }
 
 // displacement returns the signed step count of a segment along dim from
 // coordinate a to b: b-a on a mesh; on a torus the minimal way round, ties
 // toward + (SegmentDir).
-func (s *viaFill) displacement(dim, a, b int) int {
-	if !s.o.m.Torus() {
-		return b - a
+func (s *viaRows) displacement(dim, a, b int) int {
+	δ := b - a
+	if !s.torus {
+		return δ
 	}
 	n := s.o.m.Width(dim)
-	δ := mod(b-a, n)
+	if δ < 0 {
+		δ += n
+	}
 	if δ > n-δ {
 		δ -= n
 	}
 	return δ
 }
 
-// feasible reports whether the candidate u joins a clear pi1-route from v
-// to a clear pi2-route to w. v and w are good; a faulty u ends a nonempty
-// segment of round 1, whose run then excludes it, or is v. A segment of
-// length zero passes whatever its run.
-func (s *viaFill) feasible() bool {
-	runs, dims, d := s.runs, s.dims, len(s.dims)
-	key := 0
-	for t, j := range s.pi1 {
-		r := &runs[s.base[t]+key]
-		if r.minus < 0 {
-			*r = s.fromRun(t)
-		}
-		if x := dims[j].d1; x > r.plus || -x > r.minus {
-			return false
-		}
-		key = key*dims[j].size + dims[j].loc
+// setBits sets bits lo..hi of row; none when lo > hi.
+func setBits(row []uint64, lo, hi int) {
+	for ; lo <= hi; lo = lo | 63 + 1 {
+		row[lo>>6] |= spanWord(lo, hi)
 	}
-	key = 0
-	for t := d - 1; t >= 0; t-- {
-		j := s.pi2[t]
-		r := &runs[s.base[d+t]+key]
-		if r.minus < 0 {
-			*r = s.intoRun(t)
-		}
-		if x := dims[j].d2; x > r.plus || -x > r.minus {
+}
+
+// clearBits clears bits lo..hi of row; none when lo > hi.
+func clearBits(row []uint64, lo, hi int) {
+	for ; lo <= hi; lo = lo | 63 + 1 {
+		row[lo>>6] &^= spanWord(lo, hi)
+	}
+}
+
+// spanWord returns the bits lo..hi that fall in the word holding bit lo,
+// as a mask of that word.
+func spanWord(lo, hi int) uint64 {
+	w := ^uint64(0) << (lo & 63)
+	if hi>>6 == lo>>6 {
+		w &= ^uint64(0) >> (63 - hi&63)
+	}
+	return w
+}
+
+// keepArc clears the bits of row outside the arc of coordinates lo..hi on
+// a ring of n, with -n <= lo <= hi < 2n: an arc of n or more keeps every
+// bit. On a mesh the arc lies in [0, n).
+func keepArc(row []uint64, lo, hi, n int) {
+	if hi-lo+1 >= n {
+		return
+	}
+	switch {
+	case lo < 0:
+		lo, hi = lo+n, hi+n
+	case lo >= n:
+		lo, hi = lo-n, hi-n
+	}
+	if hi < n {
+		clearBits(row, 0, lo-1)
+		clearBits(row, hi+1, n-1)
+	} else { // the arc wraps: [lo, n-1] ∪ [0, hi-n]
+		clearBits(row, hi-n+1, lo-1)
+	}
+}
+
+// empty reports whether row has no bit set.
+func empty(row []uint64) bool {
+	for _, x := range row {
+		if x != 0 {
 			return false
 		}
-		key = key*dims[j].size + dims[j].loc
 	}
 	return true
 }
 
-// fromRun computes the clear run of round 1's segment t for the current
-// candidate: the steps a segment along pi1[t] can take from v's coordinate
-// on the line where u holds pi1[0..t-1] and v the rest.
-func (s *viaFill) fromRun(t int) clearRun {
-	nodes, pos, neg := s.segmentFaults(s.pi1, t, s.u, s.v)
-	j := s.pi1[t]
-	a, n, torus := s.v[j], s.o.m.Width(j), s.o.m.Torus()
-	if has(nodes, a) {
-		return clearRun{}
+// lineRun computes the clear run of a segment along dim on the line with
+// id l (lineIndex): of round 1's, which leaves v's coordinate, or with into
+// set of round 2's, which arrives at w's. An empty fault list bounds
+// nothing, so its search is skipped.
+func (s *viaRows) lineRun(into bool, dim int, l int64) clearRun {
+	x := &s.o.dims[dim]
+	nodes, n := x.node.on(l), int(x.width)
+	a := s.v[dim]
+	if into {
+		a = s.w[dim]
 	}
-	// Step i leaving a along + crosses the +link with tail a+i-1 to node
-	// a+i; along - the -link with tail a-i+1 to node a-i.
-	return clearRun{
-		plus:  min(up(nodes, a+1, a, n, torus)-1, up(pos, a, a, n, torus)),
-		minus: min(down(nodes, a-1, a, n, torus)-1, down(neg, a, a, n, torus)),
-	}
-}
-
-// intoRun computes the clear run of round 2's segment t for the current
-// candidate: the steps a segment along pi2[t] can take into w's
-// coordinate on the line where w holds pi2[0..t-1] and u the rest.
-func (s *viaFill) intoRun(t int) clearRun {
-	nodes, pos, neg := s.segmentFaults(s.pi2, t, s.w, s.u)
-	j := s.pi2[t]
-	c, n, torus := s.w[j], s.o.m.Width(j), s.o.m.Torus()
-	if has(nodes, c) {
-		return clearRun{}
-	}
-	// Arriving along + takes the +link with tail c-i and its tail node
-	// c-i at step i counted back from c; along - the -link with tail c+i.
-	return clearRun{
-		plus:  min(down(nodes, c-1, c, n, torus), down(pos, c-1, c, n, torus)) - 1,
-		minus: min(up(nodes, c+1, c, n, torus), up(neg, c+1, c, n, torus)) - 1,
-	}
-}
-
-// segmentFaults returns the faults (Oracle.faultsOn) on the line of segment
-// t of a pi-route: the line along pi[t] holding done's coordinates along
-// pi[0..t-1], the dimensions already corrected, and rest's along the others.
-func (s *viaFill) segmentFaults(pi Order, t int, done, rest []int) (nodes, pos, neg []int) {
-	var p int64
-	for i, j := range pi {
-		switch {
-		case i < t:
-			p += int64(done[j]) * s.o.m.Stride(j)
-		case i > t:
-			p += int64(rest[j]) * s.o.m.Stride(j)
+	i := 0 // nodes[i] is the first listed coordinate above a
+	if len(nodes) > 0 {
+		if i = sort.SearchInts(nodes, a); i < len(nodes) && nodes[i] == a {
+			return clearRun{}
 		}
 	}
-	return s.o.faultsOn(pi[t], p)
-}
-
-// has reports whether the sorted list holds x.
-func has(sorted []int, x int) bool {
-	i := sort.SearchInts(sorted, x)
-	return i < len(sorted) && sorted[i] == x
-}
-
-// up returns the distance from a to the nearest listed coordinate at or
-// after from, walking + (from is a or a+1). On a torus the walk goes round
-// the ring, and an empty list is n away; on a mesh the boundary counts as
-// listed at n.
-func up(sorted []int, from, a, n int, torus bool) int {
-	if i := sort.SearchInts(sorted, from); i < len(sorted) {
-		return sorted[i] - a
+	linked := len(x.pos.vals)+len(x.neg.vals) > 0
+	if !into {
+		// Step i leaving a along + crosses the +link with tail a+i-1 to
+		// node a+i; along - the -link with tail a-i+1 to node a-i.
+		plus, minus := s.up(nodes, i, a, n)-1, s.down(nodes, i-1, a, n)-1
+		if linked {
+			pos, neg := x.pos.on(l), x.neg.on(l)
+			plus = min(plus, s.up(pos, sort.SearchInts(pos, a), a, n))
+			minus = min(minus, s.down(neg, sort.SearchInts(neg, a+1)-1, a, n))
+		}
+		return clearRun{int32(plus), int32(minus)}
 	}
+	// Arriving along + takes the +link with tail a-i and its tail node a-i
+	// at step i counted back from a; along - the -link with tail a+i.
+	plus, minus := s.down(nodes, i-1, a, n)-1, s.up(nodes, i, a, n)-1
+	if linked {
+		pos, neg := x.pos.on(l), x.neg.on(l)
+		plus = min(plus, s.down(pos, sort.SearchInts(pos, a)-1, a, n)-1)
+		minus = min(minus, s.up(neg, sort.SearchInts(neg, a+1), a, n)-1)
+	}
+	return clearRun{int32(plus), int32(minus)}
+}
+
+// up returns the distance from a, walking +, to sorted[i], the nearest
+// listed coordinate on that side. On a torus the walk goes round the ring
+// when i is past the end, and an empty list is n away; on a mesh the
+// boundary counts as listed at n.
+func (s *viaRows) up(sorted []int, i, a, n int) int {
 	switch {
-	case !torus:
+	case i < len(sorted):
+		return sorted[i] - a
+	case !s.torus:
 		return n - a
 	case len(sorted) > 0:
 		return sorted[0] + n - a
@@ -356,15 +622,13 @@ func up(sorted []int, from, a, n int, torus bool) int {
 	return n
 }
 
-// down mirrors up walking -: the distance from a to the nearest listed
-// coordinate at or before from (a or a-1); on a mesh the boundary counts as
-// listed at -1.
-func down(sorted []int, from, a, n int, torus bool) int {
-	if i := sort.SearchInts(sorted, from+1) - 1; i >= 0 {
-		return a - sorted[i]
-	}
+// down mirrors up walking -: the distance from a to sorted[i], i < 0 going
+// round the ring on a torus; on a mesh the boundary counts as listed at -1.
+func (s *viaRows) down(sorted []int, i, a, n int) int {
 	switch {
-	case !torus:
+	case i >= 0:
+		return a - sorted[i]
+	case !s.torus:
 		return a + 1
 	case len(sorted) > 0:
 		return a - sorted[len(sorted)-1] + n

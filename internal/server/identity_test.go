@@ -51,8 +51,8 @@ func checkQueryIdentity(t testing.TB, s *Server, h http.Handler, src, dst mesh.C
 		wantWire.Code = wire.CodeBadSrc
 	} else if want.Reason = unusable("dst", dst); want.Reason != "" {
 		wantWire.Code = wire.CodeBadDst
-	} else if r, ok := routing.ChooseRouteK(routing.NewOracle(e.Faults), s.Orders(), src, dst, nil); !ok {
-		want.Reason = fmt.Sprintf("no fault-free %d-round route from %v to %v", s.Orders().Rounds(), src, dst)
+	} else if r, ok := routing.ChooseRouteK(routing.NewOracle(e.Faults), s.orders, src, dst, nil); !ok {
+		want.Reason = fmt.Sprintf("no fault-free %d-round route from %v to %v", s.orders.Rounds(), src, dst)
 		wantWire.Code = wire.CodeNoRoute
 	} else {
 		want.Found = true

@@ -128,9 +128,6 @@ func (s *Server) Metrics() *Metrics { return &s.metrics }
 // Mesh returns the (immutable) topology the server routes on.
 func (s *Server) Mesh() *mesh.Mesh { return s.mesh }
 
-// Orders returns the k-round dimension ordering in force.
-func (s *Server) Orders() routing.MultiOrder { return s.orders }
-
 // LastError returns the most recent recompute failure ("" if none).
 func (s *Server) LastError() string {
 	s.mu.Lock()

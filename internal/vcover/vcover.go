@@ -7,7 +7,7 @@
 //   - Scratch.SolveBipartite: exact minimum-weight vertex cover on a bipartite
 //     graph via max-flow/min-cut [Gusfield 1992], polynomial time. Used by
 //     Lamb1 (Section 6.3.1).
-//   - Approx2: the Bar-Yehuda & Even linear-time 2-approximation for
+//   - Scratch.Approx2: the Bar-Yehuda & Even linear-time 2-approximation for
 //     general graphs [BYE 1981]. Used by Lamb2 as the fast option
 //     (Section 6.3.2).
 //   - SolveExact: branch-and-bound exact WVC for general graphs,
@@ -43,9 +43,7 @@ type Cover struct {
 // network behind SolveBipartite and the edge-list/weight buffers behind
 // Approx2. Covers and picks returned through a Scratch reference
 // scratch-owned memory and are valid until the next call on the same
-// Scratch; the package-level Approx2 wraps a throwaway Scratch and so keeps
-// its caller-owns-result contract. Not safe for concurrent use; the zero
-// value is ready.
+// Scratch. Not safe for concurrent use; the zero value is ready.
 type Scratch struct {
 	fg        maxflow.Graph
 	cover     Cover
@@ -176,12 +174,8 @@ func (g *General) WeightOf(pick []bool) int64 {
 // the Bar-Yehuda & Even local-ratio rule: for each edge, pay the smaller
 // remaining weight of its endpoints against both; vertices whose weight
 // reaches zero enter the cover. Runs in time linear in the number of edges.
-func Approx2(g *General) []bool {
-	return new(Scratch).Approx2(g)
-}
-
-// Approx2 is the package-level Approx2 drawing every buffer from s. The
-// returned pick slice is valid until the next call on s.
+// Every buffer comes from s; the returned pick slice is valid until the
+// next call on s.
 func (s *Scratch) Approx2(g *General) []bool {
 	s.remaining = append(s.remaining[:0], g.Weight...)
 	remaining := s.remaining

@@ -166,7 +166,7 @@ func TestApprox2Bound(t *testing.T) {
 				}
 			}
 		}
-		pick := Approx2(g)
+		pick := new(Scratch).Approx2(g)
 		if err := g.ValidateGeneral(pick); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -180,7 +180,7 @@ func TestApprox2Bound(t *testing.T) {
 
 func TestApprox2ZeroInitialWeight(t *testing.T) {
 	g := &General{Weight: []int64{0, 5}, Adj: [][]int{{1}, nil}}
-	pick := Approx2(g)
+	pick := new(Scratch).Approx2(g)
 	if err := g.ValidateGeneral(pick); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestStar(t *testing.T) {
 	if got := g.WeightOf(exact); got != 3 {
 		t.Errorf("exact star weight = %d, want 3", got)
 	}
-	approx := Approx2(g)
+	approx := new(Scratch).Approx2(g)
 	if err := g.ValidateGeneral(approx); err != nil {
 		t.Fatal(err)
 	}

@@ -168,6 +168,18 @@ func NewEngine(f *mesh.FaultSet, cfg EngineConfig, packets []*Message) (*Engine,
 		lastReleased: make([]*Message, m.Nodes()),
 	}
 	horizon := cfg.WarmupCycles + cfg.MeasureCycles
+	// Every node's source queue is carved from one backing array: count the
+	// packets per source in qhead, cut each queue with its count as its
+	// capacity, then fill. A live retransmission appended to a full queue
+	// moves that queue to an array of its own.
+	for _, p := range packets {
+		e.qhead[m.Index(p.Src)]++
+	}
+	back := make([]*Message, len(packets))
+	for v, n := range e.qhead {
+		e.queueOf[v], back = back[:0:n], back[n:]
+		e.qhead[v] = 0
+	}
 	for _, p := range packets {
 		if len(p.Hops) == 0 {
 			return nil, fmt.Errorf("wormhole: packet %d is a zero-hop self-delivery", p.ID)
