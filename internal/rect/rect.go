@@ -53,9 +53,6 @@ func Point(c mesh.Coord) Rect {
 	return r
 }
 
-// Clone returns an independent copy.
-func (r Rect) Clone() Rect { return append(Rect(nil), r...) }
-
 // Size returns the number of nodes in the box.
 func (r Rect) Size() int64 {
 	n := int64(1)
@@ -185,14 +182,6 @@ func (r Rect) All(pred func(c mesh.Coord) bool) bool {
 			return true
 		}
 	}
-}
-
-// Nodes materializes the box as a coordinate list. Intended for tests and
-// small sets; prefer ForEach elsewhere.
-func (r Rect) Nodes() []mesh.Coord {
-	out := make([]mesh.Coord, 0, r.Size())
-	r.ForEach(func(c mesh.Coord) { out = append(out, c.Clone()) })
-	return out
 }
 
 // String renders the box in the paper's style against mesh m, writing "*"

@@ -117,27 +117,10 @@ func TestForEachMatchesSize(t *testing.T) {
 	}
 }
 
-func TestNodes(t *testing.T) {
-	r := Rect{{1, 2}, {3, 3}}
-	got := r.Nodes()
-	if len(got) != 2 || !got[0].Equal(mesh.C(1, 3)) || !got[1].Equal(mesh.C(2, 3)) {
-		t.Errorf("Nodes = %v", got)
-	}
-}
-
 func TestMinCorner(t *testing.T) {
 	r := Rect{{3, 7}, {2, 2}, {0, 5}}
 	if !r.MinCorner().Equal(mesh.C(3, 2, 0)) {
 		t.Errorf("MinCorner = %v", r.MinCorner())
-	}
-}
-
-func TestClone(t *testing.T) {
-	r := Rect{{0, 1}, {2, 3}}
-	c := r.Clone()
-	c[0] = Interval{9, 9}
-	if r[0] != (Interval{0, 1}) {
-		t.Error("Clone aliases")
 	}
 }
 

@@ -96,7 +96,7 @@ func walkSpanFrom(f *mesh.FaultSet, v mesh.Coord, dim int) Span {
 	if f.NodeFaulty(v) {
 		return Span{a, a}
 	}
-	return Span{walkEnd(f, v, dim, -1, false), walkEnd(f, v, dim, +1, false)}
+	return Span{a - walkSteps(f, v, dim, -1, false), a + walkSteps(f, v, dim, +1, false)}
 }
 
 // walkSpanTo is SpanTo by walking: the segment into w along dim grows one
@@ -107,35 +107,54 @@ func walkSpanTo(f *mesh.FaultSet, w mesh.Coord, dim int) Span {
 	if f.NodeFaulty(w) {
 		return Span{c, c}
 	}
-	return Span{walkEnd(f, w, dim, -1, true), walkEnd(f, w, dim, +1, true)}
+	return Span{c - walkSteps(f, w, dim, -1, true), c + walkSteps(f, w, dim, +1, true)}
 }
 
-// walkEnd steps from c along dim in direction dir for as long as the next
+// walkRun is the oracle's clear run by walking, on meshes and tori: the
+// steps a segment leaving c along dim, or with into set arriving at c, can
+// take in the + and in the - direction. A segment arriving along + comes
+// from the - side of c, so its steps are walked backwards from c.
+func walkRun(f *mesh.FaultSet, c mesh.Coord, dim int, into bool) clearRun {
+	if f.NodeFaulty(c) {
+		return clearRun{}
+	}
+	plus, minus := walkSteps(f, c, dim, +1, into), walkSteps(f, c, dim, -1, into)
+	if into {
+		plus, minus = minus, plus
+	}
+	return clearRun{int32(plus), int32(minus)}
+}
+
+// walkSteps steps from c along dim in direction dir for as long as the next
 // node is good and the link between them is good: the link leaving the
 // current node, or with into set, the link from the next node back towards
-// c. It returns the last coordinate reached.
-func walkEnd(f *mesh.FaultSet, c mesh.Coord, dim, dir int, into bool) int {
+// c. It returns the number of steps taken, at most a lap less one on a
+// torus.
+func walkSteps(f *mesh.FaultSet, c mesh.Coord, dim, dir int, into bool) int {
 	m := f.Mesh()
 	cur := c.Clone()
-	for {
+	steps := 0
+	for ; steps < m.Width(dim)-1; steps++ {
 		next, ok := m.Neighbor(cur, dim, dir)
 		if !ok || f.NodeFaulty(next) {
-			return cur[dim]
+			break
 		}
 		l := mesh.Link{From: cur, Dim: dim, Dir: dir}
 		if into {
 			l = mesh.Link{From: next, Dim: dim, Dir: -dir}
 		}
 		if f.LinkFaulty(l) {
-			return cur[dim]
+			break
 		}
 		cur = next
 	}
+	return steps
 }
 
 // checkWalk asserts that o, indexed for f, answers every pair of wc like
-// the hop-by-hop walk on f: ReachOne under wc's order and its reverse, and
-// on meshes SpanFrom and SpanTo along every dimension at both endpoints.
+// the hop-by-hop walk on f: ReachOne under wc's order and its reverse; along
+// every dimension the clear runs leaving v and arriving at w; and on meshes
+// SpanFrom and SpanTo at both endpoints.
 func checkWalk(t *testing.T, what string, o *Oracle, f *mesh.FaultSet, wc *walkCase) {
 	t.Helper()
 	for i, v := range wc.v {
@@ -146,10 +165,21 @@ func checkWalk(t *testing.T, what string, o *Oracle, f *mesh.FaultSet, wc *walkC
 					what, pi, v, w, got, want, f.SortedNodeFaults(), f.LinkFaults())
 			}
 		}
-		if wc.m.Torus() {
-			continue
-		}
 		for dim := range wc.widths {
+			for _, into := range []bool{false, true} {
+				c := v
+				if into {
+					c = w
+				}
+				l := o.dims[dim].line(wc.m.ProfileIndex(c, dim))
+				if got, want := o.lineRun(into, dim, l, c[dim]), walkRun(f, c, dim, into); got != want {
+					t.Fatalf("%s: lineRun(into=%v, %d) at %v = %+v, walk %+v (nodes %v, links %v)",
+						what, into, dim, c, got, want, f.SortedNodeFaults(), f.LinkFaults())
+				}
+			}
+			if wc.m.Torus() {
+				continue
+			}
 			if got, want := o.SpanFrom(v, dim), walkSpanFrom(f, v, dim); got != want {
 				t.Fatalf("%s: SpanFrom(%v, %d) = %v, walk %v (nodes %v, links %v)",
 					what, v, dim, got, want, f.SortedNodeFaults(), f.LinkFaults())
@@ -176,6 +206,10 @@ func FuzzOracleWalk(f *testing.F) {
 	// A 1-D mesh and a 4-D torus.
 	f.Add([]byte{0, 4, 1, 3, 0, 3, 3, 0, 2, 1, 3, 0, 4})
 	f.Add([]byte{7, 1, 0, 2, 1, 2, 1, 0, 0, 1, 0, 1, 9, 1, 1, 1, 1, 3, 0, 0, 0, 0, 2, 2, 1, 1})
+	// A 2 x 3 torus, whose width-2 rings reach the same neighbour both
+	// ways: +link (1,1) and -link (0,0) along 0, second set node (1,0);
+	// pairs (0,0)->(1,2), (1,1)->(0,0) and (0,1)->(1,1).
+	f.Add([]byte{5, 0, 1, 0, 3, 0, 0, 1, 2, 1, 1, 1, 3, 1, 1, 0, 0, 2, 0, 0, 4, 1, 0, 3, 0, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wc, ok := decodeWalkCase(data)
 		if !ok {

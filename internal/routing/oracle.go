@@ -8,10 +8,14 @@ import (
 )
 
 // Oracle answers 1-round dimension-ordered reachability queries in the
-// presence of a fault set (Definition 2.5(1)). A query costs O(d log f)
-// time: the pi-route from v to w is d axis-aligned segments, and each
-// segment asks "is there a fault on this line interval?" against a
-// per-dimension index of the faults, built in O(d f log f).
+// presence of a fault set (Definition 2.5(1)). The pi-route from v to w is d
+// axis-aligned segments, and each is clear iff it avoids the faults on its
+// line (Lemma 4.1). So every query reads one primitive, the clear run of a
+// line (lineRun): how many steps a segment may take each way, leaving a
+// coordinate or arriving at it, before it meets a node or link fault. A run
+// costs three O(log f) binary searches in a per-dimension index of the
+// faults, built in O(d f log f), so ReachOne costs O(d log f); the spans
+// (SpanFrom, SpanTo) and the via search (ChooseVias) read the same runs.
 //
 // The oracle is safe for concurrent use after construction: NewOracle and
 // Rebuild are the only writers of the per-dimension fault indexes, and
@@ -41,11 +45,11 @@ type lineIndex struct {
 type faultLists struct {
 	keys []int64 // line*width + coordinate, sorted; also names the lines the next build clears
 	vals []int   // the coordinates, in key order
-	at   []lineRun
+	at   []listRange
 }
 
-// lineRun locates one line's faults in faultLists.vals.
-type lineRun struct{ start, count int32 }
+// listRange locates one line's faults in faultLists.vals.
+type listRange struct{ start, count int32 }
 
 // NewOracle indexes fault set f for reachability queries.
 func NewOracle(f *mesh.FaultSet) *Oracle {
@@ -72,7 +76,7 @@ func (o *Oracle) Rebuild(f *mesh.FaultSet) {
 			x := &o.dims[j]
 			x.stride, x.width = m.Stride(j), int64(m.Width(j))
 			x.span = x.stride * x.width
-			x.node.at = make([]lineRun, m.Nodes()/x.width)
+			x.node.at = make([]listRange, m.Nodes()/x.width)
 		}
 	}
 	o.m, o.f = m, f
@@ -80,7 +84,7 @@ func (o *Oracle) Rebuild(f *mesh.FaultSet) {
 		x := &o.dims[j]
 		for _, fl := range []*faultLists{&x.node, &x.pos, &x.neg} {
 			for _, k := range fl.keys {
-				fl.at[k/x.width] = lineRun{}
+				fl.at[k/x.width] = listRange{}
 			}
 			fl.keys = fl.keys[:0]
 		}
@@ -143,7 +147,7 @@ func (fl *faultLists) seal(width int64, lines int) {
 		return
 	}
 	if fl.at == nil {
-		fl.at = make([]lineRun, lines)
+		fl.at = make([]listRange, lines)
 	}
 	slices.Sort(fl.keys)
 	for i, k := range fl.keys {
@@ -165,13 +169,97 @@ func (fl *faultLists) on(l int64) []int {
 	return fl.vals[r.start : r.start+r.count]
 }
 
-// faultsOn returns the sorted dim-coordinates of the node faults and of the
-// tails of the faulty +links and -links on the line along dim with profile
-// index p: the one accessor every segment and span query reads.
-func (o *Oracle) faultsOn(dim int, p int64) (nodes, pos, neg []int) {
+// clearRun bounds the segments from or to one coordinate of a line that
+// avoid every node and link fault on it: a segment may take up to plus
+// steps in the + direction and minus steps in the - direction.
+type clearRun struct{ plus, minus int32 }
+
+// inRun reports whether a segment of signed displacement x stays in run r.
+func inRun(x int, r clearRun) bool { return x <= int(r.plus) && -x <= int(r.minus) }
+
+// lineRun returns the clear run at coordinate a of the line along dim with
+// id l (lineIndex): of the segments leaving a, or with into set of those
+// arriving at a. On a torus the steps count round the ring. A faulty a
+// gives the empty run. An empty fault list bounds nothing, so its search is
+// skipped.
+func (o *Oracle) lineRun(into bool, dim int, l int64, a int) clearRun {
 	x := &o.dims[dim]
-	l := x.line(p)
-	return x.node.on(l), x.pos.on(l), x.neg.on(l)
+	nodes, n, torus := x.node.on(l), int(x.width), o.m.Torus()
+	i := 0 // nodes[i] is the first listed coordinate above a
+	if len(nodes) > 0 {
+		if i = sort.SearchInts(nodes, a); i < len(nodes) && nodes[i] == a {
+			return clearRun{}
+		}
+	}
+	linked := len(x.pos.vals)+len(x.neg.vals) > 0
+	if !into {
+		// Step i leaving a along + crosses the +link with tail a+i-1 to
+		// node a+i; along - the -link with tail a-i+1 to node a-i.
+		plus, minus := up(nodes, i, a, n, torus)-1, down(nodes, i-1, a, n, torus)-1
+		if linked {
+			pos, neg := x.pos.on(l), x.neg.on(l)
+			plus = min(plus, up(pos, sort.SearchInts(pos, a), a, n, torus))
+			minus = min(minus, down(neg, sort.SearchInts(neg, a+1)-1, a, n, torus))
+		}
+		return clearRun{int32(plus), int32(minus)}
+	}
+	// Arriving along + takes the +link with tail a-i and its tail node a-i
+	// at step i counted back from a; along - the -link with tail a+i.
+	plus, minus := down(nodes, i-1, a, n, torus)-1, up(nodes, i, a, n, torus)-1
+	if linked {
+		pos, neg := x.pos.on(l), x.neg.on(l)
+		plus = min(plus, down(pos, sort.SearchInts(pos, a)-1, a, n, torus)-1)
+		minus = min(minus, up(neg, sort.SearchInts(neg, a+1), a, n, torus)-1)
+	}
+	return clearRun{int32(plus), int32(minus)}
+}
+
+// up returns the distance from a, walking +, to sorted[i], the nearest
+// listed coordinate on that side. On a torus the walk goes round the ring
+// when i is past the end, and an empty list is n away; on a mesh the
+// boundary counts as listed at n.
+func up(sorted []int, i, a, n int, torus bool) int {
+	switch {
+	case i < len(sorted):
+		return sorted[i] - a
+	case !torus:
+		return n - a
+	case len(sorted) > 0:
+		return sorted[0] + n - a
+	}
+	return n
+}
+
+// down mirrors up walking -: the distance from a to sorted[i], i < 0 going
+// round the ring on a torus; on a mesh the boundary counts as listed at -1.
+func down(sorted []int, i, a, n int, torus bool) int {
+	switch {
+	case i >= 0:
+		return a - sorted[i]
+	case !torus:
+		return a + 1
+	case len(sorted) > 0:
+		return a - sorted[len(sorted)-1] + n
+	}
+	return n
+}
+
+// displacement returns the signed step count of a segment along dim from
+// coordinate a to b: b-a on a mesh; on a torus the minimal way round, ties
+// toward +.
+func displacement(m *mesh.Mesh, dim, a, b int) int {
+	δ := b - a
+	if !m.Torus() {
+		return δ
+	}
+	n := m.Width(dim)
+	if δ < 0 {
+		δ += n
+	}
+	if δ > n-δ {
+		δ -= n
+	}
+	return δ
 }
 
 // Mesh returns the oracle's topology.
@@ -215,67 +303,16 @@ func (o *Oracle) segmentsClear(dims []int, idx int64, v, w mesh.Coord) bool {
 }
 
 // segmentClear reports whether the route segment along dim from coordinate a
-// to b (at the line identified by profile index p) avoids all node and link
-// faults. On a torus the segment takes the minimal direction, breaking ties
-// toward +.
+// to b, on the line with profile index p, avoids all node and link faults:
+// whether its displacement lies in the clear run leaving a.
 func (o *Oracle) segmentClear(p int64, dim, a, b int) bool {
-	nodes, pos, neg := o.faultsOn(dim, p)
-	if !o.m.Torus() {
-		lo, hi := a, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if anyIn(nodes, lo, hi) {
-			return false
-		}
-		if b > a {
-			return !anyIn(pos, a, b-1)
-		}
-		return !anyIn(neg, b+1, a)
-	}
-	n := o.m.Width(dim)
-	dpos := ((b-a)%n + n) % n
-	if dpos <= n-dpos { // + direction (ties go +)
-		if anyInCircular(nodes, a, b, n) {
-			return false
-		}
-		return !anyInCircular(pos, a, mod(b-1, n), n)
-	}
-	// - direction: nodes visited are a, a-1, ..., b; tails of -links used
-	// are a, a-1, ..., b+1.
-	if anyInCircular(nodes, b, a, n) {
-		return false
-	}
-	return !anyInCircular(neg, mod(b+1, n), a, n)
+	return inRun(displacement(o.m, dim, a, b), o.lineRun(false, dim, o.dims[dim].line(p), a))
 }
-
-// anyIn reports whether the sorted list has a value in [lo, hi].
-func anyIn(sorted []int, lo, hi int) bool {
-	if len(sorted) == 0 || lo > hi {
-		return false
-	}
-	i := sort.SearchInts(sorted, lo)
-	return i < len(sorted) && sorted[i] <= hi
-}
-
-// anyInCircular reports whether the sorted list has a value in the circular
-// range from lo to hi (inclusive, walking in the + direction, mod n).
-func anyInCircular(sorted []int, lo, hi, n int) bool {
-	if len(sorted) == 0 {
-		return false
-	}
-	if lo <= hi {
-		return anyIn(sorted, lo, hi)
-	}
-	return anyIn(sorted, lo, n-1) || anyIn(sorted, 0, hi)
-}
-
-func mod(x, n int) int { return ((x % n) + n) % n }
 
 // ReachableSetOne returns, indexed by linear node index, whether each node of
-// the mesh is (F,pi)-reachable from v. This is the O(N d log f) reference
-// used by tests and by the generic-topology path; the production algorithm
-// never enumerates N nodes.
+// the mesh is (F,pi)-reachable from v, by one ReachOne per node: O(N d log f).
+// It is a reference: ReachKSet and partition.Validate build on it, and the
+// lamb pipeline never enumerates N nodes.
 func (o *Oracle) ReachableSetOne(pi Order, v mesh.Coord) []bool {
 	out := make([]bool, o.m.Nodes())
 	if o.f.NodeFaulty(v) {

@@ -78,18 +78,14 @@ func appendSteps(path []mesh.Coord, back []int, m *mesh.Mesh, pi Order, v, w mes
 	return path, back
 }
 
+func mod(x, n int) int { return ((x % n) + n) % n }
+
 // SegmentDir returns the direction (+1 or -1) a dimension-ordered route
-// moves along dim from coordinate a to coordinate b: toward b on a mesh,
-// and the minimal way round on a torus, ties toward +.
+// moves along dim from coordinate a to coordinate b: the sign of the
+// segment's displacement, toward b on a mesh and the minimal way round on a
+// torus, ties toward +.
 func SegmentDir(m *mesh.Mesh, dim, a, b int) int {
-	if !m.Torus() {
-		if b < a {
-			return -1
-		}
-		return 1
-	}
-	n := m.Width(dim)
-	if dpos := mod(b-a, n); dpos > n-dpos {
+	if displacement(m, dim, a, b) < 0 {
 		return -1
 	}
 	return 1

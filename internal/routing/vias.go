@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"lambmesh/internal/mesh"
 )
@@ -98,26 +97,16 @@ func grow[T any](buf []T, n int) []T {
 	return make([]T, n)
 }
 
-// clearRun bounds the segments of one line that avoid every node and link
-// fault: a segment may take up to plus steps in the + direction and minus
-// steps in the - direction. For a round's first-taken segments the steps
-// are counted from a fixed start, for its last-taken ones into a fixed end.
-// minus < 0 marks a memo entry not computed yet.
-type clearRun struct{ plus, minus int32 }
-
-// inRun reports whether a segment of signed displacement x stays in run r.
-func inRun(x int, r clearRun) bool { return x <= int(r.plus) && -x <= int(r.minus) }
-
 // viaRows finds the feasible vias u of a 2-round route v → u → w a row at a
 // time. Round 1's segment t runs along pi1[t] on the line where u's
 // coordinates along pi1[0..t-1] and v's elsewhere are held, so it is clear
 // iff u's displacement from v along pi1[t] lies in that line's clear run
-// (Lemma 4.1 per line); the run is computed once per line, on first use,
-// with binary searches in the oracle's sorted fault lists. Round 2 mirrors
-// it: segment t runs along pi2[t] into w's coordinate on a line fixed by
-// u's coordinates along pi2[t+1..d-1]. Tori use the same runs: a segment
-// takes the minimal direction, ties toward +, so the test is on the signed
-// minimal displacement.
+// leaving v's coordinate (Lemma 4.1 per line); the run (Oracle.lineRun) is
+// computed once per line, on first use. Round 2 mirrors it: segment t runs
+// along pi2[t] into w's coordinate on a line fixed by u's coordinates along
+// pi2[t+1..d-1], and tests the run arriving there. Tori use the same runs:
+// a segment takes the minimal direction, ties toward +, so the test is on
+// the signed minimal displacement.
 //
 // A row holds the candidates that share every coordinate but u₀, the
 // fastest-varying one in node-index order, as a mask of ⌈n₀/64⌉ words over
@@ -142,8 +131,9 @@ type viaRows struct {
 	// segs holds the route's 2d segments in the order a row tests them,
 	// cols the segCols at its end.
 	segs, cols []viaSeg
-	// runs holds the memoized clear runs, masks one row of words per row
-	// of candidates, in node-index order.
+	// runs holds the memoized clear runs, minus < 0 marking one not
+	// computed yet; masks one row of words per row of candidates, in
+	// node-index order.
 	runs  []clearRun
 	masks []uint64
 	words int // per row
@@ -169,16 +159,18 @@ const (
 )
 
 // viaSeg is one segment of the 2-round route: round 2's when into is set,
-// along dim. Its line holds u's coordinates along the dimensions taken
-// before it in round 1, after it in round 2: those of them above 0 are the
-// bits of keys, and fixed is the part of the line's id that the other
-// dimensions, held at v's or w's coordinate, contribute. Its memo entries
-// start at base, one per line, keyed by the candidate positions along keys
-// and, for a segCol, along dimension 0 innermost.
+// along dim, leaving v's coordinate a or arriving at w's. Its line holds
+// u's coordinates along the dimensions taken before it in round 1, after
+// it in round 2: those of them above 0 are the bits of keys, and fixed is
+// the part of the line's id that the other dimensions, held at v's or w's
+// coordinate, contribute. Its memo entries start at base, one per line,
+// keyed by the candidate positions along keys and, for a segCol, along
+// dimension 0 innermost.
 type viaSeg struct {
 	into  bool
 	kind  uint8
 	dim   int
+	a     int
 	keys  uint64
 	fixed int64
 	base  int
@@ -223,7 +215,7 @@ func (s *viaRows) plan(segs []viaSeg, pi1, pi2 Order) (all, cols []viaSeg) {
 			}
 			sg := &segs[next[kind]]
 			next[kind]++
-			sg.into, sg.kind, sg.dim = into, uint8(kind), dim
+			sg.into, sg.kind, sg.dim, sg.a = into, uint8(kind), dim, held[dim]
 			lstride := s.lstride[dim*d : dim*d+d]
 			for i, j := range pi {
 				switch {
@@ -342,7 +334,7 @@ func (s *viaRows) fill(row []uint64) int {
 				}
 				r := runs[loc]
 				if r.minus < 0 {
-					r = s.lineRun(sg.into, sg.dim, sg.l+int64(x)) // dimension 0's line stride is 1
+					r = s.o.lineRun(sg.into, sg.dim, sg.l+int64(x), sg.a) // dimension 0's line stride is 1
 					runs[loc] = r
 				}
 				if !inRun(disp, r) {
@@ -380,7 +372,7 @@ func (s *viaRows) line(sg *viaSeg) (key int, l int64) {
 func (s *viaRows) run(sg *viaSeg, key int, l int64) clearRun {
 	r := &s.runs[sg.base+key]
 	if r.minus < 0 {
-		*r = s.lineRun(sg.into, sg.dim, l)
+		*r = s.o.lineRun(sg.into, sg.dim, l, sg.a)
 	}
 	return *r
 }
@@ -415,7 +407,7 @@ func (s *viaRows) keepShortest() (count int) {
 			for i, b := range rest[:s.words] {
 				for ; b != 0; b &= b - 1 {
 					x := i<<6 | bits.TrailingZeros64(b)
-					l := l0 + abs(s.displacement(0, s.v[0], x)) + abs(s.displacement(0, x, s.w[0]))
+					l := l0 + abs(displacement(s.o.m, 0, s.v[0], x)) + abs(displacement(s.o.m, 0, x, s.w[0]))
 					switch {
 					case pass == 0:
 						if best < 0 || l < best {
@@ -490,25 +482,7 @@ func (s *viaRows) nextRow() {
 // move sets the row's coordinate along dim j to x, with its displacements.
 func (s *viaRows) move(j, x int) {
 	dim := &s.dims[j]
-	dim.x, dim.d1, dim.d2 = x, s.displacement(j, s.v[j], x), s.displacement(j, x, s.w[j])
-}
-
-// displacement returns the signed step count of a segment along dim from
-// coordinate a to b: b-a on a mesh; on a torus the minimal way round, ties
-// toward + (SegmentDir).
-func (s *viaRows) displacement(dim, a, b int) int {
-	δ := b - a
-	if !s.torus {
-		return δ
-	}
-	n := s.o.m.Width(dim)
-	if δ < 0 {
-		δ += n
-	}
-	if δ > n-δ {
-		δ -= n
-	}
-	return δ
+	dim.x, dim.d1, dim.d2 = x, displacement(s.o.m, j, s.v[j], x), displacement(s.o.m, j, x, s.w[j])
 }
 
 // setBits sets bits lo..hi of row; none when lo > hi.
@@ -564,76 +538,6 @@ func empty(row []uint64) bool {
 		}
 	}
 	return true
-}
-
-// lineRun computes the clear run of a segment along dim on the line with
-// id l (lineIndex): of round 1's, which leaves v's coordinate, or with into
-// set of round 2's, which arrives at w's. An empty fault list bounds
-// nothing, so its search is skipped.
-func (s *viaRows) lineRun(into bool, dim int, l int64) clearRun {
-	x := &s.o.dims[dim]
-	nodes, n := x.node.on(l), int(x.width)
-	a := s.v[dim]
-	if into {
-		a = s.w[dim]
-	}
-	i := 0 // nodes[i] is the first listed coordinate above a
-	if len(nodes) > 0 {
-		if i = sort.SearchInts(nodes, a); i < len(nodes) && nodes[i] == a {
-			return clearRun{}
-		}
-	}
-	linked := len(x.pos.vals)+len(x.neg.vals) > 0
-	if !into {
-		// Step i leaving a along + crosses the +link with tail a+i-1 to
-		// node a+i; along - the -link with tail a-i+1 to node a-i.
-		plus, minus := s.up(nodes, i, a, n)-1, s.down(nodes, i-1, a, n)-1
-		if linked {
-			pos, neg := x.pos.on(l), x.neg.on(l)
-			plus = min(plus, s.up(pos, sort.SearchInts(pos, a), a, n))
-			minus = min(minus, s.down(neg, sort.SearchInts(neg, a+1)-1, a, n))
-		}
-		return clearRun{int32(plus), int32(minus)}
-	}
-	// Arriving along + takes the +link with tail a-i and its tail node a-i
-	// at step i counted back from a; along - the -link with tail a+i.
-	plus, minus := s.down(nodes, i-1, a, n)-1, s.up(nodes, i, a, n)-1
-	if linked {
-		pos, neg := x.pos.on(l), x.neg.on(l)
-		plus = min(plus, s.down(pos, sort.SearchInts(pos, a)-1, a, n)-1)
-		minus = min(minus, s.up(neg, sort.SearchInts(neg, a+1), a, n)-1)
-	}
-	return clearRun{int32(plus), int32(minus)}
-}
-
-// up returns the distance from a, walking +, to sorted[i], the nearest
-// listed coordinate on that side. On a torus the walk goes round the ring
-// when i is past the end, and an empty list is n away; on a mesh the
-// boundary counts as listed at n.
-func (s *viaRows) up(sorted []int, i, a, n int) int {
-	switch {
-	case i < len(sorted):
-		return sorted[i] - a
-	case !s.torus:
-		return n - a
-	case len(sorted) > 0:
-		return sorted[0] + n - a
-	}
-	return n
-}
-
-// down mirrors up walking -: the distance from a to sorted[i], i < 0 going
-// round the ring on a torus; on a mesh the boundary counts as listed at -1.
-func (s *viaRows) down(sorted []int, i, a, n int) int {
-	switch {
-	case i >= 0:
-		return a - sorted[i]
-	case !s.torus:
-		return a + 1
-	case len(sorted) > 0:
-		return a - sorted[len(sorted)-1] + n
-	}
-	return n
 }
 
 func abs(x int) int {

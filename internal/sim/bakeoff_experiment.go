@@ -9,12 +9,6 @@ import (
 	"lambmesh/internal/wormhole"
 )
 
-func init() {
-	extraRegistry = append(extraRegistry,
-		Experiment{ID: "bakeoff", Title: "baseline bake-off: lamb routing vs Boppana-Chalasani fault rings vs negative-first adaptive, same faults, same traffic", Weight: 10, Run: runBakeoff},
-	)
-}
-
 // bakeoffRates are the two static load points: one in the linear regime and
 // one near the faulty meshes' saturation knee, so the accepted columns read
 // as a two-point saturation curve per strategy.

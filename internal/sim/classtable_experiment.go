@@ -11,12 +11,6 @@ import (
 	"lambmesh/internal/routing"
 )
 
-func init() {
-	extraRegistry = append(extraRegistry,
-		Experiment{ID: "classtable", Title: "class-table compression: route-table memory vs mesh size and fault count against the ((2d-1)f+1)^2 bound", Weight: 3, Run: runClassTable},
-	)
-}
-
 // runClassTable builds lambd's compressed (SES, DES) route table over
 // random fault sets and measures its size: class counts, class pairs
 // against the ((2d-1)f+1)^2 worst-case bound, and resident bytes (the

@@ -24,11 +24,12 @@ type Experiment struct {
 	Run    func(cfg Config) *Table
 }
 
-// Registry returns every experiment, in paper order. Additional experiments
-// (baseline comparison, wormhole traffic, NP-hardness reduction) are
-// registered by their packages' sibling files.
+// Registry returns every experiment: the paper's tables and figures in
+// paper order, then the baselines, wormhole traffic, the NP-hardness check
+// and the extensions, whose runners live in the sibling *_experiment.go
+// files.
 func Registry() []Experiment {
-	exps := []Experiment{
+	return []Experiment{
 		{ID: "table1", Title: "one-round reachability matrix R on the 12x12 example (Table 1)", Run: runTable1},
 		{ID: "table2", Title: "two-round matrix R^(2) = RIR on the 12x12 example (Table 2)", Run: runTable2},
 		{ID: "sec5lamb", Title: "lamb set for the 12x12 example (Section 5)", Run: runSec5Lamb},
@@ -48,8 +49,20 @@ func Registry() []Experiment {
 		{ID: "prop65", Title: "fault sets meeting the partition bound B(d,f) exactly (Proposition 6.5)", Run: runProp65},
 		{ID: "abl-rounds", Title: "ablation: lamb count vs number of rounds k", Weight: 2, Run: runAblRounds},
 		{ID: "abl-vcover", Title: "ablation: Lamb1 vs Lamb2(approx) vs Lamb2(exact)", Run: runAblVcover},
+		{ID: "bakeoff", Title: "baseline bake-off: lamb routing vs Boppana-Chalasani fault rings vs negative-first adaptive, same faults, same traffic", Weight: 10, Run: runBakeoff},
+		{ID: "classtable", Title: "class-table compression: route-table memory vs mesh size and fault count against the ((2d-1)f+1)^2 bound", Weight: 3, Run: runClassTable},
+		{ID: "abl-blockfault", Title: "baseline: lambs vs inactivated nodes, and turn counts (Section 1 open question)", Weight: 2, Run: runBlockfault},
+		{ID: "worm", Title: "wormhole traffic: 2 VCs deadlock-free, 1 VC deadlocks (Section 1 requirements)", Run: runWorm},
+		{ID: "hardness", Title: "NP-hardness reduction sanity (Section 9)", Run: runHardness},
+		{ID: "ext-linkfaults", Title: "extension: mixed node and directed-link faults (Definition 2.4)", Weight: 2, Run: runLinkFaults},
+		{ID: "ext-reconfig", Title: "extension: roll-back/reconfigure generations with persistent lambs (Section 1/7)", Run: runReconfig},
+		{ID: "ext-congestion", Title: "extension: intermediate-node choice and congestion (Section 2.1 heuristic)", Run: runCongestion},
+		{ID: "ext-torus", Title: "extension: torus vs mesh lamb counts at equal faults (Section 7)", Weight: 2, Run: runTorusCompare},
+		{ID: "increconf", Title: "reconfiguration: AddFaults recompute wall-clock vs fault-delta size", Weight: 10, Run: runIncReconfig},
+		{ID: "worm-recovery", Title: "live fault injection: mid-run lamb reconfiguration and recovery latency vs fault-event size", Weight: 10, Run: runWormRecovery},
+		{ID: "worm-saturation", Title: "wormhole saturation sweep: latency vs injection rate, lambs vs fault-free (open-loop methodology)", Weight: 10, Run: runWormSaturation},
+		{ID: "topo-compare", Title: "topology comparison: lamb routing on mesh/torus/hypercube vs VC-free direct routing on a full mesh, 64 nodes each", Weight: 8, Run: runTopoCompare},
 	}
-	return append(exps, extraExperiments()...)
 }
 
 // Lookup finds an experiment by ID.

@@ -14,18 +14,6 @@ import (
 	"lambmesh/internal/wormhole"
 )
 
-func init() {
-	extraRegistry = append(extraRegistry,
-		Experiment{ID: "abl-blockfault", Title: "baseline: lambs vs inactivated nodes, and turn counts (Section 1 open question)", Weight: 2, Run: runBlockfault},
-		Experiment{ID: "worm", Title: "wormhole traffic: 2 VCs deadlock-free, 1 VC deadlocks (Section 1 requirements)", Run: runWorm},
-		Experiment{ID: "hardness", Title: "NP-hardness reduction sanity (Section 9)", Run: runHardness},
-		Experiment{ID: "ext-linkfaults", Title: "extension: mixed node and directed-link faults (Definition 2.4)", Weight: 2, Run: runLinkFaults},
-		Experiment{ID: "ext-reconfig", Title: "extension: roll-back/reconfigure generations with persistent lambs (Section 1/7)", Run: runReconfig},
-		Experiment{ID: "ext-congestion", Title: "extension: intermediate-node choice and congestion (Section 2.1 heuristic)", Run: runCongestion},
-		Experiment{ID: "ext-torus", Title: "extension: torus vs mesh lamb counts at equal faults (Section 7)", Weight: 2, Run: runTorusCompare},
-	)
-}
-
 // runTorusCompare quantifies what the Section 7 torus extension buys: the
 // same random fault sets need fewer lambs on a torus than on a mesh,
 // because wrap-around links give boundary nodes a second way out. On the

@@ -12,12 +12,6 @@ import (
 	"lambmesh/internal/wormhole"
 )
 
-func init() {
-	extraRegistry = append(extraRegistry,
-		Experiment{ID: "increconf", Title: "reconfiguration: AddFaults recompute wall-clock vs fault-delta size", Weight: 10, Run: runIncReconfig},
-	)
-}
-
 // runIncReconfig measures the stall of folding a delta-sized fault batch
 // into a Reconfigurer that already holds a base configuration: every
 // recompute runs the full pipeline on the accumulated faults. The solver

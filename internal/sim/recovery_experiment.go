@@ -9,12 +9,6 @@ import (
 	"lambmesh/internal/wormhole"
 )
 
-func init() {
-	extraRegistry = append(extraRegistry,
-		Experiment{ID: "worm-recovery", Title: "live fault injection: mid-run lamb reconfiguration and recovery latency vs fault-event size", Weight: 10, Run: runWormRecovery},
-	)
-}
-
 // runWormRecovery measures the online-recovery regime the lamb method
 // exists for: traffic is flowing when a batch of new node faults strikes at
 // the midpoint of the measurement window, the lamb set is recomputed on the

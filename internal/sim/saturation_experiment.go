@@ -9,12 +9,6 @@ import (
 	"lambmesh/internal/wormhole"
 )
 
-func init() {
-	extraRegistry = append(extraRegistry,
-		Experiment{ID: "worm-saturation", Title: "wormhole saturation sweep: latency vs injection rate, lambs vs fault-free (open-loop methodology)", Weight: 10, Run: runWormSaturation},
-	)
-}
-
 // runWormSaturation sweeps open-loop injection rates on M_2(16) with 8
 // random node faults and compares the lamb-routed faulty mesh to the
 // fault-free baseline: the standard latency-vs-rate curve, swept into

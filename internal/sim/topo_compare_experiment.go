@@ -9,12 +9,6 @@ import (
 	"lambmesh/internal/wormhole"
 )
 
-func init() {
-	extraRegistry = append(extraRegistry,
-		Experiment{ID: "topo-compare", Title: "topology comparison: lamb routing on mesh/torus/hypercube vs VC-free direct routing on a full mesh, 64 nodes each", Weight: 8, Run: runTopoCompare},
-	)
-}
-
 // topoCompareRates are the two static load points, shared by all four
 // topologies so the accepted columns compare like for like.
 var topoCompareRates = []float64{0.02, 0.08}

@@ -101,18 +101,6 @@ func (s *Scratch) SolveBipartite(g *Bipartite) *Cover {
 	return c
 }
 
-// Validate reports an error if c is not a vertex cover of g.
-func (g *Bipartite) Validate(c *Cover) error {
-	for i, ns := range g.Edges {
-		for _, j := range ns {
-			if !c.Left[i] && !c.Right[j] {
-				return fmt.Errorf("vcover: edge (left %d, right %d) uncovered", i, j)
-			}
-		}
-	}
-	return nil
-}
-
 // General is a vertex-weighted undirected graph given by an adjacency list.
 // Edges may appear in either or both endpoint lists; duplicates are
 // harmless.

@@ -41,9 +41,6 @@ func NewRingStrategy(f *mesh.FaultSet) (*RingStrategy, error) {
 	return &RingStrategy{f: f, mod: mod}, nil
 }
 
-// Model exposes the rectangularized structure (for reporting).
-func (s *RingStrategy) Model() *faultring.Model { return s.mod }
-
 func (s *RingStrategy) Name() string             { return "ring" }
 func (s *RingStrategy) Faults() *mesh.FaultSet   { return s.f }
 func (s *RingStrategy) Sacrificed() []mesh.Coord { return s.mod.Inactivated }

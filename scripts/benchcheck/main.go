@@ -60,6 +60,7 @@ var requiredBenchmarks = []string{
 	"BenchmarkReachKernels/rt",
 	"BenchmarkReachKernels/it",
 	"BenchmarkReachKernels/chain",
+	"BenchmarkOracleReachOne",
 	"BenchmarkBitmatMul",
 	"BenchmarkSec5LambSet",
 	"BenchmarkTorusLamb",
