@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -564,14 +565,16 @@ func BenchmarkLiveTrial(b *testing.B) {
 	}
 }
 
-// Data-plane benchmarks: the class-table query path and the wire codec.
+// Data-plane benchmarks: the class-table and server query paths and the
+// wire codec.
 
 // BenchmarkClassTableQuery: one route lookup through the compressed
 // (SES, DES) class table — classify src and dst (O(d log f) binary
 // searches), AND the class pair's row and column via-cell masks, pick the
 // best via among the set bits, and reconstruct the route shape — with a
-// reused Scratch. This is lambd's per-query hot path on the class-table
-// plane; the budget in scripts/benchcheck holds it at 0 allocs/op.
+// reused Scratch, on the input of BenchmarkServerQuery, which routes the
+// same pairs over the oracle instead. The budget in scripts/benchcheck
+// holds it at 0 allocs/op.
 func BenchmarkClassTableQuery(b *testing.B) {
 	m := mesh.MustNew(32, 32)
 	rng := rand.New(rand.NewSource(10))
@@ -607,9 +610,10 @@ func BenchmarkClassTableQuery(b *testing.B) {
 }
 
 // BenchmarkServerQuery: one route query through lambd's query core via the
-// wire backend — load the live epoch, check both endpoints, look the pair
-// up in the class table, and copy the via into the caller's reused Answer —
-// on M2(32) with f = 31, the serve-churn configuration. The budget in
+// wire backend — load the live epoch, check both endpoints, pick the via
+// with the row-mask search over the epoch's oracle into the caller's
+// reused Answer, and walk the route's stops for hops and turns — on M2(32)
+// with f = 31, the serve-churn configuration. The budget in
 // scripts/benchcheck holds it at 0 allocs/op.
 func BenchmarkServerQuery(b *testing.B) {
 	m := mesh.MustNew(32, 32)
@@ -634,16 +638,21 @@ func BenchmarkServerQuery(b *testing.B) {
 	})
 	backend := srv.WireBackend()
 	var ans wire.Answer
-	// One pass of the timed query pattern grows ans.Via and fills the
-	// scratch pool, so the loop measures the steady state.
+	// One pass of the timed query pattern grows ans.Via, so the loop
+	// measures the steady state. Yielding lets the recompute worker, which
+	// New queued on this thread, start and park in its select, whose first
+	// wait allocates.
 	for i := range good {
 		backend.Query(good[i], good[(i*31+17)%len(good)], &ans)
 	}
+	runtime.Gosched()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		backend.Query(good[i%len(good)], good[(i*31+17)%len(good)], &ans)
 	}
+	// The deferred Close's worker shutdown is not part of a query.
+	b.StopTimer()
 }
 
 // BenchmarkWireRoundTrip: encode a route request, decode it, encode the
@@ -849,7 +858,7 @@ func BenchmarkVerifyLambSetTorus(b *testing.B) {
 	}
 }
 
-// Reconfiguration benchmarks: the AddFaults recompute and the class-table
+// Reconfiguration benchmarks: the AddFaults recompute and a class-table
 // swap.
 
 // benchAddFaults measures one AddFaults recompute on m with a base
@@ -893,9 +902,9 @@ func BenchmarkAddFaults(b *testing.B) {
 	}
 }
 
-// BenchmarkClassTableSwap: what one fault report costs the class-table data
-// plane until the post-swap query burst is answered, built as lambd builds
-// it — Find-Reachability on a Scratch reused across reports (the
+// BenchmarkClassTableSwap: what one fault report cost the class-table data
+// plane lambd used to serve from, until the post-swap query burst is
+// answered, built as lambd built it — Find-Reachability on a Scratch reused across reports (the
 // recompute's), classtable.New from its result for the next epoch (M_2(32)
 // holding 31 faults plus one reported mid-mesh), then a fixed pseudo-random
 // sweep of 4096 route lookups over the surviving endpoints.

@@ -1,12 +1,14 @@
-// Package classtable is the class-based O(1) route data plane of the lambd
-// serving layer. The paper's central compression (Section 6.1): whether w is
+// Package classtable is a class-based route table: the structure the
+// classtable experiment sizes and the benchmarks time. lambd does not serve
+// from it; its queries route over the epoch's oracle (DESIGN.md §10).
+//
+// The paper's central compression (Section 6.1): whether w is
 // (k,F,pi)-reachable from v depends only on the SES equivalence class of v
 // (under pi_1) and the DES class of w (under pi_k) — at most
 // ((2d-1)f+1)^2 class pairs, versus N^2 node pairs. A Table materializes
-// that insight as an immutable serving structure built once per epoch from
-// the partitions and one-round matrices R_t that Find-Reachability (Section
-// 6.2) already produced for the lamb solve — New runs no partition or
-// reachability pass of its own:
+// that insight as an immutable structure built from the partitions and
+// one-round matrices R_t of a Find-Reachability (Section 6.2) — New runs no
+// partition or reachability pass of its own:
 //
 //   - classify src and dst in O(d log f) via the sorted fault-interval
 //     trees of partition.Classifier;
@@ -29,8 +31,8 @@
 // deterministic scan exactly.
 //
 // Supported configurations: meshes (not tori) with k <= 2 rounds — the
-// paper's simulated configurations and lambd's default. Callers fall back
-// to per-pair routing.ChooseRouteK for anything else (ErrUnsupported).
+// paper's simulated configurations. Callers fall back to per-pair
+// routing.ChooseRoute for anything else (ErrUnsupported).
 package classtable
 
 import (
@@ -50,8 +52,8 @@ import (
 // per-pair routing.
 var ErrUnsupported = errors.New("classtable: only meshes with k <= 2 rounds are supported")
 
-// Supported reports whether New would accept the configuration.
-func Supported(m *mesh.Mesh, orders routing.MultiOrder) bool {
+// supported reports whether New would accept the configuration.
+func supported(m *mesh.Mesh, orders routing.MultiOrder) bool {
 	k := orders.Rounds()
 	return !m.Torus() && k >= 1 && k <= 2
 }
@@ -86,13 +88,13 @@ type Table struct {
 }
 
 // New builds the class table from rc, the Find-Reachability of the fault
-// set it serves (lambd passes its recompute's, core.Reconfigurer.LastReach).
+// set it serves.
 // It classifies by rc.Sigma[0] and rc.Delta[k-1], and reads R[0] (k = 1) or
 // the via cells of Delta[0] x Sigma[1] under R[0] and R[1] (k = 2). It keeps
 // none of rc's memory, so it outlives rc's Scratch.
 func New(rc *reach.Reachability) (*Table, error) {
 	m := rc.Oracle.Mesh()
-	if !Supported(m, rc.Orders) {
+	if !supported(m, rc.Orders) {
 		return nil, ErrUnsupported
 	}
 	k := rc.Orders.Rounds()
@@ -119,7 +121,7 @@ func New(rc *reach.Reachability) (*Table, error) {
 // with up to workers goroutines); prev is ignored. Kept for perfbench,
 // which compiles against it.
 func NewFrom(f *mesh.FaultSet, orders routing.MultiOrder, workers int, prev *Table) (*Table, error) {
-	if !Supported(f.Mesh(), orders) {
+	if !supported(f.Mesh(), orders) {
 		return nil, ErrUnsupported
 	}
 	rc, err := reach.ComputeScratch(f, orders, workers, nil)
@@ -226,10 +228,6 @@ func (q *Scratch) grow(d int) {
 	q.cand = q.cand[:d]
 	q.cur = q.cur[:d]
 }
-
-// Classes returns the class-pair dimensions (|SES partition|, |DES
-// partition|).
-func (t *Table) Classes() (ses, des int) { return t.ses, t.des }
 
 // Lookup answers a route query for good endpoints src and dst, both of
 // which must lie inside the mesh (the caller checks containment — indexes

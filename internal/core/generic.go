@@ -144,7 +144,6 @@ func (cl *classes) group(m *bitmat.Matrix, slots *[]int) {
 // torusCover runs the class reduction with f's routing oracle as the
 // 1-round reachability relation (torusReach), then the cover.
 func (s *Solver) torusCover(f *mesh.FaultSet, orders routing.MultiOrder, start time.Time) (Stats, error) {
-	s.lastReach = nil
 	rk, err := s.torusReach(f, orders, start)
 	if err != nil {
 		return Stats{}, err

@@ -118,7 +118,6 @@ func (s *Solver) coverZeros(rk *bitmat.Matrix, rowWeight, colWeight func(int) in
 // from start.
 func (s *Solver) meshCover(f *mesh.FaultSet, orders routing.MultiOrder, cfg *config, start time.Time) (*reach.Reachability, *vcover.Cover, Stats, error) {
 	rc, err := reach.ComputeScratch(f, orders, cfg.workers, &s.rs)
-	s.lastReach = rc
 	if err != nil {
 		return nil, nil, Stats{}, err
 	}

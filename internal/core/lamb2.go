@@ -55,7 +55,6 @@ func (s *Solver) Lamb2(f *mesh.FaultSet, orders routing.MultiOrder, mode WVCMode
 		return nil, err
 	}
 	rc, err := reach.ComputeScratch(f, orders, cfg.workers, &s.rs)
-	s.lastReach = nil
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"lambmesh/internal/mesh"
-	"lambmesh/internal/reach"
 	"lambmesh/internal/routing"
 )
 
@@ -67,12 +66,6 @@ func (r *Reconfigurer) Generation() int { return r.generation }
 // LastPhases returns the phase split of the most recent recompute, on a
 // mesh or a torus (zero before the first).
 func (r *Reconfigurer) LastPhases() PhaseTimes { return r.solver.LastPhases() }
-
-// LastReach returns the Find-Reachability (partitions, R_t, R^(k)) of the
-// most recent recompute, nil before the first and after a torus one. Like
-// LastPhases it is the Solver's; it lives in the scratch, valid until the
-// next AddFaults, so whatever is built from it must copy what it keeps.
-func (r *Reconfigurer) LastReach() *reach.Reachability { return r.solver.lastReach }
 
 // AddFaults folds newly detected faults into the configuration and
 // recomputes the lamb set from scratch. A node that was a lamb and has now

@@ -63,10 +63,6 @@ type Solver struct {
 	// phases is the phase split of the last Lamb1 call (observability; the
 	// lambs themselves are independent of it).
 	phases PhaseTimes
-
-	// lastReach is meshCover's Find-Reachability, in rs; nil after a torus
-	// solve or a Lamb2.
-	lastReach *reach.Reachability
 }
 
 // LastPhases returns the phase split of the most recent Lamb1 or

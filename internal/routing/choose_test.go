@@ -43,9 +43,14 @@ func fullScanRoute(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand
 
 // sameRoute compares ChooseRoute against the full scan for one pair, with
 // nil rng and with two identically seeded rngs whose next draws must agree
-// afterwards (the same number of draws was consumed).
+// afterwards (the same number of draws was consumed). It also checks
+// HopsTurns on routes through the pair's stops with one, two and three
+// rounds (checkHopsTurns).
 func sameRoute(t testing.TB, o *Oracle, orders MultiOrder, v, w mesh.Coord, seed int64) {
 	t.Helper()
+	m := o.Mesh()
+	checkHopsTurns(t, m, orders[:1], v, w, nil)
+	checkHopsTurns(t, m, append(orders[:2:2], orders[0]), v, w, []mesh.Coord{w, v})
 	for _, seeded := range []bool{false, true} {
 		var rg, rw *rand.Rand
 		if seeded {
@@ -66,6 +71,20 @@ func sameRoute(t testing.TB, o *Oracle, orders MultiOrder, v, w mesh.Coord, seed
 			t.Fatalf("%v %v->%v seeded=%v: via %v path %v, full scan via %v path %v",
 				o.Mesh(), v, w, seeded, got.Vias[0], got.Path, want.Vias[0], want.Path)
 		}
+		checkHopsTurns(t, m, orders, v, w, got.Vias)
+		checkHopsTurns(t, m, append(orders[:2:2], orders[1]), v, w, []mesh.Coord{got.Vias[0], v})
+	}
+}
+
+// checkHopsTurns requires HopsTurns to read the length and turns of the
+// path PathK builds through the stops v, vias..., w, which need not be a
+// fault-free route.
+func checkHopsTurns(t testing.TB, m *mesh.Mesh, orders MultiOrder, v, w mesh.Coord, vias []mesh.Coord) {
+	t.Helper()
+	path := PathK(m, orders, v, w, vias)
+	if hops, turns := HopsTurns(m, orders, v, w, vias); hops != PathLen(path) || turns != CountTurns(path) {
+		t.Fatalf("%v %v %v->%v via %v: HopsTurns %d hops %d turns, path %v has %d and %d",
+			m, orders, v, w, vias, hops, turns, path, PathLen(path), CountTurns(path))
 	}
 }
 
@@ -81,8 +100,9 @@ func samePath(a, b []mesh.Coord) bool {
 	return true
 }
 
-// TestChooseRouteMatchesFullScan compares ChooseRoute with the full scan
-// on small networks over every pair, and on thin wide ones, whose rows
+// TestChooseRouteMatchesFullScan compares ChooseRoute with the full scan,
+// and HopsTurns with PathK's path for k = 1-3, on small networks (width-2
+// rings among them) over every pair, and on thin wide ones, whose rows
 // span two mask words, over sampled pairs and one pair whose via box a
 // fault blocks, so that the full-grid fallback runs.
 func TestChooseRouteMatchesFullScan(t *testing.T) {
@@ -237,8 +257,8 @@ func goodLinks(f *mesh.FaultSet) int {
 	return n
 }
 
-// FuzzChooseRoute drives the differential check over small 2-D and 3-D
-// meshes and tori, and thin 2-D ones with a side of 63-70, with random node
+// FuzzChooseRoute drives the differential check, HopsTurns's included,
+// over small 2-D and 3-D meshes and tori, and thin 2-D ones with a side of 63-70, with random node
 // and link faults, pairs, order pairs (any permutation in either round) and
 // tie-break seeds.
 func FuzzChooseRoute(f *testing.F) {
@@ -298,7 +318,7 @@ func TestChooseRouteKTieIsUniform(t *testing.T) {
 	const draws = 3000
 	var tally [3]int
 	for i := 0; i < draws; i++ {
-		r, ok := ChooseRouteK(o, orders, mesh.C(0), mesh.C(2), rng)
+		r, ok := ChooseRoute(o, orders, mesh.C(0), mesh.C(2), rng)
 		if !ok || r.Hops() != 2 {
 			t.Fatalf("route %v ok=%v, want 2 hops", r, ok)
 		}
@@ -311,15 +331,16 @@ func TestChooseRouteKTieIsUniform(t *testing.T) {
 	}
 }
 
-// The 2-round via search allocates nothing on a 16 x 16 mesh or torus, for
-// a pair with a clear via box and for one whose box is blocked, so that the
-// full-grid fallback runs: its scratch fits in the caller's frame.
+// The 2-round via search allocates nothing on a 16 x 16 mesh or torus and
+// a 32 x 32 mesh, for a pair with a clear via box and for one whose box is
+// blocked, so that the full-grid fallback runs: its scratch fits in the
+// caller's frame.
 func TestChooseViaAllocs(t *testing.T) {
 	torus, err := mesh.NewTorus(16, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []*mesh.Mesh{mesh.MustNew(16, 16), torus} {
+	for _, m := range []*mesh.Mesh{mesh.MustNew(16, 16), torus, mesh.MustNew(32, 32)} {
 		f := mesh.NewFaultSet(m)
 		f.AddNodes(mesh.C(5, 3), mesh.C(9, 12), mesh.C(1, 1))
 		o := NewOracle(f)

@@ -108,6 +108,38 @@ func CountTurns(path []mesh.Coord) int {
 	return turns
 }
 
+// HopsTurns returns the length in links and the number of turns of the
+// k-round route from v through vias (k-1 of them) to w: PathLen and
+// CountTurns of PathK(m, orders, v, w, vias), walked from the stops alone,
+// one segment per dimension and round, without building the path. A
+// segment's length is the size of its displacement, the minimal one on a
+// torus; segments along one dimension on either side of a stop join
+// without a turn, whichever way they go.
+func HopsTurns(m *mesh.Mesh, orders MultiOrder, v, w mesh.Coord, vias []mesh.Coord) (hops, turns int) {
+	runs, last := 0, -1
+	from := v
+	for t, pi := range orders {
+		to := w
+		if t < len(vias) {
+			to = vias[t]
+		}
+		// A round moves along each dimension once, so its segment along
+		// dim runs from the previous stop's coordinate to the next one's.
+		for _, dim := range pi {
+			δ := displacement(m, dim, from[dim], to[dim])
+			if δ == 0 {
+				continue
+			}
+			hops += abs(δ)
+			if dim != last {
+				runs, last = runs+1, dim
+			}
+		}
+		from = to
+	}
+	return hops, max(runs-1, 0)
+}
+
 // PathLen returns the number of hops (links traversed) in the path.
 func PathLen(path []mesh.Coord) int { return len(path) - 1 }
 
@@ -133,33 +165,37 @@ func (r *Route) Hops() int { return PathLen(r.Path) }
 // Turns returns the number of direction changes on the route.
 func (r *Route) Turns() int { return CountTurns(r.Path) }
 
-// ChooseRoute picks a fault-free k-round route from v to w, using the
-// heuristic the paper suggests (Section 2.1): among feasible intermediate
-// nodes, choose one giving a shortest total route, breaking ties uniformly
-// at random (rng may be nil for deterministic first-best; otherwise exactly
-// one rng.Intn draws among the tied vias in node-index order). Only k = 1
-// and k = 2 are supported — the cases the paper simulates. Returns false if
-// no fault-free route exists.
+// ChooseRoute picks a fault-free k-round route from v to w, for any
+// k >= 1: the vias ChooseVias picks, and the node path through them.
+// Returns false if no fault-free route exists.
 //
-// For k = 2 the search first tries only the intermediates on some minimal
-// v→w route (the bounding box on a mesh, the minimal arcs on a torus): a
-// feasible one there is strictly shorter than any via outside, so the tied
-// set is the same as a scan of all N nodes would find. Each segment is
-// tested against its line's clear run, computed once per line with O(log f)
-// binary searches. The candidates are swept a row at a time, a row being
-// those that differ only along dimension 0, as a mask of ⌈n₀/64⌉ words: a
-// segment along dimension 0 clears the bits outside its run, one on a line
-// fixed for the row keeps or empties the row, and only one on a line that
-// moves along the row is tested bit by bit, for the bits still set. The
-// search costs O(rows · (d² + ⌈n₀/64⌉) + bits · d + lines · log f); the tie
-// count is the sum of the rows' popcounts, and the via the pick-th set bit.
-// Only when every minimal via is blocked does the same sweep run over all
-// N nodes, keeping the bits of minimal total length. It serves traffic
-// generation for the wormhole simulator, not the lamb algorithm (which
-// never routes).
+// For k = 2 it uses the heuristic the paper suggests (Section 2.1): among
+// feasible intermediate nodes, choose one giving a shortest total route,
+// breaking ties uniformly at random (rng may be nil for deterministic
+// first-best; otherwise exactly one rng.Intn draws among the tied vias in
+// node-index order). The search first tries only the intermediates on some
+// minimal v→w route (the bounding box on a mesh, the minimal arcs on a
+// torus): a feasible one there is strictly shorter than any via outside, so
+// the tied set is the same as a scan of all N nodes would find. Each
+// segment is tested against its line's clear run, computed once per line
+// with O(log f) binary searches. The candidates are swept a row at a time,
+// a row being those that differ only along dimension 0, as a mask of
+// ⌈n₀/64⌉ words: a segment along dimension 0 clears the bits outside its
+// run, one on a line fixed for the row keeps or empties the row, and only
+// one on a line that moves along the row is tested bit by bit, for the bits
+// still set. The search costs O(rows · (d² + ⌈n₀/64⌉) + bits · d + lines ·
+// log f); the tie count is the sum of the rows' popcounts, and the via the
+// pick-th set bit. Only when every minimal via is blocked does the same
+// sweep run over all N nodes, keeping the bits of minimal total length.
+//
+// For k >= 3 the vias come from a dynamic program over rounds with the same
+// policy, at O(k N²) reachability queries. Route choice serves lambd and
+// traffic generation for the wormhole simulator, not the lamb algorithm
+// (which never routes).
 func ChooseRoute(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) (*Route, bool) {
-	if k := len(orders); k != 1 && k != 2 {
-		panic(fmt.Sprintf("routing: ChooseRoute supports 1 or 2 rounds, got %d", k))
+	vias, ok := ChooseVias(o, orders, v, w, rng)
+	if !ok {
+		return nil, false
 	}
-	return ChooseRouteK(o, orders, v, w, rng)
+	return &Route{Vias: vias, Path: PathK(o.Mesh(), orders, v, w, vias)}, true
 }

@@ -7,13 +7,17 @@ import (
 	"lambmesh/internal/mesh"
 )
 
+// The TestChooseRouteK tests cover ChooseRoute with k >= 2 rounds on
+// hand-made cases; TestChooseRouteMatchesFullScan and FuzzChooseRoute
+// check k = 2 against a full scan.
+
 func TestChooseRouteKDelegatesToK2(t *testing.T) {
 	m := mesh.MustNew(5, 5)
 	o := NewOracle(mesh.NewFaultSet(m))
 	orders := UniformAscending(2, 2)
-	r, ok := ChooseRouteK(o, orders, mesh.C(0, 0), mesh.C(4, 4), nil)
+	r, ok := ChooseRoute(o, orders, mesh.C(0, 0), mesh.C(4, 4), nil)
 	if !ok || r.Hops() != 8 {
-		t.Fatalf("k=2 delegation: %v ok=%v", r, ok)
+		t.Fatalf("k=2 corner route: %v ok=%v", r, ok)
 	}
 }
 
@@ -23,7 +27,7 @@ func TestChooseRouteKThreeRounds(t *testing.T) {
 	f.AddNode(mesh.C(2, 0))
 	o := NewOracle(f)
 	orders := UniformAscending(2, 3)
-	r, ok := ChooseRouteK(o, orders, mesh.C(0, 0), mesh.C(4, 0), nil)
+	r, ok := ChooseRoute(o, orders, mesh.C(0, 0), mesh.C(4, 0), nil)
 	if !ok {
 		t.Fatal("3-round route should exist")
 	}
@@ -60,10 +64,10 @@ func TestChooseRouteKMatchesReachK(t *testing.T) {
 		for pair := 0; pair < 25; pair++ {
 			v := m.CoordOf(rng.Int63n(m.Nodes()))
 			w := m.CoordOf(rng.Int63n(m.Nodes()))
-			_, ok := ChooseRouteK(o, orders, v, w, rng)
+			_, ok := ChooseRoute(o, orders, v, w, rng)
 			want := o.ReachK(orders, v, w)
 			if ok != want {
-				t.Fatalf("trial %d: ChooseRouteK(%v,%v) ok=%v but ReachK=%v", trial, v, w, ok, want)
+				t.Fatalf("trial %d: ChooseRoute(%v,%v) ok=%v but ReachK=%v", trial, v, w, ok, want)
 			}
 		}
 	}
@@ -80,7 +84,7 @@ func TestChooseRouteKSegmentsLegal(t *testing.T) {
 	for pair := 0; pair < 40; pair++ {
 		v := m.CoordOf(rng.Int63n(m.Nodes()))
 		w := m.CoordOf(rng.Int63n(m.Nodes()))
-		r, ok := ChooseRouteK(o, orders, v, w, nil)
+		r, ok := ChooseRoute(o, orders, v, w, nil)
 		if !ok {
 			continue
 		}
@@ -102,7 +106,7 @@ func TestChooseRouteKTorus(t *testing.T) {
 	f.AddNode(mesh.C(2, 2))
 	o := NewOracle(f)
 	orders := UniformAscending(2, 3)
-	r, ok := ChooseRouteK(o, orders, mesh.C(0, 0), mesh.C(4, 4), nil)
+	r, ok := ChooseRoute(o, orders, mesh.C(0, 0), mesh.C(4, 4), nil)
 	if !ok {
 		t.Fatal("torus route should exist")
 	}
@@ -117,7 +121,7 @@ func TestChooseRouteKUnroutable(t *testing.T) {
 	f := mesh.NewFaultSet(m)
 	f.AddNodes(mesh.C(1, 0), mesh.C(0, 1))
 	o := NewOracle(f)
-	if _, ok := ChooseRouteK(o, UniformAscending(2, 3), mesh.C(0, 0), mesh.C(3, 3), nil); ok {
+	if _, ok := ChooseRoute(o, UniformAscending(2, 3), mesh.C(0, 0), mesh.C(3, 3), nil); ok {
 		t.Error("isolated corner should stay unroutable at any k")
 	}
 }

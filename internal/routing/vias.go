@@ -10,24 +10,51 @@ import (
 )
 
 // ChooseVias picks the k-1 intermediates of a fault-free k-round route
-// from v to w: for k = 2 by ChooseRoute's policy (a shortest total route,
-// one rng.Intn among the ties) with a row-mask sweep of the candidates that
-// allocates nothing but the result, for k >= 3 by dynamic programming over
-// rounds. ChooseRouteK adds the node path; callers that walk the route from
-// its stops, such as the wormhole message builder, need only the vias.
+// from v to w by AppendVias's policy, each via its own coordinate.
+// ChooseRoute adds the node path; callers that walk the route from its
+// stops, such as the wormhole message builder, need only the vias.
 // Returns false if no fault-free route exists.
 func ChooseVias(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) ([]mesh.Coord, bool) {
+	flat, ok := AppendVias(nil, o, orders, v, w, rng)
+	if !ok || len(flat) == 0 {
+		return nil, ok
+	}
+	return AppendViaCoords(make([]mesh.Coord, 0, len(flat)/len(v)), flat, len(v)), true
+}
+
+// AppendViaCoords appends to vias one d-dimensional coordinate per d ints
+// of flat, the layout AppendVias writes, each a view into flat.
+func AppendViaCoords(vias []mesh.Coord, flat []int, d int) []mesh.Coord {
+	for ; len(flat) > 0; flat = flat[d:] {
+		vias = append(vias, mesh.Coord(flat[:d:d]))
+	}
+	return vias
+}
+
+// AppendVias appends the coordinates of the k-1 intermediates of a
+// fault-free k-round route from v to w to dst, one via after another, and
+// returns the extended slice: for k = 2 by ChooseRoute's policy (a
+// shortest total route, one rng.Intn among the ties) with a row-mask sweep
+// of the candidates, for k >= 3 by dynamic programming over rounds. For
+// k <= 2 it allocates nothing but dst's growth and any search scratch that
+// outgrows its stack frame (stackRuns), so a caller that reuses dst routes
+// without allocating. Returns false, and dst unchanged, if no
+// fault-free route exists.
+func AppendVias(dst []int, o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) ([]int, bool) {
 	switch k := len(orders); {
 	case k == 1:
-		return nil, o.ReachOne(orders[0], v, w)
+		return dst, o.ReachOne(orders[0], v, w)
 	case k == 2:
 		idx, ok := chooseVia(o, orders, v, w, rng)
 		if !ok {
-			return nil, false
+			return dst, false
 		}
-		return []mesh.Coord{o.m.CoordOf(idx)}, true
+		n := len(dst)
+		dst = slices.Grow(dst, len(v))[:n+len(v)]
+		o.m.CoordInto(idx, dst[n:])
+		return dst, true
 	case k > 2:
-		return chooseViasDP(o, orders, v, w, rng)
+		return appendViasDP(dst, o, orders, v, w, rng)
 	}
 	panic(fmt.Sprintf("routing: a route needs at least one round, got %d", len(orders)))
 }
@@ -83,9 +110,12 @@ func chooseVia(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) (i
 
 // Stack sizes of chooseVia's scratch: dimensions, memoized clear runs and
 // row mask words. A larger search allocates the part that does not fit.
+// A full-grid search on a 2-D mesh of n₀ × n₁ memoizes 2 + n₀ + n₁ runs
+// and fills n₁ · ⌈n₀/64⌉ mask words, so up to 32 × 32 (lambd's serving
+// benchmark) nothing is allocated.
 const (
 	stackDims  = 3
-	stackRuns  = 64
+	stackRuns  = 128
 	stackWords = 32
 )
 
@@ -545,4 +575,79 @@ func abs(x int) int {
 		return -x
 	}
 	return x
+}
+
+// appendViasDP appends the k-1 vias of a k-round route, k >= 3, to dst by
+// dynamic programming over rounds: cost_t(u) is the cheapest total hop
+// count of a fault-free t-round prefix ending at u, and the intermediates are
+// recovered by backtracking. Ties between predecessors are broken by lowest
+// node index when rng is nil, else uniformly by reservoir sampling (the
+// j-th tied predecessor replaces the kept one with probability 1/j). Cost
+// is O(k N^2) reachability queries, so this complements the 2-round span
+// fill for the multi-round configurations the simulator explores; the lamb
+// algorithms themselves never route.
+func appendViasDP(dst []int, o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) ([]int, bool) {
+	k := orders.Rounds()
+	m := o.Mesh()
+	n := int(m.Nodes())
+	const inf = int(^uint(0) >> 2)
+
+	d := len(v)
+	coords, back := make([]mesh.Coord, n), make([]int, n*d)
+	for i := range coords {
+		coords[i] = mesh.Coord(back[i*d : (i+1)*d : (i+1)*d])
+		m.CoordInto(int64(i), coords[i])
+	}
+
+	cost := make([][]int, k)   // cost[t][u]: best t+1-round... see below
+	choice := make([][]int, k) // predecessor node index
+	for t := range cost {
+		cost[t] = make([]int, n)
+		choice[t] = make([]int, n)
+		for u := range cost[t] {
+			cost[t][u] = inf
+			choice[t][u] = -1
+		}
+	}
+	// Round 1: direct pi_1 reachability from v.
+	for u := 0; u < n; u++ {
+		if o.ReachOne(orders[0], v, coords[u]) {
+			cost[0][u] = m.Distance(v, coords[u])
+			choice[0][u] = -2 // from the source
+		}
+	}
+	for t := 1; t < k; t++ {
+		for u := 0; u < n; u++ {
+			ties := 0 // predecessors seen at the current cost[t][u]
+			for p := 0; p < n; p++ {
+				if cost[t-1][p] == inf {
+					continue
+				}
+				if !o.ReachOne(orders[t], coords[p], coords[u]) {
+					continue
+				}
+				c := cost[t-1][p] + m.Distance(coords[p], coords[u])
+				switch {
+				case c < cost[t][u]:
+					cost[t][u], choice[t][u], ties = c, p, 1
+				case c == cost[t][u] && rng != nil:
+					if ties++; rng.Intn(ties) == 0 {
+						choice[t][u] = p
+					}
+				}
+			}
+		}
+	}
+	cur := int(m.Index(w))
+	if cost[k-1][cur] == inf {
+		return dst, false
+	}
+	// Backtrack the k-1 intermediates.
+	base := len(dst)
+	dst = slices.Grow(dst, (k-1)*d)[:base+(k-1)*d]
+	for t := k - 1; t >= 1; t-- {
+		cur = choice[t][cur]
+		copy(dst[base+(t-1)*d:], coords[cur])
+	}
+	return dst, true
 }

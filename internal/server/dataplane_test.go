@@ -10,14 +10,14 @@ import (
 	"lambmesh/internal/wire"
 )
 
-// TestWireBackendCompact drives the wire backend through both data planes
-// (the class table at k = 2, the uncached oracle at k = 3, which gets fewer
-// queries) and checks it against the full Route answers.
+// TestWireBackendCompact drives the wire backend at k = 2 and at k = 3,
+// whose dynamic program over rounds gets fewer queries, and checks it
+// against the full Route answers.
 func TestWireBackendCompact(t *testing.T) {
 	for _, plane := range []struct {
 		name       string
 		k, queries int
-	}{{"classtable", 2, 1500}, {"oracle", 3, 150}} {
+	}{{"k2", 2, 1500}, {"k3", 3, 150}} {
 		t.Run(plane.name, func(t *testing.T) {
 			s := newRoundsServer(t, plane.k, 8, 8)
 			if err := s.ReportFaults([]mesh.Coord{mesh.C(3, 3), mesh.C(4, 5)}, nil); err != nil {

@@ -3,7 +3,7 @@
 // and answers route queries under load while fault reports stream in.
 //
 // The concurrency model is epoch swapping. An Epoch is an immutable bundle
-// {fault set, lamb set, class table or reachability oracle, generation}
+// {fault set, lamb set, reachability oracle, generation}
 // published behind an atomic pointer. Route queries load the current epoch
 // lock-free and compute against it; a fault report only enqueues work for a
 // single background worker, which recomputes the lamb set (coalescing
@@ -19,62 +19,43 @@ import (
 
 	"lambmesh/internal/classtable"
 	"lambmesh/internal/mesh"
-	"lambmesh/internal/reach"
 	"lambmesh/internal/routing"
 )
 
 // Epoch is one immutable routing configuration. Everything reachable from
 // an Epoch is frozen at publish time: the fault set is a private clone,
-// the oracle indexes that clone, the class table owns its memory, and the
-// lamb set is never mutated. Nothing in an epoch changes after publish, so
-// queries read it without locks and a superseded epoch keeps answering as
-// of its snapshot for as long as a reader holds it.
+// the oracle indexes that clone, and the lamb set is never mutated. Nothing
+// in an epoch changes after publish, so queries read it without locks and
+// a superseded epoch keeps answering as of its snapshot for as long as a
+// reader holds it.
 type Epoch struct {
 	Faults     *mesh.FaultSet // private snapshot; never mutated after publish
 	Lambs      []mesh.Coord   // in index order
 	Generation uint64
 	Created    time.Time
 
-	// Table is the class-based O(1) data plane for this epoch's fault set,
-	// or nil when the configuration is outside classtable.Supported (a
-	// torus, or k >= 3 rounds). Queries on an epoch without a table run
-	// routing.ChooseRouteK against Oracle, uncached.
-	Table *classtable.Table
-	// Oracle indexes Faults for the epochs without a Table; it is nil
-	// whenever Table is set.
+	// Oracle indexes Faults; every query routes over it.
 	Oracle *routing.Oracle
+	// Table is always nil: queries no longer read a class table. The field
+	// stays because perfbench compiles against it.
+	Table *classtable.Table
 
 	lambs *mesh.NodeSet
 }
 
 // newEpoch freezes a configuration: it clones the fault set (the caller's
-// copy keeps evolving inside the Reconfigurer) and indexes it. The class
-// table is built from rc, that fault set's Find-Reachability (the
-// recompute's own, Reconfigurer.LastReach), so a fault report runs it
-// once; the table copies what it keeps. A nil rc, or a configuration
-// outside classtable.Supported, leaves the epoch without a table, and
-// only then is the oracle built.
-func newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time, rc *reach.Reachability) *Epoch {
+// copy keeps evolving inside the Reconfigurer) and indexes it.
+func newEpoch(f *mesh.FaultSet, lambs []mesh.Coord, gen uint64, now time.Time) *Epoch {
 	snap := f.Clone()
 	set := mesh.NewNodeSet(snap.Mesh(), lambs)
-	e := &Epoch{
+	return &Epoch{
 		Faults:     snap,
 		Lambs:      set.Coords(),
 		Generation: gen,
 		Created:    now,
+		Oracle:     routing.NewOracle(snap),
 		lambs:      set,
 	}
-	if rc != nil {
-		// Besides ErrUnsupported, an error here would mean a malformed
-		// partition; the epoch then serves from the oracle plane instead.
-		if tab, err := classtable.New(rc); err == nil {
-			e.Table = tab
-		}
-	}
-	if e.Table == nil {
-		e.Oracle = routing.NewOracle(snap)
-	}
-	return e
 }
 
 // Age returns how long this epoch has been the live configuration.

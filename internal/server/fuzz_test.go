@@ -125,13 +125,13 @@ func decodeQueryCase(data []byte) (cfg Config, src, dst mesh.Coord, ok bool) {
 
 // FuzzServerQuery builds a server on a decoded topology, ordering and
 // fault set and checks one query with checkQueryIdentity: the HTTP and
-// wire answers must equal routing.ChooseRouteK on the live epoch's oracle.
+// wire answers must equal routing.ChooseRoute on the live epoch's oracle.
 func FuzzServerQuery(f *testing.F) {
-	// 2-D mesh, k = 2 (class table), node and link faults.
+	// 2-D mesh, k = 2, node and link faults.
 	f.Add([]byte{2, 3, 3, 0, 0, 1, 1, 5, 4, 0, 2, 2, 1, 3, 1, 6, 4, 4})
-	// 2-D mesh, k = 3 (oracle plane), a corner query around two faults.
+	// 2-D mesh, k = 3, a corner query around two faults.
 	f.Add([]byte{4, 3, 2, 0, 1, 0, 1, 1, 5, 4, 0, 1, 1, 0, 2, 2, 5, 3, 2})
-	// 2-D torus, k = 2 (oracle plane), a node and a wrapping link fault.
+	// 2-D torus, k = 2, a node and a wrapping link fault.
 	f.Add([]byte{8, 4, 4, 1, 0, 1, 6, 6, 2, 0, 2, 2, 1, 5, 0, 4, 1, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, src, dst, ok := decodeQueryCase(data)

@@ -194,16 +194,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e := s.Epoch()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.WriteTo(w, e.Generation, e.Age(time.Now()))
-	if e.Table != nil {
-		st := e.Table.Stats()
-		fmt.Fprintf(w, "# HELP lambd_classtable_classes (SES, DES) classes in the live epoch's table\n# TYPE lambd_classtable_classes gauge\n")
-		fmt.Fprintf(w, "lambd_classtable_classes{kind=\"ses\"} %d\n", st.SESs)
-		fmt.Fprintf(w, "lambd_classtable_classes{kind=\"des\"} %d\n", st.DESs)
-		fmt.Fprintf(w, "# HELP lambd_classtable_cells via cells in the live epoch's table\n# TYPE lambd_classtable_cells gauge\n")
-		fmt.Fprintf(w, "lambd_classtable_cells %d\n", st.Cells)
-		fmt.Fprintf(w, "# HELP lambd_classtable_bytes approximate table size\n# TYPE lambd_classtable_bytes gauge\n")
-		fmt.Fprintf(w, "lambd_classtable_bytes %d\n", st.Bytes)
-	}
 }
 
 func (s *Server) badRequest(w http.ResponseWriter, err error) {

@@ -20,7 +20,7 @@ import (
 // checkQueryIdentity asks s for src -> dst over HTTP (POST /v1/route
 // through h) and over the wire backend, and requires both answers to equal
 // the reference built from the live epoch: a rejection naming the first
-// unusable endpoint, else routing.ChooseRouteK over an oracle on the
+// unusable endpoint, else routing.ChooseRoute over an oracle on the
 // epoch's fault set with a nil rng — its path, vias, hops and turns, or
 // the no-route reason and code. The HTTP body must match byte for byte.
 func checkQueryIdentity(t testing.TB, s *Server, h http.Handler, src, dst mesh.Coord) {
@@ -51,7 +51,7 @@ func checkQueryIdentity(t testing.TB, s *Server, h http.Handler, src, dst mesh.C
 		wantWire.Code = wire.CodeBadSrc
 	} else if want.Reason = unusable("dst", dst); want.Reason != "" {
 		wantWire.Code = wire.CodeBadDst
-	} else if r, ok := routing.ChooseRouteK(routing.NewOracle(e.Faults), s.orders, src, dst, nil); !ok {
+	} else if r, ok := routing.ChooseRoute(routing.NewOracle(e.Faults), s.orders, src, dst, nil); !ok {
 		want.Reason = fmt.Sprintf("no fault-free %d-round route from %v to %v", s.orders.Rounds(), src, dst)
 		wantWire.Code = wire.CodeNoRoute
 	} else {
@@ -89,15 +89,14 @@ func checkQueryIdentity(t testing.TB, s *Server, h http.Handler, src, dst mesh.C
 
 // identityConfig is one server configuration of the all-pairs identity
 // test, with the faults reported after generation 0 is checked. Each fault
-// set leaves at least one lamb, so lamb endpoints are exercised on both
-// planes.
+// set leaves at least one lamb, so lamb endpoints are exercised in every
+// configuration.
 type identityConfig struct {
 	name  string
 	mesh  *mesh.Mesh
 	k     int
 	nodes []mesh.Coord
 	links []mesh.Link
-	table bool // whether epochs serve from the class table
 }
 
 func identityConfigs() []identityConfig {
@@ -107,12 +106,12 @@ func identityConfigs() []identityConfig {
 	}
 	return []identityConfig{
 		{
-			name: "mesh-k1", mesh: mesh.MustNew(6, 6), k: 1, table: true,
+			name: "mesh-k1", mesh: mesh.MustNew(6, 6), k: 1,
 			nodes: []mesh.Coord{mesh.C(2, 1), mesh.C(1, 3), mesh.C(4, 4)},
 			links: []mesh.Link{{From: mesh.C(3, 2), Dim: 0, Dir: 1}},
 		},
 		{
-			name: "mesh-k2", mesh: mesh.MustNew(6, 6), k: 2, table: true,
+			name: "mesh-k2", mesh: mesh.MustNew(6, 6), k: 2,
 			nodes: []mesh.Coord{mesh.C(5, 1), mesh.C(4, 0), mesh.C(2, 3)},
 			links: []mesh.Link{{From: mesh.C(1, 4), Dim: 1, Dir: 1}, {From: mesh.C(3, 3), Dim: 0, Dir: -1}},
 		},
@@ -122,6 +121,11 @@ func identityConfigs() []identityConfig {
 			links: []mesh.Link{{From: mesh.C(4, 1), Dim: 1, Dir: 1}, {From: mesh.C(0, 1), Dim: 1, Dir: -1}},
 		},
 		{
+			name: "mesh3d-k2", mesh: mesh.MustNew(4, 3, 3), k: 2,
+			nodes: []mesh.Coord{mesh.C(1, 0, 0), mesh.C(0, 1, 0), mesh.C(1, 1, 1), mesh.C(3, 2, 2)},
+			links: []mesh.Link{{From: mesh.C(0, 1, 1), Dim: 2, Dir: 1}, {From: mesh.C(2, 2, 2), Dim: 0, Dir: -1}},
+		},
+		{
 			name: "torus-k2", mesh: torus, k: 2,
 			nodes: []mesh.Coord{mesh.C(2, 2), mesh.C(1, 1), mesh.C(3, 1)},
 			links: []mesh.Link{{From: mesh.C(5, 5), Dim: 1, Dir: 1}, {From: mesh.C(0, 3), Dim: 0, Dir: 1}},
@@ -129,12 +133,12 @@ func identityConfigs() []identityConfig {
 	}
 }
 
-// TestQueryCoreMatchesOracle is the server-level identity: on the
-// class-table plane (mesh, k = 1 and 2) and the oracle plane (mesh with
-// k = 3, torus with k = 2), at generation 0 and after a report of node and
-// link faults, every (src, dst) — out-of-mesh, faulty and lamb endpoints
-// included — gets the same answer over HTTP and over the wire as
-// routing.ChooseRouteK on an oracle over the epoch's fault set.
+// TestQueryCoreMatchesOracle is the server-level identity: on 2-D meshes
+// with k = 1, 2 and 3, a 3-D mesh and a torus with k = 2, at generation 0
+// and after a report of node and link faults, every (src, dst) —
+// out-of-mesh, faulty and lamb endpoints included — gets the same answer
+// over HTTP and over the wire as routing.ChooseRoute on a fresh oracle over
+// the epoch's fault set. Every epoch routes over its own oracle.
 func TestQueryCoreMatchesOracle(t *testing.T) {
 	for _, cfg := range identityConfigs() {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -163,8 +167,8 @@ func TestQueryCoreMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := waitGeneration(t, s, 1)
-			if (e.Table != nil) != cfg.table || (e.Oracle != nil) == cfg.table {
-				t.Fatalf("class table present = %v, oracle present = %v, want exactly one (table: %v)", e.Table != nil, e.Oracle != nil, cfg.table)
+			if e.Oracle == nil || e.Table != nil {
+				t.Fatalf("oracle present = %v, class table present = %v; want an oracle and no table", e.Oracle != nil, e.Table != nil)
 			}
 			if len(e.Lambs) == 0 {
 				t.Fatal("the fault set left no lamb, so lamb endpoints go unchecked")
@@ -176,8 +180,7 @@ func TestQueryCoreMatchesOracle(t *testing.T) {
 
 // TestQueryCounterIdentity sends a mixed stream — every pair twice, with
 // out-of-mesh, faulty, routable and unroutable endpoints — over HTTP and
-// over the wire protocol to a k = 2 server (class table) and a k = 3 server
-// (oracle), and requires queries_total = routes_found_total +
+// over the wire protocol to a k = 2 and a k = 3 server, and requires queries_total = routes_found_total +
 // routes_rejected_total on /metrics.
 func TestQueryCounterIdentity(t *testing.T) {
 	for _, k := range []int{2, 3} {

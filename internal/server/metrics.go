@@ -29,7 +29,9 @@ type Metrics struct {
 	RecomputesIncremental atomic.Int64
 	// Phase*Nanos are gauges splitting the most recent recompute into
 	// pipeline phases: partition construction, reachability fill, the
-	// vertex-cover tail, and the class-table build.
+	// vertex-cover tail, and the epoch publish (fault-set snapshot and
+	// oracle index). PhaseTableNanos keeps its name, from when the publish
+	// built a class table, because perfbench reads it.
 	PhasePartitionNanos atomic.Int64
 	PhaseReachNanos     atomic.Int64
 	PhaseVCoverNanos    atomic.Int64
@@ -88,7 +90,7 @@ func (m *Metrics) WriteTo(w io.Writer, generation uint64, epochAge time.Duration
 	ph("partition", m.PhasePartitionNanos.Load())
 	ph("reach", m.PhaseReachNanos.Load())
 	ph("vcover", m.PhaseVCoverNanos.Load())
-	ph("table", m.PhaseTableNanos.Load())
+	ph("publish", m.PhaseTableNanos.Load())
 
 	fmt.Fprintf(w, "# HELP lambd_route_hops route length histogram\n# TYPE lambd_route_hops histogram\n")
 	cum := int64(0)

@@ -6,10 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lambmesh/internal/classtable"
 	"lambmesh/internal/core"
 	"lambmesh/internal/mesh"
-	"lambmesh/internal/reach"
 	"lambmesh/internal/routing"
 	"lambmesh/internal/wire"
 )
@@ -44,10 +42,6 @@ type Server struct {
 	orders  routing.MultiOrder
 	mesh    *mesh.Mesh
 	metrics Metrics
-
-	// scratch pools per-query classtable buffers so the table plane stays
-	// allocation-free.
-	scratch sync.Pool
 
 	epoch atomic.Pointer[Epoch]
 
@@ -88,17 +82,8 @@ func New(cfg Config) (*Server, error) {
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	s.scratch.New = func() any { return new(classtable.Scratch) }
-	// Generation 0: the pristine mesh, no faults, no lambs, and the one
-	// epoch whose table needs a Find-Reachability of its own.
-	pristine := mesh.NewFaultSet(cfg.Mesh)
-	var rc *reach.Reachability
-	if classtable.Supported(cfg.Mesh, cfg.Orders) {
-		if rc, err = reach.ComputeScratch(pristine, cfg.Orders, cfg.Workers, nil); err != nil {
-			return nil, err
-		}
-	}
-	s.epoch.Store(newEpoch(pristine, nil, 0, time.Now(), rc))
+	// Generation 0: the pristine mesh, no faults, no lambs.
+	s.epoch.Store(newEpoch(mesh.NewFaultSet(cfg.Mesh), nil, 0, time.Now()))
 	if cfg.InitialFaults != nil && cfg.InitialFaults.Count() > 0 {
 		nodes := append([]mesh.Coord(nil), cfg.InitialFaults.NodeFaults()...)
 		links := append([]mesh.Link(nil), cfg.InitialFaults.LinkFaults()...)
@@ -161,10 +146,7 @@ func (s *Server) Route(src, dst mesh.Coord) Answer {
 	case wire.CodeNoRoute:
 		ans.Reason = fmt.Sprintf("no fault-free %d-round route from %v to %v", s.orders.Rounds(), src, dst)
 	default:
-		var vias []mesh.Coord
-		for i, d := 0, len(src); i < wa.NVias; i++ {
-			vias = append(vias, mesh.Coord(wa.Via[i*d:(i+1)*d:(i+1)*d]))
-		}
+		vias := routing.AppendViaCoords(nil, wa.Via, len(src))
 		ans.Found = true
 		ans.Route = &routing.Route{Vias: vias, Path: routing.PathK(s.mesh, s.orders, src, dst, vias)}
 	}
@@ -173,11 +155,13 @@ func (s *Server) Route(src, dst mesh.Coord) Answer {
 
 // query is the one route query core behind both Route (HTTP) and the wire
 // protocol. It checks src and then dst — inside the mesh, not faulty, not a
-// lamb — and answers from e's class table when it has one, else from an
-// uncached routing.ChooseRouteK over e's oracle. It counts the query and
-// exactly one of RoutesFound or RoutesRejected, and writes the code, hops,
-// turns and flattened vias into ans, reusing ans.Via's capacity. With the
-// class table live it allocates nothing.
+// lamb — and picks the vias with routing.AppendVias over e's oracle (with a
+// nil rng, so answers are deterministic), then walks the route's stops for
+// its hops and turns. It counts the query and exactly one of RoutesFound
+// or RoutesRejected, and writes the code, hops, turns and flattened vias
+// into ans, reusing ans.Via's capacity. For k <= 2 it allocates nothing
+// once ans.Via has grown, as long as the via search's scratch fits its
+// stack frame (a full-grid search up to M₂(32)).
 func (s *Server) query(e *Epoch, src, dst mesh.Coord, ans *wire.Answer) {
 	s.metrics.Queries.Add(1)
 	*ans = wire.Answer{Code: wire.CodeNoRoute, Gen: e.Generation, Via: ans.Via[:0]}
@@ -186,24 +170,16 @@ func (s *Server) query(e *Epoch, src, dst mesh.Coord, ans *wire.Answer) {
 		ans.Code = wire.CodeBadSrc
 	case !e.endpointOK(dst):
 		ans.Code = wire.CodeBadDst
-	case e.Table != nil:
-		q := s.scratch.Get().(*classtable.Scratch)
-		if res := e.Table.Lookup(src, dst, q); res.Found {
-			ans.Code = wire.CodeFound
-			ans.Hops, ans.Turns, ans.NVias = res.Hops, res.Turns, res.NVias
-			// res.Via aliases q: copy it out before q goes back to the
-			// pool, where a concurrent query would overwrite it.
-			ans.Via = append(ans.Via, res.Via...)
-		}
-		s.scratch.Put(q)
 	default:
-		if r, ok := routing.ChooseRouteK(e.Oracle, s.orders, src, dst, nil); ok {
-			ans.Code = wire.CodeFound
-			ans.Hops, ans.Turns, ans.NVias = r.Hops(), r.Turns(), len(r.Vias)
-			for _, v := range r.Vias {
-				ans.Via = append(ans.Via, v...)
-			}
+		var ok bool
+		if ans.Via, ok = routing.AppendVias(ans.Via, e.Oracle, s.orders, src, dst, nil); !ok {
+			break
 		}
+		// buf keeps the vias of a route of up to three rounds on the stack.
+		var buf [2]mesh.Coord
+		vias := routing.AppendViaCoords(buf[:0], ans.Via, len(src))
+		ans.Code, ans.NVias = wire.CodeFound, len(vias)
+		ans.Hops, ans.Turns = routing.HopsTurns(s.mesh, s.orders, src, dst, vias)
 	}
 	if ans.Code == wire.CodeFound {
 		s.metrics.ObserveRoute(ans.Hops)
@@ -285,16 +261,15 @@ func (s *Server) recompute(nodes []mesh.Coord, links []mesh.Link) error {
 	if hook := s.testHookPrePublish; hook != nil {
 		hook()
 	}
-	tableStart := time.Now()
-	next := newEpoch(s.recon.Faults(), res.Lambs, uint64(s.recon.Generation()), time.Now(), s.recon.LastReach())
-	s.epoch.Store(next)
+	publishStart := time.Now()
+	s.epoch.Store(newEpoch(s.recon.Faults(), res.Lambs, uint64(s.recon.Generation()), publishStart))
 	// Publish the phase split of the swap we just finished: where the last
 	// reconfiguration spent its time.
 	ph := s.recon.LastPhases()
 	s.metrics.PhasePartitionNanos.Store(int64(ph.Partition))
 	s.metrics.PhaseReachNanos.Store(int64(ph.Reach))
 	s.metrics.PhaseVCoverNanos.Store(int64(ph.VCover))
-	s.metrics.PhaseTableNanos.Store(int64(time.Since(tableStart)))
+	s.metrics.PhaseTableNanos.Store(int64(time.Since(publishStart)))
 	s.metrics.Recomputes.Add(1)
 	s.mu.Lock()
 	s.lastErr = ""

@@ -30,7 +30,8 @@ func metricValue(t *testing.T, page, name string) float64 {
 }
 
 // An epoch swap under query traffic: /metrics reports both recomputes and
-// the phase split of the last one, the class-table build included.
+// the phase split of the last one, the epoch publish included, and no
+// class-table gauge.
 func TestEpochSwapWarmStart(t *testing.T) {
 	s, ts := startHTTP(t, 8, 8)
 	if err := s.ReportFaults([]mesh.Coord{mesh.C(3, 3)}, nil); err != nil {
@@ -58,7 +59,7 @@ func TestEpochSwapWarmStart(t *testing.T) {
 	if v := metricValue(t, page, "lambd_recomputes_total"); v != 2 {
 		t.Errorf("recomputes = %v, want 2", v)
 	}
-	for _, phase := range []string{"partition", "reach", "vcover", "table"} {
+	for _, phase := range []string{"partition", "reach", "vcover", "publish"} {
 		if !strings.Contains(page, `lambd_recompute_phase_seconds{phase="`+phase+`"}`) {
 			t.Errorf("missing phase %q in:\n%s", phase, page)
 		}
@@ -66,8 +67,8 @@ func TestEpochSwapWarmStart(t *testing.T) {
 	if v := metricValue(t, page, "lambd_recompute_phase_seconds"); v < 0 {
 		t.Error("phase gauges absent")
 	}
-	if strings.Contains(page, "lambd_classtable_warm") || strings.Contains(page, "lambd_classtable_cold") {
-		t.Errorf("retired warm-slot metrics still rendered:\n%s", page)
+	if strings.Contains(page, "lambd_classtable_") {
+		t.Errorf("retired class-table gauges still rendered:\n%s", page)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package wire is lambd's length-prefixed binary route protocol — the
-// serving-layer counterpart of the class-table data plane. HTTP/JSON costs
+// serving-layer counterpart of the allocation-free query core. HTTP/JSON costs
 // a request parse, coordinate string formatting, and a handful of
 // allocations per query; this protocol is a fixed 8-byte header plus a
 // flat little-endian payload, designed so the server answers a query with

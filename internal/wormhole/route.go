@@ -27,8 +27,8 @@ func RouteMessage(o *routing.Oracle, orders routing.MultiOrder, src, dst mesh.Co
 // per-round virtual channels. The hops are walked straight from the stops
 // (src, r.Vias..., dst), one dimension-ordered segment at a time, so
 // r.Path is not read: the route is the one PathK gives for those stops, as
-// ChooseRoute and ChooseRouteK return. The message's Src, Dst and every
-// hop's From coordinate are carved from one backing array per message.
+// ChooseRoute returns. The message's Src, Dst and every hop's From
+// coordinate are carved from one backing array per message.
 //
 // On a mesh round t rides VC min(t, vcs-1). On a torus the dateline
 // discipline (Dally–Seitz) applies: round t owns the VC pair (2t, 2t+1).
@@ -110,20 +110,8 @@ func MessageFromRoute(m *mesh.Mesh, orders routing.MultiOrder, r *routing.Route,
 		}
 	}
 	msg.PathHops = len(msg.Hops)
-	msg.PathTurns = hopTurns(msg.Hops)
+	_, msg.PathTurns = routing.HopsTurns(m, orders, src, dst, r.Vias)
 	return msg, nil
-}
-
-// hopTurns counts the dimension changes between consecutive hops: the
-// route's turns (routing.CountTurns) without its node path.
-func hopTurns(hops []Hop) int {
-	turns := 0
-	for i := 1; i < len(hops); i++ {
-		if hops[i].Link.Dim != hops[i-1].Link.Dim {
-			turns++
-		}
-	}
-	return turns
 }
 
 // pathHops converts an explicit node path into hops on one VC. Each hop's

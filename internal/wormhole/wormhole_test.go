@@ -66,9 +66,10 @@ func TestSelfDelivery(t *testing.T) {
 }
 
 // RouteMessage skips the node path, yet must build the message
-// MessageFromRoute builds from ChooseRouteK's route with the same rng
-// draws, and the message must own its Src and Dst: they share the hops'
-// backing array but no coordinate with the caller or with a hop.
+// MessageFromRoute builds from ChooseRoute's route with the same rng
+// draws, with the hops and turns of the route's path, and the message must
+// own its Src and Dst: they share the hops' backing array but no
+// coordinate with the caller or with a hop.
 func TestRouteMessageMatchesRoute(t *testing.T) {
 	torus, err := mesh.NewTorus(6, 5)
 	if err != nil {
@@ -89,9 +90,9 @@ func TestRouteMessageMatchesRoute(t *testing.T) {
 				src, dst := m.CoordOf(rng.Int63n(m.Nodes())), m.CoordOf(rng.Int63n(m.Nodes()))
 				seed := rng.Int63()
 				got, err := RouteMessage(o, orders, src, dst, i, 4, 0, 2*len(orders), rand.New(rand.NewSource(seed)))
-				r, ok := routing.ChooseRouteK(o, orders, src, dst, rand.New(rand.NewSource(seed)))
+				r, ok := routing.ChooseRoute(o, orders, src, dst, rand.New(rand.NewSource(seed)))
 				if ok != (err == nil) {
-					t.Fatalf("%v %v %v->%v: RouteMessage err %v, ChooseRouteK ok=%v", m, orders, src, dst, err, ok)
+					t.Fatalf("%v %v %v->%v: RouteMessage err %v, ChooseRoute ok=%v", m, orders, src, dst, err, ok)
 				}
 				if !ok {
 					continue
@@ -102,6 +103,10 @@ func TestRouteMessageMatchesRoute(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%v %v %v->%v: RouteMessage %+v, from the route %+v", m, orders, src, dst, got, want)
+				}
+				if got.PathHops != r.Hops() || got.PathTurns != r.Turns() {
+					t.Fatalf("%v %v %v->%v: %d hops %d turns, the route's path %d and %d",
+						m, orders, src, dst, got.PathHops, got.PathTurns, r.Hops(), r.Turns())
 				}
 				src[0], dst[0] = -1, -1
 				if got.Src[0] == -1 || got.Dst[0] == -1 {

@@ -147,8 +147,10 @@ func TwoRoundXYZ() MultiOrder { return routing.UniformAscending(3, 2) }
 // NewOracle indexes a fault set for O(d log f) reachability queries.
 func NewOracle(f *FaultSet) *Oracle { return routing.NewOracle(f) }
 
-// ChooseRoute picks a fault-free k-round route (k <= 2), shortest first,
-// ties broken by rng (nil for deterministic).
+// ChooseRoute picks a fault-free k-round route for any k >= 1, shortest
+// first, ties broken by rng (nil for deterministic). k = 2 searches the
+// vias on a minimal route first (Section 2.1); k >= 3 runs a dynamic
+// program over rounds at O(k N^2) reachability checks.
 func ChooseRoute(o *Oracle, orders MultiOrder, src, dst Coord, rng *rand.Rand) (*Route, bool) {
 	return routing.ChooseRoute(o, orders, src, dst, rng)
 }

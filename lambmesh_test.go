@@ -35,6 +35,11 @@ func TestPublicAPIWorkflow(t *testing.T) {
 	if r.Turns() > 3 {
 		t.Errorf("two-round 2D route has %d turns, bound is 3", r.Turns())
 	}
+	// A third round routes them too, no longer.
+	r3, ok := ChooseRoute(o, UniformAscending(2, 3), C(0, 0), C(11, 11), nil)
+	if !ok || len(r3.Vias) != 2 || r3.Hops() > r.Hops() {
+		t.Fatalf("three-round route %v ok=%v, want 2 vias and at most %d hops", r3, ok, r.Hops())
+	}
 
 	// The optimal solver agrees on this instance.
 	opt, err := FindOptimalLambSet(f, TwoRoundXY())

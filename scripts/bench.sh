@@ -7,9 +7,9 @@
 # three reachability kernels alone (R_t fill, I_t fill, chain product),
 # one oracle ReachOne query, BitmatMul, the Section 5 pipeline, the torus lamb solve (the Section 7
 # class reduction) and the torus lamb-set check over its classes, the
-# wormhole cycle loop, the class-table query path, lambd's
+# wormhole cycle loop, a class-table query, lambd's
 # query core behind the wire backend, the wire codec, the AddFaults
-# recompute, the class-table swap (build plus the post-swap query burst),
+# recompute, a class-table swap (build plus the post-swap query burst),
 # the reliability-campaign trial loop, its scheduler on a small campaign and
 # on perfbench's uneven campaign-2d grid,
 # the traffic-live workload generation, its 2-round via search alone, and

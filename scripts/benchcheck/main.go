@@ -14,7 +14,8 @@
 //
 // which records ceil(1.25 x observed) per benchmark — headroom for run-to-
 // run noise, tight enough that reintroducing a per-iteration allocation in
-// a steady-state loop (typically a >2x jump) trips the check.
+// a steady-state loop (typically a >2x jump) trips the check. A benchmark
+// that allocates nothing gets a budget of 0, so one allocation fails it.
 package main
 
 import (
@@ -210,8 +211,7 @@ func checkBudgets(path, budgetPath string, bf benchFile) error {
 }
 
 // writeBudgets regenerates the budget table from a bench file, giving each
-// workers=1 entry 25% headroom (and a floor of 1 so zero-alloc benchmarks
-// tolerate a stray allocation from the harness itself).
+// workers=1 entry 25% headroom, rounded up; an entry at 0 stays at 0.
 func writeBudgets(path, budgetPath string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -226,11 +226,7 @@ func writeBudgets(path, budgetPath string) error {
 		if b.Workers != 1 {
 			continue
 		}
-		ceil := math.Ceil(b.AllocsPerOp * 1.25)
-		if ceil < 1 {
-			ceil = 1
-		}
-		out.Budgets[b.Name] = ceil
+		out.Budgets[b.Name] = math.Ceil(b.AllocsPerOp * 1.25)
 	}
 	if len(out.Budgets) == 0 {
 		return fmt.Errorf("%s: no workers=1 entries to budget", path)
