@@ -215,18 +215,16 @@ type Result struct {
 type Scratch struct {
 	via  []int
 	cand []int
-	cur  []int
+	stop [1]mesh.Coord // the via as the stop list routing.HopsTurns reads
 }
 
 func (q *Scratch) grow(d int) {
 	if cap(q.via) < d {
 		q.via = make([]int, d)
 		q.cand = make([]int, d)
-		q.cur = make([]int, d)
 	}
 	q.via = q.via[:d]
 	q.cand = q.cand[:d]
-	q.cur = q.cur[:d]
 }
 
 // Lookup answers a route query for good endpoints src and dst, both of
@@ -252,13 +250,14 @@ func (t *Table) Lookup(src, dst mesh.Coord, q *Scratch) Result {
 		if !t.rk.Get(i, j) {
 			return Result{Code: CodeNoRoute}
 		}
-		hops, turns := t.walk(src, dst, nil, q)
+		hops, turns := routing.HopsTurns(t.m, t.orders, src, dst, nil)
 		return Result{Found: true, Code: CodeFound, Hops: hops, Turns: turns}
 	}
 	if !t.bestVia(i, j, src, dst, q) {
 		return Result{Code: CodeNoRoute}
 	}
-	hops, turns := t.walk(src, dst, q.via, q)
+	q.stop[0] = q.via
+	hops, turns := routing.HopsTurns(t.m, t.orders, src, dst, q.stop[:])
 	return Result{Found: true, Code: CodeFound, NVias: 1, Via: mesh.Coord(q.via), Hops: hops, Turns: turns}
 }
 
@@ -309,43 +308,6 @@ func (t *Table) bestVia(i, j int, src, dst mesh.Coord, q *Scratch) bool {
 		}
 	}
 	return bestCost >= 0
-}
-
-// walk accumulates the hop count and turn count of the dimension-ordered
-// route src -> (via ->) dst without materializing the path. A turn is a
-// change of travel dimension between consecutive hops, the same quantity
-// routing.CountTurns reads off a materialized path (direction reversals
-// within one dimension do not count, matching stepDim there).
-func (t *Table) walk(src, dst, via mesh.Coord, q *Scratch) (hops, turns int) {
-	copy(q.cur, src)
-	runs, lastDim := 0, -1
-	segment := func(pi routing.Order, target mesh.Coord) {
-		for _, dim := range pi {
-			d := target[dim] - q.cur[dim]
-			if d == 0 {
-				continue
-			}
-			if d < 0 {
-				d = -d
-			}
-			hops += d
-			if dim != lastDim {
-				runs++
-				lastDim = dim
-			}
-			q.cur[dim] = target[dim]
-		}
-	}
-	if via == nil {
-		segment(t.orders[0], dst)
-	} else {
-		segment(t.orders[0], via)
-		segment(t.orders[1], dst)
-	}
-	if runs > 0 {
-		turns = runs - 1
-	}
-	return hops, turns
 }
 
 // Stats describes the table's size — the empirical side of the

@@ -70,9 +70,9 @@ func decodeLookupCase(data []byte) (*mesh.FaultSet, routing.MultiOrder, bool) {
 	return f, orders, true
 }
 
-// FuzzClassTableLookup checks Lookup against the per-pair
-// routing.ChooseRoute (the k <= 2 case of ChooseRouteK) for every
-// (src,dst) pair of a decoded mesh, fault set and ordering.
+// FuzzClassTableLookup checks Lookup against routing.ChooseRoute
+// (rng = nil) for every (src,dst) pair of a decoded mesh, fault set and
+// ordering.
 func FuzzClassTableLookup(f *testing.F) {
 	// 2-D, k = 2, uniform orders, two node faults.
 	f.Add([]byte{2, 5, 4, 0, 0, 0, 2, 2, 0, 3, 1})
