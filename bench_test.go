@@ -369,11 +369,11 @@ func BenchmarkWormholeRun(b *testing.B) {
 	}
 }
 
-// BenchmarkStrategyRoute: one routed message per op through each bake-off
-// strategy on a faulty 16x16 mesh — the per-packet planning cost the
-// bakeoff experiment pays (lamb oracle lookups, ring detour construction,
-// adaptive two-layer BFS). Direct routing exists only on the full mesh, so
-// it runs on K_256 with 8 node faults.
+// BenchmarkStrategyRoute: one route per op through each bake-off strategy
+// on a faulty 16x16 mesh, appended to a reused hop slice — the per-packet
+// planning cost the bakeoff experiment pays (lamb oracle lookups, ring
+// detour construction, adaptive two-layer BFS). Direct routing exists only
+// on the full mesh, so it runs on K_256 with 8 node faults.
 func BenchmarkStrategyRoute(b *testing.B) {
 	m := mesh.MustNew(16, 16)
 	orders := routing.UniformAscending(2, 2)
@@ -394,15 +394,16 @@ func BenchmarkStrategyRoute(b *testing.B) {
 			}
 			survivors := wormhole.Survivors(s.Faults(), s.Sacrificed())
 			rng := rand.New(rand.NewSource(9))
-			b.ReportAllocs()
-			b.ResetTimer()
+			hops := make([]wormhole.Hop, 0, 64) // room for any route on M_2(16)
+			startAllocFreeLoop(b)
 			for i := 0; i < b.N; i++ {
 				src := survivors[rng.Intn(len(survivors))]
 				dst := survivors[rng.Intn(len(survivors))]
 				for dst.Equal(src) {
 					dst = survivors[rng.Intn(len(survivors))]
 				}
-				if _, _, err := s.Route(src, dst, i, 8, 0, 2, rng); err != nil {
+				var err error
+				if hops, _, _, err = s.Route(hops[:0], src, dst, 2, rng); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -413,8 +414,8 @@ func BenchmarkStrategyRoute(b *testing.B) {
 // BenchmarkGenerateWorkload: drawing and routing the whole open-loop
 // workload of one traffic-live trial (perfbench) — M_2(16) with 8 node
 // faults, uniform 8-flit packets at rate 0.01 over 700 cycles, 2 VCs — so
-// roughly 1700 ChooseRoute + MessageFromRoute calls per op. Every op redraws
-// the same workload from the same seed.
+// roughly 1700 via searches and channel-id hop walks per op, carved from
+// one arena. Every op redraws the same workload from the same seed.
 func BenchmarkGenerateWorkload(b *testing.B) {
 	m := mesh.MustNew(16, 16)
 	f := mesh.RandomNodeFaults(m, 8, rand.New(rand.NewSource(4)))
@@ -439,13 +440,12 @@ func BenchmarkGenerateWorkload(b *testing.B) {
 	}
 }
 
-// BenchmarkChooseVias: the 2-round via search alone — one
-// routing.ChooseVias call per op, cycling through a fixed list of 4,096
-// random survivor pairs with a seeded tie-break rng — on the
-// BenchmarkGenerateWorkload layout (M_2(16), 8 node faults) and on T_2(16)
-// with 8 node faults. The search itself allocates nothing; the two
-// allocs/op are the returned via slice and its coordinate.
-func BenchmarkChooseVias(b *testing.B) {
+// BenchmarkAppendVias: the 2-round via search alone — one
+// routing.AppendVias call per op into a reused slice, cycling through a
+// fixed list of 4,096 random survivor pairs with a seeded tie-break rng —
+// on the BenchmarkGenerateWorkload layout (M_2(16), 8 node faults) and on
+// T_2(16) with 8 node faults. It allocates nothing.
+func BenchmarkAppendVias(b *testing.B) {
 	tor, err := mesh.NewTorus(16, 16)
 	if err != nil {
 		b.Fatal(err)
@@ -470,10 +470,11 @@ func BenchmarkChooseVias(b *testing.B) {
 			}
 			o := routing.NewOracle(f)
 			rng := rand.New(rand.NewSource(9))
-			b.ReportAllocs()
-			b.ResetTimer()
+			vias := make([]int, 0, net.m.Dims()) // room for the one via
+			startAllocFreeLoop(b)
 			for i := 0; i < b.N; i++ {
-				if _, ok := routing.ChooseVias(o, orders, src[i%pairs], dst[i%pairs], rng); !ok {
+				var ok bool
+				if vias, ok = routing.AppendVias(vias[:0], o, orders, src[i%pairs], dst[i%pairs], rng); !ok {
 					b.Fatalf("no route %v -> %v", src[i%pairs], dst[i%pairs])
 				}
 			}

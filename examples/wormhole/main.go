@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"lambmesh"
-	"lambmesh/internal/routing"
 	"lambmesh/internal/wormhole"
 )
 
@@ -99,11 +98,7 @@ func mustMesh(widths ...int) *lambmesh.Mesh {
 func ringMessages(m *lambmesh.Mesh) []*wormhole.Message {
 	orders := lambmesh.TwoRoundXY()
 	mk := func(id int, src, via, dst lambmesh.Coord) *wormhole.Message {
-		r := &routing.Route{
-			Vias: []lambmesh.Coord{via},
-			Path: routing.PathK(m, orders, src, dst, []lambmesh.Coord{via}),
-		}
-		msg, err := wormhole.MessageFromRoute(m, orders, r, src, dst, id, 12, 0, 1)
+		msg, err := wormhole.MessageFromRoute(m, orders, via, src, dst, id, 12, 0, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

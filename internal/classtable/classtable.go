@@ -215,7 +215,6 @@ type Result struct {
 type Scratch struct {
 	via  []int
 	cand []int
-	stop [1]mesh.Coord // the via as the stop list routing.HopsTurns reads
 }
 
 func (q *Scratch) grow(d int) {
@@ -256,8 +255,7 @@ func (t *Table) Lookup(src, dst mesh.Coord, q *Scratch) Result {
 	if !t.bestVia(i, j, src, dst, q) {
 		return Result{Code: CodeNoRoute}
 	}
-	q.stop[0] = q.via
-	hops, turns := routing.HopsTurns(t.m, t.orders, src, dst, q.stop[:])
+	hops, turns := routing.HopsTurns(t.m, t.orders, src, dst, q.via)
 	return Result{Found: true, Code: CodeFound, NVias: 1, Via: mesh.Coord(q.via), Hops: hops, Turns: turns}
 }
 

@@ -3,6 +3,7 @@ package mesh
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -35,19 +36,44 @@ func (l Link) String() string {
 // FaultSet is a fault set F = (F_N, F_L) per Definition 2.4: a set of faulty
 // nodes and a set of faulty directed links. A faulty node implicitly makes
 // all its incident links unusable; those links are not listed in F_L.
+//
+// Membership is two bitsets beside the insertion orders: one bit per
+// linear node index, and one per channel id (Topology.ChannelID) allocated
+// by the first AddLink, so a node-only fault set costs N bits. A grid of
+// more than maxDenseBits nodes or channels has no bitset for them: its
+// tests scan the insertion order, so it still costs O(f).
 type FaultSet struct {
 	m     *Mesh
-	topo  Topology           // the topology links are validated against; m == topo.Grid()
-	nodes map[int64]struct{} // keyed by linear index
-	order []Coord            // insertion order, for deterministic iteration
-	links map[linkKey]struct{}
+	topo  Topology // the topology links are validated against; m == topo.Grid()
+	nodes bitset   // F_N by linear index; nil on a grid too big for it
+	order []Coord  // insertion order, for deterministic iteration
+	links bitset   // F_L by channel id; nil until the first AddLink
 	lord  []Link
 }
 
-type linkKey struct {
-	from int64
-	dim  int
-	dir  int
+// maxDenseBits caps each bitset of a fault set at 8 MiB.
+const maxDenseBits = 1 << 26
+
+// bitset is a dense set of nonnegative integers. Setting and clearing a
+// nil set does nothing.
+type bitset []uint64
+
+// has reports whether i is in the set. An i out of range, negative
+// included, is not.
+func (b bitset) has(i int64) bool {
+	return uint64(i>>6) < uint64(len(b)) && b[i>>6]&(1<<(i&63)) != 0
+}
+
+func (b bitset) set(i int64) {
+	if b != nil {
+		b[i>>6] |= 1 << (i & 63)
+	}
+}
+
+func (b bitset) unset(i int64) {
+	if b != nil {
+		b[i>>6] &^= 1 << (i & 63)
+	}
 }
 
 // NewFaultSet returns an empty fault set for mesh m (the topology is the
@@ -57,12 +83,11 @@ func NewFaultSet(m *Mesh) *FaultSet { return NewFaultSetOn(m) }
 // NewFaultSetOn returns an empty fault set over an arbitrary topology.
 // Nodes are addressed on t.Grid(); links are validated with t.LinkHead.
 func NewFaultSetOn(t Topology) *FaultSet {
-	return &FaultSet{
-		m:     t.Grid(),
-		topo:  t,
-		nodes: make(map[int64]struct{}),
-		links: make(map[linkKey]struct{}),
+	f := &FaultSet{m: t.Grid(), topo: t}
+	if n := f.m.Nodes(); n <= maxDenseBits {
+		f.nodes = make(bitset, (n+63)/64)
 	}
+	return f
 }
 
 // Mesh returns the coordinate grid the fault set addresses nodes on.
@@ -72,23 +97,18 @@ func (f *FaultSet) Mesh() *Mesh { return f.m }
 // built with NewFaultSet this is the mesh itself.
 func (f *FaultSet) Topology() Topology { return f.topo }
 
-// LinkHead returns the head node of l under the fault set's topology,
-// panicking if l is not a valid link.
-func (f *FaultSet) LinkHead(l Link) Coord {
-	head, ok := f.topo.LinkHead(l)
-	if !ok {
-		panic(fmt.Sprintf("mesh: link %v invalid in %v", l, f.topo))
-	}
-	return head
-}
-
-// Reset empties the fault set in place, retaining map buckets and the
-// insertion-order backing arrays so a long-running trial loop can redraw
-// faults without allocating. Slices previously returned by NodeFaults or
-// LinkFaults are invalidated: later Add calls overwrite their contents.
+// Reset empties the fault set in place in O(f), clearing only the bits it
+// set and retaining the insertion-order backing arrays, so a long-running
+// trial loop can redraw faults without allocating. Slices previously
+// returned by NodeFaults or LinkFaults are invalidated: later Add calls
+// overwrite their contents.
 func (f *FaultSet) Reset() {
-	clear(f.nodes)
-	clear(f.links)
+	for _, c := range f.order {
+		f.nodes.unset(f.m.index(c))
+	}
+	for _, l := range f.lord {
+		f.links.unset(int64(f.topo.ChannelID(l)))
+	}
 	f.order = f.order[:0]
 	f.lord = f.lord[:0]
 }
@@ -99,11 +119,11 @@ func (f *FaultSet) AddNode(c Coord) {
 	if !f.m.Contains(c) {
 		panic(fmt.Sprintf("mesh: fault %v outside %v", c, f.m))
 	}
-	idx := f.m.Index(c)
-	if _, ok := f.nodes[idx]; ok {
+	idx := f.m.index(c)
+	if f.nodeFaulty(idx) {
 		return
 	}
-	f.nodes[idx] = struct{}{}
+	f.nodes.set(idx)
 	// Reuse a retained slot from a previous generation (see Reset) when one
 	// with the right arity is available.
 	if n := len(f.order); n < cap(f.order) {
@@ -132,11 +152,14 @@ func (f *FaultSet) AddLink(l Link) {
 	if err := checkLink(f.topo, l); err != nil {
 		panic("mesh: " + err.Error())
 	}
-	k := linkKey{f.m.Index(l.From), l.Dim, l.Dir}
-	if _, ok := f.links[k]; ok {
+	ch := int64(f.topo.ChannelID(l))
+	if f.links == nil && f.topo.NumChannels() <= maxDenseBits {
+		f.links = make(bitset, (f.topo.NumChannels()+63)/64)
+	}
+	if f.linkFaulty(ch) {
 		return
 	}
-	f.links[k] = struct{}{}
+	f.links.set(ch)
 	if n := len(f.lord); n < cap(f.lord) {
 		f.lord = f.lord[:n+1]
 		if len(f.lord[n].From) == len(l.From) {
@@ -184,69 +207,66 @@ func checkLink(t Topology, l Link) error {
 }
 
 // NodeFaulty reports whether node c is in F_N.
-func (f *FaultSet) NodeFaulty(c Coord) bool {
-	_, ok := f.nodes[f.m.Index(c)]
-	return ok
+func (f *FaultSet) NodeFaulty(c Coord) bool { return f.nodeFaulty(f.m.Index(c)) }
+
+// nodeFaulty reports whether the node with linear index i is in F_N.
+func (f *FaultSet) nodeFaulty(i int64) bool {
+	if f.nodes != nil {
+		return f.nodes.has(i)
+	}
+	return slices.ContainsFunc(f.order, func(c Coord) bool { return f.m.index(c) == i })
+}
+
+// linkFaulty reports whether the link with channel id ch is in F_L.
+func (f *FaultSet) linkFaulty(ch int64) bool {
+	if f.links != nil {
+		return f.links.has(ch)
+	}
+	return slices.ContainsFunc(f.lord, func(l Link) bool { return int64(f.topo.ChannelID(l)) == ch })
 }
 
 // LinkFaulty reports whether the directed link l is in F_L. It does not
-// consider links incident to faulty nodes; use Usable for that.
+// consider links incident to faulty nodes; use Usable for that. A link
+// that is not a link of the topology is not faulty.
 func (f *FaultSet) LinkFaulty(l Link) bool {
-	_, ok := f.links[linkKey{f.m.Index(l.From), l.Dim, l.Dir}]
-	return ok
+	ch, ok := f.topo.linkChannel(l)
+	return ok && f.linkFaulty(int64(ch))
 }
 
 // Usable reports whether the directed link l can carry traffic: the link is
-// not in F_L and neither endpoint is in F_N. A link that is neither faulty
-// nor leaves a faulty node must be a link of the fault set's topology, or
-// Usable panics. It allocates nothing: the head is found by linear index.
+// not in F_L and neither endpoint is in F_N. A link that does not leave a
+// faulty node must be a link of the fault set's topology, or Usable
+// panics. It allocates nothing: it is ChannelUsable on l's channel id.
 func (f *FaultSet) Usable(l Link) bool {
-	from := f.m.Index(l.From)
-	if _, ok := f.links[linkKey{from, l.Dim, l.Dir}]; ok {
+	if f.NodeFaulty(l.From) {
 		return false
 	}
-	if _, ok := f.nodes[from]; ok {
-		return false
+	ch, ok := f.topo.linkChannel(l)
+	if ok {
+		_, _, ok = f.topo.channelEnds(ch)
 	}
-	head, ok := f.headIndex(from, l)
 	if !ok {
 		panic(fmt.Sprintf("mesh: link %v invalid in %v", l, f.topo))
 	}
-	_, ok = f.nodes[head]
-	return !ok
+	return f.ChannelUsable(ch)
 }
 
-// headIndex returns the linear index of the head of l, whose tail has
-// linear index from, and whether l is a link of the fault set's topology:
-// LinkHead without building the head's coordinate.
-func (f *FaultSet) headIndex(from int64, l Link) (int64, bool) {
-	switch t := f.topo.(type) {
-	case *Mesh:
-		if l.Dir != 1 && l.Dir != -1 || l.Dim < 0 || l.Dim >= t.Dims() {
-			return 0, false
-		}
-	case *FullMesh:
-		if l.Dim != 0 || l.Dir < 1 || l.Dir >= t.n {
-			return 0, false
-		}
-	default:
-		head, ok := f.topo.LinkHead(l)
-		if !ok {
-			return 0, false
-		}
-		return f.m.Index(head), true
-	}
-	return f.m.step(from, l.From[l.Dim], l.Dim, l.Dir)
+// ChannelUsable is Usable for the link whose channel id is ch
+// (Topology.ChannelID), its endpoints found by arithmetic on the id. An id
+// that names no link of the topology is not usable.
+func (f *FaultSet) ChannelUsable(ch int) bool {
+	tail, head, ok := f.topo.channelEnds(ch)
+	return ok && !f.linkFaulty(int64(ch)) && !f.nodeFaulty(tail) && !f.nodeFaulty(head)
 }
 
 // NumNodeFaults returns |F_N|.
-func (f *FaultSet) NumNodeFaults() int { return len(f.nodes) }
+func (f *FaultSet) NumNodeFaults() int { return len(f.order) }
 
 // NumLinkFaults returns |F_L|.
-func (f *FaultSet) NumLinkFaults() int { return len(f.links) }
+func (f *FaultSet) NumLinkFaults() int { return len(f.lord) }
 
 // Count returns f = |F_N| + |F_L|, the total number of faults.
-func (f *FaultSet) Count() int { return len(f.nodes) + len(f.links) }
+func (f *FaultSet) Count() int { return len(f.order) + len(f.lord) }
 
 // NodeFaults returns the faulty nodes in insertion order. The slice is
 // shared; do not modify it.
@@ -257,17 +277,18 @@ func (f *FaultSet) NodeFaults() []Coord { return f.order }
 func (f *FaultSet) LinkFaults() []Link { return f.lord }
 
 // GoodNodes returns the number of nonfaulty nodes.
-func (f *FaultSet) GoodNodes() int64 { return f.m.Nodes() - int64(len(f.nodes)) }
+func (f *FaultSet) GoodNodes() int64 { return f.m.Nodes() - int64(len(f.order)) }
 
 // Clone returns an independent copy of the fault set (over the same
 // topology).
 func (f *FaultSet) Clone() *FaultSet {
-	out := NewFaultSetOn(f.topo)
-	for _, c := range f.order {
-		out.AddNode(c)
+	out := &FaultSet{m: f.m, topo: f.topo, nodes: slices.Clone(f.nodes), links: slices.Clone(f.links),
+		order: make([]Coord, len(f.order)), lord: make([]Link, len(f.lord))}
+	for i, c := range f.order {
+		out.order[i] = c.Clone()
 	}
-	for _, l := range f.lord {
-		out.AddLink(l)
+	for i, l := range f.lord {
+		out.lord[i] = Link{From: l.From.Clone(), Dim: l.Dim, Dir: l.Dir}
 	}
 	return out
 }
@@ -298,38 +319,21 @@ func RandomNodeFaultsOn(t Topology, count int, rng *rand.Rand) *FaultSet {
 // faults throughout even though its simulations use node faults only.
 func RandomLinkFaults(f *FaultSet, count int, rng *rand.Rand) {
 	m := f.m
-	if fm, ok := f.topo.(*FullMesh); ok {
-		// Full meshes draw a random ordered pair (tail, delta) instead of a
-		// grid direction; the grid path below would only ever hit delta 1.
-		for added := 0; added < count; {
-			c := m.CoordOf(rng.Int63n(m.Nodes()))
-			delta := 1 + rng.Intn(int(fm.Nodes())-1)
-			l := Link{From: c, Dim: 0, Dir: delta}
-			if f.NodeFaulty(c) || f.NodeFaulty(f.LinkHead(l)) || f.LinkFaulty(l) {
-				continue
-			}
+	for added := 0; added < count; {
+		l := Link{From: m.CoordOf(rng.Int63n(m.Nodes()))}
+		if fm, ok := f.topo.(*FullMesh); ok {
+			// Full meshes draw a random ordered pair (tail, delta) instead
+			// of a grid direction, which would only ever hit delta 1.
+			l.Dir = 1 + rng.Intn(int(fm.Nodes())-1)
+		} else {
+			l.Dim, l.Dir = rng.Intn(m.Dims()), 1-2*rng.Intn(2)
+		}
+		// A boundary step off a mesh has an id but no head, so it is not
+		// usable either.
+		if f.ChannelUsable(f.topo.ChannelID(l)) {
 			f.AddLink(l)
 			added++
 		}
-		return
-	}
-	for added := 0; added < count; {
-		c := m.CoordOf(rng.Int63n(m.Nodes()))
-		dim := rng.Intn(m.Dims())
-		dir := 1 - 2*rng.Intn(2)
-		head, ok := m.Neighbor(c, dim, dir)
-		if !ok {
-			continue
-		}
-		if f.NodeFaulty(c) || f.NodeFaulty(head) {
-			continue
-		}
-		l := Link{From: c, Dim: dim, Dir: dir}
-		if f.LinkFaulty(l) {
-			continue
-		}
-		f.AddLink(l)
-		added++
 	}
 }
 

@@ -96,8 +96,9 @@ func build(widths []int, torus bool) (*Mesh, error) {
 		if w < 2 {
 			return nil, fmt.Errorf("mesh: width of dimension %d is %d; must be >= 2", i, w)
 		}
-		if m.n > math.MaxInt64/int64(w) {
-			return nil, fmt.Errorf("mesh: widths %v overflow the int64 node count", widths)
+		// Channel ids run to 2dN, so that is the count that must fit.
+		if m.n > math.MaxInt64/int64(2*len(widths))/int64(w) {
+			return nil, fmt.Errorf("mesh: widths %v overflow the int64 channel count", widths)
 		}
 		m.strides[i] = m.n
 		m.n *= int64(w)

@@ -233,7 +233,8 @@ func TestFaultSetLinks(t *testing.T) {
 // usableByHead is Usable's formula through the head coordinate: the
 // reference the index-based head lookup must agree with.
 func usableByHead(f *FaultSet, l Link) bool {
-	return !f.LinkFaulty(l) && !f.NodeFaulty(l.From) && !f.NodeFaulty(f.LinkHead(l))
+	head, _ := f.Topology().LinkHead(l)
+	return !f.LinkFaulty(l) && !f.NodeFaulty(l.From) && !f.NodeFaulty(head)
 }
 
 // Usable must answer as the head-coordinate formula does for every link of

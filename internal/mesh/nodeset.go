@@ -77,8 +77,7 @@ func (s *NodeSet) IsSurvivor(f *FaultSet, c Coord) bool {
 		return false
 	}
 	idx := f.m.index(c)
-	_, faulty := f.nodes[idx]
-	return !faulty && !s.HasIndex(idx)
+	return !f.nodeFaulty(idx) && !s.HasIndex(idx)
 }
 
 // ForEach calls fn for every member in index order. The Coord passed to fn
@@ -123,7 +122,7 @@ func (s *NodeSet) Survivors(f *FaultSet) []Coord {
 		if member {
 			next++
 		}
-		if _, faulty := f.nodes[idx]; !faulty && !member {
+		if !f.nodeFaulty(idx) && !member {
 			buf = append(buf, c...)
 			out = append(out, buf[len(buf)-d:len(buf):len(buf)])
 		}
@@ -137,7 +136,7 @@ func (s *NodeSet) Survivors(f *FaultSet) []Coord {
 func (s *NodeSet) SurvivorCount(f *FaultSet) int64 {
 	n := f.GoodNodes()
 	for _, v := range s.members() {
-		if _, faulty := f.nodes[v]; !faulty {
+		if !f.nodeFaulty(v) {
 			n--
 		}
 	}

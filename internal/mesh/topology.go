@@ -10,17 +10,19 @@ import (
 // campaign layers consume: a set of nodes addressed by Coord over a *Mesh
 // coordinate grid, plus the directed links between them. Meshes, tori, and
 // hypercubes implement it directly on *Mesh; FullMesh layers all-to-all
-// links over a one-dimensional grid. The contract every implementation must
-// honor:
+// links over a one-dimensional grid. Its unexported channel arithmetic
+// keeps the implementations inside this package. The contract every
+// implementation must honor:
 //
 //   - Grid() is the coordinate substrate: Index/CoordOf/Contains and node
 //     enumeration are always delegated to it, so node identity is uniform
 //     across topologies.
 //   - ChannelID is a dense bijection from valid links to [0, NumChannels());
-//     the wormhole simulator's flat channel-state arrays index by it.
-//   - LinkHead(l) returns the head node of l and reports whether l is a
-//     valid link of the topology. It is the single source of truth for link
-//     validity: ValidateFaults, AddLink and Usable all route through it.
+//     the wormhole simulator's routes and flat channel-state arrays index
+//     by it, and ChannelLink is its inverse.
+//   - LinkHead(l) returns the head of l and whether l is a link of the
+//     topology: ValidateFaults and AddLink check links with it, FaultSet's
+//     bit tests with the linkChannel and channelEnds it agrees with.
 //   - Tag is the stable serialization token ("mesh", "torus", "hypercube",
 //     "fullmesh") used by fault files and checkpoint keys.
 type Topology interface {
@@ -33,6 +35,10 @@ type Topology interface {
 	// ChannelID returns the dense id of a valid directed link in
 	// [0, NumChannels()). Behavior on invalid links is undefined.
 	ChannelID(l Link) int
+	// ChannelLink returns the link whose id is ch, for ch in
+	// [0, NumChannels()): the inverse of ChannelID. An id the layout
+	// reserves for no link decodes to a Link that LinkHead rejects.
+	ChannelLink(ch int) Link
 	// LinkHead returns the head node of l and whether l is a valid link.
 	LinkHead(l Link) (Coord, bool)
 	// Distance returns the minimum hop count between two nodes.
@@ -44,6 +50,13 @@ type Topology interface {
 	// String renders a human-readable name, e.g. "M_2(8x8)", "T_2(6x6)",
 	// "Q_4", "K_12".
 	String() string
+
+	// linkChannel returns l's channel id and whether the id layout has a
+	// place for l (a mesh's boundary steps have one, but no head).
+	linkChannel(l Link) (int, bool)
+	// channelEnds returns the linear indexes of the tail and the head of
+	// channel ch, and whether ch names a link.
+	channelEnds(ch int) (tail, head int64, ok bool)
 }
 
 // TopologyNames lists the accepted -topology spellings, in flag-help order.
@@ -146,13 +159,34 @@ func (m *Mesh) ChannelID(l Link) int {
 	return (int(m.Index(l.From))*len(m.widths)+l.Dim)*2 + dirBit
 }
 
+// ChannelLink inverts ChannelID. On a mesh the ids of the missing boundary
+// steps decode to those steps, which LinkHead rejects.
+func (m *Mesh) ChannelLink(ch int) Link {
+	d := len(m.widths)
+	return Link{From: m.CoordOf(int64(ch >> 1 / d)), Dim: ch >> 1 % d, Dir: 2*(ch&1) - 1}
+}
+
+func (m *Mesh) linkChannel(l Link) (int, bool) {
+	if l.Dir != 1 && l.Dir != -1 || l.Dim < 0 || l.Dim >= len(m.widths) || !m.Contains(l.From) {
+		return 0, false
+	}
+	return m.ChannelID(l), true
+}
+
+func (m *Mesh) channelEnds(ch int) (tail, head int64, ok bool) {
+	d := len(m.widths)
+	tail, dim := int64(ch>>1/d), ch>>1%d
+	if ch < 0 || tail >= m.n {
+		return 0, 0, false
+	}
+	head, ok = m.step(tail, int(tail/m.strides[dim]%int64(m.widths[dim])), dim, 2*(ch&1)-1)
+	return tail, head, ok
+}
+
 // LinkHead returns the head of l, requiring Dir in {+1, -1} and (off a
 // torus) the head to exist.
 func (m *Mesh) LinkHead(l Link) (Coord, bool) {
-	if l.Dir != 1 && l.Dir != -1 {
-		return nil, false
-	}
-	if l.Dim < 0 || l.Dim >= len(m.widths) || !m.Contains(l.From) {
+	if _, ok := m.linkChannel(l); !ok {
 		return nil, false
 	}
 	return m.Neighbor(l.From, l.Dim, l.Dir)
@@ -208,8 +242,8 @@ type FullMesh struct {
 
 // NewFullMesh returns the complete network on n nodes, n >= 3.
 func NewFullMesh(n int) (*FullMesh, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("mesh: full mesh needs at least 3 nodes, got %d", n)
+	if n < 3 || n > 3_037_000_499 { // N(N-1) channel ids must fit an int64
+		return nil, fmt.Errorf("mesh: full mesh needs at least 3 nodes and at most 3037000499, got %d", n)
 	}
 	grid, err := NewTorus(n)
 	if err != nil {
@@ -245,9 +279,26 @@ func (fm *FullMesh) ChannelID(l Link) int {
 	return int(fm.grid.Index(l.From))*(fm.n-1) + (l.Dir - 1)
 }
 
+// ChannelLink inverts ChannelID.
+func (fm *FullMesh) ChannelLink(ch int) Link {
+	return Link{From: fm.grid.CoordOf(int64(ch / (fm.n - 1))), Dim: 0, Dir: ch%(fm.n-1) + 1}
+}
+
+func (fm *FullMesh) linkChannel(l Link) (int, bool) {
+	if l.Dim != 0 || l.Dir < 1 || l.Dir >= fm.n || !fm.grid.Contains(l.From) {
+		return 0, false
+	}
+	return fm.ChannelID(l), true
+}
+
+func (fm *FullMesh) channelEnds(ch int) (tail, head int64, ok bool) {
+	tail = int64(ch / (fm.n - 1))
+	return tail, (tail + int64(ch%(fm.n-1)) + 1) % int64(fm.n), ch >= 0 && tail < int64(fm.n)
+}
+
 // LinkHead accepts Dim 0 and any delta Dir in [1, N-1].
 func (fm *FullMesh) LinkHead(l Link) (Coord, bool) {
-	if l.Dim != 0 || l.Dir < 1 || l.Dir >= fm.n || !fm.grid.Contains(l.From) {
+	if _, ok := fm.linkChannel(l); !ok {
 		return nil, false
 	}
 	return fm.grid.Neighbor(l.From, 0, l.Dir)

@@ -82,7 +82,11 @@ func sameRoute(t testing.TB, o *Oracle, orders MultiOrder, v, w mesh.Coord, seed
 func checkHopsTurns(t testing.TB, m *mesh.Mesh, orders MultiOrder, v, w mesh.Coord, vias []mesh.Coord) {
 	t.Helper()
 	path := PathK(m, orders, v, w, vias)
-	if hops, turns := HopsTurns(m, orders, v, w, vias); hops != PathLen(path) || turns != CountTurns(path) {
+	var flat []int
+	for _, c := range vias {
+		flat = append(flat, c...)
+	}
+	if hops, turns := HopsTurns(m, orders, v, w, flat); hops != PathLen(path) || turns != CountTurns(path) {
 		t.Fatalf("%v %v %v->%v via %v: HopsTurns %d hops %d turns, path %v has %d and %d",
 			m, orders, v, w, vias, hops, turns, path, PathLen(path), CountTurns(path))
 	}

@@ -15,7 +15,7 @@ import (
 // coordinate or arriving at it, before it meets a node or link fault. A run
 // costs three O(log f) binary searches in a per-dimension index of the
 // faults, built in O(d f log f), so ReachOne costs O(d log f); the spans
-// (SpanFrom, SpanTo) and the via search (ChooseVias) read the same runs.
+// (SpanFrom, SpanTo) and the via search (AppendVias) read the same runs.
 //
 // The oracle is safe for concurrent use after construction: NewOracle and
 // Rebuild are the only writers of the per-dimension fault indexes, and

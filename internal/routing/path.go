@@ -109,19 +109,20 @@ func CountTurns(path []mesh.Coord) int {
 }
 
 // HopsTurns returns the length in links and the number of turns of the
-// k-round route from v through vias (k-1 of them) to w: PathLen and
-// CountTurns of PathK(m, orders, v, w, vias), walked from the stops alone,
-// one segment per dimension and round, without building the path. A
-// segment's length is the size of its displacement, the minimal one on a
-// torus; segments along one dimension on either side of a stop join
-// without a turn, whichever way they go.
-func HopsTurns(m *mesh.Mesh, orders MultiOrder, v, w mesh.Coord, vias []mesh.Coord) (hops, turns int) {
+// k-round route from v through vias to w: PathLen and CountTurns of PathK,
+// walked from the stops alone, one segment per dimension and round,
+// without building the path. vias holds the k-1 intermediates flat, d ints
+// each, as AppendVias writes them. A segment's length is the size of its
+// displacement, the minimal one on a torus; segments along one dimension
+// on either side of a stop join without a turn, whichever way they go.
+func HopsTurns(m *mesh.Mesh, orders MultiOrder, v, w mesh.Coord, vias []int) (hops, turns int) {
 	runs, last := 0, -1
-	from := v
+	d := len(v)
+	from := []int(v)
 	for t, pi := range orders {
-		to := w
-		if t < len(vias) {
-			to = vias[t]
+		to := []int(w)
+		if t < len(orders)-1 {
+			to = vias[t*d : (t+1)*d]
 		}
 		// A round moves along each dimension once, so its segment along
 		// dim runs from the previous stop's coordinate to the next one's.
@@ -166,7 +167,7 @@ func (r *Route) Hops() int { return PathLen(r.Path) }
 func (r *Route) Turns() int { return CountTurns(r.Path) }
 
 // ChooseRoute picks a fault-free k-round route from v to w, for any
-// k >= 1: the vias ChooseVias picks, and the node path through them.
+// k >= 1: the vias AppendVias picks, and the node path through them.
 // Returns false if no fault-free route exists.
 //
 // For k = 2 it uses the heuristic the paper suggests (Section 2.1): among
@@ -193,9 +194,22 @@ func (r *Route) Turns() int { return CountTurns(r.Path) }
 // traffic generation for the wormhole simulator, not the lamb algorithm
 // (which never routes).
 func ChooseRoute(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) (*Route, bool) {
-	vias, ok := ChooseVias(o, orders, v, w, rng)
+	vias, ok := AppendVias(nil, o, orders, v, w, rng)
 	if !ok {
 		return nil, false
 	}
-	return &Route{Vias: vias, Path: PathK(o.Mesh(), orders, v, w, vias)}, true
+	return NewRoute(o.Mesh(), orders, v, w, vias), true
+}
+
+// NewRoute returns the k-round route from v through vias to w, the vias
+// given flat as AppendVias writes them: each Route.Vias entry is a view of
+// its d ints, and the path is PathK's.
+func NewRoute(m *mesh.Mesh, orders MultiOrder, v, w mesh.Coord, vias []int) *Route {
+	d := len(v)
+	r := &Route{}
+	for ; len(vias) > 0; vias = vias[d:] {
+		r.Vias = append(r.Vias, mesh.Coord(vias[:d:d]))
+	}
+	r.Path = PathK(m, orders, v, w, r.Vias)
+	return r
 }

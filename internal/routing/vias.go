@@ -9,28 +9,6 @@ import (
 	"lambmesh/internal/mesh"
 )
 
-// ChooseVias picks the k-1 intermediates of a fault-free k-round route
-// from v to w by AppendVias's policy, each via its own coordinate.
-// ChooseRoute adds the node path; callers that walk the route from its
-// stops, such as the wormhole message builder, need only the vias.
-// Returns false if no fault-free route exists.
-func ChooseVias(o *Oracle, orders MultiOrder, v, w mesh.Coord, rng *rand.Rand) ([]mesh.Coord, bool) {
-	flat, ok := AppendVias(nil, o, orders, v, w, rng)
-	if !ok || len(flat) == 0 {
-		return nil, ok
-	}
-	return AppendViaCoords(make([]mesh.Coord, 0, len(flat)/len(v)), flat, len(v)), true
-}
-
-// AppendViaCoords appends to vias one d-dimensional coordinate per d ints
-// of flat, the layout AppendVias writes, each a view into flat.
-func AppendViaCoords(vias []mesh.Coord, flat []int, d int) []mesh.Coord {
-	for ; len(flat) > 0; flat = flat[d:] {
-		vias = append(vias, mesh.Coord(flat[:d:d]))
-	}
-	return vias
-}
-
 // AppendVias appends the coordinates of the k-1 intermediates of a
 // fault-free k-round route from v to w to dst, one via after another, and
 // returns the extended slice: for k = 2 by ChooseRoute's policy (a

@@ -146,9 +146,8 @@ func (s *Server) Route(src, dst mesh.Coord) Answer {
 	case wire.CodeNoRoute:
 		ans.Reason = fmt.Sprintf("no fault-free %d-round route from %v to %v", s.orders.Rounds(), src, dst)
 	default:
-		vias := routing.AppendViaCoords(nil, wa.Via, len(src))
 		ans.Found = true
-		ans.Route = &routing.Route{Vias: vias, Path: routing.PathK(s.mesh, s.orders, src, dst, vias)}
+		ans.Route = routing.NewRoute(s.mesh, s.orders, src, dst, wa.Via)
 	}
 	return ans
 }
@@ -175,11 +174,8 @@ func (s *Server) query(e *Epoch, src, dst mesh.Coord, ans *wire.Answer) {
 		if ans.Via, ok = routing.AppendVias(ans.Via, e.Oracle, s.orders, src, dst, nil); !ok {
 			break
 		}
-		// buf keeps the vias of a route of up to three rounds on the stack.
-		var buf [2]mesh.Coord
-		vias := routing.AppendViaCoords(buf[:0], ans.Via, len(src))
-		ans.Code, ans.NVias = wire.CodeFound, len(vias)
-		ans.Hops, ans.Turns = routing.HopsTurns(s.mesh, s.orders, src, dst, vias)
+		ans.Code, ans.NVias = wire.CodeFound, len(ans.Via)/len(src)
+		ans.Hops, ans.Turns = routing.HopsTurns(s.mesh, s.orders, src, dst, ans.Via)
 	}
 	if ans.Code == wire.CodeFound {
 		s.metrics.ObserveRoute(ans.Hops)

@@ -333,11 +333,7 @@ func runWorm(cfg Config) *Table {
 func ringMessages(m *mesh.Mesh, vcs int) []*wormhole.Message {
 	orders := routing.UniformAscending(2, 2)
 	mk := func(id int, src, via, dst mesh.Coord) *wormhole.Message {
-		r := &routing.Route{
-			Vias: []mesh.Coord{via},
-			Path: routing.PathK(m, orders, src, dst, []mesh.Coord{via}),
-		}
-		msg, err := wormhole.MessageFromRoute(m, orders, r, src, dst, id, 12, 0, vcs)
+		msg, err := wormhole.MessageFromRoute(m, orders, via, src, dst, id, 12, 0, vcs)
 		if err != nil {
 			panic(err)
 		}

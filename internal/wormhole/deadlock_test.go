@@ -22,22 +22,21 @@ import (
 // strictly increases. FindCycle machine-checks this.
 type ChannelDependencies struct {
 	m     *mesh.Mesh
-	nodes []vcKey
-	index map[vcKey]int
+	nodes []Hop
+	index map[Hop]int
 	adj   [][]int
 }
 
 // NewChannelDependencies builds the graph from a set of routed messages.
 func NewChannelDependencies(m *mesh.Mesh, msgs []*Message) *ChannelDependencies {
-	cd := &ChannelDependencies{m: m, index: make(map[vcKey]int)}
+	cd := &ChannelDependencies{m: m, index: make(map[Hop]int)}
 	id := func(h Hop) int {
-		k := vcKey{from: m.Index(h.Link.From), dim: h.Link.Dim, dir: h.Link.Dir, vc: h.VC}
-		if i, ok := cd.index[k]; ok {
+		if i, ok := cd.index[h]; ok {
 			return i
 		}
 		i := len(cd.nodes)
-		cd.index[k] = i
-		cd.nodes = append(cd.nodes, k)
+		cd.index[h] = i
+		cd.nodes = append(cd.nodes, h)
 		cd.adj = append(cd.adj, nil)
 		return i
 	}
@@ -102,10 +101,10 @@ func (cd *ChannelDependencies) FindCycle() (string, bool) {
 			s := ""
 			for i := len(chain) - 1; i >= 0; i-- {
 				k := cd.nodes[chain[i]]
-				s += fmt.Sprintf("%v.vc%d -> ", mesh.Link{From: cd.m.CoordOf(k.from), Dim: k.dim, Dir: k.dir}, k.vc)
+				s += fmt.Sprintf("%v.vc%d -> ", cd.m.ChannelLink(int(k.Ch)), k.VC)
 			}
 			k := cd.nodes[cycleTo]
-			s += fmt.Sprintf("%v.vc%d", mesh.Link{From: cd.m.CoordOf(k.from), Dim: k.dim, Dir: k.dir}, k.vc)
+			s += fmt.Sprintf("%v.vc%d", cd.m.ChannelLink(int(k.Ch)), k.VC)
 			return s, true
 		}
 	}

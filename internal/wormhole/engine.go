@@ -175,10 +175,9 @@ func NewEngine(f *mesh.FaultSet, cfg EngineConfig, packets []*Message) (*Engine,
 	for _, p := range packets {
 		e.qhead[m.Index(p.Src)]++
 	}
-	back := make([]*Message, len(packets))
+	back := make([]*Message, 0, len(packets))
 	for v, n := range e.qhead {
-		e.queueOf[v], back = back[:0:n], back[n:]
-		e.qhead[v] = 0
+		e.queueOf[v], e.qhead[v] = carve(&back, n)[:0], 0
 	}
 	for _, p := range packets {
 		if len(p.Hops) == 0 {

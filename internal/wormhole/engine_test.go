@@ -154,23 +154,24 @@ func checkRouteProperties(t *testing.T, m *mesh.Mesh, f *mesh.FaultSet,
 	if len(msg.Hops) == 0 {
 		t.Fatalf("msg %d: empty route", msg.ID)
 	}
-	if !msg.Hops[0].Link.From.Equal(msg.Src) {
-		t.Fatalf("msg %d: route starts at %v, not src %v", msg.ID, msg.Hops[0].Link.From, msg.Src)
+	if first := m.ChannelLink(int(msg.Hops[0].Ch)); !first.From.Equal(msg.Src) {
+		t.Fatalf("msg %d: route starts at %v, not src %v", msg.ID, first.From, msg.Src)
 	}
 	cur := msg.Src
 	prevRound := 0
 	prevPos := -1 // position in the round's dimension order
 	for i, h := range msg.Hops {
-		if !h.Link.From.Equal(cur) {
-			t.Fatalf("msg %d hop %d: discontinuous route (%v != %v)", msg.ID, i, h.Link.From, cur)
+		l := m.ChannelLink(int(h.Ch))
+		if !l.From.Equal(cur) {
+			t.Fatalf("msg %d hop %d: discontinuous route (%v != %v)", msg.ID, i, l.From, cur)
 		}
-		if !f.Usable(h.Link) {
-			t.Fatalf("msg %d hop %d: unusable link %v", msg.ID, i, h.Link)
+		if !f.Usable(l) {
+			t.Fatalf("msg %d hop %d: unusable link %v", msg.ID, i, l)
 		}
-		if f.NodeFaulty(h.Link.From) {
-			t.Fatalf("msg %d hop %d: route through faulty node %v", msg.ID, i, h.Link.From)
+		if f.NodeFaulty(l.From) {
+			t.Fatalf("msg %d hop %d: route through faulty node %v", msg.ID, i, l.From)
 		}
-		round := h.VC // with vcs == rounds, the VC is the round index
+		round := int(h.VC) // with vcs == rounds, the VC is the round index
 		if round < prevRound {
 			t.Fatalf("msg %d hop %d: round went backwards (%d after %d)", msg.ID, i, round, prevRound)
 		}
@@ -179,18 +180,18 @@ func checkRouteProperties(t *testing.T, m *mesh.Mesh, f *mesh.FaultSet,
 		}
 		pos := -1
 		for p, dim := range orders[round] {
-			if dim == h.Link.Dim {
+			if dim == l.Dim {
 				pos = p
 			}
 		}
 		if pos < 0 {
-			t.Fatalf("msg %d hop %d: dim %d not in order %v", msg.ID, i, h.Link.Dim, orders[round])
+			t.Fatalf("msg %d hop %d: dim %d not in order %v", msg.ID, i, l.Dim, orders[round])
 		}
 		if pos < prevPos {
 			t.Fatalf("msg %d hop %d: dimension order violated in round %d (%v)", msg.ID, i, round, orders[round])
 		}
 		prevRound, prevPos = round, pos
-		cur = h.Link.To(m)
+		cur = l.To(m)
 		if f.NodeFaulty(cur) {
 			t.Fatalf("msg %d hop %d: route through faulty node %v", msg.ID, i, cur)
 		}

@@ -123,7 +123,7 @@ func identityEvent(s RouteStrategy, msgs []*Message, cycle int, links bool) Faul
 		if p.InjectAt < cycle-20 || len(ev.Links) == 2 {
 			continue
 		}
-		l := p.Hops[len(p.Hops)/2].Link
+		l := s.Faults().Topology().ChannelLink(int(p.Hops[len(p.Hops)/2].Ch))
 		if len(ev.Links) == 0 || !linkEqual(ev.Links[0], l) {
 			ev.Links = append(ev.Links, l)
 		}

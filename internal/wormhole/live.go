@@ -92,6 +92,7 @@ type liveState struct {
 	next     int           // next schedule event to apply
 	strat    RouteStrategy
 	routeRng *rand.Rand
+	route    []Hop // reroute scratch
 	// sacrificed is the strategy's sacrificed nodes (lambs,
 	// ring-inactivated) in the current configuration.
 	sacrificed *mesh.NodeSet
@@ -169,7 +170,7 @@ func (l *liveState) applyDue(e *Engine, cycle int, undelivered *int) error {
 // the (updated) fault set.
 func routeBroken(f *mesh.FaultSet, msg *Message, from int) bool {
 	for i := from; i < len(msg.Hops); i++ {
-		if !f.Usable(msg.Hops[i].Link) {
+		if !f.ChannelUsable(int(msg.Hops[i].Ch)) {
 			return true
 		}
 	}
@@ -181,14 +182,17 @@ func routeBroken(f *mesh.FaultSet, msg *Message, from int) bool {
 // pair is unreachable under the strategy's new configuration (the caller
 // accounts the packet as lost); an error aborts the run.
 func (l *liveState) reroute(e *Engine, msg *Message) (bool, error) {
-	fresh, ok, err := routeFree(l.strat, msg.Src, msg.Dst,
-		msg.ID, msg.Length, msg.InjectAt, e.cfg.Net.VirtualChannels, l.routeRng)
+	hops, turns, ok, err := routeFree(l.strat, l.route[:0], msg.Src, msg.Dst,
+		msg.ID, e.cfg.Net.VirtualChannels, l.routeRng)
+	l.route = hops
 	if err != nil || !ok {
 		return false, err
 	}
-	msg.Hops = fresh.Hops
-	msg.PathHops = fresh.PathHops
-	msg.PathTurns = fresh.PathTurns
+	// The message's hops are capacity-capped, so a route that fits
+	// overwrites them in place and a longer one moves to an array of its own.
+	msg.Hops = append(msg.Hops[:0], hops...)
+	msg.PathHops = len(hops)
+	msg.PathTurns = turns
 	msg.Delivered = false
 	msg.DoneCycle = 0
 	msg.StartCycle = 0

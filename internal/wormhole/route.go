@@ -3,6 +3,7 @@ package wormhole
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"lambmesh/internal/mesh"
 	"lambmesh/internal/routing"
@@ -16,19 +17,31 @@ import (
 // demonstrate.
 func RouteMessage(o *routing.Oracle, orders routing.MultiOrder, src, dst mesh.Coord,
 	id, length, injectAt, vcs int, rng *rand.Rand) (*Message, error) {
-	vias, ok := routing.ChooseVias(o, orders, src, dst, rng)
-	if !ok {
-		return nil, fmt.Errorf("wormhole: no fault-free %d-round route from %v to %v", orders.Rounds(), src, dst)
+	hops, turns, _, err := lambView(o, orders, nil).Route(nil, src, dst, vcs, rng)
+	if err != nil {
+		return nil, err
 	}
-	return MessageFromRoute(o.Mesh(), orders, &routing.Route{Vias: vias}, src, dst, id, length, injectAt, vcs)
+	return new(arena).message(id, src, dst, length, injectAt, hops, turns), nil
 }
 
-// MessageFromRoute converts an explicit k-round route into a message with
-// per-round virtual channels. The hops are walked straight from the stops
-// (src, r.Vias..., dst), one dimension-ordered segment at a time, so
-// r.Path is not read: the route is the one PathK gives for those stops, as
-// ChooseRoute returns. The message's Src, Dst and every hop's From
-// coordinate are carved from one backing array per message.
+// MessageFromRoute converts an explicit k-round route, its k-1 vias given
+// flat as routing.AppendVias writes them, into a message with per-round
+// virtual channels (appendRoute).
+func MessageFromRoute(m *mesh.Mesh, orders routing.MultiOrder, vias []int,
+	src, dst mesh.Coord, id, length, injectAt, vcs int) (*Message, error) {
+	hops, turns, err := appendRoute(nil, m, orders, vias, src, dst, vcs)
+	if err != nil {
+		return nil, err
+	}
+	return new(arena).message(id, src, dst, length, injectAt, hops, turns), nil
+}
+
+// appendRoute appends to hops the hops of the k-round route from src
+// through vias (d ints each) to dst, and returns them with the route's
+// turn count. It walks the stops one dimension-ordered segment at a time,
+// the route PathK gives for them, and writes each hop's channel id
+// (mesh.Mesh.ChannelID) from the running linear index: ± the dimension's
+// stride per step, and the wrap on a torus.
 //
 // On a mesh round t rides VC min(t, vcs-1). On a torus the dateline
 // discipline (Dally–Seitz) applies: round t owns the VC pair (2t, 2t+1).
@@ -39,11 +52,11 @@ func RouteMessage(o *routing.Oracle, orders routing.MultiOrder, src, dst mesh.Co
 // dimension twice, so the high class is a line too — no VC class closes the
 // ring, whence the 2k-VC deadlock freedom on tori. (A width-2 ring has no
 // dateline: its one + step from 1 to 0 is an ordinary hop.)
-func MessageFromRoute(m *mesh.Mesh, orders routing.MultiOrder, r *routing.Route,
-	src, dst mesh.Coord, id, length, injectAt, vcs int) (*Message, error) {
-	k := orders.Rounds()
-	if len(r.Vias) != k-1 {
-		return nil, fmt.Errorf("wormhole: route has %d vias for %d rounds", len(r.Vias), k)
+func appendRoute(hops []Hop, m *mesh.Mesh, orders routing.MultiOrder, vias []int,
+	src, dst mesh.Coord, vcs int) ([]Hop, int, error) {
+	k, d := orders.Rounds(), m.Dims()
+	if len(vias) != (k-1)*d {
+		return hops, 0, fmt.Errorf("wormhole: route has %d via coordinates for %d rounds in %d dimensions", len(vias), k, d)
 	}
 	stop := func(t int) mesh.Coord {
 		switch {
@@ -52,104 +65,113 @@ func MessageFromRoute(m *mesh.Mesh, orders routing.MultiOrder, r *routing.Route,
 		case t == k:
 			return dst
 		}
-		return r.Vias[t-1]
+		return mesh.Coord(vias[(t-1)*d : t*d])
 	}
-	total := 0
 	for t := 0; t <= k; t++ {
 		if !m.Contains(stop(t)) {
-			return nil, fmt.Errorf("wormhole: route stop %v outside %v", stop(t), m)
-		}
-		if t > 0 {
-			total += m.Distance(stop(t-1), stop(t))
+			// A copy, so that vias can stay in the caller's frame.
+			return hops, 0, fmt.Errorf("wormhole: route stop %v outside %v", stop(t).Clone(), m)
 		}
 	}
-	d := m.Dims()
-	// One backing array holds every hop's From, then Src, Dst and the
-	// walk's current position, d ints each.
-	back := make([]int, (total+3)*d)
-	carve := func(i int) mesh.Coord { return mesh.Coord(back[i*d : (i+1)*d : (i+1)*d]) }
-	msgSrc, msgDst, pos := carve(total), carve(total+1), carve(total+2)
-	copy(msgSrc, src)
-	copy(msgDst, dst)
-	msg := &Message{
-		ID:       id,
-		Src:      msgSrc,
-		Dst:      msgDst,
-		Length:   length,
-		InjectAt: injectAt,
-		Hops:     make([]Hop, 0, total),
-	}
+	idx := m.Index(src)
 	for t := 0; t < k; t++ {
 		vcLo, vcHi := t, t
 		if m.Torus() {
 			vcLo, vcHi = 2*t, 2*t+1
 		}
 		vcLo, vcHi = min(vcLo, vcs-1), min(vcHi, vcs-1)
-		copy(pos, stop(t))
-		next := stop(t + 1)
+		from, to := stop(t), stop(t+1)
 		for _, dim := range orders[t] {
-			a, b := pos[dim], next[dim]
+			a, b := from[dim], to[dim]
 			if a == b {
 				continue
 			}
-			n, dir := m.Width(dim), routing.SegmentDir(m, dim, a, b)
+			n, dir, stride := m.Width(dim), routing.SegmentDir(m, dim, a, b), m.Stride(dim)
+			dirBit := int64(dir+1) / 2
 			vc := vcLo
-			for pos[dim] != b {
-				from := carve(len(msg.Hops))
-				copy(from, pos)
-				x := pos[dim] + dir
-				if x < 0 || x >= n { // only on a torus: the wrap link
-					x = (x + n) % n
+			for x := a; x != b; {
+				next := x + dir
+				if next < 0 || next >= n { // only on a torus: the wrap link
+					next = (next + n) % n
 					if n > 2 {
 						vc = vcHi
 					}
 				}
-				pos[dim] = x
-				msg.Hops = append(msg.Hops, Hop{Link: mesh.Link{From: from, Dim: dim, Dir: dir}, VC: vc})
+				hops = append(hops, Hop{Ch: int32((idx*int64(d)+int64(dim))*2 + dirBit), VC: int32(vc)})
+				idx += int64(next-x) * stride
+				x = next
 			}
 		}
 	}
-	msg.PathHops = len(msg.Hops)
-	_, msg.PathTurns = routing.HopsTurns(m, orders, src, dst, r.Vias)
-	return msg, nil
+	_, turns := routing.HopsTurns(m, orders, src, dst, vias)
+	return hops, turns, nil
 }
 
-// pathHops converts an explicit node path into hops on one VC. Each hop's
-// dimension is the coordinate that changes, and its direction follows from
-// the step: +1 or -1, or on a torus a step of -(n-1) or +(n-1) across the
-// wrap link (on a width-2 ring, where both directions reach the neighbour,
-// + wins). The From coordinates share one backing array.
-func pathHops(m *mesh.Mesh, path []mesh.Coord, vc int) ([]Hop, error) {
-	if len(path) < 2 {
-		return nil, nil
-	}
-	d := m.Dims()
-	back := make([]int, (len(path)-1)*d)
-	hops := make([]Hop, len(path)-1)
-	for i := range hops {
-		a, b := path[i], path[i+1]
+// appendPathHops appends to hops the hops of an explicit node path, all on
+// one VC. Each hop's dimension is the coordinate that changes, and its
+// direction the segment's (routing.SegmentDir): across the wrap link on a
+// torus, and + on a width-2 ring, where both directions reach the
+// neighbour.
+func appendPathHops(hops []Hop, m *mesh.Mesh, path []mesh.Coord, vc int) ([]Hop, error) {
+	for i := 1; i < len(path); i++ {
+		a, b := path[i-1], path[i]
+		if m.Distance(a, b) != 1 {
+			return hops, fmt.Errorf("wormhole: %v and %v are not neighbors", a, b)
+		}
 		dim := 0
-		for dim < d && a[dim] == b[dim] {
+		for a[dim] == b[dim] {
 			dim++
 		}
-		dir := 0
-		if dim < d {
-			n, step := m.Width(dim), b[dim]-a[dim]
-			switch {
-			case step == 1 || m.Torus() && step == -(n-1):
-				dir = 1
-			case step == -1 || m.Torus() && step == n-1:
-				dir = -1
-			}
-		}
-		if dir == 0 || !a[dim+1:].Equal(b[dim+1:]) {
-			return nil, fmt.Errorf("wormhole: %v and %v are not neighbors", a, b)
-		}
-		from := mesh.Coord(back[i*d : (i+1)*d : (i+1)*d])
-		copy(from, a)
-		hops[i] = Hop{Link: mesh.Link{From: from, Dim: dim, Dir: dir}, VC: vc}
+		l := mesh.Link{From: a, Dim: dim, Dir: routing.SegmentDir(m, dim, a[dim], b[dim])}
+		hops = append(hops, Hop{Ch: int32(m.ChannelID(l)), VC: int32(vc)})
 	}
 	return hops, nil
+}
+
+// arena carves messages, their endpoints and their hops from shared
+// backing arrays, so a workload of P packets costs O(log P) allocations
+// rather than several per packet. A zero arena's first message is carved
+// exactly to size.
+type arena struct {
+	msgs  []Message
+	ints  []int
+	hops  []Hop
+	route []Hop // routeFree's scratch, copied out by message
+}
+
+// carve returns n elements from the unused tail of *buf. When the tail is
+// too short it moves *buf to a fresh array of max(n, 2·cap) elements; the
+// old array stays with the slices carved from it. The result's capacity
+// is n, so appending to it never writes into the next carve.
+func carve[T any](buf *[]T, n int) []T {
+	l := len(*buf)
+	if cap(*buf)-l < n {
+		*buf, l = make([]T, 0, max(n, 2*cap(*buf))), 0
+	}
+	*buf = (*buf)[:l+n]
+	return (*buf)[l : l+n : l+n]
+}
+
+// message carves a message whose Src, Dst and Hops are copies of src, dst
+// and hops.
+func (a *arena) message(id int, src, dst mesh.Coord, length, injectAt int, hops []Hop, turns int) *Message {
+	d := len(src)
+	ends := carve(&a.ints, 2*d)
+	copy(ends, src)
+	copy(ends[d:], dst)
+	msg := &carve(&a.msgs, 1)[0]
+	*msg = Message{
+		ID:        id,
+		Src:       ends[:d:d],
+		Dst:       ends[d:],
+		Length:    length,
+		InjectAt:  injectAt,
+		Hops:      carve(&a.hops, len(hops)),
+		PathHops:  len(hops),
+		PathTurns: turns,
+	}
+	copy(msg.Hops, hops)
+	return msg
 }
 
 // TrafficSpec describes a random survivor-to-survivor workload.
@@ -167,7 +189,6 @@ type TrafficSpec struct {
 // failure is reported as an error rather than skipped.
 func GenerateTraffic(o *routing.Oracle, orders routing.MultiOrder, lambs []mesh.Coord,
 	spec TrafficSpec, vcs int, rng *rand.Rand) ([]*Message, error) {
-	m := o.Mesh()
 	survivors := Survivors(o.Faults(), lambs)
 	if len(survivors) < 2 {
 		return nil, fmt.Errorf("wormhole: fewer than two survivors")
@@ -199,7 +220,7 @@ func GenerateTraffic(o *routing.Oracle, orders routing.MultiOrder, lambs []mesh.
 			if err != nil {
 				return nil, err
 			}
-			if !hasVCReuse(m, msg) {
+			if !hasVCReuse(msg.Hops) {
 				break
 			}
 			if attempt >= 50 {
@@ -211,47 +232,40 @@ func GenerateTraffic(o *routing.Oracle, orders routing.MultiOrder, lambs []mesh.
 	return msgs, nil
 }
 
-// hasVCReuse reports whether the message visits any (link, VC) twice. A
-// k-round route has at most k·Σ(n_i-1) hops (60 for two rounds on a 16x16
-// mesh), so a linear scan of the keys seen so far, kept in a stack buffer,
-// beats hashing them into a per-message map.
-func hasVCReuse(m *mesh.Mesh, msg *Message) bool {
-	var buf [64]vcKey
-	seen := buf[:0]
-	for _, h := range msg.Hops {
-		k := vcKey{from: m.Index(h.Link.From), dim: h.Link.Dim, dir: h.Link.Dir, vc: h.VC}
-		for _, s := range seen {
-			if s == k {
-				return true
-			}
+// hasVCReuse reports whether a route visits any (channel, VC) pair twice.
+// A k-round route has at most k·Σ(n_i-1) hops (60 for two rounds on a
+// 16x16 mesh), so a quadratic scan of the 8-byte hops beats hashing them.
+func hasVCReuse(hops []Hop) bool {
+	for i, h := range hops {
+		if slices.Contains(hops[:i], h) {
+			return true
 		}
-		seen = append(seen, k)
 	}
 	return false
 }
 
-// routeFree routes one packet through s and, while the route revisits a
-// (link, VC) pair — possible with fewer VCs than rounds, and a
-// self-deadlock — redraws it, its random tie-breaks giving a different
-// via, a bounded number of times. ok=false means s cannot route the pair.
-func routeFree(s RouteStrategy, src, dst mesh.Coord, id, length, injectAt, vcs int, rng *rand.Rand) (*Message, bool, error) {
+// routeFree appends to hops the route of packet id through s and returns
+// it with its turn count. While the route revisits a (channel, VC) pair —
+// possible with fewer VCs than rounds, and a self-deadlock — it redraws
+// the route, its random tie-breaks giving a different via, a bounded
+// number of times. ok=false means s cannot route the pair.
+func routeFree(s RouteStrategy, hops []Hop, src, dst mesh.Coord, id, vcs int, rng *rand.Rand) ([]Hop, int, bool, error) {
 	// With its full VC complement a lamb route gives each round VCs of its
 	// own, and a dimension-ordered minimal segment never repeats a link, so
 	// no (link, VC) pair can repeat and the scan would only cost time.
 	if ls, ok := s.(*LambStrategy); ok && vcs >= ls.MinVCs() {
-		return s.Route(src, dst, id, length, injectAt, vcs, rng)
+		return s.Route(hops, src, dst, vcs, rng)
 	}
-	m := s.Faults().Mesh()
 	for attempt := 0; ; attempt++ {
-		msg, ok, err := s.Route(src, dst, id, length, injectAt, vcs, rng)
+		route, turns, ok, err := s.Route(hops, src, dst, vcs, rng)
 		if err != nil || !ok {
-			return nil, ok, err
+			return hops, 0, ok, err
 		}
-		if !hasVCReuse(m, msg) {
-			return msg, true, nil
+		if !hasVCReuse(route[len(hops):]) {
+			return route, turns, true, nil
 		}
 		if attempt >= 50 {
-			return nil, false, fmt.Errorf("wormhole: could not draw a self-overlap-free route for packet %d with %d VCs", id, vcs)
+			return hops, 0, false, fmt.Errorf("wormhole: could not draw a self-overlap-free route for packet %d with %d VCs", id, vcs)
 		}
 	}
 }

@@ -6,7 +6,8 @@ package wormhole
 // interface the workload generator, the live engine, and the sweeps consume.
 // A strategy owns a fault configuration, decides which good nodes it
 // sacrifices (lambs, inactivated ring nodes, or none), and turns (src, dst)
-// pairs into fully scheduled wormhole messages.
+// pairs into routes: hops on channel ids with their virtual channels, which
+// the workload generator carves into messages.
 
 import (
 	"fmt"
@@ -34,10 +35,12 @@ type RouteStrategy interface {
 	// discipline asks for (k rounds for lambs, 2 for fault rings, 1 for
 	// negative-first adaptive).
 	MinVCs() int
-	// Route builds the message for one packet. ok=false means the pair is
-	// unreachable under this scheme's discipline (the caller accounts for
-	// it); an error is a configuration bug and aborts the run.
-	Route(src, dst mesh.Coord, id, length, injectAt, vcs int, rng *rand.Rand) (*Message, bool, error)
+	// Route appends the hops of one packet's route from src to dst, with
+	// vcs virtual channels, to hops and returns them with the route's turn
+	// count. ok=false means the pair is unreachable under this scheme's
+	// discipline (the caller accounts for it); an error is a configuration
+	// bug and aborts the run.
+	Route(hops []Hop, src, dst mesh.Coord, vcs int, rng *rand.Rand) (_ []Hop, turns int, ok bool, err error)
 	// AddFaults grows the fault configuration mid-run and recomputes the
 	// scheme's derived structure (lamb set, ring regions). A report that
 	// mesh.ValidateFaults rejects returns its error and changes nothing.
@@ -154,14 +157,16 @@ func (s *LambStrategy) Sacrificed() []mesh.Coord {
 	return s.lambs
 }
 
-func (s *LambStrategy) Route(src, dst mesh.Coord, id, length, injectAt, vcs int, rng *rand.Rand) (*Message, bool, error) {
-	msg, err := RouteMessage(s.o, s.orders, src, dst, id, length, injectAt, vcs, rng)
-	if err != nil {
+func (s *LambStrategy) Route(hops []Hop, src, dst mesh.Coord, vcs int, rng *rand.Rand) ([]Hop, int, bool, error) {
+	var buf [8]int
+	vias, ok := routing.AppendVias(buf[:0], s.o, s.orders, src, dst, rng)
+	if !ok {
 		// The lamb-set guarantee makes survivor pairs routable, so a failure
 		// here is a configuration bug, not an unreachable pair.
-		return nil, false, err
+		return hops, 0, false, fmt.Errorf("wormhole: no fault-free %d-round route from %v to %v", s.orders.Rounds(), src, dst)
 	}
-	return msg, true, nil
+	hops, turns, err := appendRoute(hops, s.o.Mesh(), s.orders, vias, src, dst, vcs)
+	return hops, turns, err == nil, err
 }
 
 func (s *LambStrategy) AddFaults(nodes []mesh.Coord, links []mesh.Link) error {

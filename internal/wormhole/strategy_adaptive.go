@@ -97,17 +97,17 @@ func (s *AdaptiveStrategy) AddFaults(nodes []mesh.Coord, links []mesh.Link) erro
 	return nil
 }
 
-func (s *AdaptiveStrategy) Route(src, dst mesh.Coord, id, length, injectAt, vcs int, rng *rand.Rand) (*Message, bool, error) {
+func (s *AdaptiveStrategy) Route(hops []Hop, src, dst mesh.Coord, vcs int, rng *rand.Rand) ([]Hop, int, bool, error) {
 	if src.Equal(dst) {
-		return nil, false, fmt.Errorf("wormhole: zero-hop route %v -> %v", src, dst)
+		return hops, 0, false, fmt.Errorf("wormhole: zero-hop route %v -> %v", src, dst)
 	}
 	m := s.f.Mesh()
 	if s.f.NodeFaulty(src) || s.f.NodeFaulty(dst) {
-		return nil, false, fmt.Errorf("wormhole: faulty endpoint in %v -> %v", src, dst)
+		return hops, 0, false, fmt.Errorf("wormhole: faulty endpoint in %v -> %v", src, dst)
 	}
 	path, ok := s.negativeFirstPath(int(m.Index(src)), int(m.Index(dst)), rng)
 	if !ok {
-		return nil, false, nil
+		return hops, 0, false, nil
 	}
 	// Negative-first needs a single channel; the whole worm rides one VC,
 	// drawn uniformly so provisioned channels share load.
@@ -115,24 +115,12 @@ func (s *AdaptiveStrategy) Route(src, dst mesh.Coord, id, length, injectAt, vcs 
 	if vcs > 1 {
 		vc = rng.Intn(vcs)
 	}
-	msg := &Message{
-		ID:       id,
-		Src:      src.Clone(),
-		Dst:      dst.Clone(),
-		Length:   length,
-		InjectAt: injectAt,
-	}
 	coords := make([]mesh.Coord, len(path))
 	for i, idx := range path {
 		coords[i] = m.CoordOf(int64(idx))
 	}
-	var err error
-	if msg.Hops, err = pathHops(m, coords, vc); err != nil {
-		return nil, false, err
-	}
-	msg.PathHops = len(msg.Hops)
-	msg.PathTurns = routing.CountTurns(coords)
-	return msg, true, nil
+	hops, err := appendPathHops(hops, m, coords, vc)
+	return hops, routing.CountTurns(coords), err == nil, err
 }
 
 // negativeFirstPath finds a shortest src -> dst path whose hops are all

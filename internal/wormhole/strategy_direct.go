@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"lambmesh/internal/mesh"
-	"lambmesh/internal/routing"
 )
 
 // DirectStrategy is the zero-VC contrast point for the lamb method's k-VC
@@ -43,59 +42,48 @@ func (s *DirectStrategy) Faults() *mesh.FaultSet   { return s.f }
 func (s *DirectStrategy) Sacrificed() []mesh.Coord { return nil }
 func (s *DirectStrategy) MinVCs() int              { return 1 }
 
-// link returns the dedicated link from a to b (distinct nodes).
+// link returns the dedicated link from a to b (distinct nodes). It
+// shares a's coordinate, so it may only be read.
 func (s *DirectStrategy) link(a, b mesh.Coord) mesh.Link {
-	return mesh.Link{From: a.Clone(), Dim: 0, Dir: s.fm.Delta(a, b)}
+	return mesh.Link{From: a, Dim: 0, Dir: s.fm.Delta(a, b)}
 }
 
-func (s *DirectStrategy) Route(src, dst mesh.Coord, id, length, injectAt, vcs int, rng *rand.Rand) (*Message, bool, error) {
+// Route goes direct or through one intermediate. The grid of a full mesh
+// is one-dimensional, so a route never turns.
+func (s *DirectStrategy) Route(hops []Hop, src, dst mesh.Coord, vcs int, rng *rand.Rand) ([]Hop, int, bool, error) {
 	if src.Equal(dst) {
-		return nil, false, fmt.Errorf("wormhole: zero-hop route %v -> %v", src, dst)
+		return hops, 0, false, fmt.Errorf("wormhole: zero-hop route %v -> %v", src, dst)
 	}
 	vc := 0
 	if vcs > 1 && rng != nil {
 		vc = rng.Intn(vcs)
 	}
-	var path []mesh.Coord
+	hop := func(a, b mesh.Coord) Hop { return Hop{Ch: int32(s.fm.ChannelID(s.link(a, b))), VC: int32(vc)} }
 	if s.f.Usable(s.link(src, dst)) {
-		path = []mesh.Coord{src, dst}
-	} else {
-		// One-hop detour: usable intermediates with index strictly above the
-		// source's, in ascending index order (so the rng draw is
-		// deterministic for a given fault configuration).
-		m := s.f.Mesh()
-		var cands []mesh.Coord
-		for idx := m.Index(src) + 1; idx < m.Nodes(); idx++ {
-			w := m.CoordOf(idx)
-			if w.Equal(dst) || s.f.NodeFaulty(w) {
-				continue
-			}
-			if s.f.Usable(s.link(src, w)) && s.f.Usable(s.link(w, dst)) {
-				cands = append(cands, w)
-			}
-		}
-		if len(cands) == 0 {
-			return nil, false, nil
-		}
-		w := cands[0]
-		if rng != nil {
-			w = cands[rng.Intn(len(cands))]
-		}
-		path = []mesh.Coord{src, w, dst}
+		return append(hops, hop(src, dst)), 0, true, nil
 	}
-	msg := &Message{
-		ID:       id,
-		Src:      src.Clone(),
-		Dst:      dst.Clone(),
-		Length:   length,
-		InjectAt: injectAt,
+	// One-hop detour: usable intermediates with index strictly above the
+	// source's, in ascending index order (so the rng draw is deterministic
+	// for a given fault configuration).
+	m := s.f.Mesh()
+	var cands []mesh.Coord
+	for idx := m.Index(src) + 1; idx < m.Nodes(); idx++ {
+		w := m.CoordOf(idx)
+		if w.Equal(dst) || s.f.NodeFaulty(w) {
+			continue
+		}
+		if s.f.Usable(s.link(src, w)) && s.f.Usable(s.link(w, dst)) {
+			cands = append(cands, w)
+		}
 	}
-	for i := 1; i < len(path); i++ {
-		msg.Hops = append(msg.Hops, Hop{Link: s.link(path[i-1], path[i]), VC: vc})
+	if len(cands) == 0 {
+		return hops, 0, false, nil
 	}
-	msg.PathHops = len(msg.Hops)
-	msg.PathTurns = routing.CountTurns(path)
-	return msg, true, nil
+	w := cands[0]
+	if rng != nil {
+		w = cands[rng.Intn(len(cands))]
+	}
+	return append(hops, hop(src, w), hop(w, dst)), 0, true, nil
 }
 
 func (s *DirectStrategy) AddFaults(nodes []mesh.Coord, links []mesh.Link) error {

@@ -59,31 +59,16 @@ func ringVC(class, vcs int) int {
 	return vc
 }
 
-func (s *RingStrategy) Route(src, dst mesh.Coord, id, length, injectAt, vcs int, _ *rand.Rand) (*Message, bool, error) {
+func (s *RingStrategy) Route(hops []Hop, src, dst mesh.Coord, vcs int, _ *rand.Rand) ([]Hop, int, bool, error) {
 	if src.Equal(dst) {
-		return nil, false, fmt.Errorf("wormhole: zero-hop route %v -> %v", src, dst)
+		return hops, 0, false, fmt.Errorf("wormhole: zero-hop route %v -> %v", src, dst)
 	}
 	path, ok, err := s.mod.Route(src, dst)
-	if err != nil {
-		return nil, false, err
+	if err != nil || !ok {
+		return hops, 0, false, err
 	}
-	if !ok {
-		return nil, false, nil
-	}
-	vc := ringVC(faultring.Class(src, dst), vcs)
-	msg := &Message{
-		ID:       id,
-		Src:      src.Clone(),
-		Dst:      dst.Clone(),
-		Length:   length,
-		InjectAt: injectAt,
-	}
-	if msg.Hops, err = pathHops(s.f.Mesh(), path, vc); err != nil {
-		return nil, false, err
-	}
-	msg.PathHops = len(msg.Hops)
-	msg.PathTurns = routing.CountTurns(path)
-	return msg, true, nil
+	hops, err = appendPathHops(hops, s.f.Mesh(), path, ringVC(faultring.Class(src, dst), vcs))
+	return hops, routing.CountTurns(path), err == nil, err
 }
 
 func (s *RingStrategy) AddFaults(nodes []mesh.Coord, links []mesh.Link) error {

@@ -53,11 +53,11 @@ func TestLambRoutesNeverReuseVC(t *testing.T) {
 				if src.Equal(dst) {
 					continue
 				}
-				msg, _, err := s.Route(src, dst, i, 4, 0, s.MinVCs(), rng)
+				hops, _, _, err := s.Route(nil, src, dst, s.MinVCs(), rng)
 				if err != nil {
 					t.Fatalf("%v k=%d %v->%v: %v", m, k, src, dst, err)
 				}
-				if hasVCReuse(m, msg) {
+				if hasVCReuse(hops) {
 					t.Fatalf("%v k=%d %v->%v: route revisits a (link, VC) pair with %d VCs", m, k, src, dst, s.MinVCs())
 				}
 			}
@@ -170,7 +170,7 @@ func checkStrategyRoute(t *testing.T, name string, m *mesh.Mesh, f *mesh.FaultSe
 			wantVC = 1
 		}
 		for i, h := range msg.Hops {
-			if h.VC != wantVC {
+			if int(h.VC) != wantVC {
 				t.Fatalf("ring msg %d hop %d: VC %d, want class VC %d", msg.ID, i, h.VC, wantVC)
 			}
 		}
@@ -179,7 +179,7 @@ func checkStrategyRoute(t *testing.T, name string, m *mesh.Mesh, f *mesh.FaultSe
 		// single VC end to end.
 		seenPositive := false
 		for i, h := range msg.Hops {
-			if h.Link.Dir > 0 {
+			if m.ChannelLink(int(h.Ch)).Dir > 0 {
 				seenPositive = true
 			} else if seenPositive {
 				t.Fatalf("adaptive msg %d hop %d: negative hop after positive prefix", msg.ID, i)
@@ -201,18 +201,19 @@ func checkStrategyRoute(t *testing.T, name string, m *mesh.Mesh, f *mesh.FaultSe
 	if len(msg.Hops) == 0 {
 		t.Fatalf("%s msg %d: empty route", name, msg.ID)
 	}
-	if !msg.Hops[0].Link.From.Equal(msg.Src) {
-		t.Fatalf("%s msg %d: route starts at %v, not src %v", name, msg.ID, msg.Hops[0].Link.From, msg.Src)
+	if first := m.ChannelLink(int(msg.Hops[0].Ch)); !first.From.Equal(msg.Src) {
+		t.Fatalf("%s msg %d: route starts at %v, not src %v", name, msg.ID, first.From, msg.Src)
 	}
 	cur := msg.Src
 	for i, h := range msg.Hops {
-		if !h.Link.From.Equal(cur) {
-			t.Fatalf("%s msg %d hop %d: discontinuous route (%v != %v)", name, msg.ID, i, h.Link.From, cur)
+		l := m.ChannelLink(int(h.Ch))
+		if !l.From.Equal(cur) {
+			t.Fatalf("%s msg %d hop %d: discontinuous route (%v != %v)", name, msg.ID, i, l.From, cur)
 		}
-		if !f.Usable(h.Link) {
-			t.Fatalf("%s msg %d hop %d: unusable link %v", name, msg.ID, i, h.Link)
+		if !f.Usable(l) {
+			t.Fatalf("%s msg %d hop %d: unusable link %v", name, msg.ID, i, l)
 		}
-		cur = h.Link.To(m)
+		cur = l.To(m)
 		if f.NodeFaulty(cur) {
 			t.Fatalf("%s msg %d hop %d: route through faulty node %v", name, msg.ID, i, cur)
 		}
@@ -245,7 +246,7 @@ func TestStrategyAllPairsServedOrReported(t *testing.T) {
 				if src.Equal(dst) {
 					continue
 				}
-				msg, ok, err := s.Route(src, dst, 0, 4, 0, 2, rng)
+				hops, _, ok, err := s.Route(nil, src, dst, 2, rng)
 				if err != nil {
 					t.Fatalf("%s: Route(%v, %v): %v", name, src, dst, err)
 				}
@@ -253,7 +254,7 @@ func TestStrategyAllPairsServedOrReported(t *testing.T) {
 					unreachable++
 					continue
 				}
-				if msg == nil || len(msg.Hops) == 0 {
+				if len(hops) == 0 {
 					t.Fatalf("%s: ok route with no hops %v -> %v", name, src, dst)
 				}
 			}
@@ -296,11 +297,11 @@ type unreachableSrcStrategy struct {
 	bad mesh.Coord
 }
 
-func (s *unreachableSrcStrategy) Route(src, dst mesh.Coord, id, length, injectAt, vcs int, rng *rand.Rand) (*Message, bool, error) {
+func (s *unreachableSrcStrategy) Route(hops []Hop, src, dst mesh.Coord, vcs int, rng *rand.Rand) ([]Hop, int, bool, error) {
 	if src.Equal(s.bad) {
-		return nil, false, nil
+		return hops, 0, false, nil
 	}
-	return s.RouteStrategy.Route(src, dst, id, length, injectAt, vcs, rng)
+	return s.RouteStrategy.Route(hops, src, dst, vcs, rng)
 }
 
 // TestStrategySweepWorkerDeterminism: RunSweep through every strategy is

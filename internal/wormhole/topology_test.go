@@ -243,17 +243,18 @@ func checkTopoRoute(t *testing.T, topoName, strat string, f *mesh.FaultSet,
 	}
 	cur := msg.Src
 	for i, h := range msg.Hops {
-		if !h.Link.From.Equal(cur) {
-			t.Fatalf("msg %d hop %d: discontinuous route (%v != %v)", msg.ID, i, h.Link.From, cur)
+		l := f.Topology().ChannelLink(int(h.Ch))
+		if !l.From.Equal(cur) {
+			t.Fatalf("msg %d hop %d: discontinuous route (%v != %v)", msg.ID, i, l.From, cur)
 		}
-		head, ok := f.Topology().LinkHead(h.Link)
+		head, ok := f.Topology().LinkHead(l)
 		if !ok {
-			t.Fatalf("msg %d hop %d: link %v does not exist on %s", msg.ID, i, h.Link, topoName)
+			t.Fatalf("msg %d hop %d: link %v does not exist on %s", msg.ID, i, l, topoName)
 		}
-		if !f.Usable(h.Link) {
-			t.Fatalf("msg %d hop %d: unusable link %v", msg.ID, i, h.Link)
+		if !f.Usable(l) {
+			t.Fatalf("msg %d hop %d: unusable link %v", msg.ID, i, l)
 		}
-		if h.VC < 0 || h.VC >= vcs {
+		if h.VC < 0 || int(h.VC) >= vcs {
 			t.Fatalf("msg %d hop %d: VC %d outside [0,%d)", msg.ID, i, h.VC, vcs)
 		}
 		cur = head
@@ -281,27 +282,28 @@ func checkTorusLambRoute(t *testing.T, m *mesh.Mesh, msg *Message) {
 	t.Helper()
 	round, curDim, onHigh := 0, -1, false
 	for i, h := range msg.Hops {
-		r := h.VC / 2
+		l := m.ChannelLink(int(h.Ch))
+		r := int(h.VC) / 2
 		if r < round {
 			t.Fatalf("torus msg %d hop %d: round regressed (VC %d after round %d)", msg.ID, i, h.VC, round)
 		}
-		if r > round || h.Link.Dim != curDim {
+		if r > round || l.Dim != curDim {
 			// New round or new dimension segment: reset to the low channel.
 			if r > round {
-				round, curDim = r, h.Link.Dim
+				round, curDim = r, l.Dim
 			} else {
-				if h.Link.Dim < curDim {
-					t.Fatalf("torus msg %d hop %d: dimension %d after %d within round %d", msg.ID, i, h.Link.Dim, curDim, round)
+				if l.Dim < curDim {
+					t.Fatalf("torus msg %d hop %d: dimension %d after %d within round %d", msg.ID, i, l.Dim, curDim, round)
 				}
-				curDim = h.Link.Dim
+				curDim = l.Dim
 			}
 			onHigh = false
 		}
-		to, ok := m.Neighbor(h.Link.From, h.Link.Dim, h.Link.Dir)
+		to, ok := m.Neighbor(l.From, l.Dim, l.Dir)
 		if !ok {
-			t.Fatalf("torus msg %d hop %d: no neighbor for %v", msg.ID, i, h.Link)
+			t.Fatalf("torus msg %d hop %d: no neighbor for %v", msg.ID, i, l)
 		}
-		delta := to[h.Link.Dim] - h.Link.From[h.Link.Dim]
+		delta := to[l.Dim] - l.From[l.Dim]
 		if delta > 1 || delta < -1 {
 			onHigh = true // the wrap hop crosses the dateline
 		}
@@ -309,7 +311,7 @@ func checkTorusLambRoute(t *testing.T, m *mesh.Mesh, msg *Message) {
 		if onHigh {
 			want++
 		}
-		if h.VC != want {
+		if int(h.VC) != want {
 			t.Fatalf("torus msg %d hop %d: VC %d, want %d (round %d, dateline=%v)", msg.ID, i, h.VC, want, round, onHigh)
 		}
 	}
@@ -329,7 +331,7 @@ func checkDirectRoute(t *testing.T, f *mesh.FaultSet, msg *Message) {
 		}
 	}
 	if len(msg.Hops) == 2 {
-		w := msg.Hops[1].Link.From
+		w := f.Topology().ChannelLink(int(msg.Hops[1].Ch)).From
 		if m.Index(w) <= m.Index(msg.Src) {
 			t.Fatalf("direct msg %d: intermediate %v not above source %v in index order", msg.ID, w, msg.Src)
 		}
@@ -349,7 +351,7 @@ func checkMatrixPairs(t *testing.T, tc topoCase, name string) {
 			if src.Equal(dst) {
 				continue
 			}
-			msg, ok, err := s.Route(src, dst, 0, 4, 0, tc.vcs, rng)
+			hops, _, ok, err := s.Route(nil, src, dst, tc.vcs, rng)
 			if err != nil {
 				t.Fatalf("%s on %s: Route(%v, %v): %v", name, tc.name, src, dst, err)
 			}
@@ -357,7 +359,7 @@ func checkMatrixPairs(t *testing.T, tc topoCase, name string) {
 				unreachable++
 				continue
 			}
-			if msg == nil || len(msg.Hops) == 0 {
+			if len(hops) == 0 {
 				t.Fatalf("%s on %s: ok route with no hops %v -> %v", name, tc.name, src, dst)
 			}
 		}

@@ -193,6 +193,7 @@ func GenerateStrategyWorkload(s RouteStrategy, spec WorkloadSpec, vcs int,
 	hotspot := hotspotNode(f.Mesh(), survivors)
 
 	expected := int(spec.Rate*float64(len(survivors)*spec.Cycles)) + 1
+	a := arena{msgs: make([]Message, 0, expected), ints: make([]int, 0, 2*f.Mesh().Dims()*expected)}
 	msgs := make([]*Message, 0, expected)
 	id := 0
 	unreachable := 0
@@ -202,7 +203,7 @@ func GenerateStrategyWorkload(s RouteStrategy, spec WorkloadSpec, vcs int,
 				continue
 			}
 			dst := workloadDest(f, sacrificed, spec, src, survivors, hotspot, rng)
-			msg, ok, err := routeFree(s, src, dst, id, spec.PacketFlits, cycle, vcs, rng)
+			hops, turns, ok, err := routeFree(s, a.route[:0], src, dst, id, vcs, rng)
 			// Unreachable under this strategy: redraw the destination
 			// uniformly; give the packet up after a bounded number of tries
 			// (e.g. src walled off entirely).
@@ -211,8 +212,9 @@ func GenerateStrategyWorkload(s RouteStrategy, spec WorkloadSpec, vcs int,
 				for dst.Equal(src) {
 					dst = survivors[rng.Intn(len(survivors))]
 				}
-				msg, ok, err = routeFree(s, src, dst, id, spec.PacketFlits, cycle, vcs, rng)
+				hops, turns, ok, err = routeFree(s, a.route[:0], src, dst, id, vcs, rng)
 			}
+			a.route = hops
 			if err != nil {
 				return nil, 0, err
 			}
@@ -220,7 +222,7 @@ func GenerateStrategyWorkload(s RouteStrategy, spec WorkloadSpec, vcs int,
 				unreachable++
 				continue
 			}
-			msgs = append(msgs, msg)
+			msgs = append(msgs, a.message(id, src, dst, spec.PacketFlits, cycle, hops, turns))
 			id++
 		}
 	}

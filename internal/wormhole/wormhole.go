@@ -39,11 +39,11 @@ func DefaultConfig() Config {
 	return Config{VirtualChannels: 2, BufferDepth: 2, StallCycles: 1000, MaxCycles: 1_000_000}
 }
 
-// Hop is one link traversal on a message route, with the virtual channel it
-// uses (the round number, clamped to the available VCs).
+// Hop is one link traversal on a message route: the dense id of the link
+// (the topology's ChannelID; ChannelLink recovers the link) and the virtual
+// channel it uses (the round number, clamped to the available VCs).
 type Hop struct {
-	Link mesh.Link
-	VC   int
+	Ch, VC int32
 }
 
 // Message is a wormhole packet.
@@ -70,9 +70,9 @@ type Message struct {
 	injectedAny bool
 	lost        bool // endpoint died mid-run; packet will never deliver
 
-	// hops is the runtime state of each hop: the dense channel and VC ids
-	// (precomputed by bindMessage, so the per-cycle loops index flat arrays
-	// instead of hashing coordinates) and the flits buffered there.
+	// hops is the runtime state of each hop: the channel and dense VC ids
+	// (precomputed by bindMessage, so the per-cycle loops index flat
+	// arrays) and the flits buffered there.
 	// NewNetwork carves every message's hops from one arena.
 	hops []hopState
 }
@@ -86,15 +86,6 @@ type hopState struct {
 
 // Latency returns delivery latency in cycles (delivery - earliest inject).
 func (m *Message) Latency() int { return m.DoneCycle - m.InjectAt }
-
-// vcKey identifies one virtual channel of one directed physical link; route
-// validation and the tests' channel dependency graph key on it.
-type vcKey struct {
-	from int64
-	dim  int
-	dir  int
-	vc   int
-}
 
 // Network simulates a set of messages over a faulty mesh.
 //
@@ -113,8 +104,6 @@ type vcKey struct {
 // message (BenchmarkWormholeRun in BENCH_lamb.json).
 type Network struct {
 	cfg    Config
-	m      *mesh.Mesh
-	topo   mesh.Topology
 	faults *mesh.FaultSet
 	msgs   []*Message
 
@@ -155,8 +144,9 @@ type Network struct {
 
 // NewNetwork creates a simulator over the faulty mesh for the given
 // messages. Message routes must already avoid faults (build them with
-// RouteMessage); the constructor rejects routes through faults and routes
-// that reuse a (link, VC) pair, which would self-deadlock in hardware.
+// RouteMessage); the constructor rejects routes through faults or over ids
+// that name no link, and routes that reuse a (link, VC) pair, which would
+// self-deadlock in hardware.
 func NewNetwork(f *mesh.FaultSet, cfg Config, msgs []*Message) (*Network, error) {
 	if cfg.VirtualChannels < 1 || cfg.BufferDepth < 1 {
 		return nil, fmt.Errorf("wormhole: need at least 1 VC and 1-flit buffers")
@@ -173,8 +163,6 @@ func NewNetwork(f *mesh.FaultSet, cfg Config, msgs []*Message) (*Network, error)
 	}
 	n := &Network{
 		cfg:       cfg,
-		m:         f.Mesh(),
-		topo:      f.Topology(),
 		faults:    f,
 		msgs:      msgs,
 		vcOwner:   make([]int, numChans*cfg.VirtualChannels),
@@ -193,12 +181,9 @@ func NewNetwork(f *mesh.FaultSet, cfg Config, msgs []*Message) (*Network, error)
 	for _, msg := range msgs {
 		total += len(msg.Hops)
 	}
-	arena := make([]hopState, total)
+	arena := make([]hopState, 0, total)
 	for _, msg := range msgs {
-		// Capacity-capped, so a longer reroute gets a fresh slice instead
-		// of overwriting the next message's hops.
-		l := len(msg.Hops)
-		msg.hops, arena = arena[:l:l], arena[l:]
+		msg.hops = carve(&arena, len(msg.Hops)) // a longer reroute moves out
 		if err := n.bindMessage(msg); err != nil {
 			return nil, err
 		}
@@ -215,25 +200,21 @@ func (n *Network) bindMessage(msg *Message) error {
 		return fmt.Errorf("wormhole: message %d has no flits", msg.ID)
 	}
 	n.bindStamp++
-	if cap(msg.hops) >= len(msg.Hops) {
-		msg.hops = msg.hops[:len(msg.Hops)]
-	} else {
-		msg.hops = make([]hopState, len(msg.Hops))
-	}
+	msg.hops = slices.Grow(msg.hops[:0], len(msg.Hops))[:len(msg.Hops)]
+	vcs := int32(n.cfg.VirtualChannels)
 	for hi, h := range msg.Hops {
-		if h.VC < 0 || h.VC >= n.cfg.VirtualChannels {
-			return fmt.Errorf("wormhole: message %d uses VC %d of %d", msg.ID, h.VC, n.cfg.VirtualChannels)
+		if h.VC < 0 || h.VC >= vcs {
+			return fmt.Errorf("wormhole: message %d uses VC %d of %d", msg.ID, h.VC, vcs)
 		}
-		if !n.faults.Usable(h.Link) {
-			return fmt.Errorf("wormhole: message %d routed over unusable link %v", msg.ID, h.Link)
+		if !n.faults.ChannelUsable(int(h.Ch)) {
+			return fmt.Errorf("wormhole: message %d routed over unusable link %v", msg.ID, n.link(h.Ch))
 		}
-		c := n.chanID(h.Link)
-		v := c*n.cfg.VirtualChannels + h.VC
+		v := h.Ch*vcs + h.VC
 		if n.bindSeen[v] == n.bindStamp {
-			return fmt.Errorf("wormhole: message %d reuses link %v on VC %d (self-deadlock)", msg.ID, h.Link, h.VC)
+			return fmt.Errorf("wormhole: message %d reuses link %v on VC %d (self-deadlock)", msg.ID, n.link(h.Ch), h.VC)
 		}
 		n.bindSeen[v] = n.bindStamp
-		msg.hops[hi] = hopState{ch: int32(c), vc: int32(v)}
+		msg.hops[hi] = hopState{ch: h.Ch, vc: v}
 	}
 	msg.remaining = msg.Length
 	msg.ejected = 0
@@ -266,11 +247,12 @@ func (n *Network) removeWorm(m *Message) int {
 	return dropped
 }
 
-// chanID returns the dense id of a directed physical channel (the
-// topology's ChannelID; on meshes this is (Index(From)*d + Dim)*2 + dirBit,
-// unchanged from the pre-Topology layout).
-func (n *Network) chanID(l mesh.Link) int {
-	return n.topo.ChannelID(l)
+// link names channel ch in an error message, by its link when in range.
+func (n *Network) link(ch int32) any {
+	if t := n.faults.Topology(); ch >= 0 && int(ch) < t.NumChannels() {
+		return t.ChannelLink(int(ch))
+	}
+	return fmt.Sprintf("channel %d", ch)
 }
 
 // Reset rewinds the network and every message to the pre-Run state, so the

@@ -68,8 +68,8 @@ func TestSelfDelivery(t *testing.T) {
 // RouteMessage skips the node path, yet must build the message
 // MessageFromRoute builds from ChooseRoute's route with the same rng
 // draws, with the hops and turns of the route's path, and the message must
-// own its Src and Dst: they share the hops' backing array but no
-// coordinate with the caller or with a hop.
+// own its Src and Dst: they share no coordinate with the caller, and
+// neither can grow into the other.
 func TestRouteMessageMatchesRoute(t *testing.T) {
 	torus, err := mesh.NewTorus(6, 5)
 	if err != nil {
@@ -97,7 +97,11 @@ func TestRouteMessageMatchesRoute(t *testing.T) {
 				if !ok {
 					continue
 				}
-				want, err := MessageFromRoute(m, orders, r, src, dst, i, 4, 0, 2*len(orders))
+				var vias []int
+				for _, c := range r.Vias {
+					vias = append(vias, c...)
+				}
+				want, err := MessageFromRoute(m, orders, vias, src, dst, i, 4, 0, 2*len(orders))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,12 +116,8 @@ func TestRouteMessageMatchesRoute(t *testing.T) {
 				if got.Src[0] == -1 || got.Dst[0] == -1 {
 					t.Fatalf("message shares Src or Dst with the caller")
 				}
-				if len(got.Hops) > 0 {
-					first, last := got.Hops[0].Link.From.Clone(), got.Hops[len(got.Hops)-1].Link.From.Clone()
-					got.Src[0], got.Dst[0] = -2, -2
-					if !got.Hops[0].Link.From.Equal(first) || !got.Hops[len(got.Hops)-1].Link.From.Equal(last) {
-						t.Fatalf("message Src or Dst aliases a hop")
-					}
+				if cap(got.Src) != d || cap(got.Dst) != d {
+					t.Fatalf("message Src or Dst has spare capacity: %d and %d for %d dimensions", cap(got.Src), cap(got.Dst), d)
 				}
 			}
 		}
@@ -133,11 +133,7 @@ func ringMessages(t *testing.T, o *routing.Oracle, vcs int) []*Message {
 	m := o.Mesh()
 	orders := routing.UniformAscending(2, 2)
 	mk := func(id int, src, via, dst mesh.Coord) *Message {
-		r := &routing.Route{
-			Vias: []mesh.Coord{via},
-			Path: routing.PathK(m, orders, src, dst, []mesh.Coord{via}),
-		}
-		msg, err := MessageFromRoute(m, orders, r, src, dst, id, 12, 0, vcs)
+		msg, err := MessageFromRoute(m, orders, via, src, dst, id, 12, 0, vcs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +206,7 @@ func TestRandomSurvivorTraffic(t *testing.T) {
 			t.Errorf("message %d has %d turns, beyond the k*d-1 bound", msg.ID, msg.PathTurns)
 		}
 		for _, h := range msg.Hops {
-			if !f.Usable(h.Link) {
+			if !f.ChannelUsable(int(h.Ch)) {
 				t.Errorf("message %d routed over unusable link", msg.ID)
 			}
 		}
@@ -275,7 +271,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewNetwork(o.Faults(), DefaultConfig(), []*Message{msg}); err == nil {
 		t.Error("0-flit message should fail")
 	}
-	bad := &Message{ID: 0, Length: 1, Hops: []Hop{{Link: mesh.Link{From: mesh.C(0, 0), Dim: 0, Dir: 1}, VC: 7}}}
+	ch := int32(o.Mesh().ChannelID(mesh.Link{From: mesh.C(0, 0), Dim: 0, Dir: 1}))
+	bad := &Message{ID: 0, Length: 1, Hops: []Hop{{Ch: ch, VC: 7}}}
 	if _, err := NewNetwork(o.Faults(), DefaultConfig(), []*Message{bad}); err == nil {
 		t.Error("VC out of range should fail")
 	}
@@ -285,16 +282,26 @@ func TestRouteOverFaultRejected(t *testing.T) {
 	m := mesh.MustNew(4, 4)
 	f := mesh.NewFaultSet(m)
 	f.AddNode(mesh.C(1, 0))
-	msg := &Message{ID: 0, Length: 1, Hops: []Hop{{Link: mesh.Link{From: mesh.C(0, 0), Dim: 0, Dir: 1}, VC: 0}}}
+	ch := int32(m.ChannelID(mesh.Link{From: mesh.C(0, 0), Dim: 0, Dir: 1}))
+	msg := &Message{ID: 0, Length: 1, Hops: []Hop{{Ch: ch, VC: 0}}}
 	if _, err := NewNetwork(f, DefaultConfig(), []*Message{msg}); err == nil {
 		t.Error("route into a faulty node should be rejected")
+	}
+	// Ids that name no link: below the range, past it, and the + step off
+	// the mesh's right edge, which the layout reserves but no link uses.
+	edge := int32(m.ChannelID(mesh.Link{From: mesh.C(3, 2), Dim: 0, Dir: 1}))
+	for _, ch := range []int32{-1, int32(m.NumChannels()), edge} {
+		msg := &Message{ID: 0, Length: 1, Hops: []Hop{{Ch: ch, VC: 0}}}
+		if _, err := NewNetwork(f, DefaultConfig(), []*Message{msg}); err == nil {
+			t.Errorf("channel id %d names no link but was accepted", ch)
+		}
 	}
 }
 
 func TestSelfOverlapRejected(t *testing.T) {
 	o := freeOracle(4, 4)
-	l := mesh.Link{From: mesh.C(0, 0), Dim: 0, Dir: 1}
-	msg := &Message{ID: 0, Length: 1, Hops: []Hop{{Link: l, VC: 0}, {Link: l, VC: 0}}}
+	ch := int32(o.Mesh().ChannelID(mesh.Link{From: mesh.C(0, 0), Dim: 0, Dir: 1}))
+	msg := &Message{ID: 0, Length: 1, Hops: []Hop{{Ch: ch, VC: 0}, {Ch: ch, VC: 0}}}
 	if _, err := NewNetwork(o.Faults(), DefaultConfig(), []*Message{msg}); err == nil {
 		t.Error("reusing a (link, VC) pair should be rejected")
 	}

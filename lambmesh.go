@@ -41,7 +41,8 @@ type (
 	Mesh = mesh.Mesh
 	// Topology abstracts a network family (mesh, torus, hypercube, full
 	// mesh) behind neighbor enumeration, channel indexing, canonical base
-	// paths, and a serialization tag.
+	// paths, and a serialization tag. Mesh and FullMesh are its only
+	// implementations.
 	Topology = mesh.Topology
 	// FullMesh is the complete network K_N (every pair directly linked).
 	FullMesh = mesh.FullMesh

@@ -81,8 +81,8 @@ var requiredBenchmarks = []string{
 	"BenchmarkCampaignRun",
 	"BenchmarkCampaignGrid",
 	"BenchmarkGenerateWorkload",
-	"BenchmarkChooseVias/mesh16x16",
-	"BenchmarkChooseVias/torus16x16",
+	"BenchmarkAppendVias/mesh16x16",
+	"BenchmarkAppendVias/torus16x16",
 	"BenchmarkLiveTrial",
 	"BenchmarkStrategyRoute/lamb",
 	"BenchmarkStrategyRoute/ring",
